@@ -281,8 +281,7 @@ func (p *Pair) FidelityWith(t sim.Time, idx quantum.BellIndex) float64 {
 }
 
 // applyDepol1 applies single-qubit depolarising noise with probability prob
-// to one side's qubit, in place. The channel comes pre-lifted from the
-// global cache (prob is fixed per device).
+// to one side's qubit, in place.
 func (p *Pair) applyDepol1(side int, prob float64) {
 	if p.scalar {
 		p.w = werner.Depolarize1(p.w, prob)

@@ -7,6 +7,13 @@
 // matrix products per simulated entanglement swap, and everything stays in
 // plain []complex128 with row-major layout.
 //
+// MulInto's accumulation is part of its contract: each element starts at +0
+// and adds a·b terms in ascending inner index, skipping zero entries of a.
+// Package quantum's local gate kernels reproduce that order without forming
+// the lifted operators, and rely on it to stay bit-identical: since a sum
+// that starts at +0 is never −0, any term with an exact-zero factor can be
+// skipped without changing a bit.
+//
 // Every allocating operation has a destination-passing twin (MulInto,
 // KronInto, AddInto, ScaleInto, ConjTransposeInto, PartialTraceInto) that
 // writes into a caller-provided matrix, and Workspace provides a

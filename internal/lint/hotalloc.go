@@ -46,8 +46,6 @@ var hotAllocTwins = map[string]map[string]string{
 		"Measure":        "MeasureW",
 		"MeasureInBasis": "MeasureInBasisW",
 		"Swap":           "SwapW",
-		"Lift1":          "Lift1Into",
-		"Lift2":          "Lift2Into",
 		"Apply":          "ApplyW",  // Kraus method
 		"Apply2":         "Apply2W", // Kraus method
 		"BellProjector":  "BellProjectorCached",

@@ -35,6 +35,30 @@ func TestAllocsApplyGate1W(t *testing.T) {
 	}
 }
 
+// TestAllocsGateAndChannelW gates the remaining workspace-threaded gate and
+// channel entry points at zero allocs/op once the pool is warm.
+func TestAllocsGateAndChannelW(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run with -race off")
+	}
+	joint := linalg.Kron(WernerState(0.9), BellState(PsiPlus))
+	pair := WernerState(0.8)
+	for _, tc := range []struct {
+		name string
+		fn   func(ws *linalg.Workspace) *linalg.Matrix
+	}{
+		{"ApplyGate2W", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyGate2W(ws, joint, CNOT, 1, 4) }},
+		{"NoisyGate2W", func(ws *linalg.Workspace) *linalg.Matrix { return NoisyGate2W(ws, joint, CNOT, 1, 4, 0.98) }},
+		{"ApplyDepolarizing1W", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyDepolarizing1W(ws, pair, 0.02, 1, 2) }},
+		{"ApplyPhaseFlipW", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyPhaseFlipW(ws, pair, 0.05, 0, 2) }},
+	} {
+		ws := warmWS(func(ws *linalg.Workspace) { ws.Put(tc.fn(ws)) })
+		if allocs := testing.AllocsPerRun(50, func() { ws.Put(tc.fn(ws)) }); allocs != 0 {
+			t.Errorf("%s allocs/op = %v, want 0", tc.name, allocs)
+		}
+	}
+}
+
 func TestAllocsSwapW(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gates run with -race off")
@@ -95,7 +119,7 @@ func TestSwapWMatchesSwap(t *testing.T) {
 		if got.Outcome != want.Outcome {
 			t.Fatalf("seed %d: outcome %v != %v", seed, got.Outcome, want.Outcome)
 		}
-		if linalg.MaxAbsDiff(got.Rho, want.Rho) != 0 {
+		if !sameBits(got.Rho, want.Rho) {
 			t.Fatalf("seed %d: SwapW state differs from Swap by %g", seed, linalg.MaxAbsDiff(got.Rho, want.Rho))
 		}
 		if rng1.Int63() != rng2.Int63() {
@@ -111,7 +135,7 @@ func TestDecohereWMatchesDecohere(t *testing.T) {
 	} {
 		want := Decohere(rho, 1, 2, tc.t, tc.t1, tc.t2)
 		got := DecohereW(linalg.NewWorkspace(), rho, 1, 2, tc.t, tc.t1, tc.t2)
-		if linalg.MaxAbsDiff(got, want) != 0 {
+		if !sameBits(got, want) {
 			t.Errorf("DecohereW(%v) differs from Decohere", tc)
 		}
 	}
@@ -126,27 +150,8 @@ func TestMeasureInBasisWMatches(t *testing.T) {
 			ro := Readout{F0: 0.9, F1: 0.85}
 			wantBit, wantPost := MeasureInBasis(rho, 0, 2, basis, ro, rng1)
 			gotBit, gotPost := MeasureInBasisW(linalg.NewWorkspace(), rho, 0, 2, basis, ro, rng2)
-			if gotBit != wantBit || linalg.MaxAbsDiff(gotPost, wantPost) != 0 {
+			if gotBit != wantBit || !sameBits(gotPost, wantPost) {
 				t.Fatalf("basis %v seed %d: W variant diverged", basis, seed)
-			}
-		}
-	}
-}
-
-func TestLiftIntoMatchesLift(t *testing.T) {
-	for n := 1; n <= 4; n++ {
-		for target := 0; target < n; target++ {
-			want := Lift1(Y, target, n)
-			got := Lift1Into(linalg.New(1<<n, 1<<n), Y, target, n)
-			if linalg.MaxAbsDiff(got, want) != 0 {
-				t.Errorf("Lift1Into(Y,%d,%d) differs", target, n)
-			}
-		}
-		for target := 0; target+1 < n; target++ {
-			want := Lift2(CNOT, target, n)
-			got := Lift2Into(linalg.New(1<<n, 1<<n), CNOT, target, n)
-			if linalg.MaxAbsDiff(got, want) != 0 {
-				t.Errorf("Lift2Into(CNOT,%d,%d) differs", target, n)
 			}
 		}
 	}

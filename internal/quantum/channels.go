@@ -2,7 +2,6 @@ package quantum
 
 import (
 	"math"
-	"sync"
 
 	"qnp/internal/linalg"
 )
@@ -17,11 +16,11 @@ func (k Kraus) Apply(rho *linalg.Matrix, target, n int) *linalg.Matrix {
 	return k.ApplyW(nil, rho, target, n)
 }
 
-// ApplyW is the workspace-threaded Apply: temporaries come from ws and the
-// result is a fresh ws matrix owned by the caller. ρ is untouched. A nil ws
-// falls back to plain allocation.
+// ApplyW is the workspace-threaded Apply: the result is a fresh ws matrix
+// owned by the caller. ρ is untouched. A nil ws falls back to plain
+// allocation.
 func (k Kraus) ApplyW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int) *linalg.Matrix {
-	return applyKrausW(ws, rho, k, target, n, false)
+	return applyLocalW(ws, rho, 1, target, n, k...)
 }
 
 // Apply2 applies a two-qubit channel (4×4 Kraus operators) to adjacent
@@ -32,105 +31,7 @@ func (k Kraus) Apply2(rho *linalg.Matrix, target, n int) *linalg.Matrix {
 
 // Apply2W is the workspace-threaded Apply2; see ApplyW.
 func (k Kraus) Apply2W(ws *linalg.Workspace, rho *linalg.Matrix, target, n int) *linalg.Matrix {
-	return applyKrausW(ws, rho, k, target, n, true)
-}
-
-// applyKrausW lifts each operator into ws scratch and accumulates
-// Σ K ρ K† into a fresh ws matrix, preserving Apply's exact accumulation
-// order so allocating and pooled paths are bit-identical.
-func applyKrausW(ws *linalg.Workspace, rho *linalg.Matrix, ops []*linalg.Matrix, target, n int, two bool) *linalg.Matrix {
-	out := ws.Get(rho.Rows, rho.Cols)
-	lift := ws.GetRaw(rho.Rows, rho.Cols)
-	for _, op := range ops {
-		if two {
-			Lift2Into(lift, op, target, n)
-		} else {
-			Lift1Into(lift, op, target, n)
-		}
-		c := conjugateW(ws, lift, rho)
-		out.AddInPlace(c)
-		ws.Put(c)
-	}
-	ws.Put(lift)
-	return out
-}
-
-// liftedKraus is a channel pre-lifted to its full n-qubit operators with
-// precomputed adjoints — the form the hot path applies directly, with no
-// per-call lifting. Instances live in the global cache and are read-only.
-type liftedKraus struct {
-	ops, adj []*linalg.Matrix
-}
-
-// applyW accumulates Σ K ρ K† into a fresh ws matrix using the pre-lifted
-// operators. Accumulation order matches Kraus.Apply exactly.
-func (lk *liftedKraus) applyW(ws *linalg.Workspace, rho *linalg.Matrix) *linalg.Matrix {
-	out := ws.Get(rho.Rows, rho.Cols)
-	tmp := ws.GetRaw(rho.Rows, rho.Cols)
-	c := ws.GetRaw(rho.Rows, rho.Cols)
-	for i := range lk.ops {
-		linalg.MulInto(tmp, lk.ops[i], rho)
-		linalg.MulInto(c, tmp, lk.adj[i])
-		out.AddInPlace(c)
-	}
-	ws.Put(tmp)
-	ws.Put(c)
-	return out
-}
-
-// depKey identifies a cached lifted depolarising channel. The probability is
-// part of the key; each device uses one fixed gate-noise probability, so the
-// cache stays tiny.
-type depKey struct {
-	p         float64
-	target, n int
-	two       bool
-}
-
-// depCache maps depKey → *liftedKraus. It is shared by all simulations
-// (parallel replicas included); entries are immutable once stored, and the
-// cached values are computed by the same constructors the allocating path
-// uses, so results are bit-identical. A typed map under RWMutex (rather
-// than sync.Map) keeps the hot-path lookup allocation-free: sync.Map would
-// box the struct key on every Load.
-var depCache = struct {
-	sync.RWMutex
-	m map[depKey]*liftedKraus
-}{m: make(map[depKey]*liftedKraus)}
-
-func liftedDepolarizing(p float64, target, n int, two bool) *liftedKraus {
-	key := depKey{p: p, target: target, n: n, two: two}
-	depCache.RLock()
-	lk, ok := depCache.m[key]
-	depCache.RUnlock()
-	if ok {
-		return lk
-	}
-	var ops Kraus
-	if two {
-		ops = Depolarizing2(p)
-	} else {
-		ops = Depolarizing1(p)
-	}
-	lk = &liftedKraus{}
-	for _, op := range ops {
-		var lifted *linalg.Matrix
-		if two {
-			lifted = Lift2(op, target, n)
-		} else {
-			lifted = Lift1(op, target, n)
-		}
-		lk.ops = append(lk.ops, lifted)
-		lk.adj = append(lk.adj, linalg.Adjoint(lifted))
-	}
-	depCache.Lock()
-	if prev, ok := depCache.m[key]; ok {
-		lk = prev // another goroutine built it first; keep one canonical copy
-	} else {
-		depCache.m[key] = lk
-	}
-	depCache.Unlock()
-	return lk
+	return applyLocalW(ws, rho, 2, target, n, k...)
 }
 
 // IsTracePreserving reports whether Σ K†K = I within tol.
@@ -177,9 +78,9 @@ func BitFlip(p float64) Kraus {
 // ρ → (1−p)ρ + p·I/2.
 func Depolarizing1(p float64) Kraus {
 	p = clamp01(p)
-	ops := Kraus{linalg.Scale(complex(math.Sqrt(1-3*p/4), 0), I2)}
-	for i := 1; i <= 3; i++ {
-		ops = append(ops, linalg.Scale(complex(math.Sqrt(p/4), 0), Pauli(i)))
+	var ops Kraus
+	for m := 0; m < 4; m++ {
+		ops = append(ops, linalg.Scale(depolarizingAmp(p, 1, m), Pauli(m)))
 	}
 	return ops
 }
@@ -189,14 +90,8 @@ func Depolarizing1(p float64) Kraus {
 func Depolarizing2(p float64) Kraus {
 	p = clamp01(p)
 	var ops Kraus
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			w := p / 16
-			if i == 0 && j == 0 {
-				w = 1 - 15*p/16
-			}
-			ops = append(ops, linalg.Scale(complex(math.Sqrt(w), 0), linalg.Kron(Pauli(i), Pauli(j))))
-		}
+	for m := 0; m < 16; m++ {
+		ops = append(ops, linalg.Scale(depolarizingAmp(p, 2, m), linalg.Kron(Pauli(m/4), Pauli(m%4))))
 	}
 	return ops
 }
@@ -232,24 +127,17 @@ func Decohere(rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.
 	return DecohereW(nil, rho, target, n, t, t1, t2star)
 }
 
-// DecohereW is the workspace-threaded Decohere. The Kraus operators are
-// built in ws scratch (their probabilities vary continuously with t, so they
-// cannot be cached). When no decay applies it returns rho itself; otherwise
-// the result is a fresh ws matrix owned by the caller and rho is untouched.
+// DecohereW is the workspace-threaded Decohere. When no decay applies it
+// returns rho itself; otherwise the result is a fresh ws matrix owned by the
+// caller and rho is untouched.
 func DecohereW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.Matrix {
 	gamma, pflip := DecoherenceProbabilities(t, t1, t2star)
 	out := rho
 	if gamma > 0 {
-		// AmplitudeDamping(gamma), built in scratch.
-		k0 := ws.Get(2, 2)
-		k0.Data[0] = 1
-		k0.Data[3] = complex(math.Sqrt(1-gamma), 0)
-		k1 := ws.Get(2, 2)
-		k1.Data[1] = complex(math.Sqrt(gamma), 0)
-		ops := [2]*linalg.Matrix{k0, k1}
-		out = applyKrausW(ws, out, ops[:], target, n, false)
-		ws.Put(k0)
-		ws.Put(k1)
+		// AmplitudeDamping(gamma), without building its matrices.
+		out = applyOpsW(ws, out, 1, target, n,
+			op2(1, 0, 0, complex(math.Sqrt(1-gamma), 0)),
+			op2(0, complex(math.Sqrt(gamma), 0), 0, 0))
 	}
 	if pflip > 0 {
 		next := ApplyPhaseFlipW(ws, out, pflip, target, n)
@@ -270,15 +158,12 @@ func NoisyGate2(rho, gate *linalg.Matrix, target, n int, fidelity float64) *lina
 	return NoisyGate2W(nil, rho, gate, target, n, fidelity)
 }
 
-// NoisyGate2W is the workspace-threaded NoisyGate2. The depolarising channel
-// is fetched pre-lifted from the global cache (gate fidelities are fixed
-// per device, so the cache converges immediately). Result: fresh ws matrix
+// NoisyGate2W is the workspace-threaded NoisyGate2. Result: fresh ws matrix
 // owned by the caller; ρ untouched.
 func NoisyGate2W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, fidelity float64) *linalg.Matrix {
 	out := ApplyGate2W(ws, rho, gate, target, n)
 	if fidelity < 1 {
-		lk := liftedDepolarizing(1-fidelity, target, n, true)
-		next := lk.applyW(ws, out)
+		next := applyDepolarizingW(ws, out, 1-fidelity, 2, target, n)
 		ws.Put(out)
 		out = next
 	}
@@ -295,8 +180,7 @@ func NoisyGate1(rho, gate *linalg.Matrix, target, n int, fidelity float64) *lina
 func NoisyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, fidelity float64) *linalg.Matrix {
 	out := ApplyGate1W(ws, rho, gate, target, n)
 	if fidelity < 1 {
-		lk := liftedDepolarizing(1-fidelity, target, n, false)
-		next := lk.applyW(ws, out)
+		next := applyDepolarizingW(ws, out, 1-fidelity, 1, target, n)
 		ws.Put(out)
 		out = next
 	}
@@ -304,31 +188,23 @@ func NoisyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, 
 }
 
 // ApplyDepolarizing1W applies the single-qubit depolarising channel with
-// probability p to qubit target of ρ, using the pre-lifted channel cache.
-// Result: fresh ws matrix owned by the caller; ρ untouched. Bit-identical to
-// Depolarizing1(p).Apply(rho, target, n).
+// probability p to qubit target of ρ. Result: fresh ws matrix owned by the
+// caller; ρ untouched. Bit-identical to Depolarizing1(p).Apply(rho, target, n).
 func ApplyDepolarizing1W(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
-	return liftedDepolarizing(p, target, n, false).applyW(ws, rho)
+	return applyDepolarizingW(ws, rho, p, 1, target, n)
 }
 
 // ApplyPhaseFlipW applies the dephasing channel with probability p to qubit
-// target of ρ, building the operators in ws scratch (p varies continuously
-// in the attempt-dephasing path, so it is not cached). Bit-identical to
-// PhaseFlip(p).Apply(rho, target, n).
+// target of ρ. Result: fresh ws matrix owned by the caller; ρ untouched.
+// Bit-identical to PhaseFlip(p).Apply(rho, target, n).
 func ApplyPhaseFlipW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
 	p = clamp01(p)
 	s0 := complex(math.Sqrt(1-p), 0)
-	k0 := ws.Get(2, 2)
-	k0.Data[0], k0.Data[3] = s0, s0
-	k1 := ws.Get(2, 2)
 	// complex(-x, 0), not a complex negation: negating the complex would
 	// flip the imaginary zero to -0, diverging bitwise from Scale(s, Z).
-	k1.Data[0], k1.Data[3] = complex(math.Sqrt(p), 0), complex(-math.Sqrt(p), 0)
-	ops := [2]*linalg.Matrix{k0, k1}
-	out := applyKrausW(ws, rho, ops[:], target, n, false)
-	ws.Put(k0)
-	ws.Put(k1)
-	return out
+	return applyOpsW(ws, rho, 1, target, n,
+		op2(s0, 0, 0, s0),
+		op2(complex(math.Sqrt(p), 0), 0, 0, complex(-math.Sqrt(p), 0)))
 }
 
 func clamp01(p float64) float64 {

@@ -8,6 +8,14 @@
 // |00>,|01>,|10>,|11> with the *left* qubit first. Entanglement swaps build
 // the 16×16 joint state of two pairs, apply the noisy Bell-state measurement
 // at the middle node, and return the exact post-measurement remote pair.
+//
+// Gates, Kraus channels and projectors act on their one or two target
+// qubits directly (local.go), never through a lifted 2ⁿ×2ⁿ operator. The
+// local kernels add exactly the nonzero terms of the lifted product
+// linalg.MulInto would form, in the same order and from the same +0 start.
+// A sum that starts at +0 is never −0 under round-to-nearest, so the terms
+// they skip, all exact zeros, cannot change a bit, and the results equal the
+// lifted algebra's bit for bit, signed zeros included.
 package quantum
 
 import (
@@ -102,77 +110,46 @@ func Pauli(i int) *linalg.Matrix {
 }
 
 // Lift1 embeds a single-qubit operator acting on qubit target (0-based) of an
-// n-qubit system.
+// n-qubit system: I⊗…⊗op⊗…⊗I. The gate and channel paths never build it;
+// it remains for analysis and as the reference the local kernels are tested
+// against.
 func Lift1(op *linalg.Matrix, target, n int) *linalg.Matrix {
-	return Lift1Into(linalg.New(1<<n, 1<<n), op, target, n)
-}
-
-// Lift1Into writes the n-qubit embedding I⊗…⊗op⊗…⊗I of a single-qubit
-// operator into dst (which must be 2ⁿ×2ⁿ) and returns dst. It produces
-// exactly the matrix Lift1 does, without allocating.
-func Lift1Into(dst, op *linalg.Matrix, target, n int) *linalg.Matrix {
 	if op.Rows != 2 || op.Cols != 2 {
 		panic("quantum: Lift1 needs a 2×2 operator")
 	}
 	if target < 0 || target >= n {
 		panic("quantum: Lift1 target out of range")
 	}
-	dim := 1 << n
-	if dst.Rows != dim || dst.Cols != dim {
-		panic("quantum: Lift1Into dst has wrong shape")
-	}
-	dst.Zero()
-	left := 1 << target
-	right := 1 << (n - target - 1)
-	for l := 0; l < left; l++ {
-		for a := 0; a < 2; a++ {
-			for b := 0; b < 2; b++ {
-				v := op.Data[a*2+b]
-				if v == 0 {
-					continue
-				}
-				rowBase := (l*2 + a) * right
-				colBase := (l*2 + b) * right
-				for r := 0; r < right; r++ {
-					dst.Data[(rowBase+r)*dim+colBase+r] = v
-				}
-			}
-		}
-	}
-	return dst
+	return lift(op, target, n)
 }
 
 // Lift2 embeds a two-qubit operator acting on adjacent qubits (target,
 // target+1) of an n-qubit system.
 func Lift2(op *linalg.Matrix, target, n int) *linalg.Matrix {
-	return Lift2Into(linalg.New(1<<n, 1<<n), op, target, n)
-}
-
-// Lift2Into writes the n-qubit embedding of a two-qubit operator on adjacent
-// qubits (target, target+1) into dst (2ⁿ×2ⁿ) and returns dst.
-func Lift2Into(dst, op *linalg.Matrix, target, n int) *linalg.Matrix {
 	if op.Rows != 4 || op.Cols != 4 {
 		panic("quantum: Lift2 needs a 4×4 operator")
 	}
 	if target < 0 || target+1 >= n {
 		panic("quantum: Lift2 target out of range")
 	}
-	dim := 1 << n
-	if dst.Rows != dim || dst.Cols != dim {
-		panic("quantum: Lift2Into dst has wrong shape")
-	}
-	dst.Zero()
+	return lift(op, target, n)
+}
+
+// lift embeds the d×d operator op on the qubits starting at target.
+func lift(op *linalg.Matrix, target, n int) *linalg.Matrix {
+	dim, d := 1<<n, op.Rows
+	dst := linalg.New(dim, dim)
 	left := 1 << target
-	right := 1 << (n - target - 2)
+	right := dim / (left * d)
 	for l := 0; l < left; l++ {
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				v := op.Data[a*4+b]
+		for a := 0; a < d; a++ {
+			for b := 0; b < d; b++ {
+				v := op.Data[a*d+b]
 				if v == 0 {
 					continue
 				}
-				rowBase := (l*4 + a) * right
-				colBase := (l*4 + b) * right
+				rowBase := (l*d + a) * right
+				colBase := (l*d + b) * right
 				for r := 0; r < right; r++ {
 					dst.Data[(rowBase+r)*dim+colBase+r] = v
 				}
@@ -187,34 +164,16 @@ func Conjugate(u, rho *linalg.Matrix) *linalg.Matrix {
 	return linalg.MulChain(u, rho, linalg.Adjoint(u))
 }
 
-// conjugateW computes U·ρ·U† with workspace temporaries. The result is a
-// fresh workspace matrix owned by the caller; u and rho are untouched.
-func conjugateW(ws *linalg.Workspace, u, rho *linalg.Matrix) *linalg.Matrix {
-	tmp := ws.GetRaw(u.Rows, rho.Cols)
-	linalg.MulInto(tmp, u, rho)
-	udag := ws.GetRaw(u.Cols, u.Rows)
-	linalg.ConjTransposeInto(udag, u)
-	out := ws.GetRaw(tmp.Rows, udag.Cols)
-	linalg.MulInto(out, tmp, udag)
-	ws.Put(tmp)
-	ws.Put(udag)
-	return out
-}
-
 // ApplyGate1 applies a single-qubit unitary to qubit target of an n-qubit ρ.
 func ApplyGate1(rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
 	return ApplyGate1W(nil, rho, gate, target, n)
 }
 
-// ApplyGate1W is the workspace-threaded ApplyGate1: temporaries come from ws
-// and the result is a fresh ws matrix owned by the caller. ρ is untouched.
-// A nil ws falls back to plain allocation.
+// ApplyGate1W is the workspace-threaded ApplyGate1: the result is a fresh ws
+// matrix owned by the caller and ρ is untouched. A nil ws falls back to
+// plain allocation.
 func ApplyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
-	u := ws.GetRaw(rho.Rows, rho.Cols)
-	Lift1Into(u, gate, target, n)
-	out := conjugateW(ws, u, rho)
-	ws.Put(u)
-	return out
+	return applyLocalW(ws, rho, 1, target, n, gate)
 }
 
 // ApplyGate2 applies a two-qubit unitary to adjacent qubits (target,
@@ -226,9 +185,5 @@ func ApplyGate2(rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
 // ApplyGate2W is the workspace-threaded ApplyGate2; see ApplyGate1W for the
 // ownership rules.
 func ApplyGate2W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
-	u := ws.GetRaw(rho.Rows, rho.Cols)
-	Lift2Into(u, gate, target, n)
-	out := conjugateW(ws, u, rho)
-	ws.Put(u)
-	return out
+	return applyLocalW(ws, rho, 2, target, n, gate)
 }

@@ -1,0 +1,172 @@
+package quantum
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"qnp/internal/linalg"
+)
+
+// sameBits reports whether a and b are equal bit for bit, signed zeros
+// included. linalg.MaxAbsDiff treats −0 and +0 as equal, so it cannot see a
+// signed-zero divergence.
+func sameBits(a, b *linalg.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, av := range a.Data {
+		bv := b.Data[i]
+		if math.Float64bits(real(av)) != math.Float64bits(real(bv)) ||
+			math.Float64bits(imag(av)) != math.Float64bits(imag(bv)) {
+			return false
+		}
+	}
+	return true
+}
+
+// The reference: U·ρ·U† through the full 2ⁿ×2ⁿ lift, two MulInto calls and
+// ConjTransposeInto, the path the local kernels replaced.
+
+func liftedConj(u, rho *linalg.Matrix) *linalg.Matrix {
+	tmp := linalg.MulInto(linalg.New(rho.Rows, rho.Cols), u, rho)
+	udag := linalg.ConjTransposeInto(linalg.New(u.Cols, u.Rows), u)
+	return linalg.MulInto(linalg.New(rho.Rows, rho.Cols), tmp, udag)
+}
+
+func liftLocal(op *linalg.Matrix, target, n int) *linalg.Matrix {
+	if op.Rows == 2 {
+		return Lift1(op, target, n)
+	}
+	return Lift2(op, target, n)
+}
+
+func liftedGate(rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
+	return liftedConj(liftLocal(gate, target, n), rho)
+}
+
+func liftedChannel(rho *linalg.Matrix, k Kraus, target, n int) *linalg.Matrix {
+	out := linalg.New(rho.Rows, rho.Cols)
+	for _, op := range k {
+		out.AddInPlace(liftedConj(liftLocal(op, target, n), rho))
+	}
+	return out
+}
+
+func liftedMeasure(rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (int, *linalg.Matrix) {
+	p0op := Lift1(proj0, target, n)
+	p0 := real(linalg.Trace(linalg.Mul(p0op, rho)))
+	p0 = math.Min(math.Max(p0, 0), 1)
+	truth, proj, prob := 1, Lift1(proj1, target, n), 1-p0
+	if rng.Float64() < p0 {
+		truth, proj, prob = 0, p0op, p0
+	}
+	post := liftedConj(proj, rho)
+	if prob > 1e-15 {
+		post.ScaleInPlace(complex(1/prob, 0))
+	}
+	bit := truth
+	if truth == 0 && rng.Float64() > ro.F0 || truth == 1 && rng.Float64() > ro.F1 {
+		bit = 1 - truth
+	}
+	return bit, post
+}
+
+// randomState is a random Hermitian 2ⁿ×2ⁿ matrix with exact zeros, −0s,
+// purely real and purely imaginary entries and negative parts, so that the
+// kernels meet products that round to −0.
+func randomState(rng *rand.Rand, n int) *linalg.Matrix {
+	dim := 1 << n
+	m := linalg.New(dim, dim)
+	negZero := math.Copysign(0, -1)
+	part := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		}
+		return rng.NormFloat64()
+	}
+	for i := 0; i < dim; i++ {
+		for j := i; j < dim; j++ {
+			v := complex(part(), part())
+			if i == j {
+				v = complex(real(v), 0)
+			}
+			m.Set(i, j, v)
+			if i != j {
+				m.Set(j, i, complex(real(v), -imag(v)))
+			}
+		}
+	}
+	return m
+}
+
+// TestLocalKernelsMatchLifted pins the local kernels to the lifted product
+// bit for bit, for every qubit count 1–4, every target and every gate,
+// projector and channel the engine applies.
+func TestLocalKernelsMatchLifted(t *testing.T) {
+	gates1 := map[string]*linalg.Matrix{
+		"X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T, "Rx": Rx(0.7),
+		"proj0": proj0, "proj1": proj1,
+	}
+	gates2 := map[string]*linalg.Matrix{"CNOT": CNOT, "CZ": CZ, "SWAP": SWAP}
+	probs := []float64{0, 0.03, 0.5, 1}
+	// A gate fidelity held in a variable, so that 1-fgate rounds at run
+	// time as it does inside NoisyGate1W/2W.
+	fgate := 0.97
+	rng := rand.New(rand.NewSource(11))
+	check := func(what string, got, want *linalg.Matrix) {
+		t.Helper()
+		if !sameBits(got, want) {
+			t.Fatalf("%s: local kernel differs from the lifted product (max |Δ| %g)", what, linalg.MaxAbsDiff(got, want))
+		}
+	}
+	for n := 1; n <= 4; n++ {
+		for trial := 0; trial < 3; trial++ {
+			rho := randomState(rng, n)
+			for target := 0; target < n; target++ {
+				at := fmt.Sprintf("n=%d target=%d trial=%d", n, target, trial)
+				for name, g := range gates1 {
+					check(at+" "+name, ApplyGate1W(nil, rho, g, target, n), liftedGate(rho, g, target, n))
+					check(at+" noisy "+name, NoisyGate1W(nil, rho, g, target, n, fgate),
+						liftedChannel(liftedGate(rho, g, target, n), Depolarizing1(1-fgate), target, n))
+				}
+				for _, p := range probs {
+					pat := fmt.Sprintf("%s p=%v ", at, p)
+					check(pat+"Depolarizing1", Depolarizing1(p).ApplyW(nil, rho, target, n), liftedChannel(rho, Depolarizing1(p), target, n))
+					check(pat+"ApplyDepolarizing1W", ApplyDepolarizing1W(nil, rho, p, target, n), liftedChannel(rho, Depolarizing1(p), target, n))
+					check(pat+"AmplitudeDamping", AmplitudeDamping(p).ApplyW(nil, rho, target, n), liftedChannel(rho, AmplitudeDamping(p), target, n))
+					check(pat+"PhaseFlip", PhaseFlip(p).ApplyW(nil, rho, target, n), liftedChannel(rho, PhaseFlip(p), target, n))
+					check(pat+"ApplyPhaseFlipW", ApplyPhaseFlipW(nil, rho, p, target, n), liftedChannel(rho, PhaseFlip(p), target, n))
+				}
+				gamma, pflip := DecoherenceProbabilities(0.3, 1, 0.4)
+				want := liftedChannel(liftedChannel(rho, AmplitudeDamping(gamma), target, n), PhaseFlip(pflip), target, n)
+				check(at+" DecohereW", DecohereW(nil, rho, target, n, 0.3, 1, 0.4), want)
+				for seed := int64(0); seed < 4; seed++ {
+					ro := Readout{F0: 0.9, F1: 0.8}
+					gotBit, got := MeasureW(nil, rho, target, n, ro, rand.New(rand.NewSource(seed)))
+					wantBit, want := liftedMeasure(rho, target, n, ro, rand.New(rand.NewSource(seed)))
+					if gotBit != wantBit {
+						t.Fatalf("%s seed %d: MeasureW bit %d, lifted %d", at, seed, gotBit, wantBit)
+					}
+					check(fmt.Sprintf("%s seed %d MeasureW", at, seed), got, want)
+				}
+			}
+			for target := 0; target+1 < n; target++ {
+				at := fmt.Sprintf("n=%d target=%d trial=%d", n, target, trial)
+				for name, g := range gates2 {
+					check(at+" "+name, ApplyGate2W(nil, rho, g, target, n), liftedGate(rho, g, target, n))
+					check(at+" noisy "+name, NoisyGate2W(nil, rho, g, target, n, fgate),
+						liftedChannel(liftedGate(rho, g, target, n), Depolarizing2(1-fgate), target, n))
+				}
+				for _, p := range probs {
+					check(fmt.Sprintf("%s p=%v Depolarizing2", at, p),
+						Depolarizing2(p).Apply2W(nil, rho, target, n), liftedChannel(rho, Depolarizing2(p), target, n))
+				}
+			}
+		}
+	}
+}

@@ -58,12 +58,16 @@ func Measure(rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit
 // returned post state is a fresh ws matrix owned by the caller; ρ is
 // untouched. The RNG consumption and results are bit-identical to Measure.
 func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit int, post *linalg.Matrix) {
-	p0op := ws.GetRaw(rho.Rows, rho.Cols)
-	Lift1Into(p0op, proj0, target, n)
-	tmp := ws.GetRaw(rho.Rows, rho.Cols)
-	linalg.MulInto(tmp, p0op, rho)
-	p0 := real(linalg.Trace(tmp))
-	ws.Put(tmp)
+	// p0 = Re Tr(P0·ρ): the diagonal of the lifted product is ρ[i][i] on
+	// the rows whose target bit is 0 and +0 elsewhere, so the trace is the
+	// ascending sum of those real parts from +0 (see local.go on zeros).
+	st := siteOf(rho, 1, target, n)
+	var p0 float64
+	for i := 0; i < st.dim; i++ {
+		if (i>>st.shift)&1 == 0 {
+			p0 += real(rho.Data[i*st.dim+i])
+		}
+	}
 	if p0 < 0 {
 		p0 = 0
 	}
@@ -71,16 +75,14 @@ func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readou
 		p0 = 1
 	}
 	truth := 1
-	proj := p0op
+	proj := proj1Op
 	prob := 1 - p0
 	if rng.Float64() < p0 {
 		truth = 0
+		proj = proj0Op
 		prob = p0
-	} else {
-		Lift1Into(proj, proj1, target, n)
 	}
-	post = conjugateW(ws, proj, rho)
-	ws.Put(p0op)
+	post = applyOpsW(ws, rho, 1, target, n, proj)
 	if prob > 1e-15 {
 		post.ScaleInPlace(complex(1/prob, 0))
 	}
