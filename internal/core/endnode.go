@@ -170,18 +170,19 @@ func (n *Node) admitQueued(cs *circuit) {
 
 // --- End-node LINK rule (Algorithms 1 and 4) -------------------------------
 
-func (n *Node) endLinkRule(cs *circuit, slot *pairSlot) {
+func (n *Node) endLinkRule(cs *circuit, ps pairSlot) {
 	rs := cs.dmx.next()
 	if rs == nil {
 		// No assignable request (drain window after completion): free the
 		// qubit and leave a tombstone so a late TRACK from the other end is
 		// answered with EXPIRE.
-		cs.endExpired[slot.corr] = n.sim.Now()
-		n.dev.Free(slot.qubit)
+		cs.endExpired[ps.corr.Seq] = n.sim.Now()
+		n.dev.Free(ps.qubit)
 		return
 	}
-	it := &inTransitEntry{rs: rs, slot: slot}
-	cs.inTransit[slot.corr] = it
+	it := n.newInTransit(rs, ps)
+	slot := &it.slot
+	cs.inTransit[slot.corr.Seq] = it
 
 	// Head-end designates fidelity test rounds, cycling the bases. The
 	// monotonic assignment counter keys the choice, so re-assigned slots
@@ -243,11 +244,11 @@ func (n *Node) measureLocal(cs *circuit, it *inTransitEntry, basis quantum.Basis
 		if it.test && cs.role == RoleHead {
 			// Push the head's bit into the test sample (the chain may or
 			// may not be confirmed yet).
-			hb := cs.tests.headBits[it.slot.corr]
+			hb := cs.tests.headBits[it.slot.corr.Seq]
 			hb.basis = it.testBasis
 			hb.bit, hb.haveBit = bit, true
-			cs.tests.headBits[it.slot.corr] = hb
-			n.maybeScoreTest(cs, it.slot.corr)
+			cs.tests.headBits[it.slot.corr.Seq] = hb
+			n.maybeScoreTest(cs, it.slot.corr.Seq)
 			return
 		}
 		if it.trackArrived {
@@ -259,8 +260,8 @@ func (n *Node) measureLocal(cs *circuit, it *inTransitEntry, basis quantum.Basis
 // --- End-node TRACK rule (Algorithms 2 and 5) ------------------------------
 
 func (n *Node) endTrackRule(cs *circuit, m TrackMsg) {
-	if _, dead := cs.endExpired[m.LinkCorr]; dead {
-		delete(cs.endExpired, m.LinkCorr)
+	if _, dead := cs.endExpired[m.LinkCorr.Seq]; dead {
+		delete(cs.endExpired, m.LinkCorr.Seq)
 		// Answer with EXPIRE toward the TRACK's origin end-node so it can
 		// recycle its chain-end qubit.
 		exp := ExpireMsg{Circuit: cs.entry.Circuit, Origin: m.Origin, ToHead: m.FromHead}
@@ -272,7 +273,7 @@ func (n *Node) endTrackRule(cs *circuit, m TrackMsg) {
 		cs.expiresSent++
 		return
 	}
-	it, ok := cs.inTransit[m.LinkCorr]
+	it, ok := cs.inTransit[m.LinkCorr.Seq]
 	if !ok {
 		// Stale TRACK for a pair we no longer hold (already resolved by an
 		// EXPIRE): nothing to do.
@@ -286,7 +287,7 @@ func (n *Node) endTrackRule(cs *circuit, m TrackMsg) {
 		n.dropInTransit(cs, m.LinkCorr, it)
 		return
 	}
-	delete(cs.inTransit, m.LinkCorr)
+	delete(cs.inTransit, m.LinkCorr.Seq)
 	it.trackArrived = true
 	it.trackState = m.Outcome
 	if m.FromHead {
@@ -313,6 +314,30 @@ func (n *Node) endTrackRule(cs *circuit, m TrackMsg) {
 		return
 	}
 	n.deliver(cs, it)
+	n.releaseInTransit(it)
+}
+
+// newInTransit takes an in-transit entry from the node's pool.
+func (n *Node) newInTransit(rs *reqState, slot pairSlot) *inTransitEntry {
+	it := n.freeInTransit
+	if it == nil {
+		it = &inTransitEntry{}
+	} else {
+		n.freeInTransit = it.next
+	}
+	it.rs, it.slot = rs, slot
+	return it
+}
+
+// releaseInTransit returns an entry that has left inTransit to the pool.
+// Entries that measure — Measure requests and head-designated test rounds —
+// stay out of it: their measurement callback may still hold them.
+func (n *Node) releaseInTransit(it *inTransitEntry) {
+	if it.test || it.rs.req.Type == Measure {
+		return
+	}
+	*it = inTransitEntry{next: n.freeInTransit}
+	n.freeInTransit = it
 }
 
 // deliver finalises a confirmed pair at this end-node.
@@ -364,25 +389,25 @@ func (n *Node) deliver(cs *circuit, it *inTransitEntry) {
 // dropInTransit discards a local pair after a failed cross-check or an
 // EXPIRE: the assignment is returned to the demultiplexer for reuse.
 func (n *Node) dropInTransit(cs *circuit, corr linklayer.Correlator, it *inTransitEntry) {
-	delete(cs.inTransit, corr)
+	delete(cs.inTransit, corr.Seq)
 	cs.dmx.unassign(it.rs)
 	if it.earlyGiven {
 		if n.apps.OnExpire != nil {
 			n.apps.OnExpire(cs.entry.Circuit, it.rs.req.ID, corr)
 		}
-		return // the application owns the early qubit and must free it
-	}
-	if !it.measured {
+		// The application owns the early qubit and must free it.
+	} else if !it.measured {
 		if p := it.slot.pair(); p != nil && p.LocalSide(string(n.id)) >= 0 {
 			n.dev.Free(it.slot.qubit)
 		}
 	}
+	n.releaseInTransit(it)
 }
 
 // --- End-node EXPIRE rule (Algorithms 3 and 6) ------------------------------
 
 func (n *Node) endExpireRule(cs *circuit, m ExpireMsg) {
-	it, ok := cs.inTransit[m.Origin]
+	it, ok := cs.inTransit[m.Origin.Seq]
 	if !ok {
 		return
 	}
@@ -416,32 +441,32 @@ func (n *Node) resolveTestRound(cs *circuit, it *inTransitEntry, m TrackMsg) {
 	// result arrives as a TestResultMsg keyed by our origin correlator. If
 	// our measurement is still on the device timeline, its completion
 	// callback (measureLocal) fills in the bit and re-scores.
-	hb := cs.tests.headBits[it.slot.corr]
+	hb := cs.tests.headBits[it.slot.corr.Seq]
 	hb.basis = it.testBasis
 	hb.idx = m.Outcome
 	hb.haveIdx = true
 	if it.measured {
 		hb.bit, hb.haveBit = it.measuredBit, true
 	}
-	cs.tests.headBits[it.slot.corr] = hb
-	n.maybeScoreTest(cs, it.slot.corr)
+	cs.tests.headBits[it.slot.corr.Seq] = hb
+	n.maybeScoreTest(cs, it.slot.corr.Seq)
 }
 
 // headRecordTestResult stores the tail's measurement and scores the sample
 // when both bits are in.
 func (n *Node) headRecordTestResult(cs *circuit, m TestResultMsg) {
-	hb := cs.tests.headBits[m.Origin]
+	hb := cs.tests.headBits[m.Origin.Seq]
 	hb.tailBit, hb.haveTailBit = m.Bit, true
-	cs.tests.headBits[m.Origin] = hb
-	n.maybeScoreTest(cs, m.Origin)
+	cs.tests.headBits[m.Origin.Seq] = hb
+	n.maybeScoreTest(cs, m.Origin.Seq)
 }
 
-func (n *Node) maybeScoreTest(cs *circuit, corr linklayer.Correlator) {
-	hb := cs.tests.headBits[corr]
+func (n *Node) maybeScoreTest(cs *circuit, seq uint64) {
+	hb := cs.tests.headBits[seq]
 	if !hb.haveBit || !hb.haveTailBit || !hb.haveIdx {
 		return
 	}
-	delete(cs.tests.headBits, corr)
+	delete(cs.tests.headBits, seq)
 	s := 1.0
 	if hb.bit != hb.tailBit {
 		s = -1

@@ -9,6 +9,16 @@
 // intermediate LINK / TRACK / EXPIRE rules (Algorithms 1–9), the FORWARD /
 // COMPLETE / TRACK / EXPIRE message set, swap records, discard records,
 // epochs and the symmetric demultiplexer with cross-checks.
+//
+// The per-pair path allocates little. Each Node pools its records: an
+// intermediate pair slot goes back to the pool where its last reference
+// dies — when its swap completes, when its cutoff expires, or, for a slot
+// that expired or tore down while a storage move was pending, when the move
+// completes; an end-node's in-transit entry, which embeds its slot, goes
+// back when it leaves the in-transit map, unless a measurement callback may
+// still hold it. Messages go out through netsim Ports resolved when a
+// circuit is installed, and every per-circuit map of correlators holds a
+// single link's, so Correlator.Seq keys it.
 package core
 
 import (

@@ -64,15 +64,34 @@ type AppCallbacks struct {
 // pairSlot tracks one local link-pair half at a node. The qubit is the
 // stable handle: remote entanglement swaps rewire qubit→pair bindings, so
 // the current (possibly multi-hop) pair is always qubit.Pair().
+//
+// An end-node's slot lives inside its inTransitEntry. An intermediate
+// node's slots come from the node's pool (newSlot) with their callbacks
+// bound once, and go back (releaseSlot) where the last reference dies: in
+// swapped once the swap completes, after the cutoff expiry, or in moved
+// when the slot expired or its circuit tore down while a storage move was
+// pending. Slots still queued at teardown are left to the collector.
 type pairSlot struct {
-	corr      linklayer.Correlator
-	idx       quantum.BellIndex // heralded link-pair Bell state
-	qubit     *device.Qubit
-	cutoff    sim.Event
-	arrivedAt sim.Time
+	corr   linklayer.Correlator
+	idx    quantum.BellIndex // heralded link-pair Bell state
+	qubit  *device.Qubit
+	cutoff sim.Event
 	// moving marks a half mid-transfer to a storage qubit (near-term
 	// platform); it cannot be swapped until the move completes.
 	moving bool
+
+	// The fields below belong to pooled intermediate slots.
+	node         *Node
+	cs           *circuit
+	fromUpstream bool
+	// partner is the downstream slot of the swap this (upstream) slot is in.
+	partner *pairSlot
+	// dead marks a slot expired or torn down while its move was pending.
+	dead     bool
+	onCutoff func()
+	onSwap   func(*device.Pair, quantum.BellIndex)
+	onMove   func(*device.Qubit, bool)
+	next     *pairSlot
 }
 
 func (s *pairSlot) pair() *device.Pair { return s.qubit.Pair() }
@@ -99,7 +118,7 @@ type parkedTrack struct {
 // request and awaiting tracking confirmation.
 type inTransitEntry struct {
 	rs   *reqState
-	slot *pairSlot
+	slot pairSlot
 	// test marks head-chosen fidelity test rounds.
 	test      bool
 	testBasis quantum.Basis
@@ -113,6 +132,7 @@ type inTransitEntry struct {
 	// chainCorr is the canonical (head-side) chain identifier, learned from
 	// the confirming TRACK.
 	chainCorr linklayer.Correlator
+	next      *inTransitEntry // pool link
 }
 
 // testStats accumulates fidelity test-round correlators at the head-end.
@@ -122,8 +142,9 @@ type testStats struct {
 	count [3]int
 	// issued counts test rounds designated so far (for basis cycling).
 	issued int
-	// pending head measurements/tail results keyed by origin correlator.
-	headBits map[linklayer.Correlator]headTestBit
+	// pending head measurements/tail results keyed by the Seq of the
+	// origin correlator, which is on the head's own link.
+	headBits map[uint64]headTestBit
 }
 
 type headTestBit struct {
@@ -142,17 +163,26 @@ type circuit struct {
 	entry RoutingEntry
 	role  Role
 
+	// upPort and downPort send to the neighbours; resolved at install.
+	upPort, downPort netsim.Port
+
+	// Correlator-keyed maps below hold correlators of a single link — the
+	// up* maps the upstream link's, the down* maps the downstream link's,
+	// the end-node maps the end's own link's — so Correlator.Seq alone
+	// keys them. A TRACK's LinkCorr names the link it arrived over, and an
+	// EXPIRE or test result reaching an end carries that end's origin.
+
 	// Intermediate node state (Appendix C Algorithms 7–9). All maps are
 	// soft state with TTL reclamation (see sweep).
 	upQ, downQ             []*pairSlot
-	upRecord, downRecord   map[linklayer.Correlator]swapRecord
-	upTrack, downTrack     map[linklayer.Correlator]parkedTrack
-	upExpired, downExpired map[linklayer.Correlator]sim.Time
+	upRecord, downRecord   map[uint64]swapRecord
+	upTrack, downTrack     map[uint64]parkedTrack
+	upExpired, downExpired map[uint64]sim.Time
 
 	// End-node state (Algorithms 1–6).
 	dmx        *demux
-	inTransit  map[linklayer.Correlator]*inTransitEntry
-	endExpired map[linklayer.Correlator]sim.Time
+	inTransit  map[uint64]*inTransitEntry
+	endExpired map[uint64]sim.Time
 	queued     []*reqState // shaped (delayed) requests, head-end only
 	tests      testStats
 
@@ -189,6 +219,10 @@ type Node struct {
 	eerUpdates uint64
 	// gcRunning marks the periodic soft-state sweep as started.
 	gcRunning bool
+	// freeSlots and freeInTransit pool intermediate pair slots and
+	// end-node in-transit entries.
+	freeSlots     *pairSlot
+	freeInTransit *inTransitEntry
 }
 
 // NewNode creates the QNP engine for a node and hooks it into the classical
@@ -225,16 +259,22 @@ func (n *Node) InstallCircuit(e RoutingEntry) {
 	cs := &circuit{
 		entry:       e,
 		role:        e.Role(),
-		upRecord:    make(map[linklayer.Correlator]swapRecord),
-		downRecord:  make(map[linklayer.Correlator]swapRecord),
-		upTrack:     make(map[linklayer.Correlator]parkedTrack),
-		downTrack:   make(map[linklayer.Correlator]parkedTrack),
-		upExpired:   make(map[linklayer.Correlator]sim.Time),
-		downExpired: make(map[linklayer.Correlator]sim.Time),
-		inTransit:   make(map[linklayer.Correlator]*inTransitEntry),
-		endExpired:  make(map[linklayer.Correlator]sim.Time),
+		upRecord:    make(map[uint64]swapRecord),
+		downRecord:  make(map[uint64]swapRecord),
+		upTrack:     make(map[uint64]parkedTrack),
+		downTrack:   make(map[uint64]parkedTrack),
+		upExpired:   make(map[uint64]sim.Time),
+		downExpired: make(map[uint64]sim.Time),
+		inTransit:   make(map[uint64]*inTransitEntry),
+		endExpired:  make(map[uint64]sim.Time),
 	}
-	cs.tests.headBits = make(map[linklayer.Correlator]headTestBit)
+	cs.tests.headBits = make(map[uint64]headTestBit)
+	if e.Upstream != "" {
+		cs.upPort = n.net.Port(n.id, e.Upstream)
+	}
+	if e.Downstream != "" {
+		cs.downPort = n.net.Port(n.id, e.Downstream)
+	}
 	if cs.role != RoleIntermediate {
 		cs.dmx = newDemux()
 	}
@@ -327,6 +367,8 @@ func (n *Node) UninstallCircuit(id CircuitID) {
 		for _, slot := range q {
 			n.sim.Cancel(slot.cutoff)
 			n.dev.Free(slot.qubit)
+			// A pending move holds the slot until it completes.
+			slot.dead = slot.moving
 		}
 	}
 	for _, it := range cs.inTransit {
@@ -370,65 +412,52 @@ func (n *Node) Circuit(id CircuitID) (RoutingEntry, bool) {
 	return cs.entry, true
 }
 
-// mustCircuit fetches circuit state or panics — messages for uninstalled
-// circuits indicate a signalling bug.
-func (n *Node) mustCircuit(id CircuitID) *circuit {
-	cs, ok := n.circuits[id]
-	if !ok {
-		panic(fmt.Sprintf("core %s: message for uninstalled circuit %q", n.id, id))
-	}
-	return cs
-}
-
 // --- Message plumbing -----------------------------------------------------
 
 func (n *Node) handleMessage(from netsim.NodeID, msg netsim.Message) {
 	switch m := msg.(type) {
 	case ForwardMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onForward(m)
+		if cs := n.circuitFor(m.Circuit); cs != nil {
+			n.onForward(cs, m)
 		}
 	case CompleteMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onComplete(m)
+		if cs := n.circuitFor(m.Circuit); cs != nil {
+			n.onComplete(cs, m)
 		}
 	case TrackMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onTrack(m)
+		if cs := n.circuitFor(m.Circuit); cs != nil {
+			n.onTrack(cs, m)
 		}
 	case ExpireMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onExpire(m)
+		if cs := n.circuitFor(m.Circuit); cs != nil {
+			n.onExpire(cs, m)
 		}
 	case TestResultMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onTestResult(m)
+		if cs := n.circuitFor(m.Circuit); cs != nil {
+			n.onTestResult(cs, m)
 		}
 	}
 }
 
-// dropLate reports (and counts) a data-plane message for a circuit that has
-// already torn down at this node — the teardown wave races in-flight
-// messages, so stragglers are a legitimate outcome, not a signalling bug.
-// Messages for circuits never installed still panic via mustCircuit.
-func (n *Node) dropLate(id CircuitID) bool {
-	if _, live := n.circuits[id]; live {
-		return false
+// circuitFor fetches the circuit a data-plane message is for. It returns
+// nil (and counts the drop) for a circuit that has already torn down at
+// this node — the teardown wave races in-flight messages, so stragglers are
+// a legitimate outcome. A message for a circuit never installed indicates a
+// signalling bug and panics.
+func (n *Node) circuitFor(id CircuitID) *circuit {
+	if cs, ok := n.circuits[id]; ok {
+		return cs
 	}
 	if _, gone := n.torn[id]; gone {
 		n.lateDrops++
-		return true
+		return nil
 	}
-	return false
+	panic(fmt.Sprintf("core %s: message for uninstalled circuit %q", n.id, id))
 }
 
-func (n *Node) sendUp(cs *circuit, msg netsim.Message) {
-	n.net.Send(n.id, cs.entry.Upstream, msg)
-}
+func (n *Node) sendUp(cs *circuit, msg netsim.Message) { cs.upPort.Send(msg) }
 
-func (n *Node) sendDown(cs *circuit, msg netsim.Message) {
-	n.net.Send(n.id, cs.entry.Downstream, msg)
-}
+func (n *Node) sendDown(cs *circuit, msg netsim.Message) { cs.downPort.Send(msg) }
 
 // --- Link layer management ------------------------------------------------
 
@@ -513,8 +542,7 @@ func (n *Node) deactivateLinks(cs *circuit) {
 
 // --- FORWARD / COMPLETE ---------------------------------------------------
 
-func (n *Node) onForward(m ForwardMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onForward(cs *circuit, m ForwardMsg) {
 	n.registerLinks(cs, m.Rate)
 	if cs.role == RoleTail {
 		// Tail book-keeping: a new epoch with the request added.
@@ -536,8 +564,7 @@ func (n *Node) onForward(m ForwardMsg) {
 	n.sendDown(cs, m)
 }
 
-func (n *Node) onComplete(m CompleteMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onComplete(cs *circuit, m CompleteMsg) {
 	if cs.role == RoleTail {
 		cs.dmx.remove(m.Request)
 		if m.Rate == 0 {
@@ -557,17 +584,34 @@ func (n *Node) onComplete(m CompleteMsg) {
 
 // onLinkPair dispatches a link layer delivery to the role-specific rule.
 func (n *Node) onLinkPair(cs *circuit, d linklayer.Delivery, fromUpstream bool) {
-	slot := &pairSlot{
-		corr:      d.Corr,
-		idx:       d.Idx,
-		qubit:     d.Pair.Half(d.Pair.LocalSide(string(n.id))),
-		arrivedAt: n.sim.Now(),
-	}
+	q := d.Pair.Half(d.Pair.LocalSide(string(n.id)))
 	if cs.role == RoleIntermediate {
+		slot := n.newSlot(cs, fromUpstream)
+		slot.corr, slot.idx, slot.qubit = d.Corr, d.Idx, q
 		n.intermediateLinkRule(cs, slot, fromUpstream)
 		return
 	}
-	n.endLinkRule(cs, slot)
+	n.endLinkRule(cs, pairSlot{corr: d.Corr, idx: d.Idx, qubit: q})
+}
+
+// newSlot takes an intermediate pair slot from the node's pool.
+func (n *Node) newSlot(cs *circuit, fromUpstream bool) *pairSlot {
+	s := n.freeSlots
+	if s == nil {
+		s = &pairSlot{node: n}
+		s.onCutoff, s.onSwap, s.onMove = s.expire, s.swapped, s.moved
+	} else {
+		n.freeSlots = s.next
+	}
+	s.cs, s.fromUpstream = cs, fromUpstream
+	return s
+}
+
+// releaseSlot returns a slot no callback refers to any more to the pool.
+func (n *Node) releaseSlot(s *pairSlot) {
+	s.qubit, s.cutoff, s.cs, s.partner, s.dead = nil, sim.Event{}, nil, nil, false
+	s.next = n.freeSlots
+	n.freeSlots = s
 }
 
 // intermediateLinkRule is Algorithm 7: queue the pair, arm its cutoff, and
@@ -580,9 +624,7 @@ func (n *Node) onLinkPair(cs *circuit, d linklayer.Delivery, fromUpstream bool) 
 // until the move completes.
 func (n *Node) intermediateLinkRule(cs *circuit, slot *pairSlot, fromUpstream bool) {
 	if cs.entry.Cutoff > 0 {
-		slot.cutoff = n.sim.Schedule(cs.entry.Cutoff, func() {
-			n.expiryRule(cs, slot, fromUpstream)
-		})
+		slot.cutoff = n.sim.Schedule(cs.entry.Cutoff, slot.onCutoff)
 	}
 	if fromUpstream {
 		cs.upQ = append(cs.upQ, slot)
@@ -591,21 +633,30 @@ func (n *Node) intermediateLinkRule(cs *circuit, slot *pairSlot, fromUpstream bo
 	}
 	if n.dev.Params().HasCarbon && slot.qubit.Kind() == device.Communication {
 		slot.moving = true
-		n.dev.MoveToStorage(slot.qubit, func(newQ *device.Qubit, ok bool) {
-			slot.moving = false
-			if !ok {
-				// No storage space: treat like a cutoff discard so the
-				// tracking machinery cleans the chain up.
-				n.sim.Cancel(slot.cutoff)
-				n.expiryRule(cs, slot, fromUpstream)
-				return
-			}
-			slot.qubit = newQ
-			n.trySwap(cs)
-		})
+		n.dev.MoveToStorage(slot.qubit, slot.onMove)
 		return
 	}
 	n.trySwap(cs)
+}
+
+// moved completes the slot's move to storage.
+func (s *pairSlot) moved(newQ *device.Qubit, ok bool) {
+	n := s.node
+	s.moving = false
+	switch {
+	case s.dead:
+		// Expired or torn down mid-move: the half is gone, and this was
+		// the slot's last reference.
+		n.releaseSlot(s)
+	case !ok:
+		// No storage space: treat like a cutoff discard so the tracking
+		// machinery cleans the chain up.
+		n.sim.Cancel(s.cutoff)
+		s.expire()
+	default:
+		s.qubit = newQ
+		n.trySwap(s.cs)
+	}
 }
 
 // swappable finds the oldest slot in q that is ready for a swap.
@@ -629,33 +680,53 @@ func (n *Node) trySwap(cs *circuit) {
 		cs.downQ = removeSlot(cs.downQ, down)
 		n.sim.Cancel(up.cutoff)
 		n.sim.Cancel(down.cutoff)
-		n.dev.Swap(up.qubit, down.qubit, func(_ *device.Pair, outcome quantum.BellIndex) {
-			n.swapDone(cs, up, down, outcome)
-		})
+		up.partner = down
+		n.dev.Swap(up.qubit, down.qubit, up.onSwap)
 	}
+}
+
+// swapped completes the swap of this upstream slot and its partner; both
+// slots die with it.
+func (s *pairSlot) swapped(_ *device.Pair, outcome quantum.BellIndex) {
+	n, down := s.node, s.partner
+	n.swapDone(s.cs, s, down, outcome)
+	n.releaseSlot(s)
+	n.releaseSlot(down)
 }
 
 // swapDone logs swap records and forwards any parked TRACKs (the tail halves
 // of Algorithm 7).
 func (n *Node) swapDone(cs *circuit, up, down *pairSlot, outcome quantum.BellIndex) {
 	cs.swaps++
-	if pt, ok := cs.upTrack[up.corr]; ok {
-		delete(cs.upTrack, up.corr)
+	if pt, ok := cs.upTrack[up.corr.Seq]; ok {
+		delete(cs.upTrack, up.corr.Seq)
 		tm := pt.msg
 		tm.LinkCorr = down.corr
 		tm.Outcome = quantum.Combine(tm.Outcome, down.idx, outcome)
 		n.sendDown(cs, tm)
 	} else {
-		cs.upRecord[up.corr] = swapRecord{otherCorr: down.corr, otherIdx: down.idx, outcome: outcome, at: n.sim.Now()}
+		cs.upRecord[up.corr.Seq] = swapRecord{otherCorr: down.corr, otherIdx: down.idx, outcome: outcome, at: n.sim.Now()}
 	}
-	if pt, ok := cs.downTrack[down.corr]; ok {
-		delete(cs.downTrack, down.corr)
+	if pt, ok := cs.downTrack[down.corr.Seq]; ok {
+		delete(cs.downTrack, down.corr.Seq)
 		tm := pt.msg
 		tm.LinkCorr = up.corr
 		tm.Outcome = quantum.Combine(tm.Outcome, up.idx, outcome)
 		n.sendUp(cs, tm)
 	} else {
-		cs.downRecord[down.corr] = swapRecord{otherCorr: up.corr, otherIdx: up.idx, outcome: outcome, at: n.sim.Now()}
+		cs.downRecord[down.corr.Seq] = swapRecord{otherCorr: up.corr, otherIdx: up.idx, outcome: outcome, at: n.sim.Now()}
+	}
+}
+
+// expire is the slot's cutoff timer. The slot dies with it unless a move
+// is still pending, whose completion then releases it.
+func (s *pairSlot) expire() {
+	n := s.node
+	n.expiryRule(s.cs, s, s.fromUpstream)
+	if s.moving {
+		s.dead = true
+	} else {
+		n.releaseSlot(s)
 	}
 }
 
@@ -669,21 +740,21 @@ func (n *Node) expiryRule(cs *circuit, slot *pairSlot, fromUpstream bool) {
 	cs.discards++
 	n.dev.Free(slot.qubit)
 	if fromUpstream {
-		if pt, ok := cs.upTrack[slot.corr]; ok {
-			delete(cs.upTrack, slot.corr)
+		if pt, ok := cs.upTrack[slot.corr.Seq]; ok {
+			delete(cs.upTrack, slot.corr.Seq)
 			n.sendUp(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: pt.msg.Origin, ToHead: true})
 			cs.expiresSent++
 		} else {
-			cs.upExpired[slot.corr] = n.sim.Now()
+			cs.upExpired[slot.corr.Seq] = n.sim.Now()
 		}
 		return
 	}
-	if pt, ok := cs.downTrack[slot.corr]; ok {
-		delete(cs.downTrack, slot.corr)
+	if pt, ok := cs.downTrack[slot.corr.Seq]; ok {
+		delete(cs.downTrack, slot.corr.Seq)
 		n.sendDown(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: pt.msg.Origin, ToHead: false})
 		cs.expiresSent++
 	} else {
-		cs.downExpired[slot.corr] = n.sim.Now()
+		cs.downExpired[slot.corr.Seq] = n.sim.Now()
 	}
 }
 
@@ -698,8 +769,7 @@ func removeSlot(q []*pairSlot, s *pairSlot) []*pairSlot {
 
 // --- TRACK rules ----------------------------------------------------------
 
-func (n *Node) onTrack(m TrackMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onTrack(cs *circuit, m TrackMsg) {
 	if cs.role == RoleIntermediate {
 		n.intermediateTrackRule(cs, m)
 		return
@@ -711,42 +781,41 @@ func (n *Node) onTrack(m TrackMsg) {
 // record, an expiry record, or park it until the swap completes.
 func (n *Node) intermediateTrackRule(cs *circuit, m TrackMsg) {
 	if m.FromHead {
-		if rec, ok := cs.upRecord[m.LinkCorr]; ok {
-			delete(cs.upRecord, m.LinkCorr)
+		if rec, ok := cs.upRecord[m.LinkCorr.Seq]; ok {
+			delete(cs.upRecord, m.LinkCorr.Seq)
 			m.LinkCorr = rec.otherCorr
 			m.Outcome = quantum.Combine(m.Outcome, rec.otherIdx, rec.outcome)
 			n.sendDown(cs, m)
 			return
 		}
-		if _, dead := cs.upExpired[m.LinkCorr]; dead {
-			delete(cs.upExpired, m.LinkCorr)
+		if _, dead := cs.upExpired[m.LinkCorr.Seq]; dead {
+			delete(cs.upExpired, m.LinkCorr.Seq)
 			n.sendUp(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: m.Origin, ToHead: true})
 			cs.expiresSent++
 			return
 		}
-		cs.upTrack[m.LinkCorr] = parkedTrack{msg: m, at: n.sim.Now()}
+		cs.upTrack[m.LinkCorr.Seq] = parkedTrack{msg: m, at: n.sim.Now()}
 		return
 	}
-	if rec, ok := cs.downRecord[m.LinkCorr]; ok {
-		delete(cs.downRecord, m.LinkCorr)
+	if rec, ok := cs.downRecord[m.LinkCorr.Seq]; ok {
+		delete(cs.downRecord, m.LinkCorr.Seq)
 		m.LinkCorr = rec.otherCorr
 		m.Outcome = quantum.Combine(m.Outcome, rec.otherIdx, rec.outcome)
 		n.sendUp(cs, m)
 		return
 	}
-	if _, dead := cs.downExpired[m.LinkCorr]; dead {
-		delete(cs.downExpired, m.LinkCorr)
+	if _, dead := cs.downExpired[m.LinkCorr.Seq]; dead {
+		delete(cs.downExpired, m.LinkCorr.Seq)
 		n.sendDown(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: m.Origin, ToHead: false})
 		cs.expiresSent++
 		return
 	}
-	cs.downTrack[m.LinkCorr] = parkedTrack{msg: m, at: n.sim.Now()}
+	cs.downTrack[m.LinkCorr.Seq] = parkedTrack{msg: m, at: n.sim.Now()}
 }
 
 // --- EXPIRE / TestResult relay ---------------------------------------------
 
-func (n *Node) onExpire(m ExpireMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onExpire(cs *circuit, m ExpireMsg) {
 	if cs.role == RoleIntermediate {
 		if m.ToHead {
 			n.sendUp(cs, m)
@@ -758,8 +827,7 @@ func (n *Node) onExpire(m ExpireMsg) {
 	n.endExpireRule(cs, m)
 }
 
-func (n *Node) onTestResult(m TestResultMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onTestResult(cs *circuit, m TestResultMsg) {
 	if cs.role == RoleIntermediate {
 		if m.ToHead {
 			n.sendUp(cs, m)

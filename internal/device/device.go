@@ -47,6 +47,12 @@ type Device struct {
 	sim     *sim.Simulation
 	rng     *rand.Rand
 	qubits  []*Qubit
+	// freeComm counts free communication qubits per link tag ("" for the
+	// shared ones), kept current by every alloc and free. A device serves a
+	// handful of links, so a scan beats hashing the tag.
+	freeComm []commCount
+	// freeSwaps recycles Swap's operation records.
+	freeSwaps *swapOp
 	// busyUntil is the quantum task scheduler's horizon: local operations
 	// submitted while another runs queue behind it.
 	busyUntil sim.Time
@@ -105,6 +111,24 @@ func (d *Device) AddCommQubits(link string, n int) {
 			free:      true,
 		})
 	}
+	*d.freeCommOf(link) += n
+}
+
+// commCount is the number of free communication qubits with one link tag.
+type commCount struct {
+	link string
+	free int
+}
+
+// freeCommOf returns the free-qubit counter of a link tag.
+func (d *Device) freeCommOf(link string) *int {
+	for i := range d.freeComm {
+		if d.freeComm[i].link == link {
+			return &d.freeComm[i].free
+		}
+	}
+	d.freeComm = append(d.freeComm, commCount{link: link})
+	return &d.freeComm[len(d.freeComm)-1].free
 }
 
 // AddStorageQubits adds n storage (carbon) qubits.
@@ -130,7 +154,7 @@ func (d *Device) AllocComm(link string) (*Qubit, bool) {
 			continue
 		}
 		if q.link == link {
-			q.free = false
+			d.take(q)
 			return q, true
 		}
 		if q.link == "" && shared == nil {
@@ -138,10 +162,16 @@ func (d *Device) AllocComm(link string) (*Qubit, bool) {
 		}
 	}
 	if shared != nil {
-		shared.free = false
+		d.take(shared)
 		return shared, true
 	}
 	return nil, false
+}
+
+// take marks a free communication qubit allocated.
+func (d *Device) take(q *Qubit) {
+	q.free = false
+	*d.freeCommOf(q.link)--
 }
 
 // AllocStorage allocates a free storage qubit.
@@ -156,12 +186,16 @@ func (d *Device) AllocStorage() (*Qubit, bool) {
 }
 
 // FreeCommCount reports the number of free communication qubits usable on
-// the given link.
+// the given link: those dedicated to it plus the shared ones. It sums the
+// per-link counters AllocComm and free maintain instead of scanning the
+// memory, so its cost does not grow with the qubit count — the link layer
+// asks on every dispatch, and every qubit free re-runs dispatch on each
+// engine at the device.
 func (d *Device) FreeCommCount(link string) int {
 	n := 0
-	for _, q := range d.qubits {
-		if q.free && q.kind == Communication && (q.link == link || q.link == "") {
-			n++
+	for _, c := range d.freeComm {
+		if c.link == link || c.link == "" {
+			n += c.free
 		}
 	}
 	return n
@@ -177,6 +211,7 @@ func (d *Device) free(q *Qubit) {
 	q.free = true
 	q.pair = nil
 	if q.kind == Communication {
+		*d.freeCommOf(q.link)++
 		q.lifetimes = Lifetimes(d.params.Electron)
 	} else {
 		q.lifetimes = Lifetimes(d.params.Carbon)
@@ -251,88 +286,118 @@ func (d *Device) Swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 	if q1.pair == nil || q2.pair == nil {
 		panic(fmt.Sprintf("device %s: swap on qubits without pairs", d.id))
 	}
-	d.SubmitOp(d.params.SwapDuration(), func() {
-		now := d.sim.Now()
-		p1, p2 := q1.pair, q2.pair
-		s1, s2 := p1.LocalSide(d.id), p2.LocalSide(d.id)
-		if s1 < 0 || s2 < 0 {
-			panic(fmt.Sprintf("device %s: swap halves vanished mid-flight", d.id))
-		}
-		p1.AdvanceTo(now)
-		p2.AdvanceTo(now)
-		if p1.scalar != p2.scalar {
-			panic(fmt.Sprintf("device %s: swap across physics engines", d.id))
-		}
-		var (
-			mergedRho *linalg.Matrix
-			mergedW   float64
-			outcome   quantum.BellIndex
-		)
-		if p1.scalar {
-			// Werner states are symmetric under qubit exchange, so no
-			// orientation is needed; the closed form consumes the same four
-			// RNG draws as the exact Bell measurement below.
-			sres := werner.Swap(p1.w, p2.w, d.params.SwapConfig(), d.rng)
-			mergedW, outcome = sres.W, sres.Outcome
-		} else {
-			// Orient so the swap circuit sees (remote1, local1) ⊗ (local2,
-			// remote2). Exchanging the qubits of a Bell-diagnosable state keeps
-			// its Bell index (|Ψ−> only changes global phase).
-			rho1 := p1.rho
-			if s1 == 0 {
-				rho1 = quantum.ApplyGate2W(d.ws, rho1, quantum.SWAP, 0, 2)
-			}
-			rho2 := p2.rho
-			if s2 == 1 {
-				rho2 = quantum.ApplyGate2W(d.ws, rho2, quantum.SWAP, 0, 2)
-			}
-			res := quantum.SwapW(d.ws, rho1, rho2, d.params.SwapConfig(), d.rng)
-			if rho1 != p1.rho {
-				d.ws.Put(rho1)
-			}
-			if rho2 != p2.rho {
-				d.ws.Put(rho2)
-			}
-			// The Bell measurement consumed both input pairs: recycle their
-			// states and nil the fields so a stale read fails fast instead of
-			// observing a recycled buffer.
-			d.ws.Put(p1.rho)
-			p1.rho = nil
-			d.ws.Put(p2.rho)
-			p2.rho = nil
-			mergedRho, outcome = res.Rho, res.Outcome
-		}
+	op := d.freeSwaps
+	if op == nil {
+		op = &swapOp{d: d}
+		op.run = op.exec
+	} else {
+		d.freeSwaps = op.next
+	}
+	op.q1, op.q2, op.done = q1, q2, done
+	d.SubmitOp(d.params.SwapDuration(), op.run)
+}
 
-		remote1 := p1.halves[1-s1]
-		remote2 := p2.halves[1-s2]
-		created := p1.createdAt
-		if p2.createdAt < created {
-			created = p2.createdAt
+// swapOp is a pending Swap. Records are recycled per device and bind their
+// completion once, so submitting a swap allocates nothing.
+type swapOp struct {
+	d      *Device
+	q1, q2 *Qubit
+	done   func(merged *Pair, outcome quantum.BellIndex)
+	run    func()
+	next   *swapOp
+}
+
+// exec releases the record before swapping: done may submit the next swap.
+func (op *swapOp) exec() {
+	d, q1, q2, done := op.d, op.q1, op.q2, op.done
+	op.q1, op.q2, op.done = nil, nil, nil
+	op.next = d.freeSwaps
+	d.freeSwaps = op
+	d.swap(q1, q2, done)
+}
+
+// swap performs a Swap at its completion time.
+func (d *Device) swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.BellIndex)) {
+	now := d.sim.Now()
+	p1, p2 := q1.pair, q2.pair
+	s1, s2 := p1.LocalSide(d.id), p2.LocalSide(d.id)
+	if s1 < 0 || s2 < 0 {
+		panic(fmt.Sprintf("device %s: swap halves vanished mid-flight", d.id))
+	}
+	p1.AdvanceTo(now)
+	p2.AdvanceTo(now)
+	if p1.scalar != p2.scalar {
+		panic(fmt.Sprintf("device %s: swap across physics engines", d.id))
+	}
+	var (
+		mergedRho *linalg.Matrix
+		mergedW   float64
+		outcome   quantum.BellIndex
+	)
+	if p1.scalar {
+		// Werner states are symmetric under qubit exchange, so no
+		// orientation is needed; the closed form consumes the same four
+		// RNG draws as the exact Bell measurement below.
+		sres := werner.Swap(p1.w, p2.w, d.params.SwapConfig(), d.rng)
+		mergedW, outcome = sres.W, sres.Outcome
+	} else {
+		// Orient so the swap circuit sees (remote1, local1) ⊗ (local2,
+		// remote2). Exchanging the qubits of a Bell-diagnosable state keeps
+		// its Bell index (|Ψ−> only changes global phase).
+		rho1 := p1.rho
+		if s1 == 0 {
+			rho1 = quantum.ApplyGate2W(d.ws, rho1, quantum.SWAP, 0, 2)
 		}
-		merged := &Pair{
-			rho:        mergedRho,
-			scalar:     p1.scalar,
-			w:          mergedW,
-			ws:         d.ws,
-			trueIdx:    quantum.Combine(p1.trueIdx, p2.trueIdx, outcome),
-			createdAt:  created,
-			lastUpdate: now,
+		rho2 := p2.rho
+		if s2 == 1 {
+			rho2 = quantum.ApplyGate2W(d.ws, rho2, quantum.SWAP, 0, 2)
 		}
-		merged.consumed[0] = p1.consumed[1-s1]
-		merged.consumed[1] = p2.consumed[1-s2]
-		merged.halves[0] = remote1
-		merged.halves[1] = remote2
-		if remote1 != nil {
-			remote1.pair, remote1.side = merged, 0
+		res := quantum.SwapW(d.ws, rho1, rho2, d.params.SwapConfig(), d.rng)
+		if rho1 != p1.rho {
+			d.ws.Put(rho1)
 		}
-		if remote2 != nil {
-			remote2.pair, remote2.side = merged, 1
+		if rho2 != p2.rho {
+			d.ws.Put(rho2)
 		}
-		// Free this node's qubits: the Bell measurement consumed them.
-		p1.releaseHalf(s1)
-		p2.releaseHalf(s2)
-		done(merged, outcome)
-	})
+		// The Bell measurement consumed both input pairs: recycle their
+		// states and nil the fields so a stale read fails fast instead of
+		// observing a recycled buffer.
+		d.ws.Put(p1.rho)
+		p1.rho = nil
+		d.ws.Put(p2.rho)
+		p2.rho = nil
+		mergedRho, outcome = res.Rho, res.Outcome
+	}
+
+	remote1 := p1.halves[1-s1]
+	remote2 := p2.halves[1-s2]
+	created := p1.createdAt
+	if p2.createdAt < created {
+		created = p2.createdAt
+	}
+	merged := &Pair{
+		rho:        mergedRho,
+		scalar:     p1.scalar,
+		w:          mergedW,
+		ws:         d.ws,
+		trueIdx:    quantum.Combine(p1.trueIdx, p2.trueIdx, outcome),
+		createdAt:  created,
+		lastUpdate: now,
+	}
+	merged.consumed[0] = p1.consumed[1-s1]
+	merged.consumed[1] = p2.consumed[1-s2]
+	merged.halves[0] = remote1
+	merged.halves[1] = remote2
+	if remote1 != nil {
+		remote1.pair, remote1.side = merged, 0
+	}
+	if remote2 != nil {
+		remote2.pair, remote2.side = merged, 1
+	}
+	// Free this node's qubits: the Bell measurement consumed them.
+	p1.releaseHalf(s1)
+	p2.releaseHalf(s2)
+	done(merged, outcome)
 }
 
 // MoveToStorage transfers the pair half held by communication qubit q into a
@@ -340,8 +405,9 @@ func (d *Device) Swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 // can generate on another link). The transfer costs MoveDuration and applies
 // depolarising noise from the two-qubit gate and carbon initialisation. done
 // receives the storage qubit now holding the half, or ok=false if no storage
-// qubit is free. The pair is resolved from the qubit at completion,
-// surviving concurrent remote merges.
+// qubit is free, or if the half was released before the move completed.
+// The pair is resolved from the qubit at completion, surviving concurrent
+// remote merges.
 func (d *Device) MoveToStorage(q *Qubit, done func(newQ *Qubit, ok bool)) {
 	if q.pair == nil {
 		panic(fmt.Sprintf("device %s: move on qubit without pair", d.id))
@@ -353,8 +419,13 @@ func (d *Device) MoveToStorage(q *Qubit, done func(newQ *Qubit, ok bool)) {
 	}
 	d.SubmitOp(d.params.MoveDuration(), func() {
 		now := d.sim.Now()
+		// The half is gone if the qubit was freed mid-move (cutoff expiry
+		// or circuit teardown).
 		p := q.pair
-		s := p.LocalSide(d.id)
+		s := -1
+		if p != nil {
+			s = p.LocalSide(d.id)
+		}
 		if s < 0 {
 			d.free(storage)
 			done(nil, false)

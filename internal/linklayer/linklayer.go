@@ -63,9 +63,8 @@ type Consumer func(Delivery)
 type request struct {
 	label       Label
 	minFidelity float64
-	weight      float64 // requested link-pair rate (pairs/s), the WRR weight
-	alpha       float64
-	prob        float64
+	weight      float64            // requested link-pair rate (pairs/s), the WRR weight
+	model       hardware.PairModel // the link model producing minFidelity
 	registered  [2]bool
 	consumers   [2]Consumer
 	// used is the virtual link time consumed, for fair queuing.
@@ -87,6 +86,7 @@ type request struct {
 
 func (r *request) active() bool { return r.registered[0] && r.registered[1] }
 
+// round is a generation round in flight; req is nil while the engine idles.
 type round struct {
 	req    *request
 	qubits [2]*device.Qubit
@@ -106,15 +106,19 @@ type Stats struct {
 // shared physical substrate (emitters, midpoint heralding station) plus the
 // link layer protocol instances at both endpoints.
 type Engine struct {
-	sim     *sim.Simulation
-	name    string
-	cfg     hardware.LinkConfig
-	devs    [2]*device.Device
-	reqs    map[Label]*request
-	order   []*request // deterministic scheduling order
-	current *round
-	seq     uint64
-	stats   Stats
+	sim   *sim.Simulation
+	name  string
+	cfg   hardware.LinkConfig
+	devs  [2]*device.Device
+	reqs  map[Label]*request
+	order []*request // deterministic scheduling order
+	// cur is the engine's one round: a link runs at most one at a time.
+	cur   round
+	seq   uint64
+	stats Stats
+	// completeFn and dispatchFn are complete and dispatch bound once, so
+	// scheduling them allocates nothing.
+	completeFn, dispatchFn func()
 	// exclusive serialises generation with local quantum operations — set on
 	// single-communication-qubit platforms (near-term §5.3), where the
 	// electron cannot generate while a gate runs.
@@ -123,7 +127,8 @@ type Engine struct {
 	retry sim.Event
 	// curve is the link's fidelity curve under the endpoints' hardware,
 	// built on first use (see linkCurve).
-	curve *hardware.LinkCurve
+	curve  *hardware.LinkCurve
+	models map[float64]hardware.PairModel
 }
 
 // NewEngine creates the generation engine for the link between a and b.
@@ -136,10 +141,12 @@ func NewEngine(s *sim.Simulation, name string, cfg hardware.LinkConfig, a, b *de
 		cfg:       cfg,
 		devs:      [2]*device.Device{a, b},
 		reqs:      make(map[Label]*request),
+		models:    make(map[float64]hardware.PairModel),
 		exclusive: a.Params().HasCarbon,
 	}
-	a.OnFree(e.dispatch)
-	b.OnFree(e.dispatch)
+	e.completeFn, e.dispatchFn = e.complete, e.dispatch
+	a.OnFree(e.dispatchFn)
+	b.OnFree(e.dispatchFn)
 	return e
 }
 
@@ -172,6 +179,23 @@ func (e *Engine) linkCurve() *hardware.LinkCurve {
 	return e.curve
 }
 
+// modelFor returns the pair model producing fidelity f, or ok=false if the
+// link cannot reach it. Models are memoized per fidelity: every circuit
+// activation re-registers its labels.
+func (e *Engine) modelFor(f float64) (m hardware.PairModel, ok bool) {
+	if m, ok = e.models[f]; ok {
+		return m, true
+	}
+	curve := e.linkCurve()
+	alpha, ok := curve.AlphaForFidelity(f)
+	if !ok {
+		return m, false
+	}
+	m = curve.Model(alpha)
+	e.models[f] = m
+	return m, true
+}
+
 // ExpectedPairTime reports the mean generation time for a fidelity on this
 // link (exposed for routing).
 func (e *Engine) ExpectedPairTime(f float64) (sim.Duration, bool) {
@@ -186,8 +210,7 @@ func (e *Engine) Register(node string, label Label, minFidelity, rate float64, c
 	s := e.side(node)
 	r, ok := e.reqs[label]
 	if !ok {
-		curve := e.linkCurve()
-		alpha, achievable := curve.AlphaForFidelity(minFidelity)
+		model, achievable := e.modelFor(minFidelity)
 		if !achievable {
 			return fmt.Errorf("linklayer %s: fidelity %.4f unreachable", e.name, minFidelity)
 		}
@@ -195,8 +218,7 @@ func (e *Engine) Register(node string, label Label, minFidelity, rate float64, c
 			label:       label,
 			minFidelity: minFidelity,
 			weight:      rate,
-			alpha:       alpha,
-			prob:        curve.Model(alpha).SuccessProb,
+			model:       model,
 			used:        e.minVirtualUsed(rate),
 			paceSetter:  -1,
 		}
@@ -297,7 +319,7 @@ func (e *Engine) Deactivate(node string, label Label) {
 		r.nextAllowed = 0
 		r.paceSetter = -1
 	}
-	if e.current != nil && e.current.req == r {
+	if e.cur.req == r {
 		e.abortCurrent()
 	}
 	if !r.registered[0] && !r.registered[1] {
@@ -313,8 +335,8 @@ func (e *Engine) Deactivate(node string, label Label) {
 }
 
 func (e *Engine) abortCurrent() {
-	cur := e.current
-	e.current = nil
+	cur := e.cur
+	e.cur = round{}
 	e.sim.Cancel(cur.event)
 	// Attempts made before the abort still dephase stored qubits.
 	elapsed := e.sim.Now().Sub(cur.start)
@@ -335,7 +357,7 @@ func (e *Engine) abortCurrent() {
 // among runnable requests, pick the one with the smallest weight-normalised
 // virtual time used.
 func (e *Engine) dispatch() {
-	if e.current != nil {
+	if e.cur.req != nil {
 		return
 	}
 	e.sim.Cancel(e.retry)
@@ -349,7 +371,7 @@ func (e *Engine) dispatch() {
 			}
 		}
 		if until > e.sim.Now() {
-			e.retry = e.sim.ScheduleAt(until, e.dispatch)
+			e.retry = e.sim.ScheduleAt(until, e.dispatchFn)
 			return
 		}
 	}
@@ -379,7 +401,7 @@ func (e *Engine) dispatch() {
 	}
 	if best == nil {
 		if wake > 0 {
-			e.retry = e.sim.ScheduleAt(wake, e.dispatch)
+			e.retry = e.sim.ScheduleAt(wake, e.dispatchFn)
 		}
 		return
 	}
@@ -392,18 +414,20 @@ func (e *Engine) dispatch() {
 		e.devs[0].Free(q0)
 		return
 	}
-	k := hardware.SampleAttempts(best.prob, e.sim.Rand())
+	k := hardware.SampleAttempts(best.model.SuccessProb, e.sim.Rand())
 	dur := e.cfg.CycleTime(e.devs[0].Params()).Scale(float64(k))
-	cur := &round{req: best, qubits: [2]*device.Qubit{q0, q1}, start: e.sim.Now(), k: k}
-	cur.event = e.sim.Schedule(dur, func() { e.complete(cur) })
-	e.current = cur
+	e.cur = round{req: best, qubits: [2]*device.Qubit{q0, q1}, start: e.sim.Now(), k: k}
+	e.cur.event = e.sim.Schedule(dur, e.completeFn)
 }
 
 // complete finishes a successful generation round: it charges the request's
 // virtual time, applies per-attempt nuclear dephasing to stored qubits at
 // both nodes, materialises the pair state, and delivers to both endpoints.
-func (e *Engine) complete(cur *round) {
-	e.current = nil
+// It copies the round out before anything else: consumers re-enter dispatch,
+// which starts the next round in e.cur.
+func (e *Engine) complete() {
+	cur := e.cur
+	e.cur = round{}
 	r := cur.req
 	r.used += e.sim.Now().Sub(cur.start)
 	if r.paceRate > 0 {
@@ -414,7 +438,7 @@ func (e *Engine) complete(cur *round) {
 	for _, d := range e.devs {
 		d.ApplyAttemptDephasing(cur.k)
 	}
-	model := e.curve.Model(r.alpha)
+	model := r.model
 	var pair *device.Pair
 	var idx quantum.BellIndex
 	if e.devs[0].Physics() == device.PhysicsWerner {

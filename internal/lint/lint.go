@@ -83,9 +83,10 @@ var simulationPackages = map[string]bool{
 	"qnp/internal/signaling": true,
 }
 
-// hotPathPackages are the packages PR 3 made allocation-free: the quantum
-// engine and the device/link stack it runs under, plus the scalar Werner
-// tier. hotalloc flags allocating-API calls only here, and only inside
+// hotPathPackages are the allocation-free packages: the quantum engine and
+// the device/link stack it runs under, the scalar Werner tier, the protocol
+// core, and the routing planner's workspace-threaded budget search.
+// hotalloc flags allocating-API calls only here, and only inside
 // workspace-threaded functions.
 var hotPathPackages = map[string]bool{
 	"qnp/internal/quantum":   true,
@@ -95,6 +96,7 @@ var hotPathPackages = map[string]bool{
 	"qnp/internal/werner":    true,
 	"qnp/internal/core":      true,
 	"qnp/internal/linalg":    true,
+	"qnp/internal/routing":   true,
 }
 
 // isSimulationPackage reports whether path is a simulation package.

@@ -8,6 +8,14 @@
 // abstraction: no loss, no reordering, plus a configurable processing delay
 // so the Fig. 10c experiment can sweep "the time between the sending of any
 // QNP message to the moment that message is processed at the next node".
+//
+// A Port is a resolved from→to sending handle: it holds the channel delay
+// and the destination's handler list, so a protocol that sends on the same
+// hop for every pair resolves it once instead of hashing node IDs per
+// message. Handlers registered after a Port was resolved still receive its
+// messages. In-flight messages ride pooled delivery records; a record goes
+// back to the pool before its handlers run, so a handler that sends reuses
+// it at once.
 package netsim
 
 import (
@@ -31,6 +39,11 @@ type channel struct {
 	delay sim.Duration
 }
 
+// node holds a registered node's handlers.
+type node struct {
+	handlers []Handler
+}
+
 type linkKey struct{ a, b NodeID }
 
 func keyFor(a, b NodeID) linkKey {
@@ -50,11 +63,13 @@ type Stats struct {
 type Network struct {
 	sim      *sim.Simulation
 	channels map[linkKey]*channel
-	handlers map[NodeID][]Handler
+	nodes    map[NodeID]*node
 	// processing is the extra per-hop delay added to every delivery — the
 	// Fig. 10c knob.
 	processing sim.Duration
 	stats      Stats
+	// free recycles delivery records.
+	free *delivery
 }
 
 // New creates an empty classical network on the given simulation.
@@ -62,22 +77,22 @@ func New(s *sim.Simulation) *Network {
 	return &Network{
 		sim:      s,
 		channels: make(map[linkKey]*channel),
-		handlers: make(map[NodeID][]Handler),
+		nodes:    make(map[NodeID]*node),
 	}
 }
 
 // AddNode registers a node. Adding the same node twice panics — topology is
 // static configuration, and a duplicate always means a miswired experiment.
 func (n *Network) AddNode(id NodeID) {
-	if _, ok := n.handlers[id]; ok {
+	if _, ok := n.nodes[id]; ok {
 		panic(fmt.Sprintf("netsim: duplicate node %q", id))
 	}
-	n.handlers[id] = nil
+	n.nodes[id] = &node{}
 }
 
 // HasNode reports whether id is registered.
 func (n *Network) HasNode(id NodeID) bool {
-	_, ok := n.handlers[id]
+	_, ok := n.nodes[id]
 	return ok
 }
 
@@ -125,7 +140,8 @@ func (n *Network) Handle(id NodeID, h Handler) {
 	if !n.HasNode(id) {
 		panic(fmt.Sprintf("netsim: Handle on unregistered node %q", id))
 	}
-	n.handlers[id] = append(n.handlers[id], h)
+	nd := n.nodes[id]
+	nd.handlers = append(nd.handlers, h)
 }
 
 // Send transmits msg from one node to an adjacent node. Delivery happens
@@ -133,16 +149,64 @@ func (n *Network) Handle(id NodeID, h Handler) {
 // between the same pair of nodes are never reordered (the event queue is
 // FIFO at equal timestamps and delays are constant per channel).
 func (n *Network) Send(from, to NodeID, msg Message) {
+	n.Port(from, to).Send(msg)
+}
+
+// Port is a resolved sending handle for one direction of a channel. The
+// zero Port is not usable.
+type Port struct {
+	net   *Network
+	from  NodeID
+	delay sim.Duration
+	to    *node
+}
+
+// Port resolves the from→to handle. It panics if the nodes share no
+// channel.
+func (n *Network) Port(from, to NodeID) Port {
 	c, ok := n.channels[keyFor(from, to)]
 	if !ok {
 		panic(fmt.Sprintf("netsim: Send %q→%q without channel", from, to))
 	}
+	return Port{net: n, from: from, delay: c.delay, to: n.nodes[to]}
+}
+
+// Send transmits msg over the port, exactly as Network.Send does.
+func (p Port) Send(msg Message) {
+	n := p.net
 	n.stats.MessagesSent++
-	n.sim.Schedule(c.delay+n.processing, func() {
-		for _, h := range n.handlers[to] {
-			h(from, msg)
-		}
-	})
+	d := n.free
+	if d == nil {
+		d = &delivery{net: n}
+		d.fire = d.deliver
+	} else {
+		n.free = d.next
+	}
+	d.from, d.to, d.msg = p.from, p.to, msg
+	n.sim.Schedule(p.delay+n.processing, d.fire)
+}
+
+// delivery is a message in flight. Records are recycled through
+// Network.free; fire is deliver bound once at creation.
+type delivery struct {
+	net  *Network
+	from NodeID
+	to   *node
+	msg  Message
+	fire func()
+	next *delivery
+}
+
+// deliver hands the message to the destination's handlers. It releases the
+// record first: the handlers may send, and the record is theirs to reuse.
+func (d *delivery) deliver() {
+	n, from, to, msg := d.net, d.from, d.to, d.msg
+	d.to, d.msg = nil, nil
+	d.next = n.free
+	n.free = d
+	for _, h := range to.handlers {
+		h(from, msg)
+	}
 }
 
 // Stats returns counters accumulated so far.

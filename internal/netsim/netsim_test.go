@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"qnp/internal/race"
 	"qnp/internal/sim"
 )
 
@@ -157,5 +158,87 @@ func TestBidirectional(t *testing.T) {
 	s.Run()
 	if !got["a<-b"] || !got["b<-a"] {
 		t.Errorf("bidirectional delivery failed: %v", got)
+	}
+}
+
+func TestPortReachesHandlersAddedAfterResolution(t *testing.T) {
+	s, n := build(t)
+	p := n.Port("a", "b")
+	var got []Message
+	n.Handle("b", func(from NodeID, msg Message) {
+		if from != "a" {
+			t.Errorf("from = %v, want a", from)
+		}
+		got = append(got, msg)
+	})
+	p.Send(1)
+	n.SetProcessingDelay(sim.Millisecond)
+	p.Send(2)
+	s.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("got %v, want [1 2]", got)
+	}
+	if s.Now() != sim.Time(10*sim.Microsecond+sim.Millisecond) {
+		t.Errorf("last delivery at %v: the processing delay is read at send time", s.Now())
+	}
+	if n.Stats().MessagesSent != 2 {
+		t.Errorf("MessagesSent = %d, want 2", n.Stats().MessagesSent)
+	}
+}
+
+// TestDeliveryReleasedBeforeHandlers checks that a handler relaying a
+// message reuses the record that carried it.
+func TestDeliveryReleasedBeforeHandlers(t *testing.T) {
+	s, n := build(t)
+	ab, ba := n.Port("a", "b"), n.Port("b", "a")
+	hops := 0
+	n.Handle("b", func(NodeID, Message) {
+		if n.free == nil {
+			t.Error("delivery record still held while its handlers run")
+		}
+		hops++
+		ba.Send(hops)
+	})
+	n.Handle("a", func(_ NodeID, msg Message) {
+		if msg.(int) < 5 {
+			ab.Send(msg)
+		}
+	})
+	ab.Send(0)
+	s.Run()
+	if hops != 5 {
+		t.Fatalf("relayed %d hops, want 5", hops)
+	}
+	records := 0
+	for d := n.free; d != nil; d = d.next {
+		records++
+	}
+	if records != 1 {
+		t.Errorf("relay used %d delivery records, want 1", records)
+	}
+}
+
+// TestAllocsPortSend gates the steady-state send path at zero allocations:
+// a resolved Port sending a pointer-shaped message, which needs no boxing,
+// and its delivery.
+func TestAllocsPortSend(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run with -race off")
+	}
+	s, n := build(t)
+	p := n.Port("a", "b")
+	seen := 0
+	n.Handle("b", func(NodeID, Message) { seen++ })
+	msg := &struct{ seq int }{}
+	step := func() {
+		p.Send(msg)
+		s.Run()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("Port.Send + delivery allocs/op = %v, want 0", allocs)
+	}
+	if seen != 102 {
+		t.Errorf("delivered %d messages, want 102", seen)
 	}
 }

@@ -196,7 +196,7 @@ func refWorstCase(c *Controller, curve *hardware.LinkCurve, linkF float64, hops 
 	if !ok {
 		return 0
 	}
-	wait := c.cutoffFor(curve, linkF, policy, manual).Seconds()
+	wait := c.cutoffFor(nil, curve, linkF, policy, manual).Seconds()
 	if wait <= 0 {
 		if t, ok := curve.ExpectedPairTime(linkF); ok {
 			wait = t.Seconds()
@@ -244,6 +244,57 @@ func TestWorstCaseMatchesReference(t *testing.T) {
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s %v hops=%d F=%v: worstCase %v, reference %v", p.Name, policy, hops, linkF, got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// refFidelityLossTime is fidelityLossTime as first written, on the
+// allocating Decohere.
+func refFidelityLossTime(c *Controller, curve *hardware.LinkCurve, linkF, fraction float64) sim.Duration {
+	alpha, ok := curve.AlphaForFidelity(linkF)
+	if !ok {
+		return 0
+	}
+	lt := c.storageLifetimes()
+	rho0 := curve.Model(alpha).State(quantum.PsiPlus)
+	f0 := quantum.Fidelity(rho0, quantum.PsiPlus)
+	target := f0 * (1 - fraction)
+	aged := func(t float64) float64 {
+		rho := quantum.Decohere(rho0, 0, 2, t, lt.T1, lt.T2)
+		rho = quantum.Decohere(rho, 1, 2, t, lt.T1, lt.T2)
+		return quantum.Fidelity(rho, quantum.PsiPlus)
+	}
+	lo, hi := 0.0, 1.0
+	for aged(hi) > target && hi < 1e5 {
+		hi *= 2
+	}
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if aged(mid) > target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return sim.DurationFromSeconds(hi)
+}
+
+// TestFidelityLossTimeMatchesReference pins the workspace-backed long
+// cutoff to the allocating reference on both platforms, reusing one warm
+// workspace across every call.
+func TestFidelityLossTimeMatchesReference(t *testing.T) {
+	ws := linalg.NewWorkspace()
+	for _, p := range []hardware.Params{hardware.Simulation(), hardware.NearTerm()} {
+		c := NewController(dumbbell(), p)
+		curve := hardware.NewLinkCurve(hardware.LabLink(), p)
+		_, peak := curve.Peak()
+		for _, linkF := range []float64{0.6, 0.8, 0.9, peak - 1e-3, peak + 1e-3} {
+			for _, fraction := range []float64{0.005, 0.015, 0.1} {
+				want := refFidelityLossTime(c, curve, linkF, fraction)
+				if got := c.fidelityLossTime(ws, curve, linkF, fraction); got != want {
+					t.Fatalf("%s F=%v fraction=%v: fidelityLossTime %v, reference %v", p.Name, linkF, fraction, got, want)
 				}
 			}
 		}

@@ -413,7 +413,7 @@ func (c *Controller) budgetFor(curve *hardware.LinkCurve, hops int, e2eFidelity 
 	}
 	return Plan{
 		LinkFidelity:      linkF,
-		Cutoff:            c.cutoffFor(curve, linkF, policy, manualCutoff),
+		Cutoff:            c.cutoffFor(ws, curve, linkF, policy, manualCutoff),
 		LinkPairTime:      pairTime,
 		MaxLPR:            1 / pairTime.Seconds(),
 		WorstCaseFidelity: hiWC,
@@ -422,7 +422,7 @@ func (c *Controller) budgetFor(curve *hardware.LinkCurve, hops int, e2eFidelity 
 }
 
 // cutoffFor computes the cutoff per policy for pairs of the given fidelity.
-func (c *Controller) cutoffFor(curve *hardware.LinkCurve, linkF float64, policy CutoffPolicy, manual sim.Duration) sim.Duration {
+func (c *Controller) cutoffFor(ws *linalg.Workspace, curve *hardware.LinkCurve, linkF float64, policy CutoffPolicy, manual sim.Duration) sim.Duration {
 	switch policy {
 	case CutoffNone:
 		return 0
@@ -438,7 +438,7 @@ func (c *Controller) cutoffFor(curve *hardware.LinkCurve, linkF float64, policy 
 		attempts := math.Log(1/0.15) / p
 		return curve.CycleTime().Scale(attempts)
 	default: // CutoffLong
-		return c.fidelityLossTime(curve, linkF, 0.015)
+		return c.fidelityLossTime(ws, curve, linkF, 0.015)
 	}
 }
 
@@ -455,7 +455,7 @@ func (c *Controller) storageLifetimes() hardware.Lifetimes {
 // fidelityLossTime finds the idle time after which a fresh link-pair has
 // lost the given fraction of its initial fidelity (both qubits decohering
 // under the storage lifetimes).
-func (c *Controller) fidelityLossTime(curve *hardware.LinkCurve, linkF, fraction float64) sim.Duration {
+func (c *Controller) fidelityLossTime(ws *linalg.Workspace, curve *hardware.LinkCurve, linkF, fraction float64) sim.Duration {
 	alpha, ok := curve.AlphaForFidelity(linkF)
 	if !ok {
 		return 0
@@ -465,9 +465,12 @@ func (c *Controller) fidelityLossTime(curve *hardware.LinkCurve, linkF, fraction
 	f0 := quantum.Fidelity(rho0, quantum.PsiPlus)
 	target := f0 * (1 - fraction)
 	aged := func(t float64) float64 {
-		rho := quantum.Decohere(rho0, 0, 2, t, lt.T1, lt.T2)
-		rho = quantum.Decohere(rho, 1, 2, t, lt.T1, lt.T2)
-		return quantum.Fidelity(rho, quantum.PsiPlus)
+		rho := decohereBoth(ws, rho0, t, lt)
+		f := quantum.Fidelity(rho, quantum.PsiPlus)
+		if rho != rho0 {
+			ws.Put(rho)
+		}
+		return f
 	}
 	lo, hi := 0.0, 1.0
 	for aged(hi) > target && hi < 1e5 {
@@ -484,6 +487,18 @@ func (c *Controller) fidelityLossTime(curve *hardware.LinkCurve, linkF, fraction
 	return sim.DurationFromSeconds(hi)
 }
 
+// decohereBoth ages both qubits of a pair for t seconds under lt. The
+// result is rho itself when nothing decays; otherwise it is a fresh ws
+// matrix and rho is untouched.
+func decohereBoth(ws *linalg.Workspace, rho *linalg.Matrix, t float64, lt hardware.Lifetimes) *linalg.Matrix {
+	one := quantum.DecohereW(ws, rho, 0, 2, t, lt.T1, lt.T2)
+	both := quantum.DecohereW(ws, one, 1, 2, t, lt.T1, lt.T2)
+	if one != rho && one != both {
+		ws.Put(one)
+	}
+	return both
+}
+
 // worstCase composes the end-to-end fidelity assuming every link-pair ages
 // for the full cutoff before its swap — the paper's conservative bound. With
 // no cutoff the ageing interval falls back to the expected link-pair time
@@ -493,7 +508,7 @@ func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, 
 	if !ok {
 		return 0
 	}
-	wait := c.cutoffFor(curve, linkF, policy, manual).Seconds()
+	wait := c.cutoffFor(ws, curve, linkF, policy, manual).Seconds()
 	if wait <= 0 {
 		if t, ok := curve.ExpectedPairTime(linkF); ok {
 			wait = t.Seconds()
@@ -507,10 +522,9 @@ func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, 
 		// The intermediate half is moved into carbon: two-qubit gate plus
 		// carbon initialisation noise on one qubit.
 		pNoise := 1 - c.Params.Gates.TwoQubitFidelity*c.Params.Gates.CarbonInitFidelity
-		aged = quantum.Depolarizing1(pNoise).Apply(aged, 0, 2)
+		aged = quantum.Depolarizing1(pNoise).ApplyW(ws, aged, 0, 2)
 	}
-	aged = quantum.Decohere(aged, 0, 2, wait, lt.T1, lt.T2)
-	aged = quantum.Decohere(aged, 1, 2, wait, lt.T1, lt.T2)
+	aged = decohereBoth(ws, aged, wait, lt)
 	// Deterministic composition with a fixed RNG: swap outcomes only select
 	// which Bell state is declared, not how much fidelity survives, so any
 	// outcome sequence gives the same worst-case number (verified in tests).

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qnp/internal/hardware"
+	"qnp/internal/linalg"
 	"qnp/internal/quantum"
 	"qnp/internal/sim"
 )
@@ -187,7 +188,7 @@ func TestLongCutoffCalibration(t *testing.T) {
 		curve := hardware.NewLinkCurve(hardware.LabLink(), p)
 		_, peak := curve.Peak()
 		linkF := math.Min(0.9, peak-0.01)
-		cut := c.fidelityLossTime(curve, linkF, 0.015)
+		cut := c.fidelityLossTime(linalg.NewWorkspace(), curve, linkF, 0.015)
 		if cut <= 0 {
 			t.Fatalf("%s: no cutoff computed", p.Name)
 		}
@@ -200,7 +201,7 @@ func TestLongCutoffCalibration(t *testing.T) {
 		if math.Abs(lost-0.015) > 0.003 {
 			t.Errorf("%s: fidelity loss at cutoff = %.4f, want ≈0.015", p.Name, lost)
 		}
-		if got := c.cutoffFor(curve, linkF, CutoffLong, 0); got != cut {
+		if got := c.cutoffFor(linalg.NewWorkspace(), curve, linkF, CutoffLong, 0); got != cut {
 			t.Errorf("%s: long cutoff %v != fidelityLossTime %v", p.Name, got, cut)
 		}
 	}
