@@ -14,12 +14,11 @@
 // Figure IDs: 5, 8, 9, 10ab, 10c, 11, tables, topo, hub, diversity, eer,
 // churn, multipath, all.
 //
-// Replicas fan out across a worker pool (-workers, default NumCPU), across
-// N re-exec'd worker processes with -shards N, or across a work-stealing
-// fleet of worker endpoints with -fleet N (add -resume DIR for a
-// checkpoint journal that survives kills); the per-replica seeding makes
-// every figure bit-identical for any worker, shard or endpoint count.
-// Ctrl-C cancels the in-flight figure.
+// Replicas fan out across a worker pool (-workers, default NumCPU), or
+// with -shards N across N re-exec'd worker processes that work-steal from
+// one chunk queue (add -resume DIR for a checkpoint journal that survives
+// kills); the per-replica seeding makes every figure bit-identical for any
+// worker or shard count. Ctrl-C cancels the in-flight figure.
 package main
 
 import (
@@ -46,11 +45,10 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a smoke run")
 	seed := flag.Int64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
-	shards := flag.Int("shards", 0, "worker processes to shard replica grids across (0 = in-process; 11 and tables have no grid and always run in-process)")
-	fleet := flag.Int("fleet", 0, "local fleet endpoints to work-steal replica grids across (0 = no fleet; exclusive with -shards)")
-	fleetThrottle := flag.Duration("fleet-throttle", 0, "artificial per-chunk delay on the last fleet endpoint (steal-schedule testing; results are unaffected)")
-	resume := flag.String("resume", "", "checkpoint journal directory: completed replicas spill here and a re-run resumes instead of restarting (implies -fleet 1)")
-	workerTimeout := flag.Duration("worker-timeout", 0, "liveness bound for -shards/-fleet workers (0 = backend default of 10m; negative disables)")
+	shards := flag.Int("shards", 0, "worker processes to shard replica grids across, work-stealing from one chunk queue; -workers is split among them (0 = in-process; 11 and tables have no grid and always run in-process)")
+	fleetThrottle := flag.Duration("fleet-throttle", 0, "artificial per-chunk delay on the last -shards worker (steal-schedule testing; results are unaffected)")
+	resume := flag.String("resume", "", "checkpoint journal directory: completed replicas spill here and a re-run resumes instead of restarting (implies -shards 1 when -shards is unset)")
+	workerTimeout := flag.Duration("worker-timeout", 0, "heartbeat bound for -shards workers: a worker silent this long is declared lost and its chunk re-run (0 = 10m default; negative disables)")
 	progress := flag.Bool("progress", false, "print replica progress to stderr")
 	physics := flag.String("physics", "exact", "pair-state engine for the validation figures (9, eer, churn, city): exact or werner; the other figures always run exact")
 	flag.Parse()
@@ -73,31 +71,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown physics engine %q (want exact or werner)\n", *physics)
 		os.Exit(2)
 	}
-	if *resume != "" && *fleet == 0 {
-		*fleet = 1 // only Fleet journals; resuming implies one
+	if *resume != "" && *shards == 0 {
+		*shards = 1 // only the fleet journals; resuming implies one worker
 	}
-	o.Timeout = *workerTimeout
-	switch {
-	case *fleet > 0 && *shards > 0:
-		fmt.Fprintln(os.Stderr, "-fleet and -shards are exclusive: pick one backend")
-		os.Exit(2)
-	case *fleet > 0:
-		eps := make([]runner.Endpoint, *fleet)
-		for i := range eps {
-			eps[i].Name = fmt.Sprintf("local-%d", i)
-		}
+	if *shards > 0 {
+		eps := runner.LocalEndpoints(*shards, *workers)
 		if *fleetThrottle > 0 {
 			eps[len(eps)-1].Throttle = *fleetThrottle
 		}
-		o.Backend = runner.Fleet{Endpoints: eps, Journal: *resume}
-	case *shards > 0:
-		o.Backend = runner.Subprocess{Shards: *shards}
-	}
-	if o.Backend != nil {
+		o.Backend = runner.Fleet{Endpoints: eps, Heartbeat: *workerTimeout, Journal: *resume}
 		// Fig. 11 is a single staircase run and the tables are closed-form:
 		// neither has a replica grid, so sharding cannot apply to them.
 		if *fig == "11" || *fig == "tables" {
-			fmt.Fprintf(os.Stderr, "note: -fig %s has no replica grid; -shards/-fleet have no effect on it\n", *fig)
+			fmt.Fprintf(os.Stderr, "note: -fig %s has no replica grid; -shards has no effect on it\n", *fig)
 		}
 	}
 	if *progress {

@@ -15,9 +15,9 @@
 // With -circuits 1 and no -src/-dst the circuit spans the topology's
 // diameter; -circuits k > 1 draws k distinct random endpoint pairs.
 // -replicas R fans R independent seeded replicas across a worker pool and
-// reports aggregate means; -shards N spreads them over N worker processes
-// instead, and -fleet N over N work-stealing endpoints (-resume DIR adds a
-// checkpoint journal), all with bit-identical aggregates.
+// reports aggregate means; -shards N spreads them over N work-stealing
+// worker processes instead (-resume DIR adds a checkpoint journal), with
+// bit-identical aggregates.
 package main
 
 import (
@@ -52,7 +52,6 @@ func main() {
 	hold := flag.Float64("hold", 5, "mean circuit holding seconds (churn)")
 	minEER := flag.Float64("mineer", 0, "per-circuit admission demand in pairs/s (churn; needs admission control)")
 	alloc := flag.String("alloc", "count", "allocation policy: count (equal split by membership), model (model-weighted by each circuit's deliverable rate), static (frozen at MaxLPR/2)")
-	staticAlloc := flag.Bool("static-alloc", false, "deprecated alias for -alloc static")
 	paths := flag.Int("paths", 1, "k-shortest-path candidates scored per circuit (> 1 re-routes around contention the shortest path cannot absorb)")
 	cutoff := flag.String("cutoff", "long", "cutoff policy: long, short, none")
 	maxEER := flag.Float64("maxeer", 0, "circuit EER allocation for admission control (0 = off)")
@@ -63,11 +62,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	replicas := flag.Int("replicas", 1, "independent replicas (means reported when > 1)")
 	workers := flag.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
-	shards := flag.Int("shards", 0, "worker processes to shard replicas across (0 = in-process)")
-	fleet := flag.Int("fleet", 0, "local fleet endpoints to work-steal replicas across (0 = no fleet; exclusive with -shards)")
-	fleetThrottle := flag.Duration("fleet-throttle", 0, "artificial per-chunk delay on the last fleet endpoint (steal-schedule testing; results are unaffected)")
-	resume := flag.String("resume", "", "checkpoint journal directory: completed replicas spill here and a re-run resumes instead of restarting (implies -fleet 1)")
-	workerTimeout := flag.Duration("worker-timeout", 0, "liveness bound for -shards/-fleet workers (0 = backend default of 10m; negative disables)")
+	shards := flag.Int("shards", 0, "worker processes to shard replicas across, work-stealing from one chunk queue; -workers is split among them (0 = in-process)")
+	fleetThrottle := flag.Duration("fleet-throttle", 0, "artificial per-chunk delay on the last -shards worker (steal-schedule testing; results are unaffected)")
+	resume := flag.String("resume", "", "checkpoint journal directory: completed replicas spill here and a re-run resumes instead of restarting (implies -shards 1 when -shards is unset)")
+	workerTimeout := flag.Duration("worker-timeout", 0, "heartbeat bound for -shards workers: a worker silent this long is declared lost and its chunk re-run (0 = 10m default; negative disables)")
 	verbose := flag.Bool("v", false, "log every delivery (single replica only)")
 	flag.Parse()
 
@@ -92,13 +90,6 @@ func main() {
 		cfg.Alloc = qnet.AllocStatic
 	default:
 		die("unknown allocation policy %q (want count, model or static)", *alloc)
-	}
-	// The deprecated flag is honoured only while -alloc is left at its
-	// count-split default — same precedence Config gives the deprecated
-	// StaticAllocation field, resolved here at the CLI edge so the config
-	// itself stays on the Alloc enum.
-	if *staticAlloc && cfg.Alloc == qnet.AllocCountSplit {
-		cfg.Alloc = qnet.AllocStatic
 	}
 	if *paths < 1 {
 		die("-paths must be ≥ 1 (got %d)", *paths)
@@ -250,24 +241,16 @@ func main() {
 	}
 
 	if *replicas > 1 {
-		ropts := qnet.ReplicaOptions{Replicas: *replicas, Workers: *workers, Seed: *seed, Timeout: *workerTimeout}
-		if *resume != "" && *fleet == 0 {
-			*fleet = 1 // only Fleet journals; resuming implies one
+		ropts := qnet.ReplicaOptions{Replicas: *replicas, Workers: *workers, Seed: *seed}
+		if *resume != "" && *shards == 0 {
+			*shards = 1 // only the fleet journals; resuming implies one worker
 		}
-		switch {
-		case *fleet > 0 && *shards > 0:
-			die("-fleet and -shards are exclusive: pick one backend")
-		case *fleet > 0:
-			eps := make([]runner.Endpoint, *fleet)
-			for i := range eps {
-				eps[i].Name = fmt.Sprintf("local-%d", i)
-			}
+		if *shards > 0 {
+			eps := runner.LocalEndpoints(*shards, *workers)
 			if *fleetThrottle > 0 {
 				eps[len(eps)-1].Throttle = *fleetThrottle
 			}
-			ropts.Backend = runner.Fleet{Endpoints: eps, Journal: *resume}
-		case *shards > 0:
-			ropts.Backend = runner.Subprocess{Shards: *shards}
+			ropts.Backend = runner.Fleet{Endpoints: eps, Heartbeat: *workerTimeout, Journal: *resume}
 		}
 		ms, err := sc.RunReplicated(ropts)
 		if err != nil {

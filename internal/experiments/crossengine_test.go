@@ -168,7 +168,7 @@ func TestCrossEngineMeanFidelity(t *testing.T) {
 
 // TestWernerShardInvariance mirrors TestShardCountInvariance on the Werner
 // engine: the scalar fast path must stay bit-identical across worker
-// counts, the in-process codec, and 1- or 3-way subprocess sharding. The
+// counts, the in-process codec, and one-host fleets of 1 or 3 endpoints. The
 // Physics field travels in wireOptions, so this also proves re-exec'd
 // shard workers rebuild Werner grids rather than silently falling back to
 // exact.
@@ -191,8 +191,8 @@ func TestWernerShardInvariance(t *testing.T) {
 	}{
 		{"pool", nil},
 		{"in-process-codec", runner.InProcess{}},
-		{"shards-1", runner.Subprocess{Shards: 1, Command: worker}},
-		{"shards-3", runner.Subprocess{Shards: 3, Command: worker}},
+		{"shards-1", runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)}},
+		{"shards-3", runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)}},
 		{"fleet-2", runner.Fleet{Endpoints: []runner.Endpoint{
 			{Name: "a", Command: worker},
 			{Name: "b", Command: worker},

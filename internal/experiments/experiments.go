@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"qnp/internal/runner"
 	"qnp/internal/sim"
@@ -44,7 +43,7 @@ type Options struct {
 	// treat its output as garbage and discard it (cmd/figures does).
 	Context context.Context
 	// Backend, when non-nil, executes each figure's replica grid through
-	// the runner's Backend seam (runner.Subprocess shards it across worker
+	// the runner's Backend seam (a runner.Fleet shards it across worker
 	// processes). Replica seeding and aggregation order are
 	// backend-independent, so figure output is bit-identical for any
 	// backend and shard count.
@@ -54,10 +53,6 @@ type Options struct {
 	// other figures always run exact: they measure fidelity-sensitive
 	// quantities the Werner approximation is not meant to reproduce.
 	Physics qnet.Physics
-	// Timeout is the Backend's liveness bound — the Subprocess inactivity
-	// watchdog or the Fleet heartbeat bound. 0 defers to the backend's own
-	// default; negative disables detection. In-process runs ignore it.
-	Timeout time.Duration
 }
 
 // DefaultOptions is the standard reproduction size.
@@ -207,7 +202,7 @@ func gridMap[T any](o Options, fig string, params any, g grid) []T {
 	var decErr error
 	ex, err := o.Backend.Dispatch(runner.ExecRequest{
 		Kind: gridKind, Payload: payload, Replicas: g.n,
-		Options: o.runnerOpts(), Timeout: o.Timeout,
+		Options: o.runnerOpts(),
 	})
 	if err == nil {
 		for r := range ex.Results() {

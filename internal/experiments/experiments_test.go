@@ -447,8 +447,8 @@ func TestShardCountInvariance(t *testing.T) {
 	}{
 		{"pool", nil},
 		{"in-process-codec", runner.InProcess{}},
-		{"shards-1", runner.Subprocess{Shards: 1, Command: worker}},
-		{"shards-3", runner.Subprocess{Shards: 3, Command: worker}},
+		{"shards-1", runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)}},
+		{"shards-3", runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)}},
 		{"fleet-2", runner.Fleet{Endpoints: []runner.Endpoint{
 			{Name: "a", Command: worker},
 			{Name: "b", Command: worker, Throttle: 10 * time.Millisecond},

@@ -5,7 +5,7 @@
 // protocol (cmd/qnetlint) or by the fixture harness (internal/lint/linttest).
 //
 // The x/tools module is deliberately not vendored: the container builds
-// offline, and the six qnetlint analyzers need only syntax, type info and a
+// offline, and the five qnetlint analyzers need only syntax, type info and a
 // Report callback — none of the fact propagation, result dependencies or
 // SSA passes the full framework adds.
 package analysis

@@ -6,7 +6,7 @@
 // (map-iteration float ordering, RNG stream aliasing, workspace Get/Put
 // leaks, allocating wrappers creeping back into hot paths) was caught only
 // after the fact by byte-identity CI runs. This package encodes those
-// conventions as compile-time checks instead of reviewer lore. Six
+// conventions as compile-time checks instead of reviewer lore. Five
 // analyzers:
 //
 //   - detrand: simulation packages must not read wall-clock time or the
@@ -20,10 +20,6 @@
 //     every path out of the function — the PR 3 ownership rules.
 //   - hotalloc: inside workspace-threaded functions in hot-path packages,
 //     calls to an allocating API whose …Into/…W twin exists are flagged.
-//   - nodeprecated: internal code must not call the deprecated shims
-//     (positional runner.Execute, Controller.Admit/PlanCircuit,
-//     Config.StaticAllocation); each keeps exactly one intentionally
-//     covered test, marked //qnetlint:allow nodeprecated <reason>.
 //   - streamoffset: RNG stream offsets must come from the qnet stream
 //     registry (named *StreamOffset constants/helpers, engine offsets even
 //     and nonzero) and seed arithmetic must go through runner.SeedStride /
@@ -56,7 +52,6 @@ func Analyzers() []*analysis.Analyzer {
 		MapOrderAnalyzer,
 		WSOwnershipAnalyzer,
 		HotAllocAnalyzer,
-		NoDeprecatedAnalyzer,
 		StreamOffsetAnalyzer,
 	}
 }

@@ -25,10 +25,6 @@ func TestHotAllocFixture(t *testing.T) {
 	linttest.Run(t, HotAllocAnalyzer, "qnp/internal/device", "testdata/hotalloc/fixture.go")
 }
 
-func TestNoDeprecatedFixture(t *testing.T) {
-	linttest.Run(t, NoDeprecatedAnalyzer, "qnp/internal/depfix", "testdata/nodeprecated/fixture.go")
-}
-
 func TestStreamOffsetFixture(t *testing.T) {
 	linttest.Run(t, StreamOffsetAnalyzer, "qnp/internal/sim", "testdata/streamoffset/fixture.go")
 }
@@ -85,12 +81,12 @@ func TestFixturesFailWhenCheckDisabled(t *testing.T) {
 	}
 }
 
-// The suite is six uniquely named analyzers; the driver's flags, the
+// The suite is five uniquely named analyzers; the driver's flags, the
 // directive grammar and the docs all key off these names.
 func TestSuiteIntegrity(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", len(as))
+	if len(as) != 5 {
+		t.Fatalf("suite has %d analyzers, want 5", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {

@@ -65,8 +65,8 @@ type member struct {
 }
 
 // memberFor derives the allocation-relevant state from a plan. Members
-// admitted through the deprecated positional Admit carry a bare
-// Plan{Path, MaxLPR} and fall back to the base swap-pipeline discount.
+// committed with a manual plan that carries only Plan{Path, MaxLPR} fall
+// back to the base swap-pipeline discount.
 func memberFor(plan Plan, fixed bool) member {
 	d := modelDeliver(plan)
 	return member{
@@ -266,8 +266,8 @@ type PlacementDecision struct {
 	Allocation float64
 }
 
-// Place is the controller's typed placement API, replacing the positional
-// Admit/PlanCircuit pair. Planning requests return a decision and, unless
+// Place is the controller's typed placement API. Planning requests
+// return a decision and, unless
 // Probe is set, install the circuit and return the other members'
 // re-fitted allocations (sorted by circuit ID). Commit requests install a
 // previously probed plan. Re-fits are only produced while EnforceEER is
@@ -383,18 +383,6 @@ func (c *Controller) commitPlacement(req PlacementRequest) (PlacementDecision, [
 		dec.Allocation = req.Plan.MaxEER
 	}
 	return dec, refits, nil
-}
-
-// Admit registers an installed circuit for allocation accounting and
-// returns the re-fitted allocations of the *other* members whose share
-// changed, sorted by circuit ID (deterministic propagation order).
-//
-// Deprecated: use Place with the commit form (PlacementRequest.Plan set),
-// which keeps the full plan so model-weighted allocation sees the
-// circuit's cutoff and fidelity budget instead of falling back to the base
-// discount.
-func (c *Controller) Admit(id string, path []string, maxLPR float64, fixed bool) []Refit {
-	return c.admitMember(id, memberFor(Plan{Path: path, MaxLPR: maxLPR}, fixed))
 }
 
 // admitMember installs (or re-installs) a member and re-fits the circuits

@@ -204,24 +204,31 @@ func TestModelWeightedConservation(t *testing.T) {
 	}
 }
 
-// TestPlaceProbeMatchesPlanCircuit: a k=1 probe is the deprecated
-// PlanCircuit, bit for bit, under both count-split and static policies and
-// with enforcement on or off.
-func TestPlaceProbeMatchesPlanCircuit(t *testing.T) {
+// TestPlaceProbeMatchesShortestPathPlan: a k=1 probe is exactly the
+// shortest-path plan — ShortestPath, then planPath, then the prospective
+// allocation when enforcing — bit for bit, under every allocation policy
+// and with enforcement on or off.
+func TestPlaceProbeMatchesShortestPathPlan(t *testing.T) {
 	for _, policy := range []AllocationPolicy{AllocCountSplit, AllocStatic, AllocModelWeighted} {
 		for _, enforce := range []bool{false, true} {
 			c := NewController(dumbbell(), hardware.Simulation())
 			c.EnforceEER = enforce
 			c.Policy = policy
 			c.Place(PlacementRequest{ID: "bg", Plan: &Plan{Path: []string{"A1", "MA", "MB", "B1"}, MaxLPR: 2000}})
-			//qnetlint:allow nodeprecated the PlanCircuit shim's designated coverage: pins probe/legacy bit-equality until the shim is deleted
-			legacy, err1 := c.PlanCircuit("A0", "B0", 0.85, CutoffShort, 0)
+			path, err := c.Graph.ShortestPath("A0", "B0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err1 := c.planPath(path, 0.85, CutoffShort, 0)
+			if err1 == nil && enforce {
+				ref.MaxEER = c.allocationFor(memberFor(ref, false), false)
+			}
 			dec, _, err2 := c.Place(PlacementRequest{Src: "A0", Dst: "B0", Fidelity: 0.85, Cutoff: CutoffShort, Probe: true})
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("policy %v enforce %v: errors differ: %v vs %v", policy, enforce, err1, err2)
 			}
-			if err1 == nil && !reflect.DeepEqual(dec.Plan, legacy) {
-				t.Fatalf("policy %v enforce %v: probe plan %+v != PlanCircuit %+v", policy, enforce, dec.Plan, legacy)
+			if err1 == nil && !reflect.DeepEqual(dec.Plan, ref) {
+				t.Fatalf("policy %v enforce %v: probe plan %+v != shortest-path plan %+v", policy, enforce, dec.Plan, ref)
 			}
 			if dec.CandidateIndex != 0 || dec.Candidates != 1 {
 				t.Fatalf("k=1 probe chose candidate %d of %d", dec.CandidateIndex, dec.Candidates)
@@ -271,13 +278,9 @@ func TestPlaceReroutesAroundContention(t *testing.T) {
 
 // TestNonEnforcingControllerNeverRefits: the EnforceEER=false controller
 // tracks membership but must not produce re-fit traffic from any admission
-// surface (the legacy Admit bug this PR fixes).
+// surface.
 func TestNonEnforcingControllerNeverRefits(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	//qnetlint:allow nodeprecated the Admit shim's designated coverage: the legacy surface must stay refit-silent until the shim is deleted
-	if r := c.Admit("a", []string{"A0", "MA", "MB", "B0"}, 2000, false); len(r) != 0 {
-		t.Fatalf("non-enforcing Admit produced refits: %+v", r)
-	}
 	plan, err := probePlan(c, "A1", "B1", 0.85, CutoffShort, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +291,7 @@ func TestNonEnforcingControllerNeverRefits(t *testing.T) {
 	if _, r, _ := c.Place(PlacementRequest{ID: "c", Src: "A0", Dst: "B1", Fidelity: 0.85, Cutoff: CutoffShort}); len(r) != 0 {
 		t.Fatalf("non-enforcing Place produced refits: %+v", r)
 	}
-	if r := c.Release("a"); len(r) != 0 {
+	if r := c.Release("b"); len(r) != 0 {
 		t.Fatalf("non-enforcing Release produced refits: %+v", r)
 	}
 }

@@ -307,31 +307,6 @@ func linkID(a, b string) string {
 	return a + "|" + b
 }
 
-// PlanCircuit computes a shortest path and per-link fidelity budget for an
-// end-to-end fidelity target, applying the cutoff policy. manualCutoff is
-// used only with CutoffManual.
-//
-// Deprecated: use Place with PlacementRequest{Probe: true}, which also
-// scores k-shortest-path candidates. PlanCircuit remains the k=1 legacy
-// entry point and is bit-identical to its pre-placement behaviour.
-func (c *Controller) PlanCircuit(src, dst string, e2eFidelity float64, policy CutoffPolicy, manualCutoff sim.Duration) (Plan, error) {
-	path, err := c.Graph.ShortestPath(src, dst)
-	if err != nil {
-		return Plan{}, err
-	}
-	plan, err := c.planPath(path, e2eFidelity, policy, manualCutoff)
-	if err != nil {
-		return Plan{}, err
-	}
-	if c.EnforceEER {
-		// Prospective allocation: what this circuit would be handed if it
-		// joined the current membership. Admission compares this number
-		// against the circuit's demand before installing.
-		plan.MaxEER = c.allocationFor(memberFor(plan, false), false)
-	}
-	return plan, nil
-}
-
 // budgetKey is everything planPath reads to budget a path: the first-hop
 // link and hardware (the controller assumes identical links), the hop
 // count, the end-to-end target (keyed by its bits: the plan echoes it, so

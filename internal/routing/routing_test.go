@@ -54,16 +54,16 @@ func TestShortestPathDumbbell(t *testing.T) {
 	}
 }
 
-// probePlan runs a Place k=1 probe in the legacy PlanCircuit call shape:
-// these tests pin the budget math, which is identical on both surfaces (see
-// TestPlaceProbeMatchesPlanCircuit in placement_test.go).
+// probePlan runs a Place k=1 probe, the shortest-path plan these tests pin
+// the budget math on (see TestPlaceProbeMatchesShortestPathPlan in
+// placement_test.go).
 func probePlan(c *Controller, src, dst string, f float64, policy CutoffPolicy, manual sim.Duration) (Plan, error) {
 	dec, _, err := c.Place(PlacementRequest{Src: src, Dst: dst, Fidelity: f, Cutoff: policy, ManualCutoff: manual, Probe: true})
 	return dec.Plan, err
 }
 
 // admitPath installs a bare path member through the Place commit form and
-// returns the re-fits, as the legacy Admit did.
+// returns the re-fits.
 func admitPath(c *Controller, id string, path []string, maxLPR float64, fixed bool) []Refit {
 	_, refits, err := c.Place(PlacementRequest{ID: id, Fixed: fixed, Plan: &Plan{Path: path, MaxLPR: maxLPR}})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestNoPath(t *testing.T) {
 	}
 }
 
-func TestPlanCircuitBudget(t *testing.T) {
+func TestProbePlanBudget(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
 	plan, err := probePlan(c, "A0", "B0", 0.8, CutoffLong, 0)
 	if err != nil {
@@ -221,7 +221,7 @@ func TestEnforceEERPopulatesBudget(t *testing.T) {
 
 // TestRefitAllocations pins the §4.4 membership math: each link's budget
 // (MaxLPR/2) splits equally across the circuits on the path's most
-// contended link, Admit/Release report exactly the members whose share
+// contended link, admitPath/Release report exactly the members whose share
 // changed (sorted), and fixed members occupy budget without being re-fit.
 func TestRefitAllocations(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
@@ -236,7 +236,7 @@ func TestRefitAllocations(t *testing.T) {
 	}
 
 	if refits := admitPath(c, "a", plan.Path, plan.MaxLPR, false); len(refits) != 0 {
-		t.Fatalf("first Admit re-fitted %v", refits)
+		t.Fatalf("first admission re-fitted %v", refits)
 	}
 	if got, ok := c.Allocation("a"); !ok || got != full {
 		t.Fatalf("Allocation(a) = %v, %v", got, ok)
@@ -252,7 +252,7 @@ func TestRefitAllocations(t *testing.T) {
 	}
 	refits := admitPath(c, "b", plan2.Path, plan2.MaxLPR, false)
 	if len(refits) != 1 || refits[0].Circuit != "a" || refits[0].MaxEER != full/2 {
-		t.Fatalf("Admit(b) refits = %+v, want a at %v", refits, full/2)
+		t.Fatalf("admitting b refits = %+v, want a at %v", refits, full/2)
 	}
 
 	// A fixed member (caller-chosen cap) dilutes shares but is never
@@ -296,7 +296,7 @@ func TestRefitAllocations(t *testing.T) {
 		t.Fatalf("static prospective allocation = %v, want %v", sp2.MaxEER, full)
 	}
 	if refits := admitPath(s, "b", sp2.Path, sp2.MaxLPR, false); len(refits) != 0 {
-		t.Fatalf("static Admit re-fitted %v", refits)
+		t.Fatalf("static admission re-fitted %v", refits)
 	}
 }
 

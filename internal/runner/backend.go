@@ -100,8 +100,8 @@ func (InProcess) Dispatch(req ExecRequest) (*Execution, error) {
 // results to emit in strict replica order.
 func inProcessRun(fn KindFunc, req ExecRequest, emit func(replica int, result []byte)) error {
 	// A deterministic kind error dooms the run; cancel the pool so the
-	// remaining replicas stop claiming (Subprocess does the same for its
-	// sibling shards) instead of simulating results nobody will read.
+	// remaining replicas stop claiming (Fleet does the same for its
+	// sibling endpoints) instead of simulating results nobody will read.
 	o := req.Options
 	parent := o.Context
 	if parent == nil {
@@ -141,3 +141,5 @@ func inProcessRun(fn KindFunc, req ExecRequest, emit func(replica int, result []
 	}
 	return nil
 }
+
+var _ Backend = InProcess{}

@@ -10,12 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
-// TestMain doubles as the shard worker entrypoint: the subprocess tests
+// TestMain doubles as the shard worker entrypoint: the fleet tests
 // re-exec this test binary with WorkerFlag, and MaybeWorker diverts those
 // children into the worker loop before any test machinery runs.
 func TestMain(m *testing.M) {
@@ -72,11 +70,6 @@ func init() {
 			return nil, errors.New("synthetic kind failure")
 		}
 		return json.Marshal(replica)
-	})
-	// test.hang: never answers, for the inactivity watchdog test.
-	RegisterKind("test.hang", func(payload []byte, replica int, seed int64) ([]byte, error) {
-		time.Sleep(time.Hour)
-		return nil, nil
 	})
 }
 
@@ -138,142 +131,34 @@ func TestInProcessBackendUnknownKind(t *testing.T) {
 	}
 }
 
-// TestSubprocessShardCountInvariance is the process-sharded analogue of
-// worker-count invariance: any shard count yields byte-identical results
-// in identical order.
-func TestSubprocessShardCountInvariance(t *testing.T) {
+// TestFleetEndpointCountInvariance is the process-sharded analogue of
+// worker-count invariance: any count of local endpoints, including more
+// endpoints than replicas, yields byte-identical results in identical
+// order.
+func TestFleetEndpointCountInvariance(t *testing.T) {
 	const n = 11
 	payload := []byte(`"inv"`)
 	want := executeAll(t, InProcess{}, Options{Seed: 7}, "test.echo", payload, n)
-	for _, shards := range []int{1, 2, 3, 5, n + 3} {
-		sp := Subprocess{Shards: shards, Command: testWorkerCmd()}
-		got := executeAll(t, sp, Options{Seed: 7}, "test.echo", payload, n)
+	for _, endpoints := range []int{1, 2, 3, 5, n + 3} {
+		fl := Fleet{Endpoints: LocalEndpoints(endpoints, 0)}
+		got := executeAll(t, fl, Options{Seed: 7}, "test.echo", payload, n)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("shards=%d: replica %d = %s, want %s", shards, i, got[i], want[i])
+				t.Fatalf("endpoints=%d: replica %d = %s, want %s", endpoints, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestSubprocessProgressTicks: the sharded backend honours
-// Options.Progress exactly like the in-process pool — one serialized tick
-// per replica.
-func TestSubprocessProgressTicks(t *testing.T) {
-	const n = 9
-	var mu sync.Mutex
-	var ticks []int
-	sp := Subprocess{Shards: 3, Command: testWorkerCmd()}
-	err := executeErr(sp, Options{Seed: 1, Progress: func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if total != n {
-			t.Errorf("progress total = %d, want %d", total, n)
-		}
-		ticks = append(ticks, done)
-	}}, "test.echo", []byte(`"pg"`), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(ticks) != n {
-		t.Fatalf("progress ticked %d times, want %d (%v)", len(ticks), n, ticks)
-	}
-	for i, d := range ticks {
-		if d != i+1 {
-			t.Fatalf("tick %d reported done=%d, want %d", i, d, i+1)
-		}
-	}
-}
-
-func TestSubprocessCrashMidShardIsRetried(t *testing.T) {
-	dir := t.TempDir()
-	payload, _ := json.Marshal(struct {
-		Dir     string
-		Replica int
-	}{dir, 4})
-	sp := Subprocess{Shards: 3, Command: testWorkerCmd()}
-	got := executeAll(t, sp, Options{Seed: 1}, "test.crash-once", payload, 9)
-	for i := range got {
-		var v int
-		if err := json.Unmarshal(got[i], &v); err != nil || v != i {
-			t.Errorf("replica %d = %s (err %v)", i, got[i], err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "crashed")); err != nil {
-		t.Fatal("the injected crash never fired; the retry path was not exercised")
-	}
-}
-
-func TestSubprocessPersistentCrashFailsTheRun(t *testing.T) {
-	payload, _ := json.Marshal(2)
-	sp := Subprocess{Shards: 2, Command: testWorkerCmd()}
-	err := executeErr(sp, Options{Seed: 1}, "test.crash-always", payload, 6)
-	if err == nil {
-		t.Fatal("run succeeded despite a deterministic worker crash")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "failed after 2 attempts") || !strings.Contains(msg, "shard") {
-		t.Errorf("error does not identify the failing shard and attempts: %v", err)
-	}
-}
-
-func TestSubprocessKindErrorFailsWithoutRetry(t *testing.T) {
-	payload, _ := json.Marshal(3)
-	sp := Subprocess{Shards: 1, Command: testWorkerCmd()}
-	err := executeErr(sp, Options{Seed: 1}, "test.fail", payload, 5)
-	if err == nil || !strings.Contains(err.Error(), "synthetic kind failure") {
-		t.Fatalf("err = %v, want the replica's own failure", err)
-	}
-	if !strings.Contains(err.Error(), "replica 3") {
-		t.Errorf("error does not name the failing replica: %v", err)
-	}
-}
-
-func TestSubprocessInactivityTimeout(t *testing.T) {
-	sp := Subprocess{Shards: 1, Command: testWorkerCmd(), Timeout: 300 * time.Millisecond, Retries: -1}
-	start := time.Now()
-	err := executeErr(sp, Options{Seed: 1}, "test.hang", nil, 1)
-	if err == nil || !strings.Contains(err.Error(), "no frame for") {
-		t.Fatalf("err = %v, want an inactivity-timeout error", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("timeout took %v to fire", elapsed)
-	}
-}
-
-func TestSubprocessContextCancellation(t *testing.T) {
+// TestFleetCancelledBeforeDispatch: a context cancelled before Dispatch
+// starts no chunk and reports the caller's cancellation.
+func TestFleetCancelledBeforeDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sp := Subprocess{Shards: 2, Command: testWorkerCmd()}
-	err := executeErr(sp, Options{Seed: 1, Context: ctx}, "test.echo", []byte(`"c"`), 8)
+	fl := Fleet{Endpoints: LocalEndpoints(2, 0)}
+	err := executeErr(fl, Options{Seed: 1, Context: ctx}, "test.echo", []byte(`"c"`), 8)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestSplitShards(t *testing.T) {
-	for replicas := 1; replicas <= 20; replicas++ {
-		for n := 1; n <= replicas; n++ {
-			ranges := splitShards(replicas, n)
-			if len(ranges) != n {
-				t.Fatalf("splitShards(%d,%d) gave %d ranges", replicas, n, len(ranges))
-			}
-			next := 0
-			for _, r := range ranges {
-				if r.start != next {
-					t.Fatalf("splitShards(%d,%d): range starts at %d, want %d", replicas, n, r.start, next)
-				}
-				if r.count < replicas/n || r.count > replicas/n+1 {
-					t.Fatalf("splitShards(%d,%d): uneven count %d", replicas, n, r.count)
-				}
-				next += r.count
-			}
-			if next != replicas {
-				t.Fatalf("splitShards(%d,%d) covers %d replicas", replicas, n, next)
-			}
-		}
 	}
 }
 

@@ -1,15 +1,10 @@
 package runner
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // ExecRequest describes one backend execution: replicas 0..Replicas-1 of a
 // registered job kind, each a pure function of (Payload, replica, derived
-// seed). It is the typed form of the old positional Execute signature, with
-// room to grow (Timeout is the first addition) without breaking every
-// Backend implementation again.
+// seed).
 type ExecRequest struct {
 	// Kind names the registered job kind (RegisterKind) to execute.
 	Kind string
@@ -21,29 +16,6 @@ type ExecRequest struct {
 	// Options carry the run's seed, parallelism bound, progress callback
 	// and cancellation context.
 	Options Options
-	// Timeout is the per-worker liveness bound shared by every backend
-	// that can lose a worker: the Subprocess inactivity watchdog and the
-	// Fleet heartbeat grace resolve from this one knob. 0 falls back to
-	// the backend's own Timeout/Heartbeat field and then to the 10-minute
-	// default; negative disables liveness detection entirely.
-	Timeout time.Duration
-}
-
-// timeout resolves the effective liveness bound: the request wins, then the
-// backend's configured default, then the package default. Negative at any
-// level disables the watchdog (returns 0).
-func (req ExecRequest) timeout(backendDefault time.Duration) time.Duration {
-	d := req.Timeout
-	if d == 0 {
-		d = backendDefault
-	}
-	switch {
-	case d < 0:
-		return 0
-	case d == 0:
-		return defaultShardTimeout
-	}
-	return d
 }
 
 // Result is one replica's encoded output.
@@ -147,21 +119,4 @@ func (e *Execution) Leases() []Lease {
 		return nil
 	}
 	return e.leaseFn()
-}
-
-// Execute runs req's replicas on b and hands each result to sink in strict
-// replica order, blocking until the run is over — the positional contract
-// the Backend interface had before Dispatch.
-//
-// Deprecated: build an ExecRequest and call Backend.Dispatch; it exposes
-// the same ordered stream plus progress and lease state.
-func Execute(b Backend, o Options, kind string, payload []byte, replicas int, sink func(replica int, result []byte)) error {
-	ex, err := b.Dispatch(ExecRequest{Kind: kind, Payload: payload, Replicas: replicas, Options: o})
-	if err != nil {
-		return err
-	}
-	for r := range ex.Results() {
-		sink(r.Replica, r.Data)
-	}
-	return ex.Wait()
 }

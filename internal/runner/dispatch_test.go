@@ -3,84 +3,26 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestDeprecatedExecuteWrapper pins the compatibility contract: the old
-// positional Execute keeps working on top of Dispatch — same results, same
-// strict order, same error surface.
-func TestDeprecatedExecuteWrapper(t *testing.T) {
-	const n = 7
-	payload := []byte(`"wrap"`)
-	want := executeAll(t, InProcess{}, Options{Seed: 3}, "test.echo", payload, n)
-	next := 0
-	//lint:ignore SA1019 the deprecated wrapper is exactly what this test pins
-	//qnetlint:allow nodeprecated the Execute shim's designated coverage: pins the wrapper's result/order/error contract until deletion
-	err := Execute(InProcess{}, Options{Seed: 3}, "test.echo", payload, n, func(replica int, result []byte) {
-		if replica != next {
-			t.Errorf("sink got replica %d, want %d", replica, next)
-		}
-		if string(result) != string(want[replica]) {
-			t.Errorf("replica %d = %s, want %s", replica, result, want[replica])
-		}
-		next++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != n {
-		t.Fatalf("sink saw %d of %d replicas", next, n)
-	}
-
-	//lint:ignore SA1019 error passthrough of the deprecated wrapper
-	//qnetlint:allow nodeprecated the Execute shim's designated coverage: error passthrough half of the same pinned contract
-	err = Execute(InProcess{}, Options{}, "test.unregistered", nil, 1, func(int, []byte) {})
-	if err == nil || !strings.Contains(err.Error(), "unknown job kind") {
-		t.Fatalf("err = %v, want unknown-kind error", err)
-	}
-}
-
-// TestTimeoutResolution pins the one-knob liveness contract: the request's
-// Timeout wins, then the backend's configured default, then the package
-// default; negative at either level disables the watchdog.
+// TestTimeoutResolution pins the one-knob liveness contract: a zero
+// Fleet.Heartbeat resolves to the package default, a negative one disables
+// the watchdog, and a positive one is used as is.
 func TestTimeoutResolution(t *testing.T) {
 	for _, tc := range []struct {
-		req, backend, want time.Duration
+		heartbeat, want time.Duration
 	}{
-		{0, 0, defaultShardTimeout},
-		{0, time.Minute, time.Minute},
-		{time.Second, time.Minute, time.Second},
-		{time.Second, 0, time.Second},
-		{-1, time.Minute, 0},
-		{-1, 0, 0},
-		{0, -1, 0},
+		{0, defaultShardTimeout},
+		{-1, 0},
+		{-time.Minute, 0},
+		{time.Second, time.Second},
+		{time.Minute, time.Minute},
 	} {
-		got := ExecRequest{Timeout: tc.req}.timeout(tc.backend)
-		if got != tc.want {
-			t.Errorf("timeout(req=%v, backend=%v) = %v, want %v", tc.req, tc.backend, got, tc.want)
+		if got := (Fleet{Heartbeat: tc.heartbeat}).heartbeat(); got != tc.want {
+			t.Errorf("Fleet{Heartbeat: %v}.heartbeat() = %v, want %v", tc.heartbeat, got, tc.want)
 		}
-	}
-}
-
-// TestRequestTimeoutOverridesBackend: an ExecRequest.Timeout beats the
-// backend's own (here uselessly long) watchdog setting.
-func TestRequestTimeoutOverridesBackend(t *testing.T) {
-	sp := Subprocess{Shards: 1, Command: testWorkerCmd(), Timeout: time.Hour, Retries: -1}
-	ex, err := sp.Dispatch(ExecRequest{Kind: "test.hang", Replicas: 1, Options: Options{Seed: 1}, Timeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	for range ex.Results() {
-	}
-	err = ex.Wait()
-	if err == nil || !strings.Contains(err.Error(), "no frame for 300ms") {
-		t.Fatalf("err = %v, want the request-level 300ms watchdog to fire", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("timeout took %v to fire", elapsed)
 	}
 }
 

@@ -2,11 +2,14 @@ package runner
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,15 +67,15 @@ type Fleet struct {
 	// Endpoints are the worker hosts; at least one is required.
 	Endpoints []Endpoint
 	// ChunkSize is the replicas per lease. 0 picks a size that gives each
-	// endpoint about four chunks (min 1) — small enough to steal, large
-	// enough to amortize process spawns.
+	// endpoint about four chunks — small enough to steal, large enough to
+	// amortize process spawns — but never fewer replicas than the largest
+	// endpoint worker budget, so one worker process can fill its budget.
 	ChunkSize int
 	// Heartbeat is the liveness bound: a leased worker silent (no result,
-	// no heartbeat frame) for this long is declared lost. Unlike the
-	// Subprocess watchdog it tolerates single replicas running longer
-	// than the bound, because workers heartbeat while computing.
-	// ExecRequest.Timeout, when set, overrides this; 0 means the
-	// 10-minute default; negative disables detection.
+	// no heartbeat frame) for this long is declared lost. It tolerates
+	// single replicas running longer than the bound, because workers
+	// heartbeat while computing. 0 means the 10-minute default; negative
+	// disables detection.
 	Heartbeat time.Duration
 	// Retries is how many extra attempts a chunk's remainder gets after a
 	// lost lease (0 = default 2; negative disables retries). Attempts are
@@ -89,6 +92,9 @@ type Fleet struct {
 }
 
 const (
+	// defaultShardTimeout is the liveness bound a zero Fleet.Heartbeat
+	// resolves to.
+	defaultShardTimeout = 10 * time.Minute
 	// defaultChunkRetries is the extra attempts a chunk gets by default.
 	defaultChunkRetries = 2
 	// endpointMaxStrikes benches an endpoint after this many consecutive
@@ -96,13 +102,51 @@ const (
 	endpointMaxStrikes = 3
 )
 
-func (f Fleet) chunkSize(replicas int) int {
+// LocalEndpoints builds n ≥ 1 endpoints ("local-0" …) that re-exec the
+// current binary as workers on this host. The in-process parallelism budget
+// workers (≤ 0 = NumCPU) is divided across them, ⌈workers/n⌉ each, so n
+// worker processes on one box do not oversubscribe it n-fold.
+func LocalEndpoints(n, workers int) []Endpoint {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	per := (workers + n - 1) / n
+	eps := make([]Endpoint, n)
+	for i := range eps {
+		eps[i] = Endpoint{Name: fmt.Sprintf("local-%d", i), Workers: per}
+	}
+	return eps
+}
+
+// heartbeat resolves the effective liveness bound: 0 means the package
+// default, negative disables the watchdog (returns 0).
+func (f Fleet) heartbeat() time.Duration {
+	switch {
+	case f.Heartbeat < 0:
+		return 0
+	case f.Heartbeat == 0:
+		return defaultShardTimeout
+	}
+	return f.Heartbeat
+}
+
+// chunkSize resolves ChunkSize for a run of replicas whose request asks
+// for workers in-process parallelism per worker (the fallback for an
+// endpoint without its own budget; ≤ 0 = NumCPU).
+func (f Fleet) chunkSize(replicas, workers int) int {
 	if f.ChunkSize > 0 {
 		return f.ChunkSize
 	}
-	n := replicas / (4 * len(f.Endpoints))
-	if n < 1 {
-		n = 1
+	n := max(1, replicas/(4*len(f.Endpoints)))
+	for _, ep := range f.Endpoints {
+		w := ep.Workers
+		if w <= 0 {
+			w = workers
+		}
+		if w <= 0 {
+			w = runtime.NumCPU()
+		}
+		n = max(n, w)
 	}
 	return n
 }
@@ -158,6 +202,49 @@ func (st *fleetState) leases() []Lease {
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
+
+// collector buffers out-of-order shard results and hands them to sink in
+// strict replica order — the cross-process analogue of Stream's ordered
+// emission — ticking Progress once per distinct replica, serialized.
+type collector struct {
+	mu       sync.Mutex
+	buf      [][]byte
+	ready    []bool
+	next     int
+	done     int
+	sink     func(replica int, result []byte)
+	progress func(done, total int)
+}
+
+func newCollector(replicas int, sink func(int, []byte), progress func(done, total int)) *collector {
+	return &collector{buf: make([][]byte, replicas), ready: make([]bool, replicas), sink: sink, progress: progress}
+}
+
+// add records one replica result; duplicates from a retried shard are
+// dropped (determinism makes them byte-identical re-runs).
+func (c *collector) add(replica int, b []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ready[replica] {
+		return
+	}
+	c.buf[replica], c.ready[replica] = b, true
+	c.done++
+	if c.progress != nil {
+		c.progress(c.done, len(c.buf))
+	}
+	for c.next < len(c.buf) && c.ready[c.next] {
+		c.sink(c.next, c.buf[c.next])
+		c.buf[c.next] = nil
+		c.next++
+	}
+}
+
+// kindError marks a deterministic replica-level failure (a KindFunc error
+// reported by the worker) that retrying cannot fix.
+type kindError struct{ err error }
+
+func (e kindError) Error() string { return e.err.Error() }
 
 // fatalError marks a failure that retrying on another endpoint cannot fix
 // (the journal refusing an append, protocol violations that indicate a
@@ -243,7 +330,7 @@ func (f Fleet) run(req ExecRequest, eps []Endpoint, st *fleetState, jr *journal,
 	}
 
 	// Queue the replicas the journal does not cover, in contiguous chunks.
-	size := f.chunkSize(req.Replicas)
+	size := f.chunkSize(req.Replicas, req.Options.Workers)
 	for start := 0; start < req.Replicas; {
 		if _, ok := recovered[start]; ok {
 			start++
@@ -263,7 +350,7 @@ func (f Fleet) run(req ExecRequest, eps []Endpoint, st *fleetState, jr *journal,
 		return parent.Err()
 	}
 
-	timeout := req.timeout(f.Heartbeat)
+	timeout := f.heartbeat()
 
 	// Cancellation must wake endpoints parked on the queue condition.
 	go func() {
@@ -489,4 +576,41 @@ func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch ch
 	return seen, nil
 }
 
+// boundedBuffer keeps the head of a worker's stderr for error reports
+// without letting a chatty worker grow memory unboundedly.
+type boundedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+const maxStderr = 4 << 10
+
+func (b *boundedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if room := maxStderr - b.buf.Len(); room > 0 {
+		if len(p) > room {
+			b.buf.Write(p[:room])
+		} else {
+			b.buf.Write(p)
+		}
+	}
+	return len(p), nil
+}
+
+func (b *boundedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+func stderrNote(b *boundedBuffer) string {
+	s := bytes.TrimSpace([]byte(b.String()))
+	if len(s) == 0 {
+		return "no stderr"
+	}
+	return "stderr: " + string(s)
+}
+
+var _ io.Writer = (*boundedBuffer)(nil)
 var _ Backend = Fleet{}

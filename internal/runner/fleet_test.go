@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -56,13 +57,50 @@ func init() {
 	})
 }
 
-// localEndpoints builds n loopback endpoints re-execing this test binary.
-func localEndpoints(n int) []Endpoint {
-	eps := make([]Endpoint, n)
-	for i := range eps {
-		eps[i] = Endpoint{Name: fmt.Sprintf("local-%d", i), Command: testWorkerCmd()}
+// TestLocalEndpointsSplit: the one-host fleet divides the worker budget
+// across its endpoints, rounding up, with NumCPU standing in for an unset
+// budget; every endpoint re-execs the current binary.
+func TestLocalEndpointsSplit(t *testing.T) {
+	for _, tc := range []struct{ n, workers, want int }{
+		{3, 8, 3},
+		{3, 0, (runtime.NumCPU() + 2) / 3},
+		{1, 5, 5},
+	} {
+		eps := LocalEndpoints(tc.n, tc.workers)
+		if len(eps) != tc.n {
+			t.Fatalf("LocalEndpoints(%d, %d) built %d endpoints", tc.n, tc.workers, len(eps))
+		}
+		for i, ep := range eps {
+			if ep.Workers != tc.want {
+				t.Errorf("LocalEndpoints(%d, %d)[%d].Workers = %d, want %d", tc.n, tc.workers, i, ep.Workers, tc.want)
+			}
+			if want := fmt.Sprintf("local-%d", i); ep.Name != want || len(ep.Command) != 0 {
+				t.Errorf("LocalEndpoints(%d, %d)[%d] = %+v, want name %s and the re-exec default command", tc.n, tc.workers, i, ep, want)
+			}
+		}
 	}
-	return eps
+}
+
+// TestFleetDefaultChunkSize: the default lease gives each endpoint about
+// four chunks but never fewer replicas than an endpoint's worker budget,
+// so a sharded run keeps the parallelism its budget allows.
+func TestFleetDefaultChunkSize(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		fl                Fleet
+		replicas, workers int
+		want              int
+	}{
+		{"quarter per endpoint", Fleet{Endpoints: LocalEndpoints(2, 2)}, 80, 0, 10},
+		{"at least the budget", Fleet{Endpoints: LocalEndpoints(4, 16)}, 32, 0, 4},
+		{"request budget fallback", Fleet{Endpoints: []Endpoint{{}, {}}}, 8, 3, 3},
+		{"unset budget is NumCPU", Fleet{Endpoints: []Endpoint{{}}}, 1, 0, runtime.NumCPU()},
+		{"explicit size wins", Fleet{Endpoints: LocalEndpoints(4, 16), ChunkSize: 1}, 32, 0, 1},
+	} {
+		if got := tc.fl.chunkSize(tc.replicas, tc.workers); got != tc.want {
+			t.Errorf("%s: chunkSize(%d, %d) = %d, want %d", tc.name, tc.replicas, tc.workers, got, tc.want)
+		}
+	}
 }
 
 func TestFleetNoEndpoints(t *testing.T) {
@@ -82,7 +120,7 @@ func TestFleetMatchesInProcess(t *testing.T) {
 	for _, tc := range []struct{ endpoints, chunk int }{
 		{1, 0}, {2, 2}, {3, 1}, {4, 5},
 	} {
-		fl := Fleet{Endpoints: localEndpoints(tc.endpoints), ChunkSize: tc.chunk}
+		fl := Fleet{Endpoints: LocalEndpoints(tc.endpoints, 0), ChunkSize: tc.chunk}
 		got := executeAll(t, fl, Options{Seed: 11}, "test.echo", payload, n)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
@@ -101,10 +139,10 @@ func TestFleetStealScheduleInvariance(t *testing.T) {
 	payload := []byte(`"steal"`)
 	want := executeAll(t, InProcess{}, Options{Seed: 23}, "test.echo", payload, n)
 
-	skewed := localEndpoints(2)
+	skewed := LocalEndpoints(2, 0)
 	skewed[1].Throttle = 40 * time.Millisecond
 	for name, fl := range map[string]Fleet{
-		"uniform": {Endpoints: localEndpoints(2), ChunkSize: 2},
+		"uniform": {Endpoints: LocalEndpoints(2, 0), ChunkSize: 2},
 		"skewed":  {Endpoints: skewed, ChunkSize: 2},
 	} {
 		ex, err := fl.Dispatch(ExecRequest{Kind: "test.echo", Payload: payload, Replicas: n, Options: Options{Seed: 23}})
@@ -142,7 +180,7 @@ func TestFleetWorkerCrashMidGrid(t *testing.T) {
 		Replica int
 	}{dir, 5})
 	const n = 9
-	fl := Fleet{Endpoints: localEndpoints(2), ChunkSize: 3}
+	fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 3}
 	got := executeAll(t, fl, Options{Seed: 1}, "test.crash-once", payload, n)
 	for i := range got {
 		want, _ := json.Marshal(i)
@@ -165,7 +203,7 @@ func TestFleetHeartbeatLossRequeues(t *testing.T) {
 		Replica int
 	}{dir, 3})
 	const n = 6
-	fl := Fleet{Endpoints: localEndpoints(1), ChunkSize: 3, Heartbeat: 500 * time.Millisecond}
+	fl := Fleet{Endpoints: LocalEndpoints(1, 1), ChunkSize: 3, Heartbeat: 500 * time.Millisecond}
 	got := executeAll(t, fl, Options{Seed: 2, Workers: 1}, "test.stop-once", payload, n)
 	for i := range got {
 		want, _ := json.Marshal(i)
@@ -180,7 +218,7 @@ func TestFleetHeartbeatLossRequeues(t *testing.T) {
 
 func TestFleetKindErrorFailsWithoutRetry(t *testing.T) {
 	payload, _ := json.Marshal(3)
-	fl := Fleet{Endpoints: localEndpoints(2), ChunkSize: 2}
+	fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 2}
 	err := executeErr(fl, Options{Seed: 1}, "test.fail", payload, 6)
 	if err == nil || !strings.Contains(err.Error(), "synthetic kind failure") {
 		t.Fatalf("err = %v, want the replica's own failure", err)
@@ -192,7 +230,7 @@ func TestFleetKindErrorFailsWithoutRetry(t *testing.T) {
 
 func TestFleetPersistentCrashFailsTheRun(t *testing.T) {
 	payload, _ := json.Marshal(2)
-	fl := Fleet{Endpoints: localEndpoints(2), ChunkSize: 2}
+	fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 2}
 	err := executeErr(fl, Options{Seed: 1}, "test.crash-always", payload, 6)
 	if err == nil {
 		t.Fatal("run succeeded despite a deterministic worker crash")
@@ -282,7 +320,7 @@ func TestFleetJournalResume(t *testing.T) {
 		return ExecRequest{Kind: "test.echo-log", Payload: payload, Replicas: n,
 			Options: Options{Seed: 5, Workers: 1, Context: ctx, Progress: progress}}
 	}
-	fl := Fleet{Endpoints: localEndpoints(1), ChunkSize: 2, Journal: jdir}
+	fl := Fleet{Endpoints: LocalEndpoints(1, 0), ChunkSize: 2, Journal: jdir}
 
 	// First run: cancel once a few replicas have completed (and therefore
 	// hit the journal — every result is journaled before it is delivered).
@@ -364,7 +402,7 @@ func completeJournal(t *testing.T, seed int64) (string, ExecRequest, [][]byte) {
 	jdir := t.TempDir()
 	payload, _ := json.Marshal(fmt.Sprintf("j%d", seed))
 	const n = 6
-	fl := Fleet{Endpoints: localEndpoints(1), ChunkSize: 2, Journal: jdir}
+	fl := Fleet{Endpoints: LocalEndpoints(1, 0), ChunkSize: 2, Journal: jdir}
 	want := executeAll(t, fl, Options{Seed: seed}, "test.echo", payload, n)
 	return jdir, ExecRequest{Kind: "test.echo", Payload: payload, Replicas: n, Options: Options{Seed: seed}}, want
 }
@@ -410,7 +448,7 @@ func TestFleetJournalCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl := Fleet{Endpoints: localEndpoints(1), Journal: jdir}
+	fl := Fleet{Endpoints: LocalEndpoints(1, 0), Journal: jdir}
 	_, err = fl.Dispatch(req)
 	if err == nil || !strings.Contains(err.Error(), "corrupted") {
 		t.Fatalf("err = %v, want a corruption report", err)
@@ -438,7 +476,7 @@ func TestFleetJournalChecksumCatchesReplicaRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl := Fleet{Endpoints: localEndpoints(1), Journal: jdir}
+	fl := Fleet{Endpoints: LocalEndpoints(1, 0), Journal: jdir}
 	_, err = fl.Dispatch(req)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("err = %v, want a checksum failure", err)
@@ -454,7 +492,7 @@ func TestFleetJournalJobMismatch(t *testing.T) {
 	if err := os.WriteFile(journalPath(jdir, other), src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fl := Fleet{Endpoints: localEndpoints(1), Journal: jdir}
+	fl := Fleet{Endpoints: LocalEndpoints(1, 0), Journal: jdir}
 	_, err := fl.Dispatch(other)
 	if err == nil || !strings.Contains(err.Error(), "different job") {
 		t.Fatalf("err = %v, want a job-mismatch report", err)
@@ -466,43 +504,39 @@ func TestFleetJournalJobMismatch(t *testing.T) {
 // and the collector must tick done exactly once per distinct replica — the
 // sequence is 1..n with no repeats regardless of crash history.
 func TestProgressSingleTickUnderShardRetry(t *testing.T) {
-	for name, mk := range map[string]func() Backend{
-		"subprocess": func() Backend { return Subprocess{Shards: 3, Command: testWorkerCmd()} },
-		"fleet":      func() Backend { return Fleet{Endpoints: localEndpoints(2), ChunkSize: 3} },
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			payload, _ := json.Marshal(struct {
-				Dir     string
-				Replica int
-			}{dir, 4})
-			const n = 9
-			var mu sync.Mutex
-			var ticks []int
-			err := executeErr(mk(), Options{Seed: 1, Progress: func(done, total int) {
-				mu.Lock()
-				defer mu.Unlock()
-				if total != n {
-					t.Errorf("progress total = %d, want %d", total, n)
-				}
-				ticks = append(ticks, done)
-			}}, "test.crash-once", payload, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "crashed")); err != nil {
-				t.Fatal("the injected crash never fired; the retry path was not exercised")
-			}
+	t.Run("fleet", func(t *testing.T) {
+		dir := t.TempDir()
+		payload, _ := json.Marshal(struct {
+			Dir     string
+			Replica int
+		}{dir, 4})
+		const n = 9
+		var mu sync.Mutex
+		var ticks []int
+		fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 3}
+		err := executeErr(fl, Options{Seed: 1, Progress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
-			if len(ticks) != n {
-				t.Fatalf("progress ticked %d times, want %d (%v)", len(ticks), n, ticks)
+			if total != n {
+				t.Errorf("progress total = %d, want %d", total, n)
 			}
-			for i, d := range ticks {
-				if d != i+1 {
-					t.Fatalf("tick %d reported done=%d, want %d (a retried replica double-ticked)", i, d, i+1)
-				}
+			ticks = append(ticks, done)
+		}}, "test.crash-once", payload, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "crashed")); err != nil {
+			t.Fatal("the injected crash never fired; the retry path was not exercised")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(ticks) != n {
+			t.Fatalf("progress ticked %d times, want %d (%v)", len(ticks), n, ticks)
+		}
+		for i, d := range ticks {
+			if d != i+1 {
+				t.Fatalf("tick %d reported done=%d, want %d (a retried replica double-ticked)", i, d, i+1)
 			}
-		})
-	}
+		}
+	})
 }

@@ -14,7 +14,7 @@ import (
 // exactly one jobFrame on the worker's stdin and closes it; the worker
 // answers with one resultFrame per replica on stdout, in ascending replica
 // order, and exits 0. Any other behaviour — short read, oversized frame,
-// nonzero exit, silence past the inactivity timeout — counts as a shard
+// nonzero exit, silence past the heartbeat bound — counts as a shard
 // crash, which the parent may retry because replicas are pure functions of
 // (payload, replica, seed).
 
@@ -40,8 +40,7 @@ type jobFrame struct {
 	// frame at this interval while replicas are in flight — the Fleet
 	// liveness protocol, which tolerates replicas longer than the liveness
 	// bound while still detecting dead processes and partitioned hosts.
-	// Zero keeps the classic results-only stream (Subprocess), where the
-	// result frames themselves are the liveness signal.
+	// Zero (liveness detection disabled) sends results only.
 	Heartbeat time.Duration `json:",omitempty"`
 }
 

@@ -12,28 +12,25 @@
 // Run, Map and Stream execute on a goroutine pool inside the calling
 // process. The Backend interface is the drop-in seam beneath them for
 // executing replicas elsewhere: Dispatch takes a typed ExecRequest — a
-// registered job kind, an opaque payload, a replica count, Options, and a
-// liveness Timeout — and returns an Execution that streams the encoded
-// results in strict ascending replica order (Results), reports the final
-// verdict (Wait), and exposes progress and in-flight lease state. The
-// package-level Execute function is the deprecated positional wrapper over
-// Dispatch kept for old call sites.
+// registered job kind, an opaque payload, a replica count and Options —
+// and returns an Execution that streams the encoded results in strict
+// ascending replica order (Results), reports the final verdict (Wait),
+// and exposes progress and in-flight lease state.
 //
-// Three backends ship today: InProcess (the goroutine pool, routed through
-// the job codec), Subprocess (worker processes — re-execs of the current
-// binary behind WorkerFlag — speaking length-prefixed JSON frames over
-// stdin/stdout, with crash/timeout detection and per-shard retry), and
-// Fleet (multiple worker endpoints — local commands or ssh-style remote
-// execs — pulling chunks from a shared work-stealing queue, with
-// heartbeat-based failure detection and an optional on-disk checkpoint
-// journal for resume). Because replica seeds and ordering are
+// Two backends ship today: InProcess (the goroutine pool, routed through
+// the job codec) and Fleet (worker endpoints — re-execs of the current
+// binary behind WorkerFlag, or ssh-style remote execs — speaking
+// length-prefixed JSON frames over stdin/stdout and pulling chunks from a
+// shared work-stealing queue, with heartbeat-based failure detection and
+// an optional on-disk checkpoint journal for resume). LocalEndpoints
+// builds the one-host fleet. Because replica seeds and ordering are
 // backend-independent, swapping backends can never change results, only
 // wall-clock time.
 //
 // Job kinds are registered by name (RegisterKind) in package init, so a
 // re-exec'd worker process holds the same kind table as its parent.
-// Binaries that offer the Subprocess or Fleet backends must call
-// MaybeWorker first in main.
+// Binaries that offer the Fleet backend must call MaybeWorker first in
+// main.
 package runner
 
 import (

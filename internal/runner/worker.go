@@ -11,13 +11,13 @@ import (
 
 // WorkerFlag is the hidden argv sentinel that switches a binary into shard
 // worker mode. It is deliberately not a registered flag.FlagSet member:
-// workers are spawned only by the Subprocess backend, never by hand.
+// workers are spawned only by the Fleet backend, never by hand.
 const WorkerFlag = "-runner-worker"
 
 // MaybeWorker turns the current process into a shard worker when it was
 // spawned with WorkerFlag as its first argument: it serves one jobFrame on
-// stdin/stdout and exits. Binaries that offer a Subprocess backend must
-// call it first in main, before flag parsing. In a normal invocation it is
+// stdin/stdout and exits. Binaries that offer a Fleet backend must call
+// it first in main, before flag parsing. In a normal invocation it is
 // a no-op.
 func MaybeWorker() {
 	if len(os.Args) < 2 || os.Args[1] != WorkerFlag {

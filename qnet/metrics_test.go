@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"os"
 	"strings"
 	"testing"
 
@@ -210,8 +209,8 @@ func TestStreamingSpecAndJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamingShardMergeIdentity: replicated streaming runs through the
-// subprocess backend at 1 and 3 shards produce bit-identical per-replica
+// TestStreamingShardMergeIdentity: replicated streaming runs through
+// one-host fleets of 1 and 3 endpoints produce bit-identical per-replica
 // metrics, and folding the replicas' aggregates in replica order gives
 // bit-identical summary statistics regardless of shard count.
 func TestStreamingShardMergeIdentity(t *testing.T) {
@@ -221,7 +220,7 @@ func TestStreamingShardMergeIdentity(t *testing.T) {
 	run := func(shards int) []*Metrics {
 		ms, err := sc.RunReplicated(ReplicaOptions{
 			Replicas: replicas, Seed: 21,
-			Backend: runner.Subprocess{Shards: shards, Command: []string{os.Args[0], runner.WorkerFlag}},
+			Backend: runner.Fleet{Endpoints: runner.LocalEndpoints(shards, 0)},
 		})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)

@@ -10,40 +10,8 @@ import (
 	"qnp/internal/sim"
 )
 
-// TestAllocPolicyResolution pins the deprecated-bool migration: the old
-// StaticAllocation flag means AllocStatic only while Alloc is left at its
-// default, and an explicit Alloc always wins.
-func TestAllocPolicyResolution(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want AllocationPolicy
-	}{
-		{Config{}, AllocCountSplit},
-		//qnetlint:allow nodeprecated the StaticAllocation shim's designated coverage: precedence vs the Alloc enum
-		{Config{StaticAllocation: true}, AllocStatic},
-		{Config{Alloc: AllocModelWeighted}, AllocModelWeighted},
-		//qnetlint:allow nodeprecated the StaticAllocation shim's designated coverage: an explicit Alloc wins over the bool
-		{Config{Alloc: AllocModelWeighted, StaticAllocation: true}, AllocModelWeighted},
-		{Config{Alloc: AllocStatic}, AllocStatic},
-	}
-	for _, c := range cases {
-		if got := c.cfg.allocPolicy(); got != c.want {
-			//qnetlint:allow nodeprecated diagnostic output of the designated StaticAllocation coverage
-			t.Errorf("allocPolicy(Alloc=%v, StaticAllocation=%v) = %v, want %v", c.cfg.Alloc, c.cfg.StaticAllocation, got, c.want)
-		}
-	}
-	// The resolved policy reaches the controller.
-	cfg := DefaultConfig()
-	//qnetlint:allow nodeprecated the StaticAllocation shim's designated coverage: the bool must reach the controller policy
-	cfg.StaticAllocation = true
-	if net := New(cfg); net.Controller.Policy != AllocStatic {
-		t.Errorf("controller policy = %v, want AllocStatic", net.Controller.Policy)
-	}
-}
-
 // TestSpecRoundTripsPlacementFields: Candidates and the allocation policy
-// survive the scenario wire format, and a legacy JSON spec carrying only
-// the old StaticAllocation bool still decodes to a static-allocation run.
+// survive the scenario wire format.
 func TestSpecRoundTripsPlacementFields(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnforceEER = true
@@ -79,26 +47,6 @@ func TestSpecRoundTripsPlacementFields(t *testing.T) {
 	}
 	if len(sc2.Circuits) != 1 || sc2.Circuits[0].Candidates != 3 {
 		t.Errorf("Candidates did not round-trip: %+v", sc2.Circuits)
-	}
-
-	// A spec written before the enum existed: the bool alone must still
-	// mean static allocation. The legacy field arrives through the wire
-	// format — JSON is where old specs live — so the test needs no
-	// source-level use of the deprecated Go field.
-	var legacy ScenarioSpec
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Config.Alloc = AllocCountSplit
-	if err := json.Unmarshal([]byte(`{"StaticAllocation": true}`), &legacy.Config); err != nil {
-		t.Fatal(err)
-	}
-	lsc, err := legacy.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsc.Config.allocPolicy() != AllocStatic {
-		t.Errorf("legacy StaticAllocation bool lost its meaning: %v", lsc.Config.allocPolicy())
 	}
 }
 
@@ -195,8 +143,8 @@ func TestPlacementDeterminismAcrossBackends(t *testing.T) {
 	}
 	backends := map[string]runner.Backend{
 		"in-process": runner.InProcess{},
-		"shards-1":   runner.Subprocess{Shards: 1, Command: []string{os.Args[0], runner.WorkerFlag}},
-		"shards-3":   runner.Subprocess{Shards: 3, Command: []string{os.Args[0], runner.WorkerFlag}},
+		"shards-1":   runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)},
+		"shards-3":   runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)},
 		"fleet-2": runner.Fleet{Endpoints: []runner.Endpoint{
 			{Name: "a", Command: []string{os.Args[0], runner.WorkerFlag}},
 			{Name: "b", Command: []string{os.Args[0], runner.WorkerFlag}},

@@ -37,7 +37,7 @@
 // whose MinEER demand no longer fits is rejected at admission.
 // Scenario.RunReplicated fans independent replicas across a worker pool
 // with disjoint per-replica seeds and order-stable results; with a
-// runner.Backend in ReplicaOptions (runner.Subprocess) the same replicas
+// runner.Backend in ReplicaOptions (a runner.Fleet) the same replicas
 // shard across worker processes instead, bit-identically. Declarative
 // scenarios serialize through ScenarioSpec — JSON complete enough for a
 // worker process to reconstruct and run them from bytes — with custom
@@ -206,13 +206,6 @@ type Config struct {
 	// propagate over the signalling plane as before. Only meaningful with
 	// EnforceEER.
 	Alloc AllocationPolicy
-	// StaticAllocation pins the admission allocation at the original
-	// MaxLPR/2-per-circuit heuristic.
-	//
-	// Deprecated: set Alloc to AllocStatic instead. The bool is honoured
-	// (as AllocStatic) only while Alloc is left at its default, so old
-	// configs and serialized scenarios keep their meaning.
-	StaticAllocation bool
 	// MetricsMode selects how scenario metrics are recorded. The zero
 	// value, MetricsFull, keeps every per-delivery and per-request record
 	// as before; MetricsStreaming replaces the records with mergeable
@@ -296,19 +289,8 @@ func New(cfg Config) *Network {
 	}
 	n.Controller = routing.NewController(n.Graph, cfg.Params)
 	n.Controller.EnforceEER = cfg.EnforceEER
-	n.Controller.Policy = cfg.allocPolicy()
+	n.Controller.Policy = cfg.Alloc
 	return n
-}
-
-// allocPolicy resolves Config.Alloc against the deprecated
-// StaticAllocation bool: the bool only matters while Alloc is left at its
-// default, so old configs (and serialized scenario specs) keep meaning
-// AllocStatic without being able to override an explicit policy.
-func (cfg Config) allocPolicy() AllocationPolicy {
-	if cfg.Alloc == AllocCountSplit && cfg.StaticAllocation {
-		return AllocStatic
-	}
-	return cfg.Alloc
 }
 
 // AddNode registers a node.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"qnp/internal/hardware"
 	"qnp/internal/runner"
@@ -787,16 +786,12 @@ type ReplicaOptions struct {
 	// are nil in the result.
 	Context context.Context
 	// Backend, when non-nil, executes replicas through the runner's
-	// Backend seam instead of the in-process pool — runner.Subprocess
+	// Backend seam instead of the in-process pool — a runner.Fleet
 	// shards them across worker processes. The scenario must then be fully
 	// declarative (see Scenario.Spec); replica seeding and result order are
 	// backend-independent, so the metrics are bit-identical to an
 	// in-process run for any backend, shard count or worker count.
 	Backend runner.Backend
-	// Timeout is the Backend's liveness bound — the Subprocess inactivity
-	// watchdog or the Fleet heartbeat bound. 0 defers to the backend's own
-	// default; negative disables detection. In-process runs ignore it.
-	Timeout time.Duration
 }
 
 // RunReplicated fans independent replicas of the scenario across a worker

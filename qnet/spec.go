@@ -1,9 +1,11 @@
 package qnet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sort"
 	"sync"
@@ -19,7 +21,7 @@ import (
 // values, so they travel by name through registries (the built-ins are
 // pre-registered; applications add their own with RegisterWorkload /
 // RegisterSelector). The registration is what makes process-sharded
-// execution (runner.Subprocess) able to run "any scenario from bytes"
+// execution (runner.Fleet) able to run "any scenario from bytes"
 // while staying bit-identical to in-process runs.
 
 // ScenarioJobKind is the runner job kind under which scenario replicas
@@ -31,12 +33,19 @@ func init() {
 }
 
 // runScenarioJob executes one scenario replica from its serialized spec —
-// the worker-process half of Scenario.RunReplicated's Backend path. Run
-// errors become Metrics.Err, mirroring the in-process replica semantics.
+// the worker-process half of Scenario.RunReplicated's Backend path. The
+// payload comes from another process, so unknown fields are rejected
+// rather than silently dropped. Run errors become Metrics.Err, mirroring
+// the in-process replica semantics.
 func runScenarioJob(payload []byte, _ int, seed int64) ([]byte, error) {
 	var spec ScenarioSpec
-	if err := json.Unmarshal(payload, &spec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("decode ScenarioSpec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("decode ScenarioSpec: trailing data after the spec")
 	}
 	sc, err := spec.Scenario()
 	if err != nil {
@@ -74,7 +83,6 @@ func (sc Scenario) runReplicatedOn(o ReplicaOptions) ([]*Metrics, error) {
 		Payload:  payload,
 		Replicas: o.Replicas,
 		Options:  runner.Options{Workers: o.Workers, Seed: o.Seed, Progress: o.Progress, Context: o.Context},
-		Timeout:  o.Timeout,
 	})
 	if err != nil {
 		return nil, err

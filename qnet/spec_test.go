@@ -15,7 +15,7 @@ import (
 	"qnp/internal/sim"
 )
 
-// TestMain doubles as the shard worker entrypoint for the subprocess
+// TestMain doubles as the shard worker entrypoint for the fleet
 // equivalence tests, which re-exec this test binary behind WorkerFlag.
 func TestMain(m *testing.M) {
 	runner.MaybeWorker()
@@ -268,9 +268,9 @@ func shardedScenario() Scenario {
 
 // TestRunReplicatedBackendEquivalence is the scenario-level shard-count
 // invariance proof: the in-process pool, the InProcess backend (bytes
-// codec, same process), Subprocess at several shard counts, and a
-// work-stealing Fleet (uniform and with a throttled endpoint) must produce
-// bit-identical metrics in identical order.
+// codec, same process), one-host fleets of 1 and 3 endpoints, and a
+// two-endpoint Fleet with a throttled endpoint must produce bit-identical
+// metrics in identical order.
 func TestRunReplicatedBackendEquivalence(t *testing.T) {
 	sc := shardedScenario()
 	const replicas = 6
@@ -288,8 +288,8 @@ func TestRunReplicatedBackendEquivalence(t *testing.T) {
 	worker := []string{os.Args[0], runner.WorkerFlag}
 	backends := map[string]runner.Backend{
 		"in-process": runner.InProcess{},
-		"shards-1":   runner.Subprocess{Shards: 1, Command: worker},
-		"shards-3":   runner.Subprocess{Shards: 3, Command: worker},
+		"shards-1":   runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)},
+		"shards-3":   runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)},
 		"fleet-2": runner.Fleet{Endpoints: []runner.Endpoint{
 			{Name: "a", Command: worker},
 			{Name: "b", Command: worker, Throttle: 20 * time.Millisecond},
@@ -304,6 +304,67 @@ func TestRunReplicatedBackendEquivalence(t *testing.T) {
 			if g := metricsJSON(t, got[i]); !bytes.Equal(g, wantJSON[i]) {
 				t.Errorf("%s: replica %d metrics diverged\n want %s\n  got %s", name, i, wantJSON[i], g)
 			}
+		}
+	}
+}
+
+// TestScenarioJobRejectsUnknownFields: the worker-side decoder runs a spec
+// straight from Scenario.Spec, but refuses a payload carrying a field the
+// spec does not declare — the removed StaticAllocation bool spliced into
+// Config, which a lenient decoder would drop and run as count-split, or any
+// other unknown key — and a payload with data after the spec.
+func TestScenarioJobRejectsUnknownFields(t *testing.T) {
+	spec, err := shardedScenario().Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = payload[:len(payload):len(payload)] // appends below copy
+	if _, err := runScenarioJob(payload, 0, 1); err != nil {
+		t.Fatalf("spec from Scenario.Spec rejected: %v", err)
+	}
+	if _, err := runScenarioJob(append(payload, " \n"...), 0, 1); err != nil {
+		t.Fatalf("spec with trailing whitespace rejected: %v", err)
+	}
+
+	var doc, cfg map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["Config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	splice := func(field string) []byte {
+		cfg[field] = json.RawMessage("true")
+		defer delete(cfg, field)
+		mod := make(map[string]json.RawMessage, len(doc))
+		for k, v := range doc {
+			mod[k] = v
+		}
+		var err error
+		if mod["Config"], err = json.Marshal(cfg); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"removed Config field", "StaticAllocation", splice("StaticAllocation")},
+		{"unknown Config field", "NoSuchOption", splice("NoSuchOption")},
+		{"trailing data", "trailing data", append(payload, `{}`...)},
+	} {
+		_, err := runScenarioJob(tc.payload, 0, 1)
+		if err == nil || !strings.Contains(err.Error(), "decode ScenarioSpec") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a decode ScenarioSpec error naming %q", tc.name, err, tc.want)
 		}
 	}
 }
