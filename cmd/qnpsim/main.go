@@ -57,7 +57,7 @@ func main() {
 	maxEER := flag.Float64("maxeer", 0, "circuit EER allocation for admission control (0 = off)")
 	nearterm := flag.Bool("nearterm", false, "near-term hardware (25 km telecom links, carbon storage)")
 	physics := flag.String("physics", "exact", "pair-state engine: exact (density matrices) or werner (scalar Werner-parameter fast path)")
-	streaming := flag.Bool("streaming", false, "constant-memory streaming metrics: per-event records are dropped and summaries come from mergeable aggregates (for runs too large to hold every delivery)")
+	streaming := flag.Bool("streaming", false, "constant-memory streaming metrics: drop the per-event records and keep only the mergeable aggregates every run records (for runs too large to hold every delivery)")
 	horizon := flag.Float64("horizon", 300, "max simulated seconds")
 	seed := flag.Int64("seed", 1, "random seed")
 	replicas := flag.Int("replicas", 1, "independent replicas (means reported when > 1)")

@@ -6,7 +6,8 @@
 // Absolute numbers come from this repository's simulator, not the authors'
 // NetSquid testbed, so the comparison target is the *shape* of each result:
 // who wins, where the knees and crossovers sit, and the scaling trends.
-// EXPERIMENTS.md records paper-versus-measured for every item.
+// The *Quick tests in experiments_test.go assert those claims per figure;
+// a generated paper-versus-measured ledger is an open ROADMAP item.
 package experiments
 
 import (

@@ -5,8 +5,9 @@
 //
 // Agg exists to make simulation metrics O(1) in the number of samples: a
 // billion-delivery run costs the same metrics memory as a ten-delivery one
-// (qnet's MetricsStreaming mode feeds delivery times, latencies and
-// fidelities through Agg instead of per-record slices).
+// (qnet feeds every run's delivery times, latencies and fidelities through
+// Agg; its MetricsStreaming mode only drops the per-record slices kept
+// alongside).
 //
 // # Determinism and merging
 //

@@ -11,21 +11,23 @@ import (
 	"qnp/internal/stats"
 )
 
-// MetricsMode selects how a scenario records its metrics.
+// MetricsMode selects whether a scenario keeps raw per-event records
+// alongside the aggregates every run records.
 type MetricsMode int
 
 const (
-	// MetricsFull (the default) keeps every per-delivery and per-request
-	// record: DeliveryTimes, Fidelities, States and Requests hold one
-	// entry per event, so any window or distribution can be queried
-	// exactly after the run. Memory is O(deliveries + requests).
+	// MetricsFull (the default) keeps, besides the aggregates, every
+	// per-delivery and per-request record: DeliveryTimes, Fidelities,
+	// States and Requests hold one entry per event, so any window or
+	// distribution can be queried exactly after the run. Memory is
+	// O(deliveries + requests).
 	MetricsFull MetricsMode = iota
 	// MetricsStreaming drops the per-delivery and per-request records and
-	// feeds the same observations into mergeable constant-memory
-	// aggregates (DeliveryAgg, LatencyAgg, FidelityAgg) instead: memory
-	// is independent of the delivery count, which is what makes
-	// city-scale runs (hundreds of nodes, millions of deliveries)
-	// possible. Counters and mean-style statistics stay exact;
+	// keeps only the mergeable constant-memory aggregates (DeliveryAgg,
+	// LatencyAgg, FidelityAgg) that both modes record: memory is
+	// independent of the delivery count, which is what makes city-scale
+	// runs (hundreds of nodes, millions of deliveries) possible. Counters
+	// and mean-style statistics are exact and identical to MetricsFull;
 	// percentile, CDF and sub-window queries are histogram-approximated
 	// once a series exceeds stats.ExactThreshold samples (see the
 	// internal/stats package comment for the bucket policy). Recording
@@ -33,9 +35,6 @@ const (
 	// therefore every counter, is bit-identical between modes.
 	MetricsStreaming
 )
-
-// streamingMode reports whether the mode drops records for aggregates.
-func (m MetricsMode) streaming() bool { return m == MetricsStreaming }
 
 // RequestMetrics records one request submitted through a scenario workload.
 type RequestMetrics struct {
@@ -84,7 +83,8 @@ type CircuitMetrics struct {
 	// MetricsFull the delivery times ride along in order, and with
 	// CircuitSpec.RecordFidelity so do the exact pair fidelity and
 	// declared Bell state at each delivery. In MetricsStreaming these
-	// slices stay nil and the aggregates below hold the same series.
+	// slices stay nil; the aggregates below hold the same series in both
+	// modes.
 	Delivered      int
 	DeliveryTimes  []sim.Time          `json:",omitempty"`
 	Fidelities     []float64           `json:",omitempty"`
@@ -101,9 +101,9 @@ type CircuitMetrics struct {
 	Submitted int
 	Completed int
 
-	// Streaming aggregates (MetricsStreaming only): constant-memory
-	// summaries of delivery times (seconds), request completion latencies
-	// (seconds) and recorded per-delivery fidelities. Bell states are not
+	// Aggregates (both modes): constant-memory summaries of delivery
+	// times (seconds), request completion latencies (seconds) and, with
+	// RecordFidelity, per-delivery fidelities. Bell states are not
 	// aggregated — a state histogram has no mean, and the per-delivery
 	// pairing with fidelity is exactly the record MetricsStreaming drops.
 	DeliveryAgg *stats.Agg `json:",omitempty"`
@@ -123,31 +123,31 @@ type CircuitMetrics struct {
 	// Metrics.UnmarshalJSON).
 	PendingArrival bool `json:",omitempty"`
 
+	// reqByID indexes the requests still in flight: submitted, neither
+	// completed nor rejected. Memory tracks the in-flight count, not the
+	// submission total.
 	reqByID map[RequestID]*RequestMetrics
-	// streaming mirrors Metrics.Mode for the recording fast path.
-	streaming bool
+	// records mirrors Metrics.Mode: whether the per-event slices are kept.
+	records bool
 }
 
-// newCircuitMetrics builds the per-circuit recording state for a mode.
-func newCircuitMetrics(id CircuitID, src, dst string, mode MetricsMode) *CircuitMetrics {
-	cm := &CircuitMetrics{
+// newCircuitMetrics builds the per-circuit recording state; records keeps
+// the per-event slices (MetricsFull) besides the aggregates.
+func newCircuitMetrics(id CircuitID, src, dst string, records bool) *CircuitMetrics {
+	return &CircuitMetrics{
 		ID: id, Src: src, Dst: dst,
-		reqByID:   make(map[RequestID]*RequestMetrics),
-		streaming: mode.streaming(),
+		DeliveryAgg: new(stats.Agg),
+		LatencyAgg:  new(stats.Agg),
+		reqByID:     make(map[RequestID]*RequestMetrics),
+		records:     records,
 	}
-	if cm.streaming {
-		cm.DeliveryAgg = new(stats.Agg)
-		cm.LatencyAgg = new(stats.Agg)
-	}
-	return cm
 }
 
-// noteSubmit records a workload request submission. Both modes keep the
-// live in-flight index (completion and rejection look requests up by ID);
-// only MetricsFull keeps the record itself.
+// noteSubmit records a workload request submission and indexes it as in
+// flight (completion and rejection look requests up by ID).
 func (c *CircuitMetrics) noteSubmit(rm *RequestMetrics) {
 	c.Submitted++
-	if !c.streaming {
+	if c.records {
 		c.Requests = append(c.Requests, rm)
 	}
 	c.reqByID[rm.ID] = rm
@@ -160,14 +160,14 @@ func (c *CircuitMetrics) noteSubmit(rm *RequestMetrics) {
 // fidelity and declared Bell state ride along.
 func (c *CircuitMetrics) noteDelivery(at sim.Time, record bool, f float64, state quantum.BellIndex) {
 	c.Delivered++
-	if c.streaming {
-		c.DeliveryAgg.Add(at.Seconds())
-		if record {
-			if c.FidelityAgg == nil {
-				c.FidelityAgg = new(stats.Agg)
-			}
-			c.FidelityAgg.Add(f)
+	c.DeliveryAgg.Add(at.Seconds())
+	if record {
+		if c.FidelityAgg == nil {
+			c.FidelityAgg = new(stats.Agg)
 		}
+		c.FidelityAgg.Add(f)
+	}
+	if !c.records {
 		return
 	}
 	c.DeliveryTimes = append(c.DeliveryTimes, at)
@@ -177,40 +177,36 @@ func (c *CircuitMetrics) noteDelivery(at sim.Time, record bool, f float64, state
 	}
 }
 
-// noteComplete records a head-end request completion at now. In
-// MetricsStreaming the completion latency feeds LatencyAgg and the
-// in-flight entry is dropped — memory tracks the in-flight request count,
-// not the submission total.
+// noteComplete records a head-end completion of an in-flight request at
+// now: its latency feeds LatencyAgg and it leaves the in-flight index, so
+// a second completion, or one after a rejection, is ignored.
 func (c *CircuitMetrics) noteComplete(id RequestID, now sim.Time) {
-	rm := c.request(id)
-	if rm == nil || rm.Done {
+	rm := c.reqByID[id]
+	if rm == nil {
 		return
 	}
+	delete(c.reqByID, id)
 	rm.Done = true
 	rm.CompletedAt = now
 	c.Completed++
 	if rm.Pairs > 0 {
 		c.PendingFinite--
 	}
-	if c.streaming {
-		c.LatencyAgg.Add(now.Sub(rm.SubmittedAt).Seconds())
-		delete(c.reqByID, id)
-	}
+	c.LatencyAgg.Add(now.Sub(rm.SubmittedAt).Seconds())
 }
 
-// noteReject records a policing rejection of a submitted request.
+// noteReject records a policing rejection; an in-flight request is marked
+// and leaves the in-flight index.
 func (c *CircuitMetrics) noteReject(id RequestID) {
 	c.Rejected++
-	rm := c.request(id)
-	if rm == nil || rm.Rejected {
+	rm := c.reqByID[id]
+	if rm == nil {
 		return
 	}
+	delete(c.reqByID, id)
 	rm.Rejected = true
-	if rm.Pairs > 0 && !rm.Done {
+	if rm.Pairs > 0 {
 		c.PendingFinite--
-	}
-	if c.streaming {
-		delete(c.reqByID, id)
 	}
 }
 
@@ -229,50 +225,35 @@ func (c *CircuitMetrics) Lifetime(end sim.Time) sim.Duration {
 }
 
 // DeliveredSince counts deliveries at or after from — the steady-state
-// window used by latency-versus-throughput scenarios. Exact in
-// MetricsFull; in MetricsStreaming it is exact when from precedes the
-// first delivery and histogram-approximated otherwise.
+// window used by latency-versus-throughput scenarios. Exactness matches
+// DeliveredBetween.
 func (c *CircuitMetrics) DeliveredSince(from sim.Time) int {
-	if c.streaming {
-		if c.Delivered == 0 {
-			return 0
-		}
-		return int(c.DeliveryAgg.CountAtOrAbove(from.Seconds()))
-	}
-	n := 0
-	for _, t := range c.DeliveryTimes {
-		if t >= from {
-			n++
-		}
-	}
-	return n
+	return c.DeliveredBetween(from, math.MaxInt64)
 }
 
-// DeliveredBetween counts deliveries in the window [from, to]. Exactness
-// matches DeliveredSince: MetricsStreaming is exact when the window
-// covers every delivery (the usual [Start, End] query) and
-// histogram-approximated for narrower windows.
+// DeliveredBetween counts deliveries in the window [from, to]. Exact in
+// MetricsFull, which counts the delivery records. MetricsStreaming asks
+// DeliveryAgg: exact when the window covers every delivery (the usual
+// [Start, End] query) or the series is within stats.ExactThreshold, and
+// histogram-approximated for narrower windows otherwise.
 func (c *CircuitMetrics) DeliveredBetween(from, to sim.Time) int {
-	if to < from {
+	if to < from || c.Delivered == 0 {
 		return 0
 	}
-	if c.streaming {
-		if c.Delivered == 0 {
-			return 0
+	if c.records {
+		n := 0
+		for _, t := range c.DeliveryTimes {
+			if t >= from && t <= to {
+				n++
+			}
 		}
-		n := c.DeliveryAgg.CountAtOrAbove(from.Seconds())
-		if to.Seconds() >= c.DeliveryAgg.Max {
-			return int(n)
-		}
-		return int(n - c.DeliveryAgg.CountAtOrAbove(math.Nextafter(to.Seconds(), math.Inf(1))))
+		return n
 	}
-	n := 0
-	for _, t := range c.DeliveryTimes {
-		if t >= from && t <= to {
-			n++
-		}
+	n := c.DeliveryAgg.CountAtOrAbove(from.Seconds())
+	if to.Seconds() >= c.DeliveryAgg.Max {
+		return int(n)
 	}
-	return n
+	return int(n - c.DeliveryAgg.CountAtOrAbove(math.Nextafter(to.Seconds(), math.Inf(1))))
 }
 
 // EER is the measured entanglement end-to-end rate: deliveries in the
@@ -301,18 +282,12 @@ func (c *CircuitMetrics) Latencies(from sim.Time) []float64 {
 }
 
 // MeanFidelity averages the recorded per-delivery fidelities (0 when the
-// scenario did not record them). Exact in both modes — streaming
-// aggregates keep exact sums.
+// scenario did not record them), exactly: FidelityAgg keeps an exact sum.
 func (c *CircuitMetrics) MeanFidelity() float64 {
-	if c.streaming {
-		if c.FidelityAgg == nil {
-			return 0
-		}
-		return c.FidelityAgg.Mean()
+	if c.FidelityAgg == nil {
+		return 0
 	}
-	var s runner.Stats
-	s.Add(c.Fidelities...)
-	return s.Mean()
+	return c.FidelityAgg.Mean()
 }
 
 // AllComplete reports whether every submitted finite request finished. In
@@ -324,7 +299,7 @@ func (c *CircuitMetrics) AllComplete() bool {
 	if !c.Established {
 		return false
 	}
-	if c.streaming {
+	if !c.records {
 		return c.PendingFinite == 0 && c.Rejected == 0
 	}
 	for _, r := range c.Requests {
@@ -335,20 +310,13 @@ func (c *CircuitMetrics) AllComplete() bool {
 	return true
 }
 
-// request looks up the bookkeeping record for a workload-submitted request.
-func (c *CircuitMetrics) request(id RequestID) *RequestMetrics {
-	if c.reqByID == nil {
-		return nil
-	}
-	return c.reqByID[id]
-}
-
 // Metrics is a scenario run's unified result: per-circuit delivery,
 // latency, fidelity and policing counters plus network-wide totals.
 type Metrics struct {
 	Name string
-	// Mode records how the run's metrics were captured (MetricsFull keeps
-	// records, MetricsStreaming keeps aggregates); helpers branch on it.
+	// Mode records whether the run kept the per-event records alongside
+	// the aggregates (MetricsFull) or the aggregates alone
+	// (MetricsStreaming); the record-only queries branch on it.
 	Mode MetricsMode `json:",omitempty"`
 	// Start is the virtual time traffic opened (after circuit
 	// installation); End is where the run stopped. The measurement window
@@ -382,9 +350,10 @@ func (m *Metrics) Circuit(id CircuitID) *CircuitMetrics { return m.byID[id] }
 // UnmarshalJSON decodes metrics produced by a worker process (the default
 // encoding covers every exported field exactly: counters are integers or
 // float64s, which Go's JSON codec round-trips bit-identically, and the
-// streaming aggregates define their own exact wire form) and rebuilds the
+// aggregates define their own exact wire form) and rebuilds the
 // unexported lookup indexes, so a decoded Metrics answers Circuit and
-// request queries like the original.
+// request queries like the original: the in-flight index holds the
+// requests that are neither done nor rejected.
 //
 // The wait-loop state (PendingFinite, PendingArrival) is serialized
 // verbatim, so even a Metrics captured mid-run decodes into the same wait
@@ -404,16 +373,19 @@ func (m *Metrics) UnmarshalJSON(b []byte) error {
 	m.byID = make(map[CircuitID]*CircuitMetrics, len(m.Circuits))
 	for _, cm := range m.Circuits {
 		m.byID[cm.ID] = cm
-		cm.streaming = m.Mode.streaming()
-		cm.reqByID = make(map[RequestID]*RequestMetrics, len(cm.Requests))
+		cm.records = m.Mode != MetricsStreaming
+		cm.reqByID = make(map[RequestID]*RequestMetrics)
 		pending := 0
 		for _, rm := range cm.Requests {
+			if rm.Done || rm.Rejected {
+				continue
+			}
 			cm.reqByID[rm.ID] = rm
-			if rm.Pairs > 0 && !rm.Done && !rm.Rejected {
+			if rm.Pairs > 0 {
 				pending++
 			}
 		}
-		if !cm.streaming && pending != cm.PendingFinite {
+		if cm.records && pending != cm.PendingFinite {
 			return fmt.Errorf("qnet: circuit %q: PendingFinite %d does not match its %d pending request records", cm.ID, cm.PendingFinite, pending)
 		}
 	}
@@ -456,40 +428,25 @@ func (m *Metrics) TimeWeightedEER() float64 {
 	return float64(m.TotalDelivered()) / life
 }
 
-// LatencySummary aggregates every circuit's completion latencies
-// (seconds) into one mergeable summary, in circuit declaration order: the
-// per-request records in MetricsFull, the merged LatencyAggs in
-// MetricsStreaming. Mean and count are exact in both modes; percentiles
-// are exact until the series outgrows stats.ExactThreshold.
+// LatencySummary merges every circuit's LatencyAgg (completion
+// latencies, seconds) into one mergeable summary, in circuit declaration
+// order. Mean and count are exact; percentiles are exact until the series
+// outgrows stats.ExactThreshold.
 func (m *Metrics) LatencySummary() *stats.Agg {
 	agg := new(stats.Agg)
 	for _, c := range m.Circuits {
-		if c.streaming {
-			agg.Merge(c.LatencyAgg)
-			continue
-		}
-		for _, r := range c.Requests {
-			if r.Done {
-				agg.Add(r.CompletedAt.Sub(r.SubmittedAt).Seconds())
-			}
-		}
+		agg.Merge(c.LatencyAgg)
 	}
 	return agg
 }
 
-// FidelitySummary aggregates every circuit's recorded per-delivery
-// fidelities into one mergeable summary, in circuit declaration order;
-// empty when no circuit set RecordFidelity.
+// FidelitySummary merges every circuit's FidelityAgg into one mergeable
+// summary, in circuit declaration order; empty when no circuit set
+// RecordFidelity.
 func (m *Metrics) FidelitySummary() *stats.Agg {
 	agg := new(stats.Agg)
 	for _, c := range m.Circuits {
-		if c.streaming {
-			agg.Merge(c.FidelityAgg)
-			continue
-		}
-		for _, f := range c.Fidelities {
-			agg.Add(f)
-		}
+		agg.Merge(c.FidelityAgg)
 	}
 	return agg
 }

@@ -21,6 +21,13 @@
 //	cm := res.Metrics.Circuit("vc1")
 //	// cm.Delivered, cm.Fidelities, cm.Requests[0].CompletedAt, ...
 //
+// Every run records its delivery times, request latencies and fidelities
+// into mergeable constant-memory aggregates (CircuitMetrics.DeliveryAgg,
+// LatencyAgg, FidelityAgg), which the summaries (MeanFidelity,
+// Metrics.LatencySummary, FidelitySummary) read. Config.MetricsMode decides
+// only whether the raw per-event records are kept as well: MetricsFull
+// (the default) keeps them, MetricsStreaming drops them.
+//
 // Scenarios compose: several CircuitSpecs contend for the same links,
 // endpoint selectors (DiameterPair, RandomPairs) derive circuits from the
 // topology's shape, and pluggable workloads (ContinuousKeep, IntervalKeep,
@@ -206,13 +213,14 @@ type Config struct {
 	// propagate over the signalling plane as before. Only meaningful with
 	// EnforceEER.
 	Alloc AllocationPolicy
-	// MetricsMode selects how scenario metrics are recorded. The zero
-	// value, MetricsFull, keeps every per-delivery and per-request record
-	// as before; MetricsStreaming replaces the records with mergeable
-	// constant-memory aggregates so a run's metrics memory is independent
-	// of its delivery count (the city-scale setting). Recording never
-	// feeds back into the simulation: both modes fire the identical event
-	// sequence and produce identical counters.
+	// MetricsMode selects whether scenario metrics keep raw records. Both
+	// modes record the same mergeable constant-memory aggregates. The zero
+	// value, MetricsFull, also keeps every per-delivery and per-request
+	// record; MetricsStreaming drops the records so a run's metrics memory
+	// is independent of its delivery count (the city-scale setting).
+	// Recording never feeds back into the simulation: both modes fire the
+	// identical event sequence and produce identical counters and
+	// summaries.
 	MetricsMode MetricsMode
 	// Physics selects the pair-state engine. The zero value, PhysicsExact,
 	// tracks every entangled pair as a 4×4 density matrix through the exact

@@ -404,7 +404,7 @@ func (sc Scenario) Run() (*Result, error) {
 			if _, dup := m.byID[id]; dup {
 				return fail(fmt.Errorf("qnet: scenario declares circuit %q twice", id))
 			}
-			cm := newCircuitMetrics(id, p[0], p[1], cfg.MetricsMode)
+			cm := newCircuitMetrics(id, p[0], p[1], cfg.MetricsMode != MetricsStreaming)
 			m.Circuits = append(m.Circuits, cm)
 			m.byID[id] = cm
 			lc := &liveCircuit{spec: spec, id: id, src: p[0], dst: p[1], cm: cm}

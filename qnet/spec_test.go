@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -216,13 +217,18 @@ func (unregisteredWorkload) Immediate(*WorkloadContext) []Request { return nil }
 func (unregisteredWorkload) Start(*WorkloadContext)               {}
 
 // TestMetricsJSONRoundTrip checks a decoded Metrics answers the same
-// queries as the original, including the rebuilt lookup indexes.
+// queries as the original, including the rebuilt lookup indexes: the
+// decoded in-flight index holds the same requests as the original's (the
+// open-ended "keep" on circuit o, and nothing on the completed circuit c).
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	res, err := Scenario{
 		Topology: ChainTopo(3),
 		Circuits: []CircuitSpec{{
 			ID: "c", Src: "n0", Dst: "n2", Fidelity: 0.8,
 			Workload: KeepBatch{Count: 1, Pairs: 3}, RecordFidelity: true,
+		}, {
+			ID: "o", Src: "n0", Dst: "n2", Fidelity: 0.8,
+			Workload: ContinuousKeep{},
 		}},
 		Horizon: 5 * sim.Second,
 		WaitFor: []CircuitID{"c"},
@@ -235,19 +241,34 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	cm := m.Circuit("c")
-	if cm == nil {
-		t.Fatal("decoded Metrics lost the circuit index")
+	for _, id := range []CircuitID{"c", "o"} {
+		orig, cm := res.Metrics.Circuit(id), m.Circuit(id)
+		if cm == nil {
+			t.Fatalf("decoded Metrics lost circuit %s from its index", id)
+		}
+		if got, want := inFlight(cm), inFlight(orig); !slices.Equal(got, want) {
+			t.Errorf("%s: decoded in-flight index %v, original %v", id, got, want)
+		}
 	}
-	if cm.request("r0") == nil {
-		t.Fatal("decoded CircuitMetrics lost the request index")
+	if got := inFlight(m.Circuit("o")); !slices.Equal(got, []RequestID{"keep"}) {
+		t.Errorf("circuit o in flight: %v, want [keep]", got)
 	}
-	if !cm.AllComplete() {
+	if !m.Circuit("c").AllComplete() {
 		t.Error("decoded metrics disagree on AllComplete")
 	}
 	if got := metricsJSON(t, &m); !bytes.Equal(b, got) {
 		t.Errorf("re-encoded metrics diverged\n want %s\n  got %s", b, got)
 	}
+}
+
+// inFlight lists a circuit's in-flight request IDs in sorted order.
+func inFlight(cm *CircuitMetrics) []RequestID {
+	ids := make([]RequestID, 0, len(cm.reqByID))
+	for id := range cm.reqByID {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // shardedScenario is a scenario exercising selector expansion, a random
