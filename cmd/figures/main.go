@@ -30,6 +30,7 @@ import (
 	"os/signal"
 	"time"
 
+	"qnp/internal/cli"
 	"qnp/internal/experiments"
 	"qnp/internal/runner"
 	"qnp/qnet"
@@ -45,10 +46,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a smoke run")
 	seed := flag.Int64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
-	shards := flag.Int("shards", 0, "worker processes to shard replica grids across, work-stealing from one chunk queue; -workers is split among them (0 = in-process; 11 and tables have no grid and always run in-process)")
-	fleetThrottle := flag.Duration("fleet-throttle", 0, "artificial per-chunk delay on the last -shards worker (steal-schedule testing; results are unaffected)")
-	resume := flag.String("resume", "", "checkpoint journal directory: completed replicas spill here and a re-run resumes instead of restarting (implies -shards 1 when -shards is unset)")
-	workerTimeout := flag.Duration("worker-timeout", 0, "heartbeat bound for -shards workers: a worker silent this long is declared lost and its chunk re-run (0 = 10m default; negative disables)")
+	shards := cli.RegisterShardFlags(flag.CommandLine)
 	progress := flag.Bool("progress", false, "print replica progress to stderr")
 	physics := flag.String("physics", "exact", "pair-state engine for the validation figures (9, eer, churn, city): exact or werner; the other figures always run exact")
 	flag.Parse()
@@ -62,24 +60,12 @@ func main() {
 	}
 	o.Seed = *seed
 	o.Workers = *workers
-	switch *physics {
-	case "exact":
-		o.Physics = qnet.PhysicsExact
-	case "werner":
-		o.Physics = qnet.PhysicsWerner
-	default:
-		fmt.Fprintf(os.Stderr, "unknown physics engine %q (want exact or werner)\n", *physics)
+	var err error
+	if o.Physics, err = cli.ParsePhysics(*physics); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *resume != "" && *shards == 0 {
-		*shards = 1 // only the fleet journals; resuming implies one worker
-	}
-	if *shards > 0 {
-		eps := runner.LocalEndpoints(*shards, *workers)
-		if *fleetThrottle > 0 {
-			eps[len(eps)-1].Throttle = *fleetThrottle
-		}
-		o.Backend = runner.Fleet{Endpoints: eps, Heartbeat: *workerTimeout, Journal: *resume}
+	if o.Backend = shards.Backend(*workers); o.Backend != nil {
 		// Fig. 11 is a single staircase run and the tables are closed-form:
 		// neither has a replica grid, so sharding cannot apply to them.
 		if *fig == "11" || *fig == "tables" {

@@ -26,6 +26,7 @@ import (
 	"log"
 	"os"
 
+	"qnp/internal/cli"
 	"qnp/internal/runner"
 	"qnp/internal/sim"
 	"qnp/qnet"
@@ -62,10 +63,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	replicas := flag.Int("replicas", 1, "independent replicas (means reported when > 1)")
 	workers := flag.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
-	shards := flag.Int("shards", 0, "worker processes to shard replicas across, work-stealing from one chunk queue; -workers is split among them (0 = in-process)")
-	fleetThrottle := flag.Duration("fleet-throttle", 0, "artificial per-chunk delay on the last -shards worker (steal-schedule testing; results are unaffected)")
-	resume := flag.String("resume", "", "checkpoint journal directory: completed replicas spill here and a re-run resumes instead of restarting (implies -shards 1 when -shards is unset)")
-	workerTimeout := flag.Duration("worker-timeout", 0, "heartbeat bound for -shards workers: a worker silent this long is declared lost and its chunk re-run (0 = 10m default; negative disables)")
+	shards := cli.RegisterShardFlags(flag.CommandLine)
 	verbose := flag.Bool("v", false, "log every delivery (single replica only)")
 	flag.Parse()
 
@@ -97,13 +95,9 @@ func main() {
 	if *streaming {
 		cfg.MetricsMode = qnet.MetricsStreaming
 	}
-	switch *physics {
-	case "exact":
-		cfg.Physics = qnet.PhysicsExact
-	case "werner":
-		cfg.Physics = qnet.PhysicsWerner
-	default:
-		die("unknown physics engine %q (want exact or werner)", *physics)
+	var err error
+	if cfg.Physics, err = cli.ParsePhysics(*physics); err != nil {
+		die("%v", err)
 	}
 
 	var topo qnet.TopologySpec
@@ -241,17 +235,7 @@ func main() {
 	}
 
 	if *replicas > 1 {
-		ropts := qnet.ReplicaOptions{Replicas: *replicas, Workers: *workers, Seed: *seed}
-		if *resume != "" && *shards == 0 {
-			*shards = 1 // only the fleet journals; resuming implies one worker
-		}
-		if *shards > 0 {
-			eps := runner.LocalEndpoints(*shards, *workers)
-			if *fleetThrottle > 0 {
-				eps[len(eps)-1].Throttle = *fleetThrottle
-			}
-			ropts.Backend = runner.Fleet{Endpoints: eps, Heartbeat: *workerTimeout, Journal: *resume}
-		}
+		ropts := qnet.ReplicaOptions{Replicas: *replicas, Workers: *workers, Seed: *seed, Backend: shards.Backend(*workers)}
 		ms, err := sc.RunReplicated(ropts)
 		if err != nil {
 			log.Fatal(err)

@@ -24,7 +24,7 @@ func TestAllocsPerPairExactChain(t *testing.T) {
 	got := 0
 	for _, n := range []*Node{c.head(), c.tail()} {
 		n := n
-		n.SetCallbacks(AppCallbacks{OnPair: func(d Delivered) {
+		n.SetHandlers("vc", Handlers{OnPair: func(d Delivered) {
 			if n == c.head() {
 				got++
 			}

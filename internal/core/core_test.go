@@ -136,7 +136,7 @@ func newCollector(c *chain, n *Node) *collector {
 		tailID:    string(c.ids[len(c.ids)-1]),
 		earlyHeld: make(map[linklayer.Correlator]*device.Pair),
 	}
-	n.SetCallbacks(AppCallbacks{
+	n.SetHandlers("vc", Handlers{
 		OnPair: func(d Delivered) {
 			rec := delivery{Delivered: d}
 			if d.Pair != nil {
@@ -157,7 +157,7 @@ func newCollector(c *chain, n *Node) *collector {
 			col.early = append(col.early, d)
 			col.earlyHeld[d.LocalCorr] = d.Pair
 		},
-		OnExpire: func(_ CircuitID, _ RequestID, corr linklayer.Correlator) {
+		OnExpire: func(_ RequestID, corr linklayer.Correlator) {
 			col.expired = append(col.expired, corr)
 			if p, ok := col.earlyHeld[corr]; ok {
 				delete(col.earlyHeld, corr)
@@ -168,7 +168,7 @@ func newCollector(c *chain, n *Node) *collector {
 				}
 			}
 		},
-		OnComplete: func(_ CircuitID, id RequestID) { col.completed = append(col.completed, id) },
+		OnComplete: func(id RequestID) { col.completed = append(col.completed, id) },
 		OnReject:   func(_ Request, r string) { col.rejected = append(col.rejected, r) },
 	})
 	return col

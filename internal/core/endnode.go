@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"qnp/internal/device"
 	"qnp/internal/linklayer"
 	"qnp/internal/quantum"
 )
@@ -26,14 +27,14 @@ func (n *Node) Submit(req Request) error {
 	}
 	minEER := req.MinEER()
 	if cs.entry.MaxEER > 0 && minEER > cs.entry.MaxEER {
-		n.reject(req, "police: request rate exceeds circuit EER")
+		n.reject(cs, req, "police: request rate exceeds circuit EER")
 		return nil
 	}
 	if cs.entry.MaxEER > 0 && n.activeEER(cs)+minEER > cs.entry.MaxEER {
 		// Shape: the request can be satisfied later — unless its deadline
 		// makes that impossible, in which case police it away now.
 		if req.Deadline > 0 && !n.deadlineFeasible(cs, req) {
-			n.reject(req, "police: deadline infeasible under current load")
+			n.reject(cs, req, "police: deadline infeasible under current load")
 			return nil
 		}
 		cs.queued = append(cs.queued, &reqState{req: req, submittedAt: n.sim.Now()})
@@ -58,9 +59,9 @@ func (n *Node) Cancel(circuitID CircuitID, id RequestID) error {
 	return nil
 }
 
-func (n *Node) reject(req Request, reason string) {
-	if n.apps.OnReject != nil {
-		n.apps.OnReject(req, reason)
+func (n *Node) reject(cs *circuit, req Request, reason string) {
+	if cs.handlers.OnReject != nil {
+		cs.handlers.OnReject(req, reason)
 	}
 }
 
@@ -147,8 +148,8 @@ func (n *Node) finishRequest(cs *circuit, rs *reqState) {
 		n.registerLinks(cs, rate)
 	}
 	n.sendDown(cs, CompleteMsg{Circuit: cs.entry.Circuit, Request: rs.req.ID, Rate: rate})
-	if n.apps.OnComplete != nil {
-		n.apps.OnComplete(cs.entry.Circuit, rs.req.ID)
+	if cs.handlers.OnComplete != nil {
+		cs.handlers.OnComplete(rs.req.ID)
 	}
 	n.admitQueued(cs)
 }
@@ -220,8 +221,8 @@ func (n *Node) endLinkRule(cs *circuit, ps pairSlot) {
 		n.measureLocal(cs, it, rs.req.MeasureBasis)
 	case rs.req.Type == Early:
 		it.earlyGiven = true
-		if n.apps.OnEarlyPair != nil {
-			n.apps.OnEarlyPair(Delivered{
+		if cs.handlers.OnEarlyPair != nil {
+			cs.handlers.OnEarlyPair(Delivered{
 				Circuit:   cs.entry.Circuit,
 				Request:   rs.req.ID,
 				Corr:      slot.corr, // provisional; the canonical ID follows with tracking
@@ -378,8 +379,12 @@ func (n *Node) deliver(cs *circuit, it *inTransitEntry) {
 	default:
 		d.Pair = it.slot.pair()
 	}
-	if n.apps.OnPair != nil {
-		n.apps.OnPair(d)
+	h := cs.handlers
+	if h.OnPair != nil {
+		h.OnPair(d)
+	}
+	if h.consumes() {
+		n.freeLocal(d.Pair)
 	}
 	if cs.role == RoleHead && rs.active && rs.req.NumPairs > 0 && rs.delivered >= rs.req.NumPairs {
 		n.finishRequest(cs, rs)
@@ -391,17 +396,29 @@ func (n *Node) deliver(cs *circuit, it *inTransitEntry) {
 func (n *Node) dropInTransit(cs *circuit, corr linklayer.Correlator, it *inTransitEntry) {
 	delete(cs.inTransit, corr.Seq)
 	cs.dmx.unassign(it.rs)
-	if it.earlyGiven {
-		if n.apps.OnExpire != nil {
-			n.apps.OnExpire(cs.entry.Circuit, it.rs.req.ID, corr)
-		}
-		// The application owns the early qubit and must free it.
-	} else if !it.measured {
-		if p := it.slot.pair(); p != nil && p.LocalSide(string(n.id)) >= 0 {
-			n.dev.Free(it.slot.qubit)
-		}
+	h := cs.handlers
+	if it.earlyGiven && h.OnExpire != nil {
+		h.OnExpire(it.rs.req.ID, corr)
+	}
+	// A measured half is already consumed, and an early hand-off is the
+	// application's to free if it owns its deliveries.
+	if !it.measured && (!it.earlyGiven || h.consumes()) {
+		n.freeLocal(it.slot.pair())
 	}
 	n.releaseInTransit(it)
+}
+
+// freeLocal frees this node's half of a delivered pair, if it still holds
+// one.
+func (n *Node) freeLocal(p *device.Pair) {
+	if p == nil {
+		return
+	}
+	if s := p.LocalSide(string(n.id)); s >= 0 {
+		if q := p.Half(s); q != nil {
+			n.dev.Free(q)
+		}
+	}
 }
 
 // --- End-node EXPIRE rule (Algorithms 3 and 6) ------------------------------
@@ -477,8 +494,8 @@ func (n *Node) maybeScoreTest(cs *circuit, seq uint64) {
 	b := int(hb.basis)
 	cs.tests.sum[b] += s
 	cs.tests.count[b]++
-	if n.apps.OnTestEstimate != nil {
-		n.apps.OnTestEstimate(TestEstimate{
+	if cs.handlers.OnTestEstimate != nil {
+		cs.handlers.OnTestEstimate(TestEstimate{
 			Circuit:  cs.entry.Circuit,
 			Samples:  cs.tests.count[0] + cs.tests.count[1] + cs.tests.count[2],
 			Estimate: n.testFidelityEstimate(cs),

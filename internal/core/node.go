@@ -41,25 +41,38 @@ type TestEstimate struct {
 	Estimate float64
 }
 
-// AppCallbacks connect an end-node's QNP to the local application.
-// Unset callbacks are ignored.
-type AppCallbacks struct {
+// Handlers connect one end-node circuit to the local application. Unset
+// callbacks are ignored.
+//
+// Ownership: a delivered pair's local qubit belongs to the application only
+// when OnPair is set and AutoConsume is false; the application then frees
+// it (device.Free) when done. Otherwise the node frees it right after
+// OnPair returns. An EARLY hand-off follows the same rule: if the chain
+// then expires, OnExpire fires and the node frees the early qubit itself
+// unless the application owns it.
+type Handlers struct {
 	// OnPair delivers confirmed pairs (KEEP), tracking confirmations
 	// (EARLY) and withheld measurement results (MEASURE).
 	OnPair func(Delivered)
 	// OnEarlyPair hands over the qubit as soon as it is available (EARLY
 	// requests); tracking info follows via OnPair.
 	OnEarlyPair func(Delivered)
-	// OnExpire notifies that an early-delivered or in-flight pair's chain
-	// broke (the application must discard its early qubit).
-	OnExpire func(CircuitID, RequestID, linklayer.Correlator)
+	// OnExpire notifies that an early-delivered pair's chain broke.
+	OnExpire func(RequestID, linklayer.Correlator)
 	// OnComplete fires at the head-end when a request finishes.
-	OnComplete func(CircuitID, RequestID)
-	// OnReject fires when policing rejects a request.
+	OnComplete func(RequestID)
+	// OnReject fires at the head-end when policing rejects a request.
 	OnReject func(Request, string)
 	// OnTestEstimate reports fidelity test-round statistics (head-end).
 	OnTestEstimate func(TestEstimate)
+	// AutoConsume frees this end's qubit right after OnPair returns —
+	// convenient for applications that only read metadata or fidelity.
+	AutoConsume bool
 }
+
+// consumes reports whether the node, not the application, frees the
+// circuit's delivered qubits.
+func (h *Handlers) consumes() bool { return h.AutoConsume || h.OnPair == nil }
 
 // pairSlot tracks one local link-pair half at a node. The qubit is the
 // stable handle: remote entanglement swaps rewire qubit→pair bindings, so
@@ -162,6 +175,8 @@ type headTestBit struct {
 type circuit struct {
 	entry RoutingEntry
 	role  Role
+	// handlers are the application's callbacks (end-nodes only).
+	handlers Handlers
 
 	// upPort and downPort send to the neighbours; resolved at install.
 	upPort, downPort netsim.Port
@@ -204,7 +219,6 @@ type Node struct {
 	fabric *linklayer.Fabric
 
 	circuits map[CircuitID]*circuit
-	apps     AppCallbacks
 	// torn tombstones recently uninstalled circuits (keyed by teardown
 	// time): the teardown wave races in-flight data-plane messages, so a
 	// TRACK or EXPIRE arriving for a tombstoned circuit is dropped as a
@@ -247,8 +261,14 @@ func (n *Node) ID() netsim.NodeID { return n.id }
 // Device returns the node's quantum device.
 func (n *Node) Device() *device.Device { return n.dev }
 
-// SetCallbacks installs the application callbacks (end-nodes).
-func (n *Node) SetCallbacks(cb AppCallbacks) { n.apps = cb }
+// SetHandlers installs the application callbacks of a circuit that ends at
+// this node, replacing any set before. It is a no-op for a circuit not
+// installed here.
+func (n *Node) SetHandlers(id CircuitID, h Handlers) {
+	if cs, ok := n.circuits[id]; ok && cs.role != RoleIntermediate {
+		cs.handlers = h
+	}
+}
 
 // InstallCircuit installs the routing-table entry for a circuit at this
 // node — the signalling protocol's job (§3.3).
@@ -373,11 +393,12 @@ func (n *Node) UninstallCircuit(id CircuitID) {
 	}
 	for _, it := range cs.inTransit {
 		if !it.measured && !it.earlyGiven {
-			if p := it.slot.pair(); p != nil && p.LocalSide(string(n.id)) >= 0 {
-				n.dev.Free(it.slot.qubit)
-			}
+			n.freeLocal(it.slot.pair())
 		}
 	}
+	// Measurements still on the device timeline may deliver on the removed
+	// circuit: they reach no application.
+	cs.handlers = Handlers{}
 	delete(n.circuits, id)
 	n.torn[id] = n.sim.Now()
 }

@@ -60,8 +60,7 @@ func kindNames() []string {
 
 // A Backend executes the replicas of a registered job kind. Dispatch
 // starts the run and returns an Execution whose Results channel streams
-// each replica's encoded result in strict replica order (the Stream
-// contract), so aggregate output is bit-identical regardless of where and
+// each replica's encoded result in strict replica order, so aggregate output is bit-identical regardless of where and
 // with how much parallelism the replicas actually ran. Replica i always
 // runs with DeriveSeed(req.Options.Seed, i); req.Options.Workers bounds
 // per-process parallelism and never affects results.
@@ -76,10 +75,10 @@ type Backend interface {
 }
 
 // InProcess executes replicas on a goroutine pool inside the calling
-// process — the Backend form of the plain Stream runner. It still routes
-// payloads and results through the job-kind codec, so it exercises exactly
-// the bytes a process-sharded run would ship; use the direct Run/Map/Stream
-// API to skip encoding entirely.
+// process — the Backend form of Run. It still routes payloads and results
+// through the job-kind codec, so it exercises exactly the bytes a
+// process-sharded run would ship; use Run directly to skip encoding
+// entirely.
 type InProcess struct{}
 
 // Dispatch implements Backend.
@@ -114,10 +113,10 @@ func inProcessRun(fn KindFunc, req ExecRequest, emit func(replica int, result []
 		b   []byte
 		err error
 	}
-	// Stream serializes sink calls under its own lock, so firstErr needs no
+	// stream serializes sink calls under its own lock, so firstErr needs no
 	// extra synchronization.
 	var firstErr error
-	serr := Stream(o, req.Replicas, func(replica int, seed int64) res {
+	serr := stream(o, req.Replicas, func(replica int, seed int64) res {
 		b, err := fn(req.Payload, replica, seed)
 		return res{b, err}
 	}, func(replica int, v res) {
@@ -136,7 +135,7 @@ func inProcessRun(fn KindFunc, req ExecRequest, emit func(replica int, result []
 		return firstErr
 	}
 	if serr != nil {
-		// Stream saw our internal cancel context; report the caller's.
+		// stream saw our internal cancel context; report the caller's.
 		return parent.Err()
 	}
 	return nil

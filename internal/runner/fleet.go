@@ -204,7 +204,7 @@ func (st *fleetState) leases() []Lease {
 }
 
 // collector buffers out-of-order shard results and hands them to sink in
-// strict replica order — the cross-process analogue of Stream's ordered
+// strict replica order — the cross-process analogue of stream's ordered
 // emission — ticking Progress once per distinct replica, serialized.
 type collector struct {
 	mu       sync.Mutex

@@ -1,16 +1,16 @@
 // Package runner shards independent simulation replicas across workers.
 // Every replica draws its RNG seed from the base seed and its own index
-// alone, and results are collected (or streamed) in replica order, so
-// aggregate output is bit-identical regardless of how many workers run or
-// how the scheduler interleaves them. This is the execution platform for
-// the experiment suite: figures fan their scenario grid × replica matrix
-// through Map, and scaling work plugs in underneath without touching
-// experiment code.
+// alone, and results are collected in replica order, so aggregate output is
+// bit-identical regardless of how many workers run or how the scheduler
+// interleaves them. This is the execution platform for the experiment
+// suite: figures fan their scenario grid × replica matrix through Run, or
+// through a Backend when sharded, and scaling work plugs in underneath
+// without touching experiment code.
 //
 // # The Backend seam
 //
-// Run, Map and Stream execute on a goroutine pool inside the calling
-// process. The Backend interface is the drop-in seam beneath them for
+// Run executes on a goroutine pool inside the calling process. The Backend
+// interface is the drop-in seam beneath it for
 // executing replicas elsewhere: Dispatch takes a typed ExecRequest — a
 // registered job kind, an opaque payload, a replica count and Options —
 // and returns an Execution that streams the encoded results in strict
@@ -97,21 +97,13 @@ func Run[T any](o Options, replicas int, fn func(replica int, seed int64) T) ([]
 	return out, err
 }
 
-// Map runs fn over every job and returns the results in job order. The
-// seed handed to fn is derived from the job's index, so a given job list
-// and base seed always reproduce the same results.
-func Map[J, T any](o Options, jobs []J, fn func(job J, seed int64) T) ([]T, error) {
-	return Run(o, len(jobs), func(i int, seed int64) T {
-		return fn(jobs[i], seed)
-	})
-}
-
-// Stream executes fn for each replica and hands results to sink in strict
+// stream executes fn for each replica and hands results to sink in strict
 // replica order as soon as the completed prefix grows, buffering
-// out-of-order completions. Streaming aggregators therefore observe the
-// exact same sequence for any worker count. sink runs under the runner's
-// lock and must not call back into the runner.
-func Stream[T any](o Options, replicas int, fn func(replica int, seed int64) T, sink func(replica int, v T)) error {
+// out-of-order completions, so sink observes the exact same sequence for
+// any worker count — the ordering InProcess and shard workers emit their
+// results in. sink runs under the runner's lock and must not call back into
+// the runner.
+func stream[T any](o Options, replicas int, fn func(replica int, seed int64) T, sink func(replica int, v T)) error {
 	buf := make([]T, replicas)
 	ready := make([]bool, replicas)
 	next := 0

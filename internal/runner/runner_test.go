@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -59,28 +58,11 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMapPreservesJobOrder(t *testing.T) {
-	jobs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	got, err := Map(Options{Workers: 4, Seed: 7}, jobs, func(j string, seed int64) string {
-		time.Sleep(time.Duration(rand.Intn(2)) * time.Millisecond)
-		return fmt.Sprintf("%s/%d", j, seed)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range jobs {
-		want := fmt.Sprintf("%s/%d", j, DeriveSeed(7, i))
-		if got[i] != want {
-			t.Errorf("result[%d] = %q, want %q", i, got[i], want)
-		}
-	}
-}
-
 func TestStreamEmitsInReplicaOrder(t *testing.T) {
 	const n = 40
 	var order []int
 	var vals []float64
-	err := Stream(Options{Workers: 4, Seed: 3}, n, replicaWork, func(replica int, v float64) {
+	err := stream(Options{Workers: 4, Seed: 3}, n, replicaWork, func(replica int, v float64) {
 		order = append(order, replica)
 		vals = append(vals, v)
 	})

@@ -3,7 +3,7 @@ package runner
 import "sort"
 
 // Stats is an order-stable aggregator for replica results: feed it values
-// in replica order (e.g. from Stream or a Run result slice) and read the
+// in replica order (e.g. from a Run result slice) and read the
 // mean, percentiles, or the empirical CDF. The zero value is ready to use.
 type Stats struct {
 	xs     []float64

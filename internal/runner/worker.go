@@ -90,7 +90,7 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 		b   []byte
 		err error
 	}
-	err = Stream(Options{Workers: job.Workers, Seed: job.Seed}, job.Count, func(i int, _ int64) res {
+	err = stream(Options{Workers: job.Workers, Seed: job.Seed}, job.Count, func(i int, _ int64) res {
 		replica := job.Start + i
 		b, err := fn(job.Payload, replica, DeriveSeed(job.Seed, replica))
 		return res{b, err}

@@ -107,7 +107,7 @@ func TestEstablishedCircuitDeliversPairs(t *testing.T) {
 	s.RunFor(sim.Millisecond)
 
 	var got []core.Delivered
-	nodes[0].SetCallbacks(core.AppCallbacks{OnPair: func(d core.Delivered) {
+	nodes[0].SetHandlers("c1", core.Handlers{OnPair: func(d core.Delivered) {
 		got = append(got, d)
 		if p := d.Pair; p != nil {
 			if side := p.LocalSide("n0"); side >= 0 {
@@ -115,7 +115,7 @@ func TestEstablishedCircuitDeliversPairs(t *testing.T) {
 			}
 		}
 	}})
-	nodes[3].SetCallbacks(core.AppCallbacks{OnPair: func(d core.Delivered) {
+	nodes[3].SetHandlers("c1", core.Handlers{OnPair: func(d core.Delivered) {
 		if p := d.Pair; p != nil {
 			if side := p.LocalSide("n3"); side >= 0 {
 				nodes[3].Device().Free(p.Half(side))

@@ -84,6 +84,13 @@
 //	vc.Submit(qnet.Request{ID: "r1", Type: qnet.Keep, NumPairs: 10})
 //	net.Run(10 * sim.Second)
 //
+// HandleHead and HandleTail set the Handlers of the circuit's state at that
+// end-node, which calls them directly for the circuit's deliveries. The
+// application owns a delivered qubit only when OnPair is set and
+// AutoConsume is false; otherwise the node frees it once OnPair returns,
+// and also frees an EARLY hand-off whose chain expires. Circuit.Teardown
+// silences both ends at once.
+//
 // The experiment suite in internal/experiments (cmd/figures) reproduces
 // every figure of the paper's evaluation on the scenario API, fanning the
 // replica grid through internal/runner so figure output is bit-identical
@@ -142,6 +149,12 @@ type (
 	Label = linklayer.Label
 	// Physics selects the pair-state engine (see Config.Physics).
 	Physics = device.Physics
+	// Handlers are one end-node's application callbacks for a circuit,
+	// installed with Circuit.HandleHead/HandleTail. The application owns a
+	// delivered qubit only when OnPair is set and AutoConsume is false;
+	// otherwise the node frees it after OnPair returns, and frees an EARLY
+	// hand-off whose chain expires after OnExpire (see core.Handlers).
+	Handlers = core.Handlers
 )
 
 // Request consumption modes.
@@ -274,8 +287,6 @@ type Network struct {
 	started  bool
 
 	circuits map[CircuitID]*Circuit
-	// handlers dispatch per (node, circuit); installed lazily per node.
-	handlers map[string]map[CircuitID]Handlers
 }
 
 // New creates an empty network; add nodes and links, then Start.
@@ -293,7 +304,6 @@ func New(cfg Config) *Network {
 		devices:   make(map[string]*device.Device),
 		nodes:     make(map[string]*core.Node),
 		circuits:  make(map[CircuitID]*Circuit),
-		handlers:  make(map[string]map[CircuitID]Handlers),
 	}
 	n.Controller = routing.NewController(n.Graph, cfg.Params)
 	n.Controller.EnforceEER = cfg.EnforceEER
@@ -360,9 +370,6 @@ func (n *Network) Start() {
 		cores = append(cores, node)
 	}
 	n.signaler = signaling.New(n.Classical, cores)
-	for _, id := range ids {
-		n.installDispatcher(id)
-	}
 }
 
 // Node returns a node's QNP engine.
@@ -452,27 +459,11 @@ type Circuit struct {
 // the signalling protocol, and advances the simulation just enough for the
 // installation round trip to complete.
 func (n *Network) Establish(id CircuitID, src, dst string, fidelity float64, opts *CircuitOptions) (*Circuit, error) {
-	dec, fixed, err := n.planFor(src, dst, fidelity, opts)
+	dec, o, err := n.planFor(src, dst, fidelity, opts)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		circ    *Circuit
-		asyncEr error
-		settled bool
-	)
-	n.establishDecisionAsync(id, dec, fixed, minEEROf(opts), func(c *Circuit, err error) {
-		circ, asyncEr, settled = c, err, true
-	})
-	return n.driveInstall(id, dec.Plan, &circ, &asyncEr, &settled)
-}
-
-// minEEROf extracts the admission demand from options (0 = none).
-func minEEROf(opts *CircuitOptions) float64 {
-	if opts == nil {
-		return 0
-	}
-	return opts.MinEER
+	return n.establishSync(id, dec, o)
 }
 
 // EstablishAsync is Establish for callers inside a running simulation (a
@@ -482,20 +473,20 @@ func minEEROf(opts *CircuitOptions) float64 {
 // admission errors are reported synchronously through done before
 // EstablishAsync returns.
 func (n *Network) EstablishAsync(id CircuitID, src, dst string, fidelity float64, opts *CircuitOptions, done func(*Circuit, error)) {
-	dec, fixed, err := n.planFor(src, dst, fidelity, opts)
+	dec, o, err := n.planFor(src, dst, fidelity, opts)
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	n.establishDecisionAsync(id, dec, fixed, minEEROf(opts), done)
+	n.establishDecisionAsync(id, dec, o, done)
 }
 
 // planFor probes the routing controller for a placement and applies the
 // option overrides and the MinEER admission check. With Candidates > 1 the
 // controller scores k loopless candidate paths and re-routes a demand the
-// shortest path cannot absorb. fixed reports a caller-chosen MaxEER, which
-// allocation re-fitting must not touch.
-func (n *Network) planFor(src, dst string, fidelity float64, opts *CircuitOptions) (PlacementDecision, bool, error) {
+// shortest path cannot absorb. It returns the options it applied (the zero
+// value for nil opts).
+func (n *Network) planFor(src, dst string, fidelity float64, opts *CircuitOptions) (PlacementDecision, CircuitOptions, error) {
 	o := CircuitOptions{}
 	if opts != nil {
 		o = *opts
@@ -513,7 +504,7 @@ func (n *Network) planFor(src, dst string, fidelity float64, opts *CircuitOption
 		Probe:        true,
 	})
 	if err != nil {
-		return PlacementDecision{}, false, err
+		return PlacementDecision{}, o, err
 	}
 	if fixed {
 		dec.Plan.MaxEER = o.MaxEER
@@ -522,10 +513,10 @@ func (n *Network) planFor(src, dst string, fidelity float64, opts *CircuitOption
 	// fixed allocation cannot carry its demand is rejected, not admitted
 	// into permanent shaping.
 	if o.MinEER > 0 && n.Controller.EnforceEER && dec.Plan.MaxEER < o.MinEER {
-		return PlacementDecision{}, false, fmt.Errorf("qnet: circuit %s→%s needs %.2f pairs/s, allocation %.2f: %w",
+		return PlacementDecision{}, o, fmt.Errorf("qnet: circuit %s→%s needs %.2f pairs/s, allocation %.2f: %w",
 			src, dst, o.MinEER, dec.Plan.MaxEER, ErrAdmissionRejected)
 	}
-	return dec, fixed, nil
+	return dec, o, nil
 }
 
 // EstablishPlan installs a hand-built plan, bypassing the routing
@@ -534,47 +525,42 @@ func (n *Network) planFor(src, dst string, fidelity float64, opts *CircuitOption
 // environment we manually populate the routing tables"). A manual plan's
 // MaxEER is the caller's business: it never joins allocation re-fitting.
 func (n *Network) EstablishPlan(id CircuitID, plan Plan) (*Circuit, error) {
-	var (
-		circ    *Circuit
-		asyncEr error
-		settled bool
-	)
-	n.establishPlanAsync(id, plan, true, 0, func(c *Circuit, err error) {
-		circ, asyncEr, settled = c, err, true
-	})
-	return n.driveInstall(id, plan, &circ, &asyncEr, &settled)
+	// The plan's MaxEER is caller-fixed, exactly as a CircuitOptions.MaxEER
+	// override is.
+	return n.establishSync(id, PlacementDecision{Plan: plan}, CircuitOptions{MaxEER: plan.MaxEER})
 }
 
-// driveInstall steps the simulation until an in-flight installation settles
-// — the synchronous Establish/EstablishPlan tail.
-func (n *Network) driveInstall(id CircuitID, plan Plan, circ **Circuit, asyncEr *error, settled *bool) (*Circuit, error) {
-	if *settled {
-		return *circ, *asyncEr
-	}
+// establishSync installs a decision's plan and steps the simulation until
+// the installation settles — the synchronous Establish/EstablishPlan tail.
+func (n *Network) establishSync(id CircuitID, dec PlacementDecision, o CircuitOptions) (*Circuit, error) {
+	var (
+		circ    *Circuit
+		err     error
+		settled bool
+	)
+	n.establishDecisionAsync(id, dec, o, func(c *Circuit, e error) {
+		circ, err, settled = c, e, true
+	})
 	// Drive the installation round trip (twice the path delay plus slack).
 	// Stepping is bounded: only events at or before the deadline may fire,
 	// so a failed confirm can never silently overshoot virtual time.
-	deadline := n.Sim.Now().Add(n.Classical.PathDelay(toNodeIDs(plan.Path)).Scale(4) + sim.Millisecond)
-	for !*settled && n.Sim.StepUntil(deadline) {
+	deadline := n.Sim.Now().Add(n.Classical.PathDelay(toNodeIDs(dec.Plan.Path)).Scale(4) + sim.Millisecond)
+	for !settled && n.Sim.StepUntil(deadline) {
 	}
-	if !*settled {
+	if !settled {
 		return nil, fmt.Errorf("qnet: circuit %q installation did not confirm", id)
 	}
-	return *circ, *asyncEr
-}
-
-// establishPlanAsync installs a hand-built plan without stepping the
-// simulation (the manual EstablishPlan path: no placement decision exists).
-func (n *Network) establishPlanAsync(id CircuitID, plan Plan, fixed bool, minEER float64, done func(*Circuit, error)) {
-	n.establishDecisionAsync(id, PlacementDecision{Plan: plan}, fixed, minEER, done)
+	return circ, err
 }
 
 // establishDecisionAsync installs a placement decision's plan without
 // stepping the simulation; done fires when the CONFIRM returns to the
 // head-end (or synchronously, with an error, if installation cannot
-// start). minEER is the circuit's admission demand, re-checked at CONFIRM
-// time against the then-current membership.
-func (n *Network) establishDecisionAsync(id CircuitID, dec PlacementDecision, fixed bool, minEER float64, done func(*Circuit, error)) {
+// start). A MaxEER option marks the allocation as caller-fixed, which
+// re-fitting must not touch; MinEER is the circuit's admission demand,
+// re-checked at CONFIRM time against the then-current membership.
+func (n *Network) establishDecisionAsync(id CircuitID, dec PlacementDecision, o CircuitOptions, done func(*Circuit, error)) {
+	fixed, minEER := o.MaxEER > 0, o.MinEER
 	if !n.started {
 		n.Start()
 	}
@@ -659,10 +645,13 @@ func (c *Circuit) Cancel(id RequestID) error { return c.Head().Cancel(c.ID, id) 
 // immediately, a TEARDOWN floods down the path, the handlers are dropped,
 // and — under admission control — the freed link budget is re-fitted to the
 // surviving circuits, propagated over the signalling plane so their SetPace
-// caps track the new membership (§4.1/§4.4). Teardown is idempotent: a
-// second call (or a call racing a scenario-driven departure) is a no-op
-// rather than a duplicate TEARDOWN flood, so it can never destroy a
-// re-established circuit with the same ID.
+// caps track the new membership (§4.1/§4.4). The tail's handlers are
+// cleared at once, although its circuit state lives until the TEARDOWN
+// wave arrives: pairs it delivers in between reach no application and are
+// freed. Teardown is idempotent: a second call (or a call racing a
+// scenario-driven departure) is a no-op rather than a duplicate TEARDOWN
+// flood, so it can never destroy a re-established circuit with the same
+// ID.
 func (c *Circuit) Teardown() {
 	if c.torn || c.net.circuits[c.ID] != c {
 		return
@@ -670,90 +659,14 @@ func (c *Circuit) Teardown() {
 	c.torn = true
 	c.net.signaler.Teardown(c.ID, c.Plan)
 	delete(c.net.circuits, c.ID)
-	delete(c.net.handlers[c.Plan.Path[0]], c.ID)
-	delete(c.net.handlers[c.Plan.Path[len(c.Plan.Path)-1]], c.ID)
+	c.Tail().SetHandlers(c.ID, Handlers{})
 	for _, r := range c.net.Controller.Release(string(c.ID)) {
 		c.net.propagateRefit(r)
 	}
 }
 
-// Handlers are per-circuit application callbacks at one end-node.
-type Handlers struct {
-	OnPair         func(Delivered)
-	OnEarlyPair    func(Delivered)
-	OnExpire       func(RequestID, linklayer.Correlator)
-	OnComplete     func(RequestID)
-	OnReject       func(Request, string)
-	OnTestEstimate func(TestEstimate)
-	// AutoConsume frees this end's qubit right after OnPair returns —
-	// convenient for applications that only read metadata/fidelity.
-	AutoConsume bool
-}
-
 // HandleHead installs handlers at the circuit's head-end.
-func (c *Circuit) HandleHead(h Handlers) { c.net.setHandlers(c.Plan.Path[0], c.ID, h) }
+func (c *Circuit) HandleHead(h Handlers) { c.Head().SetHandlers(c.ID, h) }
 
 // HandleTail installs handlers at the circuit's tail-end.
-func (c *Circuit) HandleTail(h Handlers) {
-	c.net.setHandlers(c.Plan.Path[len(c.Plan.Path)-1], c.ID, h)
-}
-
-func (n *Network) setHandlers(node string, id CircuitID, h Handlers) {
-	if n.handlers[node] == nil {
-		n.handlers[node] = make(map[CircuitID]Handlers)
-	}
-	n.handlers[node][id] = h
-}
-
-// installDispatcher wires a node's core callbacks to the per-circuit
-// handler table.
-func (n *Network) installDispatcher(id string) {
-	node := n.nodes[id]
-	dev := n.devices[id]
-	consume := func(d Delivered) {
-		if d.Pair == nil {
-			return
-		}
-		if s := d.Pair.LocalSide(id); s >= 0 {
-			if q := d.Pair.Half(s); q != nil {
-				dev.Free(q)
-			}
-		}
-	}
-	node.SetCallbacks(core.AppCallbacks{
-		OnPair: func(d Delivered) {
-			h := n.handlers[id][d.Circuit]
-			if h.OnPair != nil {
-				h.OnPair(d)
-			}
-			if h.AutoConsume || h.OnPair == nil {
-				consume(d)
-			}
-		},
-		OnEarlyPair: func(d Delivered) {
-			if h := n.handlers[id][d.Circuit]; h.OnEarlyPair != nil {
-				h.OnEarlyPair(d)
-			}
-		},
-		OnExpire: func(cid CircuitID, rid RequestID, corr linklayer.Correlator) {
-			if h := n.handlers[id][cid]; h.OnExpire != nil {
-				h.OnExpire(rid, corr)
-			}
-		},
-		OnComplete: func(cid CircuitID, rid RequestID) {
-			if h := n.handlers[id][cid]; h.OnComplete != nil {
-				h.OnComplete(rid)
-			}
-		},
-		OnReject: func(req Request, reason string) {
-			if h := n.handlers[id][req.Circuit]; h.OnReject != nil {
-				h.OnReject(req, reason)
-			}
-		},
-		OnTestEstimate: func(te TestEstimate) {
-			if h := n.handlers[id][te.Circuit]; h.OnTestEstimate != nil {
-				h.OnTestEstimate(te)
-			}
-		},
-	})
-}
+func (c *Circuit) HandleTail(h Handlers) { c.Tail().SetHandlers(c.ID, h) }

@@ -84,6 +84,89 @@ func TestDefaultAutoConsumeWithoutHandlers(t *testing.T) {
 	}
 }
 
+// TestAutoConsumeFreesExpiredEarlyQubits pins the EARLY expiry path of the
+// qubit-ownership rule. An AutoConsume end never owns an early hand-off, so
+// when its chain expires the node must free the half itself; otherwise the
+// expired halves hold every end-link communication qubit and the circuit
+// stalls without delivering a pair.
+func TestAutoConsumeFreesExpiredEarlyQubits(t *testing.T) {
+	net := Chain(DefaultConfig(), 3)
+	vc, err := net.Establish("vc", "n0", "n2", 0.8, &CircuitOptions{Policy: CutoffManual, ManualCutoff: 2 * sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered, expired := 0, 0
+	vc.HandleHead(Handlers{
+		AutoConsume: true,
+		OnPair:      func(Delivered) { delivered++ },
+		OnExpire:    func(RequestID, Correlator) { expired++ },
+	})
+	vc.HandleTail(Handlers{AutoConsume: true})
+	if err := vc.Submit(Request{ID: "e", Type: Early}); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(4 * sim.Second)
+	if expired == 0 {
+		t.Fatal("no early chain expired: the test no longer reaches the expiry path")
+	}
+	if delivered < 100 {
+		t.Errorf("delivered %d pairs with %d head expiries: expired early qubits were not freed", delivered, expired)
+	}
+}
+
+// TestTeardownSilencesTail pins that Circuit.Teardown clears the tail's
+// handlers at once although the tail's circuit state lives until the
+// TEARDOWN wave arrives: pairs the tail delivers in that window reach no
+// user callback and are freed, not leaked to an application that no longer
+// listens.
+func TestTeardownSilencesTail(t *testing.T) {
+	const at = 2 * sim.Second
+	// run delivers to an owning tail handler, optionally tearing the circuit
+	// down at the given time; every classical message takes 20 ms, so the
+	// TEARDOWN wave needs 40 ms to reach the tail.
+	run := func(teardown bool) (net *Network, atTeardown, total int) {
+		net = Chain(DefaultConfig(), 3)
+		vc, err := net.Establish("vc", "n0", "n2", 0.8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := net.Device("n2")
+		vc.HandleHead(Handlers{AutoConsume: true})
+		vc.HandleTail(Handlers{
+			OnPair: func(d Delivered) {
+				total++
+				tail.Free(d.Pair.Half(d.Pair.LocalSide("n2")))
+			},
+			OnExpire: func(RequestID, Correlator) { total++ },
+		})
+		net.Classical.SetProcessingDelay(20 * sim.Millisecond)
+		if err := vc.Submit(Request{ID: "r", Type: Keep}); err != nil {
+			t.Fatal(err)
+		}
+		net.Run(at)
+		atTeardown = total
+		if teardown {
+			vc.Teardown()
+		}
+		net.Run(sim.Second)
+		return net, atTeardown, total
+	}
+	_, ref, refTotal := run(false)
+	net, before, total := run(true)
+	if before != ref {
+		t.Fatalf("runs diverged before the teardown: %d vs %d tail callbacks", before, ref)
+	}
+	if refTotal <= ref {
+		t.Fatal("no tail deliveries after the teardown instant even without teardown: the window is empty")
+	}
+	if total != before {
+		t.Errorf("tail handlers fired %d times after Teardown", total-before)
+	}
+	if free := net.Device("n2").FreeCommCount(linklayer.LinkName("n1", "n2")); free != 2 {
+		t.Errorf("tail holds %d of 2 communication qubits after the TEARDOWN wave: window deliveries leaked", 2-free)
+	}
+}
+
 func TestCircuitOptionsPolicies(t *testing.T) {
 	net := Dumbbell(DefaultConfig())
 	long, err := net.Establish("l", "A0", "B0", 0.85, &CircuitOptions{Policy: CutoffLong})

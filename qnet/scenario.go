@@ -454,27 +454,14 @@ func (sc Scenario) Run() (*Result, error) {
 			if err := sc.establish(eng, lc); err != nil {
 				return fail(err)
 			}
-			if lc.vc != nil {
-				res.circs[lc.id] = lc.vc
+			if err := sc.open(lc); err != nil {
+				return fail(err)
 			}
-			sc.attach(lc)
-			if lc.vc == nil || lc.spec.Workload == nil {
-				continue
-			}
-			for _, req := range lc.spec.Workload.Immediate(lc.ctx) {
-				if err := lc.ctx.Submit(req); err != nil {
-					return fail(fmt.Errorf("qnet: scenario circuit %q: %w", lc.id, err))
-				}
-			}
-			lc.spec.Workload.Start(lc.ctx)
 		}
 	} else {
 		for _, lc := range pre {
 			if err := sc.establish(eng, lc); err != nil {
 				return fail(err)
-			}
-			if lc.vc != nil {
-				res.circs[lc.id] = lc.vc
 			}
 		}
 		for _, lc := range pre {
@@ -591,53 +578,28 @@ func (sc Scenario) arrive(eng *runState, lc *liveCircuit) {
 	lc.cm.ArrivedAt = net.Sim.Now()
 	done := func(vc *Circuit, err error) {
 		lc.cm.PendingArrival = false
-		if err != nil {
-			lc.cm.Err = err.Error()
-			if errors.Is(err, ErrAdmissionRejected) {
-				lc.cm.AdmissionRejected = true
-				eng.m.RejectedAtAdmission++
-				return
-			}
-			if !lc.spec.Optional {
-				eng.fail(fmt.Errorf("qnet: scenario circuit %q: %w", lc.id, err))
-			}
+		if err := eng.record(lc, vc, err); err != nil {
+			eng.fail(err)
 			return
 		}
-		eng.m.Admitted++
-		lc.vc = vc
-		lc.ctx.Circuit = vc
-		lc.cm.Established = true
-		lc.cm.EstablishedAt = net.Sim.Now()
-		lc.cm.Plan = vc.Plan
-		lc.cm.Path = append([]string(nil), vc.Plan.Path...)
-		lc.cm.CandidateIndex = vc.Placement.CandidateIndex
-		eng.res.circs[lc.id] = vc
-		sc.attach(lc)
-		if lc.spec.Workload != nil {
-			for _, req := range lc.spec.Workload.Immediate(lc.ctx) {
-				if err := lc.ctx.Submit(req); err != nil {
-					eng.fail(fmt.Errorf("qnet: scenario circuit %q: %w", lc.id, err))
-					return
-				}
-			}
-			lc.spec.Workload.Start(lc.ctx)
+		if lc.vc == nil {
+			return
+		}
+		if err := sc.open(lc); err != nil {
+			eng.fail(err)
+			return
 		}
 		if lc.holdFor > 0 {
 			net.Sim.Schedule(lc.holdFor, func() { sc.depart(eng, lc) })
 		}
 	}
 	if lc.spec.Plan != nil {
-		net.establishPlanAsync(lc.id, *lc.spec.Plan, true, 0, done)
+		// A manual plan's MaxEER is caller-fixed (see EstablishPlan).
+		plan := *lc.spec.Plan
+		net.establishDecisionAsync(lc.id, PlacementDecision{Plan: plan}, CircuitOptions{MaxEER: plan.MaxEER}, done)
 		return
 	}
-	opts := &CircuitOptions{
-		Policy:       lc.spec.Policy,
-		ManualCutoff: lc.spec.ManualCutoff,
-		MaxEER:       lc.spec.MaxEER,
-		MinEER:       lc.spec.MinEER,
-		Candidates:   lc.spec.Candidates,
-	}
-	net.EstablishAsync(lc.id, lc.src, lc.dst, lc.spec.Fidelity, opts, done)
+	net.EstablishAsync(lc.id, lc.src, lc.dst, lc.spec.Fidelity, lc.spec.options(), done)
 }
 
 // depart is the single scenario-driven departure path: the workload chain
@@ -653,7 +615,7 @@ func (sc Scenario) depart(eng *runState, lc *liveCircuit) {
 }
 
 // establish installs one pre-traffic circuit (controller-planned or
-// manual), stamping its lifetime fields and admission outcome.
+// manual) and records the outcome.
 func (sc Scenario) establish(eng *runState, lc *liveCircuit) error {
 	net := eng.net
 	lc.cm.ArrivedAt = net.Sim.Now()
@@ -662,15 +624,27 @@ func (sc Scenario) establish(eng *runState, lc *liveCircuit) error {
 	if lc.spec.Plan != nil {
 		vc, err = net.EstablishPlan(lc.id, *lc.spec.Plan)
 	} else {
-		opts := &CircuitOptions{
-			Policy:       lc.spec.Policy,
-			ManualCutoff: lc.spec.ManualCutoff,
-			MaxEER:       lc.spec.MaxEER,
-			MinEER:       lc.spec.MinEER,
-			Candidates:   lc.spec.Candidates,
-		}
-		vc, err = net.Establish(lc.id, lc.src, lc.dst, lc.spec.Fidelity, opts)
+		vc, err = net.Establish(lc.id, lc.src, lc.dst, lc.spec.Fidelity, lc.spec.options())
 	}
+	return eng.record(lc, vc, err)
+}
+
+// options are the establishment options the spec declares.
+func (spec CircuitSpec) options() *CircuitOptions {
+	return &CircuitOptions{
+		Policy:       spec.Policy,
+		ManualCutoff: spec.ManualCutoff,
+		MaxEER:       spec.MaxEER,
+		MinEER:       spec.MinEER,
+		Candidates:   spec.Candidates,
+	}
+}
+
+// record stamps a circuit's establishment outcome — pre-installed or
+// arriving — into the metrics and, on success, makes the circuit live. It
+// returns the error that must abort the run: nil on success, on admission
+// rejection (the studied outcome) and on an Optional circuit's failure.
+func (eng *runState) record(lc *liveCircuit, vc *Circuit, err error) error {
 	if err != nil {
 		lc.cm.Err = err.Error()
 		if errors.Is(err, ErrAdmissionRejected) {
@@ -686,12 +660,30 @@ func (sc Scenario) establish(eng *runState, lc *liveCircuit) error {
 	eng.m.Admitted++
 	lc.vc = vc
 	lc.ctx.Circuit = vc
-	lc.ctx.Start = net.Sim.Now()
 	lc.cm.Established = true
-	lc.cm.EstablishedAt = net.Sim.Now()
+	lc.cm.EstablishedAt = eng.net.Sim.Now()
 	lc.cm.Plan = vc.Plan
 	lc.cm.Path = append([]string(nil), vc.Plan.Path...)
 	lc.cm.CandidateIndex = vc.Placement.CandidateIndex
+	eng.res.circs[lc.id] = vc
+	return nil
+}
+
+// open starts a live circuit's traffic: the metrics recorder and handlers
+// attach, the workload's immediate requests are submitted, then its own
+// schedule starts. Non-sequential runs interleave the immediate requests
+// of all pre-installed circuits instead (see Run).
+func (sc Scenario) open(lc *liveCircuit) error {
+	sc.attach(lc)
+	if lc.vc == nil || lc.spec.Workload == nil {
+		return nil
+	}
+	for _, req := range lc.spec.Workload.Immediate(lc.ctx) {
+		if err := lc.ctx.Submit(req); err != nil {
+			return fmt.Errorf("qnet: scenario circuit %q: %w", lc.id, err)
+		}
+	}
+	lc.spec.Workload.Start(lc.ctx)
 	return nil
 }
 
@@ -708,8 +700,9 @@ func (sc Scenario) attach(lc *liveCircuit) {
 }
 
 // headHandlers wraps the user's head-end handlers with metrics recording.
-// AutoConsume keeps its dispatcher semantics: the pair is freed after the
-// callback unless the user's handlers take ownership.
+// The wrapper always sets OnPair, so it keeps the user's ownership through
+// AutoConsume: the pair is freed after the callback unless the user's
+// handlers take ownership.
 func (lc *liveCircuit) headHandlers() Handlers {
 	user := lc.spec.Head
 	cm := lc.cm
@@ -755,13 +748,12 @@ func (lc *liveCircuit) headHandlers() Handlers {
 	return h
 }
 
-// tailHandlers passes the user's tail handlers through, counting expiries
-// and keeping the AutoConsume default.
+// tailHandlers passes the user's tail handlers through, counting expiries.
+// Qubit ownership is the user's handlers' own: OnPair stays theirs.
 func (lc *liveCircuit) tailHandlers() Handlers {
 	user := lc.spec.Tail
 	cm := lc.cm
 	h := user
-	h.AutoConsume = user.AutoConsume || user.OnPair == nil
 	h.OnExpire = func(id RequestID, corr Correlator) {
 		cm.Expired++
 		if user.OnExpire != nil {

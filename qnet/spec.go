@@ -292,13 +292,13 @@ type CircuitWire struct {
 }
 
 // hasCallbacks reports whether any function-typed handler field is set.
-func (h Handlers) hasCallbacks() bool {
+func hasCallbacks(h Handlers) bool {
 	return h.OnPair != nil || h.OnEarlyPair != nil || h.OnExpire != nil ||
 		h.OnComplete != nil || h.OnReject != nil || h.OnTestEstimate != nil
 }
 
 func (spec CircuitSpec) wire() (CircuitWire, error) {
-	if spec.Head.hasCallbacks() || spec.Tail.hasCallbacks() {
+	if hasCallbacks(spec.Head) || hasCallbacks(spec.Tail) {
 		return CircuitWire{}, fmt.Errorf("circuit %q: handler callbacks are not serializable", spec.ID)
 	}
 	w := CircuitWire{
