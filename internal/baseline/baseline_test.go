@@ -20,7 +20,7 @@ func TestFilterAcceptsAboveThreshold(t *testing.T) {
 	mk := func(f float64) *device.Pair {
 		qa, _ := a.AllocComm("l")
 		qb, _ := b.AllocComm("l")
-		return device.NewPair(s.Now(), quantum.WernerState(f), quantum.PhiPlus, qa, qb)
+		return device.NewPair(s.Now(), quantum.WernerFor(f, quantum.PhiPlus), quantum.PhiPlus, qa, qb)
 	}
 	filt := &Filter{Threshold: 0.8}
 	good := core.Delivered{Pair: mk(0.9), State: quantum.PhiPlus, At: s.Now()}

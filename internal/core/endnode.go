@@ -221,6 +221,7 @@ func (n *Node) endLinkRule(cs *circuit, ps pairSlot) {
 		n.measureLocal(cs, it, rs.req.MeasureBasis)
 	case rs.req.Type == Early:
 		it.earlyGiven = true
+		it.earlyOwned = !cs.handlers.consumes()
 		if cs.handlers.OnEarlyPair != nil {
 			cs.handlers.OnEarlyPair(Delivered{
 				Circuit:   cs.entry.Circuit,
@@ -383,7 +384,7 @@ func (n *Node) deliver(cs *circuit, it *inTransitEntry) {
 	if h.OnPair != nil {
 		h.OnPair(d)
 	}
-	if h.consumes() {
+	if h.consumes() && !it.earlyOwned {
 		n.freeLocal(d.Pair)
 	}
 	if cs.role == RoleHead && rs.active && rs.req.NumPairs > 0 && rs.delivered >= rs.req.NumPairs {
@@ -400,9 +401,7 @@ func (n *Node) dropInTransit(cs *circuit, corr linklayer.Correlator, it *inTrans
 	if it.earlyGiven && h.OnExpire != nil {
 		h.OnExpire(it.rs.req.ID, corr)
 	}
-	// A measured half is already consumed, and an early hand-off is the
-	// application's to free if it owns its deliveries.
-	if !it.measured && (!it.earlyGiven || h.consumes()) {
+	if it.nodeFrees() {
 		n.freeLocal(it.slot.pair())
 	}
 	n.releaseInTransit(it)

@@ -47,9 +47,10 @@ type TestEstimate struct {
 // Ownership: a delivered pair's local qubit belongs to the application only
 // when OnPair is set and AutoConsume is false; the application then frees
 // it (device.Free) when done. Otherwise the node frees it right after
-// OnPair returns. An EARLY hand-off follows the same rule: if the chain
-// then expires, OnExpire fires and the node frees the early qubit itself
-// unless the application owns it.
+// OnPair returns. An EARLY hand-off follows the same rule, applied when the
+// qubit is handed over: if the chain then expires, OnExpire fires, and if
+// the circuit is torn down first, nothing fires; either way the node frees
+// the early qubit itself unless the application owned it at the hand-off.
 type Handlers struct {
 	// OnPair delivers confirmed pairs (KEEP), tracking confirmations
 	// (EARLY) and withheld measurement results (MEASURE).
@@ -142,10 +143,22 @@ type inTransitEntry struct {
 	trackArrived bool
 	trackState   quantum.BellIndex
 	earlyGiven   bool
+	// earlyOwned records that the application owned its deliveries when
+	// the early hand-off happened, so the half is the application's to
+	// free whatever the handlers are later.
+	earlyOwned bool
 	// chainCorr is the canonical (head-side) chain identifier, learned from
 	// the confirming TRACK.
 	chainCorr linklayer.Correlator
 	next      *inTransitEntry // pool link
+}
+
+// nodeFrees reports whether the node, not the application, frees this
+// entry's local half when the entry is discarded (failed cross-check,
+// EXPIRE or teardown): a measured half is already consumed, and an early
+// hand-off to an owning application is the application's.
+func (it *inTransitEntry) nodeFrees() bool {
+	return !it.measured && !it.earlyOwned
 }
 
 // testStats accumulates fidelity test-round correlators at the head-end.
@@ -392,7 +405,7 @@ func (n *Node) UninstallCircuit(id CircuitID) {
 		}
 	}
 	for _, it := range cs.inTransit {
-		if !it.measured && !it.earlyGiven {
+		if it.nodeFrees() {
 			n.freeLocal(it.slot.pair())
 		}
 	}

@@ -26,7 +26,7 @@ func makePair(t *testing.T, s *sim.Simulation, a, b *Device, idx quantum.BellInd
 	if !ok1 || !ok2 {
 		t.Fatal("allocation failed")
 	}
-	return NewPair(s.Now(), quantum.BellState(idx), idx, qa, qb)
+	return NewPair(s.Now(), quantum.BellProjector(idx), idx, qa, qb)
 }
 
 func TestAllocFree(t *testing.T) {
@@ -127,10 +127,10 @@ func TestSwapMergesPairs(t *testing.T) {
 
 	qa, _ := a.AllocComm("am")
 	qm1, _ := m.AllocComm("am")
-	p1 := NewPair(s.Now(), quantum.BellState(quantum.PsiPlus), quantum.PsiPlus, qa, qm1)
+	p1 := NewPair(s.Now(), quantum.BellProjector(quantum.PsiPlus), quantum.PsiPlus, qa, qm1)
 	qm2, _ := m.AllocComm("mc")
 	qc, _ := c.AllocComm("mc")
-	p2 := NewPair(s.Now(), quantum.BellState(quantum.PhiMinus), quantum.PhiMinus, qm2, qc)
+	p2 := NewPair(s.Now(), quantum.BellProjector(quantum.PhiMinus), quantum.PhiMinus, qm2, qc)
 
 	var merged *Pair
 	var outcome quantum.BellIndex
@@ -179,11 +179,11 @@ func TestSwapOrientation(t *testing.T) {
 	qm1, _ := m.AllocComm("")
 	qa, _ := a.AllocComm("")
 	// Local half of p1 is side 0 (left).
-	p1 := NewPair(s.Now(), quantum.BellState(quantum.PhiPlus), quantum.PhiPlus, qm1, qa)
+	p1 := NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, qm1, qa)
 	qc, _ := c.AllocComm("")
 	qm2, _ := m.AllocComm("")
 	// Local half of p2 is side 1 (right).
-	p2 := NewPair(s.Now(), quantum.BellState(quantum.PhiPlus), quantum.PhiPlus, qc, qm2)
+	p2 := NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, qc, qm2)
 
 	var merged *Pair
 	var outcome quantum.BellIndex
@@ -280,7 +280,7 @@ func TestMoveToStorage(t *testing.T) {
 	b.AddCommQubits("", 1)
 	qa, _ := a.AllocComm("")
 	qb, _ := b.AllocComm("")
-	p := NewPair(s.Now(), quantum.BellState(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
+	p := NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
 	moved := false
 	a.MoveToStorage(p.Half(p.LocalSide("a")), func(_ *Qubit, ok bool) { moved = ok })
 	s.Run()
@@ -321,7 +321,7 @@ func TestAttemptDephasingHitsStoredOnly(t *testing.T) {
 	b.AddCommQubits("", 2)
 	qa, _ := a.AllocComm("")
 	qb, _ := b.AllocComm("")
-	p := NewPair(s.Now(), quantum.BellState(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
+	p := NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
 	a.MoveToStorage(p.Half(p.LocalSide("a")), func(*Qubit, bool) {})
 	s.Run()
 	f0 := p.FidelityAt(s.Now())

@@ -65,7 +65,7 @@ func TestFreeCommCountMatchesScan(t *testing.T) {
 			if !ok {
 				return false
 			}
-			NewPair(s.Now(), quantum.BellState(quantum.PhiPlus), quantum.PhiPlus, q, r)
+			NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, q, r)
 			return true
 		}
 		check(0, "init")
@@ -140,7 +140,7 @@ func TestMoveOfReleasedHalfFails(t *testing.T) {
 	b.AddCommQubits("", 1)
 	qa, _ := a.AllocComm("")
 	qb, _ := b.AllocComm("")
-	NewPair(s.Now(), quantum.BellState(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
+	NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
 	calls, moved := 0, true
 	a.MoveToStorage(qa, func(_ *Qubit, ok bool) { calls, moved = calls+1, ok })
 	a.Free(qa)

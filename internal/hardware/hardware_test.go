@@ -173,14 +173,19 @@ func TestAlphaForFidelityInversion(t *testing.T) {
 	}
 }
 
-// The produced state's exact fidelity matches the closed-form model.
+// The produced state's exact fidelity matches the closed-form model, and
+// a workspace whose pooled buffers hold NaNs produces the same bits as
+// plain allocation.
 func TestPairStateMatchesModel(t *testing.T) {
 	p := Simulation()
 	l := LabLink()
 	for _, alpha := range []float64{0.01, 0.05, 0.2, 0.4} {
 		m := l.Model(p, alpha)
 		for _, idx := range []quantum.BellIndex{quantum.PsiPlus, quantum.PsiMinus} {
-			rho := m.State(idx)
+			rho := m.StateW(nil, idx)
+			if got := m.StateW(poisonedWS(), idx); !sameBits(got, rho) {
+				t.Fatalf("α=%v idx=%v: StateW on a poisoned workspace differs from nil", alpha, idx)
+			}
 			if got := real(linalg.Trace(rho)); math.Abs(got-1) > 1e-9 {
 				t.Fatalf("trace = %v", got)
 			}
@@ -190,11 +195,47 @@ func TestPairStateMatchesModel(t *testing.T) {
 			if got := quantum.Fidelity(rho, idx); math.Abs(got-m.Fidelity()) > 1e-9 {
 				t.Errorf("α=%v idx=%v: state fidelity %v, model %v", alpha, idx, got, m.Fidelity())
 			}
-			if quantum.DominantBell(rho) != idx {
-				t.Errorf("α=%v: dominant Bell is not the heralded %v", alpha, idx)
+			for b := quantum.BellIndex(0); b < 4; b++ {
+				if b != idx && quantum.Fidelity(rho, b) >= quantum.Fidelity(rho, idx) {
+					t.Errorf("α=%v: Bell state %v overlaps at least as much as the heralded %v", alpha, b, idx)
+				}
 			}
 		}
 	}
+}
+
+// poisonedWS returns a warm workspace whose pooled 4×4 buffers are
+// NaN-filled: a GetRaw destination that StateW does not fully overwrite
+// leaks NaNs into its result.
+func poisonedWS() *linalg.Workspace {
+	ws := linalg.NewWorkspace()
+	var held []*linalg.Matrix
+	for i := 0; i < 8; i++ {
+		m := ws.Get(4, 4)
+		for j := range m.Data {
+			m.Data[j] = complex(math.NaN(), math.NaN())
+		}
+		held = append(held, m)
+	}
+	for _, m := range held {
+		ws.Put(m)
+	}
+	return ws
+}
+
+// sameBits reports whether a and b are equal bit for bit.
+func sameBits(a, b *linalg.Matrix) bool {
+	if len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i, av := range a.Data {
+		bv := b.Data[i]
+		if math.Float64bits(real(av)) != math.Float64bits(real(bv)) ||
+			math.Float64bits(imag(av)) != math.Float64bits(imag(bv)) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPairModelFidelityMatchesStateW pins the consistency of the two
@@ -248,7 +289,7 @@ func TestGenerateHeraldsBothSigns(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	counts := map[quantum.BellIndex]int{}
 	for i := 0; i < 200; i++ {
-		rho, idx := l.Generate(p, 0.05, rng)
+		rho, idx := l.GenerateW(nil, p, 0.05, rng)
 		if idx != quantum.PsiPlus && idx != quantum.PsiMinus {
 			t.Fatalf("heralded index %v", idx)
 		}

@@ -109,20 +109,15 @@ func (m PairModel) Fidelity() float64 {
 	return (1-m.WDark)*m.G*(1+m.V)/2 + m.WDark/4
 }
 
-// State materialises the produced 4×4 density matrix for heralded Bell
-// index idx (Ψ+ or Ψ−; the detector that clicks selects the sign).
-func (m PairModel) State(idx quantum.BellIndex) *linalg.Matrix {
-	return m.StateW(nil, idx)
-}
-
 // identity4 is the shared read-only 4×4 identity for StateW's dark-count
 // term.
 var identity4 = linalg.Identity(4)
 
-// StateW is the workspace-threaded State: scratch comes from ws and the
-// returned state is a fresh ws matrix whose ownership transfers to the
-// caller (it becomes the new pair's long-lived density matrix). Results are
-// bit-identical to State.
+// StateW materialises the produced 4×4 density matrix for heralded Bell
+// index idx (Ψ+ or Ψ−; the detector that clicks selects the sign). Scratch
+// comes from ws and the returned state is a fresh ws matrix whose ownership
+// transfers to the caller (it becomes the new pair's long-lived density
+// matrix). A nil ws allocates instead, with bit-identical results.
 func (m PairModel) StateW(ws *linalg.Workspace, idx quantum.BellIndex) *linalg.Matrix {
 	// Dephased Ψ component: v·|Ψ><Ψ| + (1−v)·(|Ψ_+><Ψ_+|+|Ψ_-><Ψ_-|)/2,
 	// which equals the fully dephased {|01>,|10>} mixture at v=0.
@@ -146,15 +141,8 @@ func (m PairModel) StateW(ws *linalg.Workspace, idx quantum.BellIndex) *linalg.M
 	return rho
 }
 
-// Generate samples one heralded pair: the Bell index (Ψ+ or Ψ− with equal
-// probability, chosen by which detector clicked) and the produced state.
-func (l LinkConfig) Generate(p Params, alpha float64, rng *rand.Rand) (*linalg.Matrix, quantum.BellIndex) {
-	rho, idx := l.GenerateW(nil, p, alpha, rng)
-	return rho, idx
-}
-
-// GenerateW is the workspace-threaded Generate; the returned state is a ws
-// matrix owned by the caller.
+// GenerateW samples one heralded pair of this link at α; see
+// PairModel.GenerateW.
 func (l LinkConfig) GenerateW(ws *linalg.Workspace, p Params, alpha float64, rng *rand.Rand) (*linalg.Matrix, quantum.BellIndex) {
 	return l.Model(p, alpha).GenerateW(ws, rng)
 }

@@ -14,18 +14,18 @@
 // that starts at +0 is never −0, any term with an exact-zero factor can be
 // skipped without changing a bit.
 //
-// Every allocating operation has a destination-passing twin (MulInto,
-// KronInto, AddInto, ScaleInto, ConjTransposeInto, PartialTraceInto) that
-// writes into a caller-provided matrix, and Workspace provides a
-// size-bucketed pool those destinations come from. The allocating forms are
-// thin wrappers over the Into forms, so both produce bit-identical results.
+// The products, sums, scalings, adjoints, tensor products and partial traces
+// have destination-passing twins (MulInto, AddInto, ScaleInto,
+// ConjTransposeInto, KronInto, PartialTraceInto) that write into a
+// caller-provided matrix, and Workspace provides a size-bucketed pool those
+// destinations come from. The allocating forms are thin wrappers over the
+// Into forms, so both produce bit-identical results.
 // See Workspace for the ownership rules: who may hold a matrix across calls,
 // and when it must be returned to the pool.
 package linalg
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 	"strings"
 )
@@ -81,16 +81,6 @@ func (m *Matrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// IsSquare reports whether the matrix is square.
-func (m *Matrix) IsSquare() bool { return m.Rows == m.Cols }
-
 // Zero sets every element to zero.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -127,23 +117,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 		}
 	}
 	return dst
-}
-
-// MulChain multiplies matrices left to right: MulChain(a,b,c) = a·b·c.
-// The result is always a fresh matrix: MulChain(a) returns a clone of a, so
-// callers may freely mutate the result without corrupting the argument.
-func MulChain(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("linalg: MulChain of nothing")
-	}
-	if len(ms) == 1 {
-		return ms[0].Clone()
-	}
-	out := ms[0]
-	for _, m := range ms[1:] {
-		out = Mul(out, m)
-	}
-	return out
 }
 
 // Add returns a+b.
@@ -218,17 +191,6 @@ func ConjTransposeInto(dst, m *Matrix) *Matrix {
 	return dst
 }
 
-// Transpose returns mᵀ without conjugation.
-func Transpose(m *Matrix) *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
 // Kron returns the tensor (Kronecker) product a⊗b.
 func Kron(a, b *Matrix) *Matrix {
 	return KronInto(New(a.Rows*b.Rows, a.Cols*b.Cols), a, b)
@@ -257,18 +219,6 @@ func KronInto(dst, a, b *Matrix) *Matrix {
 		}
 	}
 	return dst
-}
-
-// KronChain folds Kron left to right: KronChain(a,b,c) = a⊗b⊗c.
-func KronChain(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("linalg: KronChain of nothing")
-	}
-	out := ms[0]
-	for _, m := range ms[1:] {
-		out = Kron(out, m)
-	}
-	return out
 }
 
 // Trace returns the sum of diagonal elements of a square matrix.
@@ -397,7 +347,7 @@ func ApproxEqual(a, b *Matrix, tol float64) bool {
 
 // IsHermitian reports whether m = m† within tol.
 func IsHermitian(m *Matrix, tol float64) bool {
-	if !m.IsSquare() {
+	if m.Rows != m.Cols {
 		return false
 	}
 	for i := 0; i < m.Rows; i++ {
@@ -412,7 +362,7 @@ func IsHermitian(m *Matrix, tol float64) bool {
 
 // IsUnitary reports whether m·m† = I within tol.
 func IsUnitary(m *Matrix, tol float64) bool {
-	if !m.IsSquare() {
+	if m.Rows != m.Cols {
 		return false
 	}
 	return ApproxEqual(Mul(m, Adjoint(m)), Identity(m.Rows), tol)
@@ -430,16 +380,6 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 	return max
 }
 
-// Norm1 returns the entry-wise 1-norm (sum of |elements|); a cheap sanity
-// measure used in tests.
-func Norm1(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += cmplx.Abs(v)
-	}
-	return s
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -453,16 +393,6 @@ func (m *Matrix) String() string {
 	return b.String()
 }
 
-// RealDiagonal returns the real parts of the diagonal.
-func RealDiagonal(m *Matrix) []float64 {
-	mustSquare("RealDiagonal", m)
-	d := make([]float64, m.Rows)
-	for i := range d {
-		d[i] = real(m.At(i, i))
-	}
-	return d
-}
-
 func mustSameShape(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: %s shape mismatch %d×%d vs %d×%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -470,7 +400,7 @@ func mustSameShape(op string, a, b *Matrix) {
 }
 
 func mustSquare(op string, m *Matrix) {
-	if !m.IsSquare() {
+	if m.Rows != m.Cols {
 		panic(fmt.Sprintf("linalg: %s needs square matrix, got %d×%d", op, m.Rows, m.Cols))
 	}
 }
@@ -488,20 +418,4 @@ func mustNotAlias(op string, dst, src *Matrix) {
 	if len(dst.Data) > 0 && len(src.Data) > 0 && &dst.Data[0] == &src.Data[0] {
 		panic(fmt.Sprintf("linalg: %s dst aliases an input", op))
 	}
-}
-
-// Chop zeroes elements with magnitude below eps; useful before printing.
-func Chop(m *Matrix, eps float64) *Matrix {
-	out := m.Clone()
-	for i, v := range out.Data {
-		re, im := real(v), imag(v)
-		if math.Abs(re) < eps {
-			re = 0
-		}
-		if math.Abs(im) < eps {
-			im = 0
-		}
-		out.Data[i] = complex(re, im)
-	}
-	return out
 }

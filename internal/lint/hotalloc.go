@@ -8,26 +8,29 @@ import (
 )
 
 // HotAllocAnalyzer keeps the hot path allocation-free: inside hot-path
-// packages, a call to an allocating linalg/quantum API whose
-// workspace-threaded twin (…Into, …W, …Cached) exists is flagged — but only
-// in functions that actually have a Workspace in scope (a *linalg.Workspace
-// parameter, or a receiver carrying a Workspace field). Constructors, test
-// setup and cold-path composition code have no workspace and keep using the
-// ergonomic allocating forms; the rule only bites where the zero-allocation
-// contract already holds and a stray Mul/Kron would quietly reintroduce
-// steady-state garbage. Escape hatch: //qnetlint:allow hotalloc <reason>.
+// packages, a call to an allocating API whose workspace-backed twin exists
+// (a linalg …Into op, or BellProjectorCached for BellProjector) is flagged
+// — but only in functions that actually have a Workspace in scope (a
+// *linalg.Workspace parameter, or a receiver carrying a Workspace field).
+// Constructors, test setup and cold-path composition code have no
+// workspace and keep using the ergonomic allocating forms; the rule only
+// bites where the zero-allocation contract already holds and a stray
+// Mul/Kron would quietly reintroduce steady-state garbage. The quantum
+// operations need no rows: each has a single, workspace-threaded entry
+// point. Escape hatch: //qnetlint:allow hotalloc <reason>.
 var HotAllocAnalyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "flag allocating API calls where a workspace-threaded twin exists\n\n" +
+	Doc: "flag allocating API calls where a workspace-backed twin exists\n\n" +
 		"In hot-path packages, functions with a linalg.Workspace in scope\n" +
-		"must call the …Into/…W twins (MulInto, ApplyGate1W, DecohereW, …)\n" +
-		"instead of the allocating forms; anything else leaks allocations\n" +
-		"back into the per-event path the zero-allocation refactor cleared.",
+		"must call the linalg …Into twins (MulInto, KronInto, …) and\n" +
+		"quantum.BellProjectorCached instead of the allocating forms;\n" +
+		"anything else leaks allocations back into the per-event path the\n" +
+		"zero-allocation refactor cleared.",
 	Run: runHotAlloc,
 }
 
-// hotAllocTwins maps package path -> allocating function/method name ->
-// the workspace-threaded twin to use instead.
+// hotAllocTwins maps package path -> allocating function name -> the
+// workspace-backed twin to use instead.
 var hotAllocTwins = map[string]map[string]string{
 	modulePath + "/internal/linalg": {
 		"Mul":          "MulInto",
@@ -38,17 +41,7 @@ var hotAllocTwins = map[string]map[string]string{
 		"PartialTrace": "PartialTraceInto",
 	},
 	modulePath + "/internal/quantum": {
-		"ApplyGate1":     "ApplyGate1W",
-		"ApplyGate2":     "ApplyGate2W",
-		"NoisyGate1":     "NoisyGate1W",
-		"NoisyGate2":     "NoisyGate2W",
-		"Decohere":       "DecohereW",
-		"Measure":        "MeasureW",
-		"MeasureInBasis": "MeasureInBasisW",
-		"Swap":           "SwapW",
-		"Apply":          "ApplyW",  // Kraus method
-		"Apply2":         "Apply2W", // Kraus method
-		"BellProjector":  "BellProjectorCached",
+		"BellProjector": "BellProjectorCached",
 	},
 }
 

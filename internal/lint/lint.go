@@ -19,7 +19,8 @@
 //     deferred, or visibly handed off (returned, stored in a field) on
 //     every path out of the function — the PR 3 ownership rules.
 //   - hotalloc: inside workspace-threaded functions in hot-path packages,
-//     calls to an allocating API whose …Into/…W twin exists are flagged.
+//     calls to an allocating linalg op whose …Into twin exists, or to
+//     quantum.BellProjector instead of BellProjectorCached, are flagged.
 //   - streamoffset: RNG stream offsets must come from the qnet stream
 //     registry (named *StreamOffset constants/helpers, engine offsets even
 //     and nonzero) and seed arithmetic must go through runner.SeedStride /

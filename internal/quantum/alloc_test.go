@@ -1,6 +1,7 @@
 package quantum
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestAllocsApplyGate1W(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gates run with -race off")
 	}
-	rho := BellState(PhiPlus)
+	rho := BellProjector(PhiPlus)
 	ws := warmWS(func(ws *linalg.Workspace) {
 		ws.Put(ApplyGate1W(ws, rho, X, 0, 2))
 	})
@@ -41,8 +42,8 @@ func TestAllocsGateAndChannelW(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gates run with -race off")
 	}
-	joint := linalg.Kron(WernerState(0.9), BellState(PsiPlus))
-	pair := WernerState(0.8)
+	joint := linalg.Kron(WernerFor(0.9, PhiPlus), BellProjector(PsiPlus))
+	pair := WernerFor(0.8, PhiPlus)
 	for _, tc := range []struct {
 		name string
 		fn   func(ws *linalg.Workspace) *linalg.Matrix
@@ -65,7 +66,7 @@ func TestAllocsSwapW(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	cfg := SwapConfig{TwoQubitFidelity: 0.98, SingleQubitFidelity: 0.99, Readout: Readout{F0: 0.95, F1: 0.95}}
-	a, b := BellState(PhiPlus), BellState(PsiMinus)
+	a, b := BellProjector(PhiPlus), BellProjector(PsiMinus)
 	ws := warmWS(func(ws *linalg.Workspace) {
 		ws.Put(SwapW(ws, a, b, cfg, rng).Rho)
 	})
@@ -83,7 +84,7 @@ func TestAllocsDecohereAndMeasureW(t *testing.T) {
 		t.Skip("allocation gates run with -race off")
 	}
 	rng := rand.New(rand.NewSource(7))
-	rho := WernerState(0.9)
+	rho := WernerFor(0.9, PhiPlus)
 	ws := warmWS(func(ws *linalg.Workspace) {
 		ws.Put(DecohereW(ws, rho, 0, 2, 0.01, 1.0, 0.5))
 	})
@@ -106,55 +107,142 @@ func TestAllocsDecohereAndMeasureW(t *testing.T) {
 	}
 }
 
-// The W variants must be bit-identical to the allocating API: same values
-// and the same RNG consumption.
-func TestSwapWMatchesSwap(t *testing.T) {
-	cfg := SwapConfig{TwoQubitFidelity: 0.97, SingleQubitFidelity: 0.99, Readout: Readout{F0: 0.93, F1: 0.95}}
-	for seed := int64(0); seed < 20; seed++ {
-		a, b := WernerState(0.92), WernerFor(0.88, PsiPlus)
-		rng1 := rand.New(rand.NewSource(seed))
-		rng2 := rand.New(rand.NewSource(seed))
-		want := Swap(a, b, cfg, rng1)
-		got := SwapW(linalg.NewWorkspace(), a, b, cfg, rng2)
-		if got.Outcome != want.Outcome {
-			t.Fatalf("seed %d: outcome %v != %v", seed, got.Outcome, want.Outcome)
-		}
-		if !sameBits(got.Rho, want.Rho) {
-			t.Fatalf("seed %d: SwapW state differs from Swap by %g", seed, linalg.MaxAbsDiff(got.Rho, want.Rho))
-		}
-		if rng1.Int63() != rng2.Int63() {
-			t.Fatalf("seed %d: RNG streams diverged", seed)
+// poisonedWS returns a warm workspace whose pooled buffers are NaN-filled
+// over their whole capacity: a GetRaw destination that an operation does
+// not fully overwrite leaks NaNs into its result.
+func poisonedWS() *linalg.Workspace {
+	ws := linalg.NewWorkspace()
+	var held []*linalg.Matrix
+	for _, dim := range []int{2, 4, 8, 16} {
+		for i := 0; i < 16; i++ {
+			m := ws.Get(dim, dim)
+			m.Data = m.Data[:cap(m.Data)]
+			for j := range m.Data {
+				m.Data[j] = complex(math.NaN(), math.NaN())
+			}
+			held = append(held, m)
 		}
 	}
-}
-
-func TestDecohereWMatchesDecohere(t *testing.T) {
-	rho := WernerState(0.85)
-	for _, tc := range []struct{ t, t1, t2 float64 }{
-		{0.01, 1.0, 0.5}, {0.5, 2.0, 0}, {0.1, 0, 0.3}, {0, 1, 1},
-	} {
-		want := Decohere(rho, 1, 2, tc.t, tc.t1, tc.t2)
-		got := DecohereW(linalg.NewWorkspace(), rho, 1, 2, tc.t, tc.t1, tc.t2)
-		if !sameBits(got, want) {
-			t.Errorf("DecohereW(%v) differs from Decohere", tc)
-		}
+	for _, m := range held {
+		ws.Put(m)
 	}
+	return ws
 }
 
-func TestMeasureInBasisWMatches(t *testing.T) {
-	for _, basis := range []Basis{ZBasis, XBasis, YBasis} {
-		for seed := int64(1); seed < 10; seed++ {
-			rho := WernerState(0.9)
-			rng1 := rand.New(rand.NewSource(seed))
-			rng2 := rand.New(rand.NewSource(seed))
-			ro := Readout{F0: 0.9, F1: 0.85}
-			wantBit, wantPost := MeasureInBasis(rho, 0, 2, basis, ro, rng1)
-			gotBit, gotPost := MeasureInBasisW(linalg.NewWorkspace(), rho, 0, 2, basis, ro, rng2)
-			if gotBit != wantBit || !sameBits(gotPost, wantPost) {
-				t.Fatalf("basis %v seed %d: W variant diverged", basis, seed)
+// wCase is one call of a workspace-threaded entry point: it returns the
+// measured bit (0 where there is none) and the resulting state.
+type wCase struct {
+	name string
+	run  func(ws *linalg.Workspace, rng *rand.Rand) (int, *linalg.Matrix)
+}
+
+// checkNilVsPoisoned runs each case twice per seed, once on a nil workspace
+// (plain allocation) and once on a poisoned warm one, and requires
+// bit-identical results, the same RNG position afterwards, and no Get that
+// missed the poisoned pool.
+func checkNilVsPoisoned(t *testing.T, cases []wCase) {
+	t.Helper()
+	for _, tc := range cases {
+		for seed := int64(0); seed < 8; seed++ {
+			rngNil := rand.New(rand.NewSource(seed))
+			rngWS := rand.New(rand.NewSource(seed))
+			ws := poisonedWS()
+			misses := ws.Misses()
+			wantBit, want := tc.run(nil, rngNil)
+			gotBit, got := tc.run(ws, rngWS)
+			if gotBit != wantBit || !sameBits(got, want) {
+				t.Fatalf("%s seed %d: poisoned workspace gives bit %d, nil gives %d; states equal bit for bit: %v",
+					tc.name, seed, gotBit, wantBit, sameBits(got, want))
+			}
+			if rngNil.Int63() != rngWS.Int63() {
+				t.Fatalf("%s seed %d: RNG streams diverged", tc.name, seed)
+			}
+			if n := ws.Misses() - misses; n != 0 {
+				t.Fatalf("%s: %d Gets missed the poisoned pool", tc.name, n)
 			}
 		}
 	}
+}
+
+var (
+	nvpPair1, nvpPair2 = WernerFor(0.92, PhiPlus), WernerFor(0.88, PsiPlus)
+	nvpJoint           = linalg.Kron(nvpPair1, nvpPair2)
+	nvpReadout         = Readout{F0: 0.9, F1: 0.85}
+)
+
+// TestWEntryPointsNilVsPoisonedWorkspace checks the gate, channel and
+// computational-basis measurement entry points with checkNilVsPoisoned.
+func TestWEntryPointsNilVsPoisonedWorkspace(t *testing.T) {
+	checkNilVsPoisoned(t, []wCase{
+		{"ApplyGate1W", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, ApplyGate1W(ws, nvpJoint, H, 2, 4)
+		}},
+		{"ApplyGate2W", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, ApplyGate2W(ws, nvpJoint, CNOT, 1, 4)
+		}},
+		{"NoisyGate1W", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, NoisyGate1W(ws, nvpJoint, H, 1, 4, 0.99)
+		}},
+		{"NoisyGate2W", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, NoisyGate2W(ws, nvpJoint, CNOT, 1, 4, 0.97)
+		}},
+		{"ApplyDepolarizing1W", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, ApplyDepolarizing1W(ws, nvpPair1, 0.02, 1, 2)
+		}},
+		{"ApplyPhaseFlipW", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, ApplyPhaseFlipW(ws, nvpPair1, 0.05, 0, 2)
+		}},
+		{"MeasureW", func(ws *linalg.Workspace, rng *rand.Rand) (int, *linalg.Matrix) {
+			return MeasureW(ws, nvpJoint, 2, 4, nvpReadout, rng)
+		}},
+	})
+}
+
+// TestSwapWMatchesSwap checks SwapW with checkNilVsPoisoned: the swap on a
+// poisoned workspace matches the plain-allocating swap bit for bit.
+func TestSwapWMatchesSwap(t *testing.T) {
+	cfg := SwapConfig{TwoQubitFidelity: 0.97, SingleQubitFidelity: 0.99, Readout: Readout{F0: 0.93, F1: 0.95}}
+	checkNilVsPoisoned(t, []wCase{
+		{"SwapW", func(ws *linalg.Workspace, rng *rand.Rand) (int, *linalg.Matrix) {
+			res := SwapW(ws, nvpPair1, nvpPair2, cfg, rng)
+			return int(res.Outcome), res.Rho
+		}},
+	})
+}
+
+// TestDecohereWMatchesDecohere checks DecohereW with checkNilVsPoisoned,
+// with both mechanisms, each alone, and for zero idle time.
+func TestDecohereWMatchesDecohere(t *testing.T) {
+	checkNilVsPoisoned(t, []wCase{
+		{"DecohereW", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, DecohereW(ws, nvpPair2, 1, 2, 0.01, 1.0, 0.5)
+		}},
+		{"DecohereW/T1only", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, DecohereW(ws, nvpPair2, 0, 2, 0.5, 2.0, 0)
+		}},
+		{"DecohereW/T2only", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, DecohereW(ws, nvpPair2, 1, 2, 0.1, 0, 0.3)
+		}},
+		{"DecohereW/idle0", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, DecohereW(ws, nvpPair2, 1, 2, 0, 1, 1)
+		}},
+	})
+}
+
+// TestMeasureInBasisWMatches checks MeasureInBasisW with checkNilVsPoisoned
+// in each of the three bases.
+func TestMeasureInBasisWMatches(t *testing.T) {
+	checkNilVsPoisoned(t, []wCase{
+		{"MeasureInBasisW/Z", func(ws *linalg.Workspace, rng *rand.Rand) (int, *linalg.Matrix) {
+			return MeasureInBasisW(ws, nvpPair1, 0, 2, ZBasis, nvpReadout, rng)
+		}},
+		{"MeasureInBasisW/X", func(ws *linalg.Workspace, rng *rand.Rand) (int, *linalg.Matrix) {
+			return MeasureInBasisW(ws, nvpPair1, 0, 2, XBasis, nvpReadout, rng)
+		}},
+		{"MeasureInBasisW/Y", func(ws *linalg.Workspace, rng *rand.Rand) (int, *linalg.Matrix) {
+			return MeasureInBasisW(ws, nvpPair1, 1, 2, YBasis, nvpReadout, rng)
+		}},
+	})
 }
 
 func TestBellProjectorCachedReadOnlyValue(t *testing.T) {

@@ -101,9 +101,6 @@ func BellProjectorCached(b BellIndex) *linalg.Matrix {
 	return bellProjCache[b]
 }
 
-// BellState returns the density matrix of the pure Bell state b.
-func BellState(b BellIndex) *linalg.Matrix { return BellProjector(b) }
-
 // Fidelity returns <B_b|ρ|B_b>, the fidelity of a two-qubit state with the
 // pure Bell state b. This is the paper's fidelity metric: 1 means the pair is
 // exactly in the desired state, below 0.5 means it is no longer usable.
@@ -132,54 +129,8 @@ func Fidelity(rho *linalg.Matrix, b BellIndex) float64 {
 	return real(s)
 }
 
-// BellDiagonal returns the four Bell-basis diagonal elements of ρ, indexed by
-// BellIndex. For states produced by this package they sum to ≈Tr(ρ).
-func BellDiagonal(rho *linalg.Matrix) [4]float64 {
-	var d [4]float64
-	for i := BellIndex(0); i < 4; i++ {
-		d[i] = Fidelity(rho, i)
-	}
-	return d
-}
-
-// DominantBell returns the Bell index with the largest overlap with ρ.
-func DominantBell(rho *linalg.Matrix) BellIndex {
-	d := BellDiagonal(rho)
-	best := BellIndex(0)
-	for i := BellIndex(1); i < 4; i++ {
-		if d[i] > d[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// PauliFor returns the single-qubit Pauli correction that maps Bell state
-// `from` to Bell state `to` when applied to one qubit of the pair:
-// X^(Δx)·Z^(Δz). Applying the returned operator to the *left* qubit performs
-// the paper's final-state Pauli correction at the head-end node.
-func PauliFor(from, to BellIndex) *linalg.Matrix {
-	d := from ^ to
-	op := linalg.Identity(2)
-	if d.ZBit() == 1 {
-		op = linalg.Mul(Z, op)
-	}
-	if d.XBit() == 1 {
-		op = linalg.Mul(X, op)
-	}
-	return op
-}
-
-// WernerState returns the Werner state with fidelity f to |Φ+>:
-// W(f) = f|Φ+><Φ+| + (1-f)/3 · (I − |Φ+><Φ+|).
-func WernerState(f float64) *linalg.Matrix {
-	p := BellProjector(PhiPlus)
-	rest := linalg.Sub(linalg.Identity(4), p)
-	return linalg.Add(linalg.Scale(complex(f, 0), p), linalg.Scale(complex((1-f)/3, 0), rest))
-}
-
-// WernerFor returns a Werner-like state twirled around an arbitrary Bell
-// state b with fidelity f.
+// WernerFor returns the Werner state with fidelity f to Bell state b:
+// W(f) = f|B><B| + (1-f)/3 · (I − |B><B|).
 func WernerFor(f float64, b BellIndex) *linalg.Matrix {
 	p := BellProjector(b)
 	rest := linalg.Sub(linalg.Identity(4), p)

@@ -28,7 +28,7 @@ func TestBellVectorsOrthonormal(t *testing.T) {
 
 func TestBellStateFidelity(t *testing.T) {
 	for i := BellIndex(0); i < 4; i++ {
-		rho := BellState(i)
+		rho := BellProjector(i)
 		for j := BellIndex(0); j < 4; j++ {
 			f := Fidelity(rho, j)
 			want := 0.0
@@ -38,9 +38,6 @@ func TestBellStateFidelity(t *testing.T) {
 			if math.Abs(f-want) > tol {
 				t.Errorf("Fidelity(B%d, B%d) = %v, want %v", i, j, f, want)
 			}
-		}
-		if DominantBell(rho) != i {
-			t.Errorf("DominantBell(B%d) = %v", i, DominantBell(rho))
 		}
 	}
 }
@@ -76,61 +73,44 @@ func TestBellIndexBits(t *testing.T) {
 // Bell state flips exactly the corresponding index bit.
 func TestBellPauliStructure(t *testing.T) {
 	for i := BellIndex(0); i < 4; i++ {
-		rho := BellState(i)
-		gotX := ApplyGate1(rho, X, 0, 2)
+		rho := BellProjector(i)
+		gotX := ApplyGate1W(nil, rho, X, 0, 2)
 		if f := Fidelity(gotX, i^1); math.Abs(f-1) > tol {
 			t.Errorf("X⊗I on B%d: fidelity with B%d = %v", i, i^1, f)
 		}
-		gotZ := ApplyGate1(rho, Z, 0, 2)
+		gotZ := ApplyGate1W(nil, rho, Z, 0, 2)
 		if f := Fidelity(gotZ, i^2); math.Abs(f-1) > tol {
 			t.Errorf("Z⊗I on B%d: fidelity with B%d = %v", i, i^2, f)
 		}
 		// Pauli on the right qubit flips the same bits (up to phase).
-		gotXR := ApplyGate1(rho, X, 1, 2)
+		gotXR := ApplyGate1W(nil, rho, X, 1, 2)
 		if f := Fidelity(gotXR, i^1); math.Abs(f-1) > tol {
 			t.Errorf("I⊗X on B%d: fidelity with B%d = %v", i, i^1, f)
 		}
 	}
 }
 
-func TestPauliFor(t *testing.T) {
-	for from := BellIndex(0); from < 4; from++ {
-		for to := BellIndex(0); to < 4; to++ {
-			op := PauliFor(from, to)
-			got := ApplyGate1(BellState(from), op, 0, 2)
-			if f := Fidelity(got, to); math.Abs(f-1) > tol {
-				t.Errorf("PauliFor(%v→%v) gives fidelity %v", from, to, f)
-			}
-		}
-	}
-}
-
 func TestWernerState(t *testing.T) {
-	for _, f := range []float64{0.25, 0.5, 0.8, 1.0} {
-		w := WernerState(f)
-		if got := real(linalg.Trace(w)); math.Abs(got-1) > tol {
-			t.Errorf("Tr W(%v) = %v", f, got)
-		}
-		if got := Fidelity(w, PhiPlus); math.Abs(got-f) > tol {
-			t.Errorf("Fidelity(W(%v)) = %v", f, got)
-		}
-		if !linalg.IsHermitian(w, tol) {
-			t.Errorf("W(%v) not hermitian", f)
-		}
-		d := BellDiagonal(w)
-		for i := BellIndex(1); i < 4; i++ {
-			if math.Abs(d[i]-(1-f)/3) > tol {
-				t.Errorf("W(%v) off-component %v = %v", f, i, d[i])
+	for _, b := range []BellIndex{PhiPlus, PsiMinus} {
+		for _, f := range []float64{0.25, 0.5, 0.8, 0.9, 1.0} {
+			w := WernerFor(f, b)
+			if got := real(linalg.Trace(w)); math.Abs(got-1) > tol {
+				t.Errorf("Tr W(%v, %v) = %v", f, b, got)
+			}
+			if !linalg.IsHermitian(w, tol) {
+				t.Errorf("W(%v, %v) not hermitian", f, b)
+			}
+			// Fidelity f with b, and (1−f)/3 with each other Bell state.
+			for i := BellIndex(0); i < 4; i++ {
+				want := (1 - f) / 3
+				if i == b {
+					want = f
+				}
+				if got := Fidelity(w, i); math.Abs(got-want) > tol {
+					t.Errorf("W(%v, %v): fidelity with %v = %v, want %v", f, b, i, got, want)
+				}
 			}
 		}
-	}
-	// WernerFor targets other Bell states.
-	w := WernerFor(0.9, PsiMinus)
-	if got := Fidelity(w, PsiMinus); math.Abs(got-0.9) > tol {
-		t.Errorf("WernerFor fidelity = %v", got)
-	}
-	if DominantBell(w) != PsiMinus {
-		t.Error("WernerFor dominant state wrong")
 	}
 }
 

@@ -214,20 +214,8 @@ func applyOpsW(ws *linalg.Workspace, rho *linalg.Matrix, k, target, n int, ops .
 	return out
 }
 
-// applyLocalW is applyOpsW for operators given as matrices. They apply one
-// at a time, so a Kraus list of any length needs no heap.
-func applyLocalW(ws *linalg.Workspace, rho *linalg.Matrix, k, target, n int, ops ...*linalg.Matrix) *linalg.Matrix {
-	st := siteOf(rho, k, target, n)
-	out := ws.Get(rho.Rows, rho.Cols)
-	for _, op := range ops {
-		one := [1]localOp{toLocalOp(op, k)}
-		addConj(out, rho, st, one[:])
-	}
-	return out
-}
-
-// The Pauli operators and their two-qubit products, as Depolarizing1/2
-// build them before scaling. Read-only.
+// The Pauli operators and their two-qubit products, the depolarising
+// channels' Kraus factors before scaling. Read-only.
 var (
 	pauliOps1 [4]localOp
 	pauliOps2 [16]localOp
@@ -260,10 +248,9 @@ func depolarizingAmp(p float64, k, m int) complex128 {
 }
 
 // applyDepolarizingW applies the k-qubit depolarising channel with
-// probability p, bit-identical to Depolarizing1/2(p) applied through
-// applyLocalW, without building its Kraus matrices. Each factor's nonzeros
-// are amp·v, as linalg.Scale computes them; a factor whose amp is 0 adds
-// nothing and is dropped.
+// probability p, ρ → (1−p)ρ + p·I/2ᵏ over the 4ᵏ Paulis, without building
+// its Kraus matrices. Each factor's nonzeros are amp·v, as linalg.Scale
+// computes them; a factor whose amp is 0 adds nothing and is dropped.
 func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, k, target, n int) *linalg.Matrix {
 	p = clamp01(p)
 	paulis := pauliOps1[:]

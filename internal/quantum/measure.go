@@ -44,19 +44,13 @@ var (
 	proj1 = linalg.FromRows([][]complex128{{0, 0}, {0, 1}})
 )
 
-// Measure performs a Z-basis measurement of qubit target of an n-qubit ρ.
+// MeasureW performs a Z-basis measurement of qubit target of an n-qubit ρ.
 // It samples the physical outcome from ρ, projects ρ accordingly (the
 // physical collapse is faithful), then flips the *reported* classical bit
 // with the readout error probability. It returns the reported bit and the
 // normalised post-measurement state (same dimension; the measured qubit
-// remains, collapsed).
-func Measure(rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit int, post *linalg.Matrix) {
-	return MeasureW(nil, rho, target, n, ro, rng)
-}
-
-// MeasureW is the workspace-threaded Measure: scratch comes from ws and the
-// returned post state is a fresh ws matrix owned by the caller; ρ is
-// untouched. The RNG consumption and results are bit-identical to Measure.
+// remains, collapsed), a fresh ws matrix owned by the caller; ρ is
+// untouched. A nil ws allocates the post state instead.
 func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit int, post *linalg.Matrix) {
 	// p0 = Re Tr(P0·ρ): the diagonal of the lifted product is ρ[i][i] on
 	// the rows whose target bit is 0 and +0 elsewhere, so the trace is the
@@ -99,14 +93,9 @@ func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readou
 	return bit, post
 }
 
-// MeasureInBasis rotates qubit target into the requested basis and performs
+// MeasureInBasisW rotates qubit target into the requested basis and performs
 // a Z measurement. The rotation is noiseless (Table 1: electron single-qubit
-// gate fidelity 1.0); readout noise applies as in Measure.
-func MeasureInBasis(rho *linalg.Matrix, target, n int, basis Basis, ro Readout, rng *rand.Rand) (bit int, post *linalg.Matrix) {
-	return MeasureInBasisW(nil, rho, target, n, basis, ro, rng)
-}
-
-// MeasureInBasisW is the workspace-threaded MeasureInBasis; see MeasureW.
+// gate fidelity 1.0); readout noise and ownership are as in MeasureW.
 func MeasureInBasisW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, basis Basis, ro Readout, rng *rand.Rand) (bit int, post *linalg.Matrix) {
 	in := rho
 	switch basis {
@@ -123,42 +112,4 @@ func MeasureInBasisW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ba
 		ws.Put(in)
 	}
 	return bit, post
-}
-
-// TraceOut removes qubit target from an n-qubit state (after it has been
-// measured or otherwise disposed of), returning the (n−1)-qubit state.
-func TraceOut(rho *linalg.Matrix, target, n int) *linalg.Matrix {
-	dims := make([]int, n)
-	keep := make([]bool, n)
-	for i := range dims {
-		dims[i] = 2
-		keep[i] = i != target
-	}
-	return linalg.PartialTrace(rho, dims, keep)
-}
-
-// ExpectationPauli returns <P_a ⊗ P_b> for a two-qubit state, with Pauli
-// indices 0..3 = I,X,Y,Z. Fidelity test rounds (§3.4, "fidelity test
-// rounds") estimate the fidelity of delivered pairs from exactly these
-// correlators: F(Φ+) = (1 + <XX> − <YY> + <ZZ>)/4.
-func ExpectationPauli(rho *linalg.Matrix, a, b int) float64 {
-	op := linalg.Kron(Pauli(a), Pauli(b))
-	return real(linalg.Trace(linalg.Mul(op, rho)))
-}
-
-// FidelityFromCorrelators reconstructs the fidelity with Bell state idx from
-// the three Pauli correlators of the state. The sign pattern per Bell state
-// follows from each Bell state being a ±1 eigenstate of XX, YY and ZZ.
-func FidelityFromCorrelators(xx, yy, zz float64, idx BellIndex) float64 {
-	sx, sy, sz := 1.0, -1.0, 1.0
-	switch idx {
-	case PhiPlus: // +XX −YY +ZZ
-	case PhiMinus: // −XX +YY +ZZ
-		sx, sy = -1, 1
-	case PsiPlus: // +XX +YY −ZZ
-		sy, sz = 1, -1
-	case PsiMinus: // −XX −YY −ZZ
-		sx, sz = -1, -1
-	}
-	return (1 + sx*xx + sy*yy + sz*zz) / 4
 }

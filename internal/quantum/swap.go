@@ -31,7 +31,14 @@ type SwapResult struct {
 	Outcome BellIndex
 }
 
-// Swap performs an entanglement swap (Fig. 3 of the paper) between pair
+// dims/keep vectors for the four-qubit partial trace of SwapW, hoisted so
+// the hot path does not allocate them per swap. Read-only.
+var (
+	dims4qubit = []int{2, 2, 2, 2}
+	keepOuter  = []bool{true, false, false, true}
+)
+
+// SwapW performs an entanglement swap (Fig. 3 of the paper) between pair
 // rhoAB (qubits A,b1 with b1 at the swapping node) and pair rhoBC (qubits
 // b2,C with b2 at the swapping node). It executes the physical Bell-state
 // measurement circuit — CNOT(b1→b2), H(b1), Z-measurements of b1 and b2 —
@@ -40,22 +47,12 @@ type SwapResult struct {
 //
 // The resulting Bell index obeys Combine(idxAB, idxBC, Outcome); the tests
 // pin this identity against the returned density matrix.
-func Swap(rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rng *rand.Rand) SwapResult {
-	return SwapW(nil, rhoAB, rhoBC, cfg, rng)
-}
-
-// dims/keep vectors for the four-qubit partial trace of SwapW, hoisted so
-// the hot path does not allocate them per swap. Read-only.
-var (
-	dims4qubit = []int{2, 2, 2, 2}
-	keepOuter  = []bool{true, false, false, true}
-)
-
-// SwapW is the workspace-threaded Swap: every intermediate joint state comes
-// from ws and is returned to it; the resulting Rho is a fresh ws matrix whose
-// ownership transfers to the caller (it typically becomes the merged pair's
-// long-lived state). The inputs are untouched, and RNG consumption and
-// results are bit-identical to Swap.
+//
+// Every intermediate joint state comes from ws and is returned to it; the
+// resulting Rho is a fresh ws matrix whose ownership transfers to the
+// caller (it typically becomes the merged pair's long-lived state). The
+// inputs are untouched. A nil ws allocates instead, with bit-identical
+// results and RNG consumption.
 func SwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rng *rand.Rand) SwapResult {
 	if rhoAB.Rows != 4 || rhoBC.Rows != 4 {
 		panic("quantum: Swap needs 4×4 pair states")
@@ -98,10 +95,10 @@ func Teleport(data, rho *linalg.Matrix, pairIdx BellIndex, cfg SwapConfig, rng *
 	}
 	// Joint order (D, A, B).
 	joint := linalg.Kron(data, rho)
-	joint = NoisyGate2(joint, CNOT, 0, 3, cfg.TwoQubitFidelity)
-	joint = NoisyGate1(joint, H, 0, 3, cfg.SingleQubitFidelity)
-	zbit, joint := Measure(joint, 0, 3, cfg.Readout, rng)
-	xbit, joint := Measure(joint, 1, 3, cfg.Readout, rng)
+	joint = NoisyGate2W(nil, joint, CNOT, 0, 3, cfg.TwoQubitFidelity)
+	joint = NoisyGate1W(nil, joint, H, 0, 3, cfg.SingleQubitFidelity)
+	zbit, joint := MeasureW(nil, joint, 0, 3, cfg.Readout, rng)
+	xbit, joint := MeasureW(nil, joint, 1, 3, cfg.Readout, rng)
 	out := linalg.PartialTrace(joint, []int{2, 2, 2}, []bool{false, false, true})
 	// Correction for a Φ+ resource: X^xbit then Z^zbit. If the pair is in a
 	// different Bell state, fold its index into the correction — this is
@@ -109,15 +106,15 @@ func Teleport(data, rho *linalg.Matrix, pairIdx BellIndex, cfg SwapConfig, rng *
 	x := uint8(xbit) ^ pairIdx.XBit()
 	z := uint8(zbit) ^ pairIdx.ZBit()
 	if x == 1 {
-		out = ApplyGate1(out, X, 0, 1)
+		out = ApplyGate1W(nil, out, X, 0, 1)
 	}
 	if z == 1 {
-		out = ApplyGate1(out, Z, 0, 1)
+		out = ApplyGate1W(nil, out, Z, 0, 1)
 	}
 	return out
 }
 
-// DistillResult reports one BBPSSW/DEJMPS distillation round.
+// DistillResult reports one DEJMPS distillation round.
 type DistillResult struct {
 	// OK reports whether the round succeeded (the two measurement outcomes
 	// agreed); on failure both pairs are lost.
@@ -129,25 +126,25 @@ type DistillResult struct {
 // Distill runs one round of DEJMPS entanglement distillation on two pairs
 // shared between the same two nodes (§4.3 of the paper: the network service
 // built from QNP circuits). Pair states are (A,B)-ordered. Both pairs should
-// be (close to) Bell state Φ+; use PauliFor to rotate first otherwise.
+// be (close to) Bell state Φ+.
 func Distill(pair1, pair2 *linalg.Matrix, cfg SwapConfig, rng *rand.Rand) DistillResult {
 	// kron gives order (A1, B1, A2, B2); swap middle qubits for locality:
 	// (A1, A2, B1, B2).
 	joint := linalg.Kron(pair1, pair2)
-	joint = ApplyGate2(joint, SWAP, 1, 4)
+	joint = ApplyGate2W(nil, joint, SWAP, 1, 4)
 	// DEJMPS basis rotation: Rx(π/2) on Alice's qubits, Rx(−π/2) on Bob's.
 	for _, q := range []int{0, 1} {
-		joint = ApplyGate1(joint, Rx(math.Pi/2), q, 4)
+		joint = ApplyGate1W(nil, joint, Rx(math.Pi/2), q, 4)
 	}
 	for _, q := range []int{2, 3} {
-		joint = ApplyGate1(joint, Rx(-math.Pi/2), q, 4)
+		joint = ApplyGate1W(nil, joint, Rx(-math.Pi/2), q, 4)
 	}
 	// Bilateral CNOT: A1→A2 and B1→B2, both adjacent after the reorder.
-	joint = NoisyGate2(joint, CNOT, 0, 4, cfg.TwoQubitFidelity)
-	joint = NoisyGate2(joint, CNOT, 2, 4, cfg.TwoQubitFidelity)
+	joint = NoisyGate2W(nil, joint, CNOT, 0, 4, cfg.TwoQubitFidelity)
+	joint = NoisyGate2W(nil, joint, CNOT, 2, 4, cfg.TwoQubitFidelity)
 	// Measure the target pair (A2, B2) = qubits 1 and 3.
-	ma, joint := Measure(joint, 1, 4, cfg.Readout, rng)
-	mb, joint := Measure(joint, 3, 4, cfg.Readout, rng)
+	ma, joint := MeasureW(nil, joint, 1, 4, cfg.Readout, rng)
+	mb, joint := MeasureW(nil, joint, 3, 4, cfg.Readout, rng)
 	if ma != mb {
 		return DistillResult{OK: false}
 	}

@@ -18,7 +18,7 @@ func TestSwapCombineIdentity(t *testing.T) {
 		for b := BellIndex(0); b < 4; b++ {
 			seen := map[BellIndex]bool{}
 			for trial := 0; trial < 64; trial++ {
-				res := Swap(BellState(a), BellState(b), PerfectSwap, rng)
+				res := SwapW(nil, BellProjector(a), BellProjector(b), PerfectSwap, rng)
 				want := Combine(a, b, res.Outcome)
 				if f := Fidelity(res.Rho, want); math.Abs(f-1) > 1e-9 {
 					t.Fatalf("swap(B%d,B%d) outcome %v: fidelity with B%v = %v",
@@ -42,7 +42,7 @@ func TestSwapOutcomeUniform(t *testing.T) {
 	counts := [4]int{}
 	const n = 4000
 	for i := 0; i < n; i++ {
-		res := Swap(BellState(PhiPlus), BellState(PhiPlus), PerfectSwap, rng)
+		res := SwapW(nil, BellProjector(PhiPlus), BellProjector(PhiPlus), PerfectSwap, rng)
 		counts[res.Outcome]++
 	}
 	for i, c := range counts {
@@ -58,7 +58,7 @@ func TestSwapWernerComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, f1 := range []float64{1, 0.95, 0.8} {
 		for _, f2 := range []float64{1, 0.9, 0.7} {
-			res := Swap(WernerState(f1), WernerState(f2), PerfectSwap, rng)
+			res := SwapW(nil, WernerFor(f1, PhiPlus), WernerFor(f2, PhiPlus), PerfectSwap, rng)
 			want := f1*f2 + (1-f1)*(1-f2)/3
 			idx := Combine(PhiPlus, PhiPlus, res.Outcome)
 			if got := Fidelity(res.Rho, idx); math.Abs(got-want) > 1e-9 {
@@ -77,7 +77,7 @@ func TestSwapNoiseDegrades(t *testing.T) {
 	cfgGate := SwapConfig{TwoQubitFidelity: 0.98, SingleQubitFidelity: 1, Readout: PerfectReadout}
 	worst := 1.0
 	for i := 0; i < 50; i++ {
-		res := Swap(BellState(PhiPlus), BellState(PhiPlus), cfgGate, rng)
+		res := SwapW(nil, BellProjector(PhiPlus), BellProjector(PhiPlus), cfgGate, rng)
 		f := Fidelity(res.Rho, Combine(PhiPlus, PhiPlus, res.Outcome))
 		if f < worst {
 			worst = f
@@ -95,7 +95,7 @@ func TestSwapNoiseDegrades(t *testing.T) {
 	var sum float64
 	const n = 300
 	for i := 0; i < n; i++ {
-		res := Swap(BellState(PhiPlus), BellState(PhiPlus), cfg, rng)
+		res := SwapW(nil, BellProjector(PhiPlus), BellProjector(PhiPlus), cfg, rng)
 		sum += Fidelity(res.Rho, Combine(PhiPlus, PhiPlus, res.Outcome))
 	}
 	if avg := sum / n; avg < 0.9 || avg >= 1 {
@@ -112,7 +112,7 @@ func TestSwapReadoutErrorMisleadsTracking(t *testing.T) {
 	mis := 0
 	const n = 200
 	for i := 0; i < n; i++ {
-		res := Swap(BellState(PhiPlus), BellState(PhiPlus), cfg, rng)
+		res := SwapW(nil, BellProjector(PhiPlus), BellProjector(PhiPlus), cfg, rng)
 		idx := Combine(PhiPlus, PhiPlus, res.Outcome)
 		if Fidelity(res.Rho, idx) < 0.9 {
 			mis++
@@ -127,10 +127,10 @@ func TestSwapChainThreeHops(t *testing.T) {
 	// Compose two swaps like a 4-node path: A-B, B-C, C-D.
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
-		ab, bc, cd := BellState(PhiPlus), BellState(PsiPlus), BellState(PhiMinus)
-		r1 := Swap(ab, bc, PerfectSwap, rng)
+		ab, bc, cd := BellProjector(PhiPlus), BellProjector(PsiPlus), BellProjector(PhiMinus)
+		r1 := SwapW(nil, ab, bc, PerfectSwap, rng)
 		idx1 := Combine(PhiPlus, PsiPlus, r1.Outcome)
-		r2 := Swap(r1.Rho, cd, PerfectSwap, rng)
+		r2 := SwapW(nil, r1.Rho, cd, PerfectSwap, rng)
 		idx2 := Combine(idx1, PhiMinus, r2.Outcome)
 		if f := Fidelity(r2.Rho, idx2); math.Abs(f-1) > 1e-9 {
 			t.Fatalf("three-hop chain fidelity %v with predicted %v", f, idx2)
@@ -149,7 +149,7 @@ func TestTeleportPerfect(t *testing.T) {
 				complex(math.Sin(theta/2)*math.Cos(phi), math.Sin(theta/2)*math.Sin(phi)),
 			)
 			data := linalg.OuterProduct(v, v)
-			out := Teleport(data, BellState(idx), idx, PerfectSwap, rng)
+			out := Teleport(data, BellProjector(idx), idx, PerfectSwap, rng)
 			if f := real(linalg.Expectation(out, v)); math.Abs(f-1) > 1e-9 {
 				t.Fatalf("teleport via B%v: output fidelity %v", idx, f)
 			}
@@ -164,7 +164,7 @@ func TestTeleportNoisyPair(t *testing.T) {
 	var sum float64
 	const n = 100
 	for i := 0; i < n; i++ {
-		out := Teleport(data, WernerState(0.8), PhiPlus, PerfectSwap, rng)
+		out := Teleport(data, WernerFor(0.8, PhiPlus), PhiPlus, PerfectSwap, rng)
 		sum += real(linalg.Expectation(out, v))
 	}
 	avg := sum / n
@@ -179,7 +179,7 @@ func TestDistillImprovesFidelity(t *testing.T) {
 	var sum float64
 	succ, n := 0, 400
 	for i := 0; i < n; i++ {
-		res := Distill(WernerState(f0), WernerState(f0), PerfectSwap, rng)
+		res := Distill(WernerFor(f0, PhiPlus), WernerFor(f0, PhiPlus), PerfectSwap, rng)
 		if !res.OK {
 			continue
 		}
@@ -210,7 +210,7 @@ func TestDistillBelowThresholdUseless(t *testing.T) {
 	var sum float64
 	succ := 0
 	for i := 0; i < 300; i++ {
-		res := Distill(WernerState(0.5), WernerState(0.5), PerfectSwap, rng)
+		res := Distill(WernerFor(0.5, PhiPlus), WernerFor(0.5, PhiPlus), PerfectSwap, rng)
 		if res.OK {
 			succ++
 			sum += Fidelity(res.Rho, PhiPlus)
@@ -232,7 +232,7 @@ func TestMeasureStatistics(t *testing.T) {
 	ones := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		bit, post := Measure(rho, 0, 1, PerfectReadout, rng)
+		bit, post := MeasureW(nil, rho, 0, 1, PerfectReadout, rng)
 		ones += bit
 		// Post-state must be collapsed to the reported outcome.
 		if got := real(post.At(bit, bit)); math.Abs(got-1) > 1e-9 {
@@ -244,7 +244,7 @@ func TestMeasureStatistics(t *testing.T) {
 	}
 	// |+> measured in X: always 0.
 	for i := 0; i < 50; i++ {
-		bit, _ := MeasureInBasis(rho, 0, 1, XBasis, PerfectReadout, rng)
+		bit, _ := MeasureInBasisW(nil, rho, 0, 1, XBasis, PerfectReadout, rng)
 		if bit != 0 {
 			t.Fatal("X measurement of |+> returned 1")
 		}
@@ -253,7 +253,7 @@ func TestMeasureStatistics(t *testing.T) {
 	iket := linalg.ColumnVector(complex(1/math.Sqrt2, 0), complex(0, 1/math.Sqrt2))
 	rhoi := linalg.OuterProduct(iket, iket)
 	for i := 0; i < 50; i++ {
-		bit, _ := MeasureInBasis(rhoi, 0, 1, YBasis, PerfectReadout, rng)
+		bit, _ := MeasureInBasisW(nil, rhoi, 0, 1, YBasis, PerfectReadout, rng)
 		if bit != 0 {
 			t.Fatal("Y measurement of |i> returned 1")
 		}
@@ -267,7 +267,7 @@ func TestMeasureReadoutNoise(t *testing.T) {
 	flips := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		bit, _ := Measure(rho, 0, 1, Readout{F0: 0.9, F1: 0.9}, rng)
+		bit, _ := MeasureW(nil, rho, 0, 1, Readout{F0: 0.9, F1: 0.9}, rng)
 		flips += bit
 	}
 	if flips < 120 || flips > 280 {
@@ -284,44 +284,13 @@ func TestBellCorrelationsOnPair(t *testing.T) {
 		equal bool
 	}{{ZBasis, true}, {XBasis, true}, {YBasis, false}} {
 		for i := 0; i < 100; i++ {
-			rho := BellState(PhiPlus)
-			b1, post := MeasureInBasis(rho, 0, 2, c.basis, PerfectReadout, rng)
-			b2, _ := MeasureInBasis(post, 1, 2, c.basis, PerfectReadout, rng)
+			rho := BellProjector(PhiPlus)
+			b1, post := MeasureInBasisW(nil, rho, 0, 2, c.basis, PerfectReadout, rng)
+			b2, _ := MeasureInBasisW(nil, post, 1, 2, c.basis, PerfectReadout, rng)
 			if (b1 == b2) != c.equal {
 				t.Fatalf("basis %v: outcomes %d,%d (want equal=%v)", c.basis, b1, b2, c.equal)
 			}
 		}
-	}
-}
-
-func TestExpectationPauliAndCorrelators(t *testing.T) {
-	for idx := BellIndex(0); idx < 4; idx++ {
-		rho := WernerFor(0.85, idx)
-		xx := ExpectationPauli(rho, 1, 1)
-		yy := ExpectationPauli(rho, 2, 2)
-		zz := ExpectationPauli(rho, 3, 3)
-		if got := FidelityFromCorrelators(xx, yy, zz, idx); math.Abs(got-0.85) > 1e-9 {
-			t.Errorf("correlator fidelity for B%v = %v, want 0.85", idx, got)
-		}
-	}
-	// <Z⊗I> of Φ+ is 0; <Z⊗Z> is 1.
-	if got := ExpectationPauli(BellState(PhiPlus), 3, 0); math.Abs(got) > tol {
-		t.Errorf("<ZI> = %v", got)
-	}
-	if got := ExpectationPauli(BellState(PhiPlus), 3, 3); math.Abs(got-1) > tol {
-		t.Errorf("<ZZ> = %v", got)
-	}
-}
-
-func TestTraceOut(t *testing.T) {
-	// Tracing out either qubit of Φ+ leaves I/2.
-	red := TraceOut(BellState(PhiPlus), 0, 2)
-	if !linalg.ApproxEqual(red, linalg.Scale(0.5, linalg.Identity(2)), tol) {
-		t.Error("TraceOut(0) of Bell state not maximally mixed")
-	}
-	red = TraceOut(BellState(PhiPlus), 1, 2)
-	if !linalg.ApproxEqual(red, linalg.Scale(0.5, linalg.Identity(2)), tol) {
-		t.Error("TraceOut(1) of Bell state not maximally mixed")
 	}
 }
 

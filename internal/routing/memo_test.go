@@ -204,19 +204,19 @@ func refWorstCase(c *Controller, curve *hardware.LinkCurve, linkF float64, hops 
 	}
 	lt := c.storageLifetimes()
 	agedPair := func() *linalg.Matrix {
-		rho := curve.Model(alpha).State(quantum.PsiPlus)
+		rho := curve.Model(alpha).StateW(nil, quantum.PsiPlus)
 		if c.Params.HasCarbon {
 			pNoise := 1 - c.Params.Gates.TwoQubitFidelity*c.Params.Gates.CarbonInitFidelity
-			rho = quantum.Depolarizing1(pNoise).Apply(rho, 0, 2)
+			rho = quantum.ApplyDepolarizing1W(nil, rho, pNoise, 0, 2)
 		}
-		rho = quantum.Decohere(rho, 0, 2, wait, lt.T1, lt.T2)
-		return quantum.Decohere(rho, 1, 2, wait, lt.T1, lt.T2)
+		rho = quantum.DecohereW(nil, rho, 0, 2, wait, lt.T1, lt.T2)
+		return quantum.DecohereW(nil, rho, 1, 2, wait, lt.T1, lt.T2)
 	}
 	rng := rand.New(rand.NewSource(1))
 	cur := agedPair()
 	idx := quantum.PsiPlus
 	for h := 1; h < hops; h++ {
-		res := quantum.Swap(cur, agedPair(), quantum.SwapConfig{
+		res := quantum.SwapW(nil, cur, agedPair(), quantum.SwapConfig{
 			TwoQubitFidelity:    c.Params.Gates.TwoQubitFidelity,
 			SingleQubitFidelity: c.Params.Gates.SingleQubitFidelity,
 			Readout:             quantum.PerfectReadout,
@@ -250,20 +250,20 @@ func TestWorstCaseMatchesReference(t *testing.T) {
 	}
 }
 
-// refFidelityLossTime is fidelityLossTime as first written, on the
-// allocating Decohere.
+// refFidelityLossTime is fidelityLossTime as first written, allocating
+// every state.
 func refFidelityLossTime(c *Controller, curve *hardware.LinkCurve, linkF, fraction float64) sim.Duration {
 	alpha, ok := curve.AlphaForFidelity(linkF)
 	if !ok {
 		return 0
 	}
 	lt := c.storageLifetimes()
-	rho0 := curve.Model(alpha).State(quantum.PsiPlus)
+	rho0 := curve.Model(alpha).StateW(nil, quantum.PsiPlus)
 	f0 := quantum.Fidelity(rho0, quantum.PsiPlus)
 	target := f0 * (1 - fraction)
 	aged := func(t float64) float64 {
-		rho := quantum.Decohere(rho0, 0, 2, t, lt.T1, lt.T2)
-		rho = quantum.Decohere(rho, 1, 2, t, lt.T1, lt.T2)
+		rho := quantum.DecohereW(nil, rho0, 0, 2, t, lt.T1, lt.T2)
+		rho = quantum.DecohereW(nil, rho, 1, 2, t, lt.T1, lt.T2)
 		return quantum.Fidelity(rho, quantum.PsiPlus)
 	}
 	lo, hi := 0.0, 1.0

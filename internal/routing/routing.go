@@ -436,7 +436,8 @@ func (c *Controller) fidelityLossTime(ws *linalg.Workspace, curve *hardware.Link
 		return 0
 	}
 	lt := c.storageLifetimes()
-	rho0 := curve.Model(alpha).State(quantum.PsiPlus)
+	rho0 := curve.Model(alpha).StateW(ws, quantum.PsiPlus)
+	defer ws.Put(rho0)
 	f0 := quantum.Fidelity(rho0, quantum.PsiPlus)
 	target := f0 * (1 - fraction)
 	aged := func(t float64) float64 {
@@ -492,14 +493,19 @@ func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, 
 	// Every link-pair is produced and aged identically, and swaps leave
 	// their inputs untouched, so one aged state serves every hop.
 	lt := c.storageLifetimes()
-	aged := curve.Model(alpha).State(quantum.PsiPlus)
+	aged := curve.Model(alpha).StateW(ws, quantum.PsiPlus)
 	if c.Params.HasCarbon {
 		// The intermediate half is moved into carbon: two-qubit gate plus
 		// carbon initialisation noise on one qubit.
 		pNoise := 1 - c.Params.Gates.TwoQubitFidelity*c.Params.Gates.CarbonInitFidelity
-		aged = quantum.Depolarizing1(pNoise).ApplyW(ws, aged, 0, 2)
+		moved := quantum.ApplyDepolarizing1W(ws, aged, pNoise, 0, 2)
+		ws.Put(aged)
+		aged = moved
 	}
-	aged = decohereBoth(ws, aged, wait, lt)
+	if next := decohereBoth(ws, aged, wait, lt); next != aged {
+		ws.Put(aged)
+		aged = next
+	}
 	// Deterministic composition with a fixed RNG: swap outcomes only select
 	// which Bell state is declared, not how much fidelity survives, so any
 	// outcome sequence gives the same worst-case number (verified in tests).
@@ -520,5 +526,6 @@ func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, 
 	if cur != aged {
 		ws.Put(cur)
 	}
+	ws.Put(aged)
 	return f
 }

@@ -193,10 +193,10 @@ func TestLongCutoffCalibration(t *testing.T) {
 			t.Fatalf("%s: no cutoff computed", p.Name)
 		}
 		alpha, _ := curve.AlphaForFidelity(linkF)
-		rho0 := curve.Model(alpha).State(quantum.PsiPlus)
+		rho0 := curve.Model(alpha).StateW(nil, quantum.PsiPlus)
 		lt := c.storageLifetimes()
-		rho := quantum.Decohere(rho0, 0, 2, cut.Seconds(), lt.T1, lt.T2)
-		rho = quantum.Decohere(rho, 1, 2, cut.Seconds(), lt.T1, lt.T2)
+		rho := quantum.DecohereW(nil, rho0, 0, 2, cut.Seconds(), lt.T1, lt.T2)
+		rho = quantum.DecohereW(nil, rho, 1, 2, cut.Seconds(), lt.T1, lt.T2)
 		lost := 1 - quantum.Fidelity(rho, quantum.PsiPlus)/quantum.Fidelity(rho0, quantum.PsiPlus)
 		if math.Abs(lost-0.015) > 0.003 {
 			t.Errorf("%s: fidelity loss at cutoff = %.4f, want ≈0.015", p.Name, lost)

@@ -20,6 +20,9 @@ type lifetimeCase struct {
 	establish func(n *Network) (*Circuit, error)
 	mid       string
 	pairs     int
+	// early submits the first request as EARLY, so the teardown also
+	// catches halves handed to an AutoConsume end before their TRACK.
+	early bool
 }
 
 // lifetimeResult is what a run leaves behind; two runs on the same seed
@@ -35,9 +38,10 @@ type lifetimeResult struct {
 // runLifetime establishes "c" and starts a Keep request on it, waits until
 // the intermediate holds a swap or move in flight past the moment the
 // TEARDOWN reaches it (the skip-th such op), tears "c" down there and
-// reinstalls it under the same ID for a fresh request. It checks that
-// every reinstalled delivery holds its head's half in the declared state and
-// every qubit ends free once all circuits are gone.
+// reinstalls it under the same ID for a fresh request. It checks that the
+// teardown frees c's end nodes, every reinstalled delivery holds its head's
+// half in the declared state, and every qubit ends free once all circuits
+// are gone.
 func runLifetime(t *testing.T, tc lifetimeCase, seed int64, skip int) lifetimeResult {
 	t.Helper()
 	n := tc.build(seed)
@@ -47,7 +51,11 @@ func runLifetime(t *testing.T, tc lifetimeCase, seed int64, skip int) lifetimeRe
 	}
 	c.HandleHead(Handlers{AutoConsume: true})
 	c.HandleTail(Handlers{AutoConsume: true})
-	if err := c.Submit(Request{ID: "old", Type: Keep, NumPairs: 1 << 20}); err != nil {
+	typ := Keep
+	if tc.early {
+		typ = Early
+	}
+	if err := c.Submit(Request{ID: "old", Type: typ, NumPairs: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	mid := n.Device(tc.mid)
@@ -76,6 +84,11 @@ func runLifetime(t *testing.T, tc lifetimeCase, seed int64, skip int) lifetimeRe
 		t.Fatal("the intermediate's operations finished before its teardown")
 	}
 	n.Run(sim.Second)
+	// No other circuit uses c's end nodes: teardown must have freed them. A
+	// leaked half would also starve the reinstalled circuit below.
+	if !allFree(t, n, seed, c.Plan.Path[0], c.Plan.Path[len(c.Plan.Path)-1]) {
+		t.FailNow()
+	}
 
 	c, err = tc.establish(n)
 	if err != nil {
@@ -118,14 +131,24 @@ func runLifetime(t *testing.T, tc lifetimeCase, seed int64, skip int) lifetimeRe
 		circ.Teardown()
 	}
 	n.Run(sim.Second)
-	for _, id := range n.NodeIDs() {
+	allFree(t, n, seed, n.NodeIDs()...)
+	return res
+}
+
+// allFree reports whether every qubit at the given nodes is free, and
+// reports each one that is not.
+func allFree(t *testing.T, n *Network, seed int64, ids ...string) bool {
+	t.Helper()
+	free := true
+	for _, id := range ids {
 		for _, q := range n.Device(id).Qubits() {
 			if !q.Free() {
 				t.Errorf("seed %d: %s qubit %d (%v) still allocated after teardown", seed, id, q.ID(), q.Kind())
+				free = false
 			}
 		}
 	}
-	return res
+	return free
 }
 
 func indexOf(path []string, id string) int {
@@ -202,31 +225,28 @@ func TestTeardownMidFlightThenReinstall(t *testing.T) {
 			EndToEndFidelity: 0.5,
 		}
 	}
+	wernerDumbbell := func(seed int64) *Network {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Physics = PhysicsWerner
+		n := Dumbbell(cfg)
+		bg, err := n.Establish("bg", "A1", "B1", 0.85, &CircuitOptions{Policy: CutoffShort})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg.HandleHead(Handlers{AutoConsume: true})
+		bg.HandleTail(Handlers{AutoConsume: true})
+		if err := bg.Submit(Request{ID: "bg", Type: Keep, NumPairs: 1 << 20}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	establishDumbbell := func(n *Network) (*Circuit, error) {
+		return n.Establish("c", "A0", "B0", 0.85, &CircuitOptions{Policy: CutoffShort})
+	}
 	cases := []lifetimeCase{
-		{
-			name: "werner-dumbbell",
-			build: func(seed int64) *Network {
-				cfg := DefaultConfig()
-				cfg.Seed = seed
-				cfg.Physics = PhysicsWerner
-				n := Dumbbell(cfg)
-				bg, err := n.Establish("bg", "A1", "B1", 0.85, &CircuitOptions{Policy: CutoffShort})
-				if err != nil {
-					t.Fatal(err)
-				}
-				bg.HandleHead(Handlers{AutoConsume: true})
-				bg.HandleTail(Handlers{AutoConsume: true})
-				if err := bg.Submit(Request{ID: "bg", Type: Keep, NumPairs: 1 << 20}); err != nil {
-					t.Fatal(err)
-				}
-				return n
-			},
-			establish: func(n *Network) (*Circuit, error) {
-				return n.Establish("c", "A0", "B0", 0.85, &CircuitOptions{Policy: CutoffShort})
-			},
-			mid:   "MA",
-			pairs: 200,
-		},
+		{name: "werner-dumbbell", build: wernerDumbbell, establish: establishDumbbell, mid: "MA", pairs: 200},
+		{name: "werner-dumbbell-early", build: wernerDumbbell, establish: establishDumbbell, mid: "MA", pairs: 200, early: true},
 		{
 			name: "nearterm-chain",
 			build: func(seed int64) *Network {

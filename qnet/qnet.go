@@ -88,8 +88,9 @@
 // end-node, which calls them directly for the circuit's deliveries. The
 // application owns a delivered qubit only when OnPair is set and
 // AutoConsume is false; otherwise the node frees it once OnPair returns,
-// and also frees an EARLY hand-off whose chain expires. Circuit.Teardown
-// silences both ends at once.
+// and also frees an EARLY hand-off whose chain expires or whose circuit is
+// torn down. Ownership of an EARLY hand-off is settled when the qubit is
+// handed over. Circuit.Teardown silences both ends at once.
 //
 // The experiment suite in internal/experiments (cmd/figures) reproduces
 // every figure of the paper's evaluation on the scenario API, fanning the
@@ -153,7 +154,8 @@ type (
 	// installed with Circuit.HandleHead/HandleTail. The application owns a
 	// delivered qubit only when OnPair is set and AutoConsume is false;
 	// otherwise the node frees it after OnPair returns, and frees an EARLY
-	// hand-off whose chain expires after OnExpire (see core.Handlers).
+	// hand-off whose chain expires (after OnExpire) or whose circuit is
+	// torn down (see core.Handlers).
 	Handlers = core.Handlers
 )
 

@@ -3,6 +3,7 @@ package qnet
 import (
 	"testing"
 
+	"qnp/internal/device"
 	"qnp/internal/linklayer"
 	"qnp/internal/quantum"
 	"qnp/internal/sim"
@@ -164,6 +165,60 @@ func TestTeardownSilencesTail(t *testing.T) {
 	}
 	if free := net.Device("n2").FreeCommCount(linklayer.LinkName("n1", "n2")); free != 2 {
 		t.Errorf("tail holds %d of 2 communication qubits after the TEARDOWN wave: window deliveries leaked", 2-free)
+	}
+}
+
+// TestTeardownLeavesOwnedEarlyQubits pins the other side of the EARLY
+// ownership rule: an early hand-off to an owning application stays the
+// application's through a teardown, although Teardown clears the tail's
+// handlers before the TEARDOWN wave reaches it and confirmations and
+// expiries keep arriving in that window. The node frees every other half.
+func TestTeardownLeavesOwnedEarlyQubits(t *testing.T) {
+	net := Chain(DefaultConfig(), 3)
+	vc, err := net.Establish("vc", "n0", "n2", 0.8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// held maps each end to the early qubits its application still owns,
+	// keyed by the local link correlator's Seq.
+	held := map[string]map[uint64]*device.Qubit{}
+	owning := func(node string) Handlers {
+		mine := map[uint64]*device.Qubit{}
+		held[node] = mine
+		release := func(c Correlator) {
+			if q := mine[c.Seq]; q != nil {
+				net.Device(node).Free(q)
+				delete(mine, c.Seq)
+			}
+		}
+		return Handlers{
+			OnEarlyPair: func(d Delivered) { mine[d.LocalCorr.Seq] = d.Pair.Half(d.Pair.LocalSide(node)) },
+			OnPair:      func(d Delivered) { release(d.LocalCorr) },
+			OnExpire:    func(_ RequestID, c Correlator) { release(c) },
+		}
+	}
+	vc.HandleHead(owning("n0"))
+	vc.HandleTail(owning("n2"))
+	net.Classical.SetProcessingDelay(20 * sim.Millisecond)
+	if err := vc.Submit(Request{ID: "e", Type: Early}); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(2 * sim.Second)
+	vc.Teardown()
+	net.Run(sim.Second)
+	if len(held["n0"]) == 0 || len(held["n2"]) == 0 {
+		t.Fatalf("owned early qubits at teardown: head %d, tail %d; want some at both ends", len(held["n0"]), len(held["n2"]))
+	}
+	for _, node := range []string{"n0", "n2"} {
+		owned := map[*device.Qubit]bool{}
+		for _, q := range held[node] {
+			owned[q] = true
+		}
+		for _, q := range net.Device(node).Qubits() {
+			if q.Free() == owned[q] {
+				t.Errorf("%s qubit %d: free=%v, owned by the application=%v", node, q.ID(), q.Free(), owned[q])
+			}
+		}
 	}
 }
 
