@@ -224,13 +224,13 @@ func BenchmarkWernerFig9(b *testing.B) {
 
 // BenchmarkSwapHeavyPhysics pits the two engines against each other on the
 // physics hot path itself: herald two link pairs, swap them, read out the
-// merged pair's fidelity. The exact engine pays 16×16 joint-state algebra
-// per swap; the scalar engine a handful of float operations — this pair of
-// benches records that gap (the CI floor is 5×). Exact scenarios stay
-// physics-bound (about three quarters of fig9's CPU is in quantum and
-// linalg frames), but the event loop, link layer and protocol cost the same
-// under both engines, so the end-to-end gap is smaller (about 4.6× per fig9
-// replica); this bench isolates the physics tier.
+// merged pair's fidelity. The exact engine pays an exact noisy Bell-state
+// measurement per swap; the scalar engine a handful of float operations —
+// this pair of benches records that gap. Exact scenarios stay
+// physics-bound (SwapW and DecohereW hold about half of fig9's CPU), but
+// the event loop, link layer and protocol cost the same under both
+// engines, so the end-to-end gap is smaller (about 3.7× per fig9 replica);
+// this bench isolates the physics tier.
 func BenchmarkSwapHeavyPhysics(b *testing.B) {
 	params := hardware.Simulation()
 	link := hardware.LabLink()

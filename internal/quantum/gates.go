@@ -5,9 +5,13 @@
 // joint four-qubit state, teleportation and DEJMPS distillation.
 //
 // Pairs are the unit of state. A pair's density matrix is 4×4 in the basis
-// |00>,|01>,|10>,|11> with the *left* qubit first. Entanglement swaps build
-// the 16×16 joint state of two pairs, apply the noisy Bell-state measurement
-// at the middle node, and return the exact post-measurement remote pair.
+// |00>,|01>,|10>,|11> with the *left* qubit first. An entanglement swap is
+// the noisy Bell-state measurement at the middle node on the 16×16 joint
+// state of two pairs, returning the exact post-measurement remote pair.
+// SwapW evaluates only the entries of that pipeline that reach the remote
+// pair, 80 of the noisy CNOT's 256 outputs and 28 of the noisy H's, and
+// equals the staged circuit bit for bit; the tests keep the staged circuit
+// as its reference.
 //
 // Each operation has one entry point, threaded through a
 // *linalg.Workspace: intermediates come from the workspace and go back to

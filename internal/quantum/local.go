@@ -215,21 +215,50 @@ func applyOpsW(ws *linalg.Workspace, rho *linalg.Matrix, k, target, n int, ops .
 }
 
 // The Pauli operators and their two-qubit products, the depolarising
-// channels' Kraus factors before scaling. Read-only.
+// channels' Kraus factors before scaling, and the projectors. Read-only.
 var (
-	pauliOps1 [4]localOp
-	pauliOps2 [16]localOp
-	proj0Op   = toLocalOp(proj0, 1)
-	proj1Op   = toLocalOp(proj1, 1)
+	paulis1 [4]monomial
+	paulis2 [16]monomial
+	proj0Op = toLocalOp(proj0, 1)
+	proj1Op = toLocalOp(proj1, 1)
 )
 
 func init() {
-	for m := range pauliOps1 {
-		pauliOps1[m] = toLocalOp(Pauli(m), 1)
+	for m := range paulis1 {
+		paulis1[m] = toMonomial(toLocalOp(Pauli(m), 1))
 	}
-	for m := range pauliOps2 {
-		pauliOps2[m] = toLocalOp(linalg.Kron(Pauli(m/4), Pauli(m%4)), 2)
+	for m := range paulis2 {
+		paulis2[m] = toMonomial(toLocalOp(linalg.Kron(Pauli(m/4), Pauli(m%4)), 2))
 	}
+}
+
+// monomial is a 2ᵏ×2ᵏ operator (k ≤ 2) whose row a holds its one
+// nonzero, v[a], in column a^f. Every Pauli product has this shape.
+type monomial struct {
+	d, f int
+	v    [4]complex128
+}
+
+// toMonomial reads the monomial-shaped operator o.
+func toMonomial(o localOp) monomial {
+	m := monomial{d: o.d}
+	for o.u[m.f] == 0 { // row 0's nonzero sits in column f
+		m.f++
+	}
+	for a := 0; a < o.d; a++ {
+		m.v[a] = o.u[a*4+(a^m.f)]
+	}
+	return m
+}
+
+// localOp returns m prepared for the block kernels.
+func (m *monomial) localOp() localOp {
+	o := localOp{d: m.d}
+	for a := 0; a < m.d; a++ {
+		o.u[a*4+(a^m.f)] = m.v[a]
+	}
+	o.index()
+	return o
 }
 
 // depolarizingAmp is the coefficient of Kraus factor m of the k-qubit
@@ -247,30 +276,41 @@ func depolarizingAmp(p float64, k, m int) complex128 {
 	return complex(math.Sqrt(p/16), 0)
 }
 
-// applyDepolarizingW applies the k-qubit depolarising channel with
-// probability p, ρ → (1−p)ρ + p·I/2ᵏ over the 4ᵏ Paulis, without building
-// its Kraus matrices. Each factor's nonzeros are amp·v, as linalg.Scale
+// depolarizingTerms writes the Kraus factors of the k-qubit depolarising
+// channel with probability p into dst, in Pauli order, and returns the
+// factors written. Each factor's nonzeros are amp·v, as linalg.Scale
 // computes them; a factor whose amp is 0 adds nothing and is dropped.
-func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, k, target, n int) *linalg.Matrix {
+func depolarizingTerms(dst []monomial, p float64, k int) []monomial {
 	p = clamp01(p)
-	paulis := pauliOps1[:]
+	paulis := paulis1[:]
 	if k == 2 {
-		paulis = pauliOps2[:]
+		paulis = paulis2[:]
 	}
-	var terms [16]localOp
-	nt := 0
+	n := 0
 	for m := range paulis {
 		amp := depolarizingAmp(p, k, m)
 		if amp == 0 {
 			continue
 		}
-		terms[nt] = paulis[m]
-		for e, v := range terms[nt].u {
-			if v != 0 {
-				terms[nt].u[e] = amp * v
-			}
+		t := &dst[n]
+		*t = paulis[m]
+		for a := 0; a < t.d; a++ {
+			t.v[a] = amp * t.v[a]
 		}
-		nt++
+		n++
 	}
-	return applyOpsW(ws, rho, k, target, n, terms[:nt]...)
+	return dst[:n]
+}
+
+// applyDepolarizingW applies the k-qubit depolarising channel with
+// probability p, ρ → (1−p)ρ + p·I/2ᵏ over the 4ᵏ Paulis, without building
+// its Kraus matrices.
+func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, k, target, n int) *linalg.Matrix {
+	var factors [16]monomial
+	var ops [16]localOp
+	terms := depolarizingTerms(factors[:], p, k)
+	for t := range terms {
+		ops[t] = terms[t].localOp()
+	}
+	return applyOpsW(ws, rho, k, target, n, ops[:len(terms)]...)
 }

@@ -62,23 +62,26 @@ func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readou
 			p0 += real(rho.Data[i*st.dim+i])
 		}
 	}
-	if p0 < 0 {
-		p0 = 0
-	}
-	if p0 > 1 {
-		p0 = 1
-	}
-	truth := 1
+	truth, bit, prob := collapse(p0, ro, rng)
 	proj := proj1Op
-	prob := 1 - p0
-	if rng.Float64() < p0 {
-		truth = 0
+	if truth == 0 {
 		proj = proj0Op
-		prob = p0
 	}
 	post = applyOpsW(ws, rho, 1, target, n, proj)
-	if prob > 1e-15 {
+	if prob > minRenormProb {
 		post.ScaleInPlace(complex(1/prob, 0))
+	}
+	return bit, post
+}
+
+// collapse samples a Z measurement whose outcome 0 has probability p0,
+// clamped to [0, 1]: first the physical outcome truth, then the reported
+// bit under the readout model. prob is the probability of truth.
+func collapse(p0 float64, ro Readout, rng *rand.Rand) (truth, bit int, prob float64) {
+	p0 = clamp01(p0)
+	truth, prob = 1, 1-p0
+	if rng.Float64() < p0 {
+		truth, prob = 0, p0
 	}
 	bit = truth
 	if truth == 0 {
@@ -90,7 +93,19 @@ func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readou
 			bit = 0
 		}
 	}
-	return bit, post
+	return truth, bit, prob
+}
+
+// minRenormProb is the outcome probability at or below which a
+// post-measurement state is left unnormalised.
+const minRenormProb = 1e-15
+
+// renormalize is the post-measurement rescale of one entry.
+func renormalize(v complex128, prob float64) complex128 {
+	if prob > minRenormProb {
+		v *= complex(1/prob, 0)
+	}
+	return v
 }
 
 // MeasureInBasisW rotates qubit target into the requested basis and performs

@@ -2,6 +2,7 @@ package quantum
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 
 	"qnp/internal/linalg"
@@ -31,13 +32,6 @@ type SwapResult struct {
 	Outcome BellIndex
 }
 
-// dims/keep vectors for the four-qubit partial trace of SwapW, hoisted so
-// the hot path does not allocate them per swap. Read-only.
-var (
-	dims4qubit = []int{2, 2, 2, 2}
-	keepOuter  = []bool{true, false, false, true}
-)
-
 // SwapW performs an entanglement swap (Fig. 3 of the paper) between pair
 // rhoAB (qubits A,b1 with b1 at the swapping node) and pair rhoBC (qubits
 // b2,C with b2 at the swapping node). It executes the physical Bell-state
@@ -48,39 +42,196 @@ var (
 // The resulting Bell index obeys Combine(idxAB, idxBC, Outcome); the tests
 // pin this identity against the returned density matrix.
 //
-// Every intermediate joint state comes from ws and is returned to it; the
-// resulting Rho is a fresh ws matrix whose ownership transfers to the
-// caller (it typically becomes the merged pair's long-lived state). The
-// inputs are untouched. A nil ws allocates instead, with bit-identical
-// results and RNG consumption.
+// The result equals the staged circuit on the 16×16 joint state (A, b1,
+// b2, C) bit for bit: Kron, NoisyGate2W(CNOT), NoisyGate1W(H), MeasureW on
+// b1 then b2, and the partial trace onto (A, C). The tests keep that
+// pipeline as the reference. Only the entries that reach the result are
+// evaluated:
+//   - the projections leave the (b1, b2) = (z, x) block of the measured
+//     qubits' outcomes and exact +0 elsewhere, and the partial trace and
+//     the outcome probabilities are ascending sums from +0, which absorb
+//     those zeros (see local.go). So the measurements read the 16 diagonal
+//     entries of the noisy-H output and its 4×4 surviving block;
+//   - each of those reads one 2×2 b1-block of the noisy-CNOT output, 8
+//     blocks on the diagonal before the first draw and 12 more once the
+//     outcomes are known: 80 of its 256 entries;
+//   - CNOT is a permutation with unit entries, so each noisy-CNOT entry is
+//     one pass of the Pauli-pair terms over the Kron product, summed from
+//     +0 in Kraus order. The dropped unit factors only change the sign of
+//     zeros, which those sums erase. This needs finite inputs: with an
+//     infinite entry the staged circuit's unit products form 0·Inf = NaN.
+//
+// The noise stages run only at fidelity < 1, as in the staged circuit,
+// and zero inputs add nothing. The RNG draws keep their order: b1's
+// outcome, b1's readout, b2's outcome, b2's readout, each probability
+// needing only diagonal entries computed before its draw.
+//
+// The resulting Rho is a fresh ws matrix whose ownership transfers to the
+// caller (it typically becomes the merged pair's long-lived state); no
+// other ws matrix is used. The inputs are untouched. A nil ws allocates
+// instead, with bit-identical results and RNG consumption.
 func SwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rng *rand.Rand) SwapResult {
-	if rhoAB.Rows != 4 || rhoBC.Rows != 4 {
+	if rhoAB.Rows != 4 || rhoAB.Cols != 4 || rhoBC.Rows != 4 || rhoBC.Cols != 4 {
 		panic("quantum: Swap needs 4×4 pair states")
 	}
-	// Joint order (A, b1, b2, C): the two node-local qubits are adjacent.
-	joint := ws.GetRaw(16, 16)
-	linalg.KronInto(joint, rhoAB, rhoBC)
-	next := NoisyGate2W(ws, joint, CNOT, 1, 4, cfg.TwoQubitFidelity)
-	ws.Put(joint)
-	joint = next
-	next = NoisyGate1W(ws, joint, H, 1, 4, cfg.SingleQubitFidelity)
-	ws.Put(joint)
-	joint = next
+	var terms2, terms1 [16]monomial
+	k := swapKernel{gate2: cnotTerm[:]}
+	k.load(rhoAB.Data, rhoBC.Data)
+	if cfg.TwoQubitFidelity < 1 {
+		k.gate2 = depolarizingTerms(terms2[:], 1-cfg.TwoQubitFidelity, 2)
+	}
+	if cfg.SingleQubitFidelity < 1 {
+		k.gate1 = depolarizingTerms(terms1[:], 1-cfg.SingleQubitFidelity, 1)
+	}
+	// Joint index i = A·8 + b1·4 + b2·2 + C. The diagonal before the
+	// measurements comes from the 8 b1-blocks on the diagonal.
+	var diag [16]complex128
+	for i0 := 0; i0 < 16; i0++ {
+		if i0&4 == 0 {
+			d := k.noisyH(i0, i0)
+			diag[i0], diag[i0|4] = d[0], d[1]
+		}
+	}
 	// After the basis change: b1 carries the phase bit, b2 the flip bit.
-	zbit, next := MeasureW(ws, joint, 1, 4, cfg.Readout, rng)
-	ws.Put(joint)
-	joint = next
-	xbit, next := MeasureW(ws, joint, 2, 4, cfg.Readout, rng)
-	ws.Put(joint)
-	joint = next
-	// Remove the measured qubits; the survivors are (A, C).
+	var p0 float64
+	for i, v := range diag {
+		if i&4 == 0 {
+			p0 += real(v)
+		}
+	}
+	z, zbit, zprob := collapse(p0, cfg.Readout, rng)
+	// b2's outcome reads the rescaled b1 = z diagonal; the rest is +0.
+	p0 = 0
+	for i, v := range diag {
+		if i&4 == z<<2 && i&2 == 0 {
+			p0 += real(renormalize(v, zprob))
+		}
+	}
+	x, xbit, xprob := collapse(p0, cfg.Readout, rng)
+	// The surviving (A, C) block sits at b1 = z, b2 = x. Its entries are
+	// sums from +0 and hold no −0, so each projection's unit factors and
+	// +0-started sum, and then the partial trace's, leave them as they are;
+	// only the two rescales act.
 	rhoAC := ws.GetRaw(4, 4)
-	linalg.PartialTraceInto(rhoAC, joint, dims4qubit, keepOuter)
-	ws.Put(joint)
+	for r := 0; r < 4; r++ {
+		i := r>>1<<3 | z<<2 | x<<1 | r&1
+		for c := 0; c < 4; c++ {
+			j := c>>1<<3 | z<<2 | x<<1 | c&1
+			v := diag[i]
+			if i != j {
+				v = k.noisyH(i&^4, j&^4)[z]
+			}
+			rhoAC.Data[r*4+c] = renormalize(renormalize(v, zprob), xprob)
+		}
+	}
 	return SwapResult{
 		Rho:     rhoAC,
 		Outcome: BellIndex(uint8(xbit) | uint8(zbit)<<1),
 	}
+}
+
+// cnotTerm is the noiseless CNOT's own factor in the fused pass: its unit
+// entries, applied as the CNOT stage applies them.
+var cnotTerm = [1]monomial{{d: 4, v: [4]complex128{1, 1, 1, 1}}}
+
+// hOp is the Hadamard gate as the local kernels see it.
+var hOp = toLocalOp(H, 1)
+
+// swapKernel evaluates single entries of SwapW's staged pipeline.
+type swapKernel struct {
+	// cnot is rhoAB⊗rhoBC, formed as linalg.KronInto forms it, at the
+	// places CNOT(b1→b2) moves its entries to: the CNOT stage's output up
+	// to the sign of zeros.
+	cnot  [256]complex128
+	gate2 []monomial // the noisy CNOT's Kraus factors after the CNOT
+	gate1 []monomial // the noisy H's Kraus factors after the H; none if perfect
+}
+
+// load fills k.cnot, which must be all zero, from the two input pairs.
+func (k *swapKernel) load(ab, bc []complex128) {
+	for e, av := range ab[:16] {
+		if av == 0 {
+			continue
+		}
+		r1, c1 := e>>2, e&3
+		for e2, bv := range bc[:16] {
+			i, j := r1<<2|e2>>2, c1<<2|e2&3
+			k.cnot[cnotIndex(i)<<4|cnotIndex(j)] = av * bv
+		}
+	}
+}
+
+// cnotIndex applies CNOT(b1→b2) to the joint basis index A·8 + b1·4 + b2·2
+// + C.
+func cnotIndex(i int) int { return i ^ i>>1&2 }
+
+// noisyCNOT is entry (i, j) of the joint state after the noisy CNOT on
+// (b1, b2): addSparse's sum over gate2, whose factor on local row a reads
+// the CNOT output at local row a^f.
+func (k *swapKernel) noisyCNOT(i, j int) complex128 {
+	a, c := i>>1&3, j>>1&3
+	var x [4]complex128
+	live := false
+	for f := range x {
+		x[f] = k.cnot[(i^f<<1)<<4|(j^f<<1)]
+		live = live || x[f] != 0
+	}
+	var acc complex128
+	if !live {
+		return acc
+	}
+	for t := range k.gate2 {
+		g := &k.gate2[t]
+		if v := x[g.f]; v != 0 {
+			vx := g.v[a] * v
+			acc += vx * cmplx.Conj(g.v[c])
+		}
+	}
+	return acc
+}
+
+// noisyH returns entries (i0, j0) and (i0+4, j0+4), the b1-diagonal of
+// one 2×2 b1-block, of the joint state after the noisy H on b1: the
+// block's four noisy-CNOT entries, then addDense's two passes for H, then
+// addSparse's sum over gate1, which maps the b1-diagonal onto itself.
+func (k *swapKernel) noisyH(i0, j0 int) (d [2]complex128) {
+	var x [4]complex128
+	for a := 0; a < 2; a++ {
+		for c := 0; c < 2; c++ {
+			x[a*2+c] = k.noisyCNOT(i0|a<<2, j0|c<<2)
+		}
+	}
+	for a := 0; a < 2; a++ {
+		var t [2]complex128
+		for c := 0; c < 2; c++ {
+			var acc complex128
+			for m := 0; m < 2; m++ {
+				acc += hOp.u[a*4+m] * x[m*2+c]
+			}
+			t[c] = acc
+		}
+		var acc complex128
+		for m := 0; m < 2; m++ {
+			acc += t[m] * cmplx.Conj(hOp.u[a*4+m])
+		}
+		d[a] = acc
+	}
+	if len(k.gate1) == 0 {
+		return d
+	}
+	y := d
+	for a := 0; a < 2; a++ {
+		var acc complex128
+		for t := range k.gate1 {
+			g := &k.gate1[t]
+			if v := y[a^g.f]; v != 0 {
+				vx := g.v[a] * v
+				acc += vx * cmplx.Conj(g.v[a])
+			}
+		}
+		d[a] = acc
+	}
+	return d
 }
 
 // Teleport sends the single-qubit state data (2×2 density matrix) through an

@@ -1,6 +1,7 @@
 package quantum
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -297,5 +298,190 @@ func TestBellCorrelationsOnPair(t *testing.T) {
 func TestBasisString(t *testing.T) {
 	if ZBasis.String() != "Z" || XBasis.String() != "X" || YBasis.String() != "Y" {
 		t.Error("Basis.String wrong")
+	}
+}
+
+// dims/keep vectors for refSwapW's four-qubit partial trace.
+var (
+	dims4qubit = []int{2, 2, 2, 2}
+	keepOuter  = []bool{true, false, false, true}
+)
+
+// refSwapW is the staged entanglement swap that SwapW must equal bit for
+// bit: every stage of the 16×16 joint state in full, through the
+// workspace-threaded entry points.
+func refSwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rng *rand.Rand) SwapResult {
+	if rhoAB.Rows != 4 || rhoBC.Rows != 4 {
+		panic("quantum: Swap needs 4×4 pair states")
+	}
+	// Joint order (A, b1, b2, C): the two node-local qubits are adjacent.
+	joint := ws.GetRaw(16, 16)
+	linalg.KronInto(joint, rhoAB, rhoBC)
+	next := NoisyGate2W(ws, joint, CNOT, 1, 4, cfg.TwoQubitFidelity)
+	ws.Put(joint)
+	joint = next
+	next = NoisyGate1W(ws, joint, H, 1, 4, cfg.SingleQubitFidelity)
+	ws.Put(joint)
+	joint = next
+	// After the basis change: b1 carries the phase bit, b2 the flip bit.
+	zbit, next := MeasureW(ws, joint, 1, 4, cfg.Readout, rng)
+	ws.Put(joint)
+	joint = next
+	xbit, next := MeasureW(ws, joint, 2, 4, cfg.Readout, rng)
+	ws.Put(joint)
+	joint = next
+	// Remove the measured qubits; the survivors are (A, C).
+	rhoAC := ws.GetRaw(4, 4)
+	linalg.PartialTraceInto(rhoAC, joint, dims4qubit, keepOuter)
+	ws.Put(joint)
+	return SwapResult{
+		Rho:     rhoAC,
+		Outcome: BellIndex(uint8(xbit) | uint8(zbit)<<1),
+	}
+}
+
+// checkSwapMatchesRef runs SwapW and refSwapW from the same seed and
+// requires every Rho component, the outcome and the next RNG draw to agree
+// bit for bit.
+func checkSwapMatchesRef(t *testing.T, name string, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, seed int64) {
+	t.Helper()
+	rngGot, rngWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	got := SwapW(nil, rhoAB, rhoBC, cfg, rngGot)
+	want := refSwapW(nil, rhoAB, rhoBC, cfg, rngWant)
+	if got.Outcome != want.Outcome {
+		t.Fatalf("%s: outcome %v, reference %v", name, got.Outcome, want.Outcome)
+	}
+	if !sameBits(got.Rho, want.Rho) {
+		t.Fatalf("%s: Rho differs from the reference bit for bit:\n%v\nreference:\n%v", name, got.Rho, want.Rho)
+	}
+	if g, w := rngGot.Int63(), rngWant.Int63(); g != w {
+		t.Fatalf("%s: RNG streams diverged", name)
+	}
+}
+
+// randomPairState fills a 4×4 matrix with components uniform in [−1, 1],
+// about a quarter of them exact zeros of either sign.
+func randomPairState(rng *rand.Rand) *linalg.Matrix {
+	comp := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		return 2*rng.Float64() - 1
+	}
+	m := linalg.New(4, 4)
+	for e := range m.Data {
+		m.Data[e] = complex(comp(), comp())
+	}
+	return m
+}
+
+// swapRefConfigs covers every branch of SwapConfig: each gate fidelity at
+// 1, below 1 and at 0, with perfect and noisy readout.
+func swapRefConfigs() []SwapConfig {
+	var cfgs []SwapConfig
+	for _, f2 := range []float64{1, 0.97, 0} {
+		for _, f1 := range []float64{1, 0.99, 0} {
+			for _, ro := range []Readout{PerfectReadout, {F0: 0.95, F1: 0.9}} {
+				cfgs = append(cfgs, SwapConfig{TwoQubitFidelity: f2, SingleQubitFidelity: f1, Readout: ro})
+			}
+		}
+	}
+	return cfgs
+}
+
+// TestSwapWMatchesStagedReference pins SwapW to the staged pipeline over
+// random inputs with signed zeros, every config branch and the degenerate
+// inputs whose outcome probabilities are ½ and 1.
+func TestSwapWMatchesStagedReference(t *testing.T) {
+	cfgs := swapRefConfigs()
+	rng := rand.New(rand.NewSource(23))
+	for n := 0; n < 2400; n++ {
+		a, b := randomPairState(rng), randomPairState(rng)
+		checkSwapMatchesRef(t, "random", a, b, cfgs[n%len(cfgs)], int64(n))
+	}
+	zero := linalg.ColumnVector(1, 0, 0, 0)
+	ground := linalg.OuterProduct(zero, zero)
+	for _, cfg := range cfgs {
+		for i := BellIndex(0); i < 4; i++ {
+			for j := BellIndex(0); j < 4; j++ {
+				for seed := int64(0); seed < 4; seed++ {
+					checkSwapMatchesRef(t, "Bell", BellProjector(i), BellProjector(j), cfg, seed)
+				}
+			}
+		}
+		for seed := int64(0); seed < 4; seed++ {
+			checkSwapMatchesRef(t, "ground", ground, ground, cfg, seed)
+			checkSwapMatchesRef(t, "Werner", WernerFor(0.9, PhiPlus), WernerFor(0.8, PsiMinus), cfg, seed)
+		}
+	}
+}
+
+// FuzzSwapWMatchesReference requires SwapW to equal refSwapW bit for bit
+// on inputs decoded by decodeSwapInput.
+func FuzzSwapWMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rhoAB, rhoBC, cfg, seed := decodeSwapInput(data)
+		checkSwapMatchesRef(t, "fuzz", rhoAB, rhoBC, cfg, seed)
+	})
+}
+
+// decodeSwapInput reads two 4×4 inputs as 64 big-endian float64
+// components (real, imaginary; row-major; rhoAB first), then the two gate
+// fidelities and the two readout fidelities as big-endian uint16s scaled
+// to [0, 1] (65000 and above read as 1), then an int64 seed. Missing bytes
+// read as 0. Components are clamped to [−1, 1], keeping the sign of zero,
+// and NaN and ±Inf read as 0: with an infinite entry the staged pipeline's
+// unit CNOT products form 0·Inf = NaN where the fused pass forms none.
+func decodeSwapInput(data []byte) (rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, seed int64) {
+	take := func(n int) []byte {
+		var w [8]byte
+		data = data[copy(w[:n], data):]
+		return w[:n]
+	}
+	comp := func() float64 {
+		v := math.Float64frombits(binary.BigEndian.Uint64(take(8)))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0
+		}
+		return math.Max(-1, math.Min(1, v))
+	}
+	unit := func() float64 {
+		return math.Min(1, float64(binary.BigEndian.Uint16(take(2)))/65000)
+	}
+	var m [2]*linalg.Matrix
+	for k := range m {
+		m[k] = linalg.New(4, 4)
+		for e := range m[k].Data {
+			re := comp()
+			m[k].Data[e] = complex(re, comp())
+		}
+	}
+	cfg = SwapConfig{TwoQubitFidelity: unit(), SingleQubitFidelity: unit(),
+		Readout: Readout{F0: unit(), F1: unit()}}
+	seed = int64(binary.BigEndian.Uint64(take(8)))
+	return m[0], m[1], cfg, seed
+}
+
+// BenchmarkSwapW times the swap kernel against the staged reference on a
+// noisy configuration, both on a warm workspace.
+func BenchmarkSwapW(b *testing.B) {
+	cfg := SwapConfig{TwoQubitFidelity: 0.98, SingleQubitFidelity: 0.99, Readout: Readout{F0: 0.95, F1: 0.995}}
+	a, c := WernerFor(0.95, PhiPlus), WernerFor(0.9, PsiMinus)
+	for _, bc := range []struct {
+		name string
+		swap func(*linalg.Workspace, *linalg.Matrix, *linalg.Matrix, SwapConfig, *rand.Rand) SwapResult
+	}{{"kernel", SwapW}, {"reference", refSwapW}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			ws := linalg.NewWorkspace()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ws.Put(bc.swap(ws, a, c, cfg, rng).Rho)
+			}
+		})
 	}
 }
