@@ -520,6 +520,82 @@ func TestCutoffExpiresAndEndNodesRecover(t *testing.T) {
 	}
 }
 
+// TestVoidTestRoundsForgetHeadBits starves the chain of TestCutoffExpires-
+// AndEndNodesRecover with every pair a test round, so each round dies by
+// EXPIRE: after the head measured it (50 ms cutoff) or before the head's
+// 3.7 µs readout completes (1 µs cutoff). The head's pending test bits must
+// be dropped with the rounds, so at most one entry per head link qubit is
+// ever pending.
+func TestVoidTestRoundsForgetHeadBits(t *testing.T) {
+	for _, cutoff := range []sim.Duration{50 * sim.Millisecond, sim.Microsecond} {
+		cfg := defaultChainConfig(3)
+		cfg.cutoff = cutoff
+		cfg.seed = 7
+		c := buildChain(t, cfg)
+		newCollector(c, c.head())
+		tailDev := c.tail().Device()
+		tailDev.AllocComm(linklayer.LinkName("n1", "n2"))
+		tailDev.AllocComm(linklayer.LinkName("n1", "n2"))
+		if err := c.head().Submit(Request{ID: "r", Circuit: "vc", Type: Keep, NumPairs: 3, TestEvery: 1}); err != nil {
+			t.Fatal(err)
+		}
+		c.sim.RunFor(30 * sim.Second)
+		if st := c.nodes[1].Stats(); st.ExpiresSent == 0 {
+			t.Fatalf("cutoff %v: no test round expired", cutoff)
+		}
+		if got := len(c.head().circuits["vc"].tests.headBits); got > cfg.qubits {
+			t.Errorf("cutoff %v: %d head test bits pending after 30 s, want ≤ %d (one per head link qubit)", cutoff, got, cfg.qubits)
+		}
+	}
+}
+
+// TestSoftStateSweep runs Keep and Measure requests with test rounds over a
+// 4-node chain with a short cutoff, so swap records, expiries and parked
+// TRACKs pile up, some of them on chains that never resolve. Once the
+// requests are done and the circuit has idled three TTLs, the GC sweep must
+// have emptied every side's maps on every node.
+func TestSoftStateSweep(t *testing.T) {
+	cfg := defaultChainConfig(4)
+	cfg.cutoff = 20 * sim.Millisecond
+	cfg.qubits = 4
+	c := buildChain(t, cfg)
+	hc := newCollector(c, c.head())
+	newCollector(c, c.tail())
+	for _, req := range []Request{
+		{ID: "k", Circuit: "vc", Type: Keep, NumPairs: 20, TestEvery: 3},
+		{ID: "m", Circuit: "vc", Type: Measure, NumPairs: 20, TestEvery: 2},
+	} {
+		if err := c.head().Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sideMaps := func() (fates, parked int) {
+		for _, n := range c.nodes {
+			for _, l := range n.circuits["vc"].links {
+				fates += len(l.fates)
+				parked += len(l.parked)
+			}
+		}
+		return fates, parked
+	}
+	for len(hc.completed) < 2 {
+		if c.sim.Now() > sim.Time(120*sim.Second) {
+			t.Fatalf("requests completed: %v", hc.completed)
+		}
+		c.sim.RunFor(10 * sim.Millisecond)
+	}
+	if st := c.nodes[1].Stats(); st.Discards == 0 {
+		t.Fatal("no pair reached its cutoff")
+	}
+	if fates, parked := sideMaps(); fates+parked == 0 {
+		t.Fatal("no soft state left when the requests completed")
+	}
+	c.sim.RunFor(3 * c.head().gcTTL(c.head().circuits["vc"]))
+	if fates, parked := sideMaps(); fates+parked != 0 {
+		t.Errorf("after 3 TTLs idle: %d fates and %d parked TRACKs left", fates, parked)
+	}
+}
+
 func TestFidelityTestRounds(t *testing.T) {
 	cfg := defaultChainConfig(3)
 	cfg.perfectRO = true

@@ -103,7 +103,7 @@ func (n *Node) activate(cs *circuit, rs *reqState) {
 	cs.dmx.jumpToLatest()
 	rate := n.requestedRate(cs)
 	n.registerLinks(cs, rate)
-	n.sendDown(cs, ForwardMsg{
+	cs.links[down].port.Send(ForwardMsg{
 		Circuit:      cs.entry.Circuit,
 		Request:      rs.req.ID,
 		Type:         rs.req.Type,
@@ -147,7 +147,7 @@ func (n *Node) finishRequest(cs *circuit, rs *reqState) {
 	} else {
 		n.registerLinks(cs, rate)
 	}
-	n.sendDown(cs, CompleteMsg{Circuit: cs.entry.Circuit, Request: rs.req.ID, Rate: rate})
+	cs.links[down].port.Send(CompleteMsg{Circuit: cs.entry.Circuit, Request: rs.req.ID, Rate: rate})
 	if cs.handlers.OnComplete != nil {
 		cs.handlers.OnComplete(rs.req.ID)
 	}
@@ -172,12 +172,13 @@ func (n *Node) admitQueued(cs *circuit) {
 // --- End-node LINK rule (Algorithms 1 and 4) -------------------------------
 
 func (n *Node) endLinkRule(cs *circuit, ps pairSlot) {
+	own := cs.own()
 	rs := cs.dmx.next()
 	if rs == nil {
 		// No assignable request (drain window after completion): free the
-		// qubit and leave a tombstone so a late TRACK from the other end is
-		// answered with EXPIRE.
-		cs.endExpired[ps.corr.Seq] = n.sim.Now()
+		// qubit and settle the pair as expired, so a late TRACK from the
+		// other end is answered with EXPIRE.
+		n.settle(cs, own, ps.corr.Seq, fate{expired: true, at: n.sim.Now()})
 		n.dev.Free(ps.qubit)
 		return
 	}
@@ -208,10 +209,8 @@ func (n *Node) endLinkRule(cs *circuit, ps pairSlot) {
 	}
 	if cs.role == RoleHead {
 		tm.Epoch = cs.dmx.latest
-		n.sendDown(cs, tm)
-	} else {
-		n.sendUp(cs, tm)
 	}
+	cs.links[own].port.Send(tm)
 
 	// Consume-early modes: measure now, or hand the qubit to the app now.
 	switch {
@@ -244,6 +243,9 @@ func (n *Node) measureLocal(cs *circuit, it *inTransitEntry, basis quantum.Basis
 		it.measured = true
 		it.measuredBit = bit
 		if it.test && cs.role == RoleHead {
+			if it.dropped {
+				return // the round was void before its bit came in
+			}
 			// Push the head's bit into the test sample (the chain may or
 			// may not be confirmed yet).
 			hb := cs.tests.headBits[it.slot.corr.Seq]
@@ -261,20 +263,9 @@ func (n *Node) measureLocal(cs *circuit, it *inTransitEntry, basis quantum.Basis
 
 // --- End-node TRACK rule (Algorithms 2 and 5) ------------------------------
 
+// endTrackRule handles a TRACK for a pair without a settled fate (see
+// meetTrack): one the end assigned to a request.
 func (n *Node) endTrackRule(cs *circuit, m TrackMsg) {
-	if _, dead := cs.endExpired[m.LinkCorr.Seq]; dead {
-		delete(cs.endExpired, m.LinkCorr.Seq)
-		// Answer with EXPIRE toward the TRACK's origin end-node so it can
-		// recycle its chain-end qubit.
-		exp := ExpireMsg{Circuit: cs.entry.Circuit, Origin: m.Origin, ToHead: m.FromHead}
-		if m.FromHead { // we are the tail; origin is the head
-			n.sendUp(cs, exp)
-		} else {
-			n.sendDown(cs, exp)
-		}
-		cs.expiresSent++
-		return
-	}
 	it, ok := cs.inTransit[m.LinkCorr.Seq]
 	if !ok {
 		// Stale TRACK for a pair we no longer hold (already resolved by an
@@ -332,10 +323,10 @@ func (n *Node) newInTransit(rs *reqState, slot pairSlot) *inTransitEntry {
 }
 
 // releaseInTransit returns an entry that has left inTransit to the pool.
-// Entries that measure — Measure requests and head-designated test rounds —
-// stay out of it: their measurement callback may still hold them.
+// Entries that measure stay out of it: their measurement callback may still
+// hold them.
 func (n *Node) releaseInTransit(it *inTransitEntry) {
-	if it.test || it.rs.req.Type == Measure {
+	if it.measures() {
 		return
 	}
 	*it = inTransitEntry{next: n.freeInTransit}
@@ -397,6 +388,11 @@ func (n *Node) deliver(cs *circuit, it *inTransitEntry) {
 func (n *Node) dropInTransit(cs *circuit, corr linklayer.Correlator, it *inTransitEntry) {
 	delete(cs.inTransit, corr.Seq)
 	cs.dmx.unassign(it.rs)
+	if it.test {
+		// A void round is never scored: forget its head bits.
+		it.dropped = true
+		delete(cs.tests.headBits, it.slot.corr.Seq)
+	}
 	h := cs.handlers
 	if it.earlyGiven && h.OnExpire != nil {
 		h.OnExpire(it.rs.req.ID, corr)
@@ -438,7 +434,7 @@ func (n *Node) resolveTestRound(cs *circuit, it *inTransitEntry, m TrackMsg) {
 	if cs.role == RoleTail {
 		// Measure in the head's announced basis and report back.
 		report := func(bit int) {
-			n.sendUp(cs, TestResultMsg{
+			cs.links[up].port.Send(TestResultMsg{
 				Circuit: cs.entry.Circuit,
 				Origin:  m.Origin,
 				Basis:   m.TestBasis,

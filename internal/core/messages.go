@@ -17,8 +17,14 @@
 // completes; an end-node's in-transit entry, which embeds its slot, goes
 // back when it leaves the in-transit map, unless a measurement callback may
 // still hold it. Messages go out through netsim Ports resolved when a
-// circuit is installed, and every per-circuit map of correlators holds a
-// single link's, so Correlator.Seq keys it.
+// circuit is installed.
+//
+// A circuit keeps its state per side of the node: up toward the head-end,
+// down toward the tail-end. Each side's link holds its port, its pair queue
+// and two soft-state maps: fates (a pair's swap record or expiry) and
+// parked TRACKs. The intermediate rules reduce to one event, a pair's TRACK
+// meeting its fate, whichever comes first waiting for the other. Every map
+// of correlators holds a single link's, so Correlator.Seq keys it.
 package core
 
 import (

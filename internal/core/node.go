@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"qnp/internal/device"
 	"qnp/internal/linklayer"
@@ -75,6 +76,28 @@ type Handlers struct {
 // circuit's delivered qubits.
 func (h *Handlers) consumes() bool { return h.AutoConsume || h.OnPair == nil }
 
+// side names one of a node's links on a circuit: up leads toward the
+// head-end, down toward the tail-end. An intermediate node has both, an
+// end-node only the one its role gives (own).
+type side int
+
+const (
+	up side = iota
+	down
+)
+
+func (s side) other() side { return 1 - s }
+
+// toward is the side toward the head-end if head is set, else toward the
+// tail-end. A message bound for the head leaves over it, and a TRACK from
+// the head arrives over it.
+func toward(head bool) side {
+	if head {
+		return up
+	}
+	return down
+}
+
 // pairSlot tracks one local link-pair half at a node. The qubit is the
 // stable handle: remote entanglement swaps rewire qubit→pair bindings, so
 // the current (possibly multi-hop) pair is always qubit.Pair().
@@ -95,9 +118,9 @@ type pairSlot struct {
 	moving bool
 
 	// The fields below belong to pooled intermediate slots.
-	node         *Node
-	cs           *circuit
-	fromUpstream bool
+	node *Node
+	cs   *circuit
+	side side
 	// partner is the downstream slot of the swap this (upstream) slot is in.
 	partner *pairSlot
 	// dead marks a slot expired or torn down while its move was pending.
@@ -110,22 +133,45 @@ type pairSlot struct {
 
 func (s *pairSlot) pair() *device.Pair { return s.qubit.Pair() }
 
-// swapRecord is the temporary record logged after every entanglement swap
-// (§4.1 "Swap records"): the partner pair's correlator and heralded state
-// plus the two-bit swap outcome. Records are soft state: chains whose both
-// ends were drained never send a TRACK to consume them, so a TTL sweep
-// reclaims them (at is the creation time).
-type swapRecord struct {
+// fate is what became of a link-pair half at a node, kept until the pair's
+// TRACK arrives to meet it (Appendix C Algorithms 7–9). It is either a swap
+// record (§4.1 "Swap records": the partner pair's correlator and heralded
+// state plus the two-bit swap outcome) or an expiry: an intermediate
+// discarded the half at its cutoff, or an end-node had no request to assign
+// it to. Fates are soft state: chains whose both ends were drained never
+// send a TRACK to consume them, so a TTL sweep reclaims them (at is the
+// creation time).
+type fate struct {
 	otherCorr linklayer.Correlator
 	otherIdx  quantum.BellIndex
 	outcome   quantum.BellIndex
+	expired   bool
 	at        sim.Time
 }
 
-// parkedTrack is a TRACK waiting at a node for its swap to complete.
+// parkedTrack is a TRACK waiting at an intermediate node for its pair's
+// fate.
 type parkedTrack struct {
 	msg TrackMsg
 	at  sim.Time
+}
+
+// link is a circuit's state on one side of a node. Its maps hold only this
+// link's correlators, so Correlator.Seq alone keys them: a TRACK's LinkCorr
+// names the link it arrived over, and an EXPIRE or test result reaching an
+// end carries that end's origin.
+type link struct {
+	// port sends to the neighbour over this link; resolved at install.
+	port netsim.Port
+	// registered records the link layer registration of this side.
+	registered bool
+	// q queues an intermediate node's unswapped pairs, oldest first.
+	q []*pairSlot
+	// fates await their pairs' TRACKs, and parked TRACKs (intermediate
+	// nodes only) await their pairs' fates. Both are soft state (see
+	// gcSweep).
+	fates  map[uint64]fate
+	parked map[uint64]parkedTrack
 }
 
 // inTransitEntry is an end-node's record of a local pair assigned to a
@@ -150,15 +196,26 @@ type inTransitEntry struct {
 	// chainCorr is the canonical (head-side) chain identifier, learned from
 	// the confirming TRACK.
 	chainCorr linklayer.Correlator
-	next      *inTransitEntry // pool link
+	// dropped marks a test round discarded by EXPIRE or a failed
+	// cross-check while the head's measurement may still be pending.
+	dropped bool
+	next    *inTransitEntry // pool link
+}
+
+// measures reports whether the entry's half is measured on arrival: Measure
+// requests and head-designated test rounds. The measurement consumes the
+// half, and its callback may still hold the entry.
+func (it *inTransitEntry) measures() bool {
+	return it.test || it.rs.req.Type == Measure
 }
 
 // nodeFrees reports whether the node, not the application, frees this
 // entry's local half when the entry is discarded (failed cross-check,
-// EXPIRE or teardown): a measured half is already consumed, and an early
-// hand-off to an owning application is the application's.
+// EXPIRE or teardown): a measured half is consumed by its measurement, even
+// one still pending, and an early hand-off to an owning application is the
+// application's.
 func (it *inTransitEntry) nodeFrees() bool {
-	return !it.measured && !it.earlyOwned
+	return !it.measures() && !it.earlyOwned
 }
 
 // testStats accumulates fidelity test-round correlators at the head-end.
@@ -191,35 +248,24 @@ type circuit struct {
 	// handlers are the application's callbacks (end-nodes only).
 	handlers Handlers
 
-	// upPort and downPort send to the neighbours; resolved at install.
-	upPort, downPort netsim.Port
+	// links holds the node's state on each side of the circuit; an
+	// end-node uses only links[own()].
+	links [2]link
 
-	// Correlator-keyed maps below hold correlators of a single link — the
-	// up* maps the upstream link's, the down* maps the downstream link's,
-	// the end-node maps the end's own link's — so Correlator.Seq alone
-	// keys them. A TRACK's LinkCorr names the link it arrived over, and an
-	// EXPIRE or test result reaching an end carries that end's origin.
-
-	// Intermediate node state (Appendix C Algorithms 7–9). All maps are
-	// soft state with TTL reclamation (see sweep).
-	upQ, downQ             []*pairSlot
-	upRecord, downRecord   map[uint64]swapRecord
-	upTrack, downTrack     map[uint64]parkedTrack
-	upExpired, downExpired map[uint64]sim.Time
-
-	// End-node state (Algorithms 1–6).
-	dmx        *demux
-	inTransit  map[uint64]*inTransitEntry
-	endExpired map[uint64]sim.Time
-	queued     []*reqState // shaped (delayed) requests, head-end only
-	tests      testStats
-
-	// Link layer registration state.
-	upRegistered, downRegistered bool
+	// End-node state (Algorithms 1–6); inTransit is keyed like the link
+	// maps, by the Seq of a correlator on the end's own link.
+	dmx       *demux
+	inTransit map[uint64]*inTransitEntry
+	queued    []*reqState // shaped (delayed) requests, head-end only
+	tests     testStats
 
 	// Stats.
 	swaps, discards, expiresSent, trackMismatch uint64
 }
+
+// own is an end-node's only side: the head-end's link leads down the
+// circuit, the tail-end's up.
+func (cs *circuit) own() side { return toward(cs.role == RoleTail) }
 
 // Node is one network node's QNP engine. It owns the node's circuits,
 // consumes link layer deliveries, exchanges FORWARD/COMPLETE/TRACK/EXPIRE
@@ -290,23 +336,19 @@ func (n *Node) InstallCircuit(e RoutingEntry) {
 		panic(fmt.Sprintf("core %s: circuit %q already installed", n.id, e.Circuit))
 	}
 	cs := &circuit{
-		entry:       e,
-		role:        e.Role(),
-		upRecord:    make(map[uint64]swapRecord),
-		downRecord:  make(map[uint64]swapRecord),
-		upTrack:     make(map[uint64]parkedTrack),
-		downTrack:   make(map[uint64]parkedTrack),
-		upExpired:   make(map[uint64]sim.Time),
-		downExpired: make(map[uint64]sim.Time),
-		inTransit:   make(map[uint64]*inTransitEntry),
-		endExpired:  make(map[uint64]sim.Time),
+		entry:     e,
+		role:      e.Role(),
+		inTransit: make(map[uint64]*inTransitEntry),
 	}
 	cs.tests.headBits = make(map[uint64]headTestBit)
-	if e.Upstream != "" {
-		cs.upPort = n.net.Port(n.id, e.Upstream)
-	}
-	if e.Downstream != "" {
-		cs.downPort = n.net.Port(n.id, e.Downstream)
+	for s, peer := range [2]netsim.NodeID{up: e.Upstream, down: e.Downstream} {
+		if peer != "" {
+			cs.links[s] = link{
+				port:   n.net.Port(n.id, peer),
+				fates:  make(map[uint64]fate),
+				parked: make(map[uint64]parkedTrack),
+			}
+		}
 	}
 	if cs.role != RoleIntermediate {
 		cs.dmx = newDemux()
@@ -319,12 +361,12 @@ func (n *Node) InstallCircuit(e RoutingEntry) {
 	}
 }
 
-// Soft-state reclamation: swap records, discard records, end-node
-// tombstones and parked TRACKs all describe chains whose resolution
-// messages normally consume them — but a chain whose both ends were drained
-// (e.g. pairs arriving after a request completed) never resolves. The sweep
-// drops entries older than several cutoff intervals; any TRACK that would
-// have consumed them has long since been answered or abandoned.
+// Soft-state reclamation: fates and parked TRACKs describe chains whose
+// resolution messages normally consume them — but a chain whose both ends
+// were drained (e.g. pairs arriving after a request completed) never
+// resolves. The sweep drops entries older than several cutoff intervals;
+// any TRACK that would have consumed them has long since been answered or
+// abandoned.
 const gcInterval = 5 * sim.Second
 
 func (n *Node) gcTTL(cs *circuit) sim.Duration {
@@ -339,40 +381,10 @@ func (n *Node) gcSweep() {
 	now := n.sim.Now()
 	for _, cs := range n.circuits {
 		cutoff := now.Add(-n.gcTTL(cs))
-		for k, v := range cs.upRecord {
-			if v.at < cutoff {
-				delete(cs.upRecord, k)
-			}
-		}
-		for k, v := range cs.downRecord {
-			if v.at < cutoff {
-				delete(cs.downRecord, k)
-			}
-		}
-		for k, v := range cs.upTrack {
-			if v.at < cutoff {
-				delete(cs.upTrack, k)
-			}
-		}
-		for k, v := range cs.downTrack {
-			if v.at < cutoff {
-				delete(cs.downTrack, k)
-			}
-		}
-		for k, v := range cs.upExpired {
-			if v < cutoff {
-				delete(cs.upExpired, k)
-			}
-		}
-		for k, v := range cs.downExpired {
-			if v < cutoff {
-				delete(cs.downExpired, k)
-			}
-		}
-		for k, v := range cs.endExpired {
-			if v < cutoff {
-				delete(cs.endExpired, k)
-			}
+		for i := range cs.links {
+			l := &cs.links[i]
+			maps.DeleteFunc(l.fates, func(_ uint64, f fate) bool { return f.at < cutoff })
+			maps.DeleteFunc(l.parked, func(_ uint64, p parkedTrack) bool { return p.at < cutoff })
 		}
 	}
 	// Teardown tombstones outlive any in-flight message by orders of
@@ -396,8 +408,8 @@ func (n *Node) UninstallCircuit(id CircuitID) {
 		return
 	}
 	n.deactivateLinks(cs)
-	for _, q := range [][]*pairSlot{cs.upQ, cs.downQ} {
-		for _, slot := range q {
+	for _, l := range cs.links {
+		for _, slot := range l.q {
 			n.sim.Cancel(slot.cutoff)
 			n.dev.Free(slot.qubit)
 			// A pending move holds the slot until it completes.
@@ -431,7 +443,7 @@ func (n *Node) UpdateCircuitEER(id CircuitID, maxEER float64) {
 	if cs.role != RoleHead {
 		return
 	}
-	if rate := n.requestedRate(cs); rate != 0 && cs.downRegistered {
+	if rate := n.requestedRate(cs); rate != 0 && cs.links[down].registered {
 		n.registerLinks(cs, rate)
 	}
 	n.admitQueued(cs)
@@ -460,7 +472,7 @@ func (n *Node) handleMessage(from netsim.NodeID, msg netsim.Message) {
 		}
 	case TrackMsg:
 		if cs := n.circuitFor(m.Circuit); cs != nil {
-			n.onTrack(cs, m)
+			n.meetTrack(cs, m)
 		}
 	case ExpireMsg:
 		if cs := n.circuitFor(m.Circuit); cs != nil {
@@ -489,10 +501,6 @@ func (n *Node) circuitFor(id CircuitID) *circuit {
 	panic(fmt.Sprintf("core %s: message for uninstalled circuit %q", n.id, id))
 }
 
-func (n *Node) sendUp(cs *circuit, msg netsim.Message) { cs.upPort.Send(msg) }
-
-func (n *Node) sendDown(cs *circuit, msg netsim.Message) { cs.downPort.Send(msg) }
-
 // --- Link layer management ------------------------------------------------
 
 // registerLinks (re-)activates the circuit's link layer requests at this
@@ -502,14 +510,13 @@ func (n *Node) registerLinks(cs *circuit, rate float64) {
 	if e.Downstream != "" {
 		eng := n.fabric.Between(string(n.id), string(e.Downstream))
 		lpr := n.effectiveLPR(cs, rate)
-		if !cs.downRegistered {
-			label := e.DownLabel
-			if err := eng.Register(string(n.id), label, e.DownMinFidelity, lpr, func(d linklayer.Delivery) {
-				n.onLinkPair(cs, d, false)
+		if !cs.links[down].registered {
+			if err := eng.Register(string(n.id), e.DownLabel, e.DownMinFidelity, lpr, func(d linklayer.Delivery) {
+				n.onLinkPair(cs, d, down)
 			}); err != nil {
 				panic(fmt.Sprintf("core %s: link register: %v", n.id, err))
 			}
-			cs.downRegistered = true
+			cs.links[down].registered = true
 		} else {
 			eng.UpdateRate(e.DownLabel, lpr)
 		}
@@ -526,18 +533,18 @@ func (n *Node) registerLinks(cs *circuit, rate float64) {
 			eng.SetPace(string(n.id), e.DownLabel, pace)
 		}
 	}
-	if e.Upstream != "" && !cs.upRegistered {
+	if e.Upstream != "" && !cs.links[up].registered {
 		eng := n.fabric.Between(string(n.id), string(e.Upstream))
 		// The upstream neighbour owns this link's fidelity/rate settings
 		// (its DownMinFidelity); we register with the same values, which
 		// the routing table guarantees to match: our upstream link is the
 		// neighbour's downstream link.
 		if err := eng.Register(string(n.id), e.UpLabel, e.UpMinFidelity, e.UpMaxLPR, func(d linklayer.Delivery) {
-			n.onLinkPair(cs, d, true)
+			n.onLinkPair(cs, d, up)
 		}); err != nil {
 			panic(fmt.Sprintf("core %s: link register: %v", n.id, err))
 		}
-		cs.upRegistered = true
+		cs.links[up].registered = true
 	}
 }
 
@@ -564,13 +571,13 @@ func (n *Node) effectiveLPR(cs *circuit, rate float64) float64 {
 // requests remain.
 func (n *Node) deactivateLinks(cs *circuit) {
 	e := cs.entry
-	if cs.downRegistered {
+	if cs.links[down].registered {
 		n.fabric.Between(string(n.id), string(e.Downstream)).Deactivate(string(n.id), e.DownLabel)
-		cs.downRegistered = false
+		cs.links[down].registered = false
 	}
-	if cs.upRegistered {
+	if cs.links[up].registered {
 		n.fabric.Between(string(n.id), string(e.Upstream)).Deactivate(string(n.id), e.UpLabel)
-		cs.upRegistered = false
+		cs.links[up].registered = false
 	}
 }
 
@@ -595,7 +602,7 @@ func (n *Node) onForward(cs *circuit, m ForwardMsg) {
 		cs.dmx.add(rs)
 		return
 	}
-	n.sendDown(cs, m)
+	cs.links[down].port.Send(m)
 }
 
 func (n *Node) onComplete(cs *circuit, m CompleteMsg) {
@@ -611,34 +618,35 @@ func (n *Node) onComplete(cs *circuit, m CompleteMsg) {
 	} else {
 		n.registerLinks(cs, m.Rate)
 	}
-	n.sendDown(cs, m)
+	cs.links[down].port.Send(m)
 }
 
 // --- LINK rules -----------------------------------------------------------
 
-// onLinkPair dispatches a link layer delivery to the role-specific rule.
-func (n *Node) onLinkPair(cs *circuit, d linklayer.Delivery, fromUpstream bool) {
+// onLinkPair dispatches a link layer delivery on side s to the role-specific
+// rule.
+func (n *Node) onLinkPair(cs *circuit, d linklayer.Delivery, s side) {
 	q := d.Pair.Half(d.Pair.LocalSide(string(n.id)))
 	if cs.role == RoleIntermediate {
-		slot := n.newSlot(cs, fromUpstream)
+		slot := n.newSlot(cs, s)
 		slot.corr, slot.idx, slot.qubit = d.Corr, d.Idx, q
-		n.intermediateLinkRule(cs, slot, fromUpstream)
+		n.intermediateLinkRule(cs, slot)
 		return
 	}
 	n.endLinkRule(cs, pairSlot{corr: d.Corr, idx: d.Idx, qubit: q})
 }
 
 // newSlot takes an intermediate pair slot from the node's pool.
-func (n *Node) newSlot(cs *circuit, fromUpstream bool) *pairSlot {
-	s := n.freeSlots
-	if s == nil {
-		s = &pairSlot{node: n}
-		s.onCutoff, s.onSwap, s.onMove = s.expire, s.swapped, s.moved
+func (n *Node) newSlot(cs *circuit, s side) *pairSlot {
+	slot := n.freeSlots
+	if slot == nil {
+		slot = &pairSlot{node: n}
+		slot.onCutoff, slot.onSwap, slot.onMove = slot.expire, slot.swapped, slot.moved
 	} else {
-		n.freeSlots = s.next
+		n.freeSlots = slot.next
 	}
-	s.cs, s.fromUpstream = cs, fromUpstream
-	return s
+	slot.cs, slot.side = cs, s
+	return slot
 }
 
 // releaseSlot returns a slot no callback refers to any more to the pool.
@@ -656,15 +664,12 @@ func (n *Node) releaseSlot(s *pairSlot) {
 // node's only communication qubit; it is first moved into a storage qubit so
 // the electron can generate on the other link. The slot is not swappable
 // until the move completes.
-func (n *Node) intermediateLinkRule(cs *circuit, slot *pairSlot, fromUpstream bool) {
+func (n *Node) intermediateLinkRule(cs *circuit, slot *pairSlot) {
 	if cs.entry.Cutoff > 0 {
 		slot.cutoff = n.sim.Schedule(cs.entry.Cutoff, slot.onCutoff)
 	}
-	if fromUpstream {
-		cs.upQ = append(cs.upQ, slot)
-	} else {
-		cs.downQ = append(cs.downQ, slot)
-	}
+	l := &cs.links[slot.side]
+	l.q = append(l.q, slot)
 	if n.dev.Params().HasCarbon && slot.qubit.Kind() == device.Communication {
 		slot.moving = true
 		n.dev.MoveToStorage(slot.qubit, slot.onMove)
@@ -704,91 +709,48 @@ func swappable(q []*pairSlot) *pairSlot {
 }
 
 func (n *Node) trySwap(cs *circuit) {
+	ups, downs := &cs.links[up], &cs.links[down]
 	for {
-		up := swappable(cs.upQ)
-		down := swappable(cs.downQ)
-		if up == nil || down == nil {
+		u, d := swappable(ups.q), swappable(downs.q)
+		if u == nil || d == nil {
 			return
 		}
-		cs.upQ = removeSlot(cs.upQ, up)
-		cs.downQ = removeSlot(cs.downQ, down)
-		n.sim.Cancel(up.cutoff)
-		n.sim.Cancel(down.cutoff)
-		up.partner = down
-		n.dev.Swap(up.qubit, down.qubit, up.onSwap)
+		ups.q = removeSlot(ups.q, u)
+		downs.q = removeSlot(downs.q, d)
+		n.sim.Cancel(u.cutoff)
+		n.sim.Cancel(d.cutoff)
+		u.partner = d
+		n.dev.Swap(u.qubit, d.qubit, u.onSwap)
 	}
 }
 
-// swapped completes the swap of this upstream slot and its partner; both
-// slots die with it.
+// swapped completes the swap of this upstream slot and its partner (the
+// tail halves of Algorithm 7): each side's pair is settled with a swap
+// record naming the other, the upstream one first. Both slots die with it.
 func (s *pairSlot) swapped(_ *device.Pair, outcome quantum.BellIndex) {
-	n, down := s.node, s.partner
-	n.swapDone(s.cs, s, down, outcome)
-	n.releaseSlot(s)
-	n.releaseSlot(down)
-}
-
-// swapDone logs swap records and forwards any parked TRACKs (the tail halves
-// of Algorithm 7).
-func (n *Node) swapDone(cs *circuit, up, down *pairSlot, outcome quantum.BellIndex) {
+	n, cs, d := s.node, s.cs, s.partner
 	cs.swaps++
-	if pt, ok := cs.upTrack[up.corr.Seq]; ok {
-		delete(cs.upTrack, up.corr.Seq)
-		tm := pt.msg
-		tm.LinkCorr = down.corr
-		tm.Outcome = quantum.Combine(tm.Outcome, down.idx, outcome)
-		n.sendDown(cs, tm)
-	} else {
-		cs.upRecord[up.corr.Seq] = swapRecord{otherCorr: down.corr, otherIdx: down.idx, outcome: outcome, at: n.sim.Now()}
-	}
-	if pt, ok := cs.downTrack[down.corr.Seq]; ok {
-		delete(cs.downTrack, down.corr.Seq)
-		tm := pt.msg
-		tm.LinkCorr = up.corr
-		tm.Outcome = quantum.Combine(tm.Outcome, up.idx, outcome)
-		n.sendUp(cs, tm)
-	} else {
-		cs.downRecord[down.corr.Seq] = swapRecord{otherCorr: up.corr, otherIdx: up.idx, outcome: outcome, at: n.sim.Now()}
-	}
+	now := n.sim.Now()
+	n.settle(cs, up, s.corr.Seq, fate{otherCorr: d.corr, otherIdx: d.idx, outcome: outcome, at: now})
+	n.settle(cs, down, d.corr.Seq, fate{otherCorr: s.corr, otherIdx: s.idx, outcome: outcome, at: now})
+	n.releaseSlot(s)
+	n.releaseSlot(d)
 }
 
-// expire is the slot's cutoff timer. The slot dies with it unless a move
-// is still pending, whose completion then releases it.
+// expire is the slot's cutoff timer: Algorithm 9. The pair is discarded and
+// settled as expired. The slot dies with it unless a move is still pending,
+// whose completion then releases it.
 func (s *pairSlot) expire() {
-	n := s.node
-	n.expiryRule(s.cs, s, s.fromUpstream)
+	n, cs := s.node, s.cs
+	l := &cs.links[s.side]
+	l.q = removeSlot(l.q, s)
+	cs.discards++
+	n.dev.Free(s.qubit)
+	n.settle(cs, s.side, s.corr.Seq, fate{expired: true, at: n.sim.Now()})
 	if s.moving {
 		s.dead = true
 	} else {
 		n.releaseSlot(s)
-	}
-}
-
-// expiryRule is Algorithm 9: the cutoff timer popped for a queued pair.
-func (n *Node) expiryRule(cs *circuit, slot *pairSlot, fromUpstream bool) {
-	if fromUpstream {
-		cs.upQ = removeSlot(cs.upQ, slot)
-	} else {
-		cs.downQ = removeSlot(cs.downQ, slot)
-	}
-	cs.discards++
-	n.dev.Free(slot.qubit)
-	if fromUpstream {
-		if pt, ok := cs.upTrack[slot.corr.Seq]; ok {
-			delete(cs.upTrack, slot.corr.Seq)
-			n.sendUp(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: pt.msg.Origin, ToHead: true})
-			cs.expiresSent++
-		} else {
-			cs.upExpired[slot.corr.Seq] = n.sim.Now()
-		}
-		return
-	}
-	if pt, ok := cs.downTrack[slot.corr.Seq]; ok {
-		delete(cs.downTrack, slot.corr.Seq)
-		n.sendDown(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: pt.msg.Origin, ToHead: false})
-		cs.expiresSent++
-	} else {
-		cs.downExpired[slot.corr.Seq] = n.sim.Now()
 	}
 }
 
@@ -801,61 +763,59 @@ func removeSlot(q []*pairSlot, s *pairSlot) []*pairSlot {
 	return q
 }
 
-// --- TRACK rules ----------------------------------------------------------
+// --- TRACK meets fate -------------------------------------------------------
 
-func (n *Node) onTrack(cs *circuit, m TrackMsg) {
-	if cs.role == RoleIntermediate {
-		n.intermediateTrackRule(cs, m)
+// settle records the fate of pair seq on side s, or, if the pair's TRACK is
+// already parked there, resolves the TRACK with it at once.
+func (n *Node) settle(cs *circuit, s side, seq uint64, f fate) {
+	l := &cs.links[s]
+	if pt, ok := l.parked[seq]; ok {
+		delete(l.parked, seq)
+		n.resolve(cs, s, pt.msg, f)
 		return
 	}
-	n.endTrackRule(cs, m)
+	l.fates[seq] = f
 }
 
-// intermediateTrackRule is Algorithm 8: resolve the TRACK against a swap
-// record, an expiry record, or park it until the swap completes.
-func (n *Node) intermediateTrackRule(cs *circuit, m TrackMsg) {
-	if m.FromHead {
-		if rec, ok := cs.upRecord[m.LinkCorr.Seq]; ok {
-			delete(cs.upRecord, m.LinkCorr.Seq)
-			m.LinkCorr = rec.otherCorr
-			m.Outcome = quantum.Combine(m.Outcome, rec.otherIdx, rec.outcome)
-			n.sendDown(cs, m)
-			return
-		}
-		if _, dead := cs.upExpired[m.LinkCorr.Seq]; dead {
-			delete(cs.upExpired, m.LinkCorr.Seq)
-			n.sendUp(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: m.Origin, ToHead: true})
-			cs.expiresSent++
-			return
-		}
-		cs.upTrack[m.LinkCorr.Seq] = parkedTrack{msg: m, at: n.sim.Now()}
+// meetTrack is every node's TRACK arrival rule (Algorithms 2, 5 and 8): a
+// TRACK whose pair's fate is known is resolved with it. Otherwise an
+// intermediate parks it until the fate is settled, and an end-node applies
+// its TRACK rule.
+func (n *Node) meetTrack(cs *circuit, m TrackMsg) {
+	s := toward(m.FromHead)
+	l := &cs.links[s]
+	if f, ok := l.fates[m.LinkCorr.Seq]; ok {
+		delete(l.fates, m.LinkCorr.Seq)
+		n.resolve(cs, s, m, f)
 		return
 	}
-	if rec, ok := cs.downRecord[m.LinkCorr.Seq]; ok {
-		delete(cs.downRecord, m.LinkCorr.Seq)
-		m.LinkCorr = rec.otherCorr
-		m.Outcome = quantum.Combine(m.Outcome, rec.otherIdx, rec.outcome)
-		n.sendUp(cs, m)
+	if cs.role != RoleIntermediate {
+		n.endTrackRule(cs, m)
 		return
 	}
-	if _, dead := cs.downExpired[m.LinkCorr.Seq]; dead {
-		delete(cs.downExpired, m.LinkCorr.Seq)
-		n.sendDown(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: m.Origin, ToHead: false})
+	l.parked[m.LinkCorr.Seq] = parkedTrack{msg: m, at: n.sim.Now()}
+}
+
+// resolve answers a TRACK that arrived over side s with its pair's fate. An
+// expiry sends EXPIRE back toward the TRACK's origin end-node, over s; a
+// swap forwards the TRACK over the other side, rewritten to the partner
+// pair.
+func (n *Node) resolve(cs *circuit, s side, m TrackMsg, f fate) {
+	if f.expired {
+		cs.links[s].port.Send(ExpireMsg{Circuit: cs.entry.Circuit, Origin: m.Origin, ToHead: s == up})
 		cs.expiresSent++
 		return
 	}
-	cs.downTrack[m.LinkCorr.Seq] = parkedTrack{msg: m, at: n.sim.Now()}
+	m.LinkCorr = f.otherCorr
+	m.Outcome = quantum.Combine(m.Outcome, f.otherIdx, f.outcome)
+	cs.links[s.other()].port.Send(m)
 }
 
 // --- EXPIRE / TestResult relay ---------------------------------------------
 
 func (n *Node) onExpire(cs *circuit, m ExpireMsg) {
 	if cs.role == RoleIntermediate {
-		if m.ToHead {
-			n.sendUp(cs, m)
-		} else {
-			n.sendDown(cs, m)
-		}
+		cs.links[toward(m.ToHead)].port.Send(m)
 		return
 	}
 	n.endExpireRule(cs, m)
@@ -863,11 +823,7 @@ func (n *Node) onExpire(cs *circuit, m ExpireMsg) {
 
 func (n *Node) onTestResult(cs *circuit, m TestResultMsg) {
 	if cs.role == RoleIntermediate {
-		if m.ToHead {
-			n.sendUp(cs, m)
-		} else {
-			n.sendDown(cs, m)
-		}
+		cs.links[toward(m.ToHead)].port.Send(m)
 		return
 	}
 	n.headRecordTestResult(cs, m)

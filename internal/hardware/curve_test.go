@@ -87,9 +87,6 @@ func TestLinkCurveMatchesReference(t *testing.T) {
 			if a, f := c.Peak(); bits(a) != bits(wantA) || bits(f) != bits(wantF) {
 				t.Fatalf("%s %v: Peak = (%v, %v), reference (%v, %v)", p.Name, l, a, f, wantA, wantF)
 			}
-			if a, f := l.MaxFidelity(p); bits(a) != bits(wantA) || bits(f) != bits(wantF) {
-				t.Fatalf("%s %v: MaxFidelity wrapper diverges", p.Name, l)
-			}
 			if c.CycleTime() != l.CycleTime(p) {
 				t.Fatalf("%s %v: CycleTime = %v, want %v", p.Name, l, c.CycleTime(), l.CycleTime(p))
 			}

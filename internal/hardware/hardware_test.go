@@ -167,7 +167,7 @@ func TestAlphaForFidelityInversion(t *testing.T) {
 	}
 	// The achievable ceiling sits just below 0.99: the dark-count floor
 	// (≈1e-6 per window) and the emission trade-off cap it at ≈0.987.
-	_, maxF := l.MaxFidelity(p)
+	_, maxF := NewLinkCurve(l, p).Peak()
 	if maxF < 0.97 || maxF >= 1 {
 		t.Errorf("max fidelity = %v, want ≈0.987", maxF)
 	}
@@ -327,21 +327,12 @@ func TestSampleAttemptsGeometric(t *testing.T) {
 	}
 }
 
-func TestAttemptsWithin(t *testing.T) {
-	p := Simulation()
-	l := LabLink()
-	ct := l.CycleTime(p)
-	if got := l.AttemptsWithin(p, 10*ct); got != 10 {
-		t.Errorf("AttemptsWithin = %d, want 10", got)
-	}
-}
-
 // Near-term hardware produces lower fidelities and lower rates — the regime
 // of Fig. 11.
 func TestNearTermRegime(t *testing.T) {
 	p := NearTerm()
 	l := TelecomLink(25000)
-	_, maxF := l.MaxFidelity(p)
+	_, maxF := NewLinkCurve(l, p).Peak()
 	if maxF > 0.95 {
 		t.Errorf("near-term max fidelity %v implausibly high", maxF)
 	}
@@ -362,7 +353,7 @@ func TestNearTermRegime(t *testing.T) {
 func TestQuickMonotoneTradeoff(t *testing.T) {
 	p := Simulation()
 	l := LabLink()
-	peakA, _ := l.MaxFidelity(p)
+	peakA, _ := NewLinkCurve(l, p).Peak()
 	f := func(raw1, raw2 uint16) bool {
 		a1 := peakA + (0.5-peakA)*float64(raw1)/65535
 		a2 := peakA + (0.5-peakA)*float64(raw2)/65535

@@ -158,12 +158,6 @@ func (m PairModel) GenerateW(ws *linalg.Workspace, rng *rand.Rand) (*linalg.Matr
 	return m.StateW(ws, idx), idx
 }
 
-// MaxFidelity returns the largest fidelity this link can produce and the α
-// that achieves it (see LinkCurve.Peak).
-func (l LinkConfig) MaxFidelity(p Params) (alpha, fid float64) {
-	return NewLinkCurve(l, p).Peak()
-}
-
 // AlphaForFidelity inverts the fidelity model: it returns the α producing
 // pairs of the requested fidelity, or ok=false if the link cannot reach it
 // (see LinkCurve.AlphaForFidelity). Callers inverting repeatedly should
@@ -288,15 +282,6 @@ func SampleAttempts(prob float64, rng *rand.Rand) int {
 		k = 1
 	}
 	return k
-}
-
-// AttemptsWithin returns the number of attempts that fit in a time budget.
-func (l LinkConfig) AttemptsWithin(p Params, budget sim.Duration) int {
-	ct := l.CycleTime(p)
-	if ct <= 0 {
-		return 0
-	}
-	return int(budget / ct)
 }
 
 // ExpectedPairTime is the mean time to generate one pair at fidelity f

@@ -12,10 +12,10 @@ import (
 // TestCorrelatorMapsHoldOneLink checks the invariant that lets the QNP key
 // its per-circuit maps by Correlator.Seq alone: every correlator a node
 // looks up belongs to a single link per map. A TRACK's LinkCorr is on the
-// link it arrived over (an intermediate's up* maps take TRACKs from
-// upstream, its down* maps TRACKs from downstream; an end-node has one
-// link), and an EXPIRE or test result that reaches an end-node carries a
-// correlator of that end's own link. The run mixes Keep and Measure
+// link it arrived over (each side's fates and parked maps take TRACKs from
+// that side's neighbour; an end-node has one side), and an EXPIRE or test
+// result that reaches an end-node carries a correlator of that end's own
+// link. The run mixes Keep and Measure
 // requests, test rounds and short cutoffs over a shared bottleneck, so
 // every message kind and the expiry paths occur.
 func TestCorrelatorMapsHoldOneLink(t *testing.T) {
