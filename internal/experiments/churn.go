@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -34,15 +33,18 @@ type ChurnData struct {
 // churnTargetF is the end-to-end fidelity target of every churn circuit.
 const churnTargetF = 0.85
 
-// churnParams is the wire form of the sweep's shape.
+// churnParams is the sweep's shape. Demand and Physics are filled in by
+// churn from the probe and Options.
 type churnParams struct {
 	Horizon  sim.Duration
 	Holds    []sim.Duration
 	Circuits int
+	Demand   float64
+	Physics  qnet.Physics
 }
 
-// churnJob is one cell of the sweep.
-type churnJob struct {
+// churnCell is one cell of the sweep.
+type churnCell struct {
 	topo   string
 	hold   sim.Duration
 	static bool
@@ -59,31 +61,30 @@ type churnResult struct {
 // churnDemand is each circuit's rate demand: 40% of the uncontended
 // allocation, so the re-fit controller admits up to two circuits per link
 // (MaxLPR/(2·2) ≥ demand) and rejects a third, while the static controller
-// admits everything and lets the link contend. Deterministic — parent and
-// shard workers compute the identical value (the allocation depends only on
-// the uniform link hardware, so the dumbbell probe covers every topology).
+// admits everything and lets the link contend. The allocation depends only
+// on the uniform link hardware, so the dumbbell probe covers every topology.
 func churnDemand() float64 { return 0.4 * eerAllocation() }
 
 // churnScenario is one replica's declarative scenario: Circuits arrivals
 // with uniform offsets over the first 60% of the horizon (a Poisson
 // process conditioned on the arrival count has i.i.d. uniform arrival
-// times) and exponential holding, each demanding churnDemand() pairs/s,
+// times) and exponential holding, each demanding p.Demand pairs/s,
 // admission-controlled with either re-fit or static allocation.
-func churnScenario(topo string, hold sim.Duration, static bool, physics qnet.Physics, p churnParams, demand float64) qnet.Scenario {
+func churnScenario(c churnCell, p churnParams) qnet.Scenario {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
-	if static {
+	if c.static {
 		cfg.Alloc = qnet.AllocStatic
 	}
-	cfg.Physics = physics
+	cfg.Physics = p.Physics
 	var ts qnet.TopologySpec
-	if topo == "grid" {
+	if c.topo == "grid" {
 		ts = qnet.GridTopo(3, 3)
 	} else {
 		ts = qnet.DumbbellTopo()
 	}
 	return qnet.Scenario{
-		Name:     "churn-" + topo,
+		Name:     "churn-" + c.topo,
 		Config:   cfg,
 		Topology: ts,
 		Circuits: []qnet.CircuitSpec{{
@@ -92,56 +93,33 @@ func churnScenario(topo string, hold sim.Duration, static bool, physics qnet.Phy
 			Fidelity: churnTargetF,
 			Policy:   qnet.CutoffShort,
 			Arrival:  qnet.Uniform(0, sim.Duration(float64(p.Horizon)*0.6)),
-			Holding:  qnet.Exponential(hold),
-			MinEER:   demand,
-			Workload: qnet.MeasureStream{Rate: demand},
+			Holding:  qnet.Exponential(c.hold),
+			MinEER:   p.Demand,
+			Workload: qnet.MeasureStream{Rate: p.Demand},
 			Optional: true,
 		}},
 		Horizon: p.Horizon,
 	}
 }
 
-// churnGrid derives the replica grid from (Options, params) alone, so
-// shard workers rebuild it bit-identically.
-func churnGrid(o Options, p churnParams) (grid, []churnJob, int, float64) {
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		runs = 1
-	}
-	demand := churnDemand()
-	var jobs []churnJob
-	for _, topo := range []string{"dumbbell", "grid"} {
-		for _, hold := range p.Holds {
-			for _, static := range []bool{false, true} {
-				for r := 0; r < runs; r++ {
-					jobs = append(jobs, churnJob{topo: topo, hold: hold, static: static})
+var churnSweep = &sweep[churnParams, churnCell, churnResult]{
+	fig: "churn",
+	cells: func(p churnParams) (cells []churnCell) {
+		for _, topo := range []string{"dumbbell", "grid"} {
+			for _, hold := range p.Holds {
+				for _, static := range []bool{false, true} {
+					cells = append(cells, churnCell{topo: topo, hold: hold, static: static})
 				}
 			}
 		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		return churnRun(seed, o.Physics, jobs[i], p, demand)
-	}}
-	return g, jobs, runs, demand
-}
-
-func init() {
-	registerGrid("churn", func(o Options, raw json.RawMessage) (grid, error) {
-		p, err := decodeParams[churnParams](raw)
-		if err != nil {
-			return grid{}, err
-		}
-		g, _, _, _ := churnGrid(o, p)
-		return g, nil
-	})
+		return cells
+	},
+	run: func(p churnParams, c churnCell, _ int, seed int64) churnResult { return churnRun(seed, c, p) },
 }
 
 // churnRun measures one churn replica.
-func churnRun(seed int64, physics qnet.Physics, j churnJob, p churnParams, demand float64) churnResult {
-	sc := churnScenario(j.topo, j.hold, j.static, physics, p, demand)
+func churnRun(seed int64, c churnCell, p churnParams) churnResult {
+	sc := churnScenario(c, p)
 	sc.Config.Seed = seed
 	res, err := sc.Run()
 	if err != nil {
@@ -169,20 +147,19 @@ func Churn(o Options) *ChurnData {
 
 // churn is the parameterised core.
 func churn(o Options, p churnParams) *ChurnData {
-	g, jobs, runs, demand := churnGrid(o, p)
-	results := gridMap[churnResult](o, "churn", p, g)
-	d := &ChurnData{Arrivals: p.Circuits, DemandPS: demand, HorizonS: p.Horizon.Seconds()}
-	for i := 0; i < len(jobs); i += runs {
-		j := jobs[i]
+	p.Demand, p.Physics = churnDemand(), o.Physics
+	cells, results := churnSweep.Run(o, p)
+	d := &ChurnData{Arrivals: p.Circuits, DemandPS: p.Demand, HorizonS: p.Horizon.Seconds()}
+	for i, c := range cells {
 		var adm, rej, tw, del runner.Stats
-		for _, r := range results[i : i+runs] {
+		for _, r := range results[i] {
 			adm.Add(float64(r.Admitted))
 			rej.Add(float64(r.Rejected))
 			tw.Add(r.TWEER)
 			del.Add(float64(r.Delivered))
 		}
 		d.Points = append(d.Points, ChurnPoint{
-			Topology: j.topo, HoldS: j.hold.Seconds(), Static: j.static, Offered: p.Circuits,
+			Topology: c.topo, HoldS: c.hold.Seconds(), Static: c.static, Offered: p.Circuits,
 			Admitted: adm.Mean(), Rejected: rej.Mean(), TWEER: tw.Mean(), Deliv: del.Mean(),
 		})
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -41,18 +40,16 @@ type CityData struct {
 // cityTargetF is the end-to-end fidelity target of every city circuit.
 const cityTargetF = 0.85
 
-// cityParams is the wire form of the study's shape.
+// cityParams is the study's shape. Demand and Physics are filled in by
+// city from the probe and Options.
 type cityParams struct {
 	Rows, Cols int
 	Horizon    sim.Duration
 	Holds      []sim.Duration
 	Circuits   int
 	ReqMean    sim.Duration
-}
-
-// cityJob is one cell of the sweep.
-type cityJob struct {
-	hold sim.Duration
+	Demand     float64
+	Physics    qnet.Physics
 }
 
 // cityResult is one replica's wire-friendly measurement. Lat is the
@@ -73,11 +70,11 @@ type cityResult struct {
 // carrying Poisson single-pair requests. MetricsStreaming keeps the
 // metrics memory independent of the delivery count — the point of the
 // scenario.
-func cityScenario(hold sim.Duration, physics qnet.Physics, p cityParams, demand float64) qnet.Scenario {
+func cityScenario(hold sim.Duration, p cityParams) qnet.Scenario {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
 	cfg.MetricsMode = qnet.MetricsStreaming
-	cfg.Physics = physics
+	cfg.Physics = p.Physics
 	return qnet.Scenario{
 		Name:     "city",
 		Config:   cfg,
@@ -89,7 +86,7 @@ func cityScenario(hold sim.Duration, physics qnet.Physics, p cityParams, demand 
 			Policy:   qnet.CutoffShort,
 			Arrival:  qnet.Uniform(0, sim.Duration(float64(p.Horizon)*0.6)),
 			Holding:  qnet.Exponential(hold),
-			MinEER:   demand,
+			MinEER:   p.Demand,
 			Workload: qnet.PoissonKeep{Mean: p.ReqMean, Pairs: 1},
 			Optional: true,
 		}},
@@ -97,43 +94,16 @@ func cityScenario(hold sim.Duration, physics qnet.Physics, p cityParams, demand 
 	}
 }
 
-// cityGrid derives the replica grid from (Options, params) alone, so shard
-// workers rebuild it bit-identically.
-func cityGrid(o Options, p cityParams) (grid, []cityJob, int, float64) {
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		runs = 1
-	}
-	demand := churnDemand()
-	var jobs []cityJob
-	for _, hold := range p.Holds {
-		for r := 0; r < runs; r++ {
-			jobs = append(jobs, cityJob{hold: hold})
-		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		return cityRun(seed, o.Physics, jobs[i], p, demand)
-	}}
-	return g, jobs, runs, demand
-}
-
-func init() {
-	registerGrid("city", func(o Options, raw json.RawMessage) (grid, error) {
-		p, err := decodeParams[cityParams](raw)
-		if err != nil {
-			return grid{}, err
-		}
-		g, _, _, _ := cityGrid(o, p)
-		return g, nil
-	})
+// citySweep's cells are the mean holding times.
+var citySweep = &sweep[cityParams, sim.Duration, cityResult]{
+	fig:   "city",
+	cells: func(p cityParams) []sim.Duration { return p.Holds },
+	run:   func(p cityParams, hold sim.Duration, _ int, seed int64) cityResult { return cityRun(seed, hold, p) },
 }
 
 // cityRun measures one city replica.
-func cityRun(seed int64, physics qnet.Physics, j cityJob, p cityParams, demand float64) cityResult {
-	sc := cityScenario(j.hold, physics, p, demand)
+func cityRun(seed int64, hold sim.Duration, p cityParams) cityResult {
+	sc := cityScenario(hold, p)
 	sc.Config.Seed = seed
 	res, err := sc.Run()
 	if err != nil {
@@ -177,20 +147,19 @@ func City(o Options) *CityData {
 
 // city is the parameterised core.
 func city(o Options, p cityParams) *CityData {
-	g, jobs, runs, demand := cityGrid(o, p)
-	results := gridMap[cityResult](o, "city", p, g)
+	p.Demand, p.Physics = churnDemand(), o.Physics
+	holds, results := citySweep.Run(o, p)
 	d := &CityData{
 		Nodes:    p.Rows * p.Cols,
 		Links:    p.Rows*(p.Cols-1) + p.Cols*(p.Rows-1),
 		Arrivals: p.Circuits,
 		HorizonS: p.Horizon.Seconds(),
-		DemandPS: demand,
+		DemandPS: p.Demand,
 	}
-	for i := 0; i < len(jobs); i += runs {
-		j := jobs[i]
+	for i, hold := range holds {
 		var adm, rej, del, agg, tw runner.Stats
 		lat := new(stats.Agg)
-		for _, r := range results[i : i+runs] {
+		for _, r := range results[i] {
 			adm.Add(float64(r.Admitted))
 			rej.Add(float64(r.Rejected))
 			del.Add(float64(r.Delivered))
@@ -199,7 +168,7 @@ func city(o Options, p cityParams) *CityData {
 			lat.Merge(r.Lat)
 		}
 		d.Points = append(d.Points, CityPoint{
-			HoldS:    j.hold.Seconds(),
+			HoldS:    hold.Seconds(),
 			Admitted: adm.Mean(), Rejected: rej.Mean(), Deliv: del.Mean(),
 			AggEER: agg.Mean(), TWEER: tw.Mean(),
 			LatP50: lat.Percentile(0.50),

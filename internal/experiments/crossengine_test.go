@@ -44,14 +44,16 @@ func TestCrossEngineValidationGrids(t *testing.T) {
 			t.Errorf("fig9 point diverged: exact %+v werner %+v", fe, fw)
 		}
 		alloc := eerAllocation()
-		ee := eerRun(seed, qnet.PhysicsExact, eerJob{requests: 2}, alloc, 4*sim.Second)
-		ew := eerRun(seed, qnet.PhysicsWerner, eerJob{requests: 2}, alloc, 4*sim.Second)
+		ee := eerRun(seed, qnet.PhysicsExact, eerCell{requests: 2}, alloc, 4*sim.Second)
+		ew := eerRun(seed, qnet.PhysicsWerner, eerCell{requests: 2}, alloc, 4*sim.Second)
 		if ee != ew {
 			t.Errorf("eer point diverged: exact %+v werner %+v", ee, ew)
 		}
-		p := churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}
-		ce := churnRun(seed, qnet.PhysicsExact, churnJob{topo: "dumbbell", hold: sim.Second}, p, churnDemand())
-		cw := churnRun(seed, qnet.PhysicsWerner, churnJob{topo: "dumbbell", hold: sim.Second}, p, churnDemand())
+		p := churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4, Demand: churnDemand()}
+		c := churnCell{topo: "dumbbell", hold: sim.Second}
+		ce := churnRun(seed, c, p)
+		p.Physics = qnet.PhysicsWerner
+		cw := churnRun(seed, c, p)
 		if ce != cw {
 			t.Errorf("churn point diverged: exact %+v werner %+v", ce, cw)
 		}
@@ -169,8 +171,8 @@ func TestCrossEngineMeanFidelity(t *testing.T) {
 // TestWernerShardInvariance mirrors TestShardCountInvariance on the Werner
 // engine: the scalar fast path must stay bit-identical across worker
 // counts, the in-process codec, and one-host fleets of 1 or 3 endpoints. The
-// Physics field travels in wireOptions, so this also proves re-exec'd
-// shard workers rebuild Werner grids rather than silently falling back to
+// Physics field travels in the sweep params, so this also proves re-exec'd
+// shard workers rebuild Werner sweeps rather than silently falling back to
 // exact.
 func TestWernerShardInvariance(t *testing.T) {
 	t.Parallel()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -44,13 +43,15 @@ func EERSaturation(o Options) *EERData {
 
 const eerTargetF = 0.85
 
-// eerParams is the wire form of the saturation sweep's shape.
+// eerParams is the saturation sweep's shape, with the probed allocation.
 type eerParams struct {
 	Horizon sim.Duration
 	Loads   []int
+	Alloc   float64
+	Physics qnet.Physics
 }
 
-type eerJob struct {
+type eerCell struct {
 	requests  int
 	oversized bool
 }
@@ -62,8 +63,8 @@ type eerResult struct {
 }
 
 // eerAllocation reads the MaxEER allocation the controller hands out on
-// this plant — deterministic (no replica seed involved), so parent and
-// shard workers compute the identical value.
+// this plant. It involves no replica seed; the parent probes it once and
+// ships the value to replicas in their params.
 func eerAllocation() float64 {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
@@ -77,44 +78,21 @@ func eerAllocation() float64 {
 	return dec.Plan.MaxEER
 }
 
-// eerGrid derives the replica grid from (Options, params) alone.
-func eerGrid(o Options, p eerParams) (grid, []eerJob, int, float64) {
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		runs = 1
-	}
-	alloc := eerAllocation()
-	var jobs []eerJob
-	for _, k := range p.Loads {
-		for r := 0; r < runs; r++ {
-			jobs = append(jobs, eerJob{requests: k})
+var eerSweep = &sweep[eerParams, eerCell, eerResult]{
+	fig: "eer",
+	cells: func(p eerParams) (cells []eerCell) {
+		for _, k := range p.Loads {
+			cells = append(cells, eerCell{requests: k})
 		}
-	}
-	for r := 0; r < runs; r++ {
-		jobs = append(jobs, eerJob{requests: 1, oversized: true})
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		return eerRun(seed, o.Physics, jobs[i], alloc, p.Horizon)
-	}}
-	return g, jobs, runs, alloc
-}
-
-func init() {
-	registerGrid("eer", func(o Options, raw json.RawMessage) (grid, error) {
-		p, err := decodeParams[eerParams](raw)
-		if err != nil {
-			return grid{}, err
-		}
-		g, _, _, _ := eerGrid(o, p)
-		return g, nil
-	})
+		return append(cells, eerCell{requests: 1, oversized: true})
+	},
+	run: func(p eerParams, c eerCell, _ int, seed int64) eerResult {
+		return eerRun(seed, p.Physics, c, p.Alloc, p.Horizon)
+	},
 }
 
 // eerRun measures one policed-circuit replica.
-func eerRun(seed int64, physics qnet.Physics, j eerJob, alloc float64, horizon sim.Duration) eerResult {
+func eerRun(seed int64, physics qnet.Physics, j eerCell, alloc float64, horizon sim.Duration) eerResult {
 	cfg := qnet.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Physics = physics
@@ -151,25 +129,23 @@ func eerRun(seed int64, physics qnet.Physics, j eerJob, alloc float64, horizon s
 // eerSaturation is the parameterised core, so -short tests can trim the
 // sweep without duplicating the scenario.
 func eerSaturation(o Options, horizon sim.Duration, loads []int) *EERData {
-	p := eerParams{Horizon: horizon, Loads: loads}
-	g, jobs, runs, alloc := eerGrid(o, p)
+	alloc := eerAllocation()
 	perReq := alloc * 0.4
-	results := gridMap[eerResult](o, "eer", p, g)
+	cells, results := eerSweep.Run(o, eerParams{Horizon: horizon, Loads: loads, Alloc: alloc, Physics: o.Physics})
 	d := &EERData{AllocatedPS: alloc, HorizonS: horizon.Seconds()}
-	for i := 0; i < len(jobs); i += runs {
-		j := jobs[i]
+	for i, c := range cells {
 		var meas, rej runner.Stats
-		for _, r := range results[i : i+runs] {
+		for _, r := range results[i] {
 			meas.Add(r.MeasuredPS)
 			rej.Add(float64(r.Rejected))
 		}
-		offered := float64(j.requests) * perReq
-		if j.oversized {
+		offered := float64(c.requests) * perReq
+		if c.oversized {
 			offered = 2 * alloc
 		}
 		d.Points = append(d.Points, EERPoint{
-			Requests: j.requests, OfferedPS: offered, MeasuredPS: meas.Mean(),
-			Rejected: rej.Mean(), Oversized: j.oversized, AllocatedPS: alloc,
+			Requests: c.requests, OfferedPS: offered, MeasuredPS: meas.Mean(),
+			Rejected: rej.Mean(), Oversized: c.oversized, AllocatedPS: alloc,
 		})
 	}
 	return d

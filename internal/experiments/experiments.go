@@ -11,21 +11,23 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"qnp/internal/runner"
-	"qnp/internal/sim"
 	"qnp/qnet"
 )
 
-// Options control experiment size. Runs is the number of independent
-// simulation repetitions averaged per point (the paper uses 100; the
-// default here is smaller so the whole suite regenerates in minutes).
+// Options control experiment size.
 type Options struct {
+	// Runs is the number of independent simulation replicas averaged per
+	// point (the paper uses 100). The effective count is 1 when Quick and
+	// min(Runs, 3) otherwise; Fig. 5 is uncapped and pools Runs link-layer
+	// sample batches. Runs < 1 counts as 1.
 	Runs int
 	Seed int64
 	// Quick shrinks workloads (fewer pairs, shorter horizons) for smoke
@@ -43,16 +45,16 @@ type Options struct {
 	// zero values for the replicas that never ran, so callers must
 	// treat its output as garbage and discard it (cmd/figures does).
 	Context context.Context
-	// Backend, when non-nil, executes each figure's replica grid through
-	// the runner's Backend seam (a runner.Fleet shards it across worker
+	// Backend, when non-nil, executes each figure's sweep through the
+	// runner's Backend seam (a runner.Fleet shards it across worker
 	// processes). Replica seeding and aggregation order are
 	// backend-independent, so figure output is bit-identical for any
 	// backend and shard count.
 	Backend runner.Backend
 	// Physics selects the pair-state engine for the figures that support
-	// it (fig9, eer, churn, city — the cross-engine validation set). The
-	// other figures always run exact: they measure fidelity-sensitive
-	// quantities the Werner approximation is not meant to reproduce.
+	// it (fig9, eer, churn, city, multipath). The other figures always
+	// run exact: they measure fidelity-sensitive quantities the Werner
+	// approximation is not meant to reproduce.
 	Physics qnet.Physics
 }
 
@@ -66,170 +68,141 @@ func (o Options) runnerOpts() runner.Options {
 	return runner.Options{Workers: o.Workers, Seed: o.Seed, Progress: o.Progress, Context: o.Context}
 }
 
-// Figures fan their scenario grid × replica matrix through the runner as a
-// "grid": the job count plus a function running job i from its seed. Every
-// grid is registered by figure ID with a constructor that rebuilds it from
-// (Options, params) alone, so a shard worker process — which holds only
-// the serialized gridJob — re-derives the exact same job list and runs any
-// index of it. Grid results must JSON round-trip exactly (ints and
-// float64s do); that is what keeps sharded figure output byte-identical.
-
-// grid is one figure's replica matrix.
-type grid struct {
-	n   int
-	run func(i int, seed int64) any
+// replicas is the per-cell replica count of a sweep: 1 when quick,
+// otherwise Runs capped at 3, and never below 1.
+func (o Options) replicas() int {
+	if o.Quick || o.Runs < 1 {
+		return 1
+	}
+	return min(o.Runs, 3)
 }
 
-// wireOptions is the serializable Options subset a worker needs to rebuild
-// a grid. Workers, Progress, Context and Backend stay parent-side: they
-// steer execution, never results.
-type wireOptions struct {
-	Runs    int
-	Seed    int64
-	Quick   bool
-	Physics qnet.Physics `json:",omitempty"`
+// A sweep is one figure's evaluation method: a parameter grid whose cells
+// each average independent replicas. P holds everything a replica needs
+// besides its cell — including values the parent probes once, so replicas
+// never probe — and must JSON round-trip exactly (ints and float64s do):
+// a shard worker, which holds only the serialized sweepJob, rebuilds the
+// cells from P and runs any job of the grid. That is what keeps sharded
+// figure output byte-identical.
+type sweep[P, C, R any] struct {
+	fig   string
+	cells func(P) []C // in output order
+	run   func(p P, c C, replica int, seed int64) R
 }
 
-func (w wireOptions) options() Options {
-	return Options{Runs: w.Runs, Seed: w.Seed, Quick: w.Quick, Physics: w.Physics}
-}
-
-// gridJob is the wire form of "one replica of figure Fig's grid".
-type gridJob struct {
+// sweepJob is the wire form of a sweep: Runs replicas of every cell of
+// figure Fig's grid under Params.
+type sweepJob[P any] struct {
 	Fig    string
-	Opts   wireOptions
-	Params json.RawMessage `json:",omitempty"`
+	Runs   int
+	Params P
 }
 
-// gridFuncs rebuilds a figure's grid from its wire coordinates; populated
-// in each figure file's init, so parent and re-exec'd worker share it.
-var gridFuncs = map[string]func(o Options, params json.RawMessage) (grid, error){}
+// sweepKind is the runner job kind for figure sweeps: payload = sweepJob,
+// result = the run function's JSON-encoded return value.
+const sweepKind = "experiments.sweep"
 
-func registerGrid(fig string, mk func(o Options, params json.RawMessage) (grid, error)) {
-	if _, dup := gridFuncs[fig]; dup {
-		panic("experiments: grid " + fig + " registered twice")
-	}
-	gridFuncs[fig] = mk
+// sweeper is a sweep with its types erased, as a worker rebuilds it.
+type sweeper interface {
+	rebuild(params json.RawMessage, runs int) (jobs int, run func(i int, seed int64) any, err error)
 }
 
-// gridKind is the runner job kind for figure grids: payload = gridJob,
-// result = the grid run function's JSON-encoded return value.
-const gridKind = "experiments.grid"
-
-// gridMemo caches the last rebuilt grid by payload: a shard worker serves
-// one payload for its whole replica range, so rebuilding the grid (which
-// for some figures probes a network, e.g. eer's allocation read) once
-// instead of once per replica. Grid run functions are replica-pure, so
-// reuse across concurrent replicas is safe.
-var gridMemo struct {
-	sync.Mutex
-	payload string
-	g       grid
-	ok      bool
+// sweeps is every figure sweep a worker can rebuild, by sweepJob.Fig.
+var sweeps = map[string]sweeper{
+	fig5Sweep.fig: fig5Sweep, fig8Sweep.fig: fig8Sweep, fig9Sweep.fig: fig9Sweep,
+	fig10ABSweep.fig: fig10ABSweep, fig10CSweep.fig: fig10CSweep, topoSweep.fig: topoSweep,
+	hubSweep.fig: hubSweep, diversitySweep.fig: diversitySweep, eerSweep.fig: eerSweep,
+	churnSweep.fig: churnSweep, citySweep.fig: citySweep, multipathSweep.fig: multipathSweep,
 }
 
-func gridFor(payload []byte) (grid, error) {
-	gridMemo.Lock()
-	defer gridMemo.Unlock()
-	if gridMemo.ok && gridMemo.payload == string(payload) {
-		return gridMemo.g, nil
-	}
-	var j gridJob
-	if err := json.Unmarshal(payload, &j); err != nil {
-		return grid{}, fmt.Errorf("experiments: decode grid job: %w", err)
-	}
-	mk := gridFuncs[j.Fig]
-	if mk == nil {
-		return grid{}, fmt.Errorf("experiments: unknown figure grid %q", j.Fig)
-	}
-	g, err := mk(j.Opts.options(), j.Params)
+func init() { runner.RegisterKind(sweepKind, runSweepJob) }
+
+// runSweepJob runs job i of a serialized sweep: the worker half of
+// sweep.runN's Backend path.
+func runSweepJob(payload []byte, i int, seed int64) ([]byte, error) {
+	jobs, run, err := decodeSweepJob(payload)
 	if err != nil {
-		return grid{}, fmt.Errorf("experiments: rebuild %s grid: %w", j.Fig, err)
+		return nil, err
 	}
-	gridMemo.payload, gridMemo.g, gridMemo.ok = string(payload), g, true
-	return g, nil
+	if i < 0 || i >= jobs {
+		return nil, fmt.Errorf("experiments: sweep %s has %d jobs, got index %d", payload, jobs, i)
+	}
+	return json.Marshal(run(i, seed))
 }
 
-func init() {
-	runner.RegisterKind(gridKind, func(payload []byte, replica int, seed int64) ([]byte, error) {
-		g, err := gridFor(payload)
-		if err != nil {
-			return nil, err
-		}
-		if replica < 0 || replica >= g.n {
-			return nil, fmt.Errorf("experiments: grid %s has %d jobs, got index %d", payload, g.n, replica)
-		}
-		return json.Marshal(g.run(replica, seed))
-	})
+// decodeSweepJob rebuilds a serialized sweep's job count and job function.
+func decodeSweepJob(payload []byte) (int, func(i int, seed int64) any, error) {
+	var j sweepJob[json.RawMessage]
+	if err := decodeStrict(payload, &j); err != nil {
+		return 0, nil, fmt.Errorf("experiments: decode sweep job: %w", err)
+	}
+	s := sweeps[j.Fig]
+	if s == nil {
+		return 0, nil, fmt.Errorf("experiments: unknown figure sweep %q", j.Fig)
+	}
+	return s.rebuild(j.Params, j.Runs)
 }
 
-// decodeParams is the grid constructors' params decoder (nil params decode
-// to the zero value, for grids without any).
-func decodeParams[P any](raw json.RawMessage) (P, error) {
+// decodeStrict decodes exactly one JSON value into v. The bytes come from
+// another process, so unknown fields and trailing data are errors rather
+// than silently dropped.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the value")
+	}
+	return nil
+}
+
+func (s *sweep[P, C, R]) rebuild(raw json.RawMessage, runs int) (int, func(i int, seed int64) any, error) {
 	var p P
-	if len(raw) == 0 {
-		return p, nil
+	if err := decodeStrict(raw, &p); err != nil {
+		return 0, nil, fmt.Errorf("experiments: decode %s params: %w", s.fig, err)
 	}
-	err := json.Unmarshal(raw, &p)
-	return p, err
+	cells := s.cells(p)
+	return len(cells) * runs, func(i int, seed int64) any { return s.run(p, cells[i/runs], i%runs, seed) }, nil
 }
 
-// gridMap runs figure fig's whole grid — locally on the goroutine pool, or
-// through o.Backend when set — and returns the results in job order.
-// params must be the same value the registered constructor derives g from.
-// Infrastructure failures (a shard crashing past its retries, undecodable
-// results) panic, like any other impossible condition inside a figure;
-// cancellation returns the partial results, which cmd/figures discards.
-func gridMap[T any](o Options, fig string, params any, g grid) []T {
+// Run runs o.replicas() replicas of every cell and returns the cells with
+// their results grouped by cell.
+func (s *sweep[P, C, R]) Run(o Options, p P) ([]C, [][]R) { return s.runN(o, o.replicas(), p) }
+
+// runN runs the cells × runs grid with the replica innermost, so job
+// c·runs+r draws runner.DeriveSeed(o.Seed, c·runs+r) — locally on the
+// goroutine pool, or through o.Backend when set. Infrastructure failures
+// (a shard crashing past its retries, undecodable results) panic, like any
+// other impossible condition inside a figure; cancellation returns the
+// partial results, which cmd/figures discards.
+func (s *sweep[P, C, R]) runN(o Options, runs int, p P) ([]C, [][]R) {
+	cells := s.cells(p)
+	jobs := len(cells) * runs
+	var flat []R
 	if o.Backend == nil {
-		out, _ := runner.Run(o.runnerOpts(), g.n, func(i int, seed int64) T {
-			return g.run(i, seed).(T)
+		flat, _ = runner.Run(o.runnerOpts(), jobs, func(i int, seed int64) R {
+			return s.run(p, cells[i/runs], i%runs, seed)
 		})
-		return out
-	}
-	job := gridJob{Fig: fig, Opts: wireOptions{Runs: o.Runs, Seed: o.Seed, Quick: o.Quick, Physics: o.Physics}}
-	if params != nil {
-		raw, err := json.Marshal(params)
+	} else {
+		payload, err := json.Marshal(sweepJob[P]{Fig: s.fig, Runs: runs, Params: p})
 		if err != nil {
-			panic(fmt.Sprintf("experiments: encode %s grid params: %v", fig, err))
+			panic(fmt.Sprintf("experiments: encode %s sweep: %v", s.fig, err))
 		}
-		job.Params = raw
-	}
-	payload, err := json.Marshal(job)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: encode %s grid job: %v", fig, err))
-	}
-	out := make([]T, g.n)
-	var decErr error
-	ex, err := o.Backend.Dispatch(runner.ExecRequest{
-		Kind: gridKind, Payload: payload, Replicas: g.n,
-		Options: o.runnerOpts(),
-	})
-	if err == nil {
-		for r := range ex.Results() {
-			if e := json.Unmarshal(r.Data, &out[r.Replica]); e != nil && decErr == nil {
-				decErr = fmt.Errorf("experiments: decode %s result %d: %w", fig, r.Replica, e)
-			}
+		flat, err = runner.Collect[R](o.Backend, runner.ExecRequest{
+			Kind: sweepKind, Payload: payload, Replicas: jobs, Options: o.runnerOpts(),
+		})
+		if err != nil && (o.Context == nil || o.Context.Err() == nil) {
+			panic(fmt.Sprintf("experiments: %s sweep on %T: %v", s.fig, o.Backend, err))
 		}
-		err = ex.Wait()
 	}
-	if err == nil {
-		err = decErr
+	byCell := make([][]R, len(cells))
+	for c := range byCell {
+		byCell[c] = flat[c*runs : (c+1)*runs]
 	}
-	if err != nil {
-		if o.Context != nil && o.Context.Err() != nil {
-			return out // cancelled: partial results, discarded by the caller
-		}
-		panic(fmt.Sprintf("experiments: %s grid on %T: %v", fig, o.Backend, err))
-	}
-	return out
+	return cells, byCell
 }
-
-func mean(xs []float64) float64 { return runner.Mean(xs) }
-
-func percentile(xs []float64, p float64) float64 { return runner.Percentile(xs, p) }
-
-func seconds(d sim.Duration) float64 { return d.Seconds() }
 
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"runtime"
 	"strings"
@@ -426,10 +427,10 @@ func TestShardCountInvariance(t *testing.T) {
 		o.Backend = b
 		var buf bytes.Buffer
 		Fig5(o).Print(&buf)
-		// A parameterised grid exercises the params wire path.
+		// A parameterised sweep exercises the params wire path.
 		hubContention(o, 2*sim.Second, []int{2}, []bool{true}).Print(&buf)
 		// Churn exercises the dynamic arrival/departure engine across the
-		// Backend seam with a trimmed grid.
+		// Backend seam with a trimmed sweep.
 		churn(o, churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}).Print(&buf)
 		if !testing.Short() {
 			Fig9(o).Print(&buf)
@@ -505,17 +506,106 @@ func TestWriteTables(t *testing.T) {
 
 func TestHelpers(t *testing.T) {
 	t.Parallel()
-	if mean(nil) != 0 || percentile(nil, 0.5) != 0 {
-		t.Error("empty-input helpers wrong")
+	for _, tc := range []struct {
+		runs  int
+		quick bool
+		want  int
+	}{{-2, false, 1}, {0, false, 1}, {2, false, 2}, {10, false, 3}, {10, true, 1}} {
+		if got := (Options{Runs: tc.runs, Quick: tc.quick}).replicas(); got != tc.want {
+			t.Errorf("Runs=%d Quick=%v: replicas() = %d, want %d", tc.runs, tc.quick, got, tc.want)
+		}
 	}
-	if mean([]float64{1, 2, 3}) != 2 {
-		t.Error("mean wrong")
+	var buf bytes.Buffer
+	header(&buf, "T")
+	if buf.String() != "\n== T ==\n" {
+		t.Errorf("header = %q", buf.String())
 	}
-	if percentile([]float64{5, 1, 3}, 0.5) != 3 {
-		t.Error("percentile wrong")
+}
+
+// TestRunsBelowOne: Runs < 1 counts as one replica, so Fig. 5 pools one
+// sample batch instead of dividing by zero, and a capped sweep still
+// reports its points.
+func TestRunsBelowOne(t *testing.T) {
+	t.Parallel()
+	if d := Fig5(Options{Quick: true}); len(d.Samples) < 200 {
+		t.Errorf("Fig5 with Runs 0: %d samples, want one 200-sample batch", len(d.Samples))
 	}
-	if seconds(1500000000) != 1.5 {
-		t.Error("seconds wrong")
+	d := hubContention(Options{Seed: 1}, 1500*sim.Millisecond, []int{1}, []bool{true})
+	if len(d.Points) != 1 || d.Points[0].AggregatePS <= 0 {
+		t.Errorf("hub with Runs 0: points %+v, want one delivering point", d.Points)
+	}
+}
+
+// sweepRecorder is a Backend that records each sweep's request and
+// answers with no results, so a figure aggregates zero values without
+// running a replica.
+type sweepRecorder struct{ reqs []runner.ExecRequest }
+
+func (r *sweepRecorder) Dispatch(req runner.ExecRequest) (*runner.Execution, error) {
+	r.reqs = append(r.reqs, req)
+	return runner.InProcess{}.Dispatch(runner.ExecRequest{Kind: req.Kind})
+}
+
+// TestSweepWire checks every declared sweep's wire job: a worker holding
+// only the payload rebuilds the parent's job count from the quick params,
+// and rejects an unknown figure, unknown fields, trailing bytes and an
+// out-of-range job index.
+func TestSweepWire(t *testing.T) {
+	t.Parallel()
+	rec := &sweepRecorder{}
+	o := QuickOptions()
+	o.Backend = rec
+	Fig5(o)
+	Fig8(o)
+	Fig9(o)
+	Fig10AB(o)
+	Fig10C(o)
+	TopologySweep(o)
+	HubContention(o)
+	PathDiversity(o)
+	EERSaturation(o)
+	Churn(o)
+	City(o)
+	Multipath(o)
+	if len(rec.reqs) != len(sweeps) {
+		t.Fatalf("%d sweeps dispatched, %d declared", len(rec.reqs), len(sweeps))
+	}
+	for _, req := range rec.reqs {
+		var j sweepJob[json.RawMessage]
+		if err := json.Unmarshal(req.Payload, &j); err != nil {
+			t.Fatal(err)
+		}
+		if sweeps[j.Fig] == nil {
+			t.Errorf("dispatched sweep %q is not declared", j.Fig)
+			continue
+		}
+		jobs, _, err := decodeSweepJob(req.Payload)
+		if err != nil || jobs != req.Replicas {
+			t.Errorf("%s: worker rebuilt %d jobs (err %v), parent dispatched %d", j.Fig, jobs, err, req.Replicas)
+		}
+		reencode := func(fig string, params json.RawMessage) []byte {
+			b, err := json.Marshal(sweepJob[json.RawMessage]{Fig: fig, Runs: j.Runs, Params: params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		for _, bad := range []struct {
+			name    string
+			payload []byte
+			i       int
+		}{
+			{"unknown figure", reencode("nosuch", j.Params), 0},
+			{"unknown job field", append([]byte(`{"Extra":1,`), req.Payload[1:]...), 0},
+			{"unknown params field", reencode(j.Fig, append([]byte(`{"Extra":1,`), j.Params[1:]...)), 0},
+			{"trailing bytes", append(append([]byte{}, req.Payload...), " {}"...), 0},
+			{"index past the end", req.Payload, req.Replicas},
+			{"negative index", req.Payload, -1},
+		} {
+			if _, err := runSweepJob(bad.payload, bad.i, 1); err == nil {
+				t.Errorf("%s: %s accepted", j.Fig, bad.name)
+			}
+		}
 	}
 }
 

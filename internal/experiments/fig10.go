@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"qnp/internal/baseline"
+	"qnp/internal/runner"
 	"qnp/internal/sim"
 	"qnp/qnet"
 )
@@ -29,44 +29,30 @@ type Fig10ABData struct {
 	HorizonS float64
 }
 
-type fig10Job struct {
+// fig10ABParams is the sweep's shape.
+type fig10ABParams struct {
+	Horizon   sim.Duration
+	Lifetimes []float64
+}
+
+type fig10ABCell struct {
 	oracle bool
 	t2     float64
 }
 
-// fig10ABGrid derives the figure's replica grid from Options alone.
-func fig10ABGrid(o Options) (grid, []fig10Job, int, sim.Duration) {
-	horizon := 20 * sim.Second
-	lifetimes := []float64{0.2, 0.5, 1, 1.6, 3, 6, 15, 60}
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		horizon = 5 * sim.Second
-		lifetimes = []float64{0.5, 1.6, 60}
-		runs = 1
-	}
-	var jobs []fig10Job
-	for _, oracle := range []bool{false, true} {
-		for _, t2 := range lifetimes {
-			for r := 0; r < runs; r++ {
-				jobs = append(jobs, fig10Job{oracle, t2})
+var fig10ABSweep = &sweep[fig10ABParams, fig10ABCell, [2]Fig10ABPoint]{
+	fig: "fig10ab",
+	cells: func(p fig10ABParams) (cells []fig10ABCell) {
+		for _, oracle := range []bool{false, true} {
+			for _, t2 := range p.Lifetimes {
+				cells = append(cells, fig10ABCell{oracle, t2})
 			}
 		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		j := jobs[i]
-		return fig10Run(seed, j.t2, j.oracle, horizon, 0)
-	}}
-	return g, jobs, runs, horizon
-}
-
-func init() {
-	registerGrid("fig10ab", func(o Options, _ json.RawMessage) (grid, error) {
-		g, _, _, _ := fig10ABGrid(o)
-		return g, nil
-	})
+		return cells
+	},
+	run: func(p fig10ABParams, c fig10ABCell, _ int, seed int64) [2]Fig10ABPoint {
+		return fig10Run(seed, c.t2, c.oracle, p.Horizon, 0)
+	},
 }
 
 // Fig10AB sweeps the electron memory lifetime (T2*) for two competing
@@ -74,21 +60,23 @@ func init() {
 // against the §5.2 baseline that discards below-threshold end-to-end pairs
 // with a simulation oracle.
 func Fig10AB(o Options) *Fig10ABData {
-	g, jobs, runs, horizon := fig10ABGrid(o)
-	d := &Fig10ABData{HorizonS: horizon.Seconds()}
-	pts := gridMap[[2]Fig10ABPoint](o, "fig10ab", nil, g)
-	for k := 0; k < len(jobs); k += runs {
-		j := jobs[k]
+	p := fig10ABParams{Horizon: 20 * sim.Second, Lifetimes: []float64{0.2, 0.5, 1, 1.6, 3, 6, 15, 60}}
+	if o.Quick {
+		p = fig10ABParams{Horizon: 5 * sim.Second, Lifetimes: []float64{0.5, 1.6, 60}}
+	}
+	d := &Fig10ABData{HorizonS: p.Horizon.Seconds()}
+	cells, pts := fig10ABSweep.Run(o, p)
+	for k, c := range cells {
 		for i, f := range []float64{0.9, 0.8} {
 			var tp []float64
 			feasible := false
-			for _, p := range pts[k : k+runs] {
-				tp = append(tp, p[i].PairsPS)
-				feasible = feasible || p[i].Feasible
+			for _, r := range pts[k] {
+				tp = append(tp, r[i].PairsPS)
+				feasible = feasible || r[i].Feasible
 			}
 			d.Points = append(d.Points, Fig10ABPoint{
-				T2Star: j.t2, Fidelity: f, Oracle: j.oracle,
-				PairsPS: mean(tp), Feasible: feasible,
+				T2Star: c.t2, Fidelity: f, Oracle: c.oracle,
+				PairsPS: runner.Mean(tp), Feasible: feasible,
 			})
 		}
 	}
@@ -209,36 +197,18 @@ type Fig10CData struct {
 	CutoffMS float64
 }
 
-// fig10CGrid derives the figure's replica grid from Options alone.
-func fig10CGrid(o Options) (grid, []float64, int) {
-	horizon := 20 * sim.Second
-	delays := []float64{0, 1, 2, 4, 6, 9, 12, 16, 24}
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		horizon = 5 * sim.Second
-		delays = []float64{0, 6, 16}
-		runs = 1
-	}
-	var jobs []float64
-	for _, ms := range delays {
-		for r := 0; r < runs; r++ {
-			jobs = append(jobs, ms)
-		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		return fig10GoodputRun(seed, 1.6, sim.DurationFromSeconds(jobs[i]/1e3), horizon)
-	}}
-	return g, jobs, runs
+// fig10CParams is the sweep's shape.
+type fig10CParams struct {
+	Horizon  sim.Duration
+	DelaysMS []float64
 }
 
-func init() {
-	registerGrid("fig10c", func(o Options, _ json.RawMessage) (grid, error) {
-		g, _, _ := fig10CGrid(o)
-		return g, nil
-	})
+var fig10CSweep = &sweep[fig10CParams, float64, [2]Fig10ABPoint]{
+	fig:   "fig10c",
+	cells: func(p fig10CParams) []float64 { return p.DelaysMS },
+	run: func(p fig10CParams, ms float64, _ int, seed int64) [2]Fig10ABPoint {
+		return fig10GoodputRun(seed, 1.6, sim.DurationFromSeconds(ms/1e3), p.Horizon)
+	},
 }
 
 // Fig10C sweeps the per-hop classical processing delay at a fixed memory
@@ -247,7 +217,10 @@ func init() {
 // block on control messages, so goodput holds until the delay approaches
 // the cutoff.
 func Fig10C(o Options) *Fig10CData {
-	g, jobs, runs := fig10CGrid(o)
+	p := fig10CParams{Horizon: 20 * sim.Second, DelaysMS: []float64{0, 1, 2, 4, 6, 9, 12, 16, 24}}
+	if o.Quick {
+		p = fig10CParams{Horizon: 5 * sim.Second, DelaysMS: []float64{0, 6, 16}}
+	}
 	d := &Fig10CData{}
 	// Report the cutoff value the routing controller picks at this
 	// lifetime (the paper's dashed vertical line).
@@ -259,16 +232,15 @@ func Fig10C(o Options) *Fig10CData {
 			d.CutoffMS = vc.Plan.Cutoff.Milliseconds()
 		}
 	}
-	pts := gridMap[[2]Fig10ABPoint](o, "fig10c", nil, g)
-	for k := 0; k < len(jobs); k += runs {
-		ms := jobs[k]
+	delays, pts := fig10CSweep.Run(o, p)
+	for k, ms := range delays {
 		for i, f := range []float64{0.9, 0.8} {
 			var raw, good []float64
-			for _, p := range pts[k : k+runs] {
-				raw = append(raw, p[i].RawPS)
-				good = append(good, p[i].PairsPS)
+			for _, r := range pts[k] {
+				raw = append(raw, r[i].RawPS)
+				good = append(good, r[i].PairsPS)
 			}
-			d.Points = append(d.Points, Fig10CPoint{DelayMS: ms, Fidelity: f, RawPS: mean(raw), GoodPS: mean(good)})
+			d.Points = append(d.Points, Fig10CPoint{DelayMS: ms, Fidelity: f, RawPS: runner.Mean(raw), GoodPS: runner.Mean(good)})
 		}
 	}
 	return d

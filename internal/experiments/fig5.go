@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -24,36 +23,29 @@ type Fig5Data struct {
 	agg runner.Stats
 }
 
-// fig5Grid derives the figure's replica grid from Options alone: o.Runs
-// independent link-layer sample batches.
-func fig5Grid(o Options) grid {
-	want := 2000
-	if o.Quick {
-		want = 200
-	}
-	perRun := want / o.Runs
-	if perRun < 10 {
-		perRun = 10
-	}
-	return grid{n: o.Runs, run: func(_ int, seed int64) any {
-		return fig5Run(seed, perRun)
-	}}
-}
+// fig5Params is the shape of one link-layer sample batch.
+type fig5Params struct{ PerRun int }
 
-func init() {
-	registerGrid("fig5", func(o Options, _ json.RawMessage) (grid, error) {
-		return fig5Grid(o), nil
-	})
+// fig5Sweep has a single cell: its replicas are the sample batches.
+var fig5Sweep = &sweep[fig5Params, struct{}, []float64]{
+	fig:   "fig5",
+	cells: func(fig5Params) []struct{} { return make([]struct{}, 1) },
+	run:   func(p fig5Params, _ struct{}, _ int, seed int64) []float64 { return fig5Run(seed, p.PerRun) },
 }
 
 // Fig5 measures the link layer's generation time distribution directly —
 // a single link asked for F=0.95 pairs, the paper's Fig. 5 setup — through
 // the real engine (geometric attempt sampling on the calibrated hardware
-// model), not a closed form.
+// model), not a closed form. It pools o.Runs sample batches, uncapped.
 func Fig5(o Options) *Fig5Data {
-	runs := gridMap[[]float64](o, "fig5", nil, fig5Grid(o))
+	want := 2000
+	if o.Quick {
+		want = 200
+	}
+	runs := max(o.Runs, 1)
+	_, batches := fig5Sweep.runN(o, runs, fig5Params{PerRun: max(want/runs, 10)})
 	d := &Fig5Data{Fidelity: 0.95}
-	for _, r := range runs {
+	for _, r := range batches[0] {
 		d.agg.Add(r...)
 	}
 	d.Samples = d.agg.Sorted()

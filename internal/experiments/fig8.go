@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -42,76 +41,60 @@ func circuitSets(n int) [][2]string {
 	}
 }
 
-type fig8Job struct {
+// fig8Params is the sweep's shape.
+type fig8Params struct {
+	Pairs int
+	Cap   sim.Duration
+	Fids  []float64
+	Loads []int
+}
+
+type fig8Cell struct {
 	nCirc int
 	short bool
 	fid   float64
 	load  int
 }
 
-// fig8Grid derives the figure's replica grid from Options alone: the whole
-// scenario grid × replica matrix flattened into one runner batch (replica
-// innermost, so each point's replicas are contiguous).
-func fig8Grid(o Options) (grid, []fig8Job, int, int, sim.Duration) {
-	pairs := 100
-	capT := 600 * sim.Second
-	fids := []float64{0.8, 0.9}
-	loads := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		pairs = 15
-		capT = 120 * sim.Second
-		fids = []float64{0.85}
-		loads = []int{1, 4, 8}
-		runs = 1
-	}
-	var jobs []fig8Job
-	for _, nCirc := range []int{1, 2, 4} {
-		for _, short := range []bool{false, true} {
-			for _, f := range fids {
-				for _, load := range loads {
-					for r := 0; r < runs; r++ {
-						jobs = append(jobs, fig8Job{nCirc, short, f, load})
+var fig8Sweep = &sweep[fig8Params, fig8Cell, Fig8Point]{
+	fig: "fig8",
+	cells: func(p fig8Params) (cells []fig8Cell) {
+		for _, nCirc := range []int{1, 2, 4} {
+			for _, short := range []bool{false, true} {
+				for _, f := range p.Fids {
+					for _, load := range p.Loads {
+						cells = append(cells, fig8Cell{nCirc, short, f, load})
 					}
 				}
 			}
 		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		j := jobs[i]
-		return fig8Run(seed, j.nCirc, j.short, j.fid, j.load, pairs, capT)
-	}}
-	return g, jobs, runs, pairs, capT
-}
-
-func init() {
-	registerGrid("fig8", func(o Options, _ json.RawMessage) (grid, error) {
-		g, _, _, _, _ := fig8Grid(o)
-		return g, nil
-	})
+		return cells
+	},
+	run: func(p fig8Params, c fig8Cell, _ int, seed int64) Fig8Point {
+		return fig8Run(seed, c.nCirc, c.short, c.fid, c.load, p.Pairs, p.Cap)
+	},
 }
 
 // Fig8 reproduces the resource-sharing study of §5.1: 1–8 simultaneous
 // requests across 1, 2 or 4 circuits sharing the MA-MB bottleneck, with the
 // long and the short cutoff, on one-minute memories (T2* = 60 s).
 func Fig8(o Options) *Fig8Data {
-	g, jobs, runs, pairs, capT := fig8Grid(o)
-	d := &Fig8Data{PairsPerReq: pairs, CapS: capT.Seconds()}
-	pts := gridMap[Fig8Point](o, "fig8", nil, g)
-	for i := 0; i < len(jobs); i += runs {
-		j := jobs[i]
+	p := fig8Params{Pairs: 100, Cap: 600 * sim.Second, Fids: []float64{0.8, 0.9}, Loads: []int{1, 2, 3, 4, 5, 6, 7, 8}}
+	if o.Quick {
+		p = fig8Params{Pairs: 15, Cap: 120 * sim.Second, Fids: []float64{0.85}, Loads: []int{1, 4, 8}}
+	}
+	d := &Fig8Data{PairsPerReq: p.Pairs, CapS: p.Cap.Seconds()}
+	cells, pts := fig8Sweep.Run(o, p)
+	for i, c := range cells {
 		var ls runner.Stats
 		completed := true
-		for _, p := range pts[i : i+runs] {
-			ls.Add(p.LatencyS)
-			completed = completed && p.Completed
+		for _, r := range pts[i] {
+			ls.Add(r.LatencyS)
+			completed = completed && r.Completed
 		}
 		d.Points = append(d.Points, Fig8Point{
-			Circuits: j.nCirc, ShortCut: j.short, Fidelity: j.fid,
-			Requests: j.load, LatencyS: ls.Mean(), Completed: completed,
+			Circuits: c.nCirc, ShortCut: c.short, Fidelity: c.fid,
+			Requests: c.load, LatencyS: ls.Mean(), Completed: completed,
 		})
 	}
 	return d
@@ -165,7 +148,7 @@ func fig8Run(seed int64, nCirc int, short bool, fidelity float64, load, pairs in
 			ls = append(ls, capT.Seconds())
 		}
 	}
-	return Fig8Point{LatencyS: mean(ls), Completed: cm.AllComplete()}
+	return Fig8Point{LatencyS: runner.Mean(ls), Completed: cm.AllComplete()}
 }
 
 // Print writes the six panels.

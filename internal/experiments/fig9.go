@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"qnp/internal/runner"
 	"qnp/internal/sim"
 	"qnp/qnet"
 )
@@ -24,69 +24,56 @@ type Fig9Data struct {
 	Points []Fig9Point
 }
 
-type fig9Job struct {
+// fig9Params is the sweep's shape.
+type fig9Params struct {
+	Horizon, MeasureFrom sim.Duration
+	Intervals            []float64
+	Physics              qnet.Physics
+}
+
+type fig9Cell struct {
 	congested bool
 	interval  float64
 }
 
-// fig9Grid derives the figure's replica grid from Options alone, so a
-// shard worker rebuilds the identical job list.
-func fig9Grid(o Options) (grid, []fig9Job, int) {
-	horizon := 50 * sim.Second
-	measureFrom := 40 * sim.Second
-	intervals := []float64{2, 1, 0.5, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05, 0.035, 0.025}
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		horizon = 15 * sim.Second
-		measureFrom = 10 * sim.Second
-		intervals = []float64{1, 0.3, 0.15}
-		runs = 1
-	}
-	var jobs []fig9Job
-	for _, congested := range []bool{false, true} {
-		for _, iv := range intervals {
-			for r := 0; r < runs; r++ {
-				jobs = append(jobs, fig9Job{congested, iv})
+var fig9Sweep = &sweep[fig9Params, fig9Cell, Fig9Point]{
+	fig: "fig9",
+	cells: func(p fig9Params) (cells []fig9Cell) {
+		for _, congested := range []bool{false, true} {
+			for _, iv := range p.Intervals {
+				cells = append(cells, fig9Cell{congested, iv})
 			}
 		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		j := jobs[i]
-		return fig9Run(seed, o.Physics, j.congested, j.interval, horizon, measureFrom)
-	}}
-	return g, jobs, runs
-}
-
-func init() {
-	registerGrid("fig9", func(o Options, _ json.RawMessage) (grid, error) {
-		g, _, _ := fig9Grid(o)
-		return g, nil
-	})
+		return cells
+	},
+	run: func(p fig9Params, c fig9Cell, _ int, seed int64) Fig9Point {
+		return fig9Run(seed, p.Physics, c.congested, c.interval, p.Horizon, p.MeasureFrom)
+	},
 }
 
 // Fig9 issues 3-pair requests on A0-B0 at an increasing rate (short cutoff,
 // F=0.85) with A1-B1 idle ("empty") or saturated by a long-running request
 // ("congested"), and measures latency after the system reaches equilibrium.
 func Fig9(o Options) *Fig9Data {
-	g, jobs, runs := fig9Grid(o)
+	p := fig9Params{Horizon: 50 * sim.Second, MeasureFrom: 40 * sim.Second,
+		Intervals: []float64{2, 1, 0.5, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05, 0.035, 0.025}, Physics: o.Physics}
+	if o.Quick {
+		p.Horizon, p.MeasureFrom, p.Intervals = 15*sim.Second, 10*sim.Second, []float64{1, 0.3, 0.15}
+	}
 	d := &Fig9Data{}
-	pts := gridMap[Fig9Point](o, "fig9", nil, g)
-	for i := 0; i < len(jobs); i += runs {
-		j := jobs[i]
+	cells, pts := fig9Sweep.Run(o, p)
+	for i, c := range cells {
 		var tp, lat, p5, p95 []float64
-		for _, p := range pts[i : i+runs] {
-			tp = append(tp, p.ThroughputPS)
-			lat = append(lat, p.LatencyS)
-			p5 = append(p5, p.LatP5)
-			p95 = append(p95, p.LatP95)
+		for _, r := range pts[i] {
+			tp = append(tp, r.ThroughputPS)
+			lat = append(lat, r.LatencyS)
+			p5 = append(p5, r.LatP5)
+			p95 = append(p95, r.LatP95)
 		}
 		d.Points = append(d.Points, Fig9Point{
-			Congested: j.congested, IntervalS: j.interval,
-			ThroughputPS: mean(tp), LatencyS: mean(lat),
-			LatP5: mean(p5), LatP95: mean(p95),
+			Congested: c.congested, IntervalS: c.interval,
+			ThroughputPS: runner.Mean(tp), LatencyS: runner.Mean(lat),
+			LatP5: runner.Mean(p5), LatP95: runner.Mean(p95),
 		})
 	}
 	return d
@@ -124,9 +111,9 @@ func fig9Run(seed int64, physics qnet.Physics, congested bool, intervalS float64
 	window := horizon - measureFrom
 	return Fig9Point{
 		ThroughputPS: float64(cm.DeliveredSince(from)) / window.Seconds(),
-		LatencyS:     mean(latencies),
-		LatP5:        percentile(latencies, 0.05),
-		LatP95:       percentile(latencies, 0.95),
+		LatencyS:     runner.Mean(latencies),
+		LatP5:        runner.Percentile(latencies, 0.05),
+		LatP95:       runner.Percentile(latencies, 0.95),
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -54,15 +53,15 @@ func HubContention(o Options) *HubData {
 
 const hubTargetF = 0.85
 
-// hubParams is the wire form of the hub grid's shape, so trimmed -short
-// grids shard exactly like the full figure.
+// hubParams is the hub sweep's shape, so trimmed -short sweeps shard
+// exactly like the full figure.
 type hubParams struct {
 	Horizon sim.Duration
 	Counts  []int
 	Modes   []bool
 }
 
-type hubJob struct {
+type hubCell struct {
 	circuits int
 	shared   bool
 }
@@ -76,42 +75,21 @@ type hubResult struct {
 	DiscardsPS   float64
 }
 
-// hubGrid derives the replica grid from (Options, params) alone.
-func hubGrid(o Options, p hubParams) (grid, []hubJob, int) {
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		runs = 1
-	}
-	var jobs []hubJob
-	for _, shared := range p.Modes {
-		for _, k := range p.Counts {
-			for r := 0; r < runs; r++ {
-				jobs = append(jobs, hubJob{k, shared})
+var hubSweep = &sweep[hubParams, hubCell, hubResult]{
+	fig: "hub",
+	cells: func(p hubParams) (cells []hubCell) {
+		for _, shared := range p.Modes {
+			for _, k := range p.Counts {
+				cells = append(cells, hubCell{k, shared})
 			}
 		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		return hubRun(seed, jobs[i], p.Horizon)
-	}}
-	return g, jobs, runs
-}
-
-func init() {
-	registerGrid("hub", func(o Options, raw json.RawMessage) (grid, error) {
-		p, err := decodeParams[hubParams](raw)
-		if err != nil {
-			return grid{}, err
-		}
-		g, _, _ := hubGrid(o, p)
-		return g, nil
-	})
+		return cells
+	},
+	run: func(p hubParams, c hubCell, _ int, seed int64) hubResult { return hubRun(seed, c, p.Horizon) },
 }
 
 // hubRun measures one hub-contention replica.
-func hubRun(seed int64, j hubJob, horizon sim.Duration) hubResult {
+func hubRun(seed int64, j hubCell, horizon sim.Duration) hubResult {
 	cfg := qnet.DefaultConfig()
 	cfg.Seed = seed
 	// Star-9: hub n0, leaves n1..n8. Disjoint pairs use separate
@@ -161,13 +139,11 @@ func hubRun(seed int64, j hubJob, horizon sim.Duration) hubResult {
 // hubContention is the parameterised core, so -short tests can trim the
 // grid without duplicating the scenario.
 func hubContention(o Options, horizon sim.Duration, counts []int, modes []bool) *HubData {
-	p := hubParams{Horizon: horizon, Counts: counts, Modes: modes}
-	g, jobs, runs := hubGrid(o, p)
-	results := gridMap[hubResult](o, "hub", p, g)
+	cells, results := hubSweep.Run(o, hubParams{Horizon: horizon, Counts: counts, Modes: modes})
 	d := &HubData{Leaves: 8, HorizonS: horizon.Seconds(), TargetF: hubTargetF}
-	for i := 0; i < len(jobs); i += runs {
+	for i, c := range cells {
 		var agg, per, min, sw, disc runner.Stats
-		for _, r := range results[i : i+runs] {
+		for _, r := range results[i] {
 			agg.Add(r.AggregatePS)
 			per.Add(r.PerCircuitPS)
 			min.Add(r.MinPS)
@@ -175,7 +151,7 @@ func hubContention(o Options, horizon sim.Duration, counts []int, modes []bool) 
 			disc.Add(r.DiscardsPS)
 		}
 		d.Points = append(d.Points, HubPoint{
-			Circuits: jobs[i].circuits, Shared: jobs[i].shared,
+			Circuits: c.circuits, Shared: c.shared,
 			AggregatePS: agg.Mean(), PerCircuitPS: per.Mean(),
 			MinPS: min.Mean(), HubSwaps: sw.Mean(), HubDiscards: disc.Mean(),
 		})
@@ -237,14 +213,14 @@ func PathDiversity(o Options) *DiversityData {
 
 const diversityTargetF = 0.8
 
-// diversityParams is the wire form of the diversity grid's shape.
+// diversityParams is the diversity sweep's shape.
 type diversityParams struct {
 	Horizon    sim.Duration
 	Topologies []string
 	Counts     []int
 }
 
-type diversityJob struct {
+type diversityCell struct {
 	topology string
 	circuits int
 }
@@ -257,42 +233,23 @@ type diversityResult struct {
 	Hops         float64
 }
 
-// diversityGrid derives the replica grid from (Options, params) alone.
-func diversityGrid(o Options, p diversityParams) (grid, []diversityJob, int) {
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		runs = 1
-	}
-	var jobs []diversityJob
-	for _, topology := range p.Topologies {
-		for _, k := range p.Counts {
-			for r := 0; r < runs; r++ {
-				jobs = append(jobs, diversityJob{topology, k})
+var diversitySweep = &sweep[diversityParams, diversityCell, diversityResult]{
+	fig: "diversity",
+	cells: func(p diversityParams) (cells []diversityCell) {
+		for _, topology := range p.Topologies {
+			for _, k := range p.Counts {
+				cells = append(cells, diversityCell{topology, k})
 			}
 		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		return diversityRun(seed, jobs[i], p.Horizon)
-	}}
-	return g, jobs, runs
-}
-
-func init() {
-	registerGrid("diversity", func(o Options, raw json.RawMessage) (grid, error) {
-		p, err := decodeParams[diversityParams](raw)
-		if err != nil {
-			return grid{}, err
-		}
-		g, _, _ := diversityGrid(o, p)
-		return g, nil
-	})
+		return cells
+	},
+	run: func(p diversityParams, c diversityCell, _ int, seed int64) diversityResult {
+		return diversityRun(seed, c, p.Horizon)
+	},
 }
 
 // diversityRun measures one path-diversity replica.
-func diversityRun(seed int64, j diversityJob, horizon sim.Duration) diversityResult {
+func diversityRun(seed int64, j diversityCell, horizon sim.Duration) diversityResult {
 	cfg := qnet.DefaultConfig()
 	cfg.Seed = seed
 	// One circuit per grid row (row-major numbering): link-disjoint routes.
@@ -345,21 +302,18 @@ func diversityRun(seed int64, j diversityJob, horizon sim.Duration) diversityRes
 // pathDiversity is the parameterised core, so -short tests can trim the
 // grid without duplicating the scenario.
 func pathDiversity(o Options, horizon sim.Duration, topologies []string, counts []int) *DiversityData {
-	p := diversityParams{Horizon: horizon, Topologies: topologies, Counts: counts}
-	g, jobs, runs := diversityGrid(o, p)
-	results := gridMap[diversityResult](o, "diversity", p, g)
+	cells, results := diversitySweep.Run(o, diversityParams{Horizon: horizon, Topologies: topologies, Counts: counts})
 	d := &DiversityData{HorizonS: horizon.Seconds(), TargetF: diversityTargetF}
-	for i := 0; i < len(jobs); i += runs {
-		j := jobs[i]
+	for i, c := range cells {
 		var feas, agg, per, hops runner.Stats
-		for _, r := range results[i : i+runs] {
+		for _, r := range results[i] {
 			feas.Add(r.Feasible)
 			agg.Add(r.AggregatePS)
 			per.Add(r.PerCircuitPS)
 			hops.Add(r.Hops)
 		}
 		d.Points = append(d.Points, DiversityPoint{
-			Topology: j.topology, Circuits: j.circuits,
+			Topology: c.topology, Circuits: c.circuits,
 			Feasible: feas.Mean(), AggregatePS: agg.Mean(),
 			PerCircuitPS: per.Mean(), MeanHops: hops.Mean(),
 		})

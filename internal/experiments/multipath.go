@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -42,14 +41,18 @@ type MultipathData struct {
 // multipathTargetF is the end-to-end fidelity target of every circuit.
 const multipathTargetF = 0.8
 
-// multipathParams is the wire form of the sweep's shape.
+// multipathParams is the sweep's shape. Ref, Physics and Seed are filled
+// in by multipath from the probe and Options.
 type multipathParams struct {
 	Horizon sim.Duration
 	Pairs   int
+	Ref     float64
+	Physics qnet.Physics
+	Seed    int64
 }
 
-// multipathJob is one cell of the sweep.
-type multipathJob struct {
+// multipathCell is one cell of the sweep.
+type multipathCell struct {
 	topo  string
 	k     int
 	model bool
@@ -65,9 +68,8 @@ type multipathResult struct {
 
 // multipathRef probes the uncontended count-split allocation of a
 // three-hop circuit at the study's fidelity target — the reference rate
-// the per-testbed demands are fractions of. Deterministic — parent and
-// shard workers compute the identical value (the probe depends only on
-// the uniform link hardware).
+// the per-testbed demands are fractions of. The probe depends only on the
+// uniform link hardware.
 func multipathRef() float64 {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
@@ -115,10 +117,10 @@ var gridLoad = [][2]string{
 // placement parameters, then saturated by ContinuousKeep so delivered
 // throughput reflects the placements. The grid offers the crafted
 // gridLoad; the (seed-dependent) Waxman graph offers random pairs.
-func multipathScenario(j multipathJob, physics qnet.Physics, p multipathParams, ref float64) qnet.Scenario {
+func multipathScenario(j multipathCell, p multipathParams) qnet.Scenario {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
-	cfg.Physics = physics
+	cfg.Physics = p.Physics
 	if j.model {
 		cfg.Alloc = qnet.AllocModelWeighted
 	}
@@ -137,7 +139,7 @@ func multipathScenario(j multipathJob, physics qnet.Physics, p multipathParams, 
 			c := base
 			c.ID = qnet.CircuitID(fmt.Sprintf("c%d", i))
 			c.Src, c.Dst = pair[0], pair[1]
-			c.MinEER = gridDemandFrac * ref
+			c.MinEER = gridDemandFrac * p.Ref
 			circuits = append(circuits, c)
 		}
 	} else {
@@ -147,7 +149,7 @@ func multipathScenario(j multipathJob, physics qnet.Physics, p multipathParams, 
 		c := base
 		c.ID = "vc"
 		c.Select = qnet.RandomPairs(p.Pairs)
-		c.MinEER = waxmanDemandFrac * ref
+		c.MinEER = waxmanDemandFrac * p.Ref
 		circuits = append(circuits, c)
 	}
 	return qnet.Scenario{
@@ -159,50 +161,29 @@ func multipathScenario(j multipathJob, physics qnet.Physics, p multipathParams, 
 	}
 }
 
-// multipathGrid derives the replica grid from (Options, params) alone, so
-// shard workers rebuild it bit-identically.
-func multipathGrid(o Options, p multipathParams) (grid, []multipathJob, int, float64) {
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		runs = 1
-	}
-	ref := multipathRef()
-	var jobs []multipathJob
-	for _, topo := range []string{"grid-4x4", "waxman-12"} {
-		for _, k := range []int{1, 2, 3} {
-			for _, model := range []bool{false, true} {
-				for r := 0; r < runs; r++ {
-					jobs = append(jobs, multipathJob{topo: topo, k: k, model: model})
+// multipathSweep replays the same replica seeds p.Seed+replica in every
+// (k, policy) cell, so all cells see the identical offered load and differ
+// only in placement policy — a paired comparison, not independent draws.
+var multipathSweep = &sweep[multipathParams, multipathCell, multipathResult]{
+	fig: "multipath",
+	cells: func(multipathParams) (cells []multipathCell) {
+		for _, topo := range []string{"grid-4x4", "waxman-12"} {
+			for _, k := range []int{1, 2, 3} {
+				for _, model := range []bool{false, true} {
+					cells = append(cells, multipathCell{topo: topo, k: k, model: model})
 				}
 			}
 		}
-	}
-	// Every (k, policy) cell replays the same replica seeds, so all cells
-	// see the identical offered load and differ only in placement policy —
-	// a paired comparison, not independent draws.
-	g := grid{n: len(jobs), run: func(i int, _ int64) any {
-		return multipathRun(o.Seed+int64(i%runs), o.Physics, jobs[i], p, ref)
-	}}
-	return g, jobs, runs, ref
-}
-
-func init() {
-	registerGrid("multipath", func(o Options, raw json.RawMessage) (grid, error) {
-		p, err := decodeParams[multipathParams](raw)
-		if err != nil {
-			return grid{}, err
-		}
-		g, _, _, _ := multipathGrid(o, p)
-		return g, nil
-	})
+		return cells
+	},
+	run: func(p multipathParams, c multipathCell, replica int, _ int64) multipathResult {
+		return multipathRun(p.Seed+int64(replica), c, p)
+	},
 }
 
 // multipathRun measures one placement replica.
-func multipathRun(seed int64, physics qnet.Physics, j multipathJob, p multipathParams, ref float64) multipathResult {
-	sc := multipathScenario(j, physics, p, ref)
+func multipathRun(seed int64, c multipathCell, p multipathParams) multipathResult {
+	sc := multipathScenario(c, p)
 	sc.Config.Seed = seed
 	res, err := sc.Run()
 	if err != nil {
@@ -233,28 +214,27 @@ func Multipath(o Options) *MultipathData {
 
 // multipath is the parameterised core.
 func multipath(o Options, p multipathParams) *MultipathData {
-	g, jobs, runs, ref := multipathGrid(o, p)
-	results := gridMap[multipathResult](o, "multipath", p, g)
+	p.Ref, p.Physics, p.Seed = multipathRef(), o.Physics, o.Seed
+	cells, results := multipathSweep.Run(o, p)
 	d := &MultipathData{
-		GridDemandPS:   gridDemandFrac * ref,
-		WaxmanDemandPS: waxmanDemandFrac * ref,
+		GridDemandPS:   gridDemandFrac * p.Ref,
+		WaxmanDemandPS: waxmanDemandFrac * p.Ref,
 		HorizonS:       p.Horizon.Seconds(),
 	}
-	for i := 0; i < len(jobs); i += runs {
-		j := jobs[i]
+	for i, c := range cells {
 		offered := len(gridLoad)
-		if j.topo != "grid-4x4" {
+		if c.topo != "grid-4x4" {
 			offered = p.Pairs
 		}
 		var adm, rej, rer, agg runner.Stats
-		for _, r := range results[i : i+runs] {
+		for _, r := range results[i] {
 			adm.Add(float64(r.Admitted))
 			rej.Add(float64(r.Rejected))
 			rer.Add(float64(r.Rerouted))
 			agg.Add(r.AggEER)
 		}
 		d.Points = append(d.Points, MultipathPoint{
-			Topology: j.topo, K: j.k, Model: j.model, Offered: offered,
+			Topology: c.topo, K: c.k, Model: c.model, Offered: offered,
 			Admitted: adm.Mean(), Rejected: rej.Mean(), Rerouted: rer.Mean(), AggEER: agg.Mean(),
 		})
 	}

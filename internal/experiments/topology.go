@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -63,34 +62,15 @@ type topoResult struct {
 
 const topoTargetF = 0.85
 
-// topoGrid derives the sweep's replica grid from Options alone.
-func topoGrid(o Options) (grid, []topoScenario, int, sim.Duration) {
-	horizon := 10 * sim.Second
-	runs := o.Runs
-	if runs > 3 {
-		runs = 3
-	}
-	if o.Quick {
-		horizon = 3 * sim.Second
-		runs = 1
-	}
-	var jobs []topoScenario
-	for _, sc := range topoScenarios() {
-		for r := 0; r < runs; r++ {
-			jobs = append(jobs, sc)
-		}
-	}
-	g := grid{n: len(jobs), run: func(i int, seed int64) any {
-		return topoRun(seed, jobs[i], horizon)
-	}}
-	return g, jobs, runs, horizon
-}
+// topoParams is the sweep's shape; the cells are topoScenarios().
+type topoParams struct{ Horizon sim.Duration }
 
-func init() {
-	registerGrid("topo", func(o Options, _ json.RawMessage) (grid, error) {
-		g, _, _, _ := topoGrid(o)
-		return g, nil
-	})
+var topoSweep = &sweep[topoParams, topoScenario, topoResult]{
+	fig:   "topo",
+	cells: func(topoParams) []topoScenario { return topoScenarios() },
+	run: func(p topoParams, sc topoScenario, _ int, seed int64) topoResult {
+		return topoRun(seed, sc, p.Horizon)
+	},
 }
 
 // topoRun measures one topology replica.
@@ -134,13 +114,15 @@ func topoRun(seed int64, sc topoScenario, horizon sim.Duration) topoResult {
 // differences isolate what the graph shape does to end-to-end entanglement
 // distribution (hop count, swap concentration at hubs, path diversity).
 func TopologySweep(o Options) *TopoData {
-	g, jobs, runs, horizon := topoGrid(o)
-	results := gridMap[topoResult](o, "topo", nil, g)
-	d := &TopoData{HorizonS: horizon.Seconds(), TargetF: topoTargetF}
-	for i := 0; i < len(jobs); i += runs {
-		sc := jobs[i]
+	p := topoParams{Horizon: 10 * sim.Second}
+	if o.Quick {
+		p.Horizon = 3 * sim.Second
+	}
+	d := &TopoData{HorizonS: p.Horizon.Seconds(), TargetF: topoTargetF}
+	scs, results := topoSweep.Run(o, p)
+	for i, sc := range scs {
 		var links, hops, feas, tp, mf runner.Stats
-		for _, r := range results[i : i+runs] {
+		for _, r := range results[i] {
 			links.Add(float64(r.Links))
 			hops.Add(float64(r.Hops))
 			if r.Feasible {

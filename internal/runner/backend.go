@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -72,6 +73,29 @@ func kindNames() []string {
 // same bytes fail everywhere), so no backend retries them.
 type Backend interface {
 	Dispatch(req ExecRequest) (*Execution, error)
+}
+
+// Collect dispatches req on b and decodes each replica's JSON result into
+// its slot of the returned slice, which always has req.Replicas entries:
+// replicas that never reported (a failed or cancelled run) keep zero
+// values. The error is the dispatch or run error, else the first decode
+// error.
+func Collect[T any](b Backend, req ExecRequest) ([]T, error) {
+	out := make([]T, req.Replicas)
+	ex, err := b.Dispatch(req)
+	if err != nil {
+		return out, err
+	}
+	var decErr error
+	for r := range ex.Results() {
+		if e := json.Unmarshal(r.Data, &out[r.Replica]); e != nil && decErr == nil {
+			decErr = fmt.Errorf("runner: decode %s replica %d: %w", req.Kind, r.Replica, e)
+		}
+	}
+	if err = ex.Wait(); err != nil {
+		return out, err
+	}
+	return out, decErr
 }
 
 // InProcess executes replicas on a goroutine pool inside the calling

@@ -131,6 +131,35 @@ func TestInProcessBackendUnknownKind(t *testing.T) {
 	}
 }
 
+// TestCollect: every replica decodes into its own slot; the slice always
+// holds req.Replicas entries, and a result that does not decode, a failed
+// run or an unknown kind is reported.
+func TestCollect(t *testing.T) {
+	req := ExecRequest{Kind: "test.echo", Payload: []byte(`"c"`), Replicas: 3, Options: Options{Seed: 2}}
+	got, err := Collect[string](InProcess{}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range got {
+		if want := fmt.Sprintf(`"c"/r%d/s%d`, i, DeriveSeed(2, i)); s != want {
+			t.Errorf("replica %d = %q, want %q", i, s, want)
+		}
+	}
+	for name, tc := range map[string]struct {
+		req  ExecRequest
+		want string
+	}{
+		"undecodable":  {req, "decode test.echo replica 0"},
+		"kind error":   {ExecRequest{Kind: "test.fail", Payload: []byte("1"), Replicas: 3}, "synthetic kind failure"},
+		"unknown kind": {ExecRequest{Kind: "test.unregistered", Replicas: 3}, "unknown job kind"},
+	} {
+		out, err := Collect[int](InProcess{}, tc.req)
+		if len(out) != 3 || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %d slots, err %v; want 3 slots and an error containing %q", name, len(out), err, tc.want)
+		}
+	}
+}
+
 // TestFleetEndpointCountInvariance is the process-sharded analogue of
 // worker-count invariance: any count of local endpoints, including more
 // endpoints than replicas, yields byte-identical results in identical

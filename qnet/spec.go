@@ -63,7 +63,7 @@ func runScenarioJob(payload []byte, _ int, seed int64) ([]byte, error) {
 }
 
 // runReplicatedOn is RunReplicated's Backend path: serialize once, fan the
-// replicas out, decode the metrics in strict replica order.
+// replicas out, collect the decoded metrics in replica order.
 func (sc Scenario) runReplicatedOn(o ReplicaOptions) ([]*Metrics, error) {
 	// RunReplicated replaces any per-scenario Context with o.Context on the
 	// in-process path; mirror that here (o.Context cancels the dispatch
@@ -77,31 +77,12 @@ func (sc Scenario) runReplicatedOn(o ReplicaOptions) ([]*Metrics, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qnet: encode ScenarioSpec: %w", err)
 	}
-	out := make([]*Metrics, o.Replicas)
-	ex, err := o.Backend.Dispatch(runner.ExecRequest{
+	return runner.Collect[*Metrics](o.Backend, runner.ExecRequest{
 		Kind:     ScenarioJobKind,
 		Payload:  payload,
 		Replicas: o.Replicas,
 		Options:  runner.Options{Workers: o.Workers, Seed: o.Seed, Progress: o.Progress, Context: o.Context},
 	})
-	if err != nil {
-		return nil, err
-	}
-	var decodeErr error
-	for r := range ex.Results() {
-		m := new(Metrics)
-		if err := json.Unmarshal(r.Data, m); err != nil {
-			if decodeErr == nil {
-				decodeErr = fmt.Errorf("qnet: decode replica %d metrics: %w", r.Replica, err)
-			}
-			continue
-		}
-		out[r.Replica] = m
-	}
-	if decodeErr != nil {
-		return out, decodeErr
-	}
-	return out, ex.Wait()
 }
 
 // PluginRef names a registered workload or selector on the wire, with its
