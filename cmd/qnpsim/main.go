@@ -17,13 +17,17 @@
 // -replicas R fans R independent seeded replicas across a worker pool and
 // reports aggregate means; -shards N spreads them over N work-stealing
 // worker processes instead (-resume DIR adds a checkpoint journal), with
-// bit-identical aggregates.
+// bit-identical aggregates. A replica job carries the flags that define
+// the scenario, and the worker parses them exactly as this process did.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"qnp/internal/cli"
@@ -32,44 +36,87 @@ import (
 	"qnp/qnet"
 )
 
+// replicaKind is the runner job kind for qnpsim replicas: payload = the
+// scenario flags as a JSON list of "-name=value", result = replicaResult.
+const replicaKind = "qnpsim.replica"
+
+func init() { runner.RegisterKind(replicaKind, runReplica) }
+
 func main() {
 	// A process spawned as a shard worker serves its replica range and
 	// exits here, before flag parsing.
 	runner.MaybeWorker()
+	os.Exit(qnpsimMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	topology := flag.String("topology", "chain", "chain, dumbbell, ring, star, grid or random")
-	nodes := flag.Int("nodes", 3, "node count (chain, ring, star, random)")
-	rows := flag.Int("rows", 3, "grid rows")
-	cols := flag.Int("cols", 3, "grid columns")
-	alpha := flag.Float64("alpha", 0.4, "Waxman link-probability scale (random topology)")
-	beta := flag.Float64("beta", 0.4, "Waxman distance decay (random topology)")
-	src := flag.String("src", "", "source end-node (default: a diameter endpoint of the topology)")
-	dst := flag.String("dst", "", "destination end-node (default: the matching diameter endpoint)")
-	circuits := flag.Int("circuits", 1, "concurrent circuits (>1 draws random endpoint pairs)")
-	fidelity := flag.Float64("fidelity", 0.85, "end-to-end fidelity target")
-	workload := flag.String("workload", "batch", "workload per circuit: batch, continuous, interval, poisson, onoff, measure, churn")
-	pairs := flag.Int("pairs", 10, "pairs per request (batch, interval, poisson, onoff, measure)")
-	interval := flag.Float64("interval", 1, "request inter-arrival seconds (interval, poisson, onoff); mean circuit-arrival offset (churn)")
-	hold := flag.Float64("hold", 5, "mean circuit holding seconds (churn)")
-	minEER := flag.Float64("mineer", 0, "per-circuit admission demand in pairs/s (churn; needs admission control)")
-	alloc := flag.String("alloc", "count", "allocation policy: count (equal split by membership), model (model-weighted by each circuit's deliverable rate), static (frozen at MaxLPR/2)")
-	paths := flag.Int("paths", 1, "k-shortest-path candidates scored per circuit (> 1 re-routes around contention the shortest path cannot absorb)")
-	cutoff := flag.String("cutoff", "long", "cutoff policy: long, short, none")
-	maxEER := flag.Float64("maxeer", 0, "circuit EER allocation for admission control (0 = off)")
-	nearterm := flag.Bool("nearterm", false, "near-term hardware (25 km telecom links, carbon storage)")
-	physics := flag.String("physics", "exact", "pair-state engine: exact (density matrices) or werner (scalar Werner-parameter fast path)")
-	streaming := flag.Bool("streaming", false, "constant-memory streaming metrics: drop the per-event records and keep only the mergeable aggregates every run records (for runs too large to hold every delivery)")
-	horizon := flag.Float64("horizon", 300, "max simulated seconds")
-	seed := flag.Int64("seed", 1, "random seed")
-	replicas := flag.Int("replicas", 1, "independent replicas (means reported when > 1)")
-	workers := flag.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
-	shards := cli.RegisterShardFlags(flag.CommandLine)
-	verbose := flag.Bool("v", false, "log every delivery (single replica only)")
-	flag.Parse()
+// runFlags are the flags that say how to run a scenario rather than what
+// it is: they stay out of the replica payload, so the payload (and a
+// -resume journal keyed by it) is the same for any seed, worker or shard
+// count. The seed reaches replicas as their derived seeds.
+var runFlags = map[string]bool{
+	"seed": true, "replicas": true, "workers": true, "v": true,
+	"shards": true, "fleet-throttle": true, "resume": true, "worker-timeout": true,
+}
 
-	die := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-		os.Exit(2)
+// invocation is a parsed command line: the scenario it declares and how to
+// run it.
+type invocation struct {
+	sc       qnet.Scenario
+	topology string
+	horizon  float64
+	churning bool
+	seed     int64
+	replicas int
+	workers  int
+	shards   *cli.ShardFlags
+	verbose  bool
+	// payload is the scenario flags the user set, in flag-name order.
+	payload []byte
+}
+
+// parse builds the invocation from args. Errors are also written to
+// stderr, as the flag package writes its own.
+func parse(args []string, stderr io.Writer) (invocation, error) {
+	fs := flag.NewFlagSet("qnpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topology := fs.String("topology", "chain", "chain, dumbbell, ring, star, grid or random")
+	nodes := fs.Int("nodes", 3, "node count (chain, ring, star, random)")
+	rows := fs.Int("rows", 3, "grid rows")
+	cols := fs.Int("cols", 3, "grid columns")
+	alpha := fs.Float64("alpha", 0.4, "Waxman link-probability scale (random topology)")
+	beta := fs.Float64("beta", 0.4, "Waxman distance decay (random topology)")
+	src := fs.String("src", "", "source end-node (default: a diameter endpoint of the topology)")
+	dst := fs.String("dst", "", "destination end-node (default: the matching diameter endpoint)")
+	circuits := fs.Int("circuits", 1, "concurrent circuits (>1 draws random endpoint pairs)")
+	fidelity := fs.Float64("fidelity", 0.85, "end-to-end fidelity target")
+	workload := fs.String("workload", "batch", "workload per circuit: batch, continuous, interval, poisson, onoff, measure, churn")
+	pairs := fs.Int("pairs", 10, "pairs per request (batch, interval, poisson, onoff, measure)")
+	interval := fs.Float64("interval", 1, "request inter-arrival seconds (interval, poisson, onoff); mean circuit-arrival offset (churn)")
+	hold := fs.Float64("hold", 5, "mean circuit holding seconds (churn)")
+	minEER := fs.Float64("mineer", 0, "per-circuit admission demand in pairs/s (churn; needs admission control)")
+	alloc := fs.String("alloc", "count", "allocation policy: count (equal split by membership), model (model-weighted by each circuit's deliverable rate), static (frozen at MaxLPR/2)")
+	paths := fs.Int("paths", 1, "k-shortest-path candidates scored per circuit (> 1 re-routes around contention the shortest path cannot absorb)")
+	cutoff := fs.String("cutoff", "long", "cutoff policy: long, short, none")
+	maxEER := fs.Float64("maxeer", 0, "circuit EER allocation for admission control (0 = off)")
+	nearterm := fs.Bool("nearterm", false, "near-term hardware (25 km telecom links, carbon storage)")
+	physics := fs.String("physics", "exact", "pair-state engine: exact (density matrices) or werner (scalar Werner-parameter fast path)")
+	streaming := fs.Bool("streaming", false, "constant-memory streaming metrics: drop the per-event records and keep only the mergeable aggregates every run records (for runs too large to hold every delivery)")
+	horizon := fs.Float64("horizon", 300, "max simulated seconds")
+	seed := fs.Int64("seed", 1, "random seed")
+	replicas := fs.Int("replicas", 1, "independent replicas (means reported when > 1)")
+	workers := fs.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
+	shards := cli.RegisterShardFlags(fs)
+	verbose := fs.Bool("v", false, "log every delivery (single replica only)")
+	if err := fs.Parse(args); err != nil {
+		return invocation{}, err
+	}
+	fail := func(format string, args ...any) (invocation, error) {
+		err := fmt.Errorf(format, args...)
+		fmt.Fprintln(stderr, err)
+		return invocation{}, err
+	}
+	if fs.NArg() > 0 {
+		return fail("unexpected argument %q (flags only)", fs.Arg(0))
 	}
 
 	cfg := qnet.DefaultConfig()
@@ -87,17 +134,17 @@ func main() {
 	case "static":
 		cfg.Alloc = qnet.AllocStatic
 	default:
-		die("unknown allocation policy %q (want count, model or static)", *alloc)
+		return fail("unknown allocation policy %q (want count, model or static)", *alloc)
 	}
 	if *paths < 1 {
-		die("-paths must be ≥ 1 (got %d)", *paths)
+		return fail("-paths must be ≥ 1 (got %d)", *paths)
 	}
 	if *streaming {
 		cfg.MetricsMode = qnet.MetricsStreaming
 	}
 	var err error
 	if cfg.Physics, err = cli.ParsePhysics(*physics); err != nil {
-		die("%v", err)
+		return fail("%v", err)
 	}
 
 	var topo qnet.TopologySpec
@@ -105,7 +152,7 @@ func main() {
 	switch *topology {
 	case "chain":
 		if *nodes < 2 {
-			die("chain needs -nodes ≥ 2 (got %d)", *nodes)
+			return fail("chain needs -nodes ≥ 2 (got %d)", *nodes)
 		}
 		topo = qnet.ChainTopo(*nodes)
 	case "dumbbell":
@@ -113,32 +160,32 @@ func main() {
 		nodeCount = 6
 	case "ring":
 		if *nodes < 3 {
-			die("ring needs -nodes ≥ 3 (got %d)", *nodes)
+			return fail("ring needs -nodes ≥ 3 (got %d)", *nodes)
 		}
 		topo = qnet.RingTopo(*nodes)
 	case "star":
 		if *nodes < 2 {
-			die("star needs -nodes ≥ 2 (got %d)", *nodes)
+			return fail("star needs -nodes ≥ 2 (got %d)", *nodes)
 		}
 		topo = qnet.StarTopo(*nodes)
 	case "grid":
 		if *rows < 1 || *cols < 1 || *rows**cols < 2 {
-			die("grid needs positive -rows/-cols spanning ≥ 2 nodes (got %dx%d)", *rows, *cols)
+			return fail("grid needs positive -rows/-cols spanning ≥ 2 nodes (got %dx%d)", *rows, *cols)
 		}
 		topo = qnet.GridTopo(*rows, *cols)
 		nodeCount = *rows * *cols
 	case "random":
 		if *nodes < 2 {
-			die("random needs -nodes ≥ 2 (got %d)", *nodes)
+			return fail("random needs -nodes ≥ 2 (got %d)", *nodes)
 		}
 		topo = qnet.WaxmanTopo(*nodes, *alpha, *beta)
 	default:
-		die("unknown topology %q", *topology)
+		return fail("unknown topology %q", *topology)
 	}
 	// RandomPairs clamps to the pairs the topology has; mirror that here so
 	// circuit IDs (and WaitFor below) match the actual expansion.
 	if max := nodeCount * (nodeCount - 1) / 2; *circuits > max {
-		fmt.Fprintf(os.Stderr, "note: only %d distinct endpoint pairs exist; running %d circuits\n", max, max)
+		fmt.Fprintf(stderr, "note: only %d distinct endpoint pairs exist; running %d circuits\n", max, max)
 		*circuits = max
 	}
 
@@ -151,7 +198,7 @@ func main() {
 	case "none":
 		policy = qnet.CutoffNone
 	default:
-		die("unknown cutoff policy %q", *cutoff)
+		return fail("unknown cutoff policy %q", *cutoff)
 	}
 
 	iv := sim.DurationFromSeconds(*interval)
@@ -180,7 +227,7 @@ func main() {
 	case "measure":
 		wl = qnet.MeasureStream{Pairs: *pairs}
 	default:
-		die("unknown workload %q", *workload)
+		return fail("unknown workload %q", *workload)
 	}
 
 	spec := qnet.CircuitSpec{
@@ -201,19 +248,9 @@ func main() {
 	case *src != "" && *dst != "":
 		spec.Src, spec.Dst = *src, *dst
 	case *src != "" || *dst != "":
-		die("-src and -dst must be given together")
+		return fail("-src and -dst must be given together")
 	default:
 		spec.Select = qnet.DiameterPair()
-	}
-	if *verbose && *replicas == 1 {
-		delivered := 0
-		spec.Head = qnet.Handlers{
-			AutoConsume: true,
-			OnPair: func(d qnet.Delivered) {
-				delivered++
-				fmt.Printf("  t=%8.3fs  circuit %-8s pair %3d  %v\n", d.At.Seconds(), d.Circuit, delivered, d.State)
-			},
-		}
 	}
 
 	sc := qnet.Scenario{
@@ -234,59 +271,164 @@ func main() {
 		}
 	}
 
-	if *replicas > 1 {
-		ropts := qnet.ReplicaOptions{Replicas: *replicas, Workers: *workers, Seed: *seed, Backend: shards.Backend(*workers)}
-		ms, err := sc.RunReplicated(ropts)
-		if err != nil {
-			log.Fatal(err)
+	var scenarioFlags []string
+	fs.Visit(func(f *flag.Flag) {
+		if !runFlags[f.Name] {
+			scenarioFlags = append(scenarioFlags, "-"+f.Name+"="+f.Value.String())
 		}
-		ok := 0
-		for _, m := range ms {
-			if m != nil && m.Err == "" {
-				ok++
-			}
-		}
-		fmt.Printf("%d/%d replicas ran (base seed %d, per-replica seeds disjoint)\n", ok, *replicas, *seed)
-		fmt.Printf("mean aggregate EER %.2f pairs/s\n", qnet.MeanAggregateEER(ms))
-		if churning && ok > 0 {
-			var adm, rej, tw float64
-			for _, m := range ms {
-				if m == nil || m.Err != "" {
-					continue
-				}
-				adm += float64(m.Admitted)
-				rej += float64(m.RejectedAtAdmission)
-				tw += m.TimeWeightedEER()
-			}
-			fmt.Printf("churn means: %.1f admitted, %.1f rejected at admission; time-weighted EER %.2f pairs per circuit-second\n",
-				adm/float64(ok), rej/float64(ok), tw/float64(ok))
-		}
-		for _, cm := range ms[0].Circuits {
-			// Random topologies and random endpoint selectors redraw per
-			// replica seed; only name endpoints when every replica agrees.
-			where := fmt.Sprintf("%s→%s", cm.Src, cm.Dst)
-			for _, m := range ms {
-				if m == nil || m.Err != "" {
-					continue
-				}
-				if c := m.Circuit(cm.ID); c != nil && (c.Src != cm.Src || c.Dst != cm.Dst) {
-					where = "(endpoints vary per replica)"
-					break
-				}
-			}
-			fmt.Printf("  circuit %-10s %-32s mean EER %.2f pairs/s\n",
-				cm.ID, where, qnet.MeanCircuitEER(ms, cm.ID))
-		}
-		return
-	}
+	})
+	payload, _ := json.Marshal(scenarioFlags) // a []string always encodes
+	return invocation{
+		sc: sc, topology: *topology, horizon: *horizon, churning: churning,
+		seed: *seed, replicas: *replicas, workers: *workers, shards: shards,
+		verbose: *verbose, payload: payload,
+	}, nil
+}
 
+// replicaResult is what one replica reports back: the numbers the
+// -replicas summary averages.
+type replicaResult struct {
+	Err             string `json:",omitempty"`
+	EER             float64
+	TimeWeightedEER float64
+	Admitted        int
+	Rejected        int
+	Circuits        []circuitEER
+}
+
+type circuitEER struct {
+	ID       qnet.CircuitID
+	Src, Dst string
+	EER      float64
+}
+
+// runReplica runs one replica from its payload: the worker half of the
+// -replicas path. The payload comes from another process, so it must be
+// exactly one JSON list of flags, in the form parse itself writes.
+func runReplica(payload []byte, _ int, seed int64) ([]byte, error) {
+	var args []string
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	if err := dec.Decode(&args); err != nil {
+		return nil, fmt.Errorf("qnpsim: decode replica payload: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("qnpsim: decode replica payload: trailing data after the flag list")
+	}
+	inv, err := parse(args, io.Discard)
+	if err != nil {
+		return nil, fmt.Errorf("qnpsim: replica payload: %w", err)
+	}
+	if !bytes.Equal(inv.payload, payload) {
+		return nil, fmt.Errorf("qnpsim: replica payload %s is not the scenario flag list parse writes (%s)", payload, inv.payload)
+	}
+	sc := inv.sc
+	sc.Config.Seed = seed
 	res, err := sc.Run()
 	if err != nil {
-		log.Fatal(err)
+		return json.Marshal(replicaResult{Err: err.Error()})
 	}
 	m := res.Metrics
-	fmt.Printf("%s: %d nodes, %d links; horizon %.0f s (ran %.3f s of virtual time)\n",
-		*topology, m.Nodes, m.Links, *horizon, m.End.Sub(m.Start).Seconds())
+	r := replicaResult{
+		EER: m.AggregateEER(), TimeWeightedEER: m.TimeWeightedEER(),
+		Admitted: m.Admitted, Rejected: m.RejectedAtAdmission,
+	}
+	for _, cm := range m.Circuits {
+		r.Circuits = append(r.Circuits, circuitEER{cm.ID, cm.Src, cm.Dst, cm.EER(m.Start, m.End)})
+	}
+	return json.Marshal(r)
+}
+
+// qnpsimMain runs the command and returns its exit status.
+func qnpsimMain(args []string, w, stderr io.Writer) int {
+	inv, err := parse(args, stderr)
+	if err == flag.ErrHelp {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+	if inv.replicas > 1 {
+		err = inv.runReplicas(w)
+	} else {
+		err = inv.runOnce(w)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
+}
+
+// runReplicas runs the replicas through one runner.Collect call, sharded
+// or in-process, and prints their means in replica order.
+func (inv invocation) runReplicas(w io.Writer) error {
+	b := inv.shards.Backend(inv.workers)
+	if b == nil {
+		b = runner.InProcess{}
+	}
+	rs, err := runner.Collect[replicaResult](b, runner.ExecRequest{
+		Kind: replicaKind, Payload: inv.payload, Replicas: inv.replicas,
+		Options: runner.Options{Workers: inv.workers, Seed: inv.seed},
+	})
+	if err != nil {
+		return err
+	}
+	var eer, adm, rej, tw runner.Stats
+	for _, r := range rs {
+		if r.Err == "" {
+			eer.Add(r.EER)
+			adm.Add(float64(r.Admitted))
+			rej.Add(float64(r.Rejected))
+			tw.Add(r.TimeWeightedEER)
+		}
+	}
+	fmt.Fprintf(w, "%d/%d replicas ran (base seed %d, per-replica seeds disjoint)\n", eer.N(), inv.replicas, inv.seed)
+	fmt.Fprintf(w, "mean aggregate EER %.2f pairs/s\n", eer.Mean())
+	if inv.churning && eer.N() > 0 {
+		fmt.Fprintf(w, "churn means: %.1f admitted, %.1f rejected at admission; time-weighted EER %.2f pairs per circuit-second\n",
+			adm.Mean(), rej.Mean(), tw.Mean())
+	}
+	for _, c := range rs[0].Circuits {
+		// Random topologies and random endpoint selectors redraw per
+		// replica seed; only name endpoints when every replica agrees.
+		where := fmt.Sprintf("%s→%s", c.Src, c.Dst)
+		var mean runner.Stats
+		for _, r := range rs {
+			for _, rc := range r.Circuits {
+				if rc.ID != c.ID {
+					continue
+				}
+				mean.Add(rc.EER)
+				if rc.Src != c.Src || rc.Dst != c.Dst {
+					where = "(endpoints vary per replica)"
+				}
+			}
+		}
+		fmt.Fprintf(w, "  circuit %-10s %-32s mean EER %.2f pairs/s\n", c.ID, where, mean.Mean())
+	}
+	return nil
+}
+
+// runOnce runs the scenario on the base seed and prints every circuit.
+func (inv invocation) runOnce(w io.Writer) error {
+	sc := inv.sc
+	if inv.verbose && inv.replicas == 1 {
+		delivered := 0
+		sc.Circuits[0].Head = qnet.Handlers{
+			AutoConsume: true,
+			OnPair: func(d qnet.Delivered) {
+				delivered++
+				fmt.Fprintf(w, "  t=%8.3fs  circuit %-8s pair %3d  %v\n", d.At.Seconds(), d.Circuit, delivered, d.State)
+			},
+		}
+	}
+	res, err := sc.Run()
+	if err != nil {
+		return err
+	}
+	m := res.Metrics
+	fmt.Fprintf(w, "%s: %d nodes, %d links; horizon %.0f s (ran %.3f s of virtual time)\n",
+		inv.topology, m.Nodes, m.Links, inv.horizon, m.End.Sub(m.Start).Seconds())
 	totalDelivered := 0
 	mid := map[string]bool{}
 	for _, cm := range m.Circuits {
@@ -295,24 +437,24 @@ func main() {
 			if cm.AdmissionRejected {
 				what = "REJECTED AT ADMISSION"
 			}
-			fmt.Printf("circuit %s %s→%s: %s (%s)\n", cm.ID, cm.Src, cm.Dst, what, cm.Err)
+			fmt.Fprintf(w, "circuit %s %s→%s: %s (%s)\n", cm.ID, cm.Src, cm.Dst, what, cm.Err)
 			continue
 		}
-		fmt.Printf("circuit %s %s→%s: path=%v link-fidelity=%.3f cutoff=%v LPR=%.1f/s\n",
+		fmt.Fprintf(w, "circuit %s %s→%s: path=%v link-fidelity=%.3f cutoff=%v LPR=%.1f/s\n",
 			cm.ID, cm.Src, cm.Dst, cm.Path, cm.Plan.LinkFidelity, cm.Plan.Cutoff, cm.Plan.MaxLPR)
-		if churning {
+		if inv.churning {
 			left := "held to end of run"
 			if cm.TornDownAt != 0 {
 				left = fmt.Sprintf("departed t=%.3fs", cm.TornDownAt.Seconds())
 			}
-			fmt.Printf("  arrived t=%.3fs, established t=%.3fs, %s (lifetime %.3fs)\n",
+			fmt.Fprintf(w, "  arrived t=%.3fs, established t=%.3fs, %s (lifetime %.3fs)\n",
 				cm.ArrivedAt.Seconds(), cm.EstablishedAt.Seconds(), left, cm.Lifetime(m.End).Seconds())
 		}
 		status := "all requests complete"
 		if !cm.AllComplete() {
 			status = "open/incomplete requests at horizon"
 		}
-		fmt.Printf("  delivered %d pairs (%.2f/s), mean fidelity %.3f; %d requests, %d rejected, %d expiries; %s\n",
+		fmt.Fprintf(w, "  delivered %d pairs (%.2f/s), mean fidelity %.3f; %d requests, %d rejected, %d expiries; %s\n",
 			cm.Delivered, cm.EER(m.Start, m.End), cm.MeanFidelity(),
 			cm.Submitted, cm.Rejected, cm.Expired, status)
 		totalDelivered += cm.Delivered
@@ -326,12 +468,13 @@ func main() {
 		discards += m.NodeStats[id].Discards
 	}
 	if totalDelivered == 0 {
-		log.Fatalf("no pairs delivered within %.0f simulated seconds", *horizon)
+		return fmt.Errorf("no pairs delivered within %.0f simulated seconds", inv.horizon)
 	}
-	fmt.Printf("totals: %d pairs (%.2f/s aggregate); intermediate nodes: %d swaps, %d cutoff discards; classical messages: %d\n",
+	fmt.Fprintf(w, "totals: %d pairs (%.2f/s aggregate); intermediate nodes: %d swaps, %d cutoff discards; classical messages: %d\n",
 		m.TotalDelivered(), m.AggregateEER(), swaps, discards, m.ClassicalMessages)
-	if churning {
-		fmt.Printf("churn: %d admitted, %d rejected at admission; time-weighted EER %.2f pairs per circuit-second\n",
+	if inv.churning {
+		fmt.Fprintf(w, "churn: %d admitted, %d rejected at admission; time-weighted EER %.2f pairs per circuit-second\n",
 			m.Admitted, m.RejectedAtAdmission, m.TimeWeightedEER())
 	}
+	return nil
 }

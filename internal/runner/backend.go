@@ -114,7 +114,7 @@ func (InProcess) Dispatch(req ExecRequest) (*Execution, error) {
 	if req.Replicas <= 0 {
 		return completedExecution(nil), nil
 	}
-	e := newExecution(req.Replicas, nil)
+	e := newExecution(req.Replicas)
 	go func() { e.finish(inProcessRun(fn, req, e.emit)) }()
 	return e, nil
 }

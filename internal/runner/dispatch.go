@@ -1,7 +1,5 @@
 package runner
 
-import "sync"
-
 // ExecRequest describes one backend execution: replicas 0..Replicas-1 of a
 // registered job kind, each a pure function of (Payload, replica, derived
 // seed).
@@ -26,19 +24,6 @@ type Result struct {
 	Data []byte
 }
 
-// Lease describes one in-flight replica chunk held by a fleet endpoint — a
-// live snapshot for monitoring, never part of the result contract.
-type Lease struct {
-	// Endpoint names the worker endpoint serving the chunk.
-	Endpoint string
-	// Start and Count delimit the chunk's replica range [Start, Start+Count).
-	Start, Count int
-	// Attempt is 1 for a first run, higher for a re-leased chunk.
-	Attempt int
-	// Done is how many of the chunk's replicas have reported results.
-	Done int
-}
-
 // Execution is a dispatched run in flight. Results streams every replica's
 // output in strict ascending replica order — the same bytes in the same
 // order regardless of backend, worker count, steal schedule, or
@@ -46,30 +31,22 @@ type Lease struct {
 // results channel is buffered for the full replica count, so calling Wait
 // without draining Results cannot deadlock.
 type Execution struct {
-	total    int
 	results  chan Result
 	finished chan struct{}
 	err      error
-
-	mu      sync.Mutex
-	emitted int
-
-	leaseFn func() []Lease
 }
 
-func newExecution(total int, leases func() []Lease) *Execution {
+func newExecution(total int) *Execution {
 	return &Execution{
-		total:    total,
 		results:  make(chan Result, total),
 		finished: make(chan struct{}),
-		leaseFn:  leases,
 	}
 }
 
 // completedExecution is an execution that was over before it began (zero
 // replicas, or a backend that failed after the point of no return).
 func completedExecution(err error) *Execution {
-	e := newExecution(0, nil)
+	e := newExecution(0)
 	e.finish(err)
 	return e
 }
@@ -77,9 +54,6 @@ func completedExecution(err error) *Execution {
 // emit delivers one result. Backends call it from their ordered sink, one
 // goroutine at a time, in strictly ascending replica order.
 func (e *Execution) emit(replica int, data []byte) {
-	e.mu.Lock()
-	e.emitted++
-	e.mu.Unlock()
 	e.results <- Result{Replica: replica, Data: data}
 }
 
@@ -101,22 +75,4 @@ func (e *Execution) Results() <-chan Result { return e.results }
 func (e *Execution) Wait() error {
 	<-e.finished
 	return e.err
-}
-
-// Progress reports how many results have streamed so far out of the total.
-// (Options.Progress remains the push-style variant: it ticks once per
-// distinct completed replica, which may run ahead of the ordered stream.)
-func (e *Execution) Progress() (done, total int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.emitted, e.total
-}
-
-// Leases snapshots the in-flight chunk leases. Only Fleet has lease state;
-// other backends return nil.
-func (e *Execution) Leases() []Lease {
-	if e.leaseFn == nil {
-		return nil
-	}
-	return e.leaseFn()
 }

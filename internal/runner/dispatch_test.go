@@ -26,37 +26,6 @@ func TestTimeoutResolution(t *testing.T) {
 	}
 }
 
-// TestExecutionProgressAndLeases: the pull-style Execution observers. The
-// stream-side Progress counts emitted results; backends without lease
-// state answer Leases with nil.
-func TestExecutionProgressAndLeases(t *testing.T) {
-	const n = 5
-	ex, err := InProcess{}.Dispatch(ExecRequest{Kind: "test.echo", Payload: []byte(`"o"`), Replicas: n, Options: Options{Seed: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Leases() != nil {
-		t.Error("InProcess execution reports leases; only Fleet has lease state")
-	}
-	seen := 0
-	for r := range ex.Results() {
-		seen++
-		done, total := ex.Progress()
-		if total != n {
-			t.Fatalf("Progress total = %d, want %d", total, n)
-		}
-		if done < seen {
-			t.Fatalf("after receiving replica %d, Progress done = %d < %d received", r.Replica, done, seen)
-		}
-	}
-	if err := ex.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if done, _ := ex.Progress(); done != n {
-		t.Errorf("final Progress done = %d, want %d", done, n)
-	}
-}
-
 // TestWaitWithoutDraining: the results channel is buffered for the full
 // replica count, so Wait without consuming Results must not deadlock.
 func TestWaitWithoutDraining(t *testing.T) {

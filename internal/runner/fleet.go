@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,7 @@ import (
 // stdin/stdout. A plain local exec and an ssh remote exec look identical
 // from here — the protocol rides whatever byte pipe the command provides.
 type Endpoint struct {
-	// Name labels the endpoint in lease snapshots and error messages.
+	// Name labels the endpoint in error messages.
 	// Empty gets a positional default ("endpoint-i").
 	Name string
 	// Command is the full worker argv — e.g. {"/path/bin", runner.WorkerFlag}
@@ -169,38 +168,16 @@ type chunk struct {
 	attempt int
 }
 
-// leaseState is one claimed chunk in flight on an endpoint.
-type leaseState struct {
-	endpoint string
-	ch       chunk
-	done     atomic.Int64
-}
-
-// fleetState is the shared queue and lease table of one dispatch.
+// fleetState is the shared chunk queue of one dispatch.
 type fleetState struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []chunk
-	active  map[*leaseState]struct{}
-	failed  error
-	lastErr error
-}
-
-func (st *fleetState) leases() []Lease {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]Lease, 0, len(st.active))
-	for ls := range st.active {
-		out = append(out, Lease{
-			Endpoint: ls.endpoint,
-			Start:    ls.ch.start,
-			Count:    ls.ch.count,
-			Attempt:  ls.ch.attempt + 1,
-			Done:     int(ls.done.Load()),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []chunk
+	// inFlight counts the chunks endpoints hold: while any is out, an
+	// idle endpoint waits, since a lost one may requeue work to steal.
+	inFlight int
+	failed   error
+	lastErr  error
 }
 
 // collector buffers out-of-order shard results and hands them to sink in
@@ -288,9 +265,9 @@ func (f Fleet) Dispatch(req ExecRequest) (*Execution, error) {
 			return nil, err
 		}
 	}
-	st := &fleetState{active: map[*leaseState]struct{}{}}
+	st := &fleetState{}
 	st.cond = sync.NewCond(&st.mu)
-	e := newExecution(req.Replicas, st.leases)
+	e := newExecution(req.Replicas)
 	go func() { e.finish(f.run(req, eps, st, jr, recovered, e.emit)) }()
 	return e, nil
 }
@@ -395,7 +372,7 @@ func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint
 	maxAttempts := f.attempts()
 	for {
 		st.mu.Lock()
-		for len(st.queue) == 0 && len(st.active) > 0 && st.failed == nil && ctx.Err() == nil {
+		for len(st.queue) == 0 && st.inFlight > 0 && st.failed == nil && ctx.Err() == nil {
 			// Idle but the run is not over: a lost lease may yet requeue
 			// work for us to steal.
 			st.cond.Wait()
@@ -406,8 +383,7 @@ func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint
 		}
 		ch := st.queue[0]
 		st.queue = st.queue[1:]
-		ls := &leaseState{endpoint: ep.Name, ch: ch}
-		st.active[ls] = struct{}{}
+		st.inFlight++
 		st.mu.Unlock()
 
 		if ep.Throttle > 0 {
@@ -416,10 +392,10 @@ func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint
 			case <-ctx.Done():
 			}
 		}
-		seen, err := f.runChunk(ctx, ep, req, ch, ls, jr, coll, timeout)
+		seen, err := f.runChunk(ctx, ep, req, ch, jr, coll, timeout)
 
 		st.mu.Lock()
-		delete(st.active, ls)
+		st.inFlight--
 		benched := false
 		switch {
 		case err == nil:
@@ -469,7 +445,7 @@ func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint
 // feed the journal and the collector as they arrive, heartbeats feed the
 // watchdog. It returns how many of the chunk's replicas completed (frames
 // arrive in ascending order, so the remainder is exactly what is left).
-func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch chunk, ls *leaseState, jr *journal, coll *collector, timeout time.Duration) (seen int, err error) {
+func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch chunk, jr *journal, coll *collector, timeout time.Duration) (seen int, err error) {
 	cmd := exec.CommandContext(ctx, ep.Command[0], ep.Command[1:]...)
 	cmd.Env = append(os.Environ(), ep.Env...)
 	var stderr boundedBuffer
@@ -543,7 +519,6 @@ func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch ch
 			}
 			coll.add(fr.Replica, fr.Result)
 			seen++
-			ls.done.Store(int64(seen))
 		}
 		return nil
 	}()

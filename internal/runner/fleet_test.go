@@ -145,23 +145,7 @@ func TestFleetStealScheduleInvariance(t *testing.T) {
 		"uniform": {Endpoints: LocalEndpoints(2, 0), ChunkSize: 2},
 		"skewed":  {Endpoints: skewed, ChunkSize: 2},
 	} {
-		ex, err := fl.Dispatch(ExecRequest{Kind: "test.echo", Payload: payload, Replicas: n, Options: Options{Seed: 23}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Lease snapshots are monitoring-only; just check well-formedness.
-		for _, l := range ex.Leases() {
-			if l.Endpoint == "" || l.Count <= 0 || l.Start < 0 || l.Start+l.Count > n || l.Attempt < 1 {
-				t.Errorf("%s: malformed lease %+v", name, l)
-			}
-		}
-		got := make([][]byte, n)
-		for r := range ex.Results() {
-			got[r.Replica] = r.Data
-		}
-		if err := ex.Wait(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		got := executeAll(t, fl, Options{Seed: 23}, "test.echo", payload, n)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("%s: replica %d = %s, want %s", name, i, got[i], want[i])

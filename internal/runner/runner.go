@@ -14,8 +14,7 @@
 // executing replicas elsewhere: Dispatch takes a typed ExecRequest — a
 // registered job kind, an opaque payload, a replica count and Options —
 // and returns an Execution that streams the encoded results in strict
-// ascending replica order (Results), reports the final verdict (Wait),
-// and exposes progress and in-flight lease state.
+// ascending replica order (Results) and reports the final verdict (Wait).
 //
 // Two backends ship today: InProcess (the goroutine pool, routed through
 // the job codec) and Fleet (worker endpoints — re-execs of the current

@@ -39,19 +39,18 @@ const (
 	DistUniform
 )
 
-// Dist is a serializable duration distribution for churn scheduling
+// Dist is a duration distribution for churn scheduling
 // (CircuitSpec.Arrival / Holding). Draws come from the scenario's dedicated
 // churn stream — deterministic per seed, disjoint from the physics,
 // selection and workload streams — one draw per configured field per
-// expanded circuit, in expansion order, so churn scenarios serialize and
-// shard bit-identically.
+// expanded circuit, in expansion order, so churn replicas stay
+// bit-identical for any worker or shard count.
 type Dist struct {
 	Kind DistKind
 	// Mean parameterises DistFixed (the value) and DistExponential.
-	Mean sim.Duration `json:",omitempty"`
+	Mean sim.Duration
 	// Min and Max bound DistUniform.
-	Min sim.Duration `json:",omitempty"`
-	Max sim.Duration `json:",omitempty"`
+	Min, Max sim.Duration
 }
 
 // Fixed is the degenerate distribution always yielding d.

@@ -388,53 +388,6 @@ func TestRunErrorPathsStampMetrics(t *testing.T) {
 	}
 }
 
-// TestChurnSpecRoundTripAndSharding proves churn scenarios are fully
-// declarative: the spec JSON round-trips, and the same scenario produces
-// byte-identical metrics whether replicas run in-process or through the
-// subprocess backend (exercised further by the figures CI gate).
-func TestChurnSpecRoundTripAndSharding(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnforceEER = true
-	sc := Scenario{
-		Name:     "churn-rt",
-		Config:   cfg,
-		Topology: DumbbellTopo(),
-		Circuits: []CircuitSpec{{
-			ID: "vc", Select: RandomPairs(4), Fidelity: 0.85, Policy: CutoffShort,
-			Arrival: Uniform(0, 2*sim.Second), Holding: Exponential(sim.Second),
-			MinEER: 5, Workload: MeasureStream{Rate: 5}, Optional: true,
-		}},
-		Horizon: 3 * sim.Second,
-	}
-	spec, err := sc.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := spec.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, bs := sc.Circuits[0], back.Circuits[0]
-	if *cs.Arrival != *bs.Arrival || *cs.Holding != *bs.Holding ||
-		cs.MinEER != bs.MinEER || cs.ArriveAt != bs.ArriveAt || cs.HoldFor != bs.HoldFor {
-		t.Fatalf("churn fields lost in round trip:\n  sent %+v\n  got  %+v", cs, bs)
-	}
-	direct, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	via, err := back.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da, va := direct.Metrics.Admitted, via.Metrics.Admitted; da != va {
-		t.Errorf("round-tripped run diverged: admitted %d vs %d", da, va)
-	}
-	if dd, vd := direct.Metrics.TotalDelivered(), via.Metrics.TotalDelivered(); dd != vd {
-		t.Errorf("round-tripped run diverged: delivered %d vs %d", dd, vd)
-	}
-}
-
 // TestExpiryCountedOncePerEnd pins the expiry accounting contract: both the
 // head and tail metrics wrappers count expiries, and each expiry event
 // reaches exactly one end — so the circuit's Expired counter equals the sum

@@ -1,12 +1,9 @@
 package qnet
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 
 	"qnp/internal/quantum"
-	"qnp/internal/runner"
 	"qnp/internal/sim"
 	"qnp/internal/stats"
 )
@@ -112,15 +109,11 @@ type CircuitMetrics struct {
 
 	// PendingFinite counts finite requests submitted but not yet
 	// completed or rejected — the scenario wait loop's early-stop state.
-	// Exported (and serialized) so a decoded Metrics answers
-	// waitSatisfied and AllComplete exactly like the original; on decode
-	// of a MetricsFull value it is cross-checked against Requests.
 	PendingFinite int `json:",omitempty"`
 	// PendingArrival marks a scheduled (churn) circuit whose arrival has
 	// not resolved yet — WaitFor treats it as incomplete. True in a
 	// completed run only for arrivals the horizon cut off before they
-	// fired; serialized so the wait state survives the wire (see
-	// Metrics.UnmarshalJSON).
+	// fired.
 	PendingArrival bool `json:",omitempty"`
 
 	// reqByID indexes the requests still in flight: submitted, neither
@@ -323,7 +316,7 @@ type Metrics struct {
 	// for rate helpers is [Start, End].
 	Start sim.Time
 	End   sim.Time
-	// Err is set on replicas that failed to run (RunReplicated keeps going).
+	// Err is set on replicas that failed to run.
 	Err string
 
 	Circuits []*CircuitMetrics
@@ -346,51 +339,6 @@ type Metrics struct {
 
 // Circuit returns a circuit's metrics, or nil for unknown IDs.
 func (m *Metrics) Circuit(id CircuitID) *CircuitMetrics { return m.byID[id] }
-
-// UnmarshalJSON decodes metrics produced by a worker process (the default
-// encoding covers every exported field exactly: counters are integers or
-// float64s, which Go's JSON codec round-trips bit-identically, and the
-// aggregates define their own exact wire form) and rebuilds the
-// unexported lookup indexes, so a decoded Metrics answers Circuit and
-// request queries like the original: the in-flight index holds the
-// requests that are neither done nor rejected.
-//
-// The wait-loop state (PendingFinite, PendingArrival) is serialized
-// verbatim, so even a Metrics captured mid-run decodes into the same wait
-// state — historically PendingArrival was silently dropped, letting a
-// mid-run serialization decode into a value whose waitSatisfied answer
-// differed from the original's. Workers only serialize completed runs,
-// and for MetricsFull values that invariant is enforced: PendingFinite is
-// recomputed from the request records and a mismatch (a hand-edited or
-// corrupt stream) is rejected rather than decoded into a wrong wait
-// state. MetricsStreaming carries no records to check against, so its
-// counters are trusted as serialized.
-func (m *Metrics) UnmarshalJSON(b []byte) error {
-	type plain Metrics // shed the method set to avoid recursion
-	if err := json.Unmarshal(b, (*plain)(m)); err != nil {
-		return err
-	}
-	m.byID = make(map[CircuitID]*CircuitMetrics, len(m.Circuits))
-	for _, cm := range m.Circuits {
-		m.byID[cm.ID] = cm
-		cm.records = m.Mode != MetricsStreaming
-		cm.reqByID = make(map[RequestID]*RequestMetrics)
-		pending := 0
-		for _, rm := range cm.Requests {
-			if rm.Done || rm.Rejected {
-				continue
-			}
-			cm.reqByID[rm.ID] = rm
-			if rm.Pairs > 0 {
-				pending++
-			}
-		}
-		if cm.records && pending != cm.PendingFinite {
-			return fmt.Errorf("qnet: circuit %q: PendingFinite %d does not match its %d pending request records", cm.ID, cm.PendingFinite, pending)
-		}
-	}
-	return nil
-}
 
 // TotalDelivered sums deliveries over all circuits.
 func (m *Metrics) TotalDelivered() int {
@@ -469,32 +417,4 @@ func (m *Metrics) waitSatisfied(ids []CircuitID) bool {
 		}
 	}
 	return true
-}
-
-// MeanCircuitEER averages one circuit's full-window EER across replicas,
-// skipping failed replicas — the natural aggregate for RunReplicated.
-func MeanCircuitEER(ms []*Metrics, id CircuitID) float64 {
-	var s runner.Stats
-	for _, m := range ms {
-		if m == nil || m.Err != "" {
-			continue
-		}
-		if c := m.Circuit(id); c != nil {
-			s.Add(c.EER(m.Start, m.End))
-		}
-	}
-	return s.Mean()
-}
-
-// MeanAggregateEER averages the network-wide EER across replicas, skipping
-// failed replicas.
-func MeanAggregateEER(ms []*Metrics) float64 {
-	var s runner.Stats
-	for _, m := range ms {
-		if m == nil || m.Err != "" {
-			continue
-		}
-		s.Add(m.AggregateEER())
-	}
-	return s.Mean()
 }

@@ -3,7 +3,6 @@ package qnet
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"qnp/internal/race"
@@ -187,167 +186,6 @@ func TestStreamingModeAgreement(t *testing.T) {
 	}
 }
 
-// TestStreamingSpecAndJSONRoundTrip: MetricsMode survives the ScenarioSpec
-// wire form, and a streaming Metrics round-trips through JSON
-// bit-identically with working lookup helpers — the contract the sharded
-// backend rides on.
-func TestStreamingSpecAndJSONRoundTrip(t *testing.T) {
-	sc := Scenario{
-		Name:     "rt-streaming",
-		Config:   Config{Seed: 11, MetricsMode: MetricsStreaming},
-		Topology: ChainTopo(3),
-		Circuits: []CircuitSpec{{
-			ID: "c", Src: "n0", Dst: "n2", Fidelity: 0.8,
-			Workload: KeepBatch{Count: 2, Pairs: 3}, RecordFidelity: true,
-		}},
-		Horizon: 10 * sim.Second,
-		WaitFor: []CircuitID{"c"},
-	}
-	spec, err := sc.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded ScenarioSpec
-	if err := json.Unmarshal(wire, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	back, err := decoded.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Config.MetricsMode != MetricsStreaming {
-		t.Fatalf("MetricsMode lost on the spec wire: %v", back.Config.MetricsMode)
-	}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Metrics
-	blob := metricsJSON(t, m)
-	var dec Metrics
-	if err := json.Unmarshal(blob, &dec); err != nil {
-		t.Fatal(err)
-	}
-	cm := dec.Circuit("c")
-	if cm == nil {
-		t.Fatal("decoded streaming Metrics lost the circuit index")
-	}
-	if cm.records {
-		t.Error("decoded streaming circuit marked as keeping records")
-	}
-	if !cm.AllComplete() {
-		t.Error("decoded streaming metrics disagree on AllComplete")
-	}
-	if got, want := cm.EER(dec.Start, dec.End), m.Circuit("c").EER(m.Start, m.End); got != want {
-		t.Errorf("decoded EER %v, want %v", got, want)
-	}
-	if got := metricsJSON(t, &dec); !bytes.Equal(blob, got) {
-		t.Errorf("re-encoded streaming metrics diverged\n want %s\n  got %s", blob, got)
-	}
-}
-
-// TestStreamingShardMergeIdentity: replicated streaming runs through
-// one-host fleets of 1 and 3 endpoints produce bit-identical per-replica
-// metrics, and folding the replicas' aggregates in replica order gives
-// bit-identical summary statistics regardless of shard count.
-func TestStreamingShardMergeIdentity(t *testing.T) {
-	sc := shardedScenario()
-	sc.Config.MetricsMode = MetricsStreaming
-	const replicas = 6
-	run := func(shards int) []*Metrics {
-		ms, err := sc.RunReplicated(ReplicaOptions{
-			Replicas: replicas, Seed: 21,
-			Backend: runner.Fleet{Endpoints: runner.LocalEndpoints(shards, 0)},
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return ms
-	}
-	one, three := run(1), run(3)
-	merged := func(ms []*Metrics) (*stats.Agg, *stats.Agg, string) {
-		lat, fid := new(stats.Agg), new(stats.Agg)
-		var b strings.Builder
-		for i, m := range ms {
-			lat.Merge(m.LatencySummary())
-			fid.Merge(m.FidelitySummary())
-			blob := metricsJSON(t, m)
-			b.WriteString(string(blob))
-			b.WriteByte('\n')
-			_ = i
-		}
-		return lat, fid, b.String()
-	}
-	lat1, fid1, raw1 := merged(one)
-	lat3, fid3, raw3 := merged(three)
-	if raw1 != raw3 {
-		t.Fatal("per-replica metrics JSON differs between 1 and 3 shards")
-	}
-	for _, pair := range []struct {
-		name string
-		a, b *stats.Agg
-	}{{"latency", lat1, lat3}, {"fidelity", fid1, fid3}} {
-		if pair.a.Count != pair.b.Count || pair.a.Sum() != pair.b.Sum() ||
-			pair.a.Mean() != pair.b.Mean() ||
-			pair.a.Percentile(0.5) != pair.b.Percentile(0.5) ||
-			pair.a.Percentile(0.95) != pair.b.Percentile(0.95) {
-			t.Errorf("%s summary differs between shard counts", pair.name)
-		}
-	}
-}
-
-// TestUnmarshalPendingState pins satellite 3: the wait-loop state decodes
-// faithfully, and a MetricsFull stream whose PendingFinite contradicts its
-// own request records is rejected instead of decoded into a wrong wait
-// state.
-func TestUnmarshalPendingState(t *testing.T) {
-	cm := newCircuitMetrics("c", "a", "b", true)
-	cm.Established = true
-	cm.noteSubmit(&RequestMetrics{ID: "r0", SubmittedAt: 0, Pairs: 2})
-	cm.PendingArrival = true
-	m := &Metrics{Name: "pending", Circuits: []*CircuitMetrics{cm},
-		byID: map[CircuitID]*CircuitMetrics{"c": cm}}
-	if m.waitSatisfied([]CircuitID{"c"}) {
-		t.Fatal("precondition: original should be unsatisfied")
-	}
-	blob, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec Metrics
-	if err := json.Unmarshal(blob, &dec); err != nil {
-		t.Fatal(err)
-	}
-	c := dec.Circuit("c")
-	if !c.PendingArrival || c.PendingFinite != 1 {
-		t.Errorf("decoded wait state: PendingArrival=%v PendingFinite=%d, want true/1",
-			c.PendingArrival, c.PendingFinite)
-	}
-	if dec.waitSatisfied([]CircuitID{"c"}) != m.waitSatisfied([]CircuitID{"c"}) {
-		t.Error("decoded waitSatisfied differs from the original")
-	}
-
-	// Corrupt the counter: a full-mode decode must reject the mismatch.
-	var raw map[string]any
-	if err := json.Unmarshal(blob, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["Circuits"].([]any)[0].(map[string]any)["PendingFinite"] = 7
-	bad, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rej Metrics
-	if err := json.Unmarshal(bad, &rej); err == nil ||
-		!strings.Contains(err.Error(), "PendingFinite") {
-		t.Errorf("corrupt PendingFinite decoded without error (err=%v)", err)
-	}
-}
-
 // TestAllocsStreamingRecording is the constant-memory gate at the metrics
 // layer: a warm streaming circuit absorbs a million
 // submit/deliver/complete cycles with allocations bounded by histogram
@@ -381,5 +219,67 @@ func TestAllocsStreamingRecording(t *testing.T) {
 	if cm.Delivered < 1_000_000 || len(cm.DeliveryTimes) != 0 || len(cm.Requests) != 0 {
 		t.Fatalf("gate exercised the wrong path: %d delivered, %d times, %d requests",
 			cm.Delivered, len(cm.DeliveryTimes), len(cm.Requests))
+	}
+}
+
+// TestStreamingShardMergeIdentity: streaming replicas sharded across one
+// and three workers produce bit-identical per-replica metrics, and folding
+// the replicas' aggregates in replica order gives bit-identical summary
+// statistics regardless of the worker count.
+func TestStreamingShardMergeIdentity(t *testing.T) {
+	sc := Scenario{
+		Config:   Config{MetricsMode: MetricsStreaming},
+		Topology: WaxmanTopo(8, 0.7, 0.4),
+		Circuits: []CircuitSpec{{
+			ID: "r", Select: RandomPairs(2), Fidelity: 0.8,
+			Workload: ContinuousKeep{}, Optional: true, RecordFidelity: true,
+		}},
+		Horizon: 2 * sim.Second,
+	}
+	const replicas = 6
+	run := func(workers int) (lat, fid *stats.Agg, raw []byte) {
+		ms, err := runner.Run(runner.Options{Workers: workers, Seed: 21}, replicas, func(_ int, seed int64) *Metrics {
+			replica := sc
+			replica.Config.Seed = seed
+			res, err := replica.Run()
+			if err != nil {
+				t.Error(err)
+				return &Metrics{}
+			}
+			return res.Metrics
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat, fid = new(stats.Agg), new(stats.Agg)
+		for _, m := range ms {
+			lat.Merge(m.LatencySummary())
+			fid.Merge(m.FidelitySummary())
+			b, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = append(append(raw, b...), '\n')
+		}
+		return lat, fid, raw
+	}
+	lat1, fid1, raw1 := run(1)
+	lat3, fid3, raw3 := run(3)
+	if !bytes.Equal(raw1, raw3) {
+		t.Fatal("per-replica metrics JSON differs between 1 and 3 workers")
+	}
+	if fid1.Count == 0 {
+		t.Fatal("no fidelities recorded; the merge is vacuous")
+	}
+	for _, pair := range []struct {
+		name string
+		a, b *stats.Agg
+	}{{"latency", lat1, lat3}, {"fidelity", fid1, fid3}} {
+		if pair.a.Count != pair.b.Count || pair.a.Sum() != pair.b.Sum() ||
+			pair.a.Mean() != pair.b.Mean() ||
+			pair.a.Percentile(0.5) != pair.b.Percentile(0.5) ||
+			pair.a.Percentile(0.95) != pair.b.Percentile(0.95) {
+			t.Errorf("%s summary differs between worker counts", pair.name)
+		}
 	}
 }

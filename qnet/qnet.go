@@ -42,14 +42,12 @@
 // circuits join and leave (each link's budget splits across its circuits,
 // propagated hop by hop so head-end pacing tracks membership); an arrival
 // whose MinEER demand no longer fits is rejected at admission.
-// Scenario.RunReplicated fans independent replicas across a worker pool
-// with disjoint per-replica seeds and order-stable results; with a
-// runner.Backend in ReplicaOptions (a runner.Fleet) the same replicas
-// shard across worker processes instead, bit-identically. Declarative
-// scenarios serialize through ScenarioSpec — JSON complete enough for a
-// worker process to reconstruct and run them from bytes — with custom
-// workload/selector types made portable via RegisterWorkload and
-// RegisterSelector.
+// Replicas are independent runs of the same Scenario value under
+// runner.DeriveSeed seeds; a replica job that crosses a process boundary
+// carries the parameters its scenario is built from, never the scenario
+// itself (cmd/qnpsim sends its own scenario flags, internal/experiments
+// its figure parameters), and the worker rebuilds the scenario with the
+// same code.
 //
 // # Topologies
 //

@@ -112,68 +112,45 @@ func (t TopologySpec) materialize(cfg Config) (*Network, error) {
 // A Selector derives circuit endpoints from the materialized topology, so
 // scenarios stay valid across shapes and seeds. The rng is the scenario's
 // selection stream — deterministic per seed and disjoint from the physics
-// stream. The built-in selectors (DiameterPair, RandomPairs) are plain
-// data values, so scenarios using them serialize for process-sharded
-// execution; ad-hoc logic can wrap a SelectorFunc instead, at the cost of
-// shardability (unless the concrete type is registered via
-// RegisterSelector).
-type Selector interface {
-	Pairs(net *Network, rng *rand.Rand) [][2]string
-}
-
-// SelectorFunc adapts a plain function to the Selector interface.
-type SelectorFunc func(net *Network, rng *rand.Rand) [][2]string
-
-// Pairs implements Selector.
-func (f SelectorFunc) Pairs(net *Network, rng *rand.Rand) [][2]string { return f(net, rng) }
-
-// diameterPair is the DiameterPair selector value.
-type diameterPair struct{}
+// stream. A selector is code, not data: a replica in another process gets
+// it by rebuilding the scenario from the parameters that chose it, as
+// cmd/qnpsim does from its flags.
+type Selector func(net *Network, rng *rand.Rand) [][2]string
 
 // DiameterPair selects the topology's farthest node pair — its hardest
 // circuit.
-func DiameterPair() Selector { return diameterPair{} }
-
-// Pairs implements Selector.
-func (diameterPair) Pairs(net *Network, _ *rand.Rand) [][2]string {
-	src, dst, _ := net.Diameter()
-	return [][2]string{{src, dst}}
-}
-
-// randomPairs is the RandomPairs selector value.
-type randomPairs struct {
-	K int
+func DiameterPair() Selector {
+	return func(net *Network, _ *rand.Rand) [][2]string {
+		src, dst, _ := net.Diameter()
+		return [][2]string{{src, dst}}
+	}
 }
 
 // RandomPairs selects k distinct unordered node pairs uniformly at random
 // (clamped to the number of pairs the topology has).
-func RandomPairs(k int) Selector { return randomPairs{K: k} }
-
-// Pairs implements Selector.
-func (s randomPairs) Pairs(net *Network, rng *rand.Rand) [][2]string {
-	k := s.K
-	ids := net.NodeIDs()
-	if max := len(ids) * (len(ids) - 1) / 2; k > max {
-		k = max
+func RandomPairs(k int) Selector {
+	return func(net *Network, rng *rand.Rand) [][2]string {
+		ids := net.NodeIDs()
+		k := min(k, len(ids)*(len(ids)-1)/2)
+		seen := make(map[[2]string]bool, k)
+		out := make([][2]string, 0, k)
+		for len(out) < k {
+			i, j := rng.Intn(len(ids)), rng.Intn(len(ids))
+			if i == j {
+				continue
+			}
+			p := [2]string{ids[i], ids[j]}
+			if p[0] > p[1] {
+				p[0], p[1] = p[1], p[0]
+			}
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			out = append(out, p)
+		}
+		return out
 	}
-	seen := make(map[[2]string]bool, k)
-	out := make([][2]string, 0, k)
-	for len(out) < k {
-		i, j := rng.Intn(len(ids)), rng.Intn(len(ids))
-		if i == j {
-			continue
-		}
-		p := [2]string{ids[i], ids[j]}
-		if p[0] > p[1] {
-			p[0], p[1] = p[1], p[0]
-		}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		out = append(out, p)
-	}
-	return out
 }
 
 // CircuitSpec declares one circuit of a scenario: its endpoints (explicit,
@@ -245,10 +222,10 @@ type CircuitSpec struct {
 }
 
 // Scenario is the declarative experiment unit: a topology, circuits with
-// workloads, and a run budget. Run executes it once on Config.Seed;
-// RunReplicated fans independent replicas across a worker pool. The
+// workloads, and a run budget. Run executes it once on Config.Seed. The
 // simulation event order is a pure function of the scenario value, so any
-// result is reproducible from its seed.
+// result is reproducible from its seed: independent replicas are runs of
+// the same value under runner.DeriveSeed seeds.
 type Scenario struct {
 	Name string
 	// Config selects hardware and seed; the zero value means
@@ -390,7 +367,7 @@ func (sc Scenario) Run() (*Result, error) {
 			}
 			pairs = [][2]string{{p[0], p[len(p)-1]}}
 		case spec.Select != nil:
-			pairs = spec.Select.Pairs(net, selRand)
+			pairs = spec.Select(net, selRand)
 		default:
 			pairs = [][2]string{{spec.Src, spec.Dst}}
 		}
@@ -761,53 +738,4 @@ func (lc *liveCircuit) tailHandlers() Handlers {
 		}
 	}
 	return h
-}
-
-// ReplicaOptions configure a replicated scenario run.
-type ReplicaOptions struct {
-	// Replicas is the number of independent runs (≥ 1).
-	Replicas int
-	// Workers caps the worker pool (0 = NumCPU); it never changes results.
-	Workers int
-	// Seed is the base seed: replica i runs the scenario with seed
-	// runner.DeriveSeed(Seed, i), giving disjoint streams per replica.
-	Seed int64
-	// Progress, when non-nil, ticks after each replica completes.
-	Progress func(done, total int)
-	// Context, when non-nil, cancels remaining replicas; cancelled slots
-	// are nil in the result.
-	Context context.Context
-	// Backend, when non-nil, executes replicas through the runner's
-	// Backend seam instead of the in-process pool — a runner.Fleet
-	// shards them across worker processes. The scenario must then be fully
-	// declarative (see Scenario.Spec); replica seeding and result order are
-	// backend-independent, so the metrics are bit-identical to an
-	// in-process run for any backend, shard count or worker count.
-	Backend runner.Backend
-}
-
-// RunReplicated fans independent replicas of the scenario across a worker
-// pool and returns their metrics in replica order — bit-identical for any
-// worker count (and, with a process-sharded Backend, any shard count). A
-// replica that fails returns a Metrics with Err set rather than aborting
-// its siblings.
-func (sc Scenario) RunReplicated(o ReplicaOptions) ([]*Metrics, error) {
-	if o.Replicas < 1 {
-		o.Replicas = 1
-	}
-	if o.Backend != nil {
-		return sc.runReplicatedOn(o)
-	}
-	ropts := runner.Options{Workers: o.Workers, Seed: o.Seed, Progress: o.Progress, Context: o.Context}
-	return runner.Run(ropts, o.Replicas, func(_ int, seed int64) *Metrics {
-		replica := sc
-		replica.Config = sc.effectiveConfig()
-		replica.Config.Seed = seed
-		replica.Context = o.Context
-		res, err := replica.Run()
-		if err != nil {
-			return &Metrics{Name: sc.Name, Err: err.Error()}
-		}
-		return res.Metrics
-	})
 }

@@ -300,32 +300,6 @@ func TestScenarioLinkLengthOverride(t *testing.T) {
 	}
 }
 
-func TestRunReplicatedWorkerInvariance(t *testing.T) {
-	sc := Scenario{
-		Topology: ChainTopo(3),
-		Circuits: []CircuitSpec{{ID: "c", Select: DiameterPair(), Fidelity: 0.8,
-			Workload: KeepBatch{Count: 1, Pairs: 3}, RecordFidelity: true}},
-		Horizon: 30 * sim.Second,
-		WaitFor: []CircuitID{"c"},
-	}
-	render := func(workers int) string {
-		ms, err := sc.RunReplicated(ReplicaOptions{Replicas: 6, Workers: workers, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for i, m := range ms {
-			cm := m.Circuit("c")
-			fmt.Fprintf(&b, "replica %d: %d delivered, EER %.9f, meanF %.9f\n",
-				i, cm.Delivered, cm.EER(m.Start, m.End), cm.MeanFidelity())
-		}
-		return b.String()
-	}
-	if a, b := render(1), render(4); a != b {
-		t.Fatalf("worker count changed replicated results:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", a, b)
-	}
-}
-
 // TestScenarioEERPolicing pins the CircuitSpec.MaxEER path end to end: an
 // explicit allocation polices an oversized rate request away and paces an
 // admitted one at or below the allocation.
