@@ -1,10 +1,12 @@
 package qnet
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 
+	"qnp/internal/runner"
 	"qnp/internal/sim"
 )
 
@@ -386,6 +388,51 @@ func TestRunErrorPathsStampMetrics(t *testing.T) {
 	if cm := m.Circuit("doomed"); cm.Err == "" {
 		t.Error("failed circuit carries no error")
 	}
+}
+
+func churnReplicaScenario() Scenario {
+	cfg := DefaultConfig()
+	cfg.EnforceEER = true
+	return Scenario{
+		Name:     "churn-rt",
+		Config:   cfg,
+		Topology: DumbbellTopo(),
+		Circuits: []CircuitSpec{{
+			ID: "vc", Select: RandomPairs(4), Fidelity: 0.85, Policy: CutoffShort,
+			Arrival: Uniform(0, 2*sim.Second), Holding: Exponential(sim.Second),
+			MinEER: 5, Workload: MeasureStream{Rate: 5}, Optional: true,
+		}},
+		Horizon: 3 * sim.Second,
+	}
+}
+
+// TestChurnSpecRoundTripAndSharding: a churn scenario (arrival and holding
+// distributions, admission on MinEER) run as a job on worker processes
+// gives, replica by replica, the metrics of a direct run at the same seed,
+// so admission and delivery under churn survive the process boundary.
+func TestChurnSpecRoundTripAndSharding(t *testing.T) {
+	const replicas, seed = 3, 5
+	want := make([][]byte, replicas)
+	admitted := 0
+	for r := range want {
+		sc := churnReplicaScenario()
+		sc.Config.Seed = runner.DeriveSeed(seed, r)
+		res, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted += res.Metrics.Admitted
+		if want[r], err = json.Marshal(res.Metrics); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("no circuits admitted; churn never exercised")
+	}
+	checkBackends(t, "churn", seed, want, map[string]runner.Backend{
+		"in-process": runner.InProcess{},
+		"shards-2":   runner.Fleet{Endpoints: runner.LocalEndpoints(2, 0), ChunkSize: 1},
+	})
 }
 
 // TestExpiryCountedOncePerEnd pins the expiry accounting contract: both the

@@ -1,8 +1,10 @@
 package qnet
 
 import (
+	"os"
 	"testing"
 
+	"qnp/internal/runner"
 	"qnp/internal/sim"
 )
 
@@ -54,4 +56,53 @@ func TestNonEnforcingChurnEmitsNoUpdateTraffic(t *testing.T) {
 	if n := sumUpdates(res.Metrics); n == 0 {
 		t.Error("enforcing churn applied no EER updates; counter is not observing refit traffic")
 	}
+}
+
+func placementScenario() Scenario {
+	cfg := DefaultConfig()
+	cfg.EnforceEER = true
+	cfg.Alloc = AllocModelWeighted
+	return Scenario{
+		Name:     "placement-determinism",
+		Config:   cfg,
+		Topology: GridTopo(4, 4),
+		Circuits: []CircuitSpec{{
+			Select: RandomPairs(6), Fidelity: 0.8, Policy: CutoffShort,
+			Candidates: 3, MinEER: 1, Optional: true,
+			Holding:  &Dist{Kind: DistExponential, Mean: 2 * sim.Second},
+			Workload: ContinuousKeep{},
+		}},
+		Horizon: 4 * sim.Second,
+	}
+}
+
+// TestPlacementDeterminismAcrossBackends: model-weighted k-candidate
+// placement under churn reads only the replica's own RNG streams, so the
+// replicas' metrics are bit-identical in process and on worker processes,
+// whatever the shard count or chunking.
+func TestPlacementDeterminismAcrossBackends(t *testing.T) {
+	const replicas, seed = 4, 11
+	want := replicaMetrics(t, "placement", replicas, seed, nil)
+	admitted := 0
+	for r := 0; r < replicas; r++ {
+		sc := placementScenario()
+		sc.Config.Seed = runner.DeriveSeed(seed, r)
+		res, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted += res.Metrics.Admitted
+	}
+	if admitted == 0 {
+		t.Fatal("no circuits admitted; placement never exercised")
+	}
+	checkBackends(t, "placement", seed, want, map[string]runner.Backend{
+		"in-process": runner.InProcess{},
+		"shards-1":   runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)},
+		"shards-3":   runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)},
+		"fleet-2": runner.Fleet{Endpoints: []runner.Endpoint{
+			{Name: "a", Command: []string{os.Args[0], runner.WorkerFlag}},
+			{Name: "b", Command: []string{os.Args[0], runner.WorkerFlag}},
+		}, ChunkSize: 1},
+	})
 }

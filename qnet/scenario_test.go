@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"qnp/internal/runner"
 	"qnp/internal/sim"
 )
 
@@ -297,6 +298,43 @@ func TestScenarioLinkLengthOverride(t *testing.T) {
 	}
 	if link, _ := net.Graph.Link("n1", "n2"); link.LengthM != 2 {
 		t.Errorf("unaffected link length = %v", link.LengthM)
+	}
+}
+
+// TestRunReplicatedWorkerInvariance: scenario replicas on runner.Run give
+// the same per-replica results on one worker and on four.
+func TestRunReplicatedWorkerInvariance(t *testing.T) {
+	sc := Scenario{
+		Topology: ChainTopo(3),
+		Circuits: []CircuitSpec{{ID: "c", Select: DiameterPair(), Fidelity: 0.8,
+			Workload: KeepBatch{Count: 1, Pairs: 3}, RecordFidelity: true}},
+		Horizon: 30 * sim.Second,
+		WaitFor: []CircuitID{"c"},
+	}
+	render := func(workers int) string {
+		ms, err := runner.Run(runner.Options{Workers: workers, Seed: 3}, 6, func(_ int, seed int64) *Metrics {
+			replica := sc
+			replica.Config.Seed = seed
+			res, err := replica.Run()
+			if err != nil {
+				t.Error(err)
+				return &Metrics{}
+			}
+			return res.Metrics
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for i, m := range ms {
+			cm := m.Circuit("c")
+			fmt.Fprintf(&b, "replica %d: %d delivered, EER %.9f, meanF %.9f\n",
+				i, cm.Delivered, cm.EER(m.Start, m.End), cm.MeanFidelity())
+		}
+		return b.String()
+	}
+	if a, b := render(1), render(4); a != b {
+		t.Fatalf("worker count changed replicated results:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", a, b)
 	}
 }
 
