@@ -348,7 +348,7 @@ func qnpsimMain(args []string, w, stderr io.Writer) int {
 		return 2
 	}
 	if inv.replicas > 1 {
-		err = inv.runReplicas(w)
+		err = inv.runReplicas(w, stderr)
 	} else {
 		err = inv.runOnce(w)
 	}
@@ -360,8 +360,11 @@ func qnpsimMain(args []string, w, stderr io.Writer) int {
 }
 
 // runReplicas runs the replicas through one runner.Collect call, sharded
-// or in-process, and prints their means in replica order.
-func (inv invocation) runReplicas(w io.Writer) error {
+// or in-process, and prints their means in replica order. Each distinct
+// replica error goes to stderr once, with the number of replicas it
+// stopped; when no replica ran, there is nothing to average and the run
+// fails.
+func (inv invocation) runReplicas(w, stderr io.Writer) error {
 	b := inv.shards.Backend(inv.workers)
 	if b == nil {
 		b = runner.InProcess{}
@@ -374,21 +377,38 @@ func (inv invocation) runReplicas(w io.Writer) error {
 		return err
 	}
 	var eer, adm, rej, tw runner.Stats
+	var circuits []circuitEER
+	var errs []string
+	failed := map[string]int{}
 	for _, r := range rs {
-		if r.Err == "" {
-			eer.Add(r.EER)
-			adm.Add(float64(r.Admitted))
-			rej.Add(float64(r.Rejected))
-			tw.Add(r.TimeWeightedEER)
+		if r.Err != "" {
+			if failed[r.Err] == 0 {
+				errs = append(errs, r.Err)
+			}
+			failed[r.Err]++
+			continue
 		}
+		if eer.N() == 0 {
+			circuits = r.Circuits
+		}
+		eer.Add(r.EER)
+		adm.Add(float64(r.Admitted))
+		rej.Add(float64(r.Rejected))
+		tw.Add(r.TimeWeightedEER)
+	}
+	for _, e := range errs {
+		fmt.Fprintf(stderr, "%d of %d replicas failed: %s\n", failed[e], inv.replicas, e)
+	}
+	if eer.N() == 0 {
+		return fmt.Errorf("none of the %d replicas ran", inv.replicas)
 	}
 	fmt.Fprintf(w, "%d/%d replicas ran (base seed %d, per-replica seeds disjoint)\n", eer.N(), inv.replicas, inv.seed)
 	fmt.Fprintf(w, "mean aggregate EER %.2f pairs/s\n", eer.Mean())
-	if inv.churning && eer.N() > 0 {
+	if inv.churning {
 		fmt.Fprintf(w, "churn means: %.1f admitted, %.1f rejected at admission; time-weighted EER %.2f pairs per circuit-second\n",
 			adm.Mean(), rej.Mean(), tw.Mean())
 	}
-	for _, c := range rs[0].Circuits {
+	for _, c := range circuits {
 		// Random topologies and random endpoint selectors redraw per
 		// replica seed; only name endpoints when every replica agrees.
 		where := fmt.Sprintf("%s→%s", c.Src, c.Dst)

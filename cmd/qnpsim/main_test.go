@@ -36,6 +36,7 @@ var goldens = []struct{ name, args string }{
 	{"dumbbell-short", "-topology dumbbell -src A0 -dst B1 -fidelity 0.8 -pairs 10 -cutoff short"},
 	{"grid-continuous", "-topology grid -rows 3 -cols 3 -circuits 3 -workload continuous -horizon 10"},
 	{"random-replicas", "-topology random -nodes 10 -seed 7 -pairs 5 -replicas 8"},
+	{"random-replicas-seed8", "-topology random -nodes 10 -seed 8 -pairs 5 -replicas 4"},
 	{"grid-werner-replicas", "-topology grid -rows 3 -cols 3 -pairs 5 -replicas 6 -physics werner"},
 	{"churn-model-streaming", churnArgs},
 	{"churn-static", "-topology dumbbell -circuits 4 -workload churn -mineer 5 -alloc static -horizon 20 -replicas 4 -seed 3"},
@@ -186,5 +187,39 @@ func TestRunErrorExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "cannot reach end-to-end fidelity") {
 		t.Errorf("stderr = %q, want the routing error", stderr.String())
+	}
+}
+
+// TestReplicaErrorsReported: each distinct replica error reaches stderr
+// once, with the number of replicas it stopped, and a -replicas run in
+// which no replica ran exits 1 without a summary.
+func TestReplicaErrorsReported(t *testing.T) {
+	for _, tc := range []struct {
+		args   string
+		status int
+		stderr []string
+	}{
+		{"-topology random -nodes 10 -seed 8 -pairs 5 -replicas 4", 0, []string{
+			"2 of 4 replicas failed: qnet: scenario circuit \"cli\": routing: 7-hop path cannot reach end-to-end fidelity 0.850\n",
+		}},
+		{"-topology random -nodes 10 -seed 9 -pairs 5 -replicas 4", 0, []string{
+			"1 of 4 replicas failed: qnet: scenario circuit \"cli\": routing: 7-hop path cannot reach end-to-end fidelity 0.850\n",
+			"1 of 4 replicas failed: qnet: scenario circuit \"cli\": routing: 9-hop path cannot reach end-to-end fidelity 0.850\n",
+		}},
+		{"-fidelity 0.99 -replicas 3", 1, []string{
+			"3 of 3 replicas failed: qnet: scenario circuit \"cli\": routing: 2-hop path cannot reach end-to-end fidelity 0.990\n",
+			"none of the 3 replicas ran\n",
+		}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := qnpsimMain(strings.Fields(tc.args), &stdout, &stderr); code != tc.status {
+			t.Errorf("%s: exit status %d, want %d", tc.args, code, tc.status)
+		}
+		if want := strings.Join(tc.stderr, ""); stderr.String() != want {
+			t.Errorf("%s: stderr = %q, want %q", tc.args, stderr.String(), want)
+		}
+		if tc.status != 0 && stdout.Len() != 0 {
+			t.Errorf("%s: stdout = %q, want empty", tc.args, stdout.String())
+		}
 	}
 }

@@ -9,10 +9,6 @@
 // pairs at the end-nodes through this oracle.
 package baseline
 
-import (
-	"qnp/internal/core"
-)
-
 // Filter is the oracle discard rule applied at an end-node.
 type Filter struct {
 	// Threshold is the end-to-end fidelity below which delivered pairs are
@@ -22,21 +18,9 @@ type Filter struct {
 	Accepted, Rejected uint64
 }
 
-// Accept consults the oracle: the pair's exact fidelity against its
-// protocol-declared Bell state at delivery time. Measure-type deliveries
-// (no pair handle) pass through: the baseline protocol of the paper
-// operates on kept pairs.
-func (f *Filter) Accept(d core.Delivered) bool {
-	if d.Pair == nil {
-		f.Accepted++
-		return true
-	}
-	return f.AcceptFidelity(d.Pair.FidelityWith(d.At, d.State))
-}
-
-// AcceptFidelity applies the oracle rule to an already-computed delivery
-// fidelity — the form scenario metrics use, where the exact fidelity was
-// recorded once at delivery time.
+// AcceptFidelity consults the oracle: fid is the delivered pair's exact
+// fidelity against its protocol-declared Bell state, recorded once at
+// delivery time.
 func (f *Filter) AcceptFidelity(fid float64) bool {
 	if fid >= f.Threshold {
 		f.Accepted++

@@ -28,7 +28,7 @@ func TestAllocsPerPairExactChain(t *testing.T) {
 			if n == c.head() {
 				got++
 			}
-			n.Device().Free(d.Pair.Half(d.Pair.LocalSide(string(n.ID()))))
+			n.dev.Free(d.Pair.Half(d.Pair.LocalSide(string(n.ID()))))
 		}})
 	}
 	runs := 0

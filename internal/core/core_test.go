@@ -34,6 +34,19 @@ type chainConfig struct {
 	perfectRO bool
 }
 
+// testEstimateFor exposes the current estimate (head-end).
+func (n *Node) testEstimateFor(id CircuitID) (float64, int, bool) {
+	cs, ok := n.circuits[id]
+	if !ok || cs.role != RoleHead {
+		return 0, 0, false
+	}
+	samples := cs.tests.count[0] + cs.tests.count[1] + cs.tests.count[2]
+	if samples == 0 {
+		return 0, 0, false
+	}
+	return n.testFidelityEstimate(cs), samples, true
+}
+
 func defaultChainConfig(n int) chainConfig {
 	return chainConfig{
 		n:      n,
@@ -146,7 +159,7 @@ func newCollector(c *chain, n *Node) *collector {
 				// Consume: free this end's half.
 				if s := d.Pair.LocalSide(string(n.ID())); s >= 0 {
 					if q := d.Pair.Half(s); q != nil {
-						n.Device().Free(q)
+						n.dev.Free(q)
 					}
 				}
 				delete(col.earlyHeld, d.LocalCorr)
@@ -163,7 +176,7 @@ func newCollector(c *chain, n *Node) *collector {
 				delete(col.earlyHeld, corr)
 				if s := p.LocalSide(string(n.ID())); s >= 0 {
 					if q := p.Half(s); q != nil {
-						n.Device().Free(q)
+						n.dev.Free(q)
 					}
 				}
 			}
@@ -310,7 +323,7 @@ func TestMeasureRequestCorrelations(t *testing.T) {
 		t.Errorf("correct Z correlations %d/20", agree)
 	}
 	// Memory released: MEASURE qubits never sit in memory at the ends.
-	if c.head().Device().FreeCommCount(linklayer.LinkName("n0", "n1")) != 2 {
+	if c.head().dev.FreeCommCount(linklayer.LinkName("n0", "n1")) != 2 {
 		t.Error("head qubits not all free after MEASURE request")
 	}
 }
@@ -493,7 +506,7 @@ func TestCutoffExpiresAndEndNodesRecover(t *testing.T) {
 	hc := newCollector(c, c.head())
 	// Occupy the tail's qubits so the downstream link cannot generate:
 	// allocate both qubits of the n1-n2 link at n2 out from under the QNP.
-	tailDev := c.tail().Device()
+	tailDev := c.tail().dev
 	tailDev.AllocComm(linklayer.LinkName("n1", "n2"))
 	tailDev.AllocComm(linklayer.LinkName("n1", "n2"))
 
@@ -533,7 +546,7 @@ func TestVoidTestRoundsForgetHeadBits(t *testing.T) {
 		cfg.seed = 7
 		c := buildChain(t, cfg)
 		newCollector(c, c.head())
-		tailDev := c.tail().Device()
+		tailDev := c.tail().dev
 		tailDev.AllocComm(linklayer.LinkName("n1", "n2"))
 		tailDev.AllocComm(linklayer.LinkName("n1", "n2"))
 		if err := c.head().Submit(Request{ID: "r", Circuit: "vc", Type: Keep, NumPairs: 3, TestEvery: 1}); err != nil {
@@ -610,7 +623,7 @@ func TestFidelityTestRounds(t *testing.T) {
 	if len(hc.pairs) != 10 {
 		t.Fatalf("real deliveries = %d, want 10 (tests must not count)", len(hc.pairs))
 	}
-	est, samples, ok := c.head().TestEstimateFor("vc")
+	est, samples, ok := c.head().testEstimateFor("vc")
 	if !ok || samples == 0 {
 		t.Fatal("no test estimate accumulated")
 	}

@@ -538,19 +538,6 @@ func (n *Node) testFidelityEstimate(cs *circuit) float64 {
 	return (1 + e(quantum.XBasis) + e(quantum.YBasis) + e(quantum.ZBasis)) / 4
 }
 
-// TestEstimateFor exposes the current estimate (head-end).
-func (n *Node) TestEstimateFor(id CircuitID) (float64, int, bool) {
-	cs, ok := n.circuits[id]
-	if !ok || cs.role != RoleHead {
-		return 0, 0, false
-	}
-	samples := cs.tests.count[0] + cs.tests.count[1] + cs.tests.count[2]
-	if samples == 0 {
-		return 0, 0, false
-	}
-	return n.testFidelityEstimate(cs), samples, true
-}
-
 // NodeStats aggregates a node's QNP counters across circuits. LateDrops
 // counts data-plane messages dropped because their circuit had already torn
 // down (churn stragglers); EERUpdates counts allocation re-fits applied at

@@ -317,9 +317,6 @@ func NewNode(s *sim.Simulation, net *netsim.Network, dev *device.Device, fabric 
 // ID returns the node's network ID.
 func (n *Node) ID() netsim.NodeID { return n.id }
 
-// Device returns the node's quantum device.
-func (n *Node) Device() *device.Device { return n.dev }
-
 // SetHandlers installs the application callbacks of a circuit that ends at
 // this node, replacing any set before. It is a no-op for a circuit not
 // installed here.

@@ -17,7 +17,7 @@ func TestAllocsExactPair(t *testing.T) {
 	}
 	s, a, b := twoDevices(t)
 	p := makePair(t, s, a, b, quantum.PhiPlus)
-	if p.Scalar() {
+	if p.scalar {
 		t.Fatal("default devices should hold exact pairs")
 	}
 	now := s.Now()

@@ -245,15 +245,14 @@ func (d *Device) Free(q *Qubit) {
 func (d *Device) OnFree(fn func()) { d.onFree = append(d.onFree, fn) }
 
 // Discard releases this node's half of a pair (cutoff expiry or protocol
-// discard). The pair is marked broken; the remote half is untouched — the
-// remote node discards on its own timer or on an EXPIRE message, exactly the
-// window the paper's end-node rule exists to close.
+// discard). The remote half is untouched — the remote node discards on its
+// own timer or on an EXPIRE message, exactly the window the paper's end-node
+// rule exists to close.
 func (d *Device) Discard(p *Pair) {
 	s := p.LocalSide(d.id)
 	if s < 0 {
 		return
 	}
-	p.broken = true
 	p.releaseHalf(s)
 }
 
@@ -503,5 +502,15 @@ func (d *Device) ApplyAttemptDephasing(k int) {
 	}
 }
 
-// Qubits exposes the memory for inspection in tests.
-func (d *Device) Qubits() []*Qubit { return d.qubits }
+// Allocated returns the qubits in use, in memory order.
+//
+//qnetlint:allow testonly qnet's teardown and churn tests check that no qubit outlives its circuit
+func (d *Device) Allocated() []*Qubit {
+	var in []*Qubit
+	for _, q := range d.qubits {
+		if !q.free {
+			in = append(in, q)
+		}
+	}
+	return in
+}

@@ -9,6 +9,29 @@ import (
 	"qnp/internal/sim"
 )
 
+// drain fires events until the queue is empty.
+func drain(s *sim.Simulation) {
+	for s.Step() {
+	}
+}
+
+// FidelityAt returns the oracle fidelity with the true Bell index at time t.
+func (p *Pair) FidelityAt(t sim.Time) float64 {
+	return p.FidelityWith(t, p.trueIdx)
+}
+
+// RemoteNode returns the node holding the other half relative to node.
+func (p *Pair) RemoteNode(node string) string {
+	s := p.LocalSide(node)
+	if s < 0 {
+		return ""
+	}
+	if other := p.halves[1-s]; other != nil {
+		return other.dev.id
+	}
+	return ""
+}
+
 func twoDevices(t *testing.T) (*sim.Simulation, *Device, *Device) {
 	t.Helper()
 	s := sim.New(1)
@@ -35,7 +58,7 @@ func TestAllocFree(t *testing.T) {
 		t.Fatalf("free count = %d", a.FreeCommCount("ab"))
 	}
 	q1, ok := a.AllocComm("ab")
-	if !ok || q1.Free() {
+	if !ok || q1.free {
 		t.Fatal("alloc failed")
 	}
 	q2, ok := a.AllocComm("ab")
@@ -135,7 +158,7 @@ func TestSwapMergesPairs(t *testing.T) {
 	var merged *Pair
 	var outcome quantum.BellIndex
 	m.Swap(p1.Half(p1.LocalSide("m")), p2.Half(p2.LocalSide("m")), func(mp *Pair, o quantum.BellIndex) { merged, outcome = mp, o })
-	s.Run()
+	drain(s)
 
 	if merged == nil {
 		t.Fatal("swap never completed")
@@ -188,7 +211,7 @@ func TestSwapOrientation(t *testing.T) {
 	var merged *Pair
 	var outcome quantum.BellIndex
 	m.Swap(p1.Half(p1.LocalSide("m")), p2.Half(p2.LocalSide("m")), func(mp *Pair, o quantum.BellIndex) { merged, outcome = mp, o })
-	s.Run()
+	drain(s)
 	if merged.LocalSide("a") < 0 || merged.LocalSide("c") < 0 {
 		t.Fatal("merged pair lost an endpoint")
 	}
@@ -204,7 +227,7 @@ func TestTaskSchedulerSerialises(t *testing.T) {
 	var done []sim.Time
 	d.SubmitOp(100, func() { done = append(done, s.Now()) })
 	d.SubmitOp(50, func() { done = append(done, s.Now()) })
-	s.Run()
+	drain(s)
 	if len(done) != 2 || done[0] != 100 || done[1] != 150 {
 		t.Errorf("op completion times = %v, want [100 150]", done)
 	}
@@ -217,8 +240,8 @@ func TestDiscardBreaksPair(t *testing.T) {
 	s, a, b := twoDevices(t)
 	p := makePair(t, s, a, b, quantum.PhiPlus)
 	a.Discard(p)
-	if !p.Broken() {
-		t.Error("pair not broken after discard")
+	if p.Half(0) != nil {
+		t.Error("discarded half still held")
 	}
 	if a.FreeCommCount("ab") != 2 {
 		t.Error("discarding did not free the qubit")
@@ -244,7 +267,7 @@ func TestMeasureHalfCollapsesAndCorrelates(t *testing.T) {
 			bitA = bit
 			b.MeasureHalf(p.Half(p.LocalSide("b")), quantum.ZBasis, func(bit int) { bitB = bit })
 		})
-		s.Run()
+		drain(s)
 		if bitA == bitB {
 			agree++
 		}
@@ -259,7 +282,7 @@ func TestMeasureFreesQubit(t *testing.T) {
 	s, a, b := twoDevices(t)
 	p := makePair(t, s, a, b, quantum.PhiPlus)
 	a.MeasureHalf(p.Half(p.LocalSide("a")), quantum.ZBasis, func(int) {})
-	s.Run()
+	drain(s)
 	if a.FreeCommCount("ab") != 2 {
 		t.Error("measurement did not free the qubit")
 	}
@@ -283,7 +306,7 @@ func TestMoveToStorage(t *testing.T) {
 	p := NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
 	moved := false
 	a.MoveToStorage(p.Half(p.LocalSide("a")), func(_ *Qubit, ok bool) { moved = ok })
-	s.Run()
+	drain(s)
 	if !moved {
 		t.Fatal("move failed")
 	}
@@ -308,7 +331,7 @@ func TestMoveToStorage(t *testing.T) {
 			t.Error("move with no free storage should fail")
 		}
 	})
-	s.Run()
+	drain(s)
 }
 
 func TestAttemptDephasingHitsStoredOnly(t *testing.T) {
@@ -323,7 +346,7 @@ func TestAttemptDephasingHitsStoredOnly(t *testing.T) {
 	qb, _ := b.AllocComm("")
 	p := NewPair(s.Now(), quantum.BellProjector(quantum.PhiPlus), quantum.PhiPlus, qa, qb)
 	a.MoveToStorage(p.Half(p.LocalSide("a")), func(*Qubit, bool) {})
-	s.Run()
+	drain(s)
 	f0 := p.FidelityAt(s.Now())
 	// 20k attempts ≈ the 1/e budget: noticeable decay.
 	a.ApplyAttemptDephasing(20000)
@@ -372,7 +395,7 @@ func TestPairAccessors(t *testing.T) {
 	if Communication.String() != "communication" || Storage.String() != "storage" {
 		t.Error("Kind.String wrong")
 	}
-	if len(a.Qubits()) != 2 {
+	if len(a.qubits) != 2 {
 		t.Error("Qubits() wrong")
 	}
 	if a.Params().Name != "simulation" {

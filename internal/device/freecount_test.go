@@ -88,7 +88,7 @@ func TestFreeCommCountMatchesScan(t *testing.T) {
 				if pairOn(q1) && pairOn(q2) {
 					// Swapping qubits must stay allocated until it completes.
 					d.Swap(q1, q2, func(*Pair, quantum.BellIndex) {})
-					s.Run()
+					drain(s)
 				}
 			case k == 4 && len(held) > 0:
 				op = "move"
@@ -106,7 +106,7 @@ func TestFreeCommCountMatchesScan(t *testing.T) {
 					// As on the near-term platform, where the link layer
 					// waits out local operations, nothing allocates the
 					// qubit again before the move completes.
-					s.Run()
+					drain(s)
 				}
 			default:
 				op = "run"
@@ -115,7 +115,7 @@ func TestFreeCommCountMatchesScan(t *testing.T) {
 			live()
 			check(step, op)
 		}
-		s.Run()
+		drain(s)
 		live()
 		check(-1, "drain")
 		for _, q := range held {
@@ -144,13 +144,13 @@ func TestMoveOfReleasedHalfFails(t *testing.T) {
 	calls, moved := 0, true
 	a.MoveToStorage(qa, func(_ *Qubit, ok bool) { calls, moved = calls+1, ok })
 	a.Free(qa)
-	s.Run()
+	drain(s)
 	if calls != 1 || moved {
 		t.Fatalf("move callback ran %d times with ok=%v, want once with ok=false", calls, moved)
 	}
-	for _, q := range a.Qubits() {
-		if !q.Free() {
-			t.Errorf("qubit %d (%v) still allocated", q.ID(), q.Kind())
+	for _, q := range a.qubits {
+		if !q.free {
+			t.Errorf("qubit %d (%v) still allocated", q.id, q.Kind())
 		}
 	}
 }

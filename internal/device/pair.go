@@ -60,9 +60,6 @@ type Qubit struct {
 	free      bool
 }
 
-// ID returns the qubit's index within its device.
-func (q *Qubit) ID() int { return q.id }
-
 // Kind returns the qubit's kind.
 func (q *Qubit) Kind() Kind { return q.kind }
 
@@ -71,9 +68,6 @@ func (q *Qubit) Node() string { return q.dev.id }
 
 // Pair returns the pair whose half this qubit holds, or nil.
 func (q *Qubit) Pair() *Pair { return q.pair }
-
-// Free reports whether the qubit is unallocated.
-func (q *Qubit) Free() bool { return q.free }
 
 // Pair is a (possibly multi-hop) entangled pair whose two qubits live at two
 // different nodes. The left qubit is index 0 of the state, the right qubit
@@ -94,7 +88,6 @@ type Pair struct {
 	halves     [2]*Qubit // a half becomes nil once measured or released
 	createdAt  sim.Time
 	lastUpdate sim.Time
-	broken     bool
 	// consumed marks halves that no longer carry live state (measured) so
 	// decoherence stops being applied to them.
 	consumed [2]bool
@@ -138,11 +131,10 @@ func (p *Pair) CreatedAt() sim.Time { return p.createdAt }
 
 // TrueIdx is the ground-truth Bell index accumulated through swaps. The
 // protocol must NOT read this (it reconstructs its own view from TRACK
-// messages); it exists for verification and for the oracle baseline.
+// messages); it exists for verification.
+//
+//qnetlint:allow testonly the core, linklayer and qnet tests check delivered and reinstalled pairs against it
 func (p *Pair) TrueIdx() quantum.BellIndex { return p.trueIdx }
-
-// Broken reports whether a half was discarded, killing the pair.
-func (p *Pair) Broken() bool { return p.broken }
 
 // Half returns the qubit at side 0 (left) or 1 (right); nil once consumed.
 func (p *Pair) Half(side int) *Qubit { return p.halves[side] }
@@ -155,18 +147,6 @@ func (p *Pair) LocalSide(node string) int {
 		}
 	}
 	return -1
-}
-
-// RemoteNode returns the node holding the other half relative to node.
-func (p *Pair) RemoteNode(node string) string {
-	s := p.LocalSide(node)
-	if s < 0 {
-		return ""
-	}
-	if other := p.halves[1-s]; other != nil {
-		return other.dev.id
-	}
-	return ""
 }
 
 // AdvanceTo applies lazy decoherence: each live half decays under its
@@ -255,11 +235,6 @@ func (p *Pair) stateAtW(t sim.Time) *linalg.Matrix {
 	return rho
 }
 
-// FidelityAt returns the oracle fidelity with the true Bell index at time t.
-func (p *Pair) FidelityAt(t sim.Time) float64 {
-	return p.FidelityWith(t, p.trueIdx)
-}
-
 // FidelityWith returns the oracle fidelity against an arbitrary declared
 // Bell index — what an application would actually see given the protocol's
 // (possibly wrong) tracking information.
@@ -338,9 +313,3 @@ func (p *Pair) releaseHalf(side int) {
 // Scalar pairs hold no matrix and return nil; use StateAt to materialise
 // their Werner state.
 func (p *Pair) Rho() *linalg.Matrix { return p.rho }
-
-// Scalar reports whether the pair uses the Werner fast-path representation.
-func (p *Pair) Scalar() bool { return p.scalar }
-
-// W returns the scalar pair's Werner parameter as of its last update.
-func (p *Pair) W() float64 { return p.w }

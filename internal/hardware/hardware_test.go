@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"qnp/internal/linalg"
+	"qnp/internal/linalg/linalgtest"
 	"qnp/internal/quantum"
 	"qnp/internal/sim"
 )
@@ -186,10 +187,10 @@ func TestPairStateMatchesModel(t *testing.T) {
 			if got := m.StateW(poisonedWS(), idx); !sameBits(got, rho) {
 				t.Fatalf("α=%v idx=%v: StateW on a poisoned workspace differs from nil", alpha, idx)
 			}
-			if got := real(linalg.Trace(rho)); math.Abs(got-1) > 1e-9 {
+			if got := real(linalgtest.Trace(rho)); math.Abs(got-1) > 1e-9 {
 				t.Fatalf("trace = %v", got)
 			}
-			if !linalg.IsHermitian(rho, 1e-9) {
+			if !linalgtest.IsHermitian(rho, 1e-9) {
 				t.Fatal("state not hermitian")
 			}
 			if got := quantum.Fidelity(rho, idx); math.Abs(got-m.Fidelity()) > 1e-9 {

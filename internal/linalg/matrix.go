@@ -14,12 +14,13 @@
 // that starts at +0 is never −0, any term with an exact-zero factor can be
 // skipped without changing a bit.
 //
-// The products, sums, scalings, adjoints, tensor products and partial traces
-// have destination-passing twins (MulInto, AddInto, ScaleInto,
-// ConjTransposeInto, KronInto, PartialTraceInto) that write into a
+// Sums and scalings exist only in destination-passing form (AddInto,
+// ScaleInto), and products, tensor products and partial traces have such
+// twins (MulInto, KronInto, PartialTraceInto): each writes into a
 // caller-provided matrix, and Workspace provides a size-bucketed pool those
 // destinations come from. The allocating forms are thin wrappers over the
-// Into forms, so both produce bit-identical results.
+// Into forms, so both produce bit-identical results; package linalgtest
+// holds the allocating sum, scaling and adjoint that tests use.
 // See Workspace for the ownership rules: who may hold a matrix across calls,
 // and when it must be returned to the pool.
 package linalg
@@ -119,11 +120,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// Add returns a+b.
-func Add(a, b *Matrix) *Matrix {
-	return AddInto(New(a.Rows, a.Cols), a, b)
-}
-
 // AddInto computes a+b into dst and returns dst. dst may alias a or b.
 func AddInto(dst, a, b *Matrix) *Matrix {
 	mustSameShape("AddInto", a, b)
@@ -134,27 +130,12 @@ func AddInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// Sub returns a-b.
-func Sub(a, b *Matrix) *Matrix {
-	mustSameShape("Sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func (m *Matrix) AddInPlace(b *Matrix) {
 	mustSameShape("AddInPlace", m, b)
 	for i := range m.Data {
 		m.Data[i] += b.Data[i]
 	}
-}
-
-// Scale returns s·m.
-func Scale(s complex128, m *Matrix) *Matrix {
-	return ScaleInto(New(m.Rows, m.Cols), s, m)
 }
 
 // ScaleInto computes s·m into dst and returns dst. dst may alias m.
@@ -171,24 +152,6 @@ func (m *Matrix) ScaleInPlace(s complex128) {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
-}
-
-// Adjoint returns the conjugate transpose m†.
-func Adjoint(m *Matrix) *Matrix {
-	return ConjTransposeInto(New(m.Cols, m.Rows), m)
-}
-
-// ConjTransposeInto computes m† into dst and returns dst. dst must have
-// shape m.Cols×m.Rows and must not alias m.
-func ConjTransposeInto(dst, m *Matrix) *Matrix {
-	mustShape("ConjTransposeInto", dst, m.Cols, m.Rows)
-	mustNotAlias("ConjTransposeInto", dst, m)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			dst.Data[j*dst.Cols+i] = cmplx.Conj(m.Data[i*m.Cols+j])
-		}
-	}
-	return dst
 }
 
 // Kron returns the tensor (Kronecker) product a⊗b.
@@ -219,16 +182,6 @@ func KronInto(dst, a, b *Matrix) *Matrix {
 		}
 	}
 	return dst
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func Trace(m *Matrix) complex128 {
-	mustSquare("Trace", m)
-	var t complex128
-	for i := 0; i < m.Rows; i++ {
-		t += m.Data[i*m.Cols+i]
-	}
-	return t
 }
 
 // PartialTrace traces out the subsystems whose indices appear in keep=false
@@ -330,54 +283,6 @@ func InnerProduct(v, w *Matrix) complex128 {
 // Expectation returns <v|M|v> for a column vector v and square M.
 func Expectation(m, v *Matrix) complex128 {
 	return InnerProduct(v, Mul(m, v))
-}
-
-// ApproxEqual reports element-wise equality within tol.
-func ApproxEqual(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if cmplx.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IsHermitian reports whether m = m† within tol.
-func IsHermitian(m *Matrix, tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i; j < m.Cols; j++ {
-			if cmplx.Abs(m.At(i, j)-cmplx.Conj(m.At(j, i))) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsUnitary reports whether m·m† = I within tol.
-func IsUnitary(m *Matrix, tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	return ApproxEqual(Mul(m, Adjoint(m)), Identity(m.Rows), tol)
-}
-
-// MaxAbsDiff returns the largest element-wise |a-b|.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	mustSameShape("MaxAbsDiff", a, b)
-	var max float64
-	for i := range a.Data {
-		if d := cmplx.Abs(a.Data[i] - b.Data[i]); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

@@ -121,20 +121,10 @@ func (w *Workspace) Put(m *Matrix) {
 	w.buckets[b] = append(w.buckets[b], m)
 }
 
-// Pooled reports how many matrices are currently parked in the pool.
-func (w *Workspace) Pooled() int {
-	if w == nil {
-		return 0
-	}
-	n := 0
-	for _, b := range w.buckets {
-		n += len(b)
-	}
-	return n
-}
-
 // Misses reports how many Gets could not be served from the pool (they
 // allocated instead). Steady-state hot paths should stop missing once warm.
+//
+//qnetlint:allow testonly quantum's TestWEntryPointsNilVsPoisonedWorkspace checks that no W entry point misses a warm pool
 func (w *Workspace) Misses() uint64 {
 	if w == nil {
 		return 0

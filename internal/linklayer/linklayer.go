@@ -150,12 +150,6 @@ func NewEngine(s *sim.Simulation, name string, cfg hardware.LinkConfig, a, b *de
 	return e
 }
 
-// Name returns the link name used in correlators.
-func (e *Engine) Name() string { return e.name }
-
-// Config returns the physical link configuration.
-func (e *Engine) Config() hardware.LinkConfig { return e.cfg }
-
 // Stats returns generation counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
@@ -194,12 +188,6 @@ func (e *Engine) modelFor(f float64) (m hardware.PairModel, ok bool) {
 	m = curve.Model(alpha)
 	e.models[f] = m
 	return m, true
-}
-
-// ExpectedPairTime reports the mean generation time for a fidelity on this
-// link (exposed for routing).
-func (e *Engine) ExpectedPairTime(f float64) (sim.Duration, bool) {
-	return e.linkCurve().ExpectedPairTime(f)
 }
 
 // Register activates (one side of) a continuous generation request. Pairs
@@ -284,18 +272,17 @@ func (e *Engine) SetPace(node string, label Label, pairsPerSec float64) {
 	e.dispatch()
 }
 
-// Pace reports the current absolute rate cap on a label (0 = uncapped or
-// unknown label) — an inspection hook for teardown/re-establish tests.
-func (e *Engine) Pace(label Label) float64 {
-	if r, ok := e.reqs[label]; ok {
-		return r.paceRate
+// Paces maps every label that holds state on this engine (active or
+// half-registered) to its absolute rate cap, 0 when uncapped.
+//
+//qnetlint:allow testonly qnet's churn tests check that teardown leaves no registration or pace cap behind
+func (e *Engine) Paces() map[Label]float64 {
+	m := make(map[Label]float64, len(e.reqs))
+	for l, r := range e.reqs {
+		m[l] = r.paceRate
 	}
-	return 0
+	return m
 }
-
-// RequestCount reports how many labels hold state on this engine (active or
-// half-registered) — an inspection hook for teardown tests.
-func (e *Engine) RequestCount() int { return len(e.reqs) }
 
 // Deactivate stops one side's participation. When the in-flight round
 // belongs to a request that lost an endpoint, the round is aborted and its

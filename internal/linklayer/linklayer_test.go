@@ -107,7 +107,7 @@ func TestGenerationRateMatchesModel(t *testing.T) {
 	da, _ := h.collect("vc1", 0.95, 10, t)
 	const horizon = 20 * sim.Second
 	h.sim.RunFor(horizon)
-	want, _ := h.engine.ExpectedPairTime(0.95)
+	want, _ := h.engine.linkCurve().ExpectedPairTime(0.95)
 	wantCount := float64(horizon) / float64(want)
 	got := float64(len(*da))
 	if got < wantCount*0.8 || got > wantCount*1.2 {
@@ -123,8 +123,8 @@ func TestFairTimeSharingAcrossFidelities(t *testing.T) {
 	daHi, _ := h.collect("hi", 0.95, 10, t)
 	daLo, _ := h.collect("lo", 0.80, 10, t)
 	h.sim.RunFor(30 * sim.Second)
-	tHi, _ := h.engine.ExpectedPairTime(0.95)
-	tLo, _ := h.engine.ExpectedPairTime(0.80)
+	tHi, _ := h.engine.linkCurve().ExpectedPairTime(0.95)
+	tLo, _ := h.engine.linkCurve().ExpectedPairTime(0.80)
 	wantRatio := float64(tHi) / float64(tLo) // pairs_lo / pairs_hi if time is split evenly
 	gotRatio := float64(len(*daLo)) / float64(len(*daHi))
 	if gotRatio < wantRatio*0.7 || gotRatio > wantRatio*1.3 {
@@ -193,7 +193,7 @@ func TestDeactivateAbortsRound(t *testing.T) {
 		t.Error("no round aborted")
 	}
 	// Qubits returned to the pool.
-	if h.a.FreeCommCount(h.engine.Name()) != 2 || h.b.FreeCommCount(h.engine.Name()) != 2 {
+	if h.a.FreeCommCount(h.engine.name) != 2 || h.b.FreeCommCount(h.engine.name) != 2 {
 		t.Error("aborted round leaked qubits")
 	}
 }
@@ -263,7 +263,7 @@ func TestFabric(t *testing.T) {
 	if LinkName("x", "a") != "a|x" {
 		t.Error("LinkName not canonical")
 	}
-	if h.engine.Config().LengthM != 2 {
+	if h.engine.cfg.LengthM != 2 {
 		t.Error("Config accessor wrong")
 	}
 }
@@ -304,14 +304,14 @@ func TestPaceClearedWhenSetterDeactivates(t *testing.T) {
 	h := newHarness(1, 2)
 	h.collect("vc1", 0.9, 100, t)
 	h.engine.SetPace("a", "vc1", 3)
-	if got := h.engine.Pace("vc1"); got != 3 {
+	if got := h.engine.Paces()["vc1"]; got != 3 {
 		t.Fatalf("pace not set: %v", got)
 	}
 
 	// The non-setter side deactivating must NOT clear the cap (the setter
 	// still owns the link's shaping).
 	h.engine.Deactivate("b", "vc1")
-	if got := h.engine.Pace("vc1"); got != 3 {
+	if got := h.engine.Paces()["vc1"]; got != 3 {
 		t.Fatalf("pace cleared by non-setter deactivation: %v", got)
 	}
 
@@ -323,16 +323,16 @@ func TestPaceClearedWhenSetterDeactivates(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.engine.Deactivate("a", "vc1")
-	if got := h.engine.Pace("vc1"); got != 0 {
+	if got := h.engine.Paces()["vc1"]; got != 0 {
 		t.Fatalf("pace survives its setter's deactivation: %v", got)
 	}
-	if h.engine.RequestCount() != 1 {
-		t.Fatalf("request should survive with one side registered (got %d)", h.engine.RequestCount())
+	if len(h.engine.reqs) != 1 {
+		t.Fatalf("request should survive with one side registered (got %d)", len(h.engine.reqs))
 	}
 
 	// Full deactivation removes the request entirely.
 	h.engine.Deactivate("b", "vc1")
-	if h.engine.RequestCount() != 0 {
+	if len(h.engine.reqs) != 0 {
 		t.Fatalf("request not removed after both sides deactivated")
 	}
 }

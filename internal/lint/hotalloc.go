@@ -34,9 +34,6 @@ var HotAllocAnalyzer = &analysis.Analyzer{
 var hotAllocTwins = map[string]map[string]string{
 	modulePath + "/internal/linalg": {
 		"Mul":          "MulInto",
-		"Add":          "AddInto",
-		"Scale":        "ScaleInto",
-		"Adjoint":      "ConjTransposeInto",
 		"Kron":         "KronInto",
 		"PartialTrace": "PartialTraceInto",
 	},

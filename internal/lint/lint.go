@@ -26,6 +26,17 @@
 //     and nonzero) and seed arithmetic must go through runner.SeedStride /
 //     runner.DeriveSeed — never a bare 7919 or literal offset.
 //
+// A sixth check, testonly, needs the whole module at once, which go vet's
+// one-package-at-a-time protocol cannot give it, so it is not an Analyzer:
+// TestNoTestOnlyAPI runs it over the tree as part of the ordinary test
+// suite (see testonly.go). It reports every exported func, method, type,
+// const, var and struct field of the internal/ packages that no non-test
+// file of the module, cmd/, examples/ or the bench/ module uses. Delete
+// such API or move it into the package's _test.go; an inspection hook that
+// another package's tests need stays under `//qnetlint:allow testonly
+// <reason naming that test>`. Packages that only tests import are test
+// support (internal/race, internal/linalg/linalgtest) and are exempt.
+//
 // Escape hatches use the //qnetlint: comment grammar (see directives.go):
 // `//qnetlint:allow <analyzer> <reason>` on or directly above the flagged
 // line, and `//qnetlint:sorted <reason>` for maporder. A reason is

@@ -1,6 +1,10 @@
 package lint
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"qnp/internal/lint/analysis"
@@ -101,4 +105,102 @@ func TestSuiteIntegrity(t *testing.T) {
 	if !seen[grammarReporter] {
 		t.Errorf("grammar reporter %q is not in the suite", grammarReporter)
 	}
+}
+
+// The tree itself carries no exported internal API that only tests use.
+// The check typechecks the whole module, so it runs under -short and -race
+// like any other test.
+func TestNoTestOnlyAPI(t *testing.T) {
+	diags, fset, err := testOnly("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s: %s", fset.Position(d.Pos), d.Message)
+	}
+}
+
+// The testonly fixture is a module with a separate user module inside it:
+// a test-only export, a test-only method and a test-only field are
+// reported; uses from another package, from the user module, through an
+// interface, through fmt.Stringer and through a generic instantiation
+// count; the test-support package is exempt; an allow with a reason keeps
+// its export, and one that keeps nothing is reported.
+func TestTestOnlyFixture(t *testing.T) {
+	const root = "testdata/testonly"
+	diags, fset, err := testOnly(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range linttest.Compare(fset, goFiles(t, root), diags) {
+		t.Error(p)
+	}
+}
+
+// A naked allow testonly is reported and keeps nothing. The fixture is
+// written at test time: a naked directive in a checked-in file would trip
+// the repository's own naked-directive grep.
+func TestTestOnlyNakedAllow(t *testing.T) {
+	root := t.TempDir()
+	for _, src := range goFiles(t, "testdata/testonly") {
+		copyFile(t, src, filepath.Join(root, strings.TrimPrefix(src, "testdata/testonly")))
+	}
+	for _, mod := range []string{"go.mod", "user/go.mod"} {
+		copyFile(t, filepath.Join("testdata/testonly", mod), filepath.Join(root, mod))
+	}
+	naked := filepath.Join(root, "internal", "a", "naked.go")
+	src := "package a\n\n//qnetlint:allow " + "testonly\nfunc Naked() {}\n"
+	if err := os.WriteFile(naked, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	diags, fset, err := testOnly(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{3: "allow directive has no reason", 4: "a.Naked is exported"}
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		if pos.Filename != naked {
+			continue
+		}
+		if w, ok := want[pos.Line]; !ok || !strings.Contains(d.Message, w) {
+			t.Errorf("unexpected diagnostic %s: %s", pos, d.Message)
+			continue
+		}
+		delete(want, pos.Line)
+	}
+	for line, w := range want {
+		t.Errorf("naked.go:%d: no diagnostic containing %q", line, w)
+	}
+}
+
+// copyFile copies src to dst, creating dst's directory.
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err == nil {
+		err = os.MkdirAll(filepath.Dir(dst), 0o755)
+	}
+	if err == nil {
+		err = os.WriteFile(dst, data, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goFiles lists every .go file under root.
+func goFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

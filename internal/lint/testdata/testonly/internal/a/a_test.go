@@ -1,0 +1,14 @@
+package a
+
+import (
+	"testing"
+
+	"fix/internal/support"
+)
+
+func TestUnused(t *testing.T) {
+	Unused()
+	support.Helper(Limit)
+	_ = Impl{}.Stop
+	_ = Box[int]{W: 1}
+}

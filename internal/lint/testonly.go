@@ -1,0 +1,526 @@
+package lint
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+
+	"qnp/internal/lint/analysis"
+)
+
+// testOnlyName is the analyzer name the testonly check answers to in
+// //qnetlint:allow directives.
+const testOnlyName = "testonly"
+
+// testOnly is the whole-module check behind TestNoTestOnlyAPI. It parses
+// and typechecks every package under root — nested modules such as bench/
+// included — and reports each exported func, method, type, const, var and
+// struct field declared in the root module's internal/ packages that no
+// non-test file uses. go vet sees one package at a time, so this check
+// cannot be an Analyzer; it runs as a plain test instead.
+//
+// Three rules keep it exact:
+//   - a method counts as used when it satisfies a method of an interface
+//     that production code calls, or of a standard-library interface (the
+//     library calls String, Error, MarshalJSON, Less, ... for you);
+//   - uses of generic types and their methods and fields resolve through
+//     Origin to the declared object;
+//   - production code is every package outside internal/ plus what it
+//     imports from non-test files. An internal package outside that set
+//     that tests import is a test-support package: its exports are exempt,
+//     and its own uses do not count.
+//
+// A `//qnetlint:allow testonly <reason>` directive on or directly above a
+// declaration keeps it; a directive without a reason, or one that keeps
+// nothing, is itself reported.
+func testOnly(root string) ([]analysis.Diagnostic, *token.FileSet, error) {
+	l := &loader{
+		fset: token.NewFileSet(),
+		pkgs: map[string]*loadedPkg{},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	if err := l.walk(root); err != nil {
+		return nil, nil, err
+	}
+	mainMod := l.mods[len(l.mods)-1].path // the root module sorts last
+	internal := func(path string) bool { return strings.HasPrefix(path, mainMod+"/internal/") }
+
+	// Production code: every package outside internal/, closed over the
+	// imports of its non-test files. Test code: _test.go files, closed the
+	// same way; what it reaches outside production is test support.
+	prod, support := map[string]bool{}, map[string]bool{}
+	var reach func(set map[string]bool, path string)
+	reach = func(set map[string]bool, path string) {
+		p := l.pkgs[path]
+		if p == nil || set[path] || prod[path] || len(p.files) == 0 {
+			return
+		}
+		set[path] = true
+		for _, imp := range p.imports {
+			reach(set, imp)
+		}
+	}
+	for _, path := range l.paths {
+		if !internal(path) {
+			reach(prod, path)
+		}
+	}
+	for _, path := range l.paths {
+		for _, imp := range l.pkgs[path].testImports {
+			reach(support, imp)
+		}
+	}
+
+	c := &usage{
+		used:      map[types.Object]bool{},
+		calls:     map[string][]*types.Interface{},
+		stdIfaces: map[string][]*types.Interface{},
+		stdSeen:   map[*types.Package]bool{},
+	}
+	c.errorChain()
+	for _, path := range l.paths {
+		if !prod[path] {
+			continue
+		}
+		p, err := l.check(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		c.record(p, l.pkgs)
+	}
+
+	// Directives: each well-formed allow testonly keeps the export declared
+	// on its line or the next; the rest are reported.
+	type allowKey struct {
+		file string
+		line int
+	}
+	var diags []analysis.Diagnostic
+	allows := map[allowKey]*directive{}
+	var order []*directive
+	for _, path := range l.paths {
+		for _, f := range l.pkgs[path].files {
+			for _, d := range parseDirectives(f) {
+				if d.analyzer != testOnlyName {
+					continue
+				}
+				if d.malformed != "" {
+					diags = append(diags, analysis.Diagnostic{Pos: d.pos, Message: "malformed qnetlint directive: " + d.malformed})
+					continue
+				}
+				d := d
+				pos := l.fset.Position(d.pos)
+				allows[allowKey{pos.Filename, pos.Line}] = &d
+				allows[allowKey{pos.Filename, pos.Line + 1}] = &d
+				order = append(order, &d)
+			}
+		}
+	}
+	kept := map[*directive]bool{}
+
+	// Candidates: the exports of every internal package that is not test
+	// support. Dead packages are typechecked here for the first time.
+	for _, path := range l.paths {
+		if !internal(path) || support[path] || len(l.pkgs[path].files) == 0 {
+			continue
+		}
+		p, err := l.check(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, e := range exportsOf(p.pkg) {
+			if c.isUsed(e.obj) {
+				continue
+			}
+			pos := l.fset.Position(e.obj.Pos())
+			if d := allows[allowKey{pos.Filename, pos.Line}]; d != nil {
+				kept[d] = true
+				continue
+			}
+			diags = append(diags, analysis.Diagnostic{
+				Pos: e.obj.Pos(),
+				Message: fmt.Sprintf("%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or keep it with //qnetlint:allow %s <reason>",
+					e.name, testOnlyName),
+			})
+		}
+	}
+	for _, d := range order {
+		if !kept[d] {
+			diags = append(diags, analysis.Diagnostic{Pos: d.pos, Message: "//qnetlint:allow testonly keeps nothing: no test-only export is declared on this line or the next"})
+		}
+	}
+	sort.SliceStable(diags, func(i, j int) bool {
+		a, b := l.fset.Position(diags[i].Pos), l.fset.Position(diags[j].Pos)
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Offset < b.Offset
+	})
+	return diags, l.fset, nil
+}
+
+// export is one exported declaration and the name a reader looks it up
+// by: sim.Microseconds, sim.(*Simulation).Stop, device.Pair.TrueIdx.
+type export struct {
+	obj  types.Object
+	name string
+}
+
+// exportsOf lists a package's exported declarations in source order:
+// package-level funcs, types, consts and vars, the exported methods of
+// every named type, and the exported fields and interface methods of every
+// struct and interface type declared at package level.
+func exportsOf(pkg *types.Package) []export {
+	var out []export
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		qual := pkg.Name() + "." + name
+		if obj.Exported() {
+			out = append(out, export{obj, qual})
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			m := named.Method(i)
+			if !m.Exported() {
+				continue
+			}
+			if _, ptr := m.Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+				out = append(out, export{m, fmt.Sprintf("%s.(*%s).%s", pkg.Name(), name, m.Name())})
+			} else {
+				out = append(out, export{m, qual + "." + m.Name()})
+			}
+		}
+		switch u := named.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); f.Exported() && !f.Anonymous() {
+					out = append(out, export{f, qual + "." + f.Name()})
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < u.NumExplicitMethods(); i++ {
+				if m := u.ExplicitMethod(i); m.Exported() {
+					out = append(out, export{m, qual + "." + m.Name()})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].obj.Pos() < out[j].obj.Pos() })
+	return out
+}
+
+// usage accumulates what production code uses.
+type usage struct {
+	used map[types.Object]bool
+	// calls maps an interface method name to the interfaces whose method of
+	// that name production code calls (or takes as a value); stdIfaces does
+	// the same for the standard library's interfaces, which the library
+	// calls itself.
+	calls, stdIfaces map[string][]*types.Interface
+	stdSeen          map[*types.Package]bool
+}
+
+// record adds one production package's uses; tree holds the packages that
+// are not the standard library's.
+func (c *usage) record(p *loadedPkg, tree map[string]*loadedPkg) {
+	for _, obj := range p.info.Uses {
+		c.use(obj)
+	}
+	for _, imp := range p.pkg.Imports() {
+		if tree[imp.Path()] != nil || c.stdSeen[imp] {
+			continue
+		}
+		c.stdSeen[imp] = true
+		scope := imp.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !types.IsInterface(tn.Type()) {
+				continue
+			}
+			iface := tn.Type().Underlying().(*types.Interface)
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i).Name()
+				c.stdIfaces[m] = append(c.stdIfaces[m], iface)
+			}
+		}
+	}
+}
+
+// errorChain seeds stdIfaces with error and the unnamed interfaces
+// errors.Is, errors.As and errors.Unwrap assert.
+func (c *usage) errorChain() {
+	errT := types.Universe.Lookup("error").Type()
+	tuple := func(ts ...types.Type) *types.Tuple {
+		vars := make([]*types.Var, len(ts))
+		for i, t := range ts {
+			vars[i] = types.NewParam(token.NoPos, nil, "", t)
+		}
+		return types.NewTuple(vars...)
+	}
+	add := func(name string, params, results *types.Tuple) {
+		sig := types.NewSignatureType(nil, nil, nil, params, results, false)
+		iface := types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
+		c.stdIfaces[name] = append(c.stdIfaces[name], iface)
+	}
+	c.stdIfaces["Error"] = []*types.Interface{errT.Underlying().(*types.Interface)}
+	add("Unwrap", tuple(), tuple(errT))
+	add("Unwrap", tuple(), tuple(types.NewSlice(errT)))
+	add("Is", tuple(errT), tuple(types.Typ[types.Bool]))
+	add("As", tuple(types.NewInterfaceType(nil, nil).Complete()), tuple(types.Typ[types.Bool]))
+}
+
+// use marks obj, resolved to its generic origin, as used.
+func (c *usage) use(obj types.Object) {
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+		sig := o.Type().(*types.Signature)
+		if recv := sig.Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				c.calls[o.Name()] = append(c.calls[o.Name()], iface)
+			}
+		}
+	case *types.Var:
+		obj = o.Origin()
+	}
+	c.used[obj] = true
+}
+
+// isUsed reports whether a candidate export counts as used.
+func (c *usage) isUsed(obj types.Object) bool {
+	if c.used[obj] {
+		return true
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || types.IsInterface(recv.Type()) {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return satisfies(t, c.calls[fn.Name()]) || satisfies(t, c.stdIfaces[fn.Name()])
+}
+
+// satisfies reports whether the concrete type t, or a pointer to it,
+// implements one of the interfaces.
+func satisfies(t types.Type, ifaces []*types.Interface) bool {
+	for _, iface := range ifaces {
+		if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// loader parses a module tree and typechecks its packages on demand,
+// resolving the tree's own import paths itself and everything else through
+// the offline source importer.
+type loader struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	mods  []module // sorted by descending directory depth
+	pkgs  map[string]*loadedPkg
+	paths []string // sorted keys of pkgs
+}
+
+type module struct{ path, dir string }
+
+type loadedPkg struct {
+	files       []*ast.File // non-test files, with comments
+	imports     []string    // of the non-test files
+	testImports []string    // of the _test.go files
+	pkg         *types.Package
+	info        *types.Info
+	checking    bool
+	err         error
+}
+
+// walk finds every module and package under root. testdata, vendor and
+// dot- or underscore-prefixed directories are skipped, as the go command
+// does.
+func (l *loader) walk(root string) error {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if mod, err := modulePathOf(filepath.Join(path, "go.mod")); err == nil {
+			l.mods = append(l.mods, module{mod, path})
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(l.mods) == 0 || l.mods[0].dir != root {
+		return fmt.Errorf("testonly: %s is not a module root", root)
+	}
+	sort.SliceStable(l.mods, func(i, j int) bool { return len(l.mods[i].dir) > len(l.mods[j].dir) })
+	for _, dir := range dirs {
+		if err := l.loadDir(dir); err != nil {
+			return err
+		}
+	}
+	for path := range l.pkgs {
+		l.paths = append(l.paths, path)
+	}
+	sort.Strings(l.paths)
+	return nil
+}
+
+// loadDir parses the Go files of one directory that the default build
+// context selects.
+func (l *loader) loadDir(dir string) error {
+	var mod module
+	for _, m := range l.mods {
+		if dir == m.dir || strings.HasPrefix(dir, m.dir+string(filepath.Separator)) {
+			mod = m
+			break
+		}
+	}
+	rel, err := filepath.Rel(mod.dir, dir)
+	if err != nil {
+		return err
+	}
+	path := mod.path
+	if rel != "." {
+		path += "/" + filepath.ToSlash(rel)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	p := &loadedPkg{}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		file := filepath.Join(dir, name)
+		if strings.HasSuffix(name, "_test.go") {
+			f, err := parser.ParseFile(l.fset, file, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			p.testImports = appendImports(p.testImports, f)
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, file, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		p.files = append(p.files, f)
+		p.imports = appendImports(p.imports, f)
+	}
+	if len(p.files) > 0 || len(p.testImports) > 0 {
+		l.pkgs[path] = p
+	}
+	return nil
+}
+
+func appendImports(dst []string, f *ast.File) []string {
+	for _, spec := range f.Imports {
+		if path, err := strconv.Unquote(spec.Path.Value); err == nil {
+			dst = append(dst, path)
+		}
+	}
+	return dst
+}
+
+// modulePathOf reads the module directive of a go.mod file.
+func modulePathOf(gomod string) (string, error) {
+	f, err := os.Open(gomod)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module"); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return "", err
+	}
+	return "", fmt.Errorf("%s has no module directive", gomod)
+}
+
+// check typechecks one package of the tree, and its imports first.
+func (l *loader) check(path string) (*loadedPkg, error) {
+	p := l.pkgs[path]
+	switch {
+	case p.pkg != nil || p.err != nil:
+		return p, p.err
+	case p.checking:
+		return nil, fmt.Errorf("testonly: import cycle through %s", path)
+	}
+	p.checking = true
+	var errs []string
+	conf := types.Config{
+		Importer: l,
+		Error:    func(err error) { errs = append(errs, err.Error()) },
+	}
+	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	p.pkg, _ = conf.Check(path, l.fset, p.files, p.info)
+	p.checking = false
+	if len(errs) > 0 {
+		p.err = fmt.Errorf("testonly: %s does not typecheck:\n  %s", path, strings.Join(errs, "\n  "))
+	}
+	return p, p.err
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, "", 0)
+}
+
+// ImportFrom implements types.ImporterFrom: the tree's own packages are
+// typechecked here, from source; the rest comes from the source importer.
+func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p := l.pkgs[path]; p != nil && len(p.files) > 0 {
+		p, err := l.check(path)
+		if err != nil {
+			return nil, err
+		}
+		return p.pkg, nil
+	}
+	return l.std.ImportFrom(path, dir, mode)
+}

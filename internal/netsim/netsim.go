@@ -20,7 +20,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"qnp/internal/sim"
 )
@@ -112,12 +111,6 @@ func (n *Network) Connect(a, b NodeID, delay sim.Duration) {
 	n.channels[k] = &channel{delay: delay}
 }
 
-// Connected reports whether a and b share a channel.
-func (n *Network) Connected(a, b NodeID) bool {
-	_, ok := n.channels[keyFor(a, b)]
-	return ok
-}
-
 // Delay returns the one-way propagation delay of the a-b channel.
 func (n *Network) Delay(a, b NodeID) sim.Duration {
 	c, ok := n.channels[keyFor(a, b)]
@@ -130,9 +123,6 @@ func (n *Network) Delay(a, b NodeID) sim.Duration {
 // SetProcessingDelay sets the extra per-hop delay applied to every message
 // from now on (it does not affect messages already in flight).
 func (n *Network) SetProcessingDelay(d sim.Duration) { n.processing = d }
-
-// ProcessingDelay returns the current per-hop processing delay.
-func (n *Network) ProcessingDelay() sim.Duration { return n.processing }
 
 // Handle registers a message handler at a node. Multiple handlers receive
 // every message in registration order; protocols filter by message type.
@@ -211,23 +201,6 @@ func (d *delivery) deliver() {
 
 // Stats returns counters accumulated so far.
 func (n *Network) Stats() Stats { return n.stats }
-
-// Neighbors returns the nodes adjacent to id, in lexicographic order.
-func (n *Network) Neighbors(id NodeID) []NodeID {
-	var out []NodeID
-	for k := range n.channels {
-		switch id {
-		case k.a:
-			out = append(out, k.b)
-		case k.b:
-			out = append(out, k.a)
-		}
-	}
-	// The channel map's iteration order is random per run; callers walking
-	// the topology must see a stable adjacency list.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // PathDelay sums the propagation delays along a node path.
 func (n *Network) PathDelay(path []NodeID) sim.Duration {

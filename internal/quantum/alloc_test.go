@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qnp/internal/linalg"
+	"qnp/internal/linalg/linalgtest"
 	"qnp/internal/race"
 )
 
@@ -247,7 +248,7 @@ func TestMeasureInBasisWMatches(t *testing.T) {
 
 func TestBellProjectorCachedReadOnlyValue(t *testing.T) {
 	for b := BellIndex(0); b < 4; b++ {
-		if linalg.MaxAbsDiff(BellProjectorCached(b), BellProjector(b)) != 0 {
+		if linalgtest.MaxAbsDiff(BellProjectorCached(b), BellProjector(b)) != 0 {
 			t.Errorf("cached projector %v differs from fresh", b)
 		}
 	}

@@ -128,11 +128,3 @@ func Fidelity(rho *linalg.Matrix, b BellIndex) float64 {
 	}
 	return real(s)
 }
-
-// WernerFor returns the Werner state with fidelity f to Bell state b:
-// W(f) = f|B><B| + (1-f)/3 · (I − |B><B|).
-func WernerFor(f float64, b BellIndex) *linalg.Matrix {
-	p := BellProjector(b)
-	rest := linalg.Sub(linalg.Identity(4), p)
-	return linalg.Add(linalg.Scale(complex(f, 0), p), linalg.Scale(complex((1-f)/3, 0), rest))
-}

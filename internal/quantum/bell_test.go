@@ -7,9 +7,18 @@ import (
 	"testing/quick"
 
 	"qnp/internal/linalg"
+	"qnp/internal/linalg/linalgtest"
 )
 
 const tol = 1e-10
+
+// WernerFor returns the Werner state with fidelity f to Bell state b:
+// W(f) = f|B><B| + (1-f)/3 · (I − |B><B|).
+func WernerFor(f float64, b BellIndex) *linalg.Matrix {
+	p := BellProjector(b)
+	rest := linalgtest.Sub(linalg.Identity(4), p)
+	return linalgtest.Add(linalgtest.Scale(complex(f, 0), p), linalgtest.Scale(complex((1-f)/3, 0), rest))
+}
 
 func TestBellVectorsOrthonormal(t *testing.T) {
 	for i := BellIndex(0); i < 4; i++ {
@@ -94,10 +103,10 @@ func TestWernerState(t *testing.T) {
 	for _, b := range []BellIndex{PhiPlus, PsiMinus} {
 		for _, f := range []float64{0.25, 0.5, 0.8, 0.9, 1.0} {
 			w := WernerFor(f, b)
-			if got := real(linalg.Trace(w)); math.Abs(got-1) > tol {
+			if got := real(linalgtest.Trace(w)); math.Abs(got-1) > tol {
 				t.Errorf("Tr W(%v, %v) = %v", f, b, got)
 			}
-			if !linalg.IsHermitian(w, tol) {
+			if !linalgtest.IsHermitian(w, tol) {
 				t.Errorf("W(%v, %v) not hermitian", f, b)
 			}
 			// Fidelity f with b, and (1−f)/3 with each other Bell state.
@@ -158,7 +167,7 @@ func randDensity(r *rand.Rand, n int) *linalg.Matrix {
 	for i := range g.Data {
 		g.Data[i] = complex(r.NormFloat64(), r.NormFloat64())
 	}
-	rho := linalg.Mul(g, linalg.Adjoint(g))
-	rho.ScaleInPlace(1 / linalg.Trace(rho))
+	rho := linalg.Mul(g, linalgtest.Adjoint(g))
+	rho.ScaleInPlace(1 / linalgtest.Trace(rho))
 	return rho
 }

@@ -98,7 +98,7 @@ func ApplyPhaseFlipW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target
 	s0 := complex(math.Sqrt(1-p), 0)
 	// complex(-x, 0), not a complex negation: negating the complex would
 	// flip the imaginary zero to -0, diverging bitwise from the Kraus
-	// factor linalg.Scale(s, Z).
+	// factor s·Z as linalg.ScaleInto computes it.
 	return applyOpsW(ws, rho, 1, target, n,
 		op2(s0, 0, 0, s0),
 		op2(complex(math.Sqrt(p), 0), 0, 0, complex(-math.Sqrt(p), 0)))

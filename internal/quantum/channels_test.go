@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"qnp/internal/linalg"
+	"qnp/internal/linalg/linalgtest"
 )
 
 // The Kraus forms the kernel tests use as their reference must be valid
@@ -59,15 +60,15 @@ func TestChannelPreservesDensityMatrix(t *testing.T) {
 	rho := randDensity(rng, 4)
 	for _, ch := range channels1(0.3) {
 		out := ch.apply(rho, 0)
-		if math.Abs(real(linalg.Trace(out))-1) > 1e-9 {
+		if math.Abs(real(linalgtest.Trace(out))-1) > 1e-9 {
 			t.Errorf("%s: trace not preserved", ch.name)
 		}
-		if !linalg.IsHermitian(out, 1e-9) {
+		if !linalgtest.IsHermitian(out, 1e-9) {
 			t.Errorf("%s: hermiticity not preserved", ch.name)
 		}
 	}
 	out := applyDepolarizingW(nil, rho, 0.3, 2, 0, 2)
-	if math.Abs(real(linalg.Trace(out))-1) > 1e-9 {
+	if math.Abs(real(linalgtest.Trace(out))-1) > 1e-9 {
 		t.Error("trace not preserved through two-qubit depolarising")
 	}
 }
@@ -94,7 +95,7 @@ func TestDecohereBothMechanisms(t *testing.T) {
 	}
 	// Infinite lifetimes: no change.
 	r2 := DecohereW(nil, rho, 0, 2, 1.0, 0, 0)
-	if !linalg.ApproxEqual(r2, rho, tol) {
+	if !linalgtest.ApproxEqual(r2, rho, tol) {
 		t.Error("decoherence with no lifetimes changed the state")
 	}
 	// Decohering both qubits of the pair compounds.
@@ -129,14 +130,14 @@ func TestDecoherenceProbabilities(t *testing.T) {
 
 func TestDepolarizingFixedPoint(t *testing.T) {
 	// The maximally mixed state is a fixed point of depolarising noise.
-	mixed := linalg.Scale(0.25, linalg.Identity(4))
+	mixed := linalgtest.Scale(0.25, linalg.Identity(4))
 	out := applyDepolarizingW(nil, mixed, 0.7, 2, 0, 2)
-	if !linalg.ApproxEqual(out, mixed, 1e-9) {
+	if !linalgtest.ApproxEqual(out, mixed, 1e-9) {
 		t.Error("depolarising moved the maximally mixed state")
 	}
 	// Full two-qubit depolarising sends anything to maximally mixed.
 	out = applyDepolarizingW(nil, BellProjector(PhiPlus), 1, 2, 0, 2)
-	if !linalg.ApproxEqual(out, mixed, 1e-9) {
+	if !linalgtest.ApproxEqual(out, mixed, 1e-9) {
 		t.Error("p=1 depolarising did not fully mix")
 	}
 }
@@ -144,10 +145,10 @@ func TestDepolarizingFixedPoint(t *testing.T) {
 func TestNoisyGates(t *testing.T) {
 	// A perfect noisy gate is just the gate.
 	rho := BellProjector(PhiPlus)
-	if !linalg.ApproxEqual(NoisyGate2W(nil, rho, CNOT, 0, 2, 1), ApplyGate2W(nil, rho, CNOT, 0, 2), tol) {
+	if !linalgtest.ApproxEqual(NoisyGate2W(nil, rho, CNOT, 0, 2, 1), ApplyGate2W(nil, rho, CNOT, 0, 2), tol) {
 		t.Error("NoisyGate2W with f=1 differs from perfect gate")
 	}
-	if !linalg.ApproxEqual(NoisyGate1W(nil, rho, H, 0, 2, 1), ApplyGate1W(nil, rho, H, 0, 2), tol) {
+	if !linalgtest.ApproxEqual(NoisyGate1W(nil, rho, H, 0, 2, 1), ApplyGate1W(nil, rho, H, 0, 2), tol) {
 		t.Error("NoisyGate1W with f=1 differs from perfect gate")
 	}
 	// Imperfect gates reduce Bell fidelity.
@@ -159,7 +160,7 @@ func TestNoisyGates(t *testing.T) {
 
 func TestRotationGatesUnitary(t *testing.T) {
 	for _, th := range []float64{0, 0.3, math.Pi / 2, math.Pi, 2.5} {
-		if !linalg.IsUnitary(Rx(th), tol) {
+		if !linalgtest.IsUnitary(Rx(th), tol) {
 			t.Errorf("Rx(%v) not unitary", th)
 		}
 	}
@@ -167,7 +168,7 @@ func TestRotationGatesUnitary(t *testing.T) {
 	rho := randDensity(rand.New(rand.NewSource(2)), 2)
 	a := ApplyGate1W(nil, rho, Rx(math.Pi), 0, 1)
 	b := ApplyGate1W(nil, rho, X, 0, 1)
-	if !linalg.ApproxEqual(a, b, 1e-9) {
+	if !linalgtest.ApproxEqual(a, b, 1e-9) {
 		t.Error("Rx(π) does not act like X")
 	}
 }
@@ -177,7 +178,7 @@ func TestStandardGatesUnitary(t *testing.T) {
 		"X": X, "Y": Y, "Z": Z, "H": H, "S": gateS, "SDagger": SDagger, "T": gateT,
 		"CNOT": CNOT, "CZ": gateCZ, "SWAP": SWAP,
 	} {
-		if !linalg.IsUnitary(g, tol) {
+		if !linalgtest.IsUnitary(g, tol) {
 			t.Errorf("%s not unitary", name)
 		}
 	}

@@ -278,7 +278,7 @@ func depolarizingAmp(p float64, k, m int) complex128 {
 
 // depolarizingTerms writes the Kraus factors of the k-qubit depolarising
 // channel with probability p into dst, in Pauli order, and returns the
-// factors written. Each factor's nonzeros are amp·v, as linalg.Scale
+// factors written. Each factor's nonzeros are amp·v, as linalg.ScaleInto
 // computes them; a factor whose amp is 0 adds nothing and is dropped.
 func depolarizingTerms(dst []monomial, p float64, k int) []monomial {
 	p = clamp01(p)

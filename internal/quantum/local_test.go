@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qnp/internal/linalg"
+	"qnp/internal/linalg/linalgtest"
 )
 
 // sameBits reports whether a and b are equal bit for bit, signed zeros
@@ -29,7 +30,7 @@ func sameBits(a, b *linalg.Matrix) bool {
 
 // The reference: the operators the engine applies, written out as full
 // matrices, and U·ρ·U† through the full 2ⁿ×2ⁿ lift, two MulInto calls and
-// ConjTransposeInto, the path the local kernels replaced.
+// an adjoint, the path the local kernels replaced.
 
 // Gate inputs that only the tests use.
 var (
@@ -55,9 +56,9 @@ func (k kraus) isTracePreserving(tol float64) bool {
 	n := k[0].Rows
 	sum := linalg.New(n, n)
 	for _, op := range k {
-		sum.AddInPlace(linalg.Mul(linalg.Adjoint(op), op))
+		sum.AddInPlace(linalg.Mul(linalgtest.Adjoint(op), op))
 	}
-	return linalg.ApproxEqual(sum, linalg.Identity(n), tol)
+	return linalgtest.ApproxEqual(sum, linalg.Identity(n), tol)
 }
 
 // amplitudeDamping is the T1 relaxation channel with decay probability γ.
@@ -72,8 +73,8 @@ func amplitudeDamping(gamma float64) kraus {
 func phaseFlip(p float64) kraus {
 	p = clamp01(p)
 	return kraus{
-		linalg.Scale(complex(math.Sqrt(1-p), 0), I2),
-		linalg.Scale(complex(math.Sqrt(p), 0), Z),
+		linalgtest.Scale(complex(math.Sqrt(1-p), 0), I2),
+		linalgtest.Scale(complex(math.Sqrt(p), 0), Z),
 	}
 }
 
@@ -83,7 +84,7 @@ func depolarizing1(p float64) kraus {
 	p = clamp01(p)
 	var ops kraus
 	for m := 0; m < 4; m++ {
-		ops = append(ops, linalg.Scale(depolarizingAmp(p, 1, m), Pauli(m)))
+		ops = append(ops, linalgtest.Scale(depolarizingAmp(p, 1, m), Pauli(m)))
 	}
 	return ops
 }
@@ -94,7 +95,7 @@ func depolarizing2(p float64) kraus {
 	p = clamp01(p)
 	var ops kraus
 	for m := 0; m < 16; m++ {
-		ops = append(ops, linalg.Scale(depolarizingAmp(p, 2, m), linalg.Kron(Pauli(m/4), Pauli(m%4))))
+		ops = append(ops, linalgtest.Scale(depolarizingAmp(p, 2, m), linalg.Kron(Pauli(m/4), Pauli(m%4))))
 	}
 	return ops
 }
@@ -126,7 +127,7 @@ func lift(op *linalg.Matrix, target, n int) *linalg.Matrix {
 
 func liftedConj(u, rho *linalg.Matrix) *linalg.Matrix {
 	tmp := linalg.MulInto(linalg.New(rho.Rows, rho.Cols), u, rho)
-	udag := linalg.ConjTransposeInto(linalg.New(u.Cols, u.Rows), u)
+	udag := linalgtest.Adjoint(u)
 	return linalg.MulInto(linalg.New(rho.Rows, rho.Cols), tmp, udag)
 }
 
@@ -144,7 +145,7 @@ func liftedChannel(rho *linalg.Matrix, k kraus, target, n int) *linalg.Matrix {
 
 func liftedMeasure(rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (int, *linalg.Matrix) {
 	p0op := lift(proj0, target, n)
-	p0 := real(linalg.Trace(linalg.Mul(p0op, rho)))
+	p0 := real(linalgtest.Trace(linalg.Mul(p0op, rho)))
 	p0 = math.Min(math.Max(p0, 0), 1)
 	truth, proj, prob := 1, lift(proj1, target, n), 1-p0
 	if rng.Float64() < p0 {
@@ -209,7 +210,7 @@ func TestLocalKernelsMatchLifted(t *testing.T) {
 	check := func(what string, got, want *linalg.Matrix) {
 		t.Helper()
 		if !sameBits(got, want) {
-			t.Fatalf("%s: local kernel differs from the lifted product (max |Δ| %g)", what, linalg.MaxAbsDiff(got, want))
+			t.Fatalf("%s: local kernel differs from the lifted product (max |Δ| %g)", what, linalgtest.MaxAbsDiff(got, want))
 		}
 	}
 	for n := 1; n <= 4; n++ {

@@ -17,9 +17,6 @@ type SwapConfig struct {
 	Readout             Readout
 }
 
-// PerfectSwap has no noise anywhere; useful for tests and calibration.
-var PerfectSwap = SwapConfig{TwoQubitFidelity: 1, SingleQubitFidelity: 1, Readout: PerfectReadout}
-
 // SwapResult is the outcome of an entanglement swap.
 type SwapResult struct {
 	// Rho is the exact post-measurement 4×4 state of the surviving remote

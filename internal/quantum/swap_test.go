@@ -7,7 +7,11 @@ import (
 	"testing"
 
 	"qnp/internal/linalg"
+	"qnp/internal/linalg/linalgtest"
 )
+
+// PerfectSwap has no noise anywhere.
+var PerfectSwap = SwapConfig{TwoQubitFidelity: 1, SingleQubitFidelity: 1, Readout: PerfectReadout}
 
 // The central correctness property of entanglement tracking: for noiseless
 // swaps of pure Bell states, the surviving pair is exactly the Bell state
@@ -25,7 +29,7 @@ func TestSwapCombineIdentity(t *testing.T) {
 					t.Fatalf("swap(B%d,B%d) outcome %v: fidelity with B%v = %v",
 						a, b, res.Outcome, want, f)
 				}
-				if got := real(linalg.Trace(res.Rho)); math.Abs(got-1) > 1e-9 {
+				if got := real(linalgtest.Trace(res.Rho)); math.Abs(got-1) > 1e-9 {
 					t.Fatalf("swap output trace = %v", got)
 				}
 				seen[res.Outcome] = true

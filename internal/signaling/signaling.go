@@ -51,19 +51,17 @@ type UpdateMsg struct {
 // simulated network (it registers a handler on every node, the way each
 // node would run a signalling daemon).
 type Signaler struct {
-	net       *netsim.Network
-	nodes     map[netsim.NodeID]*core.Node
-	confirmed map[core.CircuitID]bool
-	onReady   map[core.CircuitID]func()
+	net     *netsim.Network
+	nodes   map[netsim.NodeID]*core.Node
+	onReady map[core.CircuitID]func()
 }
 
 // New creates the signalling plane over the given QNP nodes.
 func New(nw *netsim.Network, nodes []*core.Node) *Signaler {
 	s := &Signaler{
-		net:       nw,
-		nodes:     make(map[netsim.NodeID]*core.Node),
-		confirmed: make(map[core.CircuitID]bool),
-		onReady:   make(map[core.CircuitID]func()),
+		net:     nw,
+		nodes:   make(map[netsim.NodeID]*core.Node),
+		onReady: make(map[core.CircuitID]func()),
 	}
 	for _, n := range nodes {
 		n := n
@@ -98,7 +96,6 @@ func (s *Signaler) Establish(id core.CircuitID, plan routing.Plan, onReady func(
 func (s *Signaler) Teardown(id core.CircuitID, plan routing.Plan) {
 	head := s.nodes[netsim.NodeID(plan.Path[0])]
 	head.UninstallCircuit(id)
-	delete(s.confirmed, id)
 	s.net.Send(netsim.NodeID(plan.Path[0]), netsim.NodeID(plan.Path[1]), TeardownMsg{Circuit: id, Plan: plan, Hop: 1})
 }
 
@@ -116,9 +113,6 @@ func (s *Signaler) UpdateAllocation(id core.CircuitID, path []string, maxEER flo
 	s.net.Send(netsim.NodeID(path[0]), netsim.NodeID(path[1]),
 		UpdateMsg{Circuit: id, MaxEER: maxEER, Path: path, Hop: 1})
 }
-
-// Ready reports whether the circuit's CONFIRM has returned.
-func (s *Signaler) Ready(id core.CircuitID) bool { return s.confirmed[id] }
 
 func (s *Signaler) handle(n *core.Node, _ netsim.NodeID, msg netsim.Message) {
 	switch m := msg.(type) {
@@ -142,7 +136,6 @@ func (s *Signaler) handle(n *core.Node, _ netsim.NodeID, msg netsim.Message) {
 			}
 			return
 		}
-		s.confirmed[m.Circuit] = true
 		if fn := s.onReady[m.Circuit]; fn != nil {
 			delete(s.onReady, m.Circuit)
 			fn()

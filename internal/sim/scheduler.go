@@ -6,9 +6,8 @@ import (
 )
 
 // Event is a generation-counted handle to a scheduled callback. The zero
-// Event is valid and refers to nothing: Cancel on it is a no-op, Pending and
-// Cancelled report false. Handles are small values — store and copy them
-// freely.
+// Event is valid and refers to nothing: Cancel on it is a no-op. Handles are
+// small values — store and copy them freely.
 //
 // Fired and cancelled events are recycled through an intrusive pool, so a
 // handle may outlive the slot it points at. The generation count keeps stale
@@ -18,23 +17,7 @@ import (
 type Event struct {
 	n   *eventNode
 	gen uint64
-	at  Time
 }
-
-// Cancelled reports whether this event was cancelled while it was still
-// pending. Note one pooling caveat: the bit lives in the recycled slot, so
-// it stays accurate only until the slot is reused AND the new occupant is
-// itself cancelled — query it promptly (protocol code only ever needs
-// Cancel's no-op guarantee, which has no such caveat).
-func (e Event) Cancelled() bool { return e.n != nil && e.n.cancelledGen == e.gen }
-
-// Pending reports whether the event is still queued to fire.
-func (e Event) Pending() bool {
-	return e.n != nil && e.n.gen == e.gen && e.n.cancelledGen != e.gen
-}
-
-// Time returns the virtual time the event is (or was) scheduled for.
-func (e Event) Time() Time { return e.at }
 
 // eventNode is the pooled representation of a scheduled callback. Nodes are
 // owned by the Simulation and cycle through: free list → queued (heap or
@@ -75,7 +58,6 @@ type Simulation struct {
 	seq      uint64
 	live     int // queued, uncancelled events
 	rng      *rand.Rand
-	stopped  bool
 	// processed counts events that have fired, for diagnostics and for
 	// runaway-simulation guards in tests.
 	processed uint64
@@ -135,7 +117,7 @@ func (s *Simulation) ScheduleAt(at Time, fn func()) Event {
 	} else {
 		s.heapPush(n)
 	}
-	return Event{n: n, gen: n.gen, at: at}
+	return Event{n: n, gen: n.gen}
 }
 
 // Schedule schedules fn to run after delay d. Negative delays panic.
@@ -222,11 +204,8 @@ func (s *Simulation) fire(n *eventNode) {
 }
 
 // Step fires the next pending event and returns true, or returns false if
-// the queue is empty or the simulation was stopped.
+// the queue is empty.
 func (s *Simulation) Step() bool {
-	if s.stopped {
-		return false
-	}
 	n := s.pop()
 	if n == nil {
 		return false
@@ -235,22 +214,12 @@ func (s *Simulation) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or Stop is called.
-func (s *Simulation) Run() {
-	for s.Step() {
-	}
-}
-
 // StepUntil fires the next pending event only if it is scheduled at or
 // before deadline. It returns false — firing nothing and leaving the clock
-// untouched — when the queue is empty, the simulation is stopped, or the
-// next event lies beyond the deadline. This is the bounded building block
-// for waits that must never overshoot a virtual-time budget (circuit
-// installation, scenario horizons).
+// untouched — when the queue is empty or the next event lies beyond the
+// deadline. This is the bounded building block for waits that must never
+// overshoot a virtual-time budget (circuit installation, scenario horizons).
 func (s *Simulation) StepUntil(deadline Time) bool {
-	if s.stopped {
-		return false
-	}
 	t, ok := s.nextTime()
 	if !ok || t > deadline {
 		return false
@@ -270,12 +239,6 @@ func (s *Simulation) RunUntil(deadline Time) {
 
 // RunFor runs the simulation for a span of virtual time from now.
 func (s *Simulation) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Stop halts Run/RunUntil after the current event returns.
-func (s *Simulation) Stop() { s.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (s *Simulation) Stopped() bool { return s.stopped }
 
 // Pending returns the number of queued events.
 func (s *Simulation) Pending() int { return s.live }

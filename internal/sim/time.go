@@ -56,9 +56,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Milliseconds reports the duration as floating-point milliseconds.
 func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
-// Microseconds reports the duration as floating-point microseconds.
-func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
-
 // Scale multiplies the duration by a dimensionless factor, rounding to the
 // nearest nanosecond.
 func (d Duration) Scale(f float64) Duration { return Duration(float64(d)*f + 0.5) }

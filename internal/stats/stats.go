@@ -25,8 +25,8 @@
 // Consequently Merge is associative and commutative up to bit-identical
 // summary statistics: splitting one sample stream across any number of
 // shards and merging the per-shard aggregates (in any grouping) yields the
-// same Count, Min, Max, Sum, Mean, Percentile and CDF results as one
-// aggregate fed the whole stream. This is the property process-sharded
+// same Count, Min, Max, Sum, Mean, Percentile and CountAtOrAbove results as
+// one aggregate fed the whole stream. This is the property process-sharded
 // metrics merging relies on.
 //
 // # Exactness of queries
@@ -34,7 +34,7 @@
 // While Count ≤ ExactThreshold samples are buffered verbatim and every
 // query is exact (Percentile uses the same nearest-rank rule as
 // runner.Stats). Past the threshold samples spill into the histogram and
-// Percentile/CDF/CountAtOrAbove become approximate with bounded relative
+// Percentile and CountAtOrAbove become approximate with bounded relative
 // error (see bucket policy below); Count, Min, Max, Sum and Mean stay
 // exact at any size. IsExact reports which regime an aggregate is in.
 //
@@ -161,12 +161,9 @@ func (a *Agg) spill() {
 }
 
 // IsExact reports whether the aggregate still holds its raw samples, so
-// Percentile, CDF and CountAtOrAbove are exact rather than
+// Percentile and CountAtOrAbove are exact rather than
 // histogram-approximated.
 func (a *Agg) IsExact() bool { return a.Buckets == nil }
-
-// N returns the sample count.
-func (a *Agg) N() int64 { return a.Count }
 
 // Sum returns the correctly rounded value of the exact real sum of every
 // sample, independent of add/merge order. The expansion components are
@@ -227,20 +224,6 @@ func (a *Agg) Percentile(p float64) float64 {
 		}
 	}
 	return a.Max // unreachable: bucket counts total Count
-}
-
-// CDF evaluates the empirical distribution at x: the fraction of samples
-// strictly below x (SearchFloat64s semantics, matching runner.Stats).
-// Exact below ExactThreshold; past it the straddled bucket contributes a
-// linear interpolation of its count.
-func (a *Agg) CDF(x float64) float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	if a.IsExact() {
-		return float64(sort.SearchFloat64s(a.sorted(), x)) / float64(a.Count)
-	}
-	return float64(a.Count-a.countAtOrAbove(x)) / float64(a.Count)
 }
 
 // CountAtOrAbove counts samples ≥ x. Exact below ExactThreshold; past it

@@ -7,6 +7,7 @@ import (
 
 	"qnp/internal/hardware"
 	"qnp/internal/linalg"
+	"qnp/internal/linalg/linalgtest"
 	"qnp/internal/quantum"
 )
 
@@ -21,7 +22,7 @@ var (
 
 // wernerRho materialises the Werner state w·|B><B| + (1−w)·I/4.
 func wernerRho(w float64, idx quantum.BellIndex) *linalg.Matrix {
-	return quantum.WernerFor(Fidelity(w), idx)
+	return linalgtest.Add(linalgtest.Scale(complex(w, 0), quantum.BellProjector(idx)), linalgtest.Scale(complex((1-w)/4, 0), linalg.Identity(4)))
 }
 
 func TestFidelityConversions(t *testing.T) {
@@ -125,7 +126,7 @@ func TestPhaseFlipMatchesExact(t *testing.T) {
 func TestSwapMatchesExact(t *testing.T) {
 	ws := linalg.NewWorkspace()
 	cfgs := []quantum.SwapConfig{
-		quantum.PerfectSwap,
+		{TwoQubitFidelity: 1, SingleQubitFidelity: 1, Readout: quantum.PerfectReadout},
 		{TwoQubitFidelity: 0.998, SingleQubitFidelity: 1.0, Readout: quantum.Readout{F0: 0.998, F1: 0.998}},
 		{TwoQubitFidelity: 0.95, SingleQubitFidelity: 0.97, Readout: quantum.Readout{F0: 0.9, F1: 0.95}},
 	}

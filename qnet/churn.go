@@ -1,7 +1,6 @@
 package qnet
 
 import (
-	"fmt"
 	"math/rand"
 
 	"qnp/internal/sim"
@@ -25,65 +24,28 @@ const (
 // workloadStreamOffset is circuit i's private workload-stream offset.
 func workloadStreamOffset(i int) int64 { return 2*int64(i) + 1 }
 
-// DistKind selects a Dist's shape.
-type DistKind int
+// Dist draws one duration for churn scheduling (CircuitSpec.Arrival /
+// Holding). Draws come from the scenario's dedicated churn stream —
+// deterministic per seed, disjoint from the physics, selection and workload
+// streams — one draw per configured field per expanded circuit, in
+// expansion order, so churn replicas stay bit-identical for any worker or
+// shard count.
+type Dist func(churn *rand.Rand) sim.Duration
 
-// Distribution kinds.
-const (
-	// DistFixed always yields Mean.
-	DistFixed DistKind = iota
-	// DistExponential yields exponential durations with the given Mean —
-	// Poisson arrivals when used as an inter-arrival/offset distribution.
-	DistExponential
-	// DistUniform yields durations uniform on [Min, Max].
-	DistUniform
-)
-
-// Dist is a duration distribution for churn scheduling
-// (CircuitSpec.Arrival / Holding). Draws come from the scenario's dedicated
-// churn stream — deterministic per seed, disjoint from the physics,
-// selection and workload streams — one draw per configured field per
-// expanded circuit, in expansion order, so churn replicas stay
-// bit-identical for any worker or shard count.
-type Dist struct {
-	Kind DistKind
-	// Mean parameterises DistFixed (the value) and DistExponential.
-	Mean sim.Duration
-	// Min and Max bound DistUniform.
-	Min, Max sim.Duration
-}
-
-// Fixed is the degenerate distribution always yielding d.
-func Fixed(d sim.Duration) *Dist { return &Dist{Kind: DistFixed, Mean: d} }
-
-// Exponential yields exponential durations with the given mean.
-func Exponential(mean sim.Duration) *Dist { return &Dist{Kind: DistExponential, Mean: mean} }
-
-// Uniform yields durations uniform on [min, max].
-func Uniform(min, max sim.Duration) *Dist { return &Dist{Kind: DistUniform, Min: min, Max: max} }
-
-// draw samples the distribution from the churn stream.
-func (d *Dist) draw(rng *rand.Rand) sim.Duration {
-	switch d.Kind {
-	case DistExponential:
-		return sim.DurationFromSeconds(rng.ExpFloat64() * d.Mean.Seconds())
-	case DistUniform:
-		if d.Max <= d.Min {
-			return d.Min
-		}
-		return d.Min + sim.Duration(rng.Int63n(int64(d.Max-d.Min)))
-	default:
-		return d.Mean
+// Exponential yields exponential durations with the given mean — Poisson
+// arrivals when used as an inter-arrival/offset distribution.
+func Exponential(mean sim.Duration) Dist {
+	return func(rng *rand.Rand) sim.Duration {
+		return sim.DurationFromSeconds(rng.ExpFloat64() * mean.Seconds())
 	}
 }
 
-func (d *Dist) String() string {
-	switch d.Kind {
-	case DistExponential:
-		return fmt.Sprintf("Exp(mean %v)", d.Mean)
-	case DistUniform:
-		return fmt.Sprintf("U[%v, %v]", d.Min, d.Max)
-	default:
-		return fmt.Sprintf("Fixed(%v)", d.Mean)
+// Uniform yields durations uniform on [min, max).
+func Uniform(min, max sim.Duration) Dist {
+	return func(rng *rand.Rand) sim.Duration {
+		if max <= min {
+			return min
+		}
+		return min + sim.Duration(rng.Int63n(int64(max-min)))
 	}
 }

@@ -138,20 +138,13 @@ func TestChurnTeardownRestoresState(t *testing.T) {
 	}
 	net := res.Net
 	for name, eng := range net.Fabric.All() {
-		if n := eng.RequestCount(); n != 0 {
-			t.Errorf("link %s still holds %d link layer registrations after all departures", name, n)
-		}
-		for _, id := range []CircuitID{"a", "b"} {
-			if p := eng.Pace(Label(id)); p != 0 {
-				t.Errorf("link %s still paces label %q at %v", name, id, p)
-			}
+		if paces := eng.Paces(); len(paces) != 0 {
+			t.Errorf("link %s still holds link layer registrations after all departures: %v", name, paces)
 		}
 	}
 	for _, id := range net.NodeIDs() {
-		for _, q := range net.Device(id).Qubits() {
-			if !q.Free() {
-				t.Errorf("node %s qubit %d still allocated after all departures", id, q.ID())
-			}
+		for _, q := range net.Device(id).Allocated() {
+			t.Errorf("node %s %v qubit still allocated after all departures", id, q.Kind())
 		}
 	}
 }
@@ -333,12 +326,12 @@ func TestReestablishNoPaceResidue(t *testing.T) {
 	}
 	net.Run(sim.Second / 2)
 	eng := net.Fabric.Between("n0", "n1")
-	if p := eng.Pace(Label("vc")); p != 5 {
+	if p := eng.Paces()[Label("vc")]; p != 5 {
 		t.Fatalf("pace not in force before teardown (got %v)", p)
 	}
 	vc.Teardown()
 	net.Run(sim.Second / 2)
-	if p := eng.Pace(Label("vc")); p != 0 {
+	if p := eng.Paces()[Label("vc")]; p != 0 {
 		t.Fatalf("pace cap survives teardown: %v", p)
 	}
 
@@ -354,7 +347,7 @@ func TestReestablishNoPaceResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Run(sim.Second)
-	if p := eng.Pace(Label("vc")); p != 0 {
+	if p := eng.Paces()[Label("vc")]; p != 0 {
 		t.Errorf("re-established circuit inherited pace cap %v", p)
 	}
 }

@@ -107,9 +107,9 @@ type CircuitMetrics struct {
 	LatencyAgg  *stats.Agg `json:",omitempty"`
 	FidelityAgg *stats.Agg `json:",omitempty"`
 
-	// PendingFinite counts finite requests submitted but not yet
+	// pendingFinite counts finite requests submitted but not yet
 	// completed or rejected — the scenario wait loop's early-stop state.
-	PendingFinite int `json:",omitempty"`
+	pendingFinite int
 	// PendingArrival marks a scheduled (churn) circuit whose arrival has
 	// not resolved yet — WaitFor treats it as incomplete. True in a
 	// completed run only for arrivals the horizon cut off before they
@@ -145,7 +145,7 @@ func (c *CircuitMetrics) noteSubmit(rm *RequestMetrics) {
 	}
 	c.reqByID[rm.ID] = rm
 	if rm.Pairs > 0 {
-		c.PendingFinite++
+		c.pendingFinite++
 	}
 }
 
@@ -183,7 +183,7 @@ func (c *CircuitMetrics) noteComplete(id RequestID, now sim.Time) {
 	rm.CompletedAt = now
 	c.Completed++
 	if rm.Pairs > 0 {
-		c.PendingFinite--
+		c.pendingFinite--
 	}
 	c.LatencyAgg.Add(now.Sub(rm.SubmittedAt).Seconds())
 }
@@ -199,7 +199,7 @@ func (c *CircuitMetrics) noteReject(id RequestID) {
 	delete(c.reqByID, id)
 	rm.Rejected = true
 	if rm.Pairs > 0 {
-		c.PendingFinite--
+		c.pendingFinite--
 	}
 }
 
@@ -293,7 +293,7 @@ func (c *CircuitMetrics) AllComplete() bool {
 		return false
 	}
 	if !c.records {
-		return c.PendingFinite == 0 && c.Rejected == 0
+		return c.pendingFinite == 0 && c.Rejected == 0
 	}
 	for _, r := range c.Requests {
 		if r.Pairs > 0 && !r.Done {
@@ -412,7 +412,7 @@ func (m *Metrics) waitSatisfied(ids []CircuitID) bool {
 		if c.PendingArrival {
 			return false
 		}
-		if c.TornDownAt == 0 && c.Established && c.PendingFinite > 0 {
+		if c.TornDownAt == 0 && c.Established && c.pendingFinite > 0 {
 			return false
 		}
 	}

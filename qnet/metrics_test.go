@@ -51,9 +51,9 @@ func TestEERWindowExcludesLateDeliveries(t *testing.T) {
 // TestInFlightIndex drives the recording hooks directly: a request leaves
 // the in-flight index on its first completion or rejection, so a
 // completion after a rejection, a second completion and a rejection after
-// a completion leave Completed and PendingFinite alone, in either mode.
+// a completion leave Completed and pendingFinite alone, in either mode.
 // Full mode used to let a rejected request complete, counting it and
-// driving PendingFinite to -1.
+// driving pendingFinite to -1.
 func TestInFlightIndex(t *testing.T) {
 	type op func(cm *CircuitMetrics)
 	reject := func(cm *CircuitMetrics) { cm.noteReject("r") }
@@ -73,9 +73,9 @@ func TestInFlightIndex(t *testing.T) {
 			for _, o := range tc.ops {
 				o(cm)
 			}
-			if cm.Completed != tc.completed || cm.Rejected != tc.rejected || cm.PendingFinite != tc.pending {
-				t.Errorf("%s (records=%v): Completed/Rejected/PendingFinite = %d/%d/%d, want %d/%d/%d",
-					tc.name, records, cm.Completed, cm.Rejected, cm.PendingFinite,
+			if cm.Completed != tc.completed || cm.Rejected != tc.rejected || cm.pendingFinite != tc.pending {
+				t.Errorf("%s (records=%v): Completed/Rejected/pendingFinite = %d/%d/%d, want %d/%d/%d",
+					tc.name, records, cm.Completed, cm.Rejected, cm.pendingFinite,
 					tc.completed, tc.rejected, tc.pending)
 			}
 			if len(cm.reqByID) != 0 || cm.LatencyAgg.Count != int64(cm.Completed) {
@@ -131,10 +131,10 @@ func TestStreamingModeAgreement(t *testing.T) {
 		// Simulation-side counters are bit-identical.
 		if f.Delivered != s.Delivered || f.Submitted != s.Submitted ||
 			f.Completed != s.Completed || f.Rejected != s.Rejected ||
-			f.Expired != s.Expired || f.PendingFinite != s.PendingFinite {
+			f.Expired != s.Expired || f.pendingFinite != s.pendingFinite {
 			t.Errorf("%s: counters diverged: full %+v streaming %+v", id,
-				[]int{f.Delivered, f.Submitted, f.Completed, f.Rejected, f.Expired, f.PendingFinite},
-				[]int{s.Delivered, s.Submitted, s.Completed, s.Rejected, s.Expired, s.PendingFinite})
+				[]int{f.Delivered, f.Submitted, f.Completed, f.Rejected, f.Expired, f.pendingFinite},
+				[]int{s.Delivered, s.Submitted, s.Completed, s.Rejected, s.Expired, s.pendingFinite})
 		}
 		if f.Submitted != len(f.Requests) {
 			t.Errorf("%s: full mode Submitted %d != %d request records", id, f.Submitted, len(f.Requests))

@@ -69,7 +69,7 @@ func placementScenario() Scenario {
 		Circuits: []CircuitSpec{{
 			Select: RandomPairs(6), Fidelity: 0.8, Policy: CutoffShort,
 			Candidates: 3, MinEER: 1, Optional: true,
-			Holding:  &Dist{Kind: DistExponential, Mean: 2 * sim.Second},
+			Holding:  Exponential(2 * sim.Second),
 			Workload: ContinuousKeep{},
 		}},
 		Horizon: 4 * sim.Second,

@@ -141,11 +141,9 @@ func allFree(t *testing.T, n *Network, seed int64, ids ...string) bool {
 	t.Helper()
 	free := true
 	for _, id := range ids {
-		for _, q := range n.Device(id).Qubits() {
-			if !q.Free() {
-				t.Errorf("seed %d: %s qubit %d (%v) still allocated after teardown", seed, id, q.ID(), q.Kind())
-				free = false
-			}
+		for _, q := range n.Device(id).Allocated() {
+			t.Errorf("seed %d: %s %v qubit still allocated after teardown", seed, id, q.Kind())
+			free = false
 		}
 	}
 	return free
@@ -196,10 +194,8 @@ func TestCutoffDuringStorageMove(t *testing.T) {
 	c.Teardown()
 	n.Run(sim.Second)
 	for _, id := range n.NodeIDs() {
-		for _, q := range n.Device(id).Qubits() {
-			if !q.Free() {
-				t.Errorf("%s qubit %d (%v) still allocated after teardown", id, q.ID(), q.Kind())
-			}
+		for _, q := range n.Device(id).Allocated() {
+			t.Errorf("%s %v qubit still allocated after teardown", id, q.Kind())
 		}
 	}
 }

@@ -33,11 +33,12 @@
 // topology's shape, and pluggable workloads (ContinuousKeep, IntervalKeep,
 // PoissonKeep, OnOffKeep, MeasureStream, ...) model traffic patterns.
 // Circuits need not live for the whole run: CircuitSpec.ArriveAt/HoldFor
-// (or the stochastic Arrival/Holding distributions) schedule arrivals and
-// departures on the simulation clock — scheduled circuits establish
-// asynchronously through the signalling plane, departures tear down via
-// the idempotent Circuit.Teardown, and per-circuit lifetime stamps plus
-// Metrics.TimeWeightedEER measure the dynamics. Under Config.EnforceEER
+// (or the stochastic Arrival/Holding Dists, functions drawing from the
+// scenario's churn stream such as Exponential and Uniform) schedule
+// arrivals and departures on the simulation clock — scheduled circuits
+// establish asynchronously through the signalling plane, departures tear
+// down via the idempotent Circuit.Teardown, and per-circuit lifetime stamps
+// plus Metrics.TimeWeightedEER measure the dynamics. Under Config.EnforceEER
 // the routing controller re-fits rate allocations to link membership as
 // circuits join and leave (each link's budget splits across its circuits,
 // propagated hop by hop so head-end pacing tracks membership); an arrival
@@ -53,7 +54,10 @@
 //
 // Besides chains and the paper's dumbbell, generators build rings, stars,
 // grids and seeded Waxman random graphs, all with uniform hardware unless
-// Config.LinkLengthM overrides individual fibre lengths. Diameter picks
+// Config.LinkLengthM overrides individual fibre lengths. A scenario's
+// TopologySpec is a function from Config to a started network: the
+// constructors (ChainTopo, ..., WaxmanTopo) validate their sizes and return
+// one, and a hand-built topology is any other such function. Diameter picks
 // the farthest endpoint pair, so a scenario can always ask for the
 // topology's hardest circuit via the DiameterPair selector.
 //

@@ -214,10 +214,14 @@ func TestTeardownLeavesOwnedEarlyQubits(t *testing.T) {
 		for _, q := range held[node] {
 			owned[q] = true
 		}
-		for _, q := range net.Device(node).Qubits() {
-			if q.Free() == owned[q] {
-				t.Errorf("%s qubit %d: free=%v, owned by the application=%v", node, q.ID(), q.Free(), owned[q])
+		inUse := net.Device(node).Allocated()
+		for _, q := range inUse {
+			if !owned[q] {
+				t.Errorf("%s: %v qubit allocated but not owned by the application", node, q.Kind())
 			}
+		}
+		if len(inUse) != len(owned) {
+			t.Errorf("%s: %d qubits allocated, the application owns %d", node, len(inUse), len(owned))
 		}
 	}
 }

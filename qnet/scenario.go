@@ -11,102 +11,67 @@ import (
 	"qnp/internal/sim"
 )
 
-// TopologyKind selects a built-in topology generator.
-type TopologyKind int
-
-// Built-in topology kinds.
-const (
-	TopoChain TopologyKind = iota
-	TopoDumbbell
-	TopoRing
-	TopoStar
-	TopoGrid
-	TopoWaxman
-	TopoCustom
-)
-
-// TopologySpec declares a scenario's network shape. The zero value is
-// invalid; use the constructors (ChainTopo, DumbbellTopo, ...) or fill the
-// fields for the chosen Kind. Per-link fibre lengths come from
-// Config.LinkLengthM, so one spec expresses both uniform and heterogeneous
-// plants.
-type TopologySpec struct {
-	Kind TopologyKind
-	// Nodes sizes chains, rings, stars and Waxman graphs.
-	Nodes int
-	// Rows and Cols size grids.
-	Rows, Cols int
-	// Alpha and Beta are the Waxman parameters (0 = the customary 0.4).
-	Alpha, Beta float64
-	// Build constructs a started custom network (Kind TopoCustom).
-	Build func(Config) *Network
-}
+// TopologySpec declares a scenario's network shape: it builds and starts
+// the network for cfg, or reports why the declared shape is invalid. Use
+// the constructors (ChainTopo, DumbbellTopo, ...), or write one that returns
+// a started network. Per-link fibre lengths come from Config.LinkLengthM,
+// so one spec expresses both uniform and heterogeneous plants.
+type TopologySpec func(cfg Config) (*Network, error)
 
 // ChainTopo declares a k-node chain.
-func ChainTopo(k int) TopologySpec { return TopologySpec{Kind: TopoChain, Nodes: k} }
+func ChainTopo(k int) TopologySpec {
+	return func(cfg Config) (*Network, error) {
+		if k < 2 {
+			return nil, fmt.Errorf("qnet: chain topology needs ≥ 2 nodes (got %d)", k)
+		}
+		return Chain(cfg, k), nil
+	}
+}
 
 // DumbbellTopo declares the paper's Fig. 7 dumbbell.
-func DumbbellTopo() TopologySpec { return TopologySpec{Kind: TopoDumbbell} }
+func DumbbellTopo() TopologySpec {
+	return func(cfg Config) (*Network, error) { return Dumbbell(cfg), nil }
+}
 
 // RingTopo declares a k-node ring.
-func RingTopo(k int) TopologySpec { return TopologySpec{Kind: TopoRing, Nodes: k} }
+func RingTopo(k int) TopologySpec {
+	return func(cfg Config) (*Network, error) {
+		if k < 3 {
+			return nil, fmt.Errorf("qnet: ring topology needs ≥ 3 nodes (got %d)", k)
+		}
+		return Ring(cfg, k), nil
+	}
+}
 
 // StarTopo declares a k-node star (hub n0).
-func StarTopo(k int) TopologySpec { return TopologySpec{Kind: TopoStar, Nodes: k} }
+func StarTopo(k int) TopologySpec {
+	return func(cfg Config) (*Network, error) {
+		if k < 2 {
+			return nil, fmt.Errorf("qnet: star topology needs ≥ 2 nodes (got %d)", k)
+		}
+		return Star(cfg, k), nil
+	}
+}
 
 // GridTopo declares a rows×cols lattice.
 func GridTopo(rows, cols int) TopologySpec {
-	return TopologySpec{Kind: TopoGrid, Rows: rows, Cols: cols}
-}
-
-// WaxmanTopo declares a k-node Waxman random graph.
-func WaxmanTopo(k int, alpha, beta float64) TopologySpec {
-	return TopologySpec{Kind: TopoWaxman, Nodes: k, Alpha: alpha, Beta: beta}
-}
-
-// CustomTopo declares a hand-built topology; build must return a started
-// network.
-func CustomTopo(build func(Config) *Network) TopologySpec {
-	return TopologySpec{Kind: TopoCustom, Build: build}
-}
-
-// materialize builds and starts the declared network.
-func (t TopologySpec) materialize(cfg Config) (*Network, error) {
-	switch t.Kind {
-	case TopoChain:
-		if t.Nodes < 2 {
-			return nil, fmt.Errorf("qnet: chain topology needs ≥ 2 nodes (got %d)", t.Nodes)
+	return func(cfg Config) (*Network, error) {
+		if rows < 1 || cols < 1 || rows*cols < 2 {
+			return nil, fmt.Errorf("qnet: grid topology needs ≥ 2 nodes (got %dx%d)", rows, cols)
 		}
-		return Chain(cfg, t.Nodes), nil
-	case TopoDumbbell:
-		return Dumbbell(cfg), nil
-	case TopoRing:
-		if t.Nodes < 3 {
-			return nil, fmt.Errorf("qnet: ring topology needs ≥ 3 nodes (got %d)", t.Nodes)
-		}
-		return Ring(cfg, t.Nodes), nil
-	case TopoStar:
-		if t.Nodes < 2 {
-			return nil, fmt.Errorf("qnet: star topology needs ≥ 2 nodes (got %d)", t.Nodes)
-		}
-		return Star(cfg, t.Nodes), nil
-	case TopoGrid:
-		if t.Rows < 1 || t.Cols < 1 || t.Rows*t.Cols < 2 {
-			return nil, fmt.Errorf("qnet: grid topology needs ≥ 2 nodes (got %dx%d)", t.Rows, t.Cols)
-		}
-		return Grid(cfg, t.Rows, t.Cols), nil
-	case TopoWaxman:
-		if t.Nodes < 2 {
-			return nil, fmt.Errorf("qnet: waxman topology needs ≥ 2 nodes (got %d)", t.Nodes)
-		}
-		return RandomGraph(cfg, t.Nodes, t.Alpha, t.Beta), nil
-	case TopoCustom:
-		if t.Build == nil {
-			return nil, errors.New("qnet: custom topology without Build")
-		}
-		return t.Build(cfg), nil
+		return Grid(cfg, rows, cols), nil
 	}
-	return nil, fmt.Errorf("qnet: unknown topology kind %d", t.Kind)
+}
+
+// WaxmanTopo declares a k-node Waxman random graph (alpha and beta 0 mean
+// the customary 0.4).
+func WaxmanTopo(k int, alpha, beta float64) TopologySpec {
+	return func(cfg Config) (*Network, error) {
+		if k < 2 {
+			return nil, fmt.Errorf("qnet: waxman topology needs ≥ 2 nodes (got %d)", k)
+		}
+		return RandomGraph(cfg, k, alpha, beta), nil
+	}
 }
 
 // A Selector derives circuit endpoints from the materialized topology, so
@@ -192,8 +157,8 @@ type CircuitSpec struct {
 	// Poisson churn mix. Draws come from the scenario's dedicated churn
 	// stream (one per configured field per expanded circuit, in expansion
 	// order), never from the physics or workload streams.
-	Arrival *Dist
-	Holding *Dist
+	Arrival Dist
+	Holding Dist
 	// MinEER is the circuit's demand at admission: under EnforceEER, an
 	// arrival whose re-fitted allocation falls below MinEER is rejected —
 	// counted in Metrics.RejectedAtAdmission, not treated as a run error.
@@ -327,8 +292,11 @@ func (eng *runState) fail(err error) {
 // well-formed partial metrics: Start/End and the network-wide counts are
 // stamped on every path.
 func (sc Scenario) Run() (*Result, error) {
+	if sc.Topology == nil {
+		return nil, errors.New("qnet: scenario declares no topology")
+	}
 	cfg := sc.effectiveConfig()
-	net, err := sc.Topology.materialize(cfg)
+	net, err := sc.Topology(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -397,11 +365,11 @@ func (sc Scenario) Run() (*Result, error) {
 			// sequence is a pure function of the scenario value and seed).
 			lc.arriveAt = spec.ArriveAt
 			if spec.Arrival != nil {
-				lc.arriveAt = spec.Arrival.draw(churnRand)
+				lc.arriveAt = spec.Arrival(churnRand)
 			}
 			lc.holdFor = spec.HoldFor
 			if spec.Holding != nil {
-				lc.holdFor = spec.Holding.draw(churnRand)
+				lc.holdFor = spec.Holding(churnRand)
 			}
 			live = append(live, lc)
 		}

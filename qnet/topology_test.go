@@ -141,3 +141,27 @@ func TestRingCircuit(t *testing.T) {
 		t.Fatalf("delivered %d of 3 pairs over the ring", got)
 	}
 }
+
+// TestTopologySpecValidation: a scenario whose declared shape cannot be
+// built fails Run with the topology's error and builds nothing.
+func TestTopologySpecValidation(t *testing.T) {
+	for _, tc := range []struct {
+		topo TopologySpec
+		err  string
+	}{
+		{ChainTopo(1), "qnet: chain topology needs ≥ 2 nodes (got 1)"},
+		{RingTopo(2), "qnet: ring topology needs ≥ 3 nodes (got 2)"},
+		{StarTopo(1), "qnet: star topology needs ≥ 2 nodes (got 1)"},
+		{GridTopo(1, 1), "qnet: grid topology needs ≥ 2 nodes (got 1x1)"},
+		{WaxmanTopo(1, 0, 0), "qnet: waxman topology needs ≥ 2 nodes (got 1)"},
+		{nil, "qnet: scenario declares no topology"},
+	} {
+		res, err := Scenario{Topology: tc.topo, Horizon: sim.Second}.Run()
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("Run error = %v, want %q", err, tc.err)
+		}
+		if res != nil {
+			t.Errorf("%q: Run returned a result", tc.err)
+		}
+	}
+}
