@@ -141,11 +141,11 @@ func TestFig10ABQuick(t *testing.T) {
 		// the laxer F=0.8 circuit must outpace F=0.9.
 		lo := fig10Run(runner.DeriveSeed(1, 0), 0.5, false, 3*sim.Second, 0)
 		hi := fig10Run(runner.DeriveSeed(1, 1), 60, false, 3*sim.Second, 0)
-		if hi[0].PairsPS <= lo[0].PairsPS {
-			t.Errorf("throughput did not grow with lifetime: %.2f → %.2f", lo[0].PairsPS, hi[0].PairsPS)
+		if hi[0].Raw <= lo[0].Raw {
+			t.Errorf("throughput did not grow with lifetime: %d → %d pairs", lo[0].Raw, hi[0].Raw)
 		}
-		if hi[1].PairsPS <= hi[0].PairsPS {
-			t.Errorf("F=0.8 (%.2f) not faster than F=0.9 (%.2f)", hi[1].PairsPS, hi[0].PairsPS)
+		if hi[1].Raw <= hi[0].Raw {
+			t.Errorf("F=0.8 (%d pairs) not faster than F=0.9 (%d pairs)", hi[1].Raw, hi[0].Raw)
 		}
 		return
 	}
@@ -184,10 +184,10 @@ func TestFig10CQuick(t *testing.T) {
 	if testing.Short() {
 		// Raw delivery rate must degrade once the control-plane delay
 		// approaches the cutoff.
-		d0 := fig10GoodputRun(runner.DeriveSeed(1, 0), 1.6, 0, 3*sim.Second)
-		d16 := fig10GoodputRun(runner.DeriveSeed(1, 0), 1.6, 16*sim.Millisecond, 3*sim.Second)
-		if d16[1].RawPS >= d0[1].RawPS {
-			t.Errorf("throughput did not degrade with delay: %.1f → %.1f", d0[1].RawPS, d16[1].RawPS)
+		d0 := fig10Run(runner.DeriveSeed(1, 0), 1.6, false, 3*sim.Second, 0)
+		d16 := fig10Run(runner.DeriveSeed(1, 0), 1.6, false, 3*sim.Second, 16*sim.Millisecond)
+		if d16[1].Raw >= d0[1].Raw {
+			t.Errorf("throughput did not degrade with delay: %d → %d pairs", d0[1].Raw, d16[1].Raw)
 		}
 		return
 	}

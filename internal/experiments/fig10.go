@@ -17,9 +17,6 @@ type Fig10ABPoint struct {
 	Fidelity float64 // circuit's end-to-end target (0.9 for a, 0.8 for b)
 	Oracle   bool    // true = baseline (no cutoff, oracle discard at ends)
 	PairsPS  float64
-	// RawPS carries the unfiltered delivery rate for runs that also track
-	// goodput (Fig. 10(c)).
-	RawPS    float64
 	Feasible bool // routing found a plan at this lifetime
 }
 
@@ -40,7 +37,7 @@ type fig10ABCell struct {
 	t2     float64
 }
 
-var fig10ABSweep = &sweep[fig10ABParams, fig10ABCell, [2]Fig10ABPoint]{
+var fig10ABSweep = &sweep[fig10ABParams, fig10ABCell, [2]fig10Count]{
 	fig: "fig10ab",
 	cells: func(p fig10ABParams) (cells []fig10ABCell) {
 		for _, oracle := range []bool{false, true} {
@@ -50,7 +47,7 @@ var fig10ABSweep = &sweep[fig10ABParams, fig10ABCell, [2]Fig10ABPoint]{
 		}
 		return cells
 	},
-	run: func(p fig10ABParams, c fig10ABCell, _ int, seed int64) [2]Fig10ABPoint {
+	run: func(p fig10ABParams, c fig10ABCell, _ int, seed int64) [2]fig10Count {
 		return fig10Run(seed, c.t2, c.oracle, p.Horizon, 0)
 	},
 }
@@ -71,7 +68,11 @@ func Fig10AB(o Options) *Fig10ABData {
 			var tp []float64
 			feasible := false
 			for _, r := range pts[k] {
-				tp = append(tp, r[i].PairsPS)
+				n := r[i].Raw
+				if c.oracle {
+					n = r[i].Good
+				}
+				tp = append(tp, float64(n)/p.Horizon.Seconds())
 				feasible = feasible || r[i].Feasible
 			}
 			d.Points = append(d.Points, Fig10ABPoint{
@@ -83,12 +84,23 @@ func Fig10AB(o Options) *Fig10ABData {
 	return d
 }
 
-// fig10Run runs the two competing circuits for the horizon and returns the
-// goodput of (A0-B0 @0.9, A1-B1 @0.8). With oracle=true the circuits run
-// without cutoffs and deliveries are filtered by exact fidelity; otherwise
-// the cutoff protocol's deliveries count directly. msgDelay adds the
-// Fig. 10(c) per-hop processing delay.
-func fig10Run(seed int64, t2 float64, oracle bool, horizon, msgDelay sim.Duration) [2]Fig10ABPoint {
+// fig10Count is one circuit's deliveries over one Fig. 10 run.
+type fig10Count struct {
+	Feasible bool // routing found a plan at this lifetime
+	Raw      int  // every delivered pair
+	// Good counts the deliveries the §5.2 oracle accepts: pairs whose
+	// exact fidelity at delivery meets the circuit's target.
+	Good int
+}
+
+// fig10Run runs the two competing circuits — A0-B0 at F=0.9 and A1-B1 at
+// F=0.8 — for the horizon and counts each one's deliveries. With
+// oracle=true the circuits run without cutoffs (the baseline, whose
+// goodput is the Good count); otherwise they run the QNP's cutoff.
+// msgDelay adds the Fig. 10(c) per-hop processing delay. Exact delivery
+// fidelities are recorded either way; recording draws no randomness, so
+// the event timeline is the same as without it.
+func fig10Run(seed int64, t2 float64, oracle bool, horizon, msgDelay sim.Duration) [2]fig10Count {
 	cfg := qnet.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Params.Electron.T2 = t2
@@ -109,9 +121,8 @@ func fig10Run(seed int64, t2 float64, oracle bool, horizon, msgDelay sim.Duratio
 			Workload: qnet.ContinuousKeep{ID: "long"},
 			// Routing may not meet the target at this lifetime: record the
 			// infeasibility (zero goodput) instead of failing the run.
-			Optional: true,
-			// The oracle baseline consults exact delivery fidelities.
-			RecordFidelity: oracle,
+			Optional:       true,
+			RecordFidelity: true,
 		}
 	}
 	res, err := qnet.Scenario{
@@ -130,24 +141,17 @@ func fig10Run(seed int64, t2 float64, oracle bool, horizon, msgDelay sim.Duratio
 	if err != nil {
 		panic(err)
 	}
-	var out [2]Fig10ABPoint
+	var out [2]fig10Count
 	for i, tgt := range targets {
 		cm := res.Metrics.Circuit(qnet.CircuitID(fmt.Sprintf("c%d", i)))
 		if !cm.Established {
 			continue
 		}
-		out[i].Feasible = true
-		count := cm.Delivered
-		if oracle {
-			filter := &baseline.Filter{Threshold: tgt.f}
-			count = 0
-			for _, f := range cm.Fidelities {
-				if filter.AcceptFidelity(f) {
-					count++
-				}
-			}
+		filter := &baseline.Filter{Threshold: tgt.f}
+		for _, fid := range cm.Fidelities {
+			filter.AcceptFidelity(fid)
 		}
-		out[i].PairsPS = float64(count) / horizon.Seconds()
+		out[i] = fig10Count{Feasible: true, Raw: cm.Delivered, Good: int(filter.Accepted)}
 	}
 	return out
 }
@@ -203,11 +207,11 @@ type fig10CParams struct {
 	DelaysMS []float64
 }
 
-var fig10CSweep = &sweep[fig10CParams, float64, [2]Fig10ABPoint]{
+var fig10CSweep = &sweep[fig10CParams, float64, [2]fig10Count]{
 	fig:   "fig10c",
 	cells: func(p fig10CParams) []float64 { return p.DelaysMS },
-	run: func(p fig10CParams, ms float64, _ int, seed int64) [2]Fig10ABPoint {
-		return fig10GoodputRun(seed, 1.6, sim.DurationFromSeconds(ms/1e3), p.Horizon)
+	run: func(p fig10CParams, ms float64, _ int, seed int64) [2]fig10Count {
+		return fig10Run(seed, 1.6, false, p.Horizon, sim.DurationFromSeconds(ms/1e3))
 	},
 }
 
@@ -237,65 +241,13 @@ func Fig10C(o Options) *Fig10CData {
 		for i, f := range []float64{0.9, 0.8} {
 			var raw, good []float64
 			for _, r := range pts[k] {
-				raw = append(raw, r[i].RawPS)
-				good = append(good, r[i].PairsPS)
+				raw = append(raw, float64(r[i].Raw)/p.Horizon.Seconds())
+				good = append(good, float64(r[i].Good)/p.Horizon.Seconds())
 			}
 			d.Points = append(d.Points, Fig10CPoint{DelayMS: ms, Fidelity: f, RawPS: runner.Mean(raw), GoodPS: runner.Mean(good)})
 		}
 	}
 	return d
-}
-
-// fig10GoodputRun is the cutoff protocol with an oracle *readout* (not
-// discard): delivered pairs only count when their exact fidelity meets the
-// threshold, which is what "delivered pairs have insufficient fidelity"
-// plots in the paper.
-func fig10GoodputRun(seed int64, t2 float64, msgDelay, horizon sim.Duration) [2]Fig10ABPoint {
-	cfg := qnet.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Params.Electron.T2 = t2
-	targets := []struct {
-		src, dst string
-		f        float64
-	}{{"A0", "B0", 0.9}, {"A1", "B1", 0.8}}
-	specs := make([]qnet.CircuitSpec, len(targets))
-	for i, tgt := range targets {
-		specs[i] = qnet.CircuitSpec{
-			ID: qnet.CircuitID(fmt.Sprintf("c%d", i)), Src: tgt.src, Dst: tgt.dst,
-			Fidelity: tgt.f, Policy: qnet.CutoffLong,
-			Workload:       qnet.ContinuousKeep{ID: "long"},
-			Optional:       true,
-			RecordFidelity: true,
-		}
-	}
-	res, err := qnet.Scenario{
-		Config:          cfg,
-		Topology:        qnet.DumbbellTopo(),
-		Circuits:        specs,
-		Horizon:         horizon,
-		Sequential:      true,
-		ProcessingDelay: msgDelay,
-	}.Run()
-	if err != nil {
-		panic(err)
-	}
-	var out [2]Fig10ABPoint
-	for i, tgt := range targets {
-		cm := res.Metrics.Circuit(qnet.CircuitID(fmt.Sprintf("c%d", i)))
-		if !cm.Established {
-			continue
-		}
-		out[i].Feasible = true
-		good := 0
-		for _, f := range cm.Fidelities {
-			if f >= tgt.f {
-				good++
-			}
-		}
-		out[i].PairsPS = float64(good) / horizon.Seconds()
-		out[i].RawPS = float64(cm.Delivered) / horizon.Seconds()
-	}
-	return out
 }
 
 // Print writes panel (c).

@@ -1,8 +1,8 @@
 // Package analysis is a dependency-free miniature of the
 // golang.org/x/tools/go/analysis framework: just enough surface — Analyzer,
 // Pass, Diagnostic — for qnetlint's checkers to be written in the standard
-// shape (name + doc + Run(*Pass)) and driven either by the go vet -vettool
-// protocol (cmd/qnetlint) or by the fixture harness (internal/lint/linttest).
+// shape (name + doc + Run(*Pass)) and run either over the whole tree by
+// internal/lint's lintTree or by the fixture harness (internal/lint/linttest).
 //
 // The x/tools module is deliberately not vendored: the container builds
 // offline, and the five qnetlint analyzers need only syntax, type info and a
@@ -18,12 +18,12 @@ import (
 )
 
 // Analyzer describes one static check. It mirrors the x/tools type of the
-// same name so the checkers read idiomatically and could be ported to the
-// real framework by swapping the import.
+// same name so the checkers read idiomatically, less Run's result and
+// error, which no qnetlint check produces.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, escape-hatch comments
-	// (//qnetlint:allow <name> <reason>) and the driver's -<name> flags.
-	// It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and escape-hatch
+	// comments (//qnetlint:allow <name> <reason>). It must be a valid
+	// identifier.
 	Name string
 
 	// Doc is the analyzer's documentation: a one-line summary, a blank
@@ -31,9 +31,8 @@ type Analyzer struct {
 	Doc string
 
 	// Run applies the analyzer to one package and reports diagnostics via
-	// pass.Report. The returned value is unused by qnetlint's drivers but
-	// kept for framework-shape compatibility.
-	Run func(*Pass) (interface{}, error)
+	// pass.Report.
+	Run func(*Pass)
 }
 
 // Pass provides one analyzed package to an Analyzer's Run function: the

@@ -6,13 +6,13 @@ import (
 	"qnp/internal/lint/analysis"
 )
 
-// DetRandAnalyzer flags nondeterminism sources inside simulation packages:
+// detRandAnalyzer flags nondeterminism sources inside simulation packages:
 // wall-clock reads and the process-global math/rand source. Simulation code
 // must be a pure function of the replica seed — a single time.Now or global
 // rand.Intn silently breaks worker-count invariance, shard equivalence and
 // the byte-identity CI gates. Escape hatch: //qnetlint:allow detrand
 // <reason>.
-var DetRandAnalyzer = &analysis.Analyzer{
+var detRandAnalyzer = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: "forbid wall-clock time and global math/rand in simulation packages\n\n" +
 		"Simulation packages (sim, qnet, core, routing, linklayer, device,\n" +
@@ -20,7 +20,7 @@ var DetRandAnalyzer = &analysis.Analyzer{
 		"from the replica seed and every timestamp from sim.Time. Wall-clock\n" +
 		"reads (time.Now/Since/Sleep/...) and the shared global math/rand\n" +
 		"functions make replicas diverge run to run.",
-	Run: runDetRand,
+	Run: withDirectives(runDetRand),
 }
 
 // detrandBanned maps package path -> function name -> why it is banned.
@@ -58,10 +58,9 @@ var detrandBanned = map[string]map[string]string{
 	},
 }
 
-func runDetRand(pass *analysis.Pass) (interface{}, error) {
-	sup := newSuppressor(pass)
+func runDetRand(pass *analysis.Pass, sup *suppressor) {
 	if !isSimulationPackage(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	// The driver sorts diagnostics by position, so the random iteration
 	// order of Uses never reaches the output.
@@ -97,5 +96,4 @@ func runDetRand(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	return nil, nil
 }

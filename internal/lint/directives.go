@@ -21,7 +21,8 @@ import (
 // REQUIRE a non-empty reason — a directive without one is itself reported,
 // never honoured, so every suppression in the tree carries its
 // justification (CI greps for naked directives as a second line of
-// defence).
+// defence). A well-formed directive that suppresses no diagnostic is
+// reported as stale.
 
 const directivePrefix = "//qnetlint:"
 
@@ -90,13 +91,32 @@ func parseDirectives(f *ast.File) []directive {
 	return out
 }
 
+// withDirectives wraps an analyzer's check with the //qnetlint:
+// directives of the package it runs on. The check reports through the
+// suppressor, which drops what an allow covers; afterwards every
+// well-formed directive for the analyzer that covered no diagnostic is
+// reported as stale — left in place, it would silently hide the next real
+// violation on its line.
+func withDirectives(check func(*analysis.Pass, *suppressor)) func(*analysis.Pass) {
+	return func(pass *analysis.Pass) {
+		sup := newSuppressor(pass)
+		check(pass, sup)
+		for _, a := range sup.order {
+			if !a.used {
+				pass.Reportf(a.pos, "stale qnetlint directive: no %s diagnostic on this line or the next — delete it", pass.Analyzer.Name)
+			}
+		}
+	}
+}
+
 // suppressor answers "is this analyzer suppressed at this position?" for one
 // package, and reports malformed directives exactly once per pass.
 type suppressor struct {
 	pass *analysis.Pass
-	// allowed maps analyzer name -> set of line numbers (per file) where
-	// diagnostics are suppressed.
-	allowed map[string]map[suppressKey]bool
+	// allowed maps a file line to the directives for the pass's analyzer
+	// that cover it; order holds each of them once, in source order.
+	allowed map[suppressKey][]*allow
+	order   []*allow
 }
 
 type suppressKey struct {
@@ -104,10 +124,16 @@ type suppressKey struct {
 	line int
 }
 
+// allow is one well-formed directive and whether it suppressed anything.
+type allow struct {
+	pos  token.Pos
+	used bool
+}
+
 // newSuppressor parses every file's directives, reports the malformed ones
 // through pass, and indexes the valid ones.
 func newSuppressor(pass *analysis.Pass) *suppressor {
-	s := &suppressor{pass: pass, allowed: make(map[string]map[suppressKey]bool)}
+	s := &suppressor{pass: pass, allowed: make(map[suppressKey][]*allow)}
 	for _, f := range pass.Files {
 		for _, d := range parseDirectives(f) {
 			if d.malformed != "" {
@@ -116,7 +142,7 @@ func newSuppressor(pass *analysis.Pass) *suppressor {
 				// it from the analyzer the directive tried to address —
 				// or, for directives too broken to name one, from a
 				// single designated pass — so it surfaces exactly once
-				// per multichecker run.
+				// per package.
 				if d.analyzer == pass.Analyzer.Name ||
 					(d.analyzer == "" && pass.Analyzer.Name == grammarReporter) {
 					pass.Reportf(d.pos, "malformed qnetlint directive: %s", d.malformed)
@@ -126,25 +152,30 @@ func newSuppressor(pass *analysis.Pass) *suppressor {
 			if d.analyzer != pass.Analyzer.Name {
 				continue
 			}
-			pos := pass.Fset.Position(d.pos)
-			m := s.allowed[d.analyzer]
-			if m == nil {
-				m = make(map[suppressKey]bool)
-				s.allowed[d.analyzer] = m
-			}
+			a := &allow{pos: d.pos}
+			s.order = append(s.order, a)
 			// Honour the directive on its own line (trailing comment)
 			// and on the next line (lead comment above the statement).
-			m[suppressKey{pos.Filename, pos.Line}] = true
-			m[suppressKey{pos.Filename, pos.Line + 1}] = true
+			pos := pass.Fset.Position(d.pos)
+			for _, line := range []int{pos.Line, pos.Line + 1} {
+				k := suppressKey{pos.Filename, line}
+				s.allowed[k] = append(s.allowed[k], a)
+			}
 		}
 	}
 	return s
 }
 
-// suppressed reports whether the pass's analyzer is allowed at pos.
+// suppressed reports whether an allow directive covers a diagnostic at
+// pos, and marks the covering directives used. Call it only where a
+// diagnostic would otherwise be reported.
 func (s *suppressor) suppressed(pos token.Pos) bool {
 	p := s.pass.Fset.Position(pos)
-	return s.allowed[s.pass.Analyzer.Name][suppressKey{p.Filename, p.Line}]
+	as := s.allowed[suppressKey{p.Filename, p.Line}]
+	for _, a := range as {
+		a.used = true
+	}
+	return len(as) > 0
 }
 
 // report emits a diagnostic unless an allow directive covers its line.

@@ -7,7 +7,7 @@ import (
 	"qnp/internal/lint/analysis"
 )
 
-// HotAllocAnalyzer keeps the hot path allocation-free: inside hot-path
+// hotAllocAnalyzer keeps the hot path allocation-free: inside hot-path
 // packages, a call to an allocating API whose workspace-backed twin exists
 // (a linalg …Into op, or BellProjectorCached for BellProjector) is flagged
 // — but only in functions that actually have a Workspace in scope (a
@@ -18,7 +18,7 @@ import (
 // Mul/Kron would quietly reintroduce steady-state garbage. The quantum
 // operations need no rows: each has a single, workspace-threaded entry
 // point. Escape hatch: //qnetlint:allow hotalloc <reason>.
-var HotAllocAnalyzer = &analysis.Analyzer{
+var hotAllocAnalyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flag allocating API calls where a workspace-backed twin exists\n\n" +
 		"In hot-path packages, functions with a linalg.Workspace in scope\n" +
@@ -26,7 +26,7 @@ var HotAllocAnalyzer = &analysis.Analyzer{
 		"quantum.BellProjectorCached instead of the allocating forms;\n" +
 		"anything else leaks allocations back into the per-event path the\n" +
 		"zero-allocation refactor cleared.",
-	Run: runHotAlloc,
+	Run: withDirectives(runHotAlloc),
 }
 
 // hotAllocTwins maps package path -> allocating function name -> the
@@ -42,11 +42,10 @@ var hotAllocTwins = map[string]map[string]string{
 	},
 }
 
-func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
+func runHotAlloc(pass *analysis.Pass, sup *suppressor) {
 	if !isHotPathPackage(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
-	sup := newSuppressor(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -56,7 +55,6 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 			checkHotAllocIn(pass, sup, fd.Body, funcHasWorkspace(pass.TypesInfo, fd))
 		}
 	}
-	return nil, nil
 }
 
 // checkHotAllocIn walks a body; wsInScope tracks whether the surrounding

@@ -6,7 +6,7 @@
 // (map-iteration float ordering, RNG stream aliasing, workspace Get/Put
 // leaks, allocating wrappers creeping back into hot paths) was caught only
 // after the fact by byte-identity CI runs. This package encodes those
-// conventions as compile-time checks instead of reviewer lore. Five
+// conventions as static checks instead of review lore. Five
 // analyzers:
 //
 //   - detrand: simulation packages must not read wall-clock time or the
@@ -26,46 +26,111 @@
 //     and nonzero) and seed arithmetic must go through runner.SeedStride /
 //     runner.DeriveSeed — never a bare 7919 or literal offset.
 //
-// A sixth check, testonly, needs the whole module at once, which go vet's
-// one-package-at-a-time protocol cannot give it, so it is not an Analyzer:
-// TestNoTestOnlyAPI runs it over the tree as part of the ordinary test
-// suite (see testonly.go). It reports every exported func, method, type,
-// const, var and struct field of the internal/ packages that no non-test
-// file of the module, cmd/, examples/ or the bench/ module uses. Delete
-// such API or move it into the package's _test.go; an inspection hook that
-// another package's tests need stays under `//qnetlint:allow testonly
-// <reason naming that test>`. Packages that only tests import are test
-// support (internal/race, internal/linalg/linalgtest) and are exempt.
+// A sixth check, testonly, needs the whole module at once, so it is not an
+// Analyzer (see testonly.go). It reports every exported func, method,
+// type, const, var and struct field of the internal/ packages that no
+// non-test file of the module, cmd/, examples/ or the bench/ module uses.
+// Delete such API or move it into the package's _test.go; an inspection
+// hook that another package's tests need stays under
+// `//qnetlint:allow testonly <reason naming that test>`. Packages that
+// only tests import are test support (internal/race,
+// internal/linalg/linalgtest) and are exempt.
 //
 // Escape hatches use the //qnetlint: comment grammar (see directives.go):
 // `//qnetlint:allow <analyzer> <reason>` on or directly above the flagged
 // line, and `//qnetlint:sorted <reason>` for maporder. A reason is
-// mandatory; a naked directive is itself a diagnostic.
+// mandatory; a naked directive is itself a diagnostic, and so is a stale
+// one that suppresses nothing.
 //
-// Run the suite with the multichecker binary:
+// TestQnetlintTree runs the suite as part of the ordinary test suite: it
+// loads the module and the bench/ module from source once (load.go),
+// runs the five analyzers over every package together with its in-package
+// tests, over the external test packages and over test-only packages,
+// runs testonly over the production packages, and fails on each finding,
+// printed as file:line:col: message [check]:
 //
-//	go build -o bin/qnetlint ./cmd/qnetlint
-//	go vet -vettool=$PWD/bin/qnetlint ./...
-//
-// or let the binary re-exec go vet for you: `bin/qnetlint ./...`.
+//	go test ./internal/lint
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
+	"sort"
 	"strings"
 
 	"qnp/internal/lint/analysis"
 )
 
-// Analyzers returns the full qnetlint suite in its canonical order.
-func Analyzers() []*analysis.Analyzer {
+// analyzers returns the five-analyzer suite in its canonical order.
+func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		DetRandAnalyzer,
-		MapOrderAnalyzer,
-		WSOwnershipAnalyzer,
-		HotAllocAnalyzer,
-		StreamOffsetAnalyzer,
+		detRandAnalyzer,
+		mapOrderAnalyzer,
+		wsOwnershipAnalyzer,
+		hotAllocAnalyzer,
+		streamOffsetAnalyzer,
 	}
+}
+
+// finding is one diagnostic of the whole-tree run and the check that
+// raised it.
+type finding struct {
+	pos     token.Position
+	message string
+	check   string
+}
+
+func (f finding) String() string {
+	return fmt.Sprintf("%s: %s [%s]", f.pos, f.message, f.check)
+}
+
+// lintTree loads the tree under root once and runs the whole suite over
+// it: every analyzer over every unit, and testonly over the production
+// packages. Findings come back sorted by position.
+func lintTree(root string) ([]finding, error) {
+	l, err := load(root)
+	if err != nil {
+		return nil, err
+	}
+	var out []finding
+	add := func(check string, d analysis.Diagnostic) {
+		out = append(out, finding{l.fset.Position(d.Pos), d.Message, check})
+	}
+	diags, err := l.testOnly()
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range diags {
+		add(testOnlyName, d)
+	}
+	units, err := l.units()
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range units {
+		for _, a := range analyzers() {
+			a.Run(&analysis.Pass{
+				Analyzer:  a,
+				Fset:      l.fset,
+				Files:     u.files,
+				Pkg:       u.pkg,
+				TypesInfo: u.info,
+				Report:    func(d analysis.Diagnostic) { add(a.Name, d) },
+			})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.pos.Filename != b.pos.Filename {
+			return a.pos.Filename < b.pos.Filename
+		}
+		if a.pos.Offset != b.pos.Offset {
+			return a.pos.Offset < b.pos.Offset
+		}
+		return a.message < b.message
+	})
+	return out, nil
 }
 
 // modulePath is the module all checked packages live in. Analyzer scope

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,52 +15,57 @@ import (
 // Each analyzer runs over its fixture with the claimed import path that
 // puts the fixture inside the analyzer's scope.
 func TestDetRandFixture(t *testing.T) {
-	linttest.Run(t, DetRandAnalyzer, "qnp/internal/sim", "testdata/detrand/fixture.go")
+	linttest.Run(t, detRandAnalyzer, "qnp/internal/sim", "testdata/detrand/fixture.go")
 }
 
 func TestMapOrderFixture(t *testing.T) {
-	linttest.Run(t, MapOrderAnalyzer, "qnp/internal/mapfix", "testdata/maporder/fixture.go")
+	linttest.Run(t, mapOrderAnalyzer, "qnp/internal/mapfix", "testdata/maporder/fixture.go")
 }
 
 func TestWSOwnershipFixture(t *testing.T) {
-	linttest.Run(t, WSOwnershipAnalyzer, "qnp/internal/wsfix", "testdata/wsownership/fixture.go")
+	linttest.Run(t, wsOwnershipAnalyzer, "qnp/internal/wsfix", "testdata/wsownership/fixture.go")
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	linttest.Run(t, HotAllocAnalyzer, "qnp/internal/device", "testdata/hotalloc/fixture.go")
+	linttest.Run(t, hotAllocAnalyzer, "qnp/internal/device", "testdata/hotalloc/fixture.go")
 }
 
 func TestStreamOffsetFixture(t *testing.T) {
-	linttest.Run(t, StreamOffsetAnalyzer, "qnp/internal/sim", "testdata/streamoffset/fixture.go")
+	linttest.Run(t, streamOffsetAnalyzer, "qnp/internal/sim", "testdata/streamoffset/fixture.go")
 }
 
 // Malformed directives surface through the designated grammar reporter in
 // any package, simulation or not.
 func TestDirectiveGrammarFixture(t *testing.T) {
-	linttest.Run(t, DetRandAnalyzer, "qnp/internal/lintfix", "testdata/directives/fixture.go")
+	linttest.Run(t, detRandAnalyzer, "qnp/internal/lintfix", "testdata/directives/fixture.go")
 }
 
 // Package-gated analyzers go quiet outside their scope: the same detrand
-// fixture claimed as a non-simulation package yields nothing.
+// fixture claimed as a non-simulation package yields nothing but its
+// escape hatches, which have nothing left to suppress there.
 func TestDetRandScopedToSimulationPackages(t *testing.T) {
-	diags, _, err := linttest.Diagnostics(DetRandAnalyzer, "qnp/internal/lintfix", []string{"testdata/detrand/fixture.go"})
+	diags, _, err := linttest.Diagnostics(detRandAnalyzer, "qnp/internal/lintfix", []string{"testdata/detrand/fixture.go"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
-		t.Errorf("detrand reported outside a simulation package: %s", d.Message)
+		if !strings.HasPrefix(d.Message, "stale qnetlint directive") {
+			t.Errorf("detrand reported outside a simulation package: %s", d.Message)
+		}
 	}
 }
 
 // Cold functions outside hot-path packages keep the allocating forms even
-// with a workspace in scope.
+// with a workspace in scope; only the stale escape hatch is reported.
 func TestHotAllocScopedToHotPathPackages(t *testing.T) {
-	diags, _, err := linttest.Diagnostics(HotAllocAnalyzer, "qnp/internal/experiments", []string{"testdata/hotalloc/fixture.go"})
+	diags, _, err := linttest.Diagnostics(hotAllocAnalyzer, "qnp/internal/experiments", []string{"testdata/hotalloc/fixture.go"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
-		t.Errorf("hotalloc reported outside a hot-path package: %s", d.Message)
+		if !strings.HasPrefix(d.Message, "stale qnetlint directive") {
+			t.Errorf("hotalloc reported outside a hot-path package: %s", d.Message)
+		}
 	}
 }
 
@@ -68,9 +74,9 @@ func TestHotAllocScopedToHotPathPackages(t *testing.T) {
 // keep the suite green.
 func TestFixturesFailWhenCheckDisabled(t *testing.T) {
 	noop := &analysis.Analyzer{
-		Name: DetRandAnalyzer.Name,
+		Name: detRandAnalyzer.Name,
 		Doc:  "no-op stand-in for a disabled check",
-		Run:  func(*analysis.Pass) (interface{}, error) { return nil, nil },
+		Run:  func(*analysis.Pass) {},
 	}
 	files := []string{"testdata/detrand/fixture.go"}
 	diags, fset, err := linttest.Diagnostics(noop, "qnp/internal/sim", files)
@@ -85,10 +91,10 @@ func TestFixturesFailWhenCheckDisabled(t *testing.T) {
 	}
 }
 
-// The suite is five uniquely named analyzers; the driver's flags, the
+// The suite is five uniquely named analyzers; the findings' output, the
 // directive grammar and the docs all key off these names.
 func TestSuiteIntegrity(t *testing.T) {
-	as := Analyzers()
+	as := analyzers()
 	if len(as) != 5 {
 		t.Fatalf("suite has %d analyzers, want 5", len(as))
 	}
@@ -107,16 +113,16 @@ func TestSuiteIntegrity(t *testing.T) {
 	}
 }
 
-// The tree itself carries no exported internal API that only tests use.
-// The check typechecks the whole module, so it runs under -short and -race
-// like any other test.
-func TestNoTestOnlyAPI(t *testing.T) {
-	diags, fset, err := testOnly("../..")
+// The tree itself — the module with its tests, and the bench/ module —
+// passes the whole suite: the five analyzers and testonly. It runs under
+// -short and -race like any other test.
+func TestQnetlintTree(t *testing.T) {
+	findings, err := lintTree("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
-		t.Errorf("%s: %s", fset.Position(d.Pos), d.Message)
+	for _, f := range findings {
+		t.Error(f)
 	}
 }
 
@@ -128,10 +134,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 // its export, and one that keeps nothing is reported.
 func TestTestOnlyFixture(t *testing.T) {
 	const root = "testdata/testonly"
-	diags, fset, err := testOnly(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags, fset := testOnlyDiagnostics(t, root)
 	for _, p := range linttest.Compare(fset, goFiles(t, root), diags) {
 		t.Error(p)
 	}
@@ -153,10 +156,7 @@ func TestTestOnlyNakedAllow(t *testing.T) {
 	if err := os.WriteFile(naked, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	diags, fset, err := testOnly(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags, fset := testOnlyDiagnostics(t, root)
 	want := map[int]string{3: "allow directive has no reason", 4: "a.Naked is exported"}
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
@@ -172,6 +172,20 @@ func TestTestOnlyNakedAllow(t *testing.T) {
 	for line, w := range want {
 		t.Errorf("naked.go:%d: no diagnostic containing %q", line, w)
 	}
+}
+
+// testOnlyDiagnostics loads the tree under root and runs testonly on it.
+func testOnlyDiagnostics(t *testing.T, root string) ([]analysis.Diagnostic, *token.FileSet) {
+	t.Helper()
+	l, err := load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := l.testOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags, l.fset
 }
 
 // copyFile copies src to dst, creating dst's directory.

@@ -86,9 +86,7 @@ func Diagnostics(a *analysis.Analyzer, pkgPath string, files []string) ([]analys
 		TypesInfo: info,
 		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
-	if _, err := a.Run(pass); err != nil {
-		return nil, nil, err
-	}
+	a.Run(pass)
 	return diags, fset, nil
 }
 

@@ -15,7 +15,7 @@ import (
 var findFoo = &analysis.Analyzer{
 	Name: "findfoo",
 	Doc:  "flags every identifier named foo",
-	Run: func(pass *analysis.Pass) (interface{}, error) {
+	Run: func(pass *analysis.Pass) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok && id.Name == "foo" {
@@ -24,14 +24,13 @@ var findFoo = &analysis.Analyzer{
 				return true
 			})
 		}
-		return nil, nil
 	},
 }
 
 var noop = &analysis.Analyzer{
 	Name: "noop",
 	Doc:  "reports nothing",
-	Run:  func(*analysis.Pass) (interface{}, error) { return nil, nil },
+	Run:  func(*analysis.Pass) {},
 }
 
 func write(t *testing.T, name, src string) string {

@@ -8,7 +8,7 @@ import (
 	"qnp/internal/lint/analysis"
 )
 
-// MapOrderAnalyzer flags `for range` statements over maps whose body is
+// mapOrderAnalyzer flags `for range` statements over maps whose body is
 // order-sensitive: accumulating floating-point values (float addition does
 // not commute bit-exactly), emitting output, feeding the internal/stats
 // aggregates, or building a slice that is never sorted afterwards. Go
@@ -17,18 +17,17 @@ import (
 // allocation sums. The sanctioned pattern is collect-then-sort: append the
 // keys, sort them, iterate the sorted slice. A deliberately
 // order-insensitive iteration is annotated //qnetlint:sorted <reason>.
-var MapOrderAnalyzer = &analysis.Analyzer{
+var mapOrderAnalyzer = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flag order-sensitive folds over map iteration\n\n" +
 		"A `for range` over a map may not accumulate floats, print, feed\n" +
 		"stats aggregates, or append to a slice that is never sorted: map\n" +
 		"order is randomised per run, so the result depends on it. Collect\n" +
 		"keys, sort, then fold — or justify with //qnetlint:sorted <reason>.",
-	Run: runMapOrder,
+	Run: withDirectives(runMapOrder),
 }
 
-func runMapOrder(pass *analysis.Pass) (interface{}, error) {
-	sup := newSuppressor(pass)
+func runMapOrder(pass *analysis.Pass, sup *suppressor) {
 	for _, f := range pass.Files {
 		// Each function (declaration or literal) is its own scope: map
 		// ranges are matched against sort calls in the same body.
@@ -48,7 +47,6 @@ func runMapOrder(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkMapRangesIn scans one function body (excluding nested function
@@ -59,10 +57,12 @@ func checkMapRangesIn(pass *analysis.Pass, sup *suppressor, body *ast.BlockStmt)
 		if !ok || !rangesOverMap(pass, rs) {
 			return
 		}
-		if sup.suppressed(rs.Pos()) {
-			return
-		}
-		checkMapRangeBody(pass, sup, body, rs)
+		// A directive on the loop answers for its whole body.
+		checkMapRangeBody(pass, body, rs, func(pos token.Pos, format string, args ...interface{}) {
+			if !sup.suppressed(rs.Pos()) {
+				sup.report(pos, format, args...)
+			}
+		})
 	})
 }
 
@@ -89,10 +89,10 @@ func rangesOverMap(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 	return isMap
 }
 
-// checkMapRangeBody reports the order-sensitive operations inside one map
-// range. enclosing is the function body the loop lives in — the scope
+// checkMapRangeBody passes the order-sensitive operations inside one map
+// range to report. enclosing is the function body the loop lives in — the scope
 // searched for a later sort call that sanctions collected slices.
-func checkMapRangeBody(pass *analysis.Pass, sup *suppressor, enclosing *ast.BlockStmt, rs *ast.RangeStmt) {
+func checkMapRangeBody(pass *analysis.Pass, enclosing *ast.BlockStmt, rs *ast.RangeStmt, report func(token.Pos, string, ...interface{})) {
 	info := pass.TypesInfo
 	walkSameFunc(rs.Body, func(n ast.Node) {
 		switch n := n.(type) {
@@ -100,13 +100,13 @@ func checkMapRangeBody(pass *analysis.Pass, sup *suppressor, enclosing *ast.Bloc
 			switch n.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 				if isFloatLike(info.TypeOf(n.Lhs[0])) {
-					sup.report(n.Pos(), "floating-point accumulation inside a map range: float folds are not order-independent and map order is random per run — collect keys, sort, then accumulate (//qnetlint:sorted <reason> if truly order-insensitive)")
+					report(n.Pos(), "floating-point accumulation inside a map range: float folds are not order-independent and map order is random per run — collect keys, sort, then accumulate (//qnetlint:sorted <reason> if truly order-insensitive)")
 				}
 			case token.ASSIGN:
 				// x = x + y (and -,*,/) over floats is the same fold.
 				if len(n.Lhs) == 1 && len(n.Rhs) == 1 && isFloatLike(info.TypeOf(n.Lhs[0])) {
 					if be, ok := n.Rhs[0].(*ast.BinaryExpr); ok && isArith(be.Op) && mentionsSameObject(info, be, n.Lhs[0]) {
-						sup.report(n.Pos(), "floating-point accumulation inside a map range: float folds are not order-independent and map order is random per run — collect keys, sort, then accumulate (//qnetlint:sorted <reason> if truly order-insensitive)")
+						report(n.Pos(), "floating-point accumulation inside a map range: float folds are not order-independent and map order is random per run — collect keys, sort, then accumulate (//qnetlint:sorted <reason> if truly order-insensitive)")
 					}
 				}
 			default:
@@ -117,7 +117,7 @@ func checkMapRangeBody(pass *analysis.Pass, sup *suppressor, enclosing *ast.Bloc
 				if id, ok := n.Lhs[0].(*ast.Ident); ok {
 					obj := info.ObjectOf(id)
 					if obj != nil && !within(obj.Pos(), rs) && !sortedLater(pass, enclosing, rs, obj) {
-						sup.report(n.Pos(), "append inside a map range builds %s in random map order and no later sort call fixes it — sort the slice (or iterate sorted keys), or annotate the loop //qnetlint:sorted <reason>", id.Name)
+						report(n.Pos(), "append inside a map range builds %s in random map order and no later sort call fixes it — sort the slice (or iterate sorted keys), or annotate the loop //qnetlint:sorted <reason>", id.Name)
 					}
 				}
 			}
@@ -128,11 +128,11 @@ func checkMapRangeBody(pass *analysis.Pass, sup *suppressor, enclosing *ast.Bloc
 			}
 			switch {
 			case fn.Pkg().Path() == "fmt" && emittingFmtFunc[fn.Name()]:
-				sup.report(n.Pos(), "fmt.%s inside a map range emits in random map order — iterate sorted keys instead (//qnetlint:sorted <reason> if order truly cannot matter)", fn.Name())
+				report(n.Pos(), "fmt.%s inside a map range emits in random map order — iterate sorted keys instead (//qnetlint:sorted <reason> if order truly cannot matter)", fn.Name())
 			case fn.Pkg().Path() == modulePath+"/internal/stats" && fn.Pkg() != pass.Pkg:
 				// The stats package's own internal helpers are not
 				// "feeding the aggregates"; the rule targets callers.
-				sup.report(n.Pos(), "feeding %s.%s from inside a map range: stats aggregates fold floats in arrival order, which here is random map order — iterate sorted keys (//qnetlint:sorted <reason> if truly order-insensitive)", fn.Pkg().Name(), fn.Name())
+				report(n.Pos(), "feeding %s.%s from inside a map range: stats aggregates fold floats in arrival order, which here is random map order — iterate sorted keys (//qnetlint:sorted <reason> if truly order-insensitive)", fn.Pkg().Name(), fn.Name())
 			}
 		}
 	})

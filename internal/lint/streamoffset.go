@@ -10,7 +10,7 @@ import (
 	"qnp/internal/lint/analysis"
 )
 
-// StreamOffsetAnalyzer polices the RNG stream discipline: replica seeds are
+// streamOffsetAnalyzer polices the RNG stream discipline: replica seeds are
 // base*runner.SeedStride + offset, engine-side offsets live in the qnet
 // stream registry as named …StreamOffset constants (even, nonzero) and the
 // per-circuit workload family takes the odd offsets via
@@ -26,17 +26,16 @@ import (
 //  3. A …StreamOffset constant must be even and nonzero: odd offsets are
 //     reserved for the per-circuit workload family and offset 0 is the
 //     physics stream itself.
-var StreamOffsetAnalyzer = &analysis.Analyzer{
+var streamOffsetAnalyzer = &analysis.Analyzer{
 	Name: "streamoffset",
 	Doc: "RNG stream offsets come from the registry; seed arithmetic uses runner.SeedStride\n\n" +
 		"No bare 7919 outside internal/runner; rand.NewSource seed\n" +
 		"arithmetic multiplies by runner.SeedStride and adds a named\n" +
 		"…StreamOffset constant/helper; engine offsets are even and nonzero.",
-	Run: runStreamOffset,
+	Run: withDirectives(runStreamOffset),
 }
 
-func runStreamOffset(pass *analysis.Pass) (interface{}, error) {
-	sup := newSuppressor(pass)
+func runStreamOffset(pass *analysis.Pass, sup *suppressor) {
 	inRunner := strings.TrimSuffix(pass.Pkg.Path(), "_test") == modulePath+"/internal/runner"
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -57,7 +56,6 @@ func runStreamOffset(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkNewSourceSeed validates the seed expression of a rand.NewSource

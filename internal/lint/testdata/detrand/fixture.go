@@ -44,3 +44,9 @@ func allowedClock() time.Time {
 	//qnetlint:allow detrand fixture exercises the escape hatch
 	return time.Now()
 }
+
+// An allow over lines with nothing to flag suppresses nothing: it is stale.
+func staleAllow(t0 time.Time) time.Time {
+	//qnetlint:allow detrand nothing here reads the wall clock // want `stale qnetlint directive: no detrand diagnostic`
+	return later(t0)
+}

@@ -65,10 +65,22 @@ func countValues(m map[string]int) int {
 	return n
 }
 
-// A genuinely order-insensitive float fold carries its justification.
-func annotatedFold(m map[string]float64) float64 {
+// A genuinely order-insensitive fold carries its justification, which
+// covers the whole loop body.
+func annotatedCount(m map[string]int) int {
+	var keys []string
+	//qnetlint:sorted only the length of the collected slice is read
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return len(keys)
+}
+
+// A running maximum is not flagged, so a justification on it suppresses
+// nothing and is stale.
+func staleAnnotation(m map[string]float64) float64 {
 	var max float64
-	//qnetlint:sorted taking a running maximum is order-insensitive
+	//qnetlint:sorted taking a running maximum is order-insensitive // want `stale qnetlint directive: no maporder diagnostic`
 	for _, v := range m {
 		if v > max {
 			max = v

@@ -1,19 +1,10 @@
 package lint
 
 import (
-	"bufio"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"qnp/internal/lint/analysis"
@@ -23,12 +14,11 @@ import (
 // //qnetlint:allow directives.
 const testOnlyName = "testonly"
 
-// testOnly is the whole-module check behind TestNoTestOnlyAPI. It parses
-// and typechecks every package under root — nested modules such as bench/
-// included — and reports each exported func, method, type, const, var and
-// struct field declared in the root module's internal/ packages that no
-// non-test file uses. go vet sees one package at a time, so this check
-// cannot be an Analyzer; it runs as a plain test instead.
+// testOnly is the whole-module check: over the production packages of
+// the loaded tree it reports each exported func, method, type, const, var
+// and struct field declared in the root module's internal/ packages that
+// no non-test file uses. An Analyzer sees one package at a time, so this
+// check cannot be one; lintTree runs it over the loaded tree instead.
 //
 // Three rules keep it exact:
 //   - a method counts as used when it satisfies a method of an interface
@@ -44,15 +34,7 @@ const testOnlyName = "testonly"
 // A `//qnetlint:allow testonly <reason>` directive on or directly above a
 // declaration keeps it; a directive without a reason, or one that keeps
 // nothing, is itself reported.
-func testOnly(root string) ([]analysis.Diagnostic, *token.FileSet, error) {
-	l := &loader{
-		fset: token.NewFileSet(),
-		pkgs: map[string]*loadedPkg{},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-	if err := l.walk(root); err != nil {
-		return nil, nil, err
-	}
+func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 	mainMod := l.mods[len(l.mods)-1].path // the root module sorts last
 	internal := func(path string) bool { return strings.HasPrefix(path, mainMod+"/internal/") }
 
@@ -95,9 +77,26 @@ func testOnly(root string) ([]analysis.Diagnostic, *token.FileSet, error) {
 		}
 		p, err := l.check(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		c.record(p, l.pkgs)
+	}
+
+	// Candidates: the internal packages that are not test support. Dead
+	// packages are typechecked here for the first time. The standard-library
+	// interfaces their own code imports count like production's: go/types
+	// calls a loader's Import however few callers the loader has.
+	var cands []*loadedPkg
+	for _, path := range l.paths {
+		if !internal(path) || support[path] || len(l.pkgs[path].files) == 0 {
+			continue
+		}
+		p, err := l.check(path)
+		if err != nil {
+			return nil, err
+		}
+		c.stdInterfaces(p, l.pkgs)
+		cands = append(cands, p)
 	}
 
 	// Directives: each well-formed allow testonly keeps the export declared
@@ -129,16 +128,7 @@ func testOnly(root string) ([]analysis.Diagnostic, *token.FileSet, error) {
 	}
 	kept := map[*directive]bool{}
 
-	// Candidates: the exports of every internal package that is not test
-	// support. Dead packages are typechecked here for the first time.
-	for _, path := range l.paths {
-		if !internal(path) || support[path] || len(l.pkgs[path].files) == 0 {
-			continue
-		}
-		p, err := l.check(path)
-		if err != nil {
-			return nil, nil, err
-		}
+	for _, p := range cands {
 		for _, e := range exportsOf(p.pkg) {
 			if c.isUsed(e.obj) {
 				continue
@@ -160,14 +150,7 @@ func testOnly(root string) ([]analysis.Diagnostic, *token.FileSet, error) {
 			diags = append(diags, analysis.Diagnostic{Pos: d.pos, Message: "//qnetlint:allow testonly keeps nothing: no test-only export is declared on this line or the next"})
 		}
 	}
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := l.fset.Position(diags[i].Pos), l.fset.Position(diags[j].Pos)
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Offset < b.Offset
-	})
-	return diags, l.fset, nil
+	return diags, nil
 }
 
 // export is one exported declaration and the name a reader looks it up
@@ -239,12 +222,19 @@ type usage struct {
 	stdSeen          map[*types.Package]bool
 }
 
-// record adds one production package's uses; tree holds the packages that
-// are not the standard library's.
+// record adds one production package's uses and the standard-library
+// interfaces it imports; tree holds the packages that are not the standard
+// library's.
 func (c *usage) record(p *loadedPkg, tree map[string]*loadedPkg) {
 	for _, obj := range p.info.Uses {
 		c.use(obj)
 	}
+	c.stdInterfaces(p, tree)
+}
+
+// stdInterfaces adds the interfaces of the standard-library packages p
+// imports to stdIfaces.
+func (c *usage) stdInterfaces(p *loadedPkg, tree map[string]*loadedPkg) {
 	for _, imp := range p.pkg.Imports() {
 		if tree[imp.Path()] != nil || c.stdSeen[imp] {
 			continue
@@ -334,193 +324,4 @@ func satisfies(t types.Type, ifaces []*types.Interface) bool {
 		}
 	}
 	return false
-}
-
-// loader parses a module tree and typechecks its packages on demand,
-// resolving the tree's own import paths itself and everything else through
-// the offline source importer.
-type loader struct {
-	fset  *token.FileSet
-	std   types.ImporterFrom
-	mods  []module // sorted by descending directory depth
-	pkgs  map[string]*loadedPkg
-	paths []string // sorted keys of pkgs
-}
-
-type module struct{ path, dir string }
-
-type loadedPkg struct {
-	files       []*ast.File // non-test files, with comments
-	imports     []string    // of the non-test files
-	testImports []string    // of the _test.go files
-	pkg         *types.Package
-	info        *types.Info
-	checking    bool
-	err         error
-}
-
-// walk finds every module and package under root. testdata, vendor and
-// dot- or underscore-prefixed directories are skipped, as the go command
-// does.
-func (l *loader) walk(root string) error {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if mod, err := modulePathOf(filepath.Join(path, "go.mod")); err == nil {
-			l.mods = append(l.mods, module{mod, path})
-		} else if !os.IsNotExist(err) {
-			return err
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(l.mods) == 0 || l.mods[0].dir != root {
-		return fmt.Errorf("testonly: %s is not a module root", root)
-	}
-	sort.SliceStable(l.mods, func(i, j int) bool { return len(l.mods[i].dir) > len(l.mods[j].dir) })
-	for _, dir := range dirs {
-		if err := l.loadDir(dir); err != nil {
-			return err
-		}
-	}
-	for path := range l.pkgs {
-		l.paths = append(l.paths, path)
-	}
-	sort.Strings(l.paths)
-	return nil
-}
-
-// loadDir parses the Go files of one directory that the default build
-// context selects.
-func (l *loader) loadDir(dir string) error {
-	var mod module
-	for _, m := range l.mods {
-		if dir == m.dir || strings.HasPrefix(dir, m.dir+string(filepath.Separator)) {
-			mod = m
-			break
-		}
-	}
-	rel, err := filepath.Rel(mod.dir, dir)
-	if err != nil {
-		return err
-	}
-	path := mod.path
-	if rel != "." {
-		path += "/" + filepath.ToSlash(rel)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	p := &loadedPkg{}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		file := filepath.Join(dir, name)
-		if strings.HasSuffix(name, "_test.go") {
-			f, err := parser.ParseFile(l.fset, file, nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			p.testImports = appendImports(p.testImports, f)
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, file, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		p.files = append(p.files, f)
-		p.imports = appendImports(p.imports, f)
-	}
-	if len(p.files) > 0 || len(p.testImports) > 0 {
-		l.pkgs[path] = p
-	}
-	return nil
-}
-
-func appendImports(dst []string, f *ast.File) []string {
-	for _, spec := range f.Imports {
-		if path, err := strconv.Unquote(spec.Path.Value); err == nil {
-			dst = append(dst, path)
-		}
-	}
-	return dst
-}
-
-// modulePathOf reads the module directive of a go.mod file.
-func modulePathOf(gomod string) (string, error) {
-	f, err := os.Open(gomod)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module"); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("%s has no module directive", gomod)
-}
-
-// check typechecks one package of the tree, and its imports first.
-func (l *loader) check(path string) (*loadedPkg, error) {
-	p := l.pkgs[path]
-	switch {
-	case p.pkg != nil || p.err != nil:
-		return p, p.err
-	case p.checking:
-		return nil, fmt.Errorf("testonly: import cycle through %s", path)
-	}
-	p.checking = true
-	var errs []string
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { errs = append(errs, err.Error()) },
-	}
-	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	p.pkg, _ = conf.Check(path, l.fset, p.files, p.info)
-	p.checking = false
-	if len(errs) > 0 {
-		p.err = fmt.Errorf("testonly: %s does not typecheck:\n  %s", path, strings.Join(errs, "\n  "))
-	}
-	return p, p.err
-}
-
-// Import implements types.Importer.
-func (l *loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
-
-// ImportFrom implements types.ImporterFrom: the tree's own packages are
-// typechecked here, from source; the rest comes from the source importer.
-func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p := l.pkgs[path]; p != nil && len(p.files) > 0 {
-		p, err := l.check(path)
-		if err != nil {
-			return nil, err
-		}
-		return p.pkg, nil
-	}
-	return l.std.ImportFrom(path, dir, mode)
 }

@@ -8,7 +8,7 @@ import (
 	"qnp/internal/lint/analysis"
 )
 
-// WSOwnershipAnalyzer enforces the linalg.Workspace ownership rules from
+// wsOwnershipAnalyzer enforces the linalg.Workspace ownership rules from
 // the zero-allocation refactor: a matrix obtained with Get/GetRaw must, on
 // every path out of the function, either be Put back or visibly change
 // owner — returned, stored into a field/slice/map, sent on a channel, or
@@ -24,17 +24,16 @@ import (
 // treated as borrows, not transfers, matching the linalg convention that
 // …Into operands stay caller-owned. Genuine transfer-by-call patterns the
 // walk cannot see are annotated //qnetlint:allow wsownership <reason>.
-var WSOwnershipAnalyzer = &analysis.Analyzer{
+var wsOwnershipAnalyzer = &analysis.Analyzer{
 	Name: "wsownership",
 	Doc: "workspace Get/GetRaw must be matched by Put on all return paths\n\n" +
 		"Every linalg.Workspace.Get/GetRaw result must be Put back, deferred,\n" +
 		"returned, or stored into a longer-lived structure before the\n" +
 		"function exits on any path; otherwise the pooled buffer leaks.",
-	Run: runWSOwnership,
+	Run: withDirectives(runWSOwnership),
 }
 
-func runWSOwnership(pass *analysis.Pass) (interface{}, error) {
-	sup := newSuppressor(pass)
+func runWSOwnership(pass *analysis.Pass, sup *suppressor) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -58,7 +57,6 @@ func runWSOwnership(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // workspaceMethod reports whether call is Get/GetRaw/Put on a

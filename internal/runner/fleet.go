@@ -27,9 +27,6 @@ type Endpoint struct {
 	// for a local process, or {"ssh", "host", "/path/bin", runner.WorkerFlag}
 	// for a remote one. Empty re-execs the current binary with WorkerFlag.
 	Command []string
-	// Env is extra environment appended to the parent's for each worker
-	// the endpoint spawns (local commands; ssh does not forward it).
-	Env []string
 	// Workers bounds the in-process parallelism of each worker the
 	// endpoint runs (0 = the request's Options.Workers, which in turn
 	// defaults to the worker host's NumCPU). It never affects results.
@@ -56,7 +53,8 @@ type Endpoint struct {
 // remainder returns to the shared queue for any live endpoint to pick up.
 // Deterministic replicas make the re-run exact, so a steal or retry can
 // never change output. An endpoint that fails several chunks in a row is
-// benched; a chunk that keeps failing everywhere fails the run.
+// benched; a chunk that fails three leases, on any endpoints, fails the
+// run.
 //
 // With Journal set, every completed replica spills to an append-only
 // on-disk journal as it arrives, and a later Dispatch of the same job
@@ -76,10 +74,6 @@ type Fleet struct {
 	// heartbeat while computing. 0 means the 10-minute default; negative
 	// disables detection.
 	Heartbeat time.Duration
-	// Retries is how many extra attempts a chunk's remainder gets after a
-	// lost lease (0 = default 2; negative disables retries). Attempts are
-	// counted per chunk across all endpoints.
-	Retries int
 	// Journal, when non-empty, is a directory of per-job replica journals
 	// (the file name encodes kind, payload checksum, seed and replica
 	// count). Completed replicas are appended as they arrive; on
@@ -94,8 +88,9 @@ const (
 	// defaultShardTimeout is the liveness bound a zero Fleet.Heartbeat
 	// resolves to.
 	defaultShardTimeout = 10 * time.Minute
-	// defaultChunkRetries is the extra attempts a chunk gets by default.
-	defaultChunkRetries = 2
+	// chunkAttempts is the tries a chunk's remainder gets, counted across
+	// all endpoints, before it fails the run.
+	chunkAttempts = 3
 	// endpointMaxStrikes benches an endpoint after this many consecutive
 	// chunk failures, so one bad host cannot grind the queue forever.
 	endpointMaxStrikes = 3
@@ -148,17 +143,6 @@ func (f Fleet) chunkSize(replicas, workers int) int {
 		n = max(n, w)
 	}
 	return n
-}
-
-// attempts is the total tries a chunk gets before failing the run.
-func (f Fleet) attempts() int {
-	if f.Retries < 0 {
-		return 1
-	}
-	if f.Retries == 0 {
-		return 1 + defaultChunkRetries
-	}
-	return 1 + f.Retries
 }
 
 // chunk is one leasable slice of the replica range.
@@ -369,7 +353,6 @@ func (f Fleet) run(req ExecRequest, eps []Endpoint, st *fleetState, jr *journal,
 // remainder to the queue if the lease is lost.
 func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint, req ExecRequest, st *fleetState, jr *journal, coll *collector, timeout time.Duration) {
 	strikes := 0
-	maxAttempts := f.attempts()
 	for {
 		st.mu.Lock()
 		for len(st.queue) == 0 && st.inFlight > 0 && st.failed == nil && ctx.Err() == nil {
@@ -419,7 +402,7 @@ func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint
 				// Every result arrived before the worker died; the chunk
 				// is complete and the exit noise is not worth a re-run.
 				strikes = 0
-			case rem.attempt >= maxAttempts:
+			case rem.attempt >= chunkAttempts:
 				if st.failed == nil {
 					st.failed = fmt.Errorf("runner: fleet chunk (replicas %d-%d) failed after %d attempts: %w", rem.start, rem.start+rem.count-1, rem.attempt, err)
 					cancel()
@@ -447,7 +430,6 @@ func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint
 // arrive in ascending order, so the remainder is exactly what is left).
 func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch chunk, jr *journal, coll *collector, timeout time.Duration) (seen int, err error) {
 	cmd := exec.CommandContext(ctx, ep.Command[0], ep.Command[1:]...)
-	cmd.Env = append(os.Environ(), ep.Env...)
 	var stderr boundedBuffer
 	cmd.Stderr = &stderr
 	stdin, err := cmd.StdinPipe()
