@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 
 	"qnp/internal/lint/analysis"
@@ -21,15 +22,22 @@ import (
 // REQUIRE a non-empty reason — a directive without one is itself reported,
 // never honoured, so every suppression in the tree carries its
 // justification (CI greps for naked directives as a second line of
-// defence). A well-formed directive that suppresses no diagnostic is
-// reported as stale.
+// defence). An allow must name a check of the suite (allowNames); any
+// other name is reported too. A well-formed directive that suppresses no
+// diagnostic is reported as stale.
 
 const directivePrefix = "//qnetlint:"
 
 // grammarReporter is the analyzer that reports directives too malformed to
-// name the analyzer they meant to address (unknown or missing verb). Any
-// one will do as long as it is exactly one; detrand is first in the suite.
+// name the analyzer they meant to address (unknown or missing verb, no or
+// an unknown analyzer). Any one will do as long as it is exactly one;
+// detrand is first in the suite.
 const grammarReporter = "detrand"
+
+// allowNames are the checks an allow directive may name: the five
+// analyzers and testonly. An allow naming anything else would suppress
+// nothing while reading as a justified suppression.
+var allowNames = []string{"detrand", "maporder", "wsownership", "hotalloc", "streamoffset", testOnlyName}
 
 // directive is one parsed //qnetlint: comment.
 type directive struct {
@@ -69,6 +77,10 @@ func parseDirectives(f *ast.File) []directive {
 			case "allow":
 				if len(fields) < 2 {
 					d.malformed = "allow directive names no analyzer (want //qnetlint:allow <analyzer> <reason>)"
+					break
+				}
+				if !slices.Contains(allowNames, fields[1]) {
+					d.malformed = "allow directive names unknown check " + fields[1] + " (want one of " + strings.Join(allowNames, ", ") + ")"
 					break
 				}
 				d.analyzer = fields[1]

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,8 @@ func TestDirectiveGrammar(t *testing.T) {
 		{"//qnetlint:sorted keys feed a commutative integer count", "maporder", "keys feed a commutative integer count", ""},
 		{"//qnetlint:allow detrand", "detrand", "", "no reason"},
 		{"//qnetlint:allow", "", "", "names no analyzer"},
+		{"//qnetlint:allow detrnd misspelled check name", "", "", "names unknown check detrnd"},
+		{"//qnetlint:allow testonly kept for another package's test", "testonly", "kept for another package's test", ""},
 		{"//qnetlint:sorted", "maporder", "", "no reason"},
 		{"//qnetlint:frobnicate stuff", "", "", "unknown qnetlint directive verb"},
 		{"//qnetlint:", "", "", "missing verb"},
@@ -63,5 +66,18 @@ func TestDirectiveGrammar(t *testing.T) {
 func TestDirectiveRequiresExactPrefix(t *testing.T) {
 	if ds := parseSrc(t, "// qnetlint:allow detrand spaced out", "// the qnetlint suite"); len(ds) != 0 {
 		t.Errorf("non-directive comments parsed to %d directives, want 0", len(ds))
+	}
+}
+
+// An allow directive may name exactly the suite's checks: the five
+// analyzers, in suite order, and testonly.
+func TestAllowNamesAreTheChecks(t *testing.T) {
+	var want []string
+	for _, a := range analyzers() {
+		want = append(want, a.Name)
+	}
+	want = append(want, testOnlyName)
+	if !slices.Equal(allowNames, want) {
+		t.Errorf("allowNames = %q, want %q", allowNames, want)
 	}
 }

@@ -39,8 +39,9 @@
 // Escape hatches use the //qnetlint: comment grammar (see directives.go):
 // `//qnetlint:allow <analyzer> <reason>` on or directly above the flagged
 // line, and `//qnetlint:sorted <reason>` for maporder. A reason is
-// mandatory; a naked directive is itself a diagnostic, and so is a stale
-// one that suppresses nothing.
+// mandatory; a naked directive is itself a diagnostic, and so are an
+// allow naming no check of the suite and a stale one that suppresses
+// nothing.
 //
 // TestQnetlintTree runs the suite as part of the ordinary test suite: it
 // loads the module and the bench/ module from source once (load.go),

@@ -7,10 +7,11 @@
 // comments on each line where the analyzer must report (several backquoted
 // regexps may follow one want, one per expected diagnostic). Run typechecks
 // the fixture through the source importer — so fixtures import real qnp/...
-// packages and the stdlib — applies one analyzer, and fails the test on any
-// mismatch in either direction: a diagnostic no want matched, or a want no
-// diagnostic matched. The second direction is the suite's own safety net: a
-// disabled or broken analyzer turns every fixture want into a failure.
+// packages and the stdlib, each typechecked once per test binary —
+// applies one analyzer, and fails the test on any mismatch in either
+// direction: a diagnostic no want matched, or a want no diagnostic
+// matched. The second direction is the suite's own safety net: a disabled
+// or broken analyzer turns every fixture want into a failure.
 package linttest
 
 import (
@@ -23,6 +24,7 @@ import (
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"qnp/internal/lint/analysis"
@@ -44,11 +46,28 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPath string, files ...string) {
 	}
 }
 
+// shared is the file set and source importer every fixture of a test
+// binary is typechecked through, so each package the fixtures import is
+// typechecked from source once per run rather than once per fixture. The
+// source importer is not safe for concurrent use; mu serialises the
+// fixtures.
+var shared struct {
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.Importer
+}
+
 // Diagnostics parses and typechecks the fixture files as pkgPath and
 // returns a's diagnostics. Fixture imports resolve from source relative to
 // the test's working directory, which `go test` places inside the module.
 func Diagnostics(a *analysis.Analyzer, pkgPath string, files []string) ([]analysis.Diagnostic, *token.FileSet, error) {
-	fset := token.NewFileSet()
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	if shared.fset == nil {
+		shared.fset = token.NewFileSet()
+		shared.imp = importer.ForCompiler(shared.fset, "source", nil)
+	}
+	fset := shared.fset
 	var parsed []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -59,7 +78,7 @@ func Diagnostics(a *analysis.Analyzer, pkgPath string, files []string) ([]analys
 	}
 	var typeErrs []string
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: shared.imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err.Error()) },
 	}
 	info := &types.Info{

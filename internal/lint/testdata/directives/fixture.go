@@ -5,3 +5,5 @@
 package lintfix
 
 //qnetlint:frobnicate misspelled verb // want `unknown qnetlint directive verb frobnicate`
+
+//qnetlint:allow detrnd misspelled check name // want `allow directive names unknown check detrnd`

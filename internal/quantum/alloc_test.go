@@ -51,6 +51,7 @@ func TestAllocsGateAndChannelW(t *testing.T) {
 	}{
 		{"ApplyGate2W", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyGate2W(ws, joint, CNOT, 1, 4) }},
 		{"NoisyGate2W", func(ws *linalg.Workspace) *linalg.Matrix { return NoisyGate2W(ws, joint, CNOT, 1, 4, 0.98) }},
+		{"NoisyGate1W", func(ws *linalg.Workspace) *linalg.Matrix { return NoisyGate1W(ws, joint, H, 2, 4, 0.99) }},
 		{"ApplyDepolarizing1W", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyDepolarizing1W(ws, pair, 0.02, 1, 2) }},
 		{"ApplyPhaseFlipW", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyPhaseFlipW(ws, pair, 0.05, 0, 2) }},
 	} {

@@ -1,6 +1,8 @@
 package quantum
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -233,5 +235,195 @@ func TestQuickChannelValidity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// op2 builds the single-qubit localOp [[u00, u01], [u10, u11]].
+func op2(u00, u01, u10, u11 complex128) localOp {
+	o := localOp{d: 2}
+	o.u[0], o.u[1], o.u[4], o.u[5] = u00, u01, u10, u11
+	o.index()
+	return o
+}
+
+// refDecohereW is the two-pass decoherence that DecohereW must equal bit
+// for bit: the amplitude-damping Kraus pair through the block kernel, then
+// the phase-flip Kraus pair as a second pass over the damped state.
+func refDecohereW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.Matrix {
+	gamma, pflip := DecoherenceProbabilities(t, t1, t2star)
+	out := rho
+	if gamma > 0 {
+		out = applyOpsW(ws, out, 1, target, n,
+			op2(1, 0, 0, complex(math.Sqrt(1-gamma), 0)),
+			op2(0, complex(math.Sqrt(gamma), 0), 0, 0))
+	}
+	if pflip > 0 {
+		p := clamp01(pflip)
+		s0 := complex(math.Sqrt(1-p), 0)
+		next := applyOpsW(ws, out, 1, target, n,
+			op2(s0, 0, 0, s0),
+			op2(complex(math.Sqrt(p), 0), 0, 0, complex(-math.Sqrt(p), 0)))
+		if out != rho {
+			ws.Put(out)
+		}
+		out = next
+	}
+	return out
+}
+
+// checkDecohereMatchesRef requires DecohereW to equal refDecohereW bit for
+// bit, to return rho itself exactly when the reference does, and to leave
+// rho untouched.
+func checkDecohereMatchesRef(t *testing.T, name string, rho *linalg.Matrix, target, n int, dt, t1, t2star float64) {
+	t.Helper()
+	before := linalg.New(rho.Rows, rho.Cols)
+	copy(before.Data, rho.Data)
+	got := DecohereW(nil, rho, target, n, dt, t1, t2star)
+	want := refDecohereW(nil, rho, target, n, dt, t1, t2star)
+	if (got == rho) != (want == rho) {
+		t.Fatalf("%s: returns rho itself: %v, reference %v", name, got == rho, want == rho)
+	}
+	if !sameBits(got, want) {
+		t.Fatalf("%s: differs from the two-pass reference bit for bit:\n%v\nreference:\n%v", name, got, want)
+	}
+	if !sameBits(rho, before) {
+		t.Fatalf("%s: modified its input", name)
+	}
+}
+
+// randomMatrix fills a 2ⁿ×2ⁿ matrix with components uniform in [−1, 1],
+// about a quarter of them exact zeros of either sign.
+func randomMatrix(rng *rand.Rand, n int) *linalg.Matrix {
+	comp := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		return 2*rng.Float64() - 1
+	}
+	m := linalg.New(1<<n, 1<<n)
+	for e := range m.Data {
+		m.Data[e] = complex(comp(), comp())
+	}
+	return m
+}
+
+// decoherenceCases are idle times and lifetimes (t, T1, T2*) that put γ at
+// 0, strictly between and 1, and p at 0, strictly between and its
+// saturation ½, in every combination.
+var decoherenceCases = [][3]float64{
+	{0, 1, 1},               // no idle time
+	{1, 0, 0},               // no lifetimes
+	{1, math.Inf(1), 0},     // T1 = ∞
+	{0.3, 1, 0},             // damping only
+	{1, 1, 2},               // T2* = 2·T1: damping only
+	{1, 1e-3, 0},            // γ = 1
+	{0.3, 0, 0.4},           // dephasing only
+	{0.3, math.Inf(1), 0.4}, // dephasing only, T1 = ∞
+	{1e3, 0, 1},             // p = ½
+	{0.3, 1, 0.4},           // both
+	{0.01, 1, 0.5},          // both
+	{1, 1e-3, 1.0 / 501},    // γ = 1, p between
+	{1e6, 1, 0.1},           // γ = 1, p = ½
+	{1e3, 1e6, 1},           // γ between, p = ½
+}
+
+// TestDecohereWMatchesTwoPassReference pins DecohereW to refDecohereW over
+// Hermitian and general random states with signed zeros, every qubit count
+// 1–4, every target, and each decoherence case plus random ones.
+func TestDecohereWMatchesTwoPassReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	lifetime := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.Inf(1)
+		}
+		return rng.ExpFloat64()
+	}
+	for n := 1; n <= 4; n++ {
+		for trial := 0; trial < 6; trial++ {
+			var rho *linalg.Matrix
+			if trial%2 == 0 {
+				rho = randomState(rng, n)
+			} else {
+				rho = randomMatrix(rng, n)
+			}
+			for target := 0; target < n; target++ {
+				at := fmt.Sprintf("n=%d target=%d trial=%d", n, target, trial)
+				for _, c := range decoherenceCases {
+					checkDecohereMatchesRef(t, fmt.Sprintf("%s t=%v T1=%v T2*=%v", at, c[0], c[1], c[2]), rho, target, n, c[0], c[1], c[2])
+				}
+				for r := 0; r < 8; r++ {
+					dt, t1, t2 := 2*rng.Float64(), lifetime(), lifetime()
+					checkDecohereMatchesRef(t, fmt.Sprintf("%s t=%v T1=%v T2*=%v", at, dt, t1, t2), rho, target, n, dt, t1, t2)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDecohereWMatchesReference requires DecohereW to equal refDecohereW
+// bit for bit on inputs decoded by decodeDecohereInput.
+func FuzzDecohereWMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rho, target, n, dt, t1, t2star := decodeDecohereInput(data)
+		checkDecohereMatchesRef(t, "fuzz", rho, target, n, dt, t1, t2star)
+	})
+}
+
+// decodeDecohereInput reads the qubit count n = 1 + data[0]%4 and the
+// target data[1]%n, then the idle time, T1 and T2* as big-endian float64s,
+// then the 2ⁿ×2ⁿ input as 2·4ⁿ big-endian float64 components (real,
+// imaginary; row-major). Missing bytes read as 0. The times are taken as
+// they are: DecoherenceProbabilities maps every value, NaN and ±Inf
+// included, to a γ and p that are either in [0, 1] or skipped. Components
+// are clamped to [−1, 1], keeping the sign of zero, and NaN and ±Inf read
+// as 0: the payload of a NaN sum depends on its operand order, which the
+// compiler may pick differently in the two passes and the fused one.
+func decodeDecohereInput(data []byte) (rho *linalg.Matrix, target, n int, dt, t1, t2star float64) {
+	take := func(n int) []byte {
+		var w [8]byte
+		data = data[copy(w[:n], data):]
+		return w[:n]
+	}
+	num := func() float64 { return math.Float64frombits(binary.BigEndian.Uint64(take(8))) }
+	comp := func() float64 {
+		v := num()
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0
+		}
+		return math.Max(-1, math.Min(1, v))
+	}
+	n = 1 + int(take(1)[0]%4)
+	target = int(take(1)[0]) % n
+	dt, t1, t2star = num(), num(), num()
+	rho = linalg.New(1<<n, 1<<n)
+	for e := range rho.Data {
+		re := comp()
+		rho.Data[e] = complex(re, comp())
+	}
+	return rho, target, n, dt, t1, t2star
+}
+
+// BenchmarkDecohereW times the one-pass kernel against the two-pass
+// reference on a pair state with both mechanisms, on a warm workspace.
+func BenchmarkDecohereW(b *testing.B) {
+	rho := WernerFor(0.9, PhiPlus)
+	for _, bc := range []struct {
+		name     string
+		decohere func(*linalg.Workspace, *linalg.Matrix, int, int, float64, float64, float64) *linalg.Matrix
+	}{{"kernel", DecohereW}, {"reference", refDecohereW}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ws := linalg.NewWorkspace()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ws.Put(bc.decohere(ws, rho, i&1, 2, 0.01, 1, 0.5))
+			}
+		})
 	}
 }

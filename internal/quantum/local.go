@@ -76,14 +76,6 @@ func toLocalOp(m *linalg.Matrix, k int) localOp {
 	return o
 }
 
-// op2 builds the single-qubit localOp [[u00, u01], [u10, u11]].
-func op2(u00, u01, u10, u11 complex128) localOp {
-	o := localOp{d: 2}
-	o.u[0], o.u[1], o.u[4], o.u[5] = u00, u01, u10, u11
-	o.index()
-	return o
-}
-
 // index sets rowSparse and inv from the entries.
 func (o *localOp) index() {
 	o.rowSparse, o.inv = true, [4]uint8{}
@@ -233,7 +225,9 @@ func init() {
 }
 
 // monomial is a 2ᵏ×2ᵏ operator (k ≤ 2) whose row a holds its one
-// nonzero, v[a], in column a^f. Every Pauli product has this shape.
+// nonzero, v[a], in column a^f; v[a] = 0 leaves row a empty. Every Pauli
+// product has this shape, and so does each Kraus factor of amplitude
+// damping and of the phase flip.
 type monomial struct {
 	d, f int
 	v    [4]complex128
@@ -306,6 +300,11 @@ func depolarizingTerms(dst []monomial, p float64, k int) []monomial {
 // probability p, ρ → (1−p)ρ + p·I/2ᵏ over the 4ᵏ Paulis, without building
 // its Kraus matrices.
 func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, k, target, n int) *linalg.Matrix {
+	if k == 1 {
+		var factors [4]monomial
+		ch := noise1{depol: depolarizingTerms(factors[:], p, 1)}
+		return pass1W(ws, rho, target, n, &ch)
+	}
 	var factors [16]monomial
 	var ops [16]localOp
 	terms := depolarizingTerms(factors[:], p, k)
@@ -313,4 +312,59 @@ func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, k, 
 		ops[t] = terms[t].localOp()
 	}
 	return applyOpsW(ws, rho, k, target, n, ops[:len(terms)]...)
+}
+
+// Single-qubit channels whose Kraus factors are monomials (amplitude
+// damping, phase flip, depolarising noise) skip the localOp path. For a
+// row-sparse factor, addSparse gives entry (a, c) of K·X·K† the single term
+// (v[a]·X[a^f][c^f])·conj(v[c]), skipped when any of the three is an exact
+// zero. The single-qubit channels form each entry's terms directly, in
+// Kraus order, summed from +0: the same products, sums and skips, with no
+// operator to build or index per call.
+
+// conj1 returns Σ K·X·K† over the single-qubit factors ks for one 2×2
+// block X, entry (a, c) at x[a*2+c].
+func conj1(x *[4]complex128, ks []monomial) (y [4]complex128) {
+	for i := range ks {
+		k := &ks[i]
+		src := k.f * 3 // entry e reads x[e^src]
+		cv := [2]complex128{cmplx.Conj(k.v[0]), cmplx.Conj(k.v[1])}
+		for e := range y {
+			a, c := e>>1, e&1
+			if v := x[(e^src)&3]; v != 0 && k.v[a] != 0 && k.v[c] != 0 {
+				y[e] += k.v[a] * v * cv[c]
+			}
+		}
+	}
+	return y
+}
+
+// pass1W returns a fresh ws matrix holding the noise ch applied to qubit
+// target of the n-qubit ρ, one 2×2 block at a time: each block of ρ is
+// read once, goes through every stage of ch on the stack and is written
+// once. Every entry of the result is written, so it needs no zero fill.
+// ρ is untouched.
+func pass1W(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ch *noise1) *linalg.Matrix {
+	st := siteOf(rho, 1, target, n)
+	out := ws.GetRaw(rho.Rows, rho.Cols)
+	src, dst := rho.Data, out.Data
+	h := 1 << st.shift
+	hr := h * st.dim // from row i to row i + 2ˢ
+	for i0 := 0; i0 < st.dim; i0++ {
+		if i0&h != 0 {
+			i0 += h - 1
+			continue
+		}
+		for j0 := 0; j0 < st.dim; j0++ {
+			if j0&h != 0 {
+				j0 += h - 1
+				continue
+			}
+			e := i0*st.dim + j0
+			x := [4]complex128{src[e], src[e+h], src[e+hr], src[e+hr+h]}
+			ch.apply(&x)
+			dst[e], dst[e+h], dst[e+hr], dst[e+hr+h] = x[0], x[1], x[2], x[3]
+		}
+	}
+	return out
 }

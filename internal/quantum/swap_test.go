@@ -363,25 +363,6 @@ func checkSwapMatchesRef(t *testing.T, name string, rhoAB, rhoBC *linalg.Matrix,
 	}
 }
 
-// randomPairState fills a 4×4 matrix with components uniform in [−1, 1],
-// about a quarter of them exact zeros of either sign.
-func randomPairState(rng *rand.Rand) *linalg.Matrix {
-	comp := func() float64 {
-		switch rng.Intn(8) {
-		case 0:
-			return 0
-		case 1:
-			return math.Copysign(0, -1)
-		}
-		return 2*rng.Float64() - 1
-	}
-	m := linalg.New(4, 4)
-	for e := range m.Data {
-		m.Data[e] = complex(comp(), comp())
-	}
-	return m
-}
-
 // swapRefConfigs covers every branch of SwapConfig: each gate fidelity at
 // 1, below 1 and at 0, with perfect and noisy readout.
 func swapRefConfigs() []SwapConfig {
@@ -403,7 +384,7 @@ func TestSwapWMatchesStagedReference(t *testing.T) {
 	cfgs := swapRefConfigs()
 	rng := rand.New(rand.NewSource(23))
 	for n := 0; n < 2400; n++ {
-		a, b := randomPairState(rng), randomPairState(rng)
+		a, b := randomMatrix(rng, 2), randomMatrix(rng, 2)
 		checkSwapMatchesRef(t, "random", a, b, cfgs[n%len(cfgs)], int64(n))
 	}
 	zero := linalg.ColumnVector(1, 0, 0, 0)

@@ -300,3 +300,36 @@ func TestFidelityLossTimeMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSeed1ReplayMatchesFreshSource requires every replay of seed1Replay
+// to read, through each rand.Rand method, what a fresh rand.New of
+// rand.NewSource(1) reads, over replays that stop short of the recorded
+// draws and replays that run past them.
+func TestSeed1ReplayMatchesFreshSource(t *testing.T) {
+	var replay seed1Replay
+	got := rand.New(&replay)
+	for pass, calls := range []int{3, 40, 7, 120, 0, 60} {
+		replay.rewind()
+		want := rand.New(rand.NewSource(1))
+		for i := 0; i < calls; i++ {
+			var g, w uint64
+			switch i % 6 {
+			case 0:
+				g, w = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+			case 1:
+				g, w = uint64(got.Intn(7)), uint64(want.Intn(7))
+			case 2:
+				g, w = uint64(got.Int63()), uint64(want.Int63())
+			case 3:
+				g, w = got.Uint64(), want.Uint64()
+			case 4:
+				g, w = math.Float64bits(got.NormFloat64()), math.Float64bits(want.NormFloat64())
+			case 5:
+				g, w = uint64(got.Int31n(1<<30+3)), uint64(want.Int31n(1<<30+3))
+			}
+			if g != w {
+				t.Fatalf("pass %d call %d: replay read %#x, fresh source %#x", pass, i, g, w)
+			}
+		}
+	}
+}

@@ -280,7 +280,41 @@ type Controller struct {
 	linkMembers map[string]map[string]bool
 	// budgets memoizes planPath per budgetKey; see planPath.
 	budgets map[budgetKey]budget
+	// swapRNG feeds worstCase's swaps seed 1's stream from its start on
+	// every call; seed1 replays it, so no call seeds a source.
+	swapRNG *rand.Rand
+	seed1   seed1Replay
 }
+
+// seed1Replay is a rand.Source64 that yields the stream of
+// rand.NewSource(1) from its start after each rewind. Each value is drawn
+// from a real seed-1 source once, the first time a replay reaches it, and
+// kept. Int63 is Uint64 masked to 63 bits, as in that source, so every
+// rand.Rand method reads the same values as on a fresh rand.New of it.
+type seed1Replay struct {
+	src   rand.Source64
+	draws []uint64
+	next  int
+}
+
+func (r *seed1Replay) rewind() { r.next = 0 }
+
+func (r *seed1Replay) Uint64() uint64 {
+	if r.next == len(r.draws) {
+		if r.src == nil {
+			r.src = rand.NewSource(1).(rand.Source64)
+		}
+		r.draws = append(r.draws, r.src.Uint64())
+	}
+	v := r.draws[r.next]
+	r.next++
+	return v
+}
+
+func (r *seed1Replay) Int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }
+
+// Seed is not supported: the replay is of seed 1 only.
+func (r *seed1Replay) Seed(int64) { panic("routing: seed1Replay cannot be reseeded") }
 
 // Refit is one circuit's re-fitted allocation after a membership change.
 type Refit struct {
@@ -509,7 +543,11 @@ func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, 
 	// Deterministic composition with a fixed RNG: swap outcomes only select
 	// which Bell state is declared, not how much fidelity survives, so any
 	// outcome sequence gives the same worst-case number (verified in tests).
-	rng := rand.New(rand.NewSource(1))
+	if c.swapRNG == nil {
+		c.swapRNG = rand.New(&c.seed1)
+	}
+	c.seed1.rewind()
+	rng := c.swapRNG
 	cfg := c.Params.SwapConfig()
 	cfg.Readout = quantum.PerfectReadout
 	cur := aged
