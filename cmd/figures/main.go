@@ -136,7 +136,7 @@ func figuresMain(args []string, w, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if o.Backend = shards.Backend(*workers); o.Backend != nil {
+	if o.Backend = shards.Backend(); o.Backend != nil {
 		// Fig. 11 is a single staircase run and the tables are closed-form:
 		// neither has a replica grid, so sharding cannot apply to them.
 		if *fig == "11" || *fig == "tables" {

@@ -321,11 +321,16 @@ func runReplica(payload []byte, _ int, seed int64) ([]byte, error) {
 	if !bytes.Equal(inv.payload, payload) {
 		return nil, fmt.Errorf("qnpsim: replica payload %s is not the scenario flag list parse writes (%s)", payload, inv.payload)
 	}
+	return json.Marshal(inv.replica(seed))
+}
+
+// replica runs the scenario once on seed and summarises it.
+func (inv invocation) replica(seed int64) replicaResult {
 	sc := inv.sc
 	sc.Config.Seed = seed
 	res, err := sc.Run()
 	if err != nil {
-		return json.Marshal(replicaResult{Err: err.Error()})
+		return replicaResult{Err: err.Error()}
 	}
 	m := res.Metrics
 	r := replicaResult{
@@ -335,7 +340,7 @@ func runReplica(payload []byte, _ int, seed int64) ([]byte, error) {
 	for _, cm := range m.Circuits {
 		r.Circuits = append(r.Circuits, circuitEER{cm.ID, cm.Src, cm.Dst, cm.EER(m.Start, m.End)})
 	}
-	return json.Marshal(r)
+	return r
 }
 
 // qnpsimMain runs the command and returns its exit status.
@@ -359,20 +364,22 @@ func qnpsimMain(args []string, w, stderr io.Writer) int {
 	return 0
 }
 
-// runReplicas runs the replicas through one runner.Collect call, sharded
-// or in-process, and prints their means in replica order. Each distinct
-// replica error goes to stderr once, with the number of replicas it
-// stopped; when no replica ran, there is nothing to average and the run
-// fails.
+// runReplicas runs the replicas on runner.Run's pool, or through one
+// runner.Collect call when sharded, and prints their means in replica
+// order. Each distinct replica error goes to stderr once, with the number
+// of replicas it stopped; when no replica ran, there is nothing to average
+// and the run fails.
 func (inv invocation) runReplicas(w, stderr io.Writer) error {
-	b := inv.shards.Backend(inv.workers)
-	if b == nil {
-		b = runner.InProcess{}
+	o := runner.Options{Workers: inv.workers, Seed: inv.seed}
+	var rs []replicaResult
+	var err error
+	if b := inv.shards.Backend(); b != nil {
+		rs, err = runner.Collect[replicaResult](b, runner.ExecRequest{
+			Kind: replicaKind, Payload: inv.payload, Replicas: inv.replicas, Options: o,
+		})
+	} else {
+		rs, err = runner.Run(o, inv.replicas, func(_ int, seed int64) replicaResult { return inv.replica(seed) })
 	}
-	rs, err := runner.Collect[replicaResult](b, runner.ExecRequest{
-		Kind: replicaKind, Payload: inv.payload, Replicas: inv.replicas,
-		Options: runner.Options{Workers: inv.workers, Seed: inv.seed},
-	})
 	if err != nil {
 		return err
 	}

@@ -30,11 +30,11 @@ func RegisterShardFlags(fs *flag.FlagSet) *ShardFlags {
 	}
 }
 
-// Backend returns the local worker-process fleet the flags ask for, with
-// workers (0 = NumCPU) split among its processes, or nil to run
-// in-process. Only the fleet journals, so -resume without -shards implies
+// Backend returns the local worker-process fleet the flags ask for, or nil
+// to run in-process. The fleet splits the run's -workers budget among its
+// processes. Only the fleet journals, so -resume without -shards implies
 // one worker process.
-func (f *ShardFlags) Backend(workers int) runner.Backend {
+func (f *ShardFlags) Backend() runner.Backend {
 	n := *f.shards
 	if *f.resume != "" && n == 0 {
 		n = 1
@@ -42,11 +42,7 @@ func (f *ShardFlags) Backend(workers int) runner.Backend {
 	if n <= 0 {
 		return nil
 	}
-	eps := runner.LocalEndpoints(n, workers)
-	if *f.throttle > 0 {
-		eps[len(eps)-1].Throttle = *f.throttle
-	}
-	return runner.Fleet{Endpoints: eps, Heartbeat: *f.workerTimeout, Journal: *f.resume}
+	return runner.Fleet{Shards: n, Throttle: *f.throttle, Heartbeat: *f.workerTimeout, Journal: *f.resume}
 }
 
 // ParsePhysics maps a -physics flag value to its pair-state engine.

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"testing"
+	"time"
 
 	"qnp/internal/runner"
 	"qnp/qnet"
@@ -10,38 +11,32 @@ import (
 
 func TestShardFlagsBackend(t *testing.T) {
 	for _, tc := range []struct {
-		args      []string
-		endpoints int
+		args []string
+		want runner.Fleet // Shards 0: run in-process
 	}{
-		{nil, 0},
-		{[]string{"-shards", "3"}, 3},
-		{[]string{"-resume", "ckpt"}, 1},
-		{[]string{"-shards", "2", "-fleet-throttle", "30ms", "-worker-timeout", "1m", "-resume", "ckpt"}, 2},
+		{nil, runner.Fleet{}},
+		{[]string{"-shards", "3"}, runner.Fleet{Shards: 3}},
+		{[]string{"-resume", "ckpt"}, runner.Fleet{Shards: 1, Journal: "ckpt"}},
+		{[]string{"-shards", "2", "-fleet-throttle", "30ms", "-worker-timeout", "1m", "-resume", "ckpt"},
+			runner.Fleet{Shards: 2, Throttle: 30 * time.Millisecond, Heartbeat: time.Minute, Journal: "ckpt"}},
+		{[]string{"-shards", "2", "-worker-timeout", "-1s"}, runner.Fleet{Shards: 2, Heartbeat: -time.Second}},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		f := RegisterShardFlags(fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}
-		b := f.Backend(4)
-		if tc.endpoints == 0 {
-			if b != nil {
-				t.Errorf("%v: backend %v, want in-process", tc.args, b)
+		got := f.Backend()
+		if tc.want.Shards == 0 {
+			if got != nil {
+				t.Errorf("%v: backend %#v, want in-process", tc.args, got)
 			}
 			continue
 		}
-		fleet, ok := b.(runner.Fleet)
-		if !ok || len(fleet.Endpoints) != tc.endpoints {
-			t.Fatalf("%v: backend %#v, want a %d-endpoint fleet", tc.args, b, tc.endpoints)
-		}
-		if *f.resume != fleet.Journal || *f.workerTimeout != fleet.Heartbeat {
-			t.Errorf("%v: journal %q heartbeat %v not taken from the flags", tc.args, fleet.Journal, fleet.Heartbeat)
-		}
-		if last := fleet.Endpoints[len(fleet.Endpoints)-1]; last.Throttle != *f.throttle {
-			t.Errorf("%v: last endpoint throttle %v, want %v", tc.args, last.Throttle, *f.throttle)
-		}
-		if *f.throttle > 0 && fleet.Endpoints[0].Throttle != 0 {
-			t.Errorf("%v: throttle applied beyond the last endpoint", tc.args)
+		fl, ok := got.(runner.Fleet)
+		w := tc.want
+		if !ok || fl.Shards != w.Shards || fl.Throttle != w.Throttle || fl.Heartbeat != w.Heartbeat || fl.Journal != w.Journal {
+			t.Errorf("%v: backend %#v, want %#v", tc.args, got, w)
 		}
 	}
 }

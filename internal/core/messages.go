@@ -87,6 +87,8 @@ type Request struct {
 	// rate-based request (terminated with Cancel).
 	NumPairs int
 	// Deadline is T relative to submission; 0 means none.
+	//
+	//qnetlint:allow testonly the paper's §3.2 "N pairs within T" service shape, settable by library users through the qnet.Request alias
 	Deadline sim.Duration
 	// Window is Δt for create-and-keep (max spacing first→last pair).
 	Window sim.Duration

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"testing"
+	"time"
 
 	"qnp/internal/runner"
 	"qnp/internal/sim"
@@ -169,8 +169,8 @@ func TestCrossEngineMeanFidelity(t *testing.T) {
 }
 
 // TestWernerShardInvariance mirrors TestShardCountInvariance on the Werner
-// engine: the scalar fast path must stay bit-identical across worker
-// counts, the in-process codec, and one-host fleets of 1 or 3 endpoints. The
+// engine: the scalar fast path must stay bit-identical in process, on
+// fleets of 1 or 3 shards and on two shards with the last one throttled. The
 // Physics field travels in the sweep params, so this also proves re-exec'd
 // shard workers rebuild Werner sweeps rather than silently falling back to
 // exact.
@@ -186,19 +186,14 @@ func TestWernerShardInvariance(t *testing.T) {
 		}
 		return buf.String()
 	}
-	worker := []string{os.Args[0], runner.WorkerFlag}
 	backends := []struct {
 		name string
 		b    runner.Backend
 	}{
 		{"pool", nil},
-		{"in-process-codec", runner.InProcess{}},
-		{"shards-1", runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)}},
-		{"shards-3", runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)}},
-		{"fleet-2", runner.Fleet{Endpoints: []runner.Endpoint{
-			{Name: "a", Command: worker},
-			{Name: "b", Command: worker},
-		}, ChunkSize: 1}},
+		{"shards-1", runner.Fleet{Shards: 1}},
+		{"shards-3", runner.Fleet{Shards: 3}},
+		{"fleet-2", runner.Fleet{Shards: 2, Throttle: 10 * time.Millisecond}},
 	}
 	want := render(backends[0].b)
 	for _, tc := range backends[1:] {

@@ -45,11 +45,10 @@ type Options struct {
 	// zero values for the replicas that never ran, so callers must
 	// treat its output as garbage and discard it (cmd/figures does).
 	Context context.Context
-	// Backend, when non-nil, executes each figure's sweep through the
-	// runner's Backend seam (a runner.Fleet shards it across worker
-	// processes). Replica seeding and aggregation order are
-	// backend-independent, so figure output is bit-identical for any
-	// backend and shard count.
+	// Backend, when non-nil, executes each figure's sweep as a runner job
+	// (a runner.Fleet shards it across local worker processes). Replica
+	// seeding and aggregation order are backend-independent, so figure
+	// output is bit-identical for any backend and shard count.
 	Backend runner.Backend
 	// Physics selects the pair-state engine for the figures that support
 	// it (fig9, eer, churn, city, multipath). The other figures always

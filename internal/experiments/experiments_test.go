@@ -417,9 +417,8 @@ func TestMain(m *testing.M) {
 
 // TestShardCountInvariance extends worker-count invariance across the
 // Backend seam: figure aggregates must be byte-identical whether replicas
-// run on the in-process pool, through the in-process bytes codec, sharded
-// over 1 or 3 worker processes, or work-stolen across a two-endpoint fleet
-// with one throttled host.
+// run on the in-process pool, sharded over 1 or 3 worker processes, or
+// work-stolen across two shards with the last one throttled.
 func TestShardCountInvariance(t *testing.T) {
 	t.Parallel()
 	render := func(b runner.Backend) string {
@@ -441,19 +440,14 @@ func TestShardCountInvariance(t *testing.T) {
 		}
 		return buf.String()
 	}
-	worker := []string{os.Args[0], runner.WorkerFlag}
 	backends := []struct {
 		name string
 		b    runner.Backend
 	}{
 		{"pool", nil},
-		{"in-process-codec", runner.InProcess{}},
-		{"shards-1", runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)}},
-		{"shards-3", runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)}},
-		{"fleet-2", runner.Fleet{Endpoints: []runner.Endpoint{
-			{Name: "a", Command: worker},
-			{Name: "b", Command: worker, Throttle: 10 * time.Millisecond},
-		}, ChunkSize: 2}},
+		{"shards-1", runner.Fleet{Shards: 1}},
+		{"shards-3", runner.Fleet{Shards: 3}},
+		{"fleet-2", runner.Fleet{Shards: 2, Throttle: 10 * time.Millisecond}},
 	}
 	want := render(backends[0].b)
 	for _, tc := range backends[1:] {
@@ -541,9 +535,9 @@ func TestRunsBelowOne(t *testing.T) {
 // running a replica.
 type sweepRecorder struct{ reqs []runner.ExecRequest }
 
-func (r *sweepRecorder) Dispatch(req runner.ExecRequest) (*runner.Execution, error) {
+func (r *sweepRecorder) Execute(req runner.ExecRequest) ([][]byte, error) {
 	r.reqs = append(r.reqs, req)
-	return runner.InProcess{}.Dispatch(runner.ExecRequest{Kind: req.Kind})
+	return make([][]byte, req.Replicas), nil
 }
 
 // TestSweepWire checks every declared sweep's wire job: a worker holding

@@ -29,9 +29,10 @@
 // A sixth check, testonly, needs the whole module at once, so it is not an
 // Analyzer (see testonly.go). It reports every exported func, method,
 // type, const, var and struct field of the internal/ packages that no
-// non-test file of the module, cmd/, examples/ or the bench/ module uses.
-// Delete such API or move it into the package's _test.go; an inspection
-// hook that another package's tests need stays under
+// non-test file of the module, cmd/, examples/ or the bench/ module uses,
+// and every exported struct field that non-test code reads but only tests
+// write. Delete such API or move it into the package's _test.go; an
+// inspection hook that another package's tests need stays under
 // `//qnetlint:allow testonly <reason naming that test>`. Packages that
 // only tests import are test support (internal/race,
 // internal/linalg/linalgtest) and are exempt.

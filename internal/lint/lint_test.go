@@ -130,8 +130,11 @@ func TestQnetlintTree(t *testing.T) {
 // a test-only export, a test-only method and a test-only field are
 // reported; uses from another package, from the user module, through an
 // interface, through fmt.Stringer and through a generic instantiation
-// count; the test-support package is exempt; an allow with a reason keeps
-// its export, and one that keeps nothing is reported.
+// count; a field production reads but only tests write is reported, and
+// each kind of write (key, assignment, increment, &, pointer method,
+// conversion, unkeyed literal, json decode, through a type parameter too)
+// keeps one; the test-support package is exempt; an allow with a reason
+// keeps its export, and one that keeps nothing is reported.
 func TestTestOnlyFixture(t *testing.T) {
 	const root = "testdata/testonly"
 	diags, fset := testOnlyDiagnostics(t, root)

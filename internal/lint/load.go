@@ -15,18 +15,18 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // loader parses a module tree — nested modules such as bench/ included —
 // and typechecks its packages from source on demand, offline: the tree's
-// own import paths resolve here, everything else through the source
+// own import paths resolve here, everything else through the shared source
 // importer. Production packages are checked once and shared by every
 // importer; the test units are checked on top of them, as go vet sees
 // them.
 type loader struct {
-	fset  *token.FileSet
-	std   types.ImporterFrom
-	mods  []module // sorted by descending directory depth
+	fset  *token.FileSet // stdlib.fset
+	mods  []module       // sorted by descending directory depth
 	pkgs  map[string]*loadedPkg
 	paths []string // sorted keys of pkgs
 }
@@ -52,15 +52,29 @@ type unit struct {
 	info  *types.Info
 }
 
+// stdlib is the file set and source importer every loader of a process
+// shares, so each standard-library package is typechecked from source once
+// per process rather than once per load. The source importer is not safe
+// for concurrent use; mu serialises it.
+var stdlib struct {
+	once sync.Once
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.ImporterFrom
+}
+
 // load finds and parses every module and package under root. testdata,
 // vendor and dot- or underscore-prefixed directories are skipped, as the
 // go command does.
 func load(root string) (*loader, error) {
+	stdlib.once.Do(func() {
+		stdlib.fset = token.NewFileSet()
+		stdlib.imp = importer.ForCompiler(stdlib.fset, "source", nil).(types.ImporterFrom)
+	})
 	l := &loader{
-		fset: token.NewFileSet(),
+		fset: stdlib.fset,
 		pkgs: map[string]*loadedPkg{},
 	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -246,6 +260,7 @@ func (l *loader) typecheck(path string, files []*ast.File) (*types.Package, *typ
 		Implicits:  map[ast.Node]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	pkg, _ := conf.Check(path, l.fset, files, info)
 	if len(errs) > 0 {
@@ -269,5 +284,7 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return p.pkg, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	stdlib.mu.Lock()
+	defer stdlib.mu.Unlock()
+	return stdlib.imp.ImportFrom(path, dir, mode)
 }

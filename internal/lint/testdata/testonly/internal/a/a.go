@@ -39,3 +39,41 @@ func (b *Box[T]) Get() T { return b.V }
 //
 //qnetlint:allow testonly package b's tests read it
 func Hook() int { return 1 }
+
+// Config's fields are read by cmd/app; each is written a different way.
+type Config struct {
+	Keyed    int      // a composite-literal key
+	Assigned int      // an assignment
+	Bumped   int      // an increment
+	Addr     int      // &cfg.Addr
+	Count    Counter  // a pointer-receiver method call
+	ReadOnly int      // want `a.Config.ReadOnly is read but only tests write it`
+	Shared   *Counter // want `a.Config.Shared is read but only tests write it`
+	//qnetlint:allow testonly cmd/app's tests set it
+	Kept int
+}
+
+// Counter is mutated through its pointer method.
+type Counter struct{ N int }
+
+// Inc increments the counter.
+func (c *Counter) Inc() { c.N++ }
+
+// Pair is built with an unkeyed composite literal.
+type Pair struct{ X, Y int }
+
+// Wire is filled by encoding/json through a pointer handed over as an
+// interface{}; so is Inner, which it reaches.
+type Wire struct {
+	Name  string
+	Inner *Inner
+}
+
+// Inner is reached from Wire.
+type Inner struct{ V int }
+
+// Generic is decoded through a type parameter's pointer.
+type Generic struct{ G int }
+
+// Mirror is built by converting a Pair.
+type Mirror struct{ X, Y int }

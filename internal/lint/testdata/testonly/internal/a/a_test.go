@@ -12,3 +12,7 @@ func TestUnused(t *testing.T) {
 	_ = Impl{}.Stop
 	_ = Box[int]{W: 1}
 }
+
+func TestConfig(t *testing.T) {
+	_ = Config{ReadOnly: 1, Kept: 1, Shared: &Counter{}}
+}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -20,7 +21,16 @@ const testOnlyName = "testonly"
 // no non-test file uses. An Analyzer sees one package at a time, so this
 // check cannot be one; lintTree runs it over the loaded tree instead.
 //
-// Three rules keep it exact:
+// It also reports an exported struct field of those packages that non-test
+// code reads but only tests write: production always sees its zero value.
+// A write is a composite-literal element, an assignment, an increment, a
+// struct conversion, a pointer-receiver method call on the field, or &s.F. Reflection decoders
+// (encoding/json and its kin) write whatever a pointer handed to them as
+// an interface{} reaches, so such a pointer counts as writing every field
+// under it, and a type parameter's pointer counts for every type argument
+// of the tree.
+//
+// Three rules keep the use check exact:
 //   - a method counts as used when it satisfies a method of an interface
 //     that production code calls, or of a standard-library interface (the
 //     library calls String, Error, MarshalJSON, Less, ... for you);
@@ -69,6 +79,8 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 		calls:     map[string][]*types.Interface{},
 		stdIfaces: map[string][]*types.Interface{},
 		stdSeen:   map[*types.Package]bool{},
+		written:   map[types.Object]bool{},
+		decoded:   map[types.Type]bool{},
 	}
 	c.errorChain()
 	for _, path := range l.paths {
@@ -80,6 +92,11 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 			return nil, err
 		}
 		c.record(p, l.pkgs)
+	}
+	if c.decodesTypeParam {
+		for _, t := range c.typeArgs {
+			c.decode(t)
+		}
 	}
 
 	// Candidates: the internal packages that are not test support. Dead
@@ -130,7 +147,13 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 
 	for _, p := range cands {
 		for _, e := range exportsOf(p.pkg) {
-			if c.isUsed(e.obj) {
+			var msg string
+			switch {
+			case !c.isUsed(e.obj):
+				msg = "%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or keep it with //qnetlint:allow %s <reason>"
+			case c.readOnly(e.obj):
+				msg = "%s is read but only tests write it: delete it, set it in non-test code, or keep it with //qnetlint:allow %s <reason>"
+			default:
 				continue
 			}
 			pos := l.fset.Position(e.obj.Pos())
@@ -138,11 +161,7 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 				kept[d] = true
 				continue
 			}
-			diags = append(diags, analysis.Diagnostic{
-				Pos: e.obj.Pos(),
-				Message: fmt.Sprintf("%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or keep it with //qnetlint:allow %s <reason>",
-					e.name, testOnlyName),
-			})
+			diags = append(diags, analysis.Diagnostic{Pos: e.obj.Pos(), Message: fmt.Sprintf(msg, e.name, testOnlyName)})
 		}
 	}
 	for _, d := range order {
@@ -220,16 +239,167 @@ type usage struct {
 	// calls itself.
 	calls, stdIfaces map[string][]*types.Interface
 	stdSeen          map[*types.Package]bool
+	// written holds the struct fields production code writes; decoded the
+	// types whose fields a reflection decoder may write.
+	written map[types.Object]bool
+	decoded map[types.Type]bool
+	// typeArgs are the type arguments of production's instantiations, and
+	// decodesTypeParam whether a type parameter's pointer reaches a decoder.
+	typeArgs         []types.Type
+	decodesTypeParam bool
 }
 
-// record adds one production package's uses and the standard-library
-// interfaces it imports; tree holds the packages that are not the standard
-// library's.
+// record adds one production package's uses, writes and type arguments,
+// and the standard-library interfaces it imports; tree holds the packages
+// that are not the standard library's.
 func (c *usage) record(p *loadedPkg, tree map[string]*loadedPkg) {
 	for _, obj := range p.info.Uses {
 		c.use(obj)
 	}
+	for _, inst := range p.info.Instances {
+		for i := 0; i < inst.TypeArgs.Len(); i++ {
+			c.typeArgs = append(c.typeArgs, inst.TypeArgs.At(i))
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			c.recordWrites(p.info, n)
+			return true
+		})
+	}
 	c.stdInterfaces(p, tree)
+}
+
+// recordWrites marks the fields node n writes.
+func (c *usage) recordWrites(info *types.Info, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		st, _ := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+		for i, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok && st != nil {
+					c.write(info.Uses[id])
+				}
+			} else if st != nil {
+				c.write(st.Field(i))
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			c.writePath(info, lhs)
+		}
+	case *ast.IncDecStmt:
+		c.writePath(info, n.X)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			c.writePath(info, n.X)
+		}
+	case *ast.CallExpr:
+		if tv := info.Types[n.Fun]; tv.IsType() {
+			// A struct conversion copies every field from its operand.
+			if st, ok := tv.Type.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					c.write(st.Field(i))
+				}
+			}
+			return
+		}
+		sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature)
+		if !ok {
+			return // a builtin
+		}
+		if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+				_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrX := info.TypeOf(sel.X).Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					c.writePath(info, sel.X) // x.M() takes &x
+				}
+			}
+		}
+		params := sig.Params()
+		for i, arg := range n.Args {
+			pt := params.At(min(i, params.Len()-1)).Type()
+			if sig.Variadic() && i >= params.Len()-1 && !n.Ellipsis.IsValid() {
+				pt = pt.(*types.Slice).Elem()
+			}
+			if iface, ok := pt.Underlying().(*types.Interface); ok && iface.Empty() {
+				if ptr, ok := info.TypeOf(arg).(*types.Pointer); ok {
+					c.decode(ptr)
+				}
+			}
+		}
+	}
+}
+
+// writePath marks the fields along an assigned or addressed expression:
+// a.F.G = v writes G, and F through it.
+func (c *usage) writePath(info *types.Info, e ast.Expr) {
+	for {
+		switch x := unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				c.write(s.Obj())
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// write marks a struct field, resolved to its generic origin, as written.
+func (c *usage) write(obj types.Object) {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		c.written[v.Origin()] = true
+	}
+}
+
+// decode marks every field a reflection decoder can reach from t as
+// written.
+func (c *usage) decode(t types.Type) {
+	if c.decoded[t] {
+		return
+	}
+	c.decoded[t] = true
+	switch t := t.(type) {
+	case *types.TypeParam:
+		c.decodesTypeParam = true
+	case *types.Named:
+		c.decode(t.Underlying())
+	case *types.Pointer:
+		c.decode(t.Elem())
+	case *types.Slice:
+		c.decode(t.Elem())
+	case *types.Array:
+		c.decode(t.Elem())
+	case *types.Map:
+		c.decode(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			c.write(t.Field(i))
+			c.decode(t.Field(i).Type())
+		}
+	}
+}
+
+// readOnly reports whether obj is a struct field production never writes.
+func (c *usage) readOnly(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField() && !c.written[v]
+}
+
+// deref strips one pointer: the type of a composite literal elided in a
+// []*T literal is *T.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // stdInterfaces adds the interfaces of the standard-library packages p

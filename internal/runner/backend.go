@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -59,110 +58,53 @@ func kindNames() []string {
 	return names
 }
 
-// A Backend executes the replicas of a registered job kind. Dispatch
-// starts the run and returns an Execution whose Results channel streams
-// each replica's encoded result in strict replica order, so aggregate output is bit-identical regardless of where and
-// with how much parallelism the replicas actually ran. Replica i always
-// runs with DeriveSeed(req.Options.Seed, i); req.Options.Workers bounds
-// per-process parallelism and never affects results.
-//
-// Dispatch returns an error only for requests that cannot start at all
-// (unknown kind, unresolvable worker command, unusable journal); runtime
-// failures surface from Execution.Wait. A replica whose KindFunc returns
-// an error fails the whole execution: kind errors are deterministic (the
-// same bytes fail everywhere), so no backend retries them.
-type Backend interface {
-	Dispatch(req ExecRequest) (*Execution, error)
+// ExecRequest describes one backend execution: replicas 0..Replicas-1 of a
+// registered job kind, each a pure function of (Payload, replica, derived
+// seed).
+type ExecRequest struct {
+	// Kind names the registered job kind (RegisterKind) to execute.
+	Kind string
+	// Payload is the kind's job description, opaque to the runner.
+	Payload []byte
+	// Replicas is the number of replicas to run; replica i executes with
+	// DeriveSeed(Options.Seed, i) regardless of where it runs.
+	Replicas int
+	// Options carry the run's seed, parallelism budget, progress callback
+	// and cancellation context.
+	Options Options
 }
 
-// Collect dispatches req on b and decodes each replica's JSON result into
+// A Backend executes the replicas of a registered job kind. Execute blocks
+// until the run is over and returns each replica's encoded result in
+// replica order, nil for a replica that never reported (the run failed or
+// was cancelled first), so aggregate output is bit-identical however the
+// replicas were spread. Replica i always runs with
+// DeriveSeed(req.Options.Seed, i); req.Options.Workers bounds parallelism
+// and never affects results. A replica whose KindFunc returns an error
+// fails the whole run: kind errors are deterministic (the same bytes fail
+// everywhere), so no backend retries them.
+type Backend interface {
+	Execute(req ExecRequest) ([][]byte, error)
+}
+
+// Collect executes req on b and decodes each replica's JSON result into
 // its slot of the returned slice, which always has req.Replicas entries:
-// replicas that never reported (a failed or cancelled run) keep zero
-// values. The error is the dispatch or run error, else the first decode
-// error.
+// replicas that never reported keep zero values. The error is the run
+// error, else the first decode error.
 func Collect[T any](b Backend, req ExecRequest) ([]T, error) {
 	out := make([]T, req.Replicas)
-	ex, err := b.Dispatch(req)
-	if err != nil {
-		return out, err
-	}
+	raw, err := b.Execute(req)
 	var decErr error
-	for r := range ex.Results() {
-		if e := json.Unmarshal(r.Data, &out[r.Replica]); e != nil && decErr == nil {
-			decErr = fmt.Errorf("runner: decode %s replica %d: %w", req.Kind, r.Replica, e)
+	for i, data := range raw {
+		if data == nil {
+			continue
+		}
+		if e := json.Unmarshal(data, &out[i]); e != nil && decErr == nil {
+			decErr = fmt.Errorf("runner: decode %s replica %d: %w", req.Kind, i, e)
 		}
 	}
-	if err = ex.Wait(); err != nil {
+	if err != nil {
 		return out, err
 	}
 	return out, decErr
 }
-
-// InProcess executes replicas on a goroutine pool inside the calling
-// process — the Backend form of Run. It still routes payloads and results
-// through the job-kind codec, so it exercises exactly the bytes a
-// process-sharded run would ship; use Run directly to skip encoding
-// entirely.
-type InProcess struct{}
-
-// Dispatch implements Backend.
-func (InProcess) Dispatch(req ExecRequest) (*Execution, error) {
-	fn, err := lookupKind(req.Kind)
-	if err != nil {
-		return nil, err
-	}
-	if req.Replicas <= 0 {
-		return completedExecution(nil), nil
-	}
-	e := newExecution(req.Replicas)
-	go func() { e.finish(inProcessRun(fn, req, e.emit)) }()
-	return e, nil
-}
-
-// inProcessRun is the pool run behind InProcess.Dispatch, delivering
-// results to emit in strict replica order.
-func inProcessRun(fn KindFunc, req ExecRequest, emit func(replica int, result []byte)) error {
-	// A deterministic kind error dooms the run; cancel the pool so the
-	// remaining replicas stop claiming (Fleet does the same for its
-	// sibling endpoints) instead of simulating results nobody will read.
-	o := req.Options
-	parent := o.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	o.Context = ctx
-	type res struct {
-		b   []byte
-		err error
-	}
-	// stream serializes sink calls under its own lock, so firstErr needs no
-	// extra synchronization.
-	var firstErr error
-	serr := stream(o, req.Replicas, func(replica int, seed int64) res {
-		b, err := fn(req.Payload, replica, seed)
-		return res{b, err}
-	}, func(replica int, v res) {
-		if v.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("runner: %s replica %d: %w", req.Kind, replica, v.err)
-				cancel()
-			}
-			return
-		}
-		if firstErr == nil {
-			emit(replica, v.b)
-		}
-	})
-	if firstErr != nil {
-		return firstErr
-	}
-	if serr != nil {
-		// stream saw our internal cancel context; report the caller's.
-		return parent.Err()
-	}
-	return nil
-}
-
-var _ Backend = InProcess{}

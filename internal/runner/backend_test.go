@@ -21,8 +21,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// testWorkerCmd re-execs this test binary as a shard worker.
-func testWorkerCmd() []string { return []string{os.Args[0], WorkerFlag} }
+// testWorkerCmd re-execs this test binary as a shard worker: the argv a
+// failure-injection fleet gives its healthy shards.
+func testWorkerCmd(int) []string { return []string{os.Args[0], WorkerFlag} }
 
 func init() {
 	// test.echo: the deterministic happy-path kind.
@@ -73,28 +74,21 @@ func init() {
 	})
 }
 
-// executeAll collects a backend run's results indexed by replica, failing
-// the test if the result stream is not strictly ascending.
+// executeAll runs a job on a backend and returns its results indexed by
+// replica, failing the test unless every replica reported.
 func executeAll(t *testing.T, b Backend, o Options, kind string, payload []byte, n int) [][]byte {
 	t.Helper()
-	ex, err := b.Dispatch(ExecRequest{Kind: kind, Payload: payload, Replicas: n, Options: o})
+	out, err := b.Execute(ExecRequest{Kind: kind, Payload: payload, Replicas: n, Options: o})
 	if err != nil {
-		t.Fatalf("%T.Dispatch: %v", b, err)
-	}
-	out := make([][]byte, n)
-	next := 0
-	for r := range ex.Results() {
-		if r.Replica != next {
-			t.Errorf("stream got replica %d, want %d (order must be strict)", r.Replica, next)
-		}
-		next++
-		out[r.Replica] = append([]byte(nil), r.Data...)
-	}
-	if err := ex.Wait(); err != nil {
 		t.Fatalf("%T run: %v", b, err)
 	}
-	if next != n {
-		t.Fatalf("stream delivered %d of %d replicas", next, n)
+	if len(out) != n {
+		t.Fatalf("%T returned %d of %d replicas", b, len(out), n)
+	}
+	for i, r := range out {
+		if r == nil {
+			t.Fatalf("%T: replica %d never reported", b, i)
+		}
 	}
 	return out
 }
@@ -102,30 +96,46 @@ func executeAll(t *testing.T, b Backend, o Options, kind string, payload []byte,
 // executeErr runs a job to completion, discarding results, and returns the
 // run's error.
 func executeErr(b Backend, o Options, kind string, payload []byte, n int) error {
-	ex, err := b.Dispatch(ExecRequest{Kind: kind, Payload: payload, Replicas: n, Options: o})
-	if err != nil {
-		return err
-	}
-	for range ex.Results() {
-	}
-	return ex.Wait()
+	_, err := b.Execute(ExecRequest{Kind: kind, Payload: payload, Replicas: n, Options: o})
+	return err
 }
 
-func TestInProcessBackendMatchesKindFunc(t *testing.T) {
-	const n = 9
-	payload := []byte(`"p"`)
-	got := executeAll(t, InProcess{}, Options{Workers: 3, Seed: 5}, "test.echo", payload, n)
-	for i := 0; i < n; i++ {
-		want, _ := json.Marshal(fmt.Sprintf("%s/r%d/s%d", payload, i, DeriveSeed(5, i)))
-		if !bytes.Equal(got[i], want) {
-			t.Errorf("replica %d = %s, want %s", i, got[i], want)
+// runKind is the in-process reference for a backend: the kind function
+// itself, run on Run's pool.
+func runKind(t *testing.T, kind string, payload []byte, seed int64, n int) [][]byte {
+	t.Helper()
+	fn, err := lookupKind(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(Options{Seed: seed}, n, func(replica int, seed int64) []byte {
+		b, err := fn(payload, replica, seed)
+		if err != nil {
+			t.Error(err)
+		}
+		return b
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameResults fails the test at the first replica where got and want
+// differ.
+func sameResults(t *testing.T, name string, got, want [][]byte) {
+	t.Helper()
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: replica %d = %s, want %s", name, i, got[i], want[i])
 		}
 	}
 }
 
-func TestInProcessBackendUnknownKind(t *testing.T) {
-	// An unknown kind is a request that cannot start: Dispatch itself fails.
-	_, err := InProcess{}.Dispatch(ExecRequest{Kind: "test.unregistered", Replicas: 1})
+func TestFleetUnknownKind(t *testing.T) {
+	// An unknown kind is a request that cannot start: Execute fails before
+	// spawning a worker.
+	_, err := Fleet{Shards: 1}.Execute(ExecRequest{Kind: "test.unregistered", Replicas: 1})
 	if err == nil || !strings.Contains(err.Error(), "unknown job kind") {
 		t.Fatalf("err = %v, want unknown-kind error", err)
 	}
@@ -135,8 +145,9 @@ func TestInProcessBackendUnknownKind(t *testing.T) {
 // holds req.Replicas entries, and a result that does not decode, a failed
 // run or an unknown kind is reported.
 func TestCollect(t *testing.T) {
+	fl := Fleet{Shards: 2}
 	req := ExecRequest{Kind: "test.echo", Payload: []byte(`"c"`), Replicas: 3, Options: Options{Seed: 2}}
-	got, err := Collect[string](InProcess{}, req)
+	got, err := Collect[string](fl, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func TestCollect(t *testing.T) {
 		"kind error":   {ExecRequest{Kind: "test.fail", Payload: []byte("1"), Replicas: 3}, "synthetic kind failure"},
 		"unknown kind": {ExecRequest{Kind: "test.unregistered", Replicas: 3}, "unknown job kind"},
 	} {
-		out, err := Collect[int](InProcess{}, tc.req)
+		out, err := Collect[int](fl, tc.req)
 		if len(out) != 3 || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %d slots, err %v; want 3 slots and an error containing %q", name, len(out), err, tc.want)
 		}
@@ -161,31 +172,24 @@ func TestCollect(t *testing.T) {
 }
 
 // TestFleetEndpointCountInvariance is the process-sharded analogue of
-// worker-count invariance: any count of local endpoints, including more
-// endpoints than replicas, yields byte-identical results in identical
-// order.
+// worker-count invariance: any shard count, including more shards than
+// replicas, yields byte-identical results in identical order.
 func TestFleetEndpointCountInvariance(t *testing.T) {
 	const n = 11
 	payload := []byte(`"inv"`)
-	want := executeAll(t, InProcess{}, Options{Seed: 7}, "test.echo", payload, n)
-	for _, endpoints := range []int{1, 2, 3, 5, n + 3} {
-		fl := Fleet{Endpoints: LocalEndpoints(endpoints, 0)}
-		got := executeAll(t, fl, Options{Seed: 7}, "test.echo", payload, n)
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("endpoints=%d: replica %d = %s, want %s", endpoints, i, got[i], want[i])
-			}
-		}
+	want := runKind(t, "test.echo", payload, 7, n)
+	for _, shards := range []int{1, 2, 3, 5, n + 3} {
+		got := executeAll(t, Fleet{Shards: shards}, Options{Seed: 7}, "test.echo", payload, n)
+		sameResults(t, fmt.Sprintf("shards=%d", shards), got, want)
 	}
 }
 
-// TestFleetCancelledBeforeDispatch: a context cancelled before Dispatch
+// TestFleetCancelledBeforeDispatch: a context cancelled before Execute
 // starts no chunk and reports the caller's cancellation.
 func TestFleetCancelledBeforeDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	fl := Fleet{Endpoints: LocalEndpoints(2, 0)}
-	err := executeErr(fl, Options{Seed: 1, Context: ctx}, "test.echo", []byte(`"c"`), 8)
+	err := executeErr(Fleet{Shards: 2}, Options{Seed: 1, Context: ctx}, "test.echo", []byte(`"c"`), 8)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -15,59 +14,39 @@ import (
 	"time"
 )
 
-// An Endpoint is one worker host of a Fleet: a command that, when
-// executed, speaks the length-prefixed worker frame protocol on its
-// stdin/stdout. A plain local exec and an ssh remote exec look identical
-// from here — the protocol rides whatever byte pipe the command provides.
-type Endpoint struct {
-	// Name labels the endpoint in error messages.
-	// Empty gets a positional default ("endpoint-i").
-	Name string
-	// Command is the full worker argv — e.g. {"/path/bin", runner.WorkerFlag}
-	// for a local process, or {"ssh", "host", "/path/bin", runner.WorkerFlag}
-	// for a remote one. Empty re-execs the current binary with WorkerFlag.
-	Command []string
-	// Workers bounds the in-process parallelism of each worker the
-	// endpoint runs (0 = the request's Options.Workers, which in turn
-	// defaults to the worker host's NumCPU). It never affects results.
-	Workers int
-	// Throttle pauses this long after each chunk claim before the worker
-	// starts — an artificially slow host for heterogeneity tests and the
-	// CI steal-schedule gate. It never affects results.
-	Throttle time.Duration
-}
-
-// Fleet executes replicas across multiple worker endpoints from a shared
-// chunk queue with work stealing: the replica range is cut into chunks,
-// and every endpoint claims the next unclaimed chunk the moment it goes
-// idle, so fast hosts drain what slow hosts never claimed instead of
-// idling behind fixed ranges. Because replica i runs with
-// DeriveSeed(Seed, i) no matter which endpoint executes it, and results
-// are re-assembled in strict replica order, the output is bit-identical
-// to InProcess for any endpoint count, steal schedule, or crash/resume
-// history.
+// Fleet executes replicas across Shards worker processes on this host, each
+// a re-exec of the current binary behind WorkerFlag, from a shared chunk
+// queue with work stealing: the replica range is cut into chunks, and every
+// shard claims the next unclaimed chunk the moment it goes idle, so fast
+// shards drain what slow ones never claimed instead of idling behind fixed
+// ranges. Because replica i runs with DeriveSeed(Seed, i) no matter which
+// shard executes it, and results land in their replica's slot, the output
+// is bit-identical to Run for any shard count, steal schedule, or
+// crash/resume history.
+//
+// The request's worker budget (Options.Workers, ≤ 0 = NumCPU) is split
+// across the shards, ⌈Workers/Shards⌉ in-process workers each, so N worker
+// processes on one box do not oversubscribe it N-fold.
 //
 // Failure detection is heartbeat-based: workers interleave liveness
-// frames with their results (jobFrame.Heartbeat), and an endpoint silent
-// past the liveness bound loses its lease — the chunk's unfinished
-// remainder returns to the shared queue for any live endpoint to pick up.
-// Deterministic replicas make the re-run exact, so a steal or retry can
-// never change output. An endpoint that fails several chunks in a row is
-// benched; a chunk that fails three leases, on any endpoints, fails the
-// run.
+// frames with their results (jobFrame.Heartbeat), and a shard silent past
+// the liveness bound loses its lease — the chunk's unfinished remainder
+// returns to the shared queue for any live shard to pick up. Deterministic
+// replicas make the re-run exact, so a steal or retry can never change
+// output. A shard that fails several chunks in a row is benched; a chunk
+// that fails three leases, on any shards, fails the run.
 //
 // With Journal set, every completed replica spills to an append-only
-// on-disk journal as it arrives, and a later Dispatch of the same job
-// resumes from the journal instead of replica 0 — the checkpoint story
-// for multi-hour grids.
+// on-disk journal as it arrives, and a later Execute of the same job
+// resumes from the journal instead of replica 0 — the checkpoint story for
+// multi-hour grids.
 type Fleet struct {
-	// Endpoints are the worker hosts; at least one is required.
-	Endpoints []Endpoint
-	// ChunkSize is the replicas per lease. 0 picks a size that gives each
-	// endpoint about four chunks — small enough to steal, large enough to
-	// amortize process spawns — but never fewer replicas than the largest
-	// endpoint worker budget, so one worker process can fill its budget.
-	ChunkSize int
+	// Shards is the number of worker processes; at least one is required.
+	Shards int
+	// Throttle pauses the last shard this long after each chunk claim
+	// before its worker starts — an artificially slow shard for the CI
+	// steal-schedule gate. It never affects results.
+	Throttle time.Duration
 	// Heartbeat is the liveness bound: a leased worker silent (no result,
 	// no heartbeat frame) for this long is declared lost. It tolerates
 	// single replicas running longer than the bound, because workers
@@ -76,12 +55,18 @@ type Fleet struct {
 	Heartbeat time.Duration
 	// Journal, when non-empty, is a directory of per-job replica journals
 	// (the file name encodes kind, payload checksum, seed and replica
-	// count). Completed replicas are appended as they arrive; on
-	// Dispatch, replicas already journaled are served from disk and never
-	// re-run. Corrupted journal content is detected (checksums) and
-	// reported; a torn final record from a killed process is truncated
-	// and recovered from.
+	// count). Completed replicas are appended as they arrive; on Execute,
+	// replicas already journaled are served from disk and never re-run.
+	// Corrupted journal content is detected (checksums) and reported; a
+	// torn final record from a killed process is truncated and recovered
+	// from.
 	Journal string
+
+	// chunkSize, when positive, overrides the replicas per lease.
+	chunkSize int
+	// argv, when non-nil, gives shard i's worker command instead of the
+	// re-exec of this binary behind WorkerFlag.
+	argv func(shard int) []string
 }
 
 const (
@@ -89,28 +74,12 @@ const (
 	// resolves to.
 	defaultShardTimeout = 10 * time.Minute
 	// chunkAttempts is the tries a chunk's remainder gets, counted across
-	// all endpoints, before it fails the run.
+	// all shards, before it fails the run.
 	chunkAttempts = 3
-	// endpointMaxStrikes benches an endpoint after this many consecutive
-	// chunk failures, so one bad host cannot grind the queue forever.
-	endpointMaxStrikes = 3
+	// shardMaxStrikes benches a shard after this many consecutive chunk
+	// failures, so one broken worker cannot grind the queue forever.
+	shardMaxStrikes = 3
 )
-
-// LocalEndpoints builds n ≥ 1 endpoints ("local-0" …) that re-exec the
-// current binary as workers on this host. The in-process parallelism budget
-// workers (≤ 0 = NumCPU) is divided across them, ⌈workers/n⌉ each, so n
-// worker processes on one box do not oversubscribe it n-fold.
-func LocalEndpoints(n, workers int) []Endpoint {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	per := (workers + n - 1) / n
-	eps := make([]Endpoint, n)
-	for i := range eps {
-		eps[i] = Endpoint{Name: fmt.Sprintf("local-%d", i), Workers: per}
-	}
-	return eps
-}
 
 // heartbeat resolves the effective liveness bound: 0 means the package
 // default, negative disables the watchdog (returns 0).
@@ -124,25 +93,23 @@ func (f Fleet) heartbeat() time.Duration {
 	return f.Heartbeat
 }
 
-// chunkSize resolves ChunkSize for a run of replicas whose request asks
-// for workers in-process parallelism per worker (the fallback for an
-// endpoint without its own budget; ≤ 0 = NumCPU).
-func (f Fleet) chunkSize(replicas, workers int) int {
-	if f.ChunkSize > 0 {
-		return f.ChunkSize
+// shardWorkers is each shard's in-process worker budget: the request's
+// budget (≤ 0 = NumCPU) split across the shards, rounding up.
+func (f Fleet) shardWorkers(workers int) int {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-	n := max(1, replicas/(4*len(f.Endpoints)))
-	for _, ep := range f.Endpoints {
-		w := ep.Workers
-		if w <= 0 {
-			w = workers
-		}
-		if w <= 0 {
-			w = runtime.NumCPU()
-		}
-		n = max(n, w)
+	return (workers + f.Shards - 1) / f.Shards
+}
+
+// leaseSize is the replicas per lease: about four chunks per shard — small
+// enough to steal, large enough to amortize process spawns — but never
+// fewer than a shard's worker budget, so one worker process can fill it.
+func (f Fleet) leaseSize(replicas, perShard int) int {
+	if f.chunkSize > 0 {
+		return f.chunkSize
 	}
-	return n
+	return max(replicas/(4*f.Shards), perShard, 1)
 }
 
 // chunk is one leasable slice of the replica range.
@@ -152,53 +119,38 @@ type chunk struct {
 	attempt int
 }
 
-// fleetState is the shared chunk queue of one dispatch.
-type fleetState struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []chunk
-	// inFlight counts the chunks endpoints hold: while any is out, an
-	// idle endpoint waits, since a lost one may requeue work to steal.
-	inFlight int
-	failed   error
-	lastErr  error
-}
-
-// collector buffers out-of-order shard results and hands them to sink in
-// strict replica order — the cross-process analogue of stream's ordered
-// emission — ticking Progress once per distinct replica, serialized.
+// collector gathers shard results into their replica slots: it drops the
+// duplicates a retried chunk re-delivers (determinism makes them
+// byte-identical re-runs), journals each first arrival, and ticks Progress
+// once per distinct replica, serialized.
 type collector struct {
 	mu       sync.Mutex
-	buf      [][]byte
-	ready    []bool
-	next     int
+	out      [][]byte
+	have     []bool
 	done     int
-	sink     func(replica int, result []byte)
+	jr       *journal
 	progress func(done, total int)
 }
 
-func newCollector(replicas int, sink func(int, []byte), progress func(done, total int)) *collector {
-	return &collector{buf: make([][]byte, replicas), ready: make([]bool, replicas), sink: sink, progress: progress}
-}
-
-// add records one replica result; duplicates from a retried shard are
-// dropped (determinism makes them byte-identical re-runs).
-func (c *collector) add(replica int, b []byte) {
+// add records one replica result; journal says whether it still needs
+// spilling to the journal (it does not when it was recovered from there).
+func (c *collector) add(replica int, b []byte, journal bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ready[replica] {
-		return
+	if c.have[replica] {
+		return nil
 	}
-	c.buf[replica], c.ready[replica] = b, true
+	if journal && c.jr != nil {
+		if err := c.jr.append(replica, b); err != nil {
+			return err
+		}
+	}
+	c.out[replica], c.have[replica] = b, true
 	c.done++
 	if c.progress != nil {
-		c.progress(c.done, len(c.buf))
+		c.progress(c.done, len(c.out))
 	}
-	for c.next < len(c.buf) && c.ready[c.next] {
-		c.sink(c.next, c.buf[c.next])
-		c.buf[c.next] = nil
-		c.next++
-	}
+	return nil
 }
 
 // kindError marks a deterministic replica-level failure (a KindFunc error
@@ -207,61 +159,50 @@ type kindError struct{ err error }
 
 func (e kindError) Error() string { return e.err.Error() }
 
-// fatalError marks a failure that retrying on another endpoint cannot fix
-// (the journal refusing an append, protocol violations that indicate a
-// wrong binary); kindError plays the same role for deterministic replica
-// errors. Both fail the run immediately.
+// fatalError marks a failure that retrying on another shard cannot fix
+// (the journal refusing an append); kindError plays the same role for
+// deterministic replica errors. Both fail the run immediately.
 type fatalError struct{ err error }
 
 func (e fatalError) Error() string { return e.err.Error() }
 func (e fatalError) Unwrap() error { return e.err }
 
-// Dispatch implements Backend.
-func (f Fleet) Dispatch(req ExecRequest) (*Execution, error) {
-	if len(f.Endpoints) == 0 {
-		return nil, errors.New("runner: Fleet with no endpoints")
-	}
-	if req.Replicas <= 0 {
-		return completedExecution(nil), nil
-	}
-	// Resolve endpoint identities and commands up front so a bad setup
-	// fails the Dispatch call, not the run.
-	eps := make([]Endpoint, len(f.Endpoints))
-	copy(eps, f.Endpoints)
-	for i := range eps {
-		if eps[i].Name == "" {
-			eps[i].Name = fmt.Sprintf("endpoint-%d", i)
-		}
-		if len(eps[i].Command) == 0 {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, fmt.Errorf("runner: cannot locate executable to re-exec: %w", err)
-			}
-			eps[i].Command = []string{exe, WorkerFlag}
-		}
-	}
-	var jr *journal
-	var recovered map[int][]byte
-	if f.Journal != "" {
-		var err error
-		jr, recovered, err = openJournal(f.Journal, req)
-		if err != nil {
-			return nil, err
-		}
-	}
-	st := &fleetState{}
-	st.cond = sync.NewCond(&st.mu)
-	e := newExecution(req.Replicas)
-	go func() { e.finish(f.run(req, eps, st, jr, recovered, e.emit)) }()
-	return e, nil
+// fleetRun is one Execute in flight: the shared chunk queue and what every
+// shard's loop reads.
+type fleetRun struct {
+	f        Fleet // argv resolved
+	req      ExecRequest
+	workers  int // per shard
+	timeout  time.Duration
+	coll     *collector
+	ctx      context.Context
+	cancel   context.CancelFunc
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []chunk
+	inFlight int // chunks shards hold: while any is out, an idle shard waits
+	failed   error
+	lastErr  error
 }
 
-// run drives one fleet dispatch: recover the journal, queue the missing
-// replicas as chunks, and let every endpoint loop over the queue until it
-// drains, the run fails, or the context fires.
-func (f Fleet) run(req ExecRequest, eps []Endpoint, st *fleetState, jr *journal, recovered map[int][]byte, emit func(int, []byte)) error {
-	if jr != nil {
-		defer jr.close()
+// Execute implements Backend.
+func (f Fleet) Execute(req ExecRequest) ([][]byte, error) {
+	if f.Shards < 1 {
+		return nil, errors.New("runner: Fleet with no shards")
+	}
+	// Parent and workers run the same binary, so they hold the same kinds.
+	if _, err := lookupKind(req.Kind); err != nil {
+		return nil, err
+	}
+	if req.Replicas <= 0 {
+		return nil, nil
+	}
+	if f.argv == nil {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("runner: cannot locate executable to re-exec: %w", err)
+		}
+		f.argv = func(int) []string { return []string{exe, WorkerFlag} }
 	}
 	parent := req.Options.Context
 	if parent == nil {
@@ -269,121 +210,120 @@ func (f Fleet) run(req ExecRequest, eps []Endpoint, st *fleetState, jr *journal,
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
+	r := &fleetRun{f: f, req: req, workers: f.shardWorkers(req.Options.Workers), timeout: f.heartbeat(), ctx: ctx, cancel: cancel}
+	r.cond = sync.NewCond(&r.mu)
 
 	// Progress ticks once per distinct replica (journal-recovered ones
-	// included) and is suppressed after cancellation, like every backend.
-	progress := req.Options.Progress
-	if progress != nil {
-		user := progress
+	// included) and is suppressed after cancellation, as Run's is.
+	var progress func(done, total int)
+	if user := req.Options.Progress; user != nil {
 		progress = func(done, total int) {
 			if ctx.Err() == nil {
 				user(done, total)
 			}
 		}
 	}
-	coll := newCollector(req.Replicas, emit, progress)
+	r.coll = &collector{out: make([][]byte, req.Replicas), have: make([]bool, req.Replicas), progress: progress}
 
-	// Journal-recovered replicas are delivered first and never re-run:
-	// the resume story. The collector orders them, so delivery order here
-	// is irrelevant to output.
-	for replica, data := range recovered {
-		coll.add(replica, data)
+	// Journal-recovered replicas are served from disk and never re-run:
+	// the resume story.
+	if f.Journal != "" {
+		jr, recovered, err := openJournal(f.Journal, req)
+		if err != nil {
+			return nil, err
+		}
+		defer jr.close()
+		r.coll.jr = jr
+		for replica, data := range recovered {
+			r.coll.add(replica, data, false)
+		}
 	}
 
-	// Queue the replicas the journal does not cover, in contiguous chunks.
-	size := f.chunkSize(req.Replicas, req.Options.Workers)
+	// Queue the replicas not yet collected, in contiguous chunks.
+	size := f.leaseSize(req.Replicas, r.workers)
 	for start := 0; start < req.Replicas; {
-		if _, ok := recovered[start]; ok {
+		if r.coll.have[start] {
 			start++
 			continue
 		}
 		count := 0
-		for start+count < req.Replicas && count < size {
-			if _, ok := recovered[start+count]; ok {
-				break
-			}
+		for start+count < req.Replicas && count < size && !r.coll.have[start+count] {
 			count++
 		}
-		st.queue = append(st.queue, chunk{start: start, count: count})
+		r.queue = append(r.queue, chunk{start: start, count: count})
 		start += count
 	}
-	if len(st.queue) == 0 {
-		return parent.Err()
+	if len(r.queue) == 0 {
+		return r.coll.out, parent.Err()
 	}
 
-	timeout := f.heartbeat()
-
-	// Cancellation must wake endpoints parked on the queue condition.
+	// Cancellation must wake shards parked on the queue condition.
 	go func() {
 		<-ctx.Done()
-		st.cond.Broadcast()
+		r.cond.Broadcast()
 	}()
-
 	var wg sync.WaitGroup
-	for i := range eps {
+	for shard := 0; shard < f.Shards; shard++ {
 		wg.Add(1)
-		go func(ep Endpoint) {
+		go func(shard int) {
 			defer wg.Done()
-			f.serve(ctx, cancel, ep, req, st, jr, coll, timeout)
-		}(eps[i])
+			r.serve(shard)
+		}(shard)
 	}
 	wg.Wait()
 
-	st.mu.Lock()
-	failed, lastErr := st.failed, st.lastErr
 	unserved := 0
-	for _, c := range st.queue {
+	for _, c := range r.queue {
 		unserved += c.count
 	}
-	st.mu.Unlock()
 	switch {
-	case failed != nil:
-		return failed
+	case r.failed != nil:
+		return r.coll.out, r.failed
 	case parent.Err() != nil:
-		return parent.Err()
+		return r.coll.out, parent.Err()
 	case unserved > 0:
-		// Every endpoint benched itself with work still queued.
-		return fmt.Errorf("runner: fleet ran out of live endpoints with %d replicas unserved (last error: %w)", unserved, lastErr)
+		// Every shard benched itself with work still queued.
+		return r.coll.out, fmt.Errorf("runner: fleet ran out of live shards with %d replicas unserved (last error: %w)", unserved, r.lastErr)
 	}
-	return nil
+	return r.coll.out, nil
 }
 
-// serve is one endpoint's work-stealing loop: claim the next chunk the
-// moment this endpoint goes idle, run it, and return its unfinished
-// remainder to the queue if the lease is lost.
-func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint, req ExecRequest, st *fleetState, jr *journal, coll *collector, timeout time.Duration) {
+// serve is one shard's work-stealing loop: claim the next chunk the moment
+// this shard goes idle, run it, and return its unfinished remainder to the
+// queue if the lease is lost.
+func (r *fleetRun) serve(shard int) {
 	strikes := 0
 	for {
-		st.mu.Lock()
-		for len(st.queue) == 0 && st.inFlight > 0 && st.failed == nil && ctx.Err() == nil {
+		r.mu.Lock()
+		for len(r.queue) == 0 && r.inFlight > 0 && r.failed == nil && r.ctx.Err() == nil {
 			// Idle but the run is not over: a lost lease may yet requeue
 			// work for us to steal.
-			st.cond.Wait()
+			r.cond.Wait()
 		}
-		if len(st.queue) == 0 || st.failed != nil || ctx.Err() != nil {
-			st.mu.Unlock()
+		if len(r.queue) == 0 || r.failed != nil || r.ctx.Err() != nil {
+			r.mu.Unlock()
 			return
 		}
-		ch := st.queue[0]
-		st.queue = st.queue[1:]
-		st.inFlight++
-		st.mu.Unlock()
+		ch := r.queue[0]
+		r.queue = r.queue[1:]
+		r.inFlight++
+		r.mu.Unlock()
 
-		if ep.Throttle > 0 {
+		if shard == r.f.Shards-1 && r.f.Throttle > 0 {
 			select {
-			case <-time.After(ep.Throttle):
-			case <-ctx.Done():
+			case <-time.After(r.f.Throttle):
+			case <-r.ctx.Done():
 			}
 		}
-		seen, err := f.runChunk(ctx, ep, req, ch, jr, coll, timeout)
+		seen, err := r.runChunk(shard, ch)
 
-		st.mu.Lock()
-		st.inFlight--
+		r.mu.Lock()
+		r.inFlight--
 		benched := false
 		switch {
 		case err == nil:
 			strikes = 0
-		case ctx.Err() != nil:
+		case r.ctx.Err() != nil:
 			// Cancelled mid-chunk: nobody's fault, nothing to requeue.
 		default:
 			rem := chunk{start: ch.start + seen, count: ch.count - seen, attempt: ch.attempt + 1}
@@ -394,42 +334,46 @@ func (f Fleet) serve(ctx context.Context, cancel context.CancelFunc, ep Endpoint
 			}
 			switch {
 			case fatal:
-				if st.failed == nil {
-					st.failed = fmt.Errorf("runner: fleet chunk (replicas %d-%d) on %s: %w", ch.start, ch.start+ch.count-1, ep.Name, err)
-					cancel()
-				}
+				r.fail(fmt.Errorf("runner: fleet chunk (replicas %d-%d) on shard %d: %w", ch.start, ch.start+ch.count-1, shard, err))
 			case rem.count == 0:
 				// Every result arrived before the worker died; the chunk
 				// is complete and the exit noise is not worth a re-run.
 				strikes = 0
 			case rem.attempt >= chunkAttempts:
-				if st.failed == nil {
-					st.failed = fmt.Errorf("runner: fleet chunk (replicas %d-%d) failed after %d attempts: %w", rem.start, rem.start+rem.count-1, rem.attempt, err)
-					cancel()
-				}
+				r.fail(fmt.Errorf("runner: fleet chunk (replicas %d-%d) failed after %d attempts: %w", rem.start, rem.start+rem.count-1, rem.attempt, err))
 			default:
 				// The lease is lost: the unfinished remainder returns to
-				// the shared queue for any live endpoint to steal.
-				st.queue = append(st.queue, rem)
-				st.lastErr = err
+				// the shared queue for any live shard to steal.
+				r.queue = append(r.queue, rem)
+				r.lastErr = err
 				strikes++
-				benched = strikes >= endpointMaxStrikes
+				benched = strikes >= shardMaxStrikes
 			}
 		}
-		st.cond.Broadcast()
-		st.mu.Unlock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
 		if benched {
 			return
 		}
 	}
 }
 
+// fail records the run's first fatal error and stops the other shards.
+// Callers hold r.mu.
+func (r *fleetRun) fail(err error) {
+	if r.failed == nil {
+		r.failed = err
+		r.cancel()
+	}
+}
+
 // runChunk spawns one worker for a chunk and streams its frames: results
-// feed the journal and the collector as they arrive, heartbeats feed the
-// watchdog. It returns how many of the chunk's replicas completed (frames
-// arrive in ascending order, so the remainder is exactly what is left).
-func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch chunk, jr *journal, coll *collector, timeout time.Duration) (seen int, err error) {
-	cmd := exec.CommandContext(ctx, ep.Command[0], ep.Command[1:]...)
+// feed the collector as they arrive, heartbeats feed the watchdog. It
+// returns how many of the chunk's replicas completed (frames arrive in
+// ascending order, so the remainder is exactly what is left).
+func (r *fleetRun) runChunk(shard int, ch chunk) (seen int, err error) {
+	argv := r.f.argv(shard)
+	cmd := exec.CommandContext(r.ctx, argv[0], argv[1:]...)
 	var stderr boundedBuffer
 	cmd.Stderr = &stderr
 	stdin, err := cmd.StdinPipe()
@@ -441,36 +385,27 @@ func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch ch
 		return 0, err
 	}
 	if err := cmd.Start(); err != nil {
-		return 0, fmt.Errorf("spawn worker %q on %s: %w", ep.Command[0], ep.Name, err)
+		return 0, fmt.Errorf("spawn worker %q for shard %d: %w", argv[0], shard, err)
 	}
 
 	// The heartbeat watchdog: results and heartbeat frames both reset it;
 	// total silence past the bound kills the worker and loses the lease.
+	timeout := r.timeout
 	var timedOut atomic.Bool
 	var watchdog *time.Timer
+	var hb time.Duration
 	if timeout > 0 {
 		watchdog = time.AfterFunc(timeout, func() {
 			timedOut.Store(true)
 			cmd.Process.Kill()
 		})
-	}
-	var hb time.Duration
-	if timeout > 0 {
 		// Several beats per bound, so one delayed tick is not a death
 		// sentence; floor it so short test bounds don't spin the worker.
-		hb = timeout / 4
-		if hb < 10*time.Millisecond {
-			hb = 10 * time.Millisecond
-		}
-	}
-
-	workers := ep.Workers
-	if workers == 0 {
-		workers = req.Options.Workers
+		hb = max(timeout/4, 10*time.Millisecond)
 	}
 
 	loopErr := func() error {
-		job := jobFrame{Kind: req.Kind, Payload: req.Payload, Seed: req.Options.Seed, Start: ch.start, Count: ch.count, Workers: workers, Heartbeat: hb}
+		job := jobFrame{Kind: r.req.Kind, Payload: r.req.Payload, Seed: r.req.Options.Seed, Start: ch.start, Count: ch.count, Workers: r.workers, Heartbeat: hb}
 		if err := writeFrame(stdin, job); err != nil {
 			return fmt.Errorf("send job: %w", err)
 		}
@@ -494,12 +429,9 @@ func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch ch
 			if fr.Err != "" {
 				return kindError{fmt.Errorf("replica %d: %s", fr.Replica, fr.Err)}
 			}
-			if jr != nil {
-				if err := jr.append(fr.Replica, fr.Result); err != nil {
-					return fatalError{err}
-				}
+			if err := r.coll.add(fr.Replica, fr.Result, true); err != nil {
+				return fatalError{err}
 			}
-			coll.add(fr.Replica, fr.Result)
 			seen++
 		}
 		return nil
@@ -521,11 +453,11 @@ func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch ch
 			return seen, loopErr
 		}
 		if timedOut.Load() {
-			return seen, fmt.Errorf("heartbeat lost: no frame from %s for %v (%s)", ep.Name, timeout, stderrNote(&stderr))
+			return seen, fmt.Errorf("heartbeat lost: no frame from shard %d for %v (%s)", shard, timeout, stderrNote(&stderr))
 		}
 		return seen, fmt.Errorf("%w (%s)", loopErr, stderrNote(&stderr))
 	case waitErr != nil && seen < ch.count:
-		return seen, fmt.Errorf("worker on %s exited uncleanly (%s): %w", ep.Name, stderrNote(&stderr), waitErr)
+		return seen, fmt.Errorf("worker for shard %d exited uncleanly (%s): %w", shard, stderrNote(&stderr), waitErr)
 	}
 	// An unclean exit after the final result (including a watchdog that
 	// fired in the read/Stop window) leaves a complete chunk; re-running
@@ -546,28 +478,19 @@ func (b *boundedBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if room := maxStderr - b.buf.Len(); room > 0 {
-		if len(p) > room {
-			b.buf.Write(p[:room])
-		} else {
-			b.buf.Write(p)
-		}
+		b.buf.Write(p[:min(len(p), room)])
 	}
 	return len(p), nil
 }
 
-func (b *boundedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
 func stderrNote(b *boundedBuffer) string {
-	s := bytes.TrimSpace([]byte(b.String()))
+	b.mu.Lock()
+	s := bytes.TrimSpace(b.buf.Bytes())
+	b.mu.Unlock()
 	if len(s) == 0 {
 		return "no stderr"
 	}
 	return "stderr: " + string(s)
 }
 
-var _ io.Writer = (*boundedBuffer)(nil)
 var _ Backend = Fleet{}

@@ -57,33 +57,45 @@ func init() {
 	})
 }
 
-// TestLocalEndpointsSplit: the one-host fleet divides the worker budget
-// across its endpoints, rounding up, with NumCPU standing in for an unset
-// budget; every endpoint re-execs the current binary.
-func TestLocalEndpointsSplit(t *testing.T) {
-	for _, tc := range []struct{ n, workers, want int }{
-		{3, 8, 3},
-		{3, 0, (runtime.NumCPU() + 2) / 3},
-		{1, 5, 5},
+// TestTimeoutResolution pins the one-knob liveness contract: a zero
+// Fleet.Heartbeat resolves to the package default, a negative one disables
+// the watchdog, and a positive one is used as is.
+func TestTimeoutResolution(t *testing.T) {
+	for _, tc := range []struct {
+		heartbeat, want time.Duration
+	}{
+		{0, defaultShardTimeout},
+		{-1, 0},
+		{-time.Minute, 0},
+		{time.Second, time.Second},
+		{time.Minute, time.Minute},
 	} {
-		eps := LocalEndpoints(tc.n, tc.workers)
-		if len(eps) != tc.n {
-			t.Fatalf("LocalEndpoints(%d, %d) built %d endpoints", tc.n, tc.workers, len(eps))
-		}
-		for i, ep := range eps {
-			if ep.Workers != tc.want {
-				t.Errorf("LocalEndpoints(%d, %d)[%d].Workers = %d, want %d", tc.n, tc.workers, i, ep.Workers, tc.want)
-			}
-			if want := fmt.Sprintf("local-%d", i); ep.Name != want || len(ep.Command) != 0 {
-				t.Errorf("LocalEndpoints(%d, %d)[%d] = %+v, want name %s and the re-exec default command", tc.n, tc.workers, i, ep, want)
-			}
+		if got := (Fleet{Heartbeat: tc.heartbeat}).heartbeat(); got != tc.want {
+			t.Errorf("Fleet{Heartbeat: %v}.heartbeat() = %v, want %v", tc.heartbeat, got, tc.want)
 		}
 	}
 }
 
-// TestFleetDefaultChunkSize: the default lease gives each endpoint about
-// four chunks but never fewer replicas than an endpoint's worker budget,
-// so a sharded run keeps the parallelism its budget allows.
+// TestFleetShardWorkers: the fleet divides the request's worker budget
+// across its shards, rounding up, with NumCPU standing in for an unset
+// budget.
+func TestFleetShardWorkers(t *testing.T) {
+	for _, tc := range []struct{ shards, workers, want int }{
+		{3, 8, 3},
+		{3, 0, (runtime.NumCPU() + 2) / 3},
+		{3, -1, (runtime.NumCPU() + 2) / 3},
+		{1, 5, 5},
+		{4, 2, 1},
+	} {
+		if got := (Fleet{Shards: tc.shards}).shardWorkers(tc.workers); got != tc.want {
+			t.Errorf("Fleet{Shards: %d}.shardWorkers(%d) = %d, want %d", tc.shards, tc.workers, got, tc.want)
+		}
+	}
+}
+
+// TestFleetDefaultChunkSize: the default lease gives each shard about four
+// chunks but never fewer replicas than a shard's worker budget, so a
+// sharded run keeps the parallelism its budget allows.
 func TestFleetDefaultChunkSize(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -91,66 +103,70 @@ func TestFleetDefaultChunkSize(t *testing.T) {
 		replicas, workers int
 		want              int
 	}{
-		{"quarter per endpoint", Fleet{Endpoints: LocalEndpoints(2, 2)}, 80, 0, 10},
-		{"at least the budget", Fleet{Endpoints: LocalEndpoints(4, 16)}, 32, 0, 4},
-		{"request budget fallback", Fleet{Endpoints: []Endpoint{{}, {}}}, 8, 3, 3},
-		{"unset budget is NumCPU", Fleet{Endpoints: []Endpoint{{}}}, 1, 0, runtime.NumCPU()},
-		{"explicit size wins", Fleet{Endpoints: LocalEndpoints(4, 16), ChunkSize: 1}, 32, 0, 1},
+		{"quarter per shard", Fleet{Shards: 2}, 80, 2, 10},
+		{"at least the budget", Fleet{Shards: 4}, 32, 16, 4},
+		{"unset budget is NumCPU", Fleet{Shards: 1}, 1, 0, runtime.NumCPU()},
+		{"explicit size wins", Fleet{Shards: 4, chunkSize: 1}, 32, 16, 1},
 	} {
-		if got := tc.fl.chunkSize(tc.replicas, tc.workers); got != tc.want {
-			t.Errorf("%s: chunkSize(%d, %d) = %d, want %d", tc.name, tc.replicas, tc.workers, got, tc.want)
+		if got := tc.fl.leaseSize(tc.replicas, tc.fl.shardWorkers(tc.workers)); got != tc.want {
+			t.Errorf("%s: leaseSize(%d) with %d workers = %d, want %d", tc.name, tc.replicas, tc.workers, got, tc.want)
 		}
 	}
 }
 
 func TestFleetNoEndpoints(t *testing.T) {
-	_, err := Fleet{}.Dispatch(ExecRequest{Kind: "test.echo", Replicas: 1})
-	if err == nil || !strings.Contains(err.Error(), "no endpoints") {
-		t.Fatalf("err = %v, want a no-endpoints error", err)
+	_, err := Fleet{}.Execute(ExecRequest{Kind: "test.echo", Replicas: 1})
+	if err == nil || !strings.Contains(err.Error(), "no shards") {
+		t.Fatalf("err = %v, want a no-shards error", err)
 	}
 }
 
-// TestFleetMatchesInProcess is the core invariant: a multi-endpoint
-// work-stealing fleet produces byte-identical results in identical order to
-// the in-process pool, for several endpoint and chunk geometries.
+// TestInProcessBackendMatchesKindFunc: the in-process reference the fleet
+// tests compare against (the kind function on Run's pool) gives each
+// replica its own slot and its derived seed.
+func TestInProcessBackendMatchesKindFunc(t *testing.T) {
+	const n = 9
+	payload := []byte(`"p"`)
+	got := runKind(t, "test.echo", payload, 5, n)
+	if len(got) != n {
+		t.Fatalf("got %d of %d replicas", len(got), n)
+	}
+	for i := 0; i < n; i++ {
+		want, _ := json.Marshal(fmt.Sprintf("%s/r%d/s%d", payload, i, DeriveSeed(5, i)))
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("replica %d = %s, want %s", i, got[i], want)
+		}
+	}
+}
+
+// TestFleetMatchesInProcess is the core invariant: a multi-shard
+// work-stealing fleet produces byte-identical results in identical order
+// to the kind function run in process, for several shard and chunk
+// geometries.
 func TestFleetMatchesInProcess(t *testing.T) {
 	const n = 13
 	payload := []byte(`"fleet"`)
-	want := executeAll(t, InProcess{}, Options{Seed: 11}, "test.echo", payload, n)
-	for _, tc := range []struct{ endpoints, chunk int }{
+	want := runKind(t, "test.echo", payload, 11, n)
+	for _, tc := range []struct{ shards, chunk int }{
 		{1, 0}, {2, 2}, {3, 1}, {4, 5},
 	} {
-		fl := Fleet{Endpoints: LocalEndpoints(tc.endpoints, 0), ChunkSize: tc.chunk}
-		got := executeAll(t, fl, Options{Seed: 11}, "test.echo", payload, n)
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("endpoints=%d chunk=%d: replica %d = %s, want %s",
-					tc.endpoints, tc.chunk, i, got[i], want[i])
-			}
-		}
+		got := executeAll(t, Fleet{Shards: tc.shards, chunkSize: tc.chunk}, Options{Seed: 11}, "test.echo", payload, n)
+		sameResults(t, fmt.Sprintf("shards=%d chunk=%d", tc.shards, tc.chunk), got, want)
 	}
 }
 
-// TestFleetStealScheduleInvariance: one fast and one artificially slow
-// endpoint produce the same bytes as two uniform endpoints — the steal
-// schedule moves work between hosts but can never move results.
+// TestFleetStealScheduleInvariance: a throttled last shard produces the
+// same bytes as two uniform shards — the steal schedule moves work between
+// shards but can never move results.
 func TestFleetStealScheduleInvariance(t *testing.T) {
 	const n = 12
 	payload := []byte(`"steal"`)
-	want := executeAll(t, InProcess{}, Options{Seed: 23}, "test.echo", payload, n)
-
-	skewed := LocalEndpoints(2, 0)
-	skewed[1].Throttle = 40 * time.Millisecond
+	want := runKind(t, "test.echo", payload, 23, n)
 	for name, fl := range map[string]Fleet{
-		"uniform": {Endpoints: LocalEndpoints(2, 0), ChunkSize: 2},
-		"skewed":  {Endpoints: skewed, ChunkSize: 2},
+		"uniform": {Shards: 2, chunkSize: 2},
+		"skewed":  {Shards: 2, Throttle: 40 * time.Millisecond, chunkSize: 2},
 	} {
-		got := executeAll(t, fl, Options{Seed: 23}, "test.echo", payload, n)
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("%s: replica %d = %s, want %s", name, i, got[i], want[i])
-			}
-		}
+		sameResults(t, name, executeAll(t, fl, Options{Seed: 23}, "test.echo", payload, n), want)
 	}
 }
 
@@ -164,7 +180,7 @@ func TestFleetWorkerCrashMidGrid(t *testing.T) {
 		Replica int
 	}{dir, 5})
 	const n = 9
-	fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 3}
+	fl := Fleet{Shards: 2, chunkSize: 3}
 	got := executeAll(t, fl, Options{Seed: 1}, "test.crash-once", payload, n)
 	for i := range got {
 		want, _ := json.Marshal(i)
@@ -187,7 +203,7 @@ func TestFleetHeartbeatLossRequeues(t *testing.T) {
 		Replica int
 	}{dir, 3})
 	const n = 6
-	fl := Fleet{Endpoints: LocalEndpoints(1, 1), ChunkSize: 3, Heartbeat: 500 * time.Millisecond}
+	fl := Fleet{Shards: 1, chunkSize: 3, Heartbeat: 500 * time.Millisecond}
 	got := executeAll(t, fl, Options{Seed: 2, Workers: 1}, "test.stop-once", payload, n)
 	for i := range got {
 		want, _ := json.Marshal(i)
@@ -202,7 +218,7 @@ func TestFleetHeartbeatLossRequeues(t *testing.T) {
 
 func TestFleetKindErrorFailsWithoutRetry(t *testing.T) {
 	payload, _ := json.Marshal(3)
-	fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 2}
+	fl := Fleet{Shards: 2, chunkSize: 2}
 	err := executeErr(fl, Options{Seed: 1}, "test.fail", payload, 6)
 	if err == nil || !strings.Contains(err.Error(), "synthetic kind failure") {
 		t.Fatalf("err = %v, want the replica's own failure", err)
@@ -214,7 +230,7 @@ func TestFleetKindErrorFailsWithoutRetry(t *testing.T) {
 
 func TestFleetPersistentCrashFailsTheRun(t *testing.T) {
 	payload, _ := json.Marshal(2)
-	fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 2}
+	fl := Fleet{Shards: 2, chunkSize: 2}
 	err := executeErr(fl, Options{Seed: 1}, "test.crash-always", payload, 6)
 	if err == nil {
 		t.Fatal("run succeeded despite a deterministic worker crash")
@@ -224,48 +240,26 @@ func TestFleetPersistentCrashFailsTheRun(t *testing.T) {
 	}
 }
 
-// TestFleetBadEndpointIsBenched: an endpoint that fails every chunk it
-// touches is benched after a few strikes, and the remaining endpoints
-// finish the queue — one bad host cannot take down the run.
+// TestFleetBadEndpointIsBenched: a shard whose worker fails every chunk it
+// touches is benched after a few strikes, and the remaining shards finish
+// the queue — one broken worker cannot take down the run.
 func TestFleetBadEndpointIsBenched(t *testing.T) {
 	const n = 12
 	payload := []byte(`"bench"`)
-	want := executeAll(t, InProcess{}, Options{Seed: 31}, "test.echo", payload, n)
-	eps := []Endpoint{
-		{Name: "good", Command: testWorkerCmd()},
-		{Name: "broken", Command: []string{"/bin/false"}},
-	}
-	// ChunkSize 1 gives the broken endpoint many distinct chunks to fail,
-	// so it strikes out before any single chunk exhausts its attempts.
-	fl := Fleet{Endpoints: eps, ChunkSize: 1}
-	got := executeAll(t, fl, Options{Seed: 31}, "test.echo", payload, n)
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("replica %d = %s, want %s", i, got[i], want[i])
+	want := runKind(t, "test.echo", payload, 31, n)
+	// chunkSize 1 gives the broken shard many distinct chunks to fail, so
+	// it strikes out before any single chunk exhausts its attempts.
+	fl := Fleet{Shards: 2, chunkSize: 1, argv: func(shard int) []string {
+		if shard == 1 {
+			return []string{"/bin/false"}
 		}
-	}
+		return testWorkerCmd(shard)
+	}}
+	sameResults(t, "benched", executeAll(t, fl, Options{Seed: 31}, "test.echo", payload, n), want)
 }
 
-// TestFleetRemoteStyleCommand runs an endpoint through a shell exec — the
-// same shape as an ssh remote command — proving the protocol only needs a
-// byte pipe, not a direct child process.
-func TestFleetRemoteStyleCommand(t *testing.T) {
-	const n = 8
-	payload := []byte(`"remote"`)
-	want := executeAll(t, InProcess{}, Options{Seed: 17}, "test.echo", payload, n)
-	cmd := testWorkerCmd()
-	eps := []Endpoint{{
-		Name:    "sh-tunnel",
-		Command: []string{"/bin/sh", "-c", `exec "$0" "$1"`, cmd[0], cmd[1]},
-	}}
-	fl := Fleet{Endpoints: eps, ChunkSize: 3}
-	got := executeAll(t, fl, Options{Seed: 17}, "test.echo", payload, n)
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("replica %d = %s, want %s", i, got[i], want[i])
-		}
-	}
-}
+// deadWorker is the argv of a shard whose worker always fails.
+func deadWorker(int) []string { return []string{"/bin/false"} }
 
 // readLog parses test.echo-log's executed-replica log.
 func readLog(t *testing.T, dir string) []int {
@@ -287,39 +281,33 @@ func readLog(t *testing.T, dir string) []int {
 }
 
 // TestFleetJournalResume is the checkpoint/resume story end to end: a run
-// cancelled partway leaves a journal; re-dispatching the same job resumes
-// from it, re-running only the un-journaled replicas, and the combined
-// output is byte-identical to an uninterrupted in-process run. A third
-// dispatch on the now-complete journal succeeds with no live endpoint at
-// all.
+// cancelled partway leaves a journal; re-running the same job resumes from
+// it, re-running only the un-journaled replicas, and the combined output is
+// byte-identical to an uninterrupted in-process run. A third run on the
+// now-complete journal succeeds with no live worker at all.
 func TestFleetJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
 	payload, _ := json.Marshal(struct{ Dir string }{dir})
 	const n = 10
-	want := executeAll(t, InProcess{}, Options{Seed: 5}, "test.echo-log", payload, n)
+	want := runKind(t, "test.echo-log", payload, 5, n)
 	os.Remove(filepath.Join(dir, "ran.log"))
 
 	req := func(ctx context.Context, progress func(int, int)) ExecRequest {
 		return ExecRequest{Kind: "test.echo-log", Payload: payload, Replicas: n,
 			Options: Options{Seed: 5, Workers: 1, Context: ctx, Progress: progress}}
 	}
-	fl := Fleet{Endpoints: LocalEndpoints(1, 0), ChunkSize: 2, Journal: jdir}
+	fl := Fleet{Shards: 1, chunkSize: 2, Journal: jdir}
 
 	// First run: cancel once a few replicas have completed (and therefore
 	// hit the journal — every result is journaled before it is delivered).
 	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := fl.Dispatch(req(ctx, func(done, total int) {
+	_, err := fl.Execute(req(ctx, func(done, total int) {
 		if done >= 3 {
 			cancel()
 		}
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range ex.Results() {
-	}
-	if err := ex.Wait(); err != context.Canceled {
+	if err != context.Canceled {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
 	cancel()
@@ -355,9 +343,9 @@ func TestFleetJournalResume(t *testing.T) {
 		t.Errorf("resume executed replicas %v, want exactly the un-journaled %v", reran, wantReran)
 	}
 
-	// With the journal complete, a fleet of only broken endpoints still
+	// With the journal complete, a fleet whose only worker is broken still
 	// serves the whole job from disk.
-	dead := Fleet{Endpoints: []Endpoint{{Name: "dead", Command: []string{"/bin/false"}}}, Journal: jdir}
+	dead := Fleet{Shards: 1, Journal: jdir, argv: deadWorker}
 	got = executeAll(t, dead, Options{Seed: 5, Workers: 1}, "test.echo-log", payload, n)
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
@@ -365,7 +353,7 @@ func TestFleetJournalResume(t *testing.T) {
 		}
 	}
 	if after := readLog(t, dir); len(after) != len(ranBefore)+len(reran) {
-		t.Error("the journal-only dispatch executed replicas it should have recovered from disk")
+		t.Error("the journal-only run executed replicas it should have recovered from disk")
 	}
 }
 
@@ -386,7 +374,7 @@ func completeJournal(t *testing.T, seed int64) (string, ExecRequest, [][]byte) {
 	jdir := t.TempDir()
 	payload, _ := json.Marshal(fmt.Sprintf("j%d", seed))
 	const n = 6
-	fl := Fleet{Endpoints: LocalEndpoints(1, 0), ChunkSize: 2, Journal: jdir}
+	fl := Fleet{Shards: 1, chunkSize: 2, Journal: jdir}
 	want := executeAll(t, fl, Options{Seed: seed}, "test.echo", payload, n)
 	return jdir, ExecRequest{Kind: "test.echo", Payload: payload, Replicas: n, Options: Options{Seed: seed}}, want
 }
@@ -403,7 +391,7 @@ func TestFleetJournalTornTailRecovered(t *testing.T) {
 	f.Write([]byte{0, 0, 0, 100, 'x', 'x', 'x', 'x'})
 	f.Close()
 
-	dead := Fleet{Endpoints: []Endpoint{{Name: "dead", Command: []string{"/bin/false"}}}, Journal: jdir}
+	dead := Fleet{Shards: 1, Journal: jdir, argv: deadWorker}
 	got := executeAll(t, dead, req.Options, req.Kind, req.Payload, req.Replicas)
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
@@ -432,8 +420,8 @@ func TestFleetJournalCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl := Fleet{Endpoints: LocalEndpoints(1, 0), Journal: jdir}
-	_, err = fl.Dispatch(req)
+	fl := Fleet{Shards: 1, Journal: jdir}
+	_, err = fl.Execute(req)
 	if err == nil || !strings.Contains(err.Error(), "corrupted") {
 		t.Fatalf("err = %v, want a corruption report", err)
 	}
@@ -460,8 +448,8 @@ func TestFleetJournalChecksumCatchesReplicaRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl := Fleet{Endpoints: LocalEndpoints(1, 0), Journal: jdir}
-	_, err = fl.Dispatch(req)
+	fl := Fleet{Shards: 1, Journal: jdir}
+	_, err = fl.Execute(req)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("err = %v, want a checksum failure", err)
 	}
@@ -476,8 +464,8 @@ func TestFleetJournalJobMismatch(t *testing.T) {
 	if err := os.WriteFile(journalPath(jdir, other), src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fl := Fleet{Endpoints: LocalEndpoints(1, 0), Journal: jdir}
-	_, err := fl.Dispatch(other)
+	fl := Fleet{Shards: 1, Journal: jdir}
+	_, err := fl.Execute(other)
 	if err == nil || !strings.Contains(err.Error(), "different job") {
 		t.Fatalf("err = %v, want a job-mismatch report", err)
 	}
@@ -497,7 +485,7 @@ func TestProgressSingleTickUnderShardRetry(t *testing.T) {
 		const n = 9
 		var mu sync.Mutex
 		var ticks []int
-		fl := Fleet{Endpoints: LocalEndpoints(2, 0), ChunkSize: 3}
+		fl := Fleet{Shards: 2, chunkSize: 3}
 		err := executeErr(fl, Options{Seed: 1, Progress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()

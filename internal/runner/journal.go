@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // The fleet checkpoint journal is an append-only file of the same
@@ -88,13 +87,11 @@ func scanFrame(data []byte, off int, v any) (int, error) {
 	return off + 4 + n, nil
 }
 
-// journal is the open append handle plus the set of replicas already on
-// disk (so a duplicate arrival is never written twice).
+// journal is the open append handle. Its one writer, the fleet's
+// collector, serializes appends and drops duplicate arrivals.
 type journal struct {
-	mu   sync.Mutex
 	f    *os.File
 	path string
-	have map[int]bool
 }
 
 // openJournal loads (or creates) the journal for req under dir, returning
@@ -164,36 +161,27 @@ func openJournal(dir string, req ExecRequest) (*journal, map[int][]byte, error) 
 		f.Close()
 		return nil, nil, fmt.Errorf("runner: seek journal: %w", err)
 	}
-	j := &journal{f: f, path: path, have: make(map[int]bool, len(recovered))}
+	j := &journal{f: f, path: path}
 	if goodLen == 0 {
 		if err := j.appendFrame(want); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("runner: stamp journal header: %w", err)
 		}
 	}
-	for r := range recovered {
-		j.have[r] = true
-	}
 	return j, recovered, nil
 }
 
-// append spills one completed replica to disk; duplicates are dropped.
+// append spills one completed replica to disk.
 func (j *journal) append(replica int, result []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.have[replica] {
-		return nil
-	}
 	rec := journalRecord{Replica: replica, Result: result, CRC: recordCRC(replica, result)}
 	if err := j.appendFrame(rec); err != nil {
 		return fmt.Errorf("append replica %d to journal %s: %w", replica, j.path, err)
 	}
-	j.have[replica] = true
 	return nil
 }
 
 // appendFrame writes one frame in a single Write call, so a dying process
-// tears at most the final record. Callers hold j.mu (or own j exclusively).
+// tears at most the final record.
 func (j *journal) appendFrame(v any) error {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, v); err != nil {
@@ -203,8 +191,4 @@ func (j *journal) appendFrame(v any) error {
 	return err
 }
 
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *journal) close() error { return j.f.Close() }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -18,8 +19,8 @@ import (
 // crash, which the parent may retry because replicas are pure functions of
 // (payload, replica, seed).
 
-// maxFrame bounds a frame so a corrupted length prefix fails fast instead
-// of attempting a multi-gigabyte allocation.
+// maxFrame bounds a frame, so neither a corrupted length prefix nor a
+// runaway sender can grow a frame buffer past it.
 const maxFrame = 1 << 28
 
 // jobFrame is the single parent→worker message: one shard of a run.
@@ -91,11 +92,16 @@ func readFrame(r *bufio.Reader, v any) error {
 	if n > maxFrame {
 		return fmt.Errorf("runner: frame of %d bytes exceeds the %d-byte protocol limit", n, maxFrame)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	// The body buffer grows with the bytes that actually arrive, so a stray
+	// or corrupt length prefix costs what its sender wrote, not n.
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return fmt.Errorf("runner: read frame body: %w", err)
 	}
-	if err := json.Unmarshal(b, v); err != nil {
+	if err := json.Unmarshal(body.Bytes(), v); err != nil {
 		return fmt.Errorf("runner: decode frame: %w", err)
 	}
 	return nil

@@ -4,27 +4,22 @@
 // bit-identical regardless of how many workers run or how the scheduler
 // interleaves them. This is the execution platform for the experiment
 // suite: figures fan their scenario grid × replica matrix through Run, or
-// through a Backend when sharded, and scaling work plugs in underneath
-// without touching experiment code.
+// through a Backend when sharded, without touching experiment code.
 //
-// # The Backend seam
+// # Two ways to run replicas
 //
-// Run executes on a goroutine pool inside the calling process. The Backend
-// interface is the drop-in seam beneath it for
-// executing replicas elsewhere: Dispatch takes a typed ExecRequest — a
-// registered job kind, an opaque payload, a replica count and Options —
-// and returns an Execution that streams the encoded results in strict
-// ascending replica order (Results) and reports the final verdict (Wait).
-//
-// Two backends ship today: InProcess (the goroutine pool, routed through
-// the job codec) and Fleet (worker endpoints — re-execs of the current
-// binary behind WorkerFlag, or ssh-style remote execs — speaking
-// length-prefixed JSON frames over stdin/stdout and pulling chunks from a
-// shared work-stealing queue, with heartbeat-based failure detection and
-// an optional on-disk checkpoint journal for resume). LocalEndpoints
-// builds the one-host fleet. Because replica seeds and ordering are
-// backend-independent, swapping backends can never change results, only
-// wall-clock time.
+// Run executes a replica function on a goroutine pool inside the calling
+// process. Fleet, the one Backend, executes a registered job kind across
+// Shards local worker processes: re-execs of the current binary behind
+// WorkerFlag that speak length-prefixed JSON frames over stdin/stdout and
+// pull chunks from a shared work-stealing queue. The request's worker
+// budget is split ⌈Workers/Shards⌉ per shard; Throttle slows the last
+// shard; heartbeats detect lost workers; and an optional on-disk journal
+// makes a killed run resumable. Backend.Execute takes a typed ExecRequest
+// — a registered job kind, an opaque payload, a replica count and Options
+// — and blocks until it returns the encoded results in replica order.
+// Because replica seeds and ordering are backend-independent, sharding can
+// never change results, only wall-clock time.
 //
 // Job kinds are registered by name (RegisterKind) in package init, so a
 // re-exec'd worker process holds the same kind table as its parent.
@@ -99,8 +94,7 @@ func Run[T any](o Options, replicas int, fn func(replica int, seed int64) T) ([]
 // stream executes fn for each replica and hands results to sink in strict
 // replica order as soon as the completed prefix grows, buffering
 // out-of-order completions, so sink observes the exact same sequence for
-// any worker count — the ordering InProcess and shard workers emit their
-// results in. sink runs under the runner's lock and must not call back into
+// any worker count — the order shard workers emit their results in. sink runs under the runner's lock and must not call back into
 // the runner.
 func stream[T any](o Options, replicas int, fn func(replica int, seed int64) T, sink func(replica int, v T)) error {
 	buf := make([]T, replicas)

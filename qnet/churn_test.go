@@ -423,8 +423,7 @@ func TestChurnSpecRoundTripAndSharding(t *testing.T) {
 		t.Fatal("no circuits admitted; churn never exercised")
 	}
 	checkBackends(t, "churn", seed, want, map[string]runner.Backend{
-		"in-process": runner.InProcess{},
-		"shards-2":   runner.Fleet{Endpoints: runner.LocalEndpoints(2, 0), ChunkSize: 1},
+		"shards-2": runner.Fleet{Shards: 2},
 	})
 }
 

@@ -1,8 +1,8 @@
 package qnet
 
 import (
-	"os"
 	"testing"
+	"time"
 
 	"qnp/internal/runner"
 	"qnp/internal/sim"
@@ -79,7 +79,7 @@ func placementScenario() Scenario {
 // TestPlacementDeterminismAcrossBackends: model-weighted k-candidate
 // placement under churn reads only the replica's own RNG streams, so the
 // replicas' metrics are bit-identical in process and on worker processes,
-// whatever the shard count or chunking.
+// whatever the shard count or steal schedule.
 func TestPlacementDeterminismAcrossBackends(t *testing.T) {
 	const replicas, seed = 4, 11
 	want := replicaMetrics(t, "placement", replicas, seed, nil)
@@ -97,12 +97,8 @@ func TestPlacementDeterminismAcrossBackends(t *testing.T) {
 		t.Fatal("no circuits admitted; placement never exercised")
 	}
 	checkBackends(t, "placement", seed, want, map[string]runner.Backend{
-		"in-process": runner.InProcess{},
-		"shards-1":   runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)},
-		"shards-3":   runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)},
-		"fleet-2": runner.Fleet{Endpoints: []runner.Endpoint{
-			{Name: "a", Command: []string{os.Args[0], runner.WorkerFlag}},
-			{Name: "b", Command: []string{os.Args[0], runner.WorkerFlag}},
-		}, ChunkSize: 1},
+		"shards-1": runner.Fleet{Shards: 1},
+		"shards-3": runner.Fleet{Shards: 3},
+		"fleet-2":  runner.Fleet{Shards: 2, Throttle: 20 * time.Millisecond},
 	})
 }

@@ -106,21 +106,15 @@ func shardedScenario() Scenario {
 }
 
 // TestRunReplicatedBackendEquivalence is the scenario-level shard-count
-// invariance proof: the in-process pool, the InProcess backend (bytes
-// codec, same process), one-host fleets of 1 and 3 endpoints, and a
-// two-endpoint Fleet with a throttled endpoint must produce bit-identical
-// metrics in identical order.
+// invariance proof: the in-process pool, fleets of 1 and 3 shards, and two
+// shards with the last one throttled must produce bit-identical metrics in
+// identical order.
 func TestRunReplicatedBackendEquivalence(t *testing.T) {
 	const replicas, seed = 6, 21
 	want := replicaMetrics(t, "sharded", replicas, seed, nil)
-	worker := []string{os.Args[0], runner.WorkerFlag}
 	checkBackends(t, "sharded", seed, want, map[string]runner.Backend{
-		"in-process": runner.InProcess{},
-		"shards-1":   runner.Fleet{Endpoints: runner.LocalEndpoints(1, 0)},
-		"shards-3":   runner.Fleet{Endpoints: runner.LocalEndpoints(3, 0)},
-		"fleet-2": runner.Fleet{Endpoints: []runner.Endpoint{
-			{Name: "a", Command: worker},
-			{Name: "b", Command: worker, Throttle: 20 * time.Millisecond},
-		}, ChunkSize: 2},
+		"shards-1": runner.Fleet{Shards: 1},
+		"shards-3": runner.Fleet{Shards: 3},
+		"fleet-2":  runner.Fleet{Shards: 2, Throttle: 20 * time.Millisecond},
 	})
 }
