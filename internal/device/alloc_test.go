@@ -10,7 +10,8 @@ import (
 
 // TestAllocsExactPair gates an exact pair's per-event physics at zero
 // allocs/op once its device's workspace is warm: lazy decoherence on both
-// sides, depolarising noise on one half and a Pauli correction.
+// sides, the move's depolarising noise and the attempt dephasing (each in
+// one pass with the decoherence before it) and a Pauli correction.
 func TestAllocsExactPair(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gates run with -race off")
@@ -24,11 +25,14 @@ func TestAllocsExactPair(t *testing.T) {
 	step := func() {
 		now = now.Add(10 * sim.Millisecond)
 		p.AdvanceTo(now)
-		p.applyDepol1(0, 0.01)
+		now = now.Add(sim.Millisecond)
+		p.depolarizeAt(now, 0, 0.01)
+		now = now.Add(sim.Millisecond)
+		p.dephaseAt(now, 1, 0.02)
 		p.ApplyPauli(1, 1, 1)
 	}
 	step()
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Errorf("exact pair AdvanceTo+depolarise+Pauli allocs/op = %v, want 0", allocs)
+		t.Errorf("exact pair AdvanceTo+depolarise+dephase+Pauli allocs/op = %v, want 0", allocs)
 	}
 }

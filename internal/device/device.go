@@ -53,6 +53,9 @@ type Device struct {
 	freeComm []commCount
 	// freeSwaps recycles Swap's operation records.
 	freeSwaps *swapOp
+	// swapNoise is the swap configuration with its gate noise factors
+	// built, on the first exact swap.
+	swapNoise *quantum.PreparedSwap
 	// busyUntil is the quantum task scheduler's horizon: local operations
 	// submitted while another runs queue behind it.
 	busyUntil sim.Time
@@ -351,7 +354,10 @@ func (d *Device) swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 		if s2 == 1 {
 			rho2 = quantum.ApplyGate2W(d.ws, rho2, quantum.SWAP, 0, 2)
 		}
-		res := quantum.SwapW(d.ws, rho1, rho2, d.params.SwapConfig(), d.rng)
+		if d.swapNoise == nil {
+			d.swapNoise = quantum.PrepareSwap(d.params.SwapConfig())
+		}
+		res := d.swapNoise.SwapW(d.ws, rho1, rho2, d.rng)
 		if rho1 != p1.rho {
 			d.ws.Put(rho1)
 		}
@@ -430,9 +436,8 @@ func (d *Device) MoveToStorage(q *Qubit, done func(newQ *Qubit, ok bool)) {
 			done(nil, false)
 			return
 		}
-		p.AdvanceTo(now)
 		pNoise := 1 - d.params.Gates.TwoQubitFidelity*d.params.Gates.CarbonInitFidelity
-		p.applyDepol1(s, pNoise)
+		p.depolarizeAt(now, s, pNoise)
 		old := p.halves[s]
 		storage.pair, storage.side = p, s
 		p.halves[s] = storage
@@ -490,15 +495,18 @@ func (d *Device) ApplyAttemptDephasing(k int) {
 	if per <= 0 || k <= 0 {
 		return
 	}
-	// k compositions of a phase flip with probability per:
-	// p_k = (1 − (1−2·per)^k)/2.
-	pk := (1 - math.Pow(1-2*per, float64(k))) / 2
+	var pk float64
+	found := false
 	for _, q := range d.qubits {
 		if q.free || q.kind != Storage || q.pair == nil {
 			continue
 		}
-		q.pair.AdvanceTo(d.sim.Now())
-		q.pair.applyPhaseFlip(q.side, pk)
+		if !found {
+			// k compositions of a phase flip with probability per:
+			// p_k = (1 − (1−2·per)^k)/2.
+			pk, found = (1-math.Pow(1-2*per, float64(k)))/2, true
+		}
+		q.pair.dephaseAt(d.sim.Now(), q.side, pk)
 	}
 }
 

@@ -152,27 +152,41 @@ func (p *Pair) LocalSide(node string) int {
 // AdvanceTo applies lazy decoherence: each live half decays under its
 // current qubit's T1/T2 for the elapsed time since the last update.
 func (p *Pair) AdvanceTo(now sim.Time) {
+	dt := p.tick(now)
+	if dt <= 0 {
+		return
+	}
+	if p.scalar {
+		p.w = p.decoheredW(dt)
+		return
+	}
+	var ch quantum.PairChannels
+	p.decohere(&ch, dt)
+	ch.Apply(p.rho)
+}
+
+// tick moves the pair's clock to now and returns the idle time in seconds
+// since the last update.
+func (p *Pair) tick(now sim.Time) float64 {
 	if now < p.lastUpdate {
 		panic(fmt.Sprintf("device: pair advanced backwards: %v < %v", now, p.lastUpdate))
 	}
 	dt := now.Sub(p.lastUpdate).Seconds()
-	if dt > 0 {
-		if p.scalar {
-			p.w = p.decoheredW(dt)
-		} else {
-			for s, q := range p.halves {
-				if q == nil || p.consumed[s] {
-					continue
-				}
-				next := quantum.DecohereW(p.ws, p.rho, s, 2, dt, q.lifetimes.T1, q.lifetimes.T2)
-				if next != p.rho {
-					p.ws.Put(p.rho)
-					p.rho = next
-				}
-			}
+	p.lastUpdate = now
+	return dt
+}
+
+// decohere adds each live half's decay over dt seconds to ch, the
+// channels of an exact pair's touch.
+func (p *Pair) decohere(ch *quantum.PairChannels, dt float64) {
+	if dt <= 0 {
+		return
+	}
+	for s, q := range p.halves {
+		if q != nil && !p.consumed[s] {
+			ch.Decohere(s, dt, q.lifetimes.T1, q.lifetimes.T2)
 		}
 	}
-	p.lastUpdate = now
 }
 
 // decoheredW returns the Werner parameter after dt seconds of idling: one
@@ -219,19 +233,9 @@ func (p *Pair) stateAtW(t sim.Time) *linalg.Matrix {
 	}
 	rho := p.ws.GetRaw(p.rho.Rows, p.rho.Cols)
 	copy(rho.Data, p.rho.Data)
-	dt := t.Sub(p.lastUpdate).Seconds()
-	if dt > 0 {
-		for s, q := range p.halves {
-			if q == nil || p.consumed[s] {
-				continue
-			}
-			next := quantum.DecohereW(p.ws, rho, s, 2, dt, q.lifetimes.T1, q.lifetimes.T2)
-			if next != rho {
-				p.ws.Put(rho)
-				rho = next
-			}
-		}
-	}
+	var ch quantum.PairChannels
+	p.decohere(&ch, t.Sub(p.lastUpdate).Seconds())
+	ch.Apply(rho)
 	return rho
 }
 
@@ -255,28 +259,34 @@ func (p *Pair) FidelityWith(t sim.Time, idx quantum.BellIndex) float64 {
 	return f
 }
 
-// applyDepol1 applies single-qubit depolarising noise with probability prob
-// to one side's qubit, in place.
-func (p *Pair) applyDepol1(side int, prob float64) {
+// depolarizeAt advances the pair to now, then applies single-qubit
+// depolarising noise with probability prob to one side's qubit: on an
+// exact pair, one pass over its state.
+func (p *Pair) depolarizeAt(now sim.Time, side int, prob float64) {
 	if p.scalar {
+		p.AdvanceTo(now)
 		p.w = werner.Depolarize1(p.w, prob)
 		return
 	}
-	next := quantum.ApplyDepolarizing1W(p.ws, p.rho, prob, side, 2)
-	p.ws.Put(p.rho)
-	p.rho = next
+	var ch quantum.PairChannels
+	p.decohere(&ch, p.tick(now))
+	ch.Depolarize(side, prob)
+	ch.Apply(p.rho)
 }
 
-// applyPhaseFlip applies dephasing with probability prob to one side's
-// qubit, in place.
-func (p *Pair) applyPhaseFlip(side int, prob float64) {
+// dephaseAt advances the pair to now, then applies dephasing with
+// probability prob to one side's qubit: on an exact pair, one pass over
+// its state.
+func (p *Pair) dephaseAt(now sim.Time, side int, prob float64) {
 	if p.scalar {
+		p.AdvanceTo(now)
 		p.w = werner.PhaseFlip(p.w, prob)
 		return
 	}
-	next := quantum.ApplyPhaseFlipW(p.ws, p.rho, prob, side, 2)
-	p.ws.Put(p.rho)
-	p.rho = next
+	var ch quantum.PairChannels
+	p.decohere(&ch, p.tick(now))
+	ch.PhaseFlip(side, prob)
+	ch.Apply(p.rho)
 }
 
 // ApplyPauli applies a Pauli correction to one side (used by the head-end's

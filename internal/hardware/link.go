@@ -109,53 +109,56 @@ func (m PairModel) Fidelity() float64 {
 	return (1-m.WDark)*m.G*(1+m.V)/2 + m.WDark/4
 }
 
-// identity4 is the shared read-only 4×4 identity for StateW's dark-count
-// term.
-var identity4 = linalg.Identity(4)
-
 // StateW materialises the produced 4×4 density matrix for heralded Bell
-// index idx (Ψ+ or Ψ−; the detector that clicks selects the sign). Scratch
-// comes from ws and the returned state is a fresh ws matrix whose ownership
-// transfers to the caller (it becomes the new pair's long-lived density
-// matrix). A nil ws allocates instead, with bit-identical results.
+// index idx (Ψ+ or Ψ−; the detector that clicks selects the sign) as a
+// fresh ws matrix whose ownership transfers to the caller (it becomes the
+// new pair's long-lived density matrix). A nil ws allocates instead, with
+// bit-identical results.
+//
+// Each entry is written once, as
+//
+//	(cG·(c+·P[e] + c−·P'[e]) + cB·B[e]) + cD·I[e]
+//
+// with the complex products (linalg.CMul) and sums, in this order, of the
+// matrix algebra the model describes: P and P' are the projectors of idx and of
+// its phase-flipped partner, B = |11><11|, I the identity, c± = (1±v)/2,
+// cG = wReal·g, cB = wReal·(1−g) and cD = wDark/4. The dephased Ψ
+// component v·|Ψ><Ψ| + (1−v)·(|Ψ_+><Ψ_+|+|Ψ_-><Ψ_-|)/2 is the fully
+// dephased {|01>,|10>} mixture at v = 0.
 func (m PairModel) StateW(ws *linalg.Workspace, idx quantum.BellIndex) *linalg.Matrix {
-	// Dephased Ψ component: v·|Ψ><Ψ| + (1−v)·(|Ψ_+><Ψ_+|+|Ψ_-><Ψ_-|)/2,
-	// which equals the fully dephased {|01>,|10>} mixture at v=0.
-	other := idx ^ 2 // flip the phase bit: Ψ+ ↔ Ψ−
-	dep := ws.GetRaw(4, 4)
-	t := ws.GetRaw(4, 4)
-	linalg.ScaleInto(dep, complex((1+m.V)/2, 0), quantum.BellProjectorCached(idx))
-	linalg.ScaleInto(t, complex((1-m.V)/2, 0), quantum.BellProjectorCached(other))
-	dep.AddInPlace(t)
-	bright := ws.Get(4, 4)
-	bright.Set(3, 3, 1) // |11><11|
+	p, q := quantum.BellProjectorCached(idx).Data, quantum.BellProjectorCached(idx^2).Data
+	cp, cq := complex((1+m.V)/2, 0), complex((1-m.V)/2, 0)
+	cg, cb := complex((1-m.WDark)*m.G, 0), complex((1-m.WDark)*(1-m.G), 0)
+	cd := complex(m.WDark/4, 0)
 	rho := ws.GetRaw(4, 4)
-	linalg.ScaleInto(dep, complex((1-m.WDark)*m.G, 0), dep)
-	linalg.ScaleInto(bright, complex((1-m.WDark)*(1-m.G), 0), bright)
-	linalg.AddInto(rho, dep, bright)
-	linalg.ScaleInto(t, complex(m.WDark/4, 0), identity4)
-	rho.AddInPlace(t)
-	ws.Put(dep)
-	ws.Put(t)
-	ws.Put(bright)
+	for e := range rho.Data {
+		var b, id complex128
+		if e == 15 {
+			b = 1
+		}
+		if e%5 == 0 {
+			id = 1
+		}
+		dep := linalg.CMul(cp, p[e]) + linalg.CMul(cq, q[e])
+		rho.Data[e] = (linalg.CMul(cg, dep) + linalg.CMul(cb, b)) + linalg.CMul(cd, id)
+	}
 	return rho
 }
 
-// GenerateW samples one heralded pair of this link at α; see
-// PairModel.GenerateW.
-func (l LinkConfig) GenerateW(ws *linalg.Workspace, p Params, alpha float64, rng *rand.Rand) (*linalg.Matrix, quantum.BellIndex) {
-	return l.Model(p, alpha).GenerateW(ws, rng)
+// Herald draws which detector clicked on a heralded attempt: Ψ+ or Ψ− with
+// equal probability.
+func Herald(rng *rand.Rand) quantum.BellIndex {
+	if rng.Intn(2) == 1 {
+		return quantum.PsiMinus
+	}
+	return quantum.PsiPlus
 }
 
-// GenerateW samples one heralded pair of this model: the Bell index (Ψ+ or
-// Ψ− with equal probability, chosen by which detector clicked) and the
-// produced state, a ws matrix owned by the caller.
-func (m PairModel) GenerateW(ws *linalg.Workspace, rng *rand.Rand) (*linalg.Matrix, quantum.BellIndex) {
-	idx := quantum.PsiPlus
-	if rng.Intn(2) == 1 {
-		idx = quantum.PsiMinus
-	}
-	return m.StateW(ws, idx), idx
+// GenerateW samples one heralded pair of this link at α: the Bell index
+// (Herald) and the produced state, a ws matrix owned by the caller.
+func (l LinkConfig) GenerateW(ws *linalg.Workspace, p Params, alpha float64, rng *rand.Rand) (*linalg.Matrix, quantum.BellIndex) {
+	idx := Herald(rng)
+	return l.Model(p, alpha).StateW(ws, idx), idx
 }
 
 // AlphaForFidelity inverts the fidelity model: it returns the α producing

@@ -13,7 +13,12 @@ import (
 
 // Add returns a+b.
 func Add(a, b *linalg.Matrix) *linalg.Matrix {
-	return linalg.AddInto(linalg.New(a.Rows, a.Cols), a, b)
+	mustSameShape("Add", a, b)
+	out := linalg.New(a.Rows, a.Cols)
+	for i := range a.Data {
+		out.Data[i] = a.Data[i] + b.Data[i]
+	}
+	return out
 }
 
 // Sub returns a-b.
@@ -28,7 +33,11 @@ func Sub(a, b *linalg.Matrix) *linalg.Matrix {
 
 // Scale returns s·m.
 func Scale(s complex128, m *linalg.Matrix) *linalg.Matrix {
-	return linalg.ScaleInto(linalg.New(m.Rows, m.Cols), s, m)
+	out := linalg.New(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = s * v
+	}
+	return out
 }
 
 // Adjoint returns the conjugate transpose m†.
@@ -36,7 +45,7 @@ func Adjoint(m *linalg.Matrix) *linalg.Matrix {
 	out := linalg.New(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, cmplx.Conj(m.At(i, j)))
+			out.Data[j*out.Cols+i] = cmplx.Conj(m.At(i, j))
 		}
 	}
 	return out

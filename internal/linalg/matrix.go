@@ -14,13 +14,13 @@
 // that starts at +0 is never −0, any term with an exact-zero factor can be
 // skipped without changing a bit.
 //
-// Sums and scalings exist only in destination-passing form (AddInto,
-// ScaleInto), and products, tensor products and partial traces have such
+// Products, tensor products and partial traces have destination-passing
 // twins (MulInto, KronInto, PartialTraceInto): each writes into a
 // caller-provided matrix, and Workspace provides a size-bucketed pool those
 // destinations come from. The allocating forms are thin wrappers over the
-// Into forms, so both produce bit-identical results; package linalgtest
-// holds the allocating sum, scaling and adjoint that tests use.
+// Into forms, so both produce bit-identical results. Production code forms
+// its sums and scalings entry by entry where it needs them; package
+// linalgtest holds the sum, scaling and adjoint that tests use.
 // See Workspace for the ownership rules: who may hold a matrix across calls,
 // and when it must be returned to the pool.
 package linalg
@@ -79,9 +79,6 @@ func ColumnVector(v ...complex128) *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
 // Zero sets every element to zero.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -120,38 +117,24 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// AddInto computes a+b into dst and returns dst. dst may alias a or b.
-func AddInto(dst, a, b *Matrix) *Matrix {
-	mustSameShape("AddInto", a, b)
-	mustShape("AddInto", dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return dst
-}
-
-// AddInPlace accumulates b into a.
-func (m *Matrix) AddInPlace(b *Matrix) {
-	mustSameShape("AddInPlace", m, b)
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-}
-
-// ScaleInto computes s·m into dst and returns dst. dst may alias m.
-func ScaleInto(dst *Matrix, s complex128, m *Matrix) *Matrix {
-	mustShape("ScaleInto", dst, m.Rows, m.Cols)
-	for i, v := range m.Data {
-		dst.Data[i] = s * v
-	}
-	return dst
-}
-
 // ScaleInPlace multiplies every element by s.
 func (m *Matrix) ScaleInPlace(s complex128) {
-	for i := range m.Data {
-		m.Data[i] *= s
+	for i, v := range m.Data {
+		m.Data[i] = CMul(v, s)
 	}
+}
+
+// CMul returns the complex product a·b as Go's a*b defines it, with each
+// real product rounded (float64(x*y)) before the sum it enters. The Go
+// spec lets a compiler fuse x*y + z into one multiply-add that rounds once
+// instead of twice, and the arm64, ppc64le, s390x and riscv64 back ends
+// do, also inside a complex product; the explicit conversion forbids it.
+// amd64 never fuses, so there CMul compiles to the instructions of a*b and
+// gives its bits. Products that feed a sum in the exact physics go through
+// CMul so that their results are the same on every architecture.
+func CMul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
 }
 
 // Kron returns the tensor (Kronecker) product a⊗b.
@@ -296,12 +279,6 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func mustSameShape(op string, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: %s shape mismatch %d×%d vs %d×%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 }
 
 func mustSquare(op string, m *Matrix) {

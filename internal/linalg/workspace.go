@@ -76,9 +76,9 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 // GetRaw is Get without the zero-fill: the returned matrix holds whatever
 // the buffer's previous user left behind. Use it ONLY for destinations the
 // very next operation fully overwrites — every Into op qualifies (each one
-// either zeroes its dst first or writes every element). Accumulators that
-// are read before being fully written (AddInPlace targets, Set-then-read
-// patterns) must use Get.
+// either zeroes its dst first or writes every element). Destinations that
+// are read before being fully written (accumulators, a matrix with one
+// entry set and then read whole) must use Get.
 func (w *Workspace) GetRaw(rows, cols int) *Matrix {
 	if w == nil {
 		return New(rows, cols)

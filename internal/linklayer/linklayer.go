@@ -63,8 +63,8 @@ type Consumer func(Delivery)
 type request struct {
 	label       Label
 	minFidelity float64
-	weight      float64            // requested link-pair rate (pairs/s), the WRR weight
-	model       hardware.PairModel // the link model producing minFidelity
+	weight      float64    // requested link-pair rate (pairs/s), the WRR weight
+	model       *linkModel // the link model producing minFidelity
 	registered  [2]bool
 	consumers   [2]Consumer
 	// used is the virtual link time consumed, for fair queuing.
@@ -128,7 +128,31 @@ type Engine struct {
 	// curve is the link's fidelity curve under the endpoints' hardware,
 	// built on first use (see linkCurve).
 	curve  *hardware.LinkCurve
-	models map[float64]hardware.PairModel
+	models map[float64]*linkModel
+}
+
+// linkModel is a memoized pair model and the states it produces: states[i]
+// holds the entries of the state heralded as Ψ+ (i = 0) or Ψ− (i = 1),
+// written by StateW on the first delivery that draws it (built[i]).
+type linkModel struct {
+	hardware.PairModel
+	built  [2]bool
+	states [2][16]complex128
+}
+
+// produce returns the produced state for heralded Bell index idx as a
+// fresh ws matrix owned by the caller.
+func (m *linkModel) produce(ws *linalg.Workspace, idx quantum.BellIndex) *linalg.Matrix {
+	i := idx >> 1 // the phase bit: Ψ+ → 0, Ψ− → 1
+	if !m.built[i] {
+		rho := m.StateW(ws, idx)
+		copy(m.states[i][:], rho.Data)
+		m.built[i] = true
+		return rho
+	}
+	rho := ws.GetRaw(4, 4)
+	copy(rho.Data, m.states[i][:])
+	return rho
 }
 
 // NewEngine creates the generation engine for the link between a and b.
@@ -141,7 +165,7 @@ func NewEngine(s *sim.Simulation, name string, cfg hardware.LinkConfig, a, b *de
 		cfg:       cfg,
 		devs:      [2]*device.Device{a, b},
 		reqs:      make(map[Label]*request),
-		models:    make(map[float64]hardware.PairModel),
+		models:    make(map[float64]*linkModel),
 		exclusive: a.Params().HasCarbon,
 	}
 	e.completeFn, e.dispatchFn = e.complete, e.dispatch
@@ -176,16 +200,16 @@ func (e *Engine) linkCurve() *hardware.LinkCurve {
 // modelFor returns the pair model producing fidelity f, or ok=false if the
 // link cannot reach it. Models are memoized per fidelity: every circuit
 // activation re-registers its labels.
-func (e *Engine) modelFor(f float64) (m hardware.PairModel, ok bool) {
+func (e *Engine) modelFor(f float64) (m *linkModel, ok bool) {
 	if m, ok = e.models[f]; ok {
 		return m, true
 	}
 	curve := e.linkCurve()
 	alpha, ok := curve.AlphaForFidelity(f)
 	if !ok {
-		return m, false
+		return nil, false
 	}
-	m = curve.Model(alpha)
+	m = &linkModel{PairModel: curve.Model(alpha)}
 	e.models[f] = m
 	return m, true
 }
@@ -430,13 +454,13 @@ func (e *Engine) complete() {
 	var idx quantum.BellIndex
 	if e.devs[0].Physics() == device.PhysicsWerner {
 		// Scalar fast path: the produced state collapses to the model
-		// fidelity's Werner equivalent; the herald draw matches GenerateW.
+		// fidelity's Werner equivalent; the herald draw matches Herald.
 		var w float64
 		w, idx = werner.Generate(model.Fidelity(), e.sim.Rand())
 		pair = device.NewScalarPair(e.sim.Now(), w, idx, cur.qubits[0], cur.qubits[1])
 	} else {
-		var rho *linalg.Matrix
-		rho, idx = model.GenerateW(e.devs[0].Workspace(), e.sim.Rand())
+		idx = hardware.Herald(e.sim.Rand())
+		rho := model.produce(e.devs[0].Workspace(), idx)
 		pair = device.NewPair(e.sim.Now(), rho, idx, cur.qubits[0], cur.qubits[1])
 	}
 	corr := Correlator{Link: e.name, Seq: e.seq}

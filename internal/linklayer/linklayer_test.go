@@ -6,6 +6,7 @@ import (
 
 	"qnp/internal/device"
 	"qnp/internal/hardware"
+	"qnp/internal/linalg"
 	"qnp/internal/quantum"
 	"qnp/internal/sim"
 )
@@ -275,7 +276,13 @@ func TestDeliveredStateMatchesHerald(t *testing.T) {
 	if len(*da) == 0 {
 		t.Fatal("no deliveries")
 	}
+	model := h.engine.models[0.95].PairModel
 	for _, d := range *da {
+		// Each delivery copies the memoized state of its herald: the bits
+		// StateW produces, untouched by earlier pairs' evolution.
+		if want := model.StateW(nil, d.Idx); !sameBits(d.Pair.StateAt(d.Pair.CreatedAt()), want) {
+			t.Fatalf("delivered %v state differs from StateW bit for bit", d.Idx)
+		}
 		// Freshly delivered, fidelity should be ≈ the model's.
 		f := quantum.Fidelity(d.Pair.StateAt(d.Pair.CreatedAt()), d.Idx)
 		if math.Abs(f-d.ModelFidelity) > 1e-9 {
@@ -285,6 +292,18 @@ func TestDeliveredStateMatchesHerald(t *testing.T) {
 			t.Fatal("pair true index differs from heralded index")
 		}
 	}
+}
+
+// sameBits reports whether a and b are equal bit for bit.
+func sameBits(a, b *linalg.Matrix) bool {
+	for i, av := range a.Data {
+		bv := b.Data[i]
+		if math.Float64bits(real(av)) != math.Float64bits(real(bv)) ||
+			math.Float64bits(imag(av)) != math.Float64bits(imag(bv)) {
+			return false
+		}
+	}
+	return len(a.Data) == len(b.Data)
 }
 
 func TestStatsAccumulate(t *testing.T) {

@@ -6,8 +6,10 @@
 //
 // comments on each line where the analyzer must report (several backquoted
 // regexps may follow one want, one per expected diagnostic). Run typechecks
-// the fixture through the source importer — so fixtures import real qnp/...
-// packages and the stdlib, each typechecked once per test binary —
+// the fixture through the process's shared source importer (srcimport) —
+// so fixtures import real qnp/... packages and the stdlib, each
+// typechecked once per test binary, the stdlib once for the fixtures and
+// the qnetlint tree loader together —
 // applies one analyzer, and fails the test on any mismatch in either
 // direction: a diagnostic no want matched, or a want no diagnostic
 // matched. The second direction is the suite's own safety net: a disabled
@@ -17,17 +19,16 @@ package linttest
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
 	"qnp/internal/lint/analysis"
+	"qnp/internal/lint/srcimport"
 )
 
 // Run typechecks files as a package claiming import path pkgPath, applies
@@ -46,28 +47,11 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPath string, files ...string) {
 	}
 }
 
-// shared is the file set and source importer every fixture of a test
-// binary is typechecked through, so each package the fixtures import is
-// typechecked from source once per run rather than once per fixture. The
-// source importer is not safe for concurrent use; mu serialises the
-// fixtures.
-var shared struct {
-	mu   sync.Mutex
-	fset *token.FileSet
-	imp  types.Importer
-}
-
 // Diagnostics parses and typechecks the fixture files as pkgPath and
 // returns a's diagnostics. Fixture imports resolve from source relative to
 // the test's working directory, which `go test` places inside the module.
 func Diagnostics(a *analysis.Analyzer, pkgPath string, files []string) ([]analysis.Diagnostic, *token.FileSet, error) {
-	shared.mu.Lock()
-	defer shared.mu.Unlock()
-	if shared.fset == nil {
-		shared.fset = token.NewFileSet()
-		shared.imp = importer.ForCompiler(shared.fset, "source", nil)
-	}
-	fset := shared.fset
+	fset := srcimport.FileSet()
 	var parsed []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -78,7 +62,7 @@ func Diagnostics(a *analysis.Analyzer, pkgPath string, files []string) ([]analys
 	}
 	var typeErrs []string
 	conf := types.Config{
-		Importer: shared.imp,
+		Importer: srcimport.Importer(),
 		Error:    func(err error) { typeErrs = append(typeErrs, err.Error()) },
 	}
 	info := &types.Info{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -15,17 +14,18 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"qnp/internal/lint/srcimport"
 )
 
 // loader parses a module tree — nested modules such as bench/ included —
 // and typechecks its packages from source on demand, offline: the tree's
-// own import paths resolve here, everything else through the shared source
-// importer. Production packages are checked once and shared by every
+// own import paths resolve here, everything else through the process's
+// shared source importer (srcimport). Production packages are checked once and shared by every
 // importer; the test units are checked on top of them, as go vet sees
 // them.
 type loader struct {
-	fset  *token.FileSet // stdlib.fset
+	fset  *token.FileSet // srcimport.FileSet()
 	mods  []module       // sorted by descending directory depth
 	pkgs  map[string]*loadedPkg
 	paths []string // sorted keys of pkgs
@@ -52,27 +52,12 @@ type unit struct {
 	info  *types.Info
 }
 
-// stdlib is the file set and source importer every loader of a process
-// shares, so each standard-library package is typechecked from source once
-// per process rather than once per load. The source importer is not safe
-// for concurrent use; mu serialises it.
-var stdlib struct {
-	once sync.Once
-	mu   sync.Mutex
-	fset *token.FileSet
-	imp  types.ImporterFrom
-}
-
 // load finds and parses every module and package under root. testdata,
 // vendor and dot- or underscore-prefixed directories are skipped, as the
 // go command does.
 func load(root string) (*loader, error) {
-	stdlib.once.Do(func() {
-		stdlib.fset = token.NewFileSet()
-		stdlib.imp = importer.ForCompiler(stdlib.fset, "source", nil).(types.ImporterFrom)
-	})
 	l := &loader{
-		fset: stdlib.fset,
+		fset: srcimport.FileSet(),
 		pkgs: map[string]*loadedPkg{},
 	}
 	var dirs []string
@@ -284,7 +269,5 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return p.pkg, nil
 	}
-	stdlib.mu.Lock()
-	defer stdlib.mu.Unlock()
-	return stdlib.imp.ImportFrom(path, dir, mode)
+	return srcimport.Importer().ImportFrom(path, dir, mode)
 }

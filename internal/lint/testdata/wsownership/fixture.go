@@ -8,7 +8,7 @@ import "qnp/internal/linalg"
 // exit it escapes through — here the closing brace.
 func leak(ws *linalg.Workspace) {
 	m := ws.Get(2, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 } // want `workspace matrix m .* may leak`
 
 // An early return that skips the Put leaks on that path only.
@@ -24,13 +24,13 @@ func earlyLeak(ws *linalg.Workspace, cond bool) int {
 // GetRaw carries the same obligation as Get.
 func rawLeak(ws *linalg.Workspace) {
 	m := ws.GetRaw(4, 4)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 } // want `workspace matrix m .* may leak`
 
 // The straight-line Get → use → Put discipline is clean.
 func balanced(ws *linalg.Workspace) complex128 {
 	m := ws.Get(2, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 	v := m.At(0, 0)
 	ws.Put(m)
 	return v
@@ -49,7 +49,7 @@ func deferred(ws *linalg.Workspace, cond bool) complex128 {
 // Returning the matrix transfers ownership to the caller.
 func transferred(ws *linalg.Workspace) *linalg.Matrix {
 	m := ws.Get(2, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 	return m
 }
 
@@ -74,5 +74,5 @@ func branchPuts(ws *linalg.Workspace, cond bool) {
 func allowedLeak(ws *linalg.Workspace) {
 	//qnetlint:allow wsownership fixture hands the buffer to an owner the walk cannot see
 	m := ws.Get(2, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 }

@@ -53,7 +53,7 @@ func TestAllocsGateAndChannelW(t *testing.T) {
 		{"NoisyGate2W", func(ws *linalg.Workspace) *linalg.Matrix { return NoisyGate2W(ws, joint, CNOT, 1, 4, 0.98) }},
 		{"NoisyGate1W", func(ws *linalg.Workspace) *linalg.Matrix { return NoisyGate1W(ws, joint, H, 2, 4, 0.99) }},
 		{"ApplyDepolarizing1W", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyDepolarizing1W(ws, pair, 0.02, 1, 2) }},
-		{"ApplyPhaseFlipW", func(ws *linalg.Workspace) *linalg.Matrix { return ApplyPhaseFlipW(ws, pair, 0.05, 0, 2) }},
+		{"applyPhaseFlipW", func(ws *linalg.Workspace) *linalg.Matrix { return applyPhaseFlipW(ws, pair, 0.05, 0, 2) }},
 	} {
 		ws := warmWS(func(ws *linalg.Workspace) { ws.Put(tc.fn(ws)) })
 		if allocs := testing.AllocsPerRun(50, func() { ws.Put(tc.fn(ws)) }); allocs != 0 {
@@ -78,6 +78,37 @@ func TestAllocsSwapW(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("SwapW allocs/op = %v, want 0", allocs)
+	}
+	ps := PrepareSwap(cfg)
+	allocs = testing.AllocsPerRun(50, func() {
+		res := ps.SwapW(ws, a, b, rng)
+		ws.Put(res.Rho)
+	})
+	if allocs != 0 {
+		t.Errorf("PreparedSwap.SwapW allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestAllocsPairChannels gates the in-place pair touch of a carbon move
+// and of attempt dephasing at zero allocs/op: it uses no workspace at all.
+func TestAllocsPairChannels(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run with -race off")
+	}
+	rho := WernerFor(0.9, PhiPlus)
+	allocs := testing.AllocsPerRun(100, func() {
+		var pc PairChannels
+		pc.Decohere(0, 0.01, 1, 0.5)
+		pc.Decohere(1, 0.01, 10, 1)
+		pc.Depolarize(0, 0.02)
+		pc.Apply(rho)
+		pc = PairChannels{}
+		pc.Decohere(1, 0.01, 10, 1)
+		pc.PhaseFlip(1, 0.001)
+		pc.Apply(rho)
+	})
+	if allocs != 0 {
+		t.Errorf("PairChannels allocs/op = %v, want 0", allocs)
 	}
 }
 
@@ -191,8 +222,8 @@ func TestWEntryPointsNilVsPoisonedWorkspace(t *testing.T) {
 		{"ApplyDepolarizing1W", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
 			return 0, ApplyDepolarizing1W(ws, nvpPair1, 0.02, 1, 2)
 		}},
-		{"ApplyPhaseFlipW", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
-			return 0, ApplyPhaseFlipW(ws, nvpPair1, 0.05, 0, 2)
+		{"applyPhaseFlipW", func(ws *linalg.Workspace, _ *rand.Rand) (int, *linalg.Matrix) {
+			return 0, applyPhaseFlipW(ws, nvpPair1, 0.05, 0, 2)
 		}},
 		{"MeasureW", func(ws *linalg.Workspace, rng *rand.Rand) (int, *linalg.Matrix) {
 			return MeasureW(ws, nvpJoint, 2, 4, nvpReadout, rng)
@@ -255,7 +286,7 @@ func TestBellProjectorCachedReadOnlyValue(t *testing.T) {
 	}
 	// The public BellProjector must keep returning mutable copies.
 	p := BellProjector(PhiPlus)
-	p.Set(0, 0, 99)
+	p.Data[0] = 99
 	if BellProjectorCached(PhiPlus).At(0, 0) == 99 {
 		t.Fatal("BellProjector returned the shared cached matrix")
 	}

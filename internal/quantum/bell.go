@@ -119,12 +119,12 @@ func Fidelity(rho *linalg.Matrix, b BellIndex) float64 {
 			if av == 0 {
 				continue
 			}
-			w[i] += av * v.Data[k]
+			w[i] += linalg.CMul(av, v.Data[k])
 		}
 	}
 	var s complex128
 	for i := range w {
-		s += cmplx.Conj(v.Data[i]) * w[i]
+		s += linalg.CMul(cmplx.Conj(v.Data[i]), w[i])
 	}
 	return real(s)
 }

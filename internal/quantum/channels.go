@@ -2,7 +2,6 @@ package quantum
 
 import (
 	"math"
-	"math/cmplx"
 
 	"qnp/internal/linalg"
 )
@@ -39,112 +38,126 @@ func DecoherenceProbabilities(t, t1, t2star float64) (gamma, pflip float64) {
 // untouched.
 //
 // The result equals two Kraus passes through the block kernel bit for bit,
-// signed zeros included: amplitude damping K0 = diag(1, √(1−γ)),
-// K1 = √γ·|0⟩⟨1| when γ > 0, then the phase flip √(1−p)·I, √p·Z when
-// p > 0. The tests keep that two-pass form as the reference. One pass
-// suffices because both channels act on the target qubit alone, so each
-// 2×2 target block of the damped state depends only on the same block of
-// ρ (see local.go). Each block of ρ is read once. Its damped entries are
-// formed on the stack as the first pass writes them: entry (0, 0) is
-// 0 + (1·x00)·conj(1) + (√γ·x11)·conj(√γ), the others 0 + one K0 term,
-// each term skipped on an exact-zero factor. The dephasing terms then act
-// on those entries with the second pass's skips, and the block is written
-// once.
+// signed zeros included, for finite entries: amplitude damping
+// K0 = diag(1, √(1−γ)), K1 = √γ·|0⟩⟨1| when γ > 0, then the phase flip
+// √(1−p)·I, √p·Z when p > 0. The tests keep that two-pass form as the
+// reference. One pass suffices because both channels act on the target
+// qubit alone, so each 2×2 target block of the damped state depends only on
+// the same block of ρ (see local.go). Each block of ρ is read once, goes
+// through both stages on the stack (noise1.apply) and is written once.
 func DecohereW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.Matrix {
-	gamma, pflip := DecoherenceProbabilities(t, t1, t2star)
 	var ch noise1
-	if gamma > 0 {
-		ch.setDamping(gamma)
-	}
-	if pflip > 0 {
-		ch.setPhaseFlip(pflip)
-	}
-	if !ch.damp && !ch.flip {
+	if !ch.setDecoherence(t, t1, t2star) {
 		return rho
 	}
 	return pass1W(ws, rho, target, n, &ch)
 }
 
-// noise1 is the single-qubit noise that pass1W applies in one pass:
-// amplitude damping, the phase flip and depolarising noise, in that order,
-// each when set.
+// noise1 is the single-qubit noise that one stage of a pass applies to
+// each 2×2 block: amplitude damping, the phase flip and depolarising
+// noise, in that order, each when set. Every Kraus factor of the three
+// channels is a real multiple of a Pauli monomial, so the stages keep the
+// real factors and apply them as real scalars.
 type noise1 struct {
-	damp, flip bool
-	// Damping: K0 = diag(1, s), K1 = g·|0⟩⟨1|; cs, cg are conj(s), conj(g).
-	s, g, cs, cg complex128
-	// Phase flip: √(1−p)·I and √p·Z, diagonals s0 and z, conjugated cs0
-	// and cz.
-	s0, cs0 complex128
-	z, cz   [2]complex128
-	// Depolarising noise: its Kraus factors in Pauli order.
-	depol []monomial
+	damp, flip, depol bool
+	// Damping: K0 = diag(1, s), K1 = g·|0⟩⟨1|.
+	s, g float64
+	// Phase flip: s0·I and sz·Z with s0 = √(1−p), sz = √p.
+	s0, sz float64
+	// Depolarising noise: d0·I, then d1·X, d1·Y and d1·Z.
+	d0, d1 float64
 }
 
-func (ch *noise1) setDamping(gamma float64) {
-	ch.damp = true
-	ch.s, ch.g = complex(math.Sqrt(1-gamma), 0), complex(math.Sqrt(gamma), 0)
-	ch.cs, ch.cg = cmplx.Conj(ch.s), cmplx.Conj(ch.g)
+// setDecoherence sets the damping and phase flip of an idle time t under
+// T1 and T2*, and reports whether any decay applies. γ and p count only
+// when > 0, so a NaN from a NaN idle time leaves the stage unset.
+func (ch *noise1) setDecoherence(t, t1, t2star float64) bool {
+	gamma, pflip := DecoherenceProbabilities(t, t1, t2star)
+	if gamma > 0 {
+		ch.damp = true
+		ch.s, ch.g = math.Sqrt(1-gamma), math.Sqrt(gamma)
+	}
+	if pflip > 0 {
+		ch.setPhaseFlip(pflip)
+	}
+	return ch.damp || ch.flip
 }
 
 func (ch *noise1) setPhaseFlip(p float64) {
 	p = clamp01(p)
 	ch.flip = true
-	ch.s0 = complex(math.Sqrt(1-p), 0)
-	// complex(-x, 0), not a complex negation: negating the complex would
-	// flip the imaginary zero to -0, diverging bitwise from the Kraus
-	// factor s·Z as linalg.ScaleInto computes it.
-	ch.z = [2]complex128{complex(math.Sqrt(p), 0), complex(-math.Sqrt(p), 0)}
-	ch.cs0, ch.cz = cmplx.Conj(ch.s0), [2]complex128{cmplx.Conj(ch.z[0]), cmplx.Conj(ch.z[1])}
+	ch.s0, ch.sz = math.Sqrt(1-p), math.Sqrt(p)
 }
 
-// one is K0's unit entry and oneConj its conjugate. The products with
-// them are kept, as the Kraus sum forms them: they can flip the sign of a
-// zero.
-var one, oneConj = complex(1, 0), cmplx.Conj(1)
+func (ch *noise1) setDepolarizing(p float64) {
+	p = clamp01(p)
+	ch.depol = true
+	ch.d0, ch.d1 = depolarizingAmp(p, 1, 0), depolarizingAmp(p, 1, 1)
+}
 
-// apply runs the set channels on the 2×2 block x, entry (a, c) at
-// x[a*2+c]. Each stage writes every entry as a sum from +0 of its Kraus
-// terms in Kraus order, dropping a term whose input entry or factor is an
-// exact zero, as the block kernel's addSparse does.
-func (ch *noise1) apply(x *[4]complex128) {
+// apply runs the set channels on the 2×2 block (x00, x01; x10, x11) and
+// returns the result in the same order. Each stage writes every entry as
+// a sum from +0 of its Kraus terms in Kraus order, as the block kernel's
+// addSparse forms them.
+//
+// A real factor s turns the complex products (s·x)·conj(s) of those terms
+// into (s·x)·s component by component (twice), and a unit factor leaves x
+// as it is. For finite entries that changes at most the sign of a zero
+// term: the complex product adds an exact ±0 to each real product. A sum
+// that starts at +0 erases such a sign (see local.go), and for the same
+// reason the block kernel's skip of an exact-zero term or factor needs no
+// test here. The Pauli factors' phases become signs: the Y and Z terms
+// negate the off-diagonal entries (0, 1) and (1, 0).
+func (ch *noise1) apply(x00, x01, x10, x11 complex128) (complex128, complex128, complex128, complex128) {
 	if ch.damp {
-		var y [4]complex128
-		if x[0] != 0 {
-			y[0] += one * x[0] * oneConj
-		}
-		if x[3] != 0 {
-			y[0] += ch.g * x[3] * ch.cg
-		}
-		if ch.s != 0 {
-			if x[1] != 0 {
-				y[1] += one * x[1] * ch.cs
-			}
-			if x[2] != 0 {
-				y[2] += ch.s * x[2] * oneConj
-			}
-			if x[3] != 0 {
-				y[3] += ch.s * x[3] * ch.cs
-			}
-		}
-		*x = y
+		var y00, y01, y10, y11 complex128
+		y00 += x00
+		y00 += twice(ch.g, x11)
+		y01 += scale(ch.s, x01)
+		y10 += scale(ch.s, x10)
+		y11 += twice(ch.s, x11)
+		x00, x01, x10, x11 = y00, y01, y10, y11
 	}
 	if ch.flip {
-		for e, v := range x {
-			var acc complex128
-			if v != 0 {
-				if ch.s0 != 0 {
-					acc += ch.s0 * v * ch.cs0
-				}
-				if ch.z[0] != 0 {
-					acc += ch.z[e>>1] * v * ch.cz[e&1]
-				}
-			}
-			x[e] = acc
+		s0, sz := ch.s0, ch.sz
+		var y00, y01, y10, y11 complex128
+		y00 += twice(s0, x00)
+		y00 += twice(sz, x00)
+		y01 += twice(s0, x01)
+		y01 -= twice(sz, x01)
+		y10 += twice(s0, x10)
+		y10 -= twice(sz, x10)
+		y11 += twice(s0, x11)
+		y11 += twice(sz, x11)
+		x00, x01, x10, x11 = y00, y01, y10, y11
+	}
+	if ch.depol {
+		// The Pauli twirl: d0·I, then X, Y and Z with d1. X and Y read
+		// the entry across the block, (1−a, 1−c).
+		d0, d1 := ch.d0, ch.d1
+		var y00, y01, y10, y11 complex128
+		y00 += twice(d0, x00)
+		y01 += twice(d0, x01)
+		y10 += twice(d0, x10)
+		y11 += twice(d0, x11)
+		if d1 != 0 {
+			t00, t01, t10, t11 := twice(d1, x00), twice(d1, x01), twice(d1, x10), twice(d1, x11)
+			y00 += t11
+			y00 += t11
+			y00 += t00
+			y01 += t10
+			y01 -= t10
+			y01 -= t01
+			y10 += t01
+			y10 -= t01
+			y10 -= t10
+			y11 += t00
+			y11 += t00
+			y11 += t11
 		}
+		x00, x01, x10, x11 = y00, y01, y10, y11
 	}
-	if ch.depol != nil {
-		*x = conj1(x, ch.depol)
-	}
+	return x00, x01, x10, x11
 }
 
 // NoisyGate2W applies a two-qubit unitary to adjacent qubits (target,
@@ -179,21 +192,84 @@ func NoisyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, 
 // ρ → (1−p)ρ + p·I/2 to qubit target of ρ. Result: fresh ws matrix owned by
 // the caller; ρ untouched.
 func ApplyDepolarizing1W(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
-	return applyDepolarizingW(ws, rho, p, 1, target, n)
-}
-
-// ApplyPhaseFlipW applies the dephasing channel that applies Z with
-// probability p to qubit target of ρ. Result: fresh ws matrix owned by the
-// caller; ρ untouched. Its Kraus factors √(1−p)·I and √p·Z are diagonal,
-// so entry (a, c) of each 2×2 target block is
-// (s0·x)·conj(s0) + (z_a·x)·conj(z_c) with z = (√p, −√p), summed from +0,
-// a term dropped when x or one of its factors is an exact zero: the
-// products, sums and skips of the Kraus sum through the block kernel.
-func ApplyPhaseFlipW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
 	var ch noise1
-	ch.setPhaseFlip(p)
+	ch.setDepolarizing(p)
 	return pass1W(ws, rho, target, n, &ch)
 }
+
+// PairChannels is the noise one touch of an entangled pair applies to its
+// 4×4 state: each side's idle decoherence, then a single-qubit channel on
+// one side, in the order they are added. Apply runs them as one in-place
+// pass over the state, with the products, sums and order of DecohereW,
+// ApplyDepolarizing1W and the phase flip applied one after another, each
+// into a fresh matrix; the tests keep that chain as the reference. The
+// zero value adds nothing.
+type PairChannels struct {
+	n      int
+	stages [3]noise1
+	h      [3]int // each stage's target bit in a basis index
+}
+
+// add returns a fresh stage on qubit side of the pair.
+func (pc *PairChannels) add(side int) *noise1 {
+	if side < 0 || side > 1 {
+		panic("quantum: pair side out of range")
+	}
+	if pc.n == len(pc.stages) {
+		panic("quantum: too many channels for one pair touch")
+	}
+	pc.h[pc.n] = 2 >> side
+	pc.n++
+	return &pc.stages[pc.n-1]
+}
+
+// Decohere adds qubit side's idle decoherence for t seconds under T1 and
+// T2*, as DecohereW applies it; nothing when no decay applies.
+func (pc *PairChannels) Decohere(side int, t, t1, t2star float64) {
+	var ch noise1
+	if ch.setDecoherence(t, t1, t2star) {
+		*pc.add(side) = ch
+	}
+}
+
+// Depolarize adds single-qubit depolarising noise with probability p on
+// qubit side, as ApplyDepolarizing1W applies it.
+func (pc *PairChannels) Depolarize(side int, p float64) {
+	pc.add(side).setDepolarizing(p)
+}
+
+// PhaseFlip adds the dephasing that applies Z with probability p to qubit
+// side: Kraus factors √(1−p)·I and √p·Z.
+func (pc *PairChannels) PhaseFlip(side int, p float64) {
+	pc.add(side).setPhaseFlip(p)
+}
+
+// Apply applies the added channels to the 4×4 pair state rho in place:
+// its 16 entries are read once, go through every stage on the stack and
+// are written once. With no channel added it does not read rho, which may
+// then be nil.
+func (pc *PairChannels) Apply(rho *linalg.Matrix) {
+	if pc.n == 0 {
+		return
+	}
+	if rho.Rows != 4 || rho.Cols != 4 {
+		panic("quantum: PairChannels needs a 4×4 pair state")
+	}
+	dst := (*[16]complex128)(rho.Data)
+	x := *dst
+	for i := 0; i < pc.n; i++ {
+		ch, h := &pc.stages[i], pc.h[i]
+		for _, e := range pairBlocks[h-1] {
+			x[e], x[e+h], x[e+4*h], x[e+5*h] = ch.apply(x[e], x[e+h], x[e+4*h], x[e+5*h])
+		}
+	}
+	*dst = x
+}
+
+// pairBlocks[h−1] are the first entries of the four 2×2 blocks of a 4×4
+// pair state whose target bit is h (2 for the left qubit, 1 for the
+// right): block e holds entries e, e+h, e+4h and e+5h.
+var pairBlocks = [2][4]int{{0, 2, 8, 10}, {0, 1, 4, 5}}
 
 func clamp01(p float64) float64 {
 	if p < 0 {

@@ -32,6 +32,15 @@ func TestChannelsTracePreserving(t *testing.T) {
 	}
 }
 
+// applyPhaseFlipW applies the dephasing channel that applies Z with
+// probability p to qubit target of ρ, as PairChannels.PhaseFlip does on a
+// pair, into a fresh ws matrix; ρ is untouched.
+func applyPhaseFlipW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
+	var ch noise1
+	ch.setPhaseFlip(p)
+	return pass1W(ws, rho, target, n, &ch)
+}
+
 // channel1 is a single-qubit noise channel the engine applies, acting on
 // qubit target of a two-qubit state.
 type channel1 struct {
@@ -49,7 +58,7 @@ func channels1(p float64) []channel1 {
 			return DecohereW(nil, rho, target, 2, tDamp, 1, 0)
 		}},
 		{"phase flip", func(rho *linalg.Matrix, target int) *linalg.Matrix {
-			return ApplyPhaseFlipW(nil, rho, p, target, 2)
+			return applyPhaseFlipW(nil, rho, p, target, 2)
 		}},
 		{"depolarizing", func(rho *linalg.Matrix, target int) *linalg.Matrix {
 			return ApplyDepolarizing1W(nil, rho, p, target, 2)

@@ -26,6 +26,24 @@
 // they skip, all exact zeros, cannot change a bit, and the results equal the
 // lifted algebra's bit for bit, signed zeros included. The tests keep the
 // lifted operators and the Kraus forms of the channels as that reference.
+//
+// The single-qubit noise channels (amplitude damping, phase flip,
+// depolarising noise) have Kraus factors that are real multiples of Pauli
+// monomials. Their stages keep the real factors and multiply by them as
+// real scalars, one pass per 2×2 block (channels.go), and a pair touch
+// (PairChannels) runs a pair's idle decoherence and the channel that
+// follows it as one in-place pass over the 4×4 state. A complex product
+// with a real factor adds an exact ±0 to each real product, which a sum
+// started at +0 erases; SwapW likewise drops CNOT's unit factors. Those
+// forms equal the Kraus sums bit for bit for finite entries only, since
+// 0·Inf is NaN, and that is the kernels' contract: a density matrix is
+// always finite. The reference tests and fuzz targets clamp components to
+// [−1, 1] and read NaN and ±Inf as 0.
+//
+// Every product that feeds a sum is rounded explicitly (round.go), so no
+// compiler may fuse it into a multiply-add: the results, and the goldens
+// recorded on amd64, are the same on every architecture.
+// TestNoFusedMultiplyAdd checks the arm64 assembly.
 package quantum
 
 import (

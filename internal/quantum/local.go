@@ -118,10 +118,10 @@ func (o *localOp) addSparse(b *block) {
 		br, bc := int(e>>2), int(e&3)
 		for ri := o.inv[br]; ri != 0; ri &= ri - 1 {
 			a := bits.TrailingZeros8(ri)
-			vx := o.u[a*4+br] * b.x[e]
+			vx := linalg.CMul(o.u[a*4+br], b.x[e])
 			for rj := o.inv[bc]; rj != 0; rj &= rj - 1 {
 				c := bits.TrailingZeros8(rj)
-				b.out[b.at(a, c)] += vx * cmplx.Conj(o.u[c*4+bc])
+				b.out[b.at(a, c)] += linalg.CMul(vx, cmplx.Conj(o.u[c*4+bc]))
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func (o *localOp) addDense(b *block) {
 			var acc complex128
 			for k := 0; k < d; k++ {
 				if u := o.u[a*4+k]; u != 0 {
-					acc += u * b.x[k*4+c]
+					acc += linalg.CMul(u, b.x[k*4+c])
 				}
 			}
 			t[a*4+c] = acc
@@ -148,7 +148,7 @@ func (o *localOp) addDense(b *block) {
 			var acc complex128
 			for k := 0; k < d; k++ {
 				if u := o.u[c*4+k]; u != 0 {
-					acc += t[a*4+k] * cmplx.Conj(u)
+					acc += linalg.CMul(t[a*4+k], cmplx.Conj(u))
 				}
 			}
 			b.out[b.at(a, c)] += acc
@@ -258,22 +258,23 @@ func (m *monomial) localOp() localOp {
 // depolarizingAmp is the coefficient of Kraus factor m of the k-qubit
 // depolarising channel with probability p: factor m is amp·Pauli(m) for
 // k = 1 and amp·(Pauli(m/4)⊗Pauli(m%4)) for k = 2.
-func depolarizingAmp(p float64, k, m int) complex128 {
+func depolarizingAmp(p float64, k, m int) float64 {
 	switch {
 	case k == 1 && m == 0:
-		return complex(math.Sqrt(1-3*p/4), 0)
+		return math.Sqrt(1 - float64(3*p/4))
 	case k == 1:
-		return complex(math.Sqrt(p/4), 0)
+		return math.Sqrt(p / 4)
 	case m == 0:
-		return complex(math.Sqrt(1-15*p/16), 0)
+		return math.Sqrt(1 - float64(15*p/16))
 	}
-	return complex(math.Sqrt(p/16), 0)
+	return math.Sqrt(p / 16)
 }
 
 // depolarizingTerms writes the Kraus factors of the k-qubit depolarising
 // channel with probability p into dst, in Pauli order, and returns the
-// factors written. Each factor's nonzeros are amp·v, as linalg.ScaleInto
-// computes them; a factor whose amp is 0 adds nothing and is dropped.
+// factors written. Each factor's nonzeros are the complex products amp·v
+// that the scaled Kraus matrix holds; a factor whose amp is 0 adds nothing
+// and is dropped.
 func depolarizingTerms(dst []monomial, p float64, k int) []monomial {
 	p = clamp01(p)
 	paulis := paulis1[:]
@@ -289,7 +290,7 @@ func depolarizingTerms(dst []monomial, p float64, k int) []monomial {
 		t := &dst[n]
 		*t = paulis[m]
 		for a := 0; a < t.d; a++ {
-			t.v[a] = amp * t.v[a]
+			t.v[a] = linalg.CMul(complex(amp, 0), t.v[a])
 		}
 		n++
 	}
@@ -301,9 +302,7 @@ func depolarizingTerms(dst []monomial, p float64, k int) []monomial {
 // its Kraus matrices.
 func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, k, target, n int) *linalg.Matrix {
 	if k == 1 {
-		var factors [4]monomial
-		ch := noise1{depol: depolarizingTerms(factors[:], p, 1)}
-		return pass1W(ws, rho, target, n, &ch)
+		return ApplyDepolarizing1W(ws, rho, p, target, n)
 	}
 	var factors [16]monomial
 	var ops [16]localOp
@@ -312,31 +311,6 @@ func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, k, 
 		ops[t] = terms[t].localOp()
 	}
 	return applyOpsW(ws, rho, k, target, n, ops[:len(terms)]...)
-}
-
-// Single-qubit channels whose Kraus factors are monomials (amplitude
-// damping, phase flip, depolarising noise) skip the localOp path. For a
-// row-sparse factor, addSparse gives entry (a, c) of K·X·K† the single term
-// (v[a]·X[a^f][c^f])·conj(v[c]), skipped when any of the three is an exact
-// zero. The single-qubit channels form each entry's terms directly, in
-// Kraus order, summed from +0: the same products, sums and skips, with no
-// operator to build or index per call.
-
-// conj1 returns Σ K·X·K† over the single-qubit factors ks for one 2×2
-// block X, entry (a, c) at x[a*2+c].
-func conj1(x *[4]complex128, ks []monomial) (y [4]complex128) {
-	for i := range ks {
-		k := &ks[i]
-		src := k.f * 3 // entry e reads x[e^src]
-		cv := [2]complex128{cmplx.Conj(k.v[0]), cmplx.Conj(k.v[1])}
-		for e := range y {
-			a, c := e>>1, e&1
-			if v := x[(e^src)&3]; v != 0 && k.v[a] != 0 && k.v[c] != 0 {
-				y[e] += k.v[a] * v * cv[c]
-			}
-		}
-	}
-	return y
 }
 
 // pass1W returns a fresh ws matrix holding the noise ch applied to qubit
@@ -361,9 +335,7 @@ func pass1W(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ch *noise1)
 				continue
 			}
 			e := i0*st.dim + j0
-			x := [4]complex128{src[e], src[e+h], src[e+hr], src[e+hr+h]}
-			ch.apply(&x)
-			dst[e], dst[e+h], dst[e+hr], dst[e+hr+h] = x[0], x[1], x[2], x[3]
+			dst[e], dst[e+h], dst[e+hr], dst[e+hr+h] = ch.apply(src[e], src[e+h], src[e+hr], src[e+hr+h])
 		}
 	}
 	return out

@@ -56,7 +56,7 @@ func (k kraus) isTracePreserving(tol float64) bool {
 	n := k[0].Rows
 	sum := linalg.New(n, n)
 	for _, op := range k {
-		sum.AddInPlace(linalg.Mul(linalgtest.Adjoint(op), op))
+		sum = linalgtest.Add(sum, linalg.Mul(linalgtest.Adjoint(op), op))
 	}
 	return linalgtest.ApproxEqual(sum, linalg.Identity(n), tol)
 }
@@ -84,7 +84,7 @@ func depolarizing1(p float64) kraus {
 	p = clamp01(p)
 	var ops kraus
 	for m := 0; m < 4; m++ {
-		ops = append(ops, linalgtest.Scale(depolarizingAmp(p, 1, m), Pauli(m)))
+		ops = append(ops, linalgtest.Scale(complex(depolarizingAmp(p, 1, m), 0), Pauli(m)))
 	}
 	return ops
 }
@@ -95,7 +95,7 @@ func depolarizing2(p float64) kraus {
 	p = clamp01(p)
 	var ops kraus
 	for m := 0; m < 16; m++ {
-		ops = append(ops, linalgtest.Scale(depolarizingAmp(p, 2, m), linalg.Kron(Pauli(m/4), Pauli(m%4))))
+		ops = append(ops, linalgtest.Scale(complex(depolarizingAmp(p, 2, m), 0), linalg.Kron(Pauli(m/4), Pauli(m%4))))
 	}
 	return ops
 }
@@ -138,7 +138,7 @@ func liftedGate(rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
 func liftedChannel(rho *linalg.Matrix, k kraus, target, n int) *linalg.Matrix {
 	out := linalg.New(rho.Rows, rho.Cols)
 	for _, op := range k {
-		out.AddInPlace(liftedConj(lift(op, target, n), rho))
+		out = linalgtest.Add(out, liftedConj(lift(op, target, n), rho))
 	}
 	return out
 }
@@ -184,9 +184,9 @@ func randomState(rng *rand.Rand, n int) *linalg.Matrix {
 			if i == j {
 				v = complex(real(v), 0)
 			}
-			m.Set(i, j, v)
+			m.Data[i*dim+j] = v
 			if i != j {
-				m.Set(j, i, complex(real(v), -imag(v)))
+				m.Data[j*dim+i] = complex(real(v), -imag(v))
 			}
 		}
 	}
@@ -226,7 +226,7 @@ func TestLocalKernelsMatchLifted(t *testing.T) {
 				for _, p := range probs {
 					pat := fmt.Sprintf("%s p=%v ", at, p)
 					check(pat+"ApplyDepolarizing1W", ApplyDepolarizing1W(nil, rho, p, target, n), liftedChannel(rho, depolarizing1(p), target, n))
-					check(pat+"ApplyPhaseFlipW", ApplyPhaseFlipW(nil, rho, p, target, n), liftedChannel(rho, phaseFlip(p), target, n))
+					check(pat+"applyPhaseFlipW", applyPhaseFlipW(nil, rho, p, target, n), liftedChannel(rho, phaseFlip(p), target, n))
 				}
 				gamma, pflip := DecoherenceProbabilities(0.3, 1, 0.4)
 				want := liftedChannel(liftedChannel(rho, amplitudeDamping(gamma), target, n), phaseFlip(pflip), target, n)

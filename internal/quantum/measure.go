@@ -103,7 +103,7 @@ const minRenormProb = 1e-15
 // renormalize is the post-measurement rescale of one entry.
 func renormalize(v complex128, prob float64) complex128 {
 	if prob > minRenormProb {
-		v *= complex(1/prob, 0)
+		v = linalg.CMul(v, complex(1/prob, 0))
 	}
 	return v
 }

@@ -67,19 +67,57 @@ type SwapResult struct {
 // caller (it typically becomes the merged pair's long-lived state); no
 // other ws matrix is used. The inputs are untouched. A nil ws allocates
 // instead, with bit-identical results and RNG consumption.
+//
+// SwapW builds the noisy gates' Kraus factors on every call; a caller that
+// swaps many times under one configuration builds them once with
+// PrepareSwap.
 func SwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rng *rand.Rand) SwapResult {
+	var ps PreparedSwap
+	ps.init(cfg)
+	return ps.SwapW(ws, rhoAB, rhoBC, rng)
+}
+
+// PreparedSwap is a SwapConfig with the Kraus factors of its two noisy
+// gates built: the part of a swap that depends on the configuration alone.
+type PreparedSwap struct {
+	readout Readout
+	// terms2[:n2] are the noisy CNOT's factors after the CNOT and
+	// terms1[:n1] the noisy H's after the H. n2 = 0 means a perfect CNOT:
+	// a noisy one keeps at least its identity factor, of amplitude
+	// √(1−15p/16) > 0.
+	n2, n1 int
+	terms2 [16]monomial
+	terms1 [4]monomial
+}
+
+// PrepareSwap builds cfg's gate noise factors once, for SwapW to reuse.
+func PrepareSwap(cfg SwapConfig) *PreparedSwap {
+	ps := new(PreparedSwap)
+	ps.init(cfg)
+	return ps
+}
+
+func (ps *PreparedSwap) init(cfg SwapConfig) {
+	ps.readout = cfg.Readout
+	if cfg.TwoQubitFidelity < 1 {
+		ps.n2 = len(depolarizingTerms(ps.terms2[:], 1-cfg.TwoQubitFidelity, 2))
+	}
+	if cfg.SingleQubitFidelity < 1 {
+		ps.n1 = len(depolarizingTerms(ps.terms1[:], 1-cfg.SingleQubitFidelity, 1))
+	}
+}
+
+// SwapW is the package-level SwapW under the prepared configuration, bit
+// for bit.
+func (ps *PreparedSwap) SwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, rng *rand.Rand) SwapResult {
 	if rhoAB.Rows != 4 || rhoAB.Cols != 4 || rhoBC.Rows != 4 || rhoBC.Cols != 4 {
 		panic("quantum: Swap needs 4×4 pair states")
 	}
-	var terms2, terms1 [16]monomial
-	k := swapKernel{gate2: cnotTerm[:]}
+	k := swapKernel{gate2: cnotTerm[:], gate1: ps.terms1[:ps.n1]}
+	if ps.n2 > 0 {
+		k.gate2 = ps.terms2[:ps.n2]
+	}
 	k.load(rhoAB.Data, rhoBC.Data)
-	if cfg.TwoQubitFidelity < 1 {
-		k.gate2 = depolarizingTerms(terms2[:], 1-cfg.TwoQubitFidelity, 2)
-	}
-	if cfg.SingleQubitFidelity < 1 {
-		k.gate1 = depolarizingTerms(terms1[:], 1-cfg.SingleQubitFidelity, 1)
-	}
 	// Joint index i = A·8 + b1·4 + b2·2 + C. The diagonal before the
 	// measurements comes from the 8 b1-blocks on the diagonal.
 	var diag [16]complex128
@@ -96,7 +134,7 @@ func SwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rn
 			p0 += real(v)
 		}
 	}
-	z, zbit, zprob := collapse(p0, cfg.Readout, rng)
+	z, zbit, zprob := collapse(p0, ps.readout, rng)
 	// b2's outcome reads the rescaled b1 = z diagonal; the rest is +0.
 	p0 = 0
 	for i, v := range diag {
@@ -104,7 +142,7 @@ func SwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rn
 			p0 += real(renormalize(v, zprob))
 		}
 	}
-	x, xbit, xprob := collapse(p0, cfg.Readout, rng)
+	x, xbit, xprob := collapse(p0, ps.readout, rng)
 	// The surviving (A, C) block sits at b1 = z, b2 = x. Its entries are
 	// sums from +0 and hold no −0, so each projection's unit factors and
 	// +0-started sum, and then the partial trace's, leave them as they are;
@@ -153,7 +191,7 @@ func (k *swapKernel) load(ab, bc []complex128) {
 		r1, c1 := e>>2, e&3
 		for e2, bv := range bc[:16] {
 			i, j := r1<<2|e2>>2, c1<<2|e2&3
-			k.cnot[cnotIndex(i)<<4|cnotIndex(j)] = av * bv
+			k.cnot[cnotIndex(i)<<4|cnotIndex(j)] = linalg.CMul(av, bv)
 		}
 	}
 }
@@ -180,8 +218,8 @@ func (k *swapKernel) noisyCNOT(i, j int) complex128 {
 	for t := range k.gate2 {
 		g := &k.gate2[t]
 		if v := x[g.f]; v != 0 {
-			vx := g.v[a] * v
-			acc += vx * cmplx.Conj(g.v[c])
+			vx := linalg.CMul(g.v[a], v)
+			acc += linalg.CMul(vx, cmplx.Conj(g.v[c]))
 		}
 	}
 	return acc
@@ -203,13 +241,13 @@ func (k *swapKernel) noisyH(i0, j0 int) (d [2]complex128) {
 		for c := 0; c < 2; c++ {
 			var acc complex128
 			for m := 0; m < 2; m++ {
-				acc += hOp.u[a*4+m] * x[m*2+c]
+				acc += linalg.CMul(hOp.u[a*4+m], x[m*2+c])
 			}
 			t[c] = acc
 		}
 		var acc complex128
 		for m := 0; m < 2; m++ {
-			acc += t[m] * cmplx.Conj(hOp.u[a*4+m])
+			acc += linalg.CMul(t[m], cmplx.Conj(hOp.u[a*4+m]))
 		}
 		d[a] = acc
 	}
@@ -222,8 +260,8 @@ func (k *swapKernel) noisyH(i0, j0 int) (d [2]complex128) {
 		for t := range k.gate1 {
 			g := &k.gate1[t]
 			if v := y[a^g.f]; v != 0 {
-				vx := g.v[a] * v
-				acc += vx * cmplx.Conj(g.v[a])
+				vx := linalg.CMul(g.v[a], v)
+				acc += linalg.CMul(vx, cmplx.Conj(g.v[a]))
 			}
 		}
 		d[a] = acc

@@ -404,6 +404,34 @@ func TestSwapWMatchesStagedReference(t *testing.T) {
 	}
 }
 
+// TestPreparedSwapMatchesSwapW pins PreparedSwap.SwapW to SwapW, which
+// builds the gate noise factors on every call: one prepared configuration
+// serves a run of swaps, over every config branch, random inputs with
+// signed zeros and Bell inputs, with the same outcomes, Rho bits and RNG
+// position.
+func TestPreparedSwapMatchesSwapW(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i, cfg := range swapRefConfigs() {
+		ps := PrepareSwap(cfg)
+		rngGot, rngWant := rand.New(rand.NewSource(int64(i))), rand.New(rand.NewSource(int64(i)))
+		for n := 0; n < 60; n++ {
+			a, b := randomMatrix(rng, 2), randomMatrix(rng, 2)
+			if n%3 == 0 {
+				a, b = BellProjector(BellIndex(n%4)), WernerFor(0.9, BellIndex(n/4%4))
+			}
+			got := ps.SwapW(nil, a, b, rngGot)
+			want := SwapW(nil, a, b, cfg, rngWant)
+			if got.Outcome != want.Outcome || !sameBits(got.Rho, want.Rho) {
+				t.Fatalf("%+v swap %d: prepared swap gives outcome %v, per-call factors %v; Rho equal bit for bit: %v",
+					cfg, n, got.Outcome, want.Outcome, sameBits(got.Rho, want.Rho))
+			}
+		}
+		if rngGot.Int63() != rngWant.Int63() {
+			t.Fatalf("%+v: RNG streams diverged", cfg)
+		}
+	}
+}
+
 // FuzzSwapWMatchesReference requires SwapW to equal refSwapW bit for bit
 // on inputs decoded by decodeSwapInput.
 func FuzzSwapWMatchesReference(f *testing.F) {
@@ -451,15 +479,25 @@ func decodeSwapInput(data []byte) (rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, 
 	return m[0], m[1], cfg, seed
 }
 
-// BenchmarkSwapW times the swap kernel against the staged reference on a
-// noisy configuration, both on a warm workspace.
+// preparedSwapW gives PreparedSwap.SwapW SwapW's signature; the
+// configuration argument is the prepared one.
+type preparedSwapW struct{ ps *PreparedSwap }
+
+func (p preparedSwapW) swapW(ws *linalg.Workspace, a, b *linalg.Matrix, _ SwapConfig, rng *rand.Rand) SwapResult {
+	return p.ps.SwapW(ws, a, b, rng)
+}
+
+// BenchmarkSwapW times the swap kernel, with the gate noise factors built
+// per call and prepared once, against the staged reference on a noisy
+// configuration, all on a warm workspace.
 func BenchmarkSwapW(b *testing.B) {
 	cfg := SwapConfig{TwoQubitFidelity: 0.98, SingleQubitFidelity: 0.99, Readout: Readout{F0: 0.95, F1: 0.995}}
 	a, c := WernerFor(0.95, PhiPlus), WernerFor(0.9, PsiMinus)
+	prepared := preparedSwapW{PrepareSwap(cfg)}
 	for _, bc := range []struct {
 		name string
 		swap func(*linalg.Workspace, *linalg.Matrix, *linalg.Matrix, SwapConfig, *rand.Rand) SwapResult
-	}{{"kernel", SwapW}, {"reference", refSwapW}} {
+	}{{"kernel", SwapW}, {"prepared", prepared.swapW}, {"reference", refSwapW}} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			ws := linalg.NewWorkspace()

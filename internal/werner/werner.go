@@ -17,7 +17,7 @@
 //
 // Determinism contract: every function that consumes randomness draws from
 // the *rand.Rand in exactly the same order and count as its exact-engine
-// counterpart (quantum.SwapW, quantum.MeasureInBasisW, hardware.GenerateW),
+// counterpart (quantum.SwapW, quantum.MeasureInBasisW, hardware.Herald),
 // so a simulation switched between engines sees identical RNG streams and
 // an identical event timeline.
 package werner
@@ -45,7 +45,7 @@ func CrossFidelity(w float64) float64 { return (1 - w) / 4 }
 // Generate maps a heralded-generation attempt to its Werner equivalent.
 // fidelity is hardware.PairModel.Fidelity(), which already folds in photon
 // dephasing, double excitation and the dark-count branch; the one Intn(2)
-// draw mirrors hardware.GenerateW's random Ψ+/Ψ− herald so the RNG stream
+// draw mirrors hardware.Herald's random Ψ+/Ψ− herald so the RNG stream
 // stays aligned with the exact engine.
 func Generate(fidelity float64, rng *rand.Rand) (w float64, idx quantum.BellIndex) {
 	idx = quantum.PsiPlus

@@ -102,12 +102,14 @@ func TestDepolarize1MatchesExact(t *testing.T) {
 }
 
 func TestPhaseFlipMatchesExact(t *testing.T) {
-	ws := linalg.NewWorkspace()
 	for _, w := range wGrid {
 		for _, idx := range allBell {
 			for _, p := range []float64{0, 2.5e-5, 0.01, 0.2, 0.5} {
 				for side := 0; side < 2; side++ {
-					rho := quantum.ApplyPhaseFlipW(ws, wernerRho(w, idx), p, side, 2)
+					rho := wernerRho(w, idx)
+					var ch quantum.PairChannels
+					ch.PhaseFlip(side, p)
+					ch.Apply(rho)
 					exactF := quantum.Fidelity(rho, idx)
 					if got := Fidelity(PhaseFlip(w, p)); math.Abs(got-exactF) > tol {
 						t.Fatalf("w=%v idx=%v p=%v side=%d: exact %v scalar %v", w, idx, p, side, got, exactF)
