@@ -50,3 +50,52 @@ func TestAllocsPerPairExactChain(t *testing.T) {
 		t.Logf("allocs per delivered pair = %.2f", per)
 	}
 }
+
+// TestAllocsDemuxChurn gates the demultiplexer under request churn, which
+// the per-pair gates, one request at a time, never reach: with a thousand
+// requests live, each retired request is replaced by a new one, the tail
+// advances one epoch behind the head and a pair is assigned. An epoch
+// change must allocate nothing once the request list has grown to its
+// working size. The requests come from a slice made beforehand and reuse
+// the thousand IDs: byID keeps an entry for every ID ever seen (it is
+// Submit's duplicate check), so distinct IDs would measure map growth.
+func TestAllocsDemuxChurn(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run with -race off")
+	}
+	const live, runs = 1000, 10
+	ids := make([]RequestID, live)
+	for i := range ids {
+		ids[i] = RequestID("r" + strconv.Itoa(i))
+	}
+	pool := make([]reqState, live*(runs+2))
+	fresh := func(i int) *reqState {
+		rs := &pool[0]
+		pool = pool[1:]
+		rs.req = Request{ID: ids[i%live], NumPairs: 1}
+		return rs
+	}
+	d := newDemux()
+	for i := 0; i < live; i++ {
+		d.add(fresh(i))
+	}
+	d.jumpToLatest()
+	retired := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < live; i++ {
+			d.remove(ids[retired%live])
+			d.add(fresh(retired))
+			retired++
+			d.advance(d.latest - 1)
+			if d.next() == nil {
+				t.Fatal("no request to assign a pair to")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("allocs per %d request replacements = %v, want 0", live, allocs)
+	}
+	if n := len(d.reqs); n > 2*live {
+		t.Errorf("request list holds %d entries for %d live requests", n, live)
+	}
+}

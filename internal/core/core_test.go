@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"qnp/internal/asmcheck"
 	"qnp/internal/device"
 	"qnp/internal/hardware"
 	"qnp/internal/linklayer"
@@ -667,3 +668,7 @@ func TestMinEER(t *testing.T) {
 		t.Errorf("no-deadline MinEER = %v", got)
 	}
 }
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }

@@ -68,7 +68,7 @@ func (n *Node) reject(cs *circuit, req Request, reason string) {
 // activeEER sums the minimum EERs of active requests.
 func (n *Node) activeEER(cs *circuit) float64 {
 	var sum float64
-	for _, rs := range cs.dmx.activeRequests() {
+	for _, rs := range cs.dmx.requests() {
 		if rs.active {
 			sum += rs.req.MinEER()
 		}
@@ -84,7 +84,7 @@ func (n *Node) deadlineFeasible(cs *circuit, req Request) bool {
 		return true
 	}
 	pairsAhead := 0
-	for _, rs := range cs.dmx.activeRequests() {
+	for _, rs := range cs.dmx.requests() {
 		if rs.active && rs.req.NumPairs > 0 {
 			pairsAhead += rs.req.NumPairs - rs.delivered
 		}
@@ -120,7 +120,7 @@ func (n *Node) activate(cs *circuit, rs *reqState) {
 func (n *Node) requestedRate(cs *circuit) float64 {
 	active := 0
 	var sum float64
-	for _, rs := range cs.dmx.activeRequests() {
+	for _, rs := range cs.dmx.requests() {
 		if !rs.active {
 			continue
 		}
@@ -485,7 +485,7 @@ func (n *Node) maybeScoreTest(cs *circuit, seq uint64) {
 	}
 	// Adjust the outcome product into the Φ+ frame using the declared Bell
 	// state's expected correlation signs.
-	s *= bellSign(hb.idx, hb.basis)
+	s = float64(s * bellSign(hb.idx, hb.basis))
 	b := int(hb.basis)
 	cs.tests.sum[b] += s
 	cs.tests.count[b]++

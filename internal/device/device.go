@@ -436,7 +436,7 @@ func (d *Device) MoveToStorage(q *Qubit, done func(newQ *Qubit, ok bool)) {
 			done(nil, false)
 			return
 		}
-		pNoise := 1 - d.params.Gates.TwoQubitFidelity*d.params.Gates.CarbonInitFidelity
+		pNoise := 1 - float64(d.params.Gates.TwoQubitFidelity*d.params.Gates.CarbonInitFidelity)
 		p.depolarizeAt(now, s, pNoise)
 		old := p.halves[s]
 		storage.pair, storage.side = p, s

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"qnp/internal/asmcheck"
 	"qnp/internal/hardware"
 	"qnp/internal/quantum"
 	"qnp/internal/sim"
@@ -402,3 +403,7 @@ func TestPairAccessors(t *testing.T) {
 		t.Error("Params() wrong")
 	}
 }
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }

@@ -222,9 +222,9 @@ func (p *Pair) stateAtW(t sim.Time) *linalg.Matrix {
 		}
 		rho := p.ws.GetRaw(4, 4)
 		proj := quantum.BellProjectorCached(p.trueIdx)
-		mixed := complex((1-w)/4, 0)
+		mixed := complex(float64((1-w)/4), 0)
 		for i, pv := range proj.Data {
-			rho.Data[i] = complex(w, 0) * pv
+			rho.Data[i] = linalg.CMul(complex(w, 0), pv)
 			if i%5 == 0 { // diagonal of the 4×4 identity
 				rho.Data[i] += mixed
 			}

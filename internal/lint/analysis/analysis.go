@@ -2,7 +2,7 @@
 // golang.org/x/tools/go/analysis framework: just enough surface — Analyzer,
 // Pass, Diagnostic — for qnetlint's checkers to be written in the standard
 // shape (name + doc + Run(*Pass)) and run either over the whole tree by
-// internal/lint's lintTree or by the fixture harness (internal/lint/linttest).
+// internal/lint's tree loader or by the fixture harness (internal/lint/linttest).
 //
 // The x/tools module is deliberately not vendored: the container builds
 // offline, and the five qnetlint analyzers need only syntax, type info and a

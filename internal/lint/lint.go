@@ -87,14 +87,10 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s: %s [%s]", f.pos, f.message, f.check)
 }
 
-// lintTree loads the tree under root once and runs the whole suite over
-// it: every analyzer over every unit, and testonly over the production
-// packages. Findings come back sorted by position.
-func lintTree(root string) ([]finding, error) {
-	l, err := load(root)
-	if err != nil {
-		return nil, err
-	}
+// lint runs the whole suite over the loaded tree: every analyzer over
+// every unit, and testonly over the production packages. Findings come
+// back sorted by position.
+func (l *loader) lint() ([]finding, error) {
 	var out []finding
 	add := func(check string, d analysis.Diagnostic) {
 		out = append(out, finding{l.fset.Position(d.Pos), d.Message, check})

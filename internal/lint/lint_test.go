@@ -6,45 +6,64 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"qnp/internal/lint/analysis"
 	"qnp/internal/lint/linttest"
 )
 
+// tree is the module, loaded once per test binary: TestQnetlintTree lints
+// it, and the fixtures' imports resolve from it, so no qnp/... package is
+// typechecked twice.
+var tree struct {
+	once sync.Once
+	l    *loader
+	err  error
+}
+
+func moduleTree(t *testing.T) *loader {
+	t.Helper()
+	tree.once.Do(func() { tree.l, tree.err = load("../..") })
+	if tree.err != nil {
+		t.Fatal(tree.err)
+	}
+	return tree.l
+}
+
 // Each analyzer runs over its fixture with the claimed import path that
 // puts the fixture inside the analyzer's scope.
 func TestDetRandFixture(t *testing.T) {
-	linttest.Run(t, detRandAnalyzer, "qnp/internal/sim", "testdata/detrand/fixture.go")
+	linttest.Run(t, detRandAnalyzer, moduleTree(t), "qnp/internal/sim", "testdata/detrand/fixture.go")
 }
 
 func TestMapOrderFixture(t *testing.T) {
-	linttest.Run(t, mapOrderAnalyzer, "qnp/internal/mapfix", "testdata/maporder/fixture.go")
+	linttest.Run(t, mapOrderAnalyzer, moduleTree(t), "qnp/internal/mapfix", "testdata/maporder/fixture.go")
 }
 
 func TestWSOwnershipFixture(t *testing.T) {
-	linttest.Run(t, wsOwnershipAnalyzer, "qnp/internal/wsfix", "testdata/wsownership/fixture.go")
+	linttest.Run(t, wsOwnershipAnalyzer, moduleTree(t), "qnp/internal/wsfix", "testdata/wsownership/fixture.go")
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	linttest.Run(t, hotAllocAnalyzer, "qnp/internal/device", "testdata/hotalloc/fixture.go")
+	linttest.Run(t, hotAllocAnalyzer, moduleTree(t), "qnp/internal/device", "testdata/hotalloc/fixture.go")
 }
 
 func TestStreamOffsetFixture(t *testing.T) {
-	linttest.Run(t, streamOffsetAnalyzer, "qnp/internal/sim", "testdata/streamoffset/fixture.go")
+	linttest.Run(t, streamOffsetAnalyzer, moduleTree(t), "qnp/internal/sim", "testdata/streamoffset/fixture.go")
 }
 
 // Malformed directives surface through the designated grammar reporter in
 // any package, simulation or not.
 func TestDirectiveGrammarFixture(t *testing.T) {
-	linttest.Run(t, detRandAnalyzer, "qnp/internal/lintfix", "testdata/directives/fixture.go")
+	linttest.Run(t, detRandAnalyzer, moduleTree(t), "qnp/internal/lintfix", "testdata/directives/fixture.go")
 }
 
 // Package-gated analyzers go quiet outside their scope: the same detrand
 // fixture claimed as a non-simulation package yields nothing but its
 // escape hatches, which have nothing left to suppress there.
 func TestDetRandScopedToSimulationPackages(t *testing.T) {
-	diags, _, err := linttest.Diagnostics(detRandAnalyzer, "qnp/internal/lintfix", []string{"testdata/detrand/fixture.go"})
+	diags, _, err := linttest.Diagnostics(detRandAnalyzer, moduleTree(t), "qnp/internal/lintfix", []string{"testdata/detrand/fixture.go"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +77,7 @@ func TestDetRandScopedToSimulationPackages(t *testing.T) {
 // Cold functions outside hot-path packages keep the allocating forms even
 // with a workspace in scope; only the stale escape hatch is reported.
 func TestHotAllocScopedToHotPathPackages(t *testing.T) {
-	diags, _, err := linttest.Diagnostics(hotAllocAnalyzer, "qnp/internal/experiments", []string{"testdata/hotalloc/fixture.go"})
+	diags, _, err := linttest.Diagnostics(hotAllocAnalyzer, moduleTree(t), "qnp/internal/experiments", []string{"testdata/hotalloc/fixture.go"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +98,7 @@ func TestFixturesFailWhenCheckDisabled(t *testing.T) {
 		Run:  func(*analysis.Pass) {},
 	}
 	files := []string{"testdata/detrand/fixture.go"}
-	diags, fset, err := linttest.Diagnostics(noop, "qnp/internal/sim", files)
+	diags, fset, err := linttest.Diagnostics(noop, moduleTree(t), "qnp/internal/sim", files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +136,7 @@ func TestSuiteIntegrity(t *testing.T) {
 // passes the whole suite: the five analyzers and testonly. It runs under
 // -short and -race like any other test.
 func TestQnetlintTree(t *testing.T) {
-	findings, err := lintTree("../..")
+	findings, err := moduleTree(t).lint()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,14 @@
 //
 // comments on each line where the analyzer must report (several backquoted
 // regexps may follow one want, one per expected diagnostic). Run typechecks
-// the fixture through the process's shared source importer (srcimport) —
-// so fixtures import real qnp/... packages and the stdlib, each
-// typechecked once per test binary, the stdlib once for the fixtures and
-// the qnetlint tree loader together —
-// applies one analyzer, and fails the test on any mismatch in either
-// direction: a diagnostic no want matched, or a want no diagnostic
-// matched. The second direction is the suite's own safety net: a disabled
-// or broken analyzer turns every fixture want into a failure.
+// the fixture with the importer the caller passes — the qnetlint tests
+// pass their loaded module tree, so fixtures import real qnp/... packages
+// and the stdlib, each typechecked once per test binary together with the
+// tree the suite lints — applies one analyzer, and fails the test on any
+// mismatch in either direction: a diagnostic no want matched, or a want
+// no diagnostic matched. The second direction is the suite's own safety
+// net: a disabled or broken analyzer turns every fixture want into a
+// failure.
 package linttest
 
 import (
@@ -31,14 +31,14 @@ import (
 	"qnp/internal/lint/srcimport"
 )
 
-// Run typechecks files as a package claiming import path pkgPath, applies
-// a, and compares its diagnostics against the files' want comments. The
-// claimed path is what the analyzer sees as Pkg.Path(): claim a simulation
-// or hot-path package to put the fixture inside a path-gated analyzer's
-// scope, anything else to stay outside it.
-func Run(t *testing.T, a *analysis.Analyzer, pkgPath string, files ...string) {
+// Run typechecks files as a package claiming import path pkgPath, their
+// imports resolved by imp, applies a, and compares its diagnostics against
+// the files' want comments. The claimed path is what the analyzer sees as
+// Pkg.Path(): claim a simulation or hot-path package to put the fixture
+// inside a path-gated analyzer's scope, anything else to stay outside it.
+func Run(t *testing.T, a *analysis.Analyzer, imp types.Importer, pkgPath string, files ...string) {
 	t.Helper()
-	diags, fset, err := Diagnostics(a, pkgPath, files)
+	diags, fset, err := Diagnostics(a, imp, pkgPath, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +47,11 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPath string, files ...string) {
 	}
 }
 
-// Diagnostics parses and typechecks the fixture files as pkgPath and
-// returns a's diagnostics. Fixture imports resolve from source relative to
-// the test's working directory, which `go test` places inside the module.
-func Diagnostics(a *analysis.Analyzer, pkgPath string, files []string) ([]analysis.Diagnostic, *token.FileSet, error) {
+// Diagnostics parses and typechecks the fixture files as pkgPath, their
+// imports resolved by imp, and returns a's diagnostics. The files are
+// parsed into the shared file set (srcimport.FileSet), where imp's
+// packages must be positioned too.
+func Diagnostics(a *analysis.Analyzer, imp types.Importer, pkgPath string, files []string) ([]analysis.Diagnostic, *token.FileSet, error) {
 	fset := srcimport.FileSet()
 	var parsed []*ast.File
 	for _, name := range files {
@@ -62,7 +63,7 @@ func Diagnostics(a *analysis.Analyzer, pkgPath string, files []string) ([]analys
 	}
 	var typeErrs []string
 	conf := types.Config{
-		Importer: srcimport.Importer(),
+		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err.Error()) },
 	}
 	info := &types.Info{

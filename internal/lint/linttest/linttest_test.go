@@ -44,12 +44,12 @@ func write(t *testing.T, name, src string) string {
 
 func TestRunMatchesWants(t *testing.T) {
 	f := write(t, "fix.go", "package p\n\nvar foo = 1 // want `foo at large`\nvar bar = 2\n")
-	Run(t, findFoo, "example/p", f)
+	Run(t, findFoo, nil, "example/p", f)
 }
 
 func TestCompareFlagsUnexpectedDiagnostic(t *testing.T) {
 	f := write(t, "fix.go", "package p\n\nvar foo = 1\n")
-	diags, fset, err := Diagnostics(findFoo, "example/p", []string{f})
+	diags, fset, err := Diagnostics(findFoo, nil, "example/p", []string{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCompareFlagsUnexpectedDiagnostic(t *testing.T) {
 
 func TestCompareFlagsUnmatchedWant(t *testing.T) {
 	f := write(t, "fix.go", "package p\n\nvar bar = 2 // want `foo at large`\n")
-	diags, fset, err := Diagnostics(noop, "example/p", []string{f})
+	diags, fset, err := Diagnostics(noop, nil, "example/p", []string{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCompareFlagsUnmatchedWant(t *testing.T) {
 
 func TestCompareRejectsMalformedWants(t *testing.T) {
 	f := write(t, "fix.go", "package p\n\nvar a = 1 // want nothing quoted\nvar b = 2 // want `ba(d`\n")
-	diags, fset, err := Diagnostics(noop, "example/p", []string{f})
+	diags, fset, err := Diagnostics(noop, nil, "example/p", []string{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestCompareRejectsMalformedWants(t *testing.T) {
 
 func TestDiagnosticsRejectsParseError(t *testing.T) {
 	f := write(t, "fix.go", "package p\n\nfunc {\n")
-	if _, _, err := Diagnostics(findFoo, "example/p", []string{f}); err == nil {
+	if _, _, err := Diagnostics(findFoo, nil, "example/p", []string{f}); err == nil {
 		t.Fatal("unparsable fixture produced no error")
 	}
 }
 
 func TestDiagnosticsRejectsTypeError(t *testing.T) {
 	f := write(t, "fix.go", "package p\n\nvar x = undefinedSymbol\n")
-	_, _, err := Diagnostics(findFoo, "example/p", []string{f})
+	_, _, err := Diagnostics(findFoo, nil, "example/p", []string{f})
 	if err == nil || !strings.Contains(err.Error(), "does not typecheck") {
 		t.Fatalf("err = %v, want a typecheck failure", err)
 	}

@@ -19,7 +19,7 @@ const testOnlyName = "testonly"
 // the loaded tree it reports each exported func, method, type, const, var
 // and struct field declared in the root module's internal/ packages that
 // no non-test file uses. An Analyzer sees one package at a time, so this
-// check cannot be one; lintTree runs it over the loaded tree instead.
+// check cannot be one; the loader's lint runs it over the whole tree instead.
 //
 // It also reports an exported struct field of those packages that non-test
 // code reads but only tests write: production always sees its zero value.

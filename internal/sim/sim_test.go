@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"qnp/internal/asmcheck"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -280,3 +282,7 @@ func TestTimeArithmetic(t *testing.T) {
 		t.Errorf("String = %q", Duration(1500*Millisecond).String())
 	}
 }
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }

@@ -58,7 +58,7 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 
 // Scale multiplies the duration by a dimensionless factor, rounding to the
 // nearest nanosecond.
-func (d Duration) Scale(f float64) Duration { return Duration(float64(d)*f + 0.5) }
+func (d Duration) Scale(f float64) Duration { return Duration(float64(float64(d)*f) + 0.5) }
 
 // DurationFromSeconds converts floating-point seconds to a Duration.
 func DurationFromSeconds(s float64) Duration { return Duration(s * float64(Second)) }

@@ -20,6 +20,12 @@
 // counterpart (quantum.SwapW, quantum.MeasureInBasisW, hardware.Herald),
 // so a simulation switched between engines sees identical RNG streams and
 // an identical event timeline.
+//
+// Every product that feeds a sum is rounded with float64(x*y) before it
+// enters it, and so is a quotient by a power of two, which the compiler
+// turns into a product: otherwise arm64 and other back ends fuse x*y + z
+// into one instruction that rounds once where amd64 rounds twice.
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of them.
 package werner
 
 import (
@@ -32,11 +38,11 @@ import (
 // FromFidelity converts a fidelity to the equivalent Werner parameter
 // w = (4f−1)/3. Fidelities below 1/4 yield negative w (still a valid
 // density matrix down to w = −1/3).
-func FromFidelity(f float64) float64 { return (4*f - 1) / 3 }
+func FromFidelity(f float64) float64 { return (float64(4*f) - 1) / 3 }
 
 // Fidelity returns the fidelity (1+3w)/4 of a Werner-w pair to its own
 // Bell state.
-func Fidelity(w float64) float64 { return (1 + 3*w) / 4 }
+func Fidelity(w float64) float64 { return (1 + float64(3*w)) / 4 }
 
 // CrossFidelity returns the fidelity (1−w)/4 of a Werner-w pair to any of
 // the three Bell states other than its own.
@@ -74,10 +80,12 @@ func Decohere(w float64, phi bool, g1, p1, g2, p2 float64) float64 {
 	if phi {
 		// Φ support: |11> decays to |00>, which is also in the support, so
 		// the double-decay product γ₁γ₂ feeds fidelity back.
-		f = w*((2-g1-g2+2*g1*g2)/4+d/2) + (1-w)*(1+g1*g2)/4
+		kept := float64((2-g1-g2+float64(2*g1*g2))/4) + float64(d/2)
+		f = float64(w*kept) + float64((1-w)*(1+float64(g1*g2))/4)
 	} else {
 		// Ψ support: decay leaves the support entirely.
-		f = w*((2-g1-g2)/4+d/2) + (1-w)*(1-g1*g2)/4
+		kept := float64((2-g1-g2)/4) + float64(d/2)
+		f = float64(w*kept) + float64((1-w)*(1-float64(g1*g2))/4)
 	}
 	return FromFidelity(f)
 }
@@ -129,7 +137,7 @@ func Swap(w1, w2 float64, cfg quantum.SwapConfig, rng *rand.Rand) SwapResult {
 	if xBit == xTruth {
 		dx = 1
 	}
-	fBB := q0*dz*dx + q1*dx/2 + p2/4
+	fBB := float64(q0*dz*dx) + float64(q1*dx/2) + float64(p2/4)
 	return SwapResult{
 		W:       w1 * w2 * FromFidelity(fBB),
 		Outcome: quantum.BellIndex(uint8(xBit) | uint8(zBit)<<1),

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qnp/internal/asmcheck"
 	"qnp/internal/hardware"
 	"qnp/internal/linalg"
 	"qnp/internal/linalg/linalgtest"
@@ -228,3 +229,7 @@ func TestGenerateMatchesExact(t *testing.T) {
 		}
 	}
 }
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }
