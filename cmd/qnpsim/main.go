@@ -136,8 +136,23 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 	default:
 		return fail("unknown allocation policy %q (want count, model or static)", *alloc)
 	}
-	if *paths < 1 {
+	switch {
+	case *paths < 1:
 		return fail("-paths must be ≥ 1 (got %d)", *paths)
+	case *circuits < 1:
+		return fail("-circuits must be ≥ 1 (got %d)", *circuits)
+	case *replicas < 1:
+		return fail("-replicas must be ≥ 1 (got %d)", *replicas)
+	case *pairs < 0:
+		return fail("-pairs must be ≥ 0 (got %d)", *pairs)
+	case *hold < 0:
+		return fail("-hold must be ≥ 0 (got %g)", *hold)
+	case *minEER < 0:
+		return fail("-mineer must be ≥ 0 (got %g)", *minEER)
+	case *maxEER < 0:
+		return fail("-maxeer must be ≥ 0 (got %g)", *maxEER)
+	case *horizon <= 0:
+		return fail("-horizon must be > 0 (got %g)", *horizon)
 	}
 	if *streaming {
 		cfg.MetricsMode = qnet.MetricsStreaming
@@ -201,6 +216,12 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		return fail("unknown cutoff policy %q", *cutoff)
 	}
 
+	switch *workload {
+	case "interval", "poisson", "onoff", "churn":
+		if *interval <= 0 {
+			return fail("-interval must be > 0 for -workload %s (got %g)", *workload, *interval)
+		}
+	}
 	iv := sim.DurationFromSeconds(*interval)
 	churning := *workload == "churn"
 	var wl qnet.Workload

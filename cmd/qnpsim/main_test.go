@@ -163,6 +163,16 @@ func TestUsageErrors(t *testing.T) {
 		{"-topology grid rows 3", 2, `unexpected argument "rows"`},
 		{"-src A0", 2, "-src and -dst must be given together"},
 		{"-paths 0", 2, "-paths must be ≥ 1"},
+		{"-circuits 0", 2, "-circuits must be ≥ 1"},
+		{"-replicas 0", 2, "-replicas must be ≥ 1"},
+		{"-pairs -1", 2, "-pairs must be ≥ 0"},
+		{"-hold -1", 2, "-hold must be ≥ 0"},
+		{"-mineer -1", 2, "-mineer must be ≥ 0"},
+		{"-maxeer -1", 2, "-maxeer must be ≥ 0"},
+		{"-horizon -5", 2, "-horizon must be > 0"},
+		{"-horizon 0", 2, "-horizon must be > 0"},
+		{"-interval -1 -workload interval", 2, "-interval must be > 0 for -workload interval"},
+		{"-interval 0 -workload churn", 2, "-interval must be > 0 for -workload churn"},
 		{"-nosuchflag", 2, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -1,7 +1,7 @@
 // Package asmcheck holds the assembly check that the simulation packages'
-// tests share: TestNoFusedMultiplyAdd in quantum, sim, core, device and
-// werner calls NoFusedMultiplyAdd. Only _test.go files import this
-// package.
+// tests share: TestNoFusedMultiplyAdd in quantum, sim, core, device,
+// werner, hardware, routing and stats calls NoFusedMultiplyAdd. Only
+// _test.go files import this package.
 package asmcheck
 
 import (

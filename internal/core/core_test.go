@@ -469,6 +469,12 @@ func TestDuplicateRequestIDRejected(t *testing.T) {
 	if err := c.tail().Submit(Request{ID: "y", Circuit: "vc", Type: Keep, NumPairs: 1}); err == nil {
 		t.Error("Submit at tail accepted")
 	}
+	if err := c.head().Submit(Request{ID: "n", Circuit: "vc", Type: Keep, NumPairs: -1}); err == nil {
+		t.Error("negative pair count accepted")
+	}
+	if c.head().circuits["vc"].dmx.get("n") != nil {
+		t.Error("a rejected negative-count request is tracked")
+	}
 }
 
 func TestCancelRateBasedRequest(t *testing.T) {

@@ -25,6 +25,9 @@ func (n *Node) Submit(req Request) error {
 	if req.Type == Early && req.FinalState != nil {
 		return fmt.Errorf("core %s: final-state correction unavailable for EARLY requests", n.id)
 	}
+	if req.NumPairs < 0 {
+		return fmt.Errorf("core %s: request %q asks for %d pairs (0 is open-ended)", n.id, req.ID, req.NumPairs)
+	}
 	minEER := req.MinEER()
 	if cs.entry.MaxEER > 0 && minEER > cs.entry.MaxEER {
 		n.reject(cs, req, "police: request rate exceeds circuit EER")

@@ -91,6 +91,8 @@ type Request struct {
 	//qnetlint:allow testonly the paper's §3.2 "N pairs within T" service shape, settable by library users through the qnet.Request alias
 	Deadline sim.Duration
 	// Window is Δt for create-and-keep (max spacing first→last pair).
+	//
+	//qnetlint:allow testonly the paper's §3.2 create-and-keep Δt service shape, settable by library users through the qnet.Request alias
 	Window sim.Duration
 	// Rate is R for rate-based measure-directly requests (pairs/second).
 	Rate float64

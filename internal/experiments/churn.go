@@ -63,7 +63,7 @@ type churnResult struct {
 // (MaxLPR/(2·2) ≥ demand) and rejects a third, while the static controller
 // admits everything and lets the link contend. The allocation depends only
 // on the uniform link hardware, so the dumbbell probe covers every topology.
-func churnDemand() float64 { return 0.4 * eerAllocation() }
+func churnDemand() float64 { return 0.4 * dumbbellAllocation(eerTargetF) }
 
 // churnScenario is one replica's declarative scenario: Circuits arrivals
 // with uniform offsets over the first 60% of the horizon (a Poisson

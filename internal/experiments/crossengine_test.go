@@ -43,7 +43,7 @@ func TestCrossEngineValidationGrids(t *testing.T) {
 		if fe != fw {
 			t.Errorf("fig9 point diverged: exact %+v werner %+v", fe, fw)
 		}
-		alloc := eerAllocation()
+		alloc := dumbbellAllocation(eerTargetF)
 		ee := eerRun(seed, qnet.PhysicsExact, eerCell{requests: 2}, alloc, 4*sim.Second)
 		ew := eerRun(seed, qnet.PhysicsWerner, eerCell{requests: 2}, alloc, 4*sim.Second)
 		if ee != ew {

@@ -62,15 +62,17 @@ type eerResult struct {
 	Rejected   int
 }
 
-// eerAllocation reads the MaxEER allocation the controller hands out on
-// this plant. It involves no replica seed; the parent probes it once and
-// ships the value to replicas in their params.
-func eerAllocation() float64 {
+// dumbbellAllocation reads the count-split MaxEER allocation the
+// controller hands an uncontended three-hop A0→B0 dumbbell circuit at
+// end-to-end fidelity f under the short cutoff. It depends only on the
+// uniform link hardware and involves no replica seed: the parent probes it
+// once and ships the value to replicas in their params.
+func dumbbellAllocation(f float64) float64 {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
 	net := qnet.Dumbbell(cfg)
 	dec, _, err := net.Controller.Place(qnet.PlacementRequest{
-		Src: "A0", Dst: "B0", Fidelity: eerTargetF, Cutoff: qnet.CutoffShort, Probe: true,
+		Src: "A0", Dst: "B0", Fidelity: f, Cutoff: qnet.CutoffShort, Probe: true,
 	})
 	if err != nil {
 		panic(err)
@@ -129,7 +131,7 @@ func eerRun(seed int64, physics qnet.Physics, j eerCell, alloc float64, horizon 
 // eerSaturation is the parameterised core, so -short tests can trim the
 // sweep without duplicating the scenario.
 func eerSaturation(o Options, horizon sim.Duration, loads []int) *EERData {
-	alloc := eerAllocation()
+	alloc := dumbbellAllocation(eerTargetF)
 	perReq := alloc * 0.4
 	cells, results := eerSweep.Run(o, eerParams{Horizon: horizon, Loads: loads, Alloc: alloc, Physics: o.Physics})
 	d := &EERData{AllocatedPS: alloc, HorizonS: horizon.Seconds()}

@@ -42,7 +42,9 @@ type MultipathData struct {
 const multipathTargetF = 0.8
 
 // multipathParams is the sweep's shape. Ref, Physics and Seed are filled
-// in by multipath from the probe and Options.
+// in by multipath from the probe and Options: Ref is the uncontended
+// three-hop allocation at the study's target (dumbbellAllocation), the
+// reference rate the per-testbed demands are fractions of.
 type multipathParams struct {
 	Horizon sim.Duration
 	Pairs   int
@@ -64,23 +66,6 @@ type multipathResult struct {
 	Rejected int
 	Rerouted int
 	AggEER   float64
-}
-
-// multipathRef probes the uncontended count-split allocation of a
-// three-hop circuit at the study's fidelity target — the reference rate
-// the per-testbed demands are fractions of. The probe depends only on the
-// uniform link hardware.
-func multipathRef() float64 {
-	cfg := qnet.DefaultConfig()
-	cfg.EnforceEER = true
-	net := qnet.Dumbbell(cfg)
-	dec, _, err := net.Controller.Place(qnet.PlacementRequest{
-		Src: "A0", Dst: "B0", Fidelity: multipathTargetF, Cutoff: qnet.CutoffShort, Probe: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return dec.Plan.MaxEER
 }
 
 // Per-testbed demand as a fraction of the three-hop reference allocation.
@@ -214,7 +199,7 @@ func Multipath(o Options) *MultipathData {
 
 // multipath is the parameterised core.
 func multipath(o Options, p multipathParams) *MultipathData {
-	p.Ref, p.Physics, p.Seed = multipathRef(), o.Physics, o.Seed
+	p.Ref, p.Physics, p.Seed = dumbbellAllocation(multipathTargetF), o.Physics, o.Seed
 	cells, results := multipathSweep.Run(o, p)
 	d := &MultipathData{
 		GridDemandPS:   gridDemandFrac * p.Ref,

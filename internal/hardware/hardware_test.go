@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"qnp/internal/asmcheck"
 	"qnp/internal/linalg"
 	"qnp/internal/linalg/linalgtest"
 	"qnp/internal/quantum"
@@ -368,3 +369,7 @@ func TestQuickMonotoneTradeoff(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }

@@ -106,7 +106,7 @@ func (l LinkConfig) Model(p Params, alpha float64) PairModel {
 // Fidelity is the expected fidelity of the produced pair with its heralded
 // Bell state: wReal·g·(1+v)/2 + wDark/4.
 func (m PairModel) Fidelity() float64 {
-	return (1-m.WDark)*m.G*(1+m.V)/2 + m.WDark/4
+	return float64((1-m.WDark)*m.G*(1+m.V)/2) + float64(m.WDark/4)
 }
 
 // StateW materialises the produced 4×4 density matrix for heralded Bell
@@ -214,8 +214,11 @@ func NewLinkCurve(l LinkConfig, p Params) *LinkCurve {
 
 // Model computes the produced-state model for a given α.
 func (c *LinkCurve) Model(alpha float64) PairModel {
+	// Inlined, α may be a caller's product (a bisection's (lo+hi)/2):
+	// rounding it keeps that product out of 2α and 1-α.
+	alpha = float64(alpha)
 	pm := PairModel{Alpha: alpha, V: c.coherence}
-	real2 := 2 * alpha * c.eta
+	real2 := float64(2 * alpha * c.eta)
 	pm.SuccessProb = real2 + c.dark
 	if pm.SuccessProb > 0 {
 		pm.WDark = c.dark / pm.SuccessProb
@@ -278,7 +281,7 @@ func SampleAttempts(prob float64, rng *rand.Rand) int {
 	if prob >= 1 {
 		return 1
 	}
-	u := rng.Float64()
+	u := float64(rng.Float64()) // rounds the inlined ·2⁻⁶³ product before 1-u
 	// P(K > k) = (1-p)^k ⇒ K = ceil(log(1-u)/log(1-p)).
 	k := int(math.Ceil(math.Log(1-u) / math.Log(1-prob)))
 	if k < 1 {

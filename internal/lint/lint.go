@@ -27,15 +27,18 @@
 //     runner.DeriveSeed — never a bare 7919 or literal offset.
 //
 // A sixth check, testonly, needs the whole module at once, so it is not an
-// Analyzer (see testonly.go). It reports every exported func, method,
-// type, const, var and struct field of the internal/ packages that no
-// non-test file of the module, cmd/, examples/ or the bench/ module uses,
-// and every exported struct field that non-test code reads but only tests
-// write. Delete such API or move it into the package's _test.go; an
-// inspection hook that another package's tests need stays under
-// `//qnetlint:allow testonly <reason naming that test>`. Packages that
-// only tests import are test support (internal/race,
-// internal/linalg/linalgtest) and are exempt.
+// Analyzer (see testonly.go). Its candidates are the root module's library
+// packages: every non-main package (internal/ and the public qnet alike)
+// except test support. It reports every exported func, method, type,
+// const, var and struct field of those packages that no non-test file of
+// the commands (cmd/, examples/), of the library they import or of the
+// bench/ module uses, and every exported struct field that non-test code
+// reads but only tests write. Delete such API or move it into the
+// package's _test.go; an inspection hook that another package's tests
+// need, or a public knob the paper's service model names, stays under
+// `//qnetlint:allow testonly <reason>`. Packages that only tests import
+// are test support (internal/race, internal/linalg/linalgtest) and are
+// exempt.
 //
 // Escape hatches use the //qnetlint: comment grammar (see directives.go):
 // `//qnetlint:allow <analyzer> <reason>` on or directly above the flagged

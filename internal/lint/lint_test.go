@@ -153,7 +153,9 @@ func TestQnetlintTree(t *testing.T) {
 // each kind of write (key, assignment, increment, &, pointer method,
 // conversion, unkeyed literal, json decode, through a type parameter too)
 // keeps one; the test-support package is exempt; an allow with a reason
-// keeps its export, and one that keeps nothing is reported.
+// keeps its export, and one that keeps nothing is reported. The public
+// non-main package api is a candidate too: its unused export and its
+// test-written field are reported, the export the user module calls is not.
 func TestTestOnlyFixture(t *testing.T) {
 	const root = "testdata/testonly"
 	diags, fset := testOnlyDiagnostics(t, root)

@@ -34,6 +34,7 @@ type loader struct {
 type module struct{ path, dir string }
 
 type loadedPkg struct {
+	modDir      string      // the directory of the module it belongs to
 	files       []*ast.File // non-test files
 	tests       []*ast.File // _test.go files of the package itself
 	xtests      []*ast.File // _test.go files of its external test package
@@ -118,7 +119,7 @@ func (l *loader) loadDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	p := &loadedPkg{}
+	p := &loadedPkg{modDir: mod.dir}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {

@@ -1,11 +1,15 @@
 // The user module stands for a separate module that imports the root
-// module's internal packages, the way bench/ does.
+// module's packages, the way bench/ does.
 package main
 
-import "fix/internal/a"
+import (
+	"fix/api"
+	"fix/internal/a"
+)
 
 func main() {
 	a.UsedByUser()
+	_ = api.Run(api.Options{})
 	box := a.Box[int]{V: 1}
 	_ = box.Get()
 }

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"qnp/internal/lint/analysis"
 )
@@ -17,7 +16,8 @@ const testOnlyName = "testonly"
 
 // testOnly is the whole-module check: over the production packages of
 // the loaded tree it reports each exported func, method, type, const, var
-// and struct field declared in the root module's internal/ packages that
+// and struct field declared in the root module's library packages — every
+// non-main package, internal/ or public, that is not test support — that
 // no non-test file uses. An Analyzer sees one package at a time, so this
 // check cannot be one; the loader's lint runs it over the whole tree instead.
 //
@@ -36,21 +36,26 @@ const testOnlyName = "testonly"
 //     library calls String, Error, MarshalJSON, Less, ... for you);
 //   - uses of generic types and their methods and fields resolve through
 //     Origin to the declared object;
-//   - production code is every package outside internal/ plus what it
-//     imports from non-test files. An internal package outside that set
-//     that tests import is a test-support package: its exports are exempt,
-//     and its own uses do not count.
+//   - production code is every main package of the root module and every
+//     package of the other modules in the tree, plus what they import from
+//     non-test files. A library package outside that set that tests import
+//     is a test-support package: its exports are exempt, and its own uses
+//     do not count.
 //
 // A `//qnetlint:allow testonly <reason>` directive on or directly above a
 // declaration keeps it; a directive without a reason, or one that keeps
 // nothing, is itself reported.
 func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
-	mainMod := l.mods[len(l.mods)-1].path // the root module sorts last
-	internal := func(path string) bool { return strings.HasPrefix(path, mainMod+"/internal/") }
+	rootDir := l.mods[len(l.mods)-1].dir // the root module sorts last
+	library := func(path string) bool {
+		p := l.pkgs[path]
+		return p.modDir == rootDir && len(p.files) > 0 && p.files[0].Name.Name != "main"
+	}
 
-	// Production code: every package outside internal/, closed over the
-	// imports of its non-test files. Test code: _test.go files, closed the
-	// same way; what it reaches outside production is test support.
+	// Production code: every command of the root module and every package
+	// of the other modules, closed over the imports of their non-test files.
+	// Test code: _test.go files, closed the same way; what it reaches
+	// outside production is test support.
 	prod, support := map[string]bool{}, map[string]bool{}
 	var reach func(set map[string]bool, path string)
 	reach = func(set map[string]bool, path string) {
@@ -64,7 +69,7 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 		}
 	}
 	for _, path := range l.paths {
-		if !internal(path) {
+		if !library(path) {
 			reach(prod, path)
 		}
 	}
@@ -99,13 +104,14 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 		}
 	}
 
-	// Candidates: the internal packages that are not test support. Dead
-	// packages are typechecked here for the first time. The standard-library
-	// interfaces their own code imports count like production's: go/types
-	// calls a loader's Import however few callers the loader has.
+	// Candidates: the root module's non-main packages that are not test
+	// support. Dead packages are typechecked here for the first time. The
+	// standard-library interfaces their own code imports count like
+	// production's: go/types calls a loader's Import however few callers the
+	// loader has.
 	var cands []*loadedPkg
 	for _, path := range l.paths {
-		if !internal(path) || support[path] || len(l.pkgs[path].files) == 0 {
+		if !library(path) || support[path] {
 			continue
 		}
 		p, err := l.check(path)

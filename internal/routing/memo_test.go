@@ -15,8 +15,7 @@ import (
 )
 
 // chainGraph is a hops-long chain n0–…–n<hops> of identical links, except
-// that a non-nil first overrides the n0–n1 link (a Config.LinkLengthM
-// override in qnet terms).
+// that a non-nil first overrides the n0–n1 link.
 func chainGraph(hops int, link hardware.LinkConfig, first *hardware.LinkConfig) *Graph {
 	g := NewGraph()
 	for i := 0; i <= hops; i++ {
@@ -57,21 +56,21 @@ func samePlan(a, b Plan) bool {
 // miss, then the hit) and on a fresh controller over the same graph and
 // params, and fails unless all three agree bit for bit and the plan's
 // WorstCaseFidelity is the reference composition at its LinkFidelity.
-func checkAgainstFresh(t *testing.T, c *Controller, path []string, f float64, policy CutoffPolicy, manual sim.Duration) Plan {
+func checkAgainstFresh(t *testing.T, c *Controller, path []string, f float64, policy CutoffPolicy) Plan {
 	t.Helper()
 	fresh := NewController(c.Graph, c.Params)
-	want, wantErr := fresh.planPath(path, f, policy, manual)
+	want, wantErr := fresh.planPath(path, f, policy)
 	if wantErr == nil {
 		// The plan reports the composition at the link fidelity it chose.
 		link, _ := c.Graph.Link(path[0], path[1])
 		curve := hardware.NewLinkCurve(link, c.Params)
-		wc := refWorstCase(c, curve, want.LinkFidelity, len(path)-1, policy, manual)
+		wc := refWorstCase(c, curve, want.LinkFidelity, len(path)-1, policy)
 		if math.Float64bits(want.WorstCaseFidelity) != math.Float64bits(wc) {
 			t.Fatalf("%s %v f=%v %v: WorstCaseFidelity %v, composition at LinkFidelity %v", c.Params.Name, path, f, policy, want.WorstCaseFidelity, wc)
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, err := c.planPath(path, f, policy, manual)
+		got, err := c.planPath(path, f, policy)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s %v f=%v %v pass %d: err %v, fresh %v", c.Params.Name, path, f, policy, pass, err, wantErr)
 		}
@@ -91,7 +90,7 @@ func TestPlanBudgetMemoExact(t *testing.T) {
 	const maxHops = 8
 	links := []hardware.LinkConfig{hardware.LabLink(), hardware.TelecomLink(25e3)}
 	targets := []float64{0.5, 0.8, 0.9, 0.99}
-	policies := []CutoffPolicy{CutoffLong, CutoffShort, CutoffNone, CutoffManual}
+	policies := []CutoffPolicy{CutoffLong, CutoffShort, CutoffNone}
 	hops := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
 		targets = []float64{0.8, 0.99}
@@ -103,13 +102,13 @@ func TestPlanBudgetMemoExact(t *testing.T) {
 			for _, h := range hops {
 				for _, policy := range policies {
 					for _, f := range targets {
-						checkAgainstFresh(t, c, chainPath(0, h), f, policy, 40*sim.Millisecond)
+						checkAgainstFresh(t, c, chainPath(0, h), f, policy)
 					}
 				}
 			}
 			// Same hop count from a different start: a hit with the
 			// caller's own path attached.
-			checkAgainstFresh(t, c, chainPath(1, 3), 0.8, CutoffLong, 0)
+			checkAgainstFresh(t, c, chainPath(1, 3), 0.8, CutoffLong)
 		}
 	}
 
@@ -117,17 +116,17 @@ func TestPlanBudgetMemoExact(t *testing.T) {
 	// overridden link and on a default link budget differently.
 	lab, tel := hardware.LabLink(), hardware.TelecomLink(2000)
 	c := NewController(chainGraph(4, lab, &tel), hardware.Simulation())
-	over := checkAgainstFresh(t, c, chainPath(0, 3), 0.8, CutoffShort, 0)
-	plain := checkAgainstFresh(t, c, chainPath(1, 3), 0.8, CutoffShort, 0)
+	over := checkAgainstFresh(t, c, chainPath(0, 3), 0.8, CutoffShort)
+	plain := checkAgainstFresh(t, c, chainPath(1, 3), 0.8, CutoffShort)
 	if over.LinkPairTime == plain.LinkPairTime {
 		t.Fatalf("first-hop override budgeted like the default link: %v", over.LinkPairTime)
 	}
 
 	// Mutating Controller.Params must not serve the old platform's budget.
 	c = NewController(chainGraph(3, lab, nil), hardware.Simulation())
-	sim3 := checkAgainstFresh(t, c, chainPath(0, 3), 0.8, CutoffLong, 0)
+	sim3 := checkAgainstFresh(t, c, chainPath(0, 3), 0.8, CutoffLong)
 	c.Params = hardware.NearTerm()
-	near3 := checkAgainstFresh(t, c, chainPath(0, 3), 0.8, CutoffLong, 0)
+	near3 := checkAgainstFresh(t, c, chainPath(0, 3), 0.8, CutoffLong)
 	if samePlan(sim3, near3) {
 		t.Fatal("NearTerm params returned the Simulation budget")
 	}
@@ -177,9 +176,9 @@ func TestAllocsPlanBudgetHit(t *testing.T) {
 	c := NewController(chainGraph(4, hardware.LabLink(), nil), hardware.Simulation())
 	path := chainPath(0, 4)
 	for _, f := range []float64{0.8, 0.99} {
-		_, wantErr := c.planPath(path, f, CutoffLong, 0)
+		_, wantErr := c.planPath(path, f, CutoffLong)
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := c.planPath(path, f, CutoffLong, 0); err != wantErr {
+			if _, err := c.planPath(path, f, CutoffLong); err != wantErr {
 				t.Fatalf("hit returned %v, want %v", err, wantErr)
 			}
 		})
@@ -191,12 +190,12 @@ func TestAllocsPlanBudgetHit(t *testing.T) {
 
 // refWorstCase is the worst-case composition as first written: a fresh
 // aged pair per hop, allocating swaps. worstCase must match it bit for bit.
-func refWorstCase(c *Controller, curve *hardware.LinkCurve, linkF float64, hops int, policy CutoffPolicy, manual sim.Duration) float64 {
+func refWorstCase(c *Controller, curve *hardware.LinkCurve, linkF float64, hops int, policy CutoffPolicy) float64 {
 	alpha, ok := curve.AlphaForFidelity(linkF)
 	if !ok {
 		return 0
 	}
-	wait := c.cutoffFor(nil, curve, linkF, policy, manual).Seconds()
+	wait := c.cutoffFor(nil, curve, linkF, policy).Seconds()
 	if wait <= 0 {
 		if t, ok := curve.ExpectedPairTime(linkF); ok {
 			wait = t.Seconds()
@@ -236,11 +235,11 @@ func TestWorstCaseMatchesReference(t *testing.T) {
 		c := NewController(dumbbell(), p)
 		curve := hardware.NewLinkCurve(hardware.LabLink(), p)
 		_, peak := curve.Peak()
-		for _, policy := range []CutoffPolicy{CutoffLong, CutoffShort, CutoffNone, CutoffManual} {
+		for _, policy := range []CutoffPolicy{CutoffLong, CutoffShort, CutoffNone} {
 			for _, hops := range []int{1, 2, 4, 7} {
 				for _, linkF := range []float64{0.6, 0.8, peak - 1e-3, peak + 1e-3} {
-					want := refWorstCase(c, curve, linkF, hops, policy, 30*sim.Millisecond)
-					got := c.worstCase(ws, curve, linkF, hops, policy, 30*sim.Millisecond)
+					want := refWorstCase(c, curve, linkF, hops, policy)
+					got := c.worstCase(ws, curve, linkF, hops, policy)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s %v hops=%d F=%v: worstCase %v, reference %v", p.Name, policy, hops, linkF, got, want)
 					}

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"qnp/internal/sim"
 )
 
 // AllocationPolicy selects how a link's reserved pair-rate budget divides
@@ -226,9 +224,8 @@ type PlacementRequest struct {
 	Src, Dst string
 	// Fidelity is the end-to-end fidelity target.
 	Fidelity float64
-	// Cutoff and ManualCutoff select the cutoff rule for budgeting.
-	Cutoff       CutoffPolicy
-	ManualCutoff sim.Duration
+	// Cutoff selects the cutoff rule for budgeting.
+	Cutoff CutoffPolicy
 	// MinEER is the admission demand: when enforcing, candidates whose
 	// prospective allocation falls short are skipped in favour of the next
 	// one. 0 means no demand.
@@ -320,7 +317,7 @@ func (c *Controller) planPlacement(req PlacementRequest) (PlacementDecision, err
 	var cands []candidate
 	var firstErr error
 	for i, p := range paths {
-		plan, err := c.planPath(p, req.Fidelity, req.Cutoff, req.ManualCutoff)
+		plan, err := c.planPath(p, req.Fidelity, req.Cutoff)
 		if err != nil {
 			// Longer candidates can be infeasible at the fidelity target
 			// even when the primary is fine; remember the first failure so

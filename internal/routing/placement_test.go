@@ -219,7 +219,7 @@ func TestPlaceProbeMatchesShortestPathPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err1 := c.planPath(path, 0.85, CutoffShort, 0)
+			ref, err1 := c.planPath(path, 0.85, CutoffShort)
 			if err1 == nil && enforce {
 				ref.MaxEER = c.allocationFor(memberFor(ref, false), false)
 			}
@@ -281,7 +281,7 @@ func TestPlaceReroutesAroundContention(t *testing.T) {
 // surface.
 func TestNonEnforcingControllerNeverRefits(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	plan, err := probePlan(c, "A1", "B1", 0.85, CutoffShort, 0)
+	plan, err := probePlan(c, "A1", "B1", 0.85, CutoffShort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +303,14 @@ func TestModelWeightedFavoursShortCircuits(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
 	c.EnforceEER = true
 	c.Policy = AllocModelWeighted
-	long, err := probePlan(c, "A0", "B0", 0.8, CutoffShort, 0)
+	long, err := probePlan(c, "A0", "B0", 0.8, CutoffShort)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Place(PlacementRequest{ID: "long", Plan: &long}); err != nil {
 		t.Fatal(err)
 	}
-	short, err := probePlan(c, "MA", "MB", 0.8, CutoffShort, 0)
+	short, err := probePlan(c, "MA", "MB", 0.8, CutoffShort)
 	if err != nil {
 		t.Fatal(err)
 	}

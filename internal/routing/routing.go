@@ -49,7 +49,9 @@ import (
 type CutoffPolicy int
 
 // Cutoff policies from the evaluation section. The zero value is the
-// paper's default policy.
+// paper's default policy. A hand-picked cutoff (§5.3: "we tune the cutoff
+// timer to ensure we meet the end-to-end fidelity threshold") is a
+// hand-built Plan, installed without the planner.
 const (
 	// CutoffLong is the default: "the time it takes a link-pair to lose
 	// approximately 1.5% of its initial fidelity".
@@ -60,10 +62,6 @@ const (
 	// CutoffNone disables the cutoff — the oracle baseline of §5.2 runs
 	// this way.
 	CutoffNone
-	// CutoffManual uses a hand-picked value (§5.3 near-term evaluation:
-	// "we tune the cutoff timer to ensure we meet the end-to-end fidelity
-	// threshold").
-	CutoffManual
 )
 
 func (p CutoffPolicy) String() string {
@@ -74,8 +72,6 @@ func (p CutoffPolicy) String() string {
 		return "long"
 	case CutoffShort:
 		return "short"
-	case CutoffManual:
-		return "manual"
 	}
 	return "CutoffPolicy(?)"
 }
@@ -351,7 +347,6 @@ type budgetKey struct {
 	hops     int
 	fidelity uint64
 	policy   CutoffPolicy
-	manual   sim.Duration
 }
 
 // budget is one memoized planPath outcome: the plan without Path/MaxEER,
@@ -367,7 +362,7 @@ type budget struct {
 // never sets Plan.MaxEER — allocation is the placement layer's job. The
 // budget is a pure function of budgetKey, so each distinct key is computed
 // once per controller and later calls only attach the caller's path.
-func (c *Controller) planPath(path []string, e2eFidelity float64, policy CutoffPolicy, manualCutoff sim.Duration) (Plan, error) {
+func (c *Controller) planPath(path []string, e2eFidelity float64, policy CutoffPolicy) (Plan, error) {
 	link, _ := c.Graph.Link(path[0], path[1])
 	key := budgetKey{
 		link:     link,
@@ -375,11 +370,10 @@ func (c *Controller) planPath(path []string, e2eFidelity float64, policy CutoffP
 		hops:     len(path) - 1,
 		fidelity: math.Float64bits(e2eFidelity),
 		policy:   policy,
-		manual:   manualCutoff,
 	}
 	b, ok := c.budgets[key]
 	if !ok {
-		b.plan, b.err = c.budgetFor(hardware.NewLinkCurve(link, c.Params), key.hops, e2eFidelity, policy, manualCutoff)
+		b.plan, b.err = c.budgetFor(hardware.NewLinkCurve(link, c.Params), key.hops, e2eFidelity, policy)
 		c.budgets[key] = b
 	}
 	if b.err != nil {
@@ -392,23 +386,23 @@ func (c *Controller) planPath(path []string, e2eFidelity float64, policy CutoffP
 
 // budgetFor runs the worst-case bisection for a hops-long path of
 // identical links with the given curve.
-func (c *Controller) budgetFor(curve *hardware.LinkCurve, hops int, e2eFidelity float64, policy CutoffPolicy, manualCutoff sim.Duration) (Plan, error) {
+func (c *Controller) budgetFor(curve *hardware.LinkCurve, hops int, e2eFidelity float64, policy CutoffPolicy) (Plan, error) {
 	ws := linalg.NewWorkspace()
 	_, maxF := curve.Peak()
 	// Bisect the smallest link fidelity whose worst-case end-to-end
 	// composition still meets the target; hiWC tracks the composition at
 	// hi, which becomes the plan's WorstCaseFidelity.
 	lo, hi := e2eFidelity, maxF
-	hiWC := c.worstCase(ws, curve, hi, hops, policy, manualCutoff)
+	hiWC := c.worstCase(ws, curve, hi, hops, policy)
 	if hiWC < e2eFidelity {
 		return Plan{}, fmt.Errorf("routing: %d-hop path cannot reach end-to-end fidelity %.3f", hops, e2eFidelity)
 	}
-	if wc := c.worstCase(ws, curve, lo, hops, policy, manualCutoff); wc >= e2eFidelity {
+	if wc := c.worstCase(ws, curve, lo, hops, policy); wc >= e2eFidelity {
 		hi, hiWC = lo, wc
 	} else {
 		for i := 0; i < 30; i++ {
 			mid := (lo + hi) / 2
-			if wc := c.worstCase(ws, curve, mid, hops, policy, manualCutoff); wc >= e2eFidelity {
+			if wc := c.worstCase(ws, curve, mid, hops, policy); wc >= e2eFidelity {
 				hi, hiWC = mid, wc
 			} else {
 				lo = mid
@@ -422,7 +416,7 @@ func (c *Controller) budgetFor(curve *hardware.LinkCurve, hops int, e2eFidelity 
 	}
 	return Plan{
 		LinkFidelity:      linkF,
-		Cutoff:            c.cutoffFor(ws, curve, linkF, policy, manualCutoff),
+		Cutoff:            c.cutoffFor(ws, curve, linkF, policy),
 		LinkPairTime:      pairTime,
 		MaxLPR:            1 / pairTime.Seconds(),
 		WorstCaseFidelity: hiWC,
@@ -431,12 +425,10 @@ func (c *Controller) budgetFor(curve *hardware.LinkCurve, hops int, e2eFidelity 
 }
 
 // cutoffFor computes the cutoff per policy for pairs of the given fidelity.
-func (c *Controller) cutoffFor(ws *linalg.Workspace, curve *hardware.LinkCurve, linkF float64, policy CutoffPolicy, manual sim.Duration) sim.Duration {
+func (c *Controller) cutoffFor(ws *linalg.Workspace, curve *hardware.LinkCurve, linkF float64, policy CutoffPolicy) sim.Duration {
 	switch policy {
 	case CutoffNone:
 		return 0
-	case CutoffManual:
-		return manual
 	case CutoffShort:
 		// Time for 0.85 success probability: t = ln(1/0.15)/p attempts.
 		alpha, ok := curve.AlphaForFidelity(linkF)
@@ -513,12 +505,12 @@ func decohereBoth(ws *linalg.Workspace, rho *linalg.Matrix, t float64, lt hardwa
 // for the full cutoff before its swap — the paper's conservative bound. With
 // no cutoff the ageing interval falls back to the expected link-pair time
 // (pairs wait about one generation interval for a partner on average).
-func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, linkF float64, hops int, policy CutoffPolicy, manual sim.Duration) float64 {
+func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, linkF float64, hops int, policy CutoffPolicy) float64 {
 	alpha, ok := curve.AlphaForFidelity(linkF)
 	if !ok {
 		return 0
 	}
-	wait := c.cutoffFor(ws, curve, linkF, policy, manual).Seconds()
+	wait := c.cutoffFor(ws, curve, linkF, policy).Seconds()
 	if wait <= 0 {
 		if t, ok := curve.ExpectedPairTime(linkF); ok {
 			wait = t.Seconds()
@@ -531,7 +523,7 @@ func (c *Controller) worstCase(ws *linalg.Workspace, curve *hardware.LinkCurve, 
 	if c.Params.HasCarbon {
 		// The intermediate half is moved into carbon: two-qubit gate plus
 		// carbon initialisation noise on one qubit.
-		pNoise := 1 - c.Params.Gates.TwoQubitFidelity*c.Params.Gates.CarbonInitFidelity
+		pNoise := 1 - float64(c.Params.Gates.TwoQubitFidelity*c.Params.Gates.CarbonInitFidelity)
 		moved := quantum.ApplyDepolarizing1W(ws, aged, pNoise, 0, 2)
 		ws.Put(aged)
 		aged = moved

@@ -7,10 +7,10 @@ import (
 	"sort"
 	"testing"
 
+	"qnp/internal/asmcheck"
 	"qnp/internal/hardware"
 	"qnp/internal/linalg"
 	"qnp/internal/quantum"
-	"qnp/internal/sim"
 )
 
 func dumbbell() *Graph {
@@ -57,8 +57,8 @@ func TestShortestPathDumbbell(t *testing.T) {
 // probePlan runs a Place k=1 probe, the shortest-path plan these tests pin
 // the budget math on (see TestPlaceProbeMatchesShortestPathPlan in
 // placement_test.go).
-func probePlan(c *Controller, src, dst string, f float64, policy CutoffPolicy, manual sim.Duration) (Plan, error) {
-	dec, _, err := c.Place(PlacementRequest{Src: src, Dst: dst, Fidelity: f, Cutoff: policy, ManualCutoff: manual, Probe: true})
+func probePlan(c *Controller, src, dst string, f float64, policy CutoffPolicy) (Plan, error) {
+	dec, _, err := c.Place(PlacementRequest{Src: src, Dst: dst, Fidelity: f, Cutoff: policy, Probe: true})
 	return dec.Plan, err
 }
 
@@ -83,7 +83,7 @@ func TestNoPath(t *testing.T) {
 
 func TestProbePlanBudget(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	plan, err := probePlan(c, "A0", "B0", 0.8, CutoffLong, 0)
+	plan, err := probePlan(c, "A0", "B0", 0.8, CutoffLong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestProbePlanBudget(t *testing.T) {
 
 func TestHigherTargetNeedsHigherLinkFidelity(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	p80, err1 := probePlan(c, "A0", "B0", 0.8, CutoffLong, 0)
-	p90, err2 := probePlan(c, "A0", "B0", 0.9, CutoffLong, 0)
+	p80, err1 := probePlan(c, "A0", "B0", 0.8, CutoffLong)
+	p90, err2 := probePlan(c, "A0", "B0", 0.9, CutoffLong)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -125,8 +125,8 @@ func TestHigherTargetNeedsHigherLinkFidelity(t *testing.T) {
 
 func TestLongerPathNeedsHigherLinkFidelity(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	short, err1 := probePlan(c, "MA", "MB", 0.8, CutoffLong, 0) // 1 hop
-	long, err2 := probePlan(c, "A0", "B0", 0.8, CutoffLong, 0)  // 3 hops
+	short, err1 := probePlan(c, "MA", "MB", 0.8, CutoffLong) // 1 hop
+	long, err2 := probePlan(c, "A0", "B0", 0.8, CutoffLong)  // 3 hops
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -140,8 +140,8 @@ func TestLongerPathNeedsHigherLinkFidelity(t *testing.T) {
 // rate improvement in Fig. 8(d-f).
 func TestShortCutoffRelaxesLinkFidelity(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	long, err1 := probePlan(c, "A0", "B0", 0.85, CutoffLong, 0)
-	short, err2 := probePlan(c, "A0", "B0", 0.85, CutoffShort, 0)
+	long, err1 := probePlan(c, "A0", "B0", 0.85, CutoffLong)
+	short, err2 := probePlan(c, "A0", "B0", 0.85, CutoffShort)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -158,23 +158,19 @@ func TestShortCutoffRelaxesLinkFidelity(t *testing.T) {
 
 func TestUnreachableTargetRejected(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	if _, err := probePlan(c, "A0", "B0", 0.97, CutoffLong, 0); err == nil {
+	if _, err := probePlan(c, "A0", "B0", 0.97, CutoffLong); err == nil {
 		t.Error("impossible end-to-end fidelity accepted")
 	}
 }
 
 func TestCutoffPolicies(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	none, _ := probePlan(c, "A0", "B0", 0.8, CutoffNone, 0)
+	none, _ := probePlan(c, "A0", "B0", 0.8, CutoffNone)
 	if none.Cutoff != 0 {
 		t.Error("CutoffNone produced a cutoff")
 	}
-	manual, _ := probePlan(c, "A0", "B0", 0.8, CutoffManual, 123*sim.Millisecond)
-	if manual.Cutoff != 123*sim.Millisecond {
-		t.Errorf("manual cutoff = %v", manual.Cutoff)
-	}
 	if CutoffNone.String() != "none" || CutoffLong.String() != "long" ||
-		CutoffShort.String() != "short" || CutoffManual.String() != "manual" {
+		CutoffShort.String() != "short" {
 		t.Error("policy strings wrong")
 	}
 }
@@ -201,7 +197,7 @@ func TestLongCutoffCalibration(t *testing.T) {
 		if math.Abs(lost-0.015) > 0.003 {
 			t.Errorf("%s: fidelity loss at cutoff = %.4f, want ≈0.015", p.Name, lost)
 		}
-		if got := c.cutoffFor(linalg.NewWorkspace(), curve, linkF, CutoffLong, 0); got != cut {
+		if got := c.cutoffFor(linalg.NewWorkspace(), curve, linkF, CutoffLong); got != cut {
 			t.Errorf("%s: long cutoff %v != fidelityLossTime %v", p.Name, got, cut)
 		}
 	}
@@ -210,7 +206,7 @@ func TestLongCutoffCalibration(t *testing.T) {
 func TestEnforceEERPopulatesBudget(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
 	c.EnforceEER = true
-	plan, err := probePlan(c, "A0", "B0", 0.8, CutoffLong, 0)
+	plan, err := probePlan(c, "A0", "B0", 0.8, CutoffLong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +222,7 @@ func TestEnforceEERPopulatesBudget(t *testing.T) {
 func TestRefitAllocations(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
 	c.EnforceEER = true
-	plan, err := probePlan(c, "A0", "B0", 0.85, CutoffShort, 0)
+	plan, err := probePlan(c, "A0", "B0", 0.85, CutoffShort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +239,7 @@ func TestRefitAllocations(t *testing.T) {
 	}
 
 	// A second circuit over the MA-MB bottleneck halves both.
-	plan2, err := probePlan(c, "A1", "B1", 0.85, CutoffShort, 0)
+	plan2, err := probePlan(c, "A1", "B1", 0.85, CutoffShort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +253,7 @@ func TestRefitAllocations(t *testing.T) {
 
 	// A fixed member (caller-chosen cap) dilutes shares but is never
 	// re-fitted itself.
-	plan3, _ := probePlan(c, "A0", "B1", 0.85, CutoffShort, 0)
+	plan3, _ := probePlan(c, "A0", "B1", 0.85, CutoffShort)
 	refits = admitPath(c, "fixed", plan3.Path, plan3.MaxLPR, true)
 	for _, r := range refits {
 		if r.Circuit == "fixed" {
@@ -289,9 +285,9 @@ func TestRefitAllocations(t *testing.T) {
 	s := NewController(dumbbell(), hardware.Simulation())
 	s.EnforceEER = true
 	s.Policy = AllocStatic
-	sp, _ := probePlan(s, "A0", "B0", 0.85, CutoffShort, 0)
+	sp, _ := probePlan(s, "A0", "B0", 0.85, CutoffShort)
 	admitPath(s, "a", sp.Path, sp.MaxLPR, false)
-	sp2, _ := probePlan(s, "A1", "B1", 0.85, CutoffShort, 0)
+	sp2, _ := probePlan(s, "A1", "B1", 0.85, CutoffShort)
 	if sp2.MaxEER != full {
 		t.Fatalf("static prospective allocation = %v, want %v", sp2.MaxEER, full)
 	}
@@ -376,3 +372,7 @@ func TestShortestPathMatchesScanReference(t *testing.T) {
 		}
 	}
 }
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }

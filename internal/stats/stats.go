@@ -311,8 +311,10 @@ func bucketBounds(k int) (lo, hi float64) {
 		exp--
 		sub += BucketsPerOctave
 	}
-	lo = math.Ldexp(0.5+float64(sub)/(2*BucketsPerOctave), exp)
-	hi = math.Ldexp(0.5+float64(sub+1)/(2*BucketsPerOctave), exp)
+	// The quotients compile to products; float64 rounds each before the
+	// sum, so arm64 cannot fuse them into a multiply-add.
+	lo = math.Ldexp(0.5+float64(float64(sub)/(2*BucketsPerOctave)), exp)
+	hi = math.Ldexp(0.5+float64(float64(sub+1)/(2*BucketsPerOctave)), exp)
 	return lo, hi
 }
 

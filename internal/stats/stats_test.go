@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"qnp/internal/asmcheck"
 	"qnp/internal/race"
 )
 
@@ -299,3 +300,7 @@ func TestAllocsAggAdd(t *testing.T) {
 		t.Errorf("1e6 adds allocated %v times, want ≤ 100", allocs)
 	}
 }
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }

@@ -3,12 +3,33 @@ package qnet
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"qnp/internal/linklayer"
 	"qnp/internal/runner"
 	"qnp/internal/sim"
 )
+
+// hold is a Holding that departs a circuit d after its traffic opens. It
+// draws nothing from the churn stream, so it schedules exactly what a fixed
+// holding time would.
+func hold(d sim.Duration) Dist { return func(*rand.Rand) sim.Duration { return d } }
+
+// cutoffPlan is net's controller plan for src→dst with its cutoff
+// replaced by a hand-picked one: how a tuned deployment (§5.3) installs a
+// cutoff, through EstablishPlan or CircuitSpec.Plan.
+func cutoffPlan(t *testing.T, net *Network, src, dst string, f float64, cutoff sim.Duration) Plan {
+	t.Helper()
+	dec, _, err := net.Controller.Place(PlacementRequest{Src: src, Dst: dst, Fidelity: f, Probe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := dec.Plan
+	plan.Cutoff = cutoff
+	return plan
+}
 
 // TestStreamFamiliesDisjoint is the regression net for the RNG
 // stream-offset collision: the selection stream used to sit at the odd
@@ -56,7 +77,7 @@ func TestChurnLifecycle(t *testing.T) {
 			{ID: "base", Src: "n0", Dst: "n2", Fidelity: 0.8,
 				Workload: ContinuousKeep{}},
 			{ID: "late", Src: "n0", Dst: "n2", Fidelity: 0.8,
-				ArriveAt: 2 * sim.Second, HoldFor: 3 * sim.Second,
+				ArriveAt: 2 * sim.Second, Holding: hold(3 * sim.Second),
 				Workload: ContinuousKeep{}},
 		},
 		Horizon: 8 * sim.Second,
@@ -117,9 +138,9 @@ func TestChurnTeardownRestoresState(t *testing.T) {
 		Topology: DumbbellTopo(),
 		Circuits: []CircuitSpec{
 			{ID: "a", Src: "A0", Dst: "B0", Fidelity: 0.85, Policy: CutoffShort,
-				HoldFor: 2 * sim.Second, Workload: MeasureStream{Rate: 10}},
+				Holding: hold(2 * sim.Second), Workload: MeasureStream{Rate: 10}},
 			{ID: "b", Src: "A1", Dst: "B1", Fidelity: 0.85, Policy: CutoffShort,
-				ArriveAt: sim.Second, HoldFor: 2 * sim.Second, Workload: MeasureStream{Rate: 10}},
+				ArriveAt: sim.Second, Holding: hold(2 * sim.Second), Workload: MeasureStream{Rate: 10}},
 		},
 		Horizon: 8 * sim.Second,
 	}.Run()
@@ -326,12 +347,12 @@ func TestReestablishNoPaceResidue(t *testing.T) {
 	}
 	net.Run(sim.Second / 2)
 	eng := net.Fabric.Between("n0", "n1")
-	if p := eng.Paces()[Label("vc")]; p != 5 {
+	if p := eng.Paces()[linklayer.Label("vc")]; p != 5 {
 		t.Fatalf("pace not in force before teardown (got %v)", p)
 	}
 	vc.Teardown()
 	net.Run(sim.Second / 2)
-	if p := eng.Paces()[Label("vc")]; p != 0 {
+	if p := eng.Paces()[linklayer.Label("vc")]; p != 0 {
 		t.Fatalf("pace cap survives teardown: %v", p)
 	}
 
@@ -347,7 +368,7 @@ func TestReestablishNoPaceResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Run(sim.Second)
-	if p := eng.Paces()[Label("vc")]; p != 0 {
+	if p := eng.Paces()[linklayer.Label("vc")]; p != 0 {
 		t.Errorf("re-established circuit inherited pace cap %v", p)
 	}
 }
@@ -433,11 +454,11 @@ func TestChurnSpecRoundTripAndSharding(t *testing.T) {
 // of per-end application callbacks, never double an event.
 func TestExpiryCountedOncePerEnd(t *testing.T) {
 	headSeen, tailSeen := 0, 0
+	plan := cutoffPlan(t, Chain(DefaultConfig(), 3), "n0", "n2", 0.8, 2*sim.Millisecond)
 	res, err := Scenario{
 		Topology: ChainTopo(3),
 		Circuits: []CircuitSpec{{
-			ID: "vc", Src: "n0", Dst: "n2", Fidelity: 0.8,
-			Policy: CutoffManual, ManualCutoff: 2 * sim.Millisecond,
+			ID: "vc", Plan: &plan,
 			Workload: Batch{Requests: []Request{{ID: "e", Type: Early, NumPairs: 0}}},
 			Head: Handlers{
 				AutoConsume: true,

@@ -18,6 +18,7 @@ const (
 	// States and Requests hold one entry per event, so any window or
 	// distribution can be queried exactly after the run. Memory is
 	// O(deliveries + requests).
+	//qnetlint:allow testonly names the zero-value default of Config.MetricsMode
 	MetricsFull MetricsMode = iota
 	// MetricsStreaming drops the per-delivery and per-request records and
 	// keeps only the mergeable constant-memory aggregates (DeliveryAgg,
@@ -316,8 +317,6 @@ type Metrics struct {
 	// for rate helpers is [Start, End].
 	Start sim.Time
 	End   sim.Time
-	// Err is set on replicas that failed to run.
-	Err string
 
 	Circuits []*CircuitMetrics
 	byID     map[CircuitID]*CircuitMetrics
@@ -384,17 +383,6 @@ func (m *Metrics) LatencySummary() *stats.Agg {
 	agg := new(stats.Agg)
 	for _, c := range m.Circuits {
 		agg.Merge(c.LatencyAgg)
-	}
-	return agg
-}
-
-// FidelitySummary merges every circuit's FidelityAgg into one mergeable
-// summary, in circuit declaration order; empty when no circuit set
-// RecordFidelity.
-func (m *Metrics) FidelitySummary() *stats.Agg {
-	agg := new(stats.Agg)
-	for _, c := range m.Circuits {
-		agg.Merge(c.FidelityAgg)
 	}
 	return agg
 }

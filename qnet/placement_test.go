@@ -19,9 +19,9 @@ func churnyScenario(enforce bool) Scenario {
 		Topology: DumbbellTopo(),
 		Circuits: []CircuitSpec{
 			{ID: "a", Src: "A0", Dst: "B0", Fidelity: 0.85, Policy: CutoffShort,
-				HoldFor: 3 * sim.Second, Workload: MeasureStream{Rate: 10}},
+				Holding: hold(3 * sim.Second), Workload: MeasureStream{Rate: 10}},
 			{ID: "b", Src: "A1", Dst: "B1", Fidelity: 0.85, Policy: CutoffShort,
-				ArriveAt: sim.Second, HoldFor: 3 * sim.Second, Workload: MeasureStream{Rate: 10}},
+				ArriveAt: sim.Second, Holding: hold(3 * sim.Second), Workload: MeasureStream{Rate: 10}},
 			{ID: "c", Src: "A0", Dst: "B1", Fidelity: 0.85, Policy: CutoffShort,
 				ArriveAt: 2 * sim.Second, Workload: MeasureStream{Rate: 10}},
 		},

@@ -24,21 +24,21 @@
 // Every run records its delivery times, request latencies and fidelities
 // into mergeable constant-memory aggregates (CircuitMetrics.DeliveryAgg,
 // LatencyAgg, FidelityAgg), which the summaries (MeanFidelity,
-// Metrics.LatencySummary, FidelitySummary) read. Config.MetricsMode decides
-// only whether the raw per-event records are kept as well: MetricsFull
-// (the default) keeps them, MetricsStreaming drops them.
+// Metrics.LatencySummary) read. Config.MetricsMode decides only whether the
+// raw per-event records are kept as well: MetricsFull (the default) keeps
+// them, MetricsStreaming drops them.
 //
 // Scenarios compose: several CircuitSpecs contend for the same links,
 // endpoint selectors (DiameterPair, RandomPairs) derive circuits from the
 // topology's shape, and pluggable workloads (ContinuousKeep, IntervalKeep,
 // PoissonKeep, OnOffKeep, MeasureStream, ...) model traffic patterns.
-// Circuits need not live for the whole run: CircuitSpec.ArriveAt/HoldFor
-// (or the stochastic Arrival/Holding Dists, functions drawing from the
-// scenario's churn stream such as Exponential and Uniform) schedule
-// arrivals and departures on the simulation clock — scheduled circuits
-// establish asynchronously through the signalling plane, departures tear
-// down via the idempotent Circuit.Teardown, and per-circuit lifetime stamps
-// plus Metrics.TimeWeightedEER measure the dynamics. Under Config.EnforceEER
+// Circuits need not live for the whole run: CircuitSpec.ArriveAt and the
+// Arrival/Holding Dists (functions drawing from the scenario's churn
+// stream, such as Exponential and Uniform) schedule arrivals and
+// departures on the simulation clock — scheduled circuits establish
+// asynchronously through the signalling plane, departures tear down via
+// the idempotent Circuit.Teardown, and per-circuit lifetime stamps plus
+// Metrics.TimeWeightedEER measure the dynamics. Under Config.EnforceEER
 // the routing controller re-fits rate allocations to link membership as
 // circuits join and leave (each link's budget splits across its circuits,
 // propagated hop by hop so head-end pacing tracks membership); an arrival
@@ -53,13 +53,13 @@
 // # Topologies
 //
 // Besides chains and the paper's dumbbell, generators build rings, stars,
-// grids and seeded Waxman random graphs, all with uniform hardware unless
-// Config.LinkLengthM overrides individual fibre lengths. A scenario's
-// TopologySpec is a function from Config to a started network: the
-// constructors (ChainTopo, ..., WaxmanTopo) validate their sizes and return
-// one, and a hand-built topology is any other such function. Diameter picks
-// the farthest endpoint pair, so a scenario can always ask for the
-// topology's hardest circuit via the DiameterPair selector.
+// grids and seeded Waxman random graphs, all with uniform hardware (every
+// link is Config.Link). A scenario's TopologySpec is a function from Config
+// to a started network: the constructors (ChainTopo, ..., WaxmanTopo)
+// validate their sizes and return one, and a hand-built topology is any
+// other such function. Diameter picks the farthest endpoint pair, so a
+// scenario can always ask for the topology's hardest circuit via the
+// DiameterPair selector.
 //
 // # Physics engines
 //
@@ -126,9 +126,8 @@ type (
 	CircuitID = core.CircuitID
 	// Delivered is an end-node delivery.
 	Delivered = core.Delivered
-	// RequestType selects KEEP / EARLY / MEASURE consumption.
-	RequestType = core.RequestType
 	// TestEstimate is a fidelity test-round report.
+	//qnetlint:allow testonly the type of Handlers.OnTestEstimate's parameter
 	TestEstimate = core.TestEstimate
 	// CutoffPolicy selects the routing controller's cutoff rule.
 	CutoffPolicy = routing.CutoffPolicy
@@ -147,9 +146,6 @@ type (
 	NodeStats = core.NodeStats
 	// Correlator identifies a link-pair / entanglement chain (§3.2).
 	Correlator = linklayer.Correlator
-	// Label identifies a circuit's reservation on one link (the paper's
-	// link-label); the signalling protocol uses the circuit ID itself.
-	Label = linklayer.Label
 	// Physics selects the pair-state engine (see Config.Physics).
 	Physics = device.Physics
 	// Handlers are one end-node's application callbacks for a circuit,
@@ -170,16 +166,16 @@ const (
 
 // Cutoff policies.
 const (
-	CutoffNone   = routing.CutoffNone
-	CutoffLong   = routing.CutoffLong
-	CutoffShort  = routing.CutoffShort
-	CutoffManual = routing.CutoffManual
+	CutoffNone  = routing.CutoffNone
+	CutoffLong  = routing.CutoffLong
+	CutoffShort = routing.CutoffShort
 )
 
 // Allocation policies (see Config.Alloc).
 const (
 	// AllocCountSplit — the default — splits a link's budget equally among
 	// the circuits on the path's most contended link.
+	//qnetlint:allow testonly names the zero-value default of Config.Alloc
 	AllocCountSplit = routing.AllocCountSplit
 	// AllocModelWeighted divides link budget in proportion to each
 	// circuit's modeled end-to-end deliverable rate (worst-case swap
@@ -213,10 +209,6 @@ type Config struct {
 	SharedCommQubits int
 	// StorageQubits adds carbon storage qubits per node (near-term).
 	StorageQubits int
-	// LinkLengthM overrides the fibre length (in metres) of individual
-	// links, keyed by LinkKey(a, b). Links without an entry use Link.LengthM
-	// as before, so the paper's uniform evaluations are the zero value.
-	LinkLengthM map[string]float64
 	// EnforceEER turns on the routing controller's admission control: plans
 	// carry a MaxEER allocation and the head-end polices/shapes requests
 	// against it. The paper's evaluation leaves it off ("we do not perform
@@ -249,9 +241,6 @@ type Config struct {
 	// fidelity values the oracle reports.
 	Physics Physics
 }
-
-// LinkKey canonically names the a-b link for Config.LinkLengthM overrides.
-func LinkKey(a, b string) string { return linklayer.LinkName(a, b) }
 
 // DefaultConfig is the paper's main evaluation setup: idealised NV
 // parameters, 2 m lab fibre, two communication qubits per link end.
@@ -332,17 +321,13 @@ func (n *Network) AddNode(id string) {
 	n.devices[id] = dev
 }
 
-// Connect joins two nodes with the configured link (quantum + classical),
-// honouring any Config.LinkLengthM override for this link.
+// Connect joins two nodes with the configured link (quantum + classical).
 func (n *Network) Connect(a, b string) {
 	if n.started {
 		panic("qnet: Connect after Start")
 	}
 	name := linklayer.LinkName(a, b)
 	link := n.Config.Link
-	if m, ok := n.Config.LinkLengthM[name]; ok {
-		link.LengthM = m
-	}
 	if n.Config.QubitsPerLinkEnd > 0 && n.Config.SharedCommQubits == 0 {
 		n.devices[a].AddCommQubits(name, n.Config.QubitsPerLinkEnd)
 		n.devices[b].AddCommQubits(name, n.Config.QubitsPerLinkEnd)
@@ -424,8 +409,6 @@ func Dumbbell(cfg Config) *Network {
 type CircuitOptions struct {
 	// Policy selects the cutoff rule; the default is CutoffLong.
 	Policy CutoffPolicy
-	// ManualCutoff is used with CutoffManual.
-	ManualCutoff sim.Duration
 	// MaxEER overrides the circuit's end-to-end rate allocation for
 	// policing/shaping (0 = no admission control, as in the paper). An
 	// overridden circuit is excluded from allocation re-fitting.
@@ -497,15 +480,14 @@ func (n *Network) planFor(src, dst string, fidelity float64, opts *CircuitOption
 	}
 	fixed := o.MaxEER > 0
 	dec, _, err := n.Controller.Place(PlacementRequest{
-		Src:          src,
-		Dst:          dst,
-		Fidelity:     fidelity,
-		Cutoff:       o.Policy,
-		ManualCutoff: o.ManualCutoff,
-		MinEER:       o.MinEER,
-		Fixed:        fixed,
-		K:            o.Candidates,
-		Probe:        true,
+		Src:      src,
+		Dst:      dst,
+		Fidelity: fidelity,
+		Cutoff:   o.Policy,
+		MinEER:   o.MinEER,
+		Fixed:    fixed,
+		K:        o.Candidates,
+		Probe:    true,
 	})
 	if err != nil {
 		return PlacementDecision{}, o, err
@@ -643,6 +625,8 @@ func (c *Circuit) Submit(req Request) error {
 }
 
 // Cancel terminates an open-ended request.
+//
+//qnetlint:allow testonly it ends an open-ended request (NumPairs 0), which has no other end
 func (c *Circuit) Cancel(id RequestID) error { return c.Head().Cancel(c.ID, id) }
 
 // Teardown removes the circuit from the network: the head end uninstalls

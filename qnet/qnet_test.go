@@ -92,7 +92,7 @@ func TestDefaultAutoConsumeWithoutHandlers(t *testing.T) {
 // stalls without delivering a pair.
 func TestAutoConsumeFreesExpiredEarlyQubits(t *testing.T) {
 	net := Chain(DefaultConfig(), 3)
-	vc, err := net.Establish("vc", "n0", "n2", 0.8, &CircuitOptions{Policy: CutoffManual, ManualCutoff: 2 * sim.Millisecond})
+	vc, err := net.EstablishPlan("vc", cutoffPlan(t, net, "n0", "n2", 0.8, 2*sim.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +246,6 @@ func TestCircuitOptionsPolicies(t *testing.T) {
 	if none.Plan.Cutoff != 0 {
 		t.Error("CutoffNone produced a cutoff")
 	}
-	manual, err := net.Establish("m", "A1", "B0", 0.85, &CircuitOptions{Policy: CutoffManual, ManualCutoff: 42 * sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if manual.Plan.Cutoff != 42*sim.Millisecond {
-		t.Errorf("manual cutoff = %v", manual.Plan.Cutoff)
-	}
 }
 
 func TestDuplicateCircuitRejected(t *testing.T) {
@@ -328,7 +321,7 @@ func TestNearTermConfigBuilds(t *testing.T) {
 	cfg.Seed = 3
 	net := Chain(cfg, 3)
 	// The near-term platform cannot reach high fidelities; 0.5 must plan.
-	vc, err := net.Establish("c", "n0", "n2", 0.5, &CircuitOptions{Policy: CutoffManual, ManualCutoff: 2 * sim.Second})
+	vc, err := net.EstablishPlan("c", cutoffPlan(t, net, "n0", "n2", 0.5, 2*sim.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,7 @@ import (
 // TopologySpec declares a scenario's network shape: it builds and starts
 // the network for cfg, or reports why the declared shape is invalid. Use
 // the constructors (ChainTopo, DumbbellTopo, ...), or write one that returns
-// a started network. Per-link fibre lengths come from Config.LinkLengthM,
-// so one spec expresses both uniform and heterogeneous plants.
+// a started network.
 type TopologySpec func(cfg Config) (*Network, error)
 
 // ChainTopo declares a k-node chain.
@@ -132,9 +131,9 @@ type CircuitSpec struct {
 	Select   Selector
 	// Fidelity is the end-to-end target handed to the routing controller.
 	Fidelity float64
-	// Policy and ManualCutoff select the cutoff rule (default CutoffLong).
-	Policy       CutoffPolicy
-	ManualCutoff sim.Duration
+	// Policy selects the cutoff rule (default CutoffLong); a hand-picked
+	// cutoff is a hand-built Plan.
+	Policy CutoffPolicy
 	// MaxEER overrides the circuit's end-to-end rate allocation for
 	// policing/shaping (0 keeps the controller's allocation, which is
 	// itself 0 unless Config.EnforceEER is on).
@@ -146,17 +145,17 @@ type CircuitSpec struct {
 	// up front, it establishes on the simulation clock this long after
 	// traffic opens (via the asynchronous signalling path, contending with
 	// live traffic). 0 pre-installs as before.
+	//qnetlint:allow testonly qnpbench's replica reads it to tell churn-only scenarios
 	ArriveAt sim.Duration
-	// HoldFor tears the circuit down this long after its traffic opens
-	// (scenario-driven departure through Circuit.Teardown, triggering an
-	// allocation re-fit for survivors under EnforceEER). 0 holds the
-	// circuit to the end of the run.
-	HoldFor sim.Duration
-	// Arrival and Holding draw ArriveAt/HoldFor from a distribution
-	// instead — e.g. Exponential arrival offsets and holding times give a
-	// Poisson churn mix. Draws come from the scenario's dedicated churn
-	// stream (one per configured field per expanded circuit, in expansion
-	// order), never from the physics or workload streams.
+	// Arrival draws ArriveAt from a distribution instead, and Holding
+	// draws how long after its traffic opens the circuit departs
+	// (scenario-driven teardown through Circuit.Teardown, triggering an
+	// allocation re-fit for survivors under EnforceEER); without Holding
+	// the circuit holds to the end of the run. Exponential arrival offsets
+	// and holding times give a Poisson churn mix. Draws come from the
+	// scenario's dedicated churn stream (one per configured field per
+	// expanded circuit, in expansion order), never from the physics or
+	// workload streams.
 	Arrival Dist
 	Holding Dist
 	// MinEER is the circuit's demand at admission: under EnforceEER, an
@@ -223,15 +222,11 @@ type Scenario struct {
 }
 
 // Result is a single scenario run: the unified metrics plus the live
-// network and circuits for post-run inspection.
+// network for post-run inspection.
 type Result struct {
 	Metrics *Metrics
 	Net     *Network
-	circs   map[CircuitID]*Circuit
 }
-
-// VC returns a live established circuit by ID (nil if unknown or failed).
-func (r *Result) VC(id CircuitID) *Circuit { return r.circs[id] }
 
 // effectiveConfig fills unset Config fields with the paper's defaults,
 // field by field, so a scenario that sets only (say) a seed or a qubit
@@ -259,8 +254,8 @@ type liveCircuit struct {
 	vc   *Circuit
 	cm   *CircuitMetrics
 	ctx  *WorkloadContext
-	// arriveAt/holdFor are the resolved churn values (spec fields, or the
-	// per-circuit draws from the churn stream).
+	// arriveAt/holdFor are the resolved churn values (ArriveAt or the
+	// per-circuit draws from the churn stream; 0 holds to the end).
 	arriveAt sim.Duration
 	holdFor  sim.Duration
 }
@@ -270,7 +265,6 @@ type liveCircuit struct {
 type runState struct {
 	net *Network
 	m   *Metrics
-	res *Result
 	// err records the first fatal failure raised from inside an event
 	// callback (a non-optional arrival that could not establish, a workload
 	// submission error); the run loop aborts on it.
@@ -304,8 +298,8 @@ func (sc Scenario) Run() (*Result, error) {
 		sc.Setup(net)
 	}
 	m := &Metrics{Name: sc.Name, Mode: cfg.MetricsMode, byID: make(map[CircuitID]*CircuitMetrics)}
-	res := &Result{Metrics: m, Net: net, circs: make(map[CircuitID]*Circuit)}
-	eng := &runState{net: net, m: m, res: res}
+	res := &Result{Metrics: m, Net: net}
+	eng := &runState{net: net, m: m}
 	// fail stamps the window and counts before an error return, so partial
 	// metrics from failed establishes are well-formed instead of
 	// zero-valued.
@@ -367,7 +361,6 @@ func (sc Scenario) Run() (*Result, error) {
 			if spec.Arrival != nil {
 				lc.arriveAt = spec.Arrival(churnRand)
 			}
-			lc.holdFor = spec.HoldFor
 			if spec.Holding != nil {
 				lc.holdFor = spec.Holding(churnRand)
 			}
@@ -448,7 +441,7 @@ func (sc Scenario) Run() (*Result, error) {
 	t0 := net.Sim.Now()
 	m.Start = t0
 
-	// Churn scheduling: arrivals at t0+ArriveAt, departures HoldFor after a
+	// Churn scheduling: arrivals at t0+arriveAt, departures holdFor after a
 	// circuit's traffic opens (for pre-installed circuits that is t0, the
 	// instant every circuit's ctx.Start was pinned to).
 	for _, lc := range scheduled {
@@ -577,11 +570,10 @@ func (sc Scenario) establish(eng *runState, lc *liveCircuit) error {
 // options are the establishment options the spec declares.
 func (spec CircuitSpec) options() *CircuitOptions {
 	return &CircuitOptions{
-		Policy:       spec.Policy,
-		ManualCutoff: spec.ManualCutoff,
-		MaxEER:       spec.MaxEER,
-		MinEER:       spec.MinEER,
-		Candidates:   spec.Candidates,
+		Policy:     spec.Policy,
+		MaxEER:     spec.MaxEER,
+		MinEER:     spec.MinEER,
+		Candidates: spec.Candidates,
 	}
 }
 
@@ -610,7 +602,6 @@ func (eng *runState) record(lc *liveCircuit, vc *Circuit, err error) error {
 	lc.cm.Plan = vc.Plan
 	lc.cm.Path = append([]string(nil), vc.Plan.Path...)
 	lc.cm.CandidateIndex = vc.Placement.CandidateIndex
-	eng.res.circs[lc.id] = vc
 	return nil
 }
 

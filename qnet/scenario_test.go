@@ -44,7 +44,7 @@ func TestScenarioQuickstart(t *testing.T) {
 	if res.Metrics.ClassicalMessages == 0 || res.Metrics.Nodes != 3 || res.Metrics.Links != 2 {
 		t.Errorf("network totals: %+v", res.Metrics)
 	}
-	if res.VC("vc") == nil {
+	if res.Net.circuits["vc"] == nil {
 		t.Error("live circuit not exposed")
 	}
 }
@@ -131,15 +131,15 @@ func TestScenarioMultiCircuitTeardown(t *testing.T) {
 		t.Fatalf("initial deliveries: c1=%d c2=%d", m.Circuit("c1").Delivered, m.Circuit("c2").Delivered)
 	}
 	// Tear down c1; c2's handler table must survive and keep delivering.
-	res.VC("c1").Teardown()
+	res.Net.circuits["c1"].Teardown()
 	more := 0
 	done := false
-	res.VC("c2").HandleHead(Handlers{
+	res.Net.circuits["c2"].HandleHead(Handlers{
 		AutoConsume: true,
 		OnPair:      func(Delivered) { more++ },
 		OnComplete:  func(RequestID) { done = true },
 	})
-	if err := res.VC("c2").Submit(Request{ID: "again", Type: Keep, NumPairs: 3}); err != nil {
+	if err := res.Net.circuits["c2"].Submit(Request{ID: "again", Type: Keep, NumPairs: 3}); err != nil {
 		t.Fatal(err)
 	}
 	res.Net.Run(60 * sim.Second)
@@ -282,22 +282,6 @@ func TestScenarioEstablishErrors(t *testing.T) {
 	bad.WaitFor = []CircuitID{"nope"}
 	if _, err := bad.Run(); err == nil {
 		t.Error("unknown WaitFor circuit accepted")
-	}
-}
-
-func TestScenarioLinkLengthOverride(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LinkLengthM = map[string]float64{LinkKey("n1", "n0"): 2000}
-	net := Chain(cfg, 3)
-	if d0, d1 := net.Classical.Delay("n0", "n1"), net.Classical.Delay("n1", "n2"); d0 <= d1 {
-		t.Errorf("overridden 2 km link delay %v not above default %v", d0, d1)
-	}
-	link, ok := net.Graph.Link("n0", "n1")
-	if !ok || link.LengthM != 2000 {
-		t.Errorf("routing graph link length = %v", link.LengthM)
-	}
-	if link, _ := net.Graph.Link("n1", "n2"); link.LengthM != 2 {
-		t.Errorf("unaffected link length = %v", link.LengthM)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"qnp/internal/quantum"
 	"qnp/internal/sim"
 )
 
@@ -76,12 +75,8 @@ func (w *WorkloadContext) mustSubmit(req Request) {
 	}
 }
 
-func prefixed(prefix string, k int) RequestID {
-	if prefix == "" {
-		prefix = "r"
-	}
-	return RequestID(fmt.Sprintf("%s%d", prefix, k))
-}
+// requestID names a workload's k-th request: r0, r1, ...
+func requestID(k int) RequestID { return RequestID(fmt.Sprintf("r%d", k)) }
 
 // Batch submits an explicit request list the moment traffic opens — the
 // fully general immediate workload.
@@ -116,21 +111,17 @@ func (c ContinuousKeep) Immediate(*WorkloadContext) []Request {
 func (c ContinuousKeep) Start(*WorkloadContext) {}
 
 // KeepBatch submits Count simultaneous KEEP requests of Pairs pairs each
-// when traffic opens. Window, when set, attaches the create-and-keep Δt
-// that gives each request a policeable minimum rate.
+// when traffic opens, named r0, r1, ...
 type KeepBatch struct {
-	Count  int
-	Pairs  int
-	Window sim.Duration
-	// IDPrefix prefixes request IDs (default "r": r0, r1, ...).
-	IDPrefix string
+	Count int
+	Pairs int
 }
 
 // Immediate returns the request batch.
 func (b KeepBatch) Immediate(*WorkloadContext) []Request {
 	reqs := make([]Request, b.Count)
 	for k := range reqs {
-		reqs[k] = Request{ID: prefixed(b.IDPrefix, k), Type: Keep, NumPairs: b.Pairs, Window: b.Window}
+		reqs[k] = Request{ID: requestID(k), Type: Keep, NumPairs: b.Pairs}
 	}
 	return reqs
 }
@@ -144,7 +135,6 @@ func (b KeepBatch) Start(*WorkloadContext) {}
 type IntervalKeep struct {
 	Interval sim.Duration
 	Pairs    int
-	IDPrefix string
 }
 
 // Immediate is a no-op.
@@ -158,7 +148,7 @@ func (w IntervalKeep) Start(ctx *WorkloadContext) {
 	k := 0
 	var issue func()
 	issue = func() {
-		ctx.mustSubmit(Request{ID: prefixed(w.IDPrefix, k), Type: Keep, NumPairs: w.Pairs})
+		ctx.mustSubmit(Request{ID: requestID(k), Type: Keep, NumPairs: w.Pairs})
 		k++
 		if ctx.open() {
 			ctx.Sim.Schedule(w.Interval, issue)
@@ -170,9 +160,8 @@ func (w IntervalKeep) Start(ctx *WorkloadContext) {
 // PoissonKeep issues Pairs-pair KEEP requests as a Poisson process with the
 // given mean inter-arrival time, drawn from the workload-private stream.
 type PoissonKeep struct {
-	Mean     sim.Duration
-	Pairs    int
-	IDPrefix string
+	Mean  sim.Duration
+	Pairs int
 }
 
 // Immediate is a no-op.
@@ -189,7 +178,7 @@ func (w PoissonKeep) Start(ctx *WorkloadContext) {
 	k := 0
 	var issue func()
 	issue = func() {
-		ctx.mustSubmit(Request{ID: prefixed(w.IDPrefix, k), Type: Keep, NumPairs: w.Pairs})
+		ctx.mustSubmit(Request{ID: requestID(k), Type: Keep, NumPairs: w.Pairs})
 		k++
 		if ctx.open() {
 			ctx.Sim.Schedule(gap(), issue)
@@ -204,7 +193,6 @@ type OnOffKeep struct {
 	On, Off  sim.Duration
 	Interval sim.Duration
 	Pairs    int
-	IDPrefix string
 }
 
 // Immediate is a no-op.
@@ -224,7 +212,7 @@ func (w OnOffKeep) Start(ctx *WorkloadContext) {
 			return
 		}
 		if pos := elapsed % period; pos < w.On {
-			ctx.mustSubmit(Request{ID: prefixed(w.IDPrefix, k), Type: Keep, NumPairs: w.Pairs})
+			ctx.mustSubmit(Request{ID: requestID(k), Type: Keep, NumPairs: w.Pairs})
 			k++
 			ctx.Sim.Schedule(w.Interval, tick)
 			return
@@ -236,27 +224,21 @@ func (w OnOffKeep) Start(ctx *WorkloadContext) {
 	ctx.Sim.Schedule(0, tick)
 }
 
-// MeasureStream is the QKD-style measure-directly workload: one request
-// whose pairs are measured at both ends in the given basis the moment they
-// are ready (§3.1 "measure directly").
+// MeasureStream is the QKD-style measure-directly workload: one request,
+// "measure", whose pairs are measured at both ends in the Z basis the
+// moment they are ready (§3.1 "measure directly"). A Batch carries any
+// other basis or request ID.
 type MeasureStream struct {
-	Basis quantum.Basis
 	// Pairs is the number of rounds; 0 with Rate set streams open-endedly.
 	Pairs int
 	// Rate, for open-ended streams, is the requested pairs/second — the
 	// policed quantity under EER enforcement.
 	Rate float64
-	// ID names the request (default "measure").
-	ID RequestID
 }
 
 // Immediate returns the measurement request.
 func (m MeasureStream) Immediate(*WorkloadContext) []Request {
-	id := m.ID
-	if id == "" {
-		id = "measure"
-	}
-	return []Request{{ID: id, Type: Measure, MeasureBasis: m.Basis, NumPairs: m.Pairs, Rate: m.Rate}}
+	return []Request{{ID: "measure", Type: Measure, NumPairs: m.Pairs, Rate: m.Rate}}
 }
 
 // Start is a no-op.
