@@ -153,6 +153,8 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		return fail("-maxeer must be ≥ 0 (got %g)", *maxEER)
 	case *horizon <= 0:
 		return fail("-horizon must be > 0 (got %g)", *horizon)
+	case !(*fidelity > 0 && *fidelity <= 1): // NaN fails both
+		return fail("-fidelity must be in (0, 1] (got %g)", *fidelity)
 	}
 	if *streaming {
 		cfg.MetricsMode = qnet.MetricsStreaming

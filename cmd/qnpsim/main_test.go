@@ -171,6 +171,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-maxeer -1", 2, "-maxeer must be ≥ 0"},
 		{"-horizon -5", 2, "-horizon must be > 0"},
 		{"-horizon 0", 2, "-horizon must be > 0"},
+		{"-fidelity -1", 2, "-fidelity must be in (0, 1] (got -1)"},
+		{"-fidelity 0", 2, "-fidelity must be in (0, 1] (got 0)"},
+		{"-fidelity 1.5", 2, "-fidelity must be in (0, 1] (got 1.5)"},
+		{"-fidelity NaN", 2, "-fidelity must be in (0, 1] (got NaN)"},
 		{"-interval -1 -workload interval", 2, "-interval must be > 0 for -workload interval"},
 		{"-interval 0 -workload churn", 2, "-interval must be > 0 for -workload churn"},
 		{"-nosuchflag", 2, "flag provided but not defined"},

@@ -25,7 +25,11 @@ type Delivered struct {
 	// LocalCorr is this end's own link-pair correlator for the chain; EARLY
 	// hand-offs and EXPIRE notices are keyed by it.
 	LocalCorr linklayer.Correlator
-	// Pair is the live end-to-end pair (nil for Measure deliveries).
+	// Pair is the live end-to-end pair (nil for Measure deliveries). Its
+	// state may be read while this end's half is held: inside OnPair, or
+	// until the application frees the half it owns. Once both ends have
+	// released their halves the state is back in the simulation's pool
+	// and Pair.Rho is nil (see device.Pair).
 	Pair *device.Pair
 	// State is the protocol's declared Bell state for the pair.
 	State quantum.BellIndex
@@ -69,6 +73,8 @@ type Handlers struct {
 	OnTestEstimate func(TestEstimate)
 	// AutoConsume frees this end's qubit right after OnPair returns —
 	// convenient for applications that only read metadata or fidelity.
+	// Read the pair's state inside OnPair: after both ends have freed
+	// their halves it is gone.
 	AutoConsume bool
 }
 
@@ -292,6 +298,9 @@ type Node struct {
 	eerUpdates uint64
 	// gcRunning marks the periodic soft-state sweep as started.
 	gcRunning bool
+	// gcSweepFn is gcSweep bound once, so rescheduling it allocates
+	// nothing.
+	gcSweepFn func()
 	// freeSlots and freeInTransit pool intermediate pair slots and
 	// end-node in-transit entries.
 	freeSlots     *pairSlot
@@ -310,6 +319,7 @@ func NewNode(s *sim.Simulation, net *netsim.Network, dev *device.Device, fabric 
 		circuits: make(map[CircuitID]*circuit),
 		torn:     make(map[CircuitID]sim.Time),
 	}
+	n.gcSweepFn = n.gcSweep
 	net.Handle(n.id, n.handleMessage)
 	return n
 }
@@ -354,7 +364,7 @@ func (n *Node) InstallCircuit(e RoutingEntry) {
 	delete(n.torn, e.Circuit) // a reinstalled ID is live again
 	if !n.gcRunning {
 		n.gcRunning = true
-		n.sim.Schedule(gcInterval, n.gcSweep)
+		n.sim.Schedule(gcInterval, n.gcSweepFn)
 	}
 }
 
@@ -392,7 +402,7 @@ func (n *Node) gcSweep() {
 			delete(n.torn, id)
 		}
 	}
-	n.sim.Schedule(gcInterval, n.gcSweep)
+	n.sim.Schedule(gcInterval, n.gcSweepFn)
 }
 
 // UninstallCircuit tears a circuit down at this node: link layer requests

@@ -51,8 +51,9 @@ type Device struct {
 	// shared ones), kept current by every alloc and free. A device serves a
 	// handful of links, so a scan beats hashing the tag.
 	freeComm []commCount
-	// freeSwaps recycles Swap's operation records.
-	freeSwaps *swapOp
+	// freeOps recycles the records of pending swaps, moves and
+	// measurements.
+	freeOps *op
 	// swapNoise is the swap configuration with its gate noise factors
 	// built, on the first exact swap.
 	swapNoise *quantum.PreparedSwap
@@ -62,11 +63,6 @@ type Device struct {
 	onFree    []func()
 	// notifying guards against re-entrant free-notification storms.
 	notifying bool
-	// ws pools the small matrices the device's quantum operations burn
-	// through. One workspace per device is safe: all devices of a network
-	// live on one simulation goroutine, and buffers may migrate freely
-	// between the pools of devices in the same simulation.
-	ws *linalg.Workspace
 }
 
 // New creates a device for node id with the given hardware parameters,
@@ -83,16 +79,11 @@ func NewWithPhysics(s *sim.Simulation, id string, params hardware.Params, ph Phy
 		physics: ph,
 		sim:     s,
 		rng:     s.Rand(),
-		ws:      linalg.NewWorkspace(),
 	}
 }
 
 // Physics returns the pair-state engine this device runs on.
 func (d *Device) Physics() Physics { return d.physics }
-
-// Workspace exposes the device's matrix pool so co-located layers (the link
-// layer materialising fresh pair states) can share it.
-func (d *Device) Workspace() *linalg.Workspace { return d.ws }
 
 // ID returns the node ID.
 func (d *Device) ID() string { return d.id }
@@ -288,34 +279,66 @@ func (d *Device) Swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 	if q1.pair == nil || q2.pair == nil {
 		panic(fmt.Sprintf("device %s: swap on qubits without pairs", d.id))
 	}
-	op := d.freeSwaps
-	if op == nil {
-		op = &swapOp{d: d}
-		op.run = op.exec
+	o := d.newOp(opSwap, q1)
+	o.q2, o.swapped = q2, done
+	d.SubmitOp(d.params.SwapDuration(), o.run)
+}
+
+// opKind names the operation a record holds.
+type opKind uint8
+
+const (
+	opSwap opKind = iota
+	opMove
+	opMeasure
+)
+
+// op is a pending Swap, MoveToStorage or MeasureHalf. Records are recycled
+// per device and bind their completion once, so submitting an operation
+// allocates nothing.
+type op struct {
+	d    *Device
+	kind opKind
+	// q is the operated qubit; q2 is a swap's second qubit or a move's
+	// storage qubit.
+	q, q2    *Qubit
+	basis    quantum.Basis
+	swapped  func(merged *Pair, outcome quantum.BellIndex)
+	moved    func(newQ *Qubit, ok bool)
+	measured func(bit int)
+	run      func()
+	next     *op
+}
+
+// newOp takes a record from the device's pool.
+func (d *Device) newOp(kind opKind, q *Qubit) *op {
+	o := d.freeOps
+	if o == nil {
+		o = &op{d: d}
+		o.run = o.exec
 	} else {
-		d.freeSwaps = op.next
+		d.freeOps = o.next
 	}
-	op.q1, op.q2, op.done = q1, q2, done
-	d.SubmitOp(d.params.SwapDuration(), op.run)
+	o.kind, o.q = kind, q
+	return o
 }
 
-// swapOp is a pending Swap. Records are recycled per device and bind their
-// completion once, so submitting a swap allocates nothing.
-type swapOp struct {
-	d      *Device
-	q1, q2 *Qubit
-	done   func(merged *Pair, outcome quantum.BellIndex)
-	run    func()
-	next   *swapOp
-}
-
-// exec releases the record before swapping: done may submit the next swap.
-func (op *swapOp) exec() {
-	d, q1, q2, done := op.d, op.q1, op.q2, op.done
-	op.q1, op.q2, op.done = nil, nil, nil
-	op.next = d.freeSwaps
-	d.freeSwaps = op
-	d.swap(q1, q2, done)
+// exec releases the record before running its operation: the operation's
+// callback may submit the next one.
+func (o *op) exec() {
+	d, kind, q, q2, basis := o.d, o.kind, o.q, o.q2, o.basis
+	swapped, moved, measured := o.swapped, o.moved, o.measured
+	o.q, o.q2, o.swapped, o.moved, o.measured = nil, nil, nil, nil, nil
+	o.next = d.freeOps
+	d.freeOps = o
+	switch kind {
+	case opSwap:
+		d.swap(q, q2, swapped)
+	case opMove:
+		d.move(q, q2, moved)
+	case opMeasure:
+		d.measure(q, basis, measured)
+	}
 }
 
 // swap performs a Swap at its completion time.
@@ -343,33 +366,34 @@ func (d *Device) swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 		sres := werner.Swap(p1.w, p2.w, d.params.SwapConfig(), d.rng)
 		mergedW, outcome = sres.W, sres.Outcome
 	} else {
+		ws := d.sim.Workspace()
 		// Orient so the swap circuit sees (remote1, local1) ⊗ (local2,
 		// remote2). Exchanging the qubits of a Bell-diagnosable state keeps
 		// its Bell index (|Ψ−> only changes global phase).
 		rho1 := p1.rho
 		if s1 == 0 {
-			rho1 = quantum.ApplyGate2W(d.ws, rho1, quantum.SWAP, 0, 2)
+			rho1 = quantum.ApplyGate2W(ws, rho1, quantum.SWAP, 0, 2)
 		}
 		rho2 := p2.rho
 		if s2 == 1 {
-			rho2 = quantum.ApplyGate2W(d.ws, rho2, quantum.SWAP, 0, 2)
+			rho2 = quantum.ApplyGate2W(ws, rho2, quantum.SWAP, 0, 2)
 		}
 		if d.swapNoise == nil {
 			d.swapNoise = quantum.PrepareSwap(d.params.SwapConfig())
 		}
-		res := d.swapNoise.SwapW(d.ws, rho1, rho2, d.rng)
+		res := d.swapNoise.SwapW(ws, rho1, rho2, d.rng)
 		if rho1 != p1.rho {
-			d.ws.Put(rho1)
+			ws.Put(rho1)
 		}
 		if rho2 != p2.rho {
-			d.ws.Put(rho2)
+			ws.Put(rho2)
 		}
 		// The Bell measurement consumed both input pairs: recycle their
 		// states and nil the fields so a stale read fails fast instead of
 		// observing a recycled buffer.
-		d.ws.Put(p1.rho)
+		ws.Put(p1.rho)
 		p1.rho = nil
-		d.ws.Put(p2.rho)
+		ws.Put(p2.rho)
 		p2.rho = nil
 		mergedRho, outcome = res.Rho, res.Outcome
 	}
@@ -384,7 +408,6 @@ func (d *Device) swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 		rho:        mergedRho,
 		scalar:     p1.scalar,
 		w:          mergedW,
-		ws:         d.ws,
 		trueIdx:    quantum.Combine(p1.trueIdx, p2.trueIdx, outcome),
 		createdAt:  created,
 		lastUpdate: now,
@@ -398,6 +421,12 @@ func (d *Device) swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 	}
 	if remote2 != nil {
 		remote2.pair, remote2.side = merged, 1
+	}
+	if remote1 == nil && remote2 == nil && mergedRho != nil {
+		// Both far halves were measured before the swap: no qubit holds
+		// the merged pair, so its state goes straight back to the pool.
+		d.sim.Workspace().Put(mergedRho)
+		merged.rho = nil
 	}
 	// Free this node's qubits: the Bell measurement consumed them.
 	p1.releaseHalf(s1)
@@ -422,29 +451,33 @@ func (d *Device) MoveToStorage(q *Qubit, done func(newQ *Qubit, ok bool)) {
 		done(nil, false)
 		return
 	}
-	d.SubmitOp(d.params.MoveDuration(), func() {
-		now := d.sim.Now()
-		// The half is gone if the qubit was freed mid-move (cutoff expiry
-		// or circuit teardown).
-		p := q.pair
-		s := -1
-		if p != nil {
-			s = p.LocalSide(d.id)
-		}
-		if s < 0 {
-			d.free(storage)
-			done(nil, false)
-			return
-		}
-		pNoise := 1 - float64(d.params.Gates.TwoQubitFidelity*d.params.Gates.CarbonInitFidelity)
-		p.depolarizeAt(now, s, pNoise)
-		old := p.halves[s]
-		storage.pair, storage.side = p, s
-		p.halves[s] = storage
-		old.pair = nil
-		d.free(old)
-		done(storage, true)
-	})
+	o := d.newOp(opMove, q)
+	o.q2, o.moved = storage, done
+	d.SubmitOp(d.params.MoveDuration(), o.run)
+}
+
+// move performs a MoveToStorage at its completion time.
+func (d *Device) move(q, storage *Qubit, done func(newQ *Qubit, ok bool)) {
+	// The half is gone if the qubit was freed mid-move (cutoff expiry or
+	// circuit teardown).
+	p := q.pair
+	s := -1
+	if p != nil {
+		s = p.LocalSide(d.id)
+	}
+	if s < 0 {
+		d.free(storage)
+		done(nil, false)
+		return
+	}
+	pNoise := 1 - float64(d.params.Gates.TwoQubitFidelity*d.params.Gates.CarbonInitFidelity)
+	p.depolarizeAt(d.sim.Now(), s, pNoise)
+	old := p.halves[s]
+	storage.pair, storage.side = p, s
+	p.halves[s] = storage
+	old.pair = nil
+	d.free(old)
+	done(storage, true)
 }
 
 // MeasureHalf measures the pair half held by qubit q in the given basis
@@ -457,33 +490,38 @@ func (d *Device) MeasureHalf(q *Qubit, basis quantum.Basis, done func(bit int)) 
 	if q.pair == nil {
 		panic(fmt.Sprintf("device %s: measure on qubit without pair", d.id))
 	}
-	d.SubmitOp(d.params.Gates.ReadoutTime, func() {
-		now := d.sim.Now()
-		p := q.pair
-		s := p.LocalSide(d.id)
-		if s < 0 {
-			panic(fmt.Sprintf("device %s: measured half vanished mid-flight", d.id))
-		}
-		p.AdvanceTo(now)
-		var bit int
-		if p.scalar {
-			// The Werner marginal is I/2 in every basis: the scalar engine
-			// draws the same truth coin and readout flip as the exact
-			// measurement. The surviving half keeps the maximally mixed
-			// conditional state (w = 0) — the Werner twirl of the collapsed
-			// remote qubit.
-			bit = werner.Measure(d.params.Gates.Readout, d.rng)
-			p.w = 0
-		} else {
-			var post *linalg.Matrix
-			bit, post = quantum.MeasureInBasisW(d.ws, p.rho, s, 2, basis, d.params.Gates.Readout, d.rng)
-			d.ws.Put(p.rho)
-			p.rho = post
-		}
-		p.consumed[s] = true
-		p.releaseHalf(s)
-		done(bit)
-	})
+	o := d.newOp(opMeasure, q)
+	o.basis, o.measured = basis, done
+	d.SubmitOp(d.params.Gates.ReadoutTime, o.run)
+}
+
+// measure performs a MeasureHalf at its completion time.
+func (d *Device) measure(q *Qubit, basis quantum.Basis, done func(bit int)) {
+	p := q.pair
+	s := p.LocalSide(d.id)
+	if s < 0 {
+		panic(fmt.Sprintf("device %s: measured half vanished mid-flight", d.id))
+	}
+	p.AdvanceTo(d.sim.Now())
+	var bit int
+	if p.scalar {
+		// The Werner marginal is I/2 in every basis: the scalar engine
+		// draws the same truth coin and readout flip as the exact
+		// measurement. The surviving half keeps the maximally mixed
+		// conditional state (w = 0) — the Werner twirl of the collapsed
+		// remote qubit.
+		bit = werner.Measure(d.params.Gates.Readout, d.rng)
+		p.w = 0
+	} else {
+		ws := d.sim.Workspace()
+		var post *linalg.Matrix
+		bit, post = quantum.MeasureInBasisW(ws, p.rho, s, 2, basis, d.params.Gates.Readout, d.rng)
+		ws.Put(p.rho)
+		p.rho = post
+	}
+	p.consumed[s] = true
+	p.releaseHalf(s)
+	done(bit)
 }
 
 // ApplyAttemptDephasing models the nuclear-spin dephasing of stored carbon

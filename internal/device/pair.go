@@ -77,13 +77,17 @@ func (q *Qubit) Pair() *Pair { return q.pair }
 // (internal/werner). Every operation below branches on the representation;
 // both consume identical RNG streams, so the event timeline is engine-
 // independent.
+//
+// Ownership: an exact pair's density matrix belongs to its simulation's
+// matrix pool (sim.Simulation.Workspace). Its state may be read (Rho,
+// StateAt, FidelityWith) and changed (ApplyPauli) while at least one of its
+// halves is held. The release of the last half — by a free, a discard, a
+// measurement or a swap — returns the matrix to the pool, and Rho is nil
+// from then on. A swap's input pairs go the same way when the swap
+// completes; the merged pair carries the state on, unless both its far
+// halves were measured already and no qubit holds it.
 type Pair struct {
-	rho *linalg.Matrix
-	// ws recycles the pair's density matrices: every operation that replaces
-	// rho returns the old buffer to this pool. It is the workspace of the
-	// device that created the pair (all devices of one network share a
-	// simulation goroutine, so any of their pools is safe to use).
-	ws         *linalg.Workspace
+	rho        *linalg.Matrix
 	trueIdx    quantum.BellIndex
 	halves     [2]*Qubit // a half becomes nil once measured or released
 	createdAt  sim.Time
@@ -100,7 +104,7 @@ type Pair struct {
 // NewPair wires a fresh pair between two allocated qubits. The qubits must
 // belong to different devices and be allocated (not free).
 func NewPair(now sim.Time, rho *linalg.Matrix, idx quantum.BellIndex, left, right *Qubit) *Pair {
-	p := &Pair{rho: rho, ws: left.dev.ws}
+	p := &Pair{rho: rho}
 	wirePair(p, now, idx, left, right)
 	return p
 }
@@ -108,7 +112,7 @@ func NewPair(now sim.Time, rho *linalg.Matrix, idx quantum.BellIndex, left, righ
 // NewScalarPair wires a fresh Werner fast-path pair with parameter w
 // relative to Bell index idx.
 func NewScalarPair(now sim.Time, w float64, idx quantum.BellIndex, left, right *Qubit) *Pair {
-	p := &Pair{scalar: true, w: w, ws: left.dev.ws}
+	p := &Pair{scalar: true, w: w}
 	wirePair(p, now, idx, left, right)
 	return p
 }
@@ -138,6 +142,17 @@ func (p *Pair) TrueIdx() quantum.BellIndex { return p.trueIdx }
 
 // Half returns the qubit at side 0 (left) or 1 (right); nil once consumed.
 func (p *Pair) Half(side int) *Qubit { return p.halves[side] }
+
+// pool returns the matrix pool of the simulation the pair's held halves
+// live on, or nil (plain allocation) once both halves are gone.
+func (p *Pair) pool() *linalg.Workspace {
+	for _, q := range p.halves {
+		if q != nil {
+			return q.dev.sim.Workspace()
+		}
+	}
+	return nil
+}
 
 // LocalSide returns which side of the pair lives at the given node, or -1.
 func (p *Pair) LocalSide(node string) int {
@@ -215,12 +230,13 @@ func (p *Pair) StateAt(t sim.Time) *linalg.Matrix {
 // Put back (or keep). It performs the same arithmetic as StateAt. A scalar
 // pair materialises its Werner state w·|B><B| + (1−w)·I/4.
 func (p *Pair) stateAtW(t sim.Time) *linalg.Matrix {
+	ws := p.pool()
 	if p.scalar {
 		w := p.w
 		if dt := t.Sub(p.lastUpdate).Seconds(); dt > 0 {
 			w = p.decoheredW(dt)
 		}
-		rho := p.ws.GetRaw(4, 4)
+		rho := ws.GetRaw(4, 4)
 		proj := quantum.BellProjectorCached(p.trueIdx)
 		mixed := complex(float64((1-w)/4), 0)
 		for i, pv := range proj.Data {
@@ -231,7 +247,7 @@ func (p *Pair) stateAtW(t sim.Time) *linalg.Matrix {
 		}
 		return rho
 	}
-	rho := p.ws.GetRaw(p.rho.Rows, p.rho.Cols)
+	rho := ws.GetRaw(p.rho.Rows, p.rho.Cols)
 	copy(rho.Data, p.rho.Data)
 	var ch quantum.PairChannels
 	p.decohere(&ch, t.Sub(p.lastUpdate).Seconds())
@@ -255,7 +271,7 @@ func (p *Pair) FidelityWith(t sim.Time, idx quantum.BellIndex) float64 {
 	}
 	rho := p.stateAtW(t)
 	f := quantum.Fidelity(rho, idx)
-	p.ws.Put(rho)
+	p.pool().Put(rho)
 	return f
 }
 
@@ -295,31 +311,37 @@ func (p *Pair) dephaseAt(now sim.Time, side int, prob float64) {
 // correction is a pure Bell-frame relabelling: w is untouched.
 func (p *Pair) ApplyPauli(side int, x, z uint8) {
 	if !p.scalar {
+		ws := p.pool()
 		if x == 1 {
-			next := quantum.ApplyGate1W(p.ws, p.rho, quantum.X, side, 2)
-			p.ws.Put(p.rho)
+			next := quantum.ApplyGate1W(ws, p.rho, quantum.X, side, 2)
+			ws.Put(p.rho)
 			p.rho = next
 		}
 		if z == 1 {
-			next := quantum.ApplyGate1W(p.ws, p.rho, quantum.Z, side, 2)
-			p.ws.Put(p.rho)
+			next := quantum.ApplyGate1W(ws, p.rho, quantum.Z, side, 2)
+			ws.Put(p.rho)
 			p.rho = next
 		}
 	}
 	p.trueIdx ^= quantum.BellIndex(x) | quantum.BellIndex(z)<<1
 }
 
-// releaseHalf detaches the qubit at side and frees it.
+// releaseHalf detaches the qubit at side and frees it. Releasing the last
+// half returns the state to the pool.
 func (p *Pair) releaseHalf(side int) {
 	q := p.halves[side]
 	if q == nil {
 		return
 	}
 	p.halves[side] = nil
+	if p.halves[1-side] == nil && p.rho != nil {
+		q.dev.sim.Workspace().Put(p.rho)
+		p.rho = nil
+	}
 	q.dev.free(q)
 }
 
-// Rho exposes the current density matrix for inspection (tests, examples).
-// Scalar pairs hold no matrix and return nil; use StateAt to materialise
-// their Werner state.
+// Rho exposes the current density matrix for inspection (tests, examples)
+// while a half is held; nil once both are released. Scalar pairs hold no
+// matrix and return nil; use StateAt to materialise their Werner state.
 func (p *Pair) Rho() *linalg.Matrix { return p.rho }

@@ -35,7 +35,7 @@ func Sub(a, b *linalg.Matrix) *linalg.Matrix {
 func Scale(s complex128, m *linalg.Matrix) *linalg.Matrix {
 	out := linalg.New(m.Rows, m.Cols)
 	for i, v := range m.Data {
-		out.Data[i] = s * v
+		out.Data[i] = linalg.CMul(s, v)
 	}
 	return out
 }

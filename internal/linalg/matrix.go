@@ -110,7 +110,7 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += CMul(av, bv)
 			}
 		}
 	}
@@ -159,7 +159,7 @@ func KronInto(dst, a, b *Matrix) *Matrix {
 				base := (i*b.Rows+k)*dst.Cols + j*b.Cols
 				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 				for l, bv := range brow {
-					dst.Data[base+l] = av * bv
+					dst.Data[base+l] = CMul(av, bv)
 				}
 			}
 		}
@@ -245,7 +245,7 @@ func OuterProduct(v, w *Matrix) *Matrix {
 	out := New(v.Rows, w.Rows)
 	for i := 0; i < v.Rows; i++ {
 		for j := 0; j < w.Rows; j++ {
-			out.Data[i*out.Cols+j] = v.Data[i] * cmplx.Conj(w.Data[j])
+			out.Data[i*out.Cols+j] = CMul(v.Data[i], cmplx.Conj(w.Data[j]))
 		}
 	}
 	return out
@@ -258,7 +258,7 @@ func InnerProduct(v, w *Matrix) complex128 {
 	}
 	var s complex128
 	for i := range v.Data {
-		s += cmplx.Conj(v.Data[i]) * w.Data[i]
+		s += CMul(cmplx.Conj(v.Data[i]), w.Data[i])
 	}
 	return s
 }

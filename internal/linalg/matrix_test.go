@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"qnp/internal/asmcheck"
 	"qnp/internal/linalg"
 	"qnp/internal/linalg/linalgtest"
 )
@@ -295,3 +296,66 @@ func TestCMulMatchesComplexProduct(t *testing.T) {
 		}
 	}
 }
+
+// TestProductsRoundLikeComplexOperator checks that the products that round
+// through CMul (MulInto, KronInto, OuterProduct, InnerProduct) equal the
+// same loops written with Go's complex operator, bit for bit, on amd64,
+// whose compiler never fuses.
+func TestProductsRoundLikeComplexOperator(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	bits := func(a, b *linalg.Matrix) bool {
+		for i, v := range a.Data {
+			w := b.Data[i]
+			if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+				return false
+			}
+		}
+		return true
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, b := randMatrix(rng, 4, 4), randMatrix(rng, 4, 4)
+		mul, kron := linalg.New(4, 4), linalg.New(16, 16)
+		for i := 0; i < 4; i++ {
+			for k := 0; k < 4; k++ {
+				for j := 0; j < 4; j++ {
+					mul.Data[i*4+j] += a.Data[i*4+k] * b.Data[k*4+j]
+				}
+			}
+		}
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				for k := 0; k < 4; k++ {
+					for l := 0; l < 4; l++ {
+						kron.Data[(i*4+k)*16+j*4+l] = a.Data[i*4+j] * b.Data[k*4+l]
+					}
+				}
+			}
+		}
+		if !bits(linalg.MulInto(linalg.New(4, 4), a, b), mul) {
+			t.Fatal("MulInto differs from the complex operator")
+		}
+		if !bits(linalg.KronInto(linalg.New(16, 16), a, b), kron) {
+			t.Fatal("KronInto differs from the complex operator")
+		}
+		v, w := randMatrix(rng, 4, 1), randMatrix(rng, 4, 1)
+		outer := linalg.New(4, 4)
+		var inner complex128
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				outer.Data[i*4+j] = v.Data[i] * cmplx.Conj(w.Data[j])
+			}
+			inner += cmplx.Conj(v.Data[i]) * w.Data[i]
+		}
+		if !bits(linalg.OuterProduct(v, w), outer) {
+			t.Fatal("OuterProduct differs from the complex operator")
+		}
+		got := linalg.InnerProduct(v, w)
+		if math.Float64bits(real(got)) != math.Float64bits(real(inner)) || math.Float64bits(imag(got)) != math.Float64bits(imag(inner)) {
+			t.Fatal("InnerProduct differs from the complex operator")
+		}
+	}
+}
+
+// TestNoFusedMultiplyAdd keeps the package's arm64 assembly free of fused
+// multiply-adds (see asmcheck).
+func TestNoFusedMultiplyAdd(t *testing.T) { asmcheck.NoFusedMultiplyAdd(t) }

@@ -10,13 +10,16 @@ package linalg
 //   - Get returns a zeroed matrix owned by the caller. The caller either
 //     Puts it back when done, or transfers ownership (e.g. a matrix that
 //     becomes a pair's long-lived density matrix is kept and only returned
-//     to the pool when it is replaced).
+//     to the pool when it is replaced or the pair's last half is released).
 //   - Put hands a matrix back to the pool. After Put the caller must not
 //     touch the matrix again: the next Get may hand the same buffer to
 //     someone else. Matrices that were never obtained from a Workspace may
 //     also be Put (their buffers simply join the pool).
-//   - A Workspace is NOT safe for concurrent use. One workspace belongs to
-//     one simulation goroutine; parallel replicas each own their own.
+//   - A Workspace is NOT safe for concurrent use. The simulation's pool is
+//     one per simulation (sim.Simulation.Workspace): every device, pair and
+//     link of a network shares it, so a matrix taken at one node may come
+//     back at another. Parallel replicas each own their simulation, and
+//     with it their pool.
 //   - A nil *Workspace degrades gracefully: Get allocates fresh matrices and
 //     Put is a no-op. Allocating wrapper APIs use this to share one code
 //     path with the pooled ones.
@@ -124,7 +127,7 @@ func (w *Workspace) Put(m *Matrix) {
 // Misses reports how many Gets could not be served from the pool (they
 // allocated instead). Steady-state hot paths should stop missing once warm.
 //
-//qnetlint:allow testonly quantum's TestWEntryPointsNilVsPoisonedWorkspace checks that no W entry point misses a warm pool
+//qnetlint:allow testonly quantum's TestWEntryPointsNilVsPoisonedWorkspace and qnet's TestWorkspaceAccounting check that a warm pool is not missed
 func (w *Workspace) Misses() uint64 {
 	if w == nil {
 		return 0

@@ -45,7 +45,10 @@ type Correlator struct {
 
 func (c Correlator) String() string { return fmt.Sprintf("%s#%d", c.Link, c.Seq) }
 
-// Delivery is handed to both endpoints when a link-pair is ready.
+// Delivery is handed to both endpoints when a link-pair is ready. Pair's
+// state may be read while either endpoint still holds its half; a consumer
+// that wants it after freeing its own half must copy it first, because the
+// other endpoint's release returns it to the simulation's pool.
 type Delivery struct {
 	Label Label
 	Corr  Correlator
@@ -460,7 +463,7 @@ func (e *Engine) complete() {
 		pair = device.NewScalarPair(e.sim.Now(), w, idx, cur.qubits[0], cur.qubits[1])
 	} else {
 		idx = hardware.Herald(e.sim.Rand())
-		rho := model.produce(e.devs[0].Workspace(), idx)
+		rho := model.produce(e.sim.Workspace(), idx)
 		pair = device.NewPair(e.sim.Now(), rho, idx, cur.qubits[0], cur.qubits[1])
 	}
 	corr := Correlator{Link: e.name, Seq: e.seq}

@@ -271,25 +271,44 @@ func TestFabric(t *testing.T) {
 
 func TestDeliveredStateMatchesHerald(t *testing.T) {
 	h := newHarness(13, 2)
-	da, _ := h.collect("vc1", 0.95, 10, t)
+	// Each state is copied inside its delivery, before the halves are
+	// freed: releasing the last half returns the state to the pool.
+	var da []Delivery
+	var states []*linalg.Matrix
+	err := h.engine.Register("a", "vc1", 0.95, 10, func(d Delivery) {
+		da = append(da, d)
+		states = append(states, d.Pair.StateAt(d.Pair.CreatedAt()))
+		h.a.Free(d.Pair.Half(d.Pair.LocalSide("a")))
+	})
+	if err != nil {
+		t.Fatalf("register a: %v", err)
+	}
+	if err := h.engine.Register("b", "vc1", 0.95, 10, func(d Delivery) {
+		h.b.Free(d.Pair.Half(d.Pair.LocalSide("b")))
+	}); err != nil {
+		t.Fatalf("register b: %v", err)
+	}
 	h.sim.RunFor(2 * sim.Second)
-	if len(*da) == 0 {
+	if len(da) == 0 {
 		t.Fatal("no deliveries")
 	}
 	model := h.engine.models[0.95].PairModel
-	for _, d := range *da {
+	for i, d := range da {
 		// Each delivery copies the memoized state of its herald: the bits
 		// StateW produces, untouched by earlier pairs' evolution.
-		if want := model.StateW(nil, d.Idx); !sameBits(d.Pair.StateAt(d.Pair.CreatedAt()), want) {
+		if want := model.StateW(nil, d.Idx); !sameBits(states[i], want) {
 			t.Fatalf("delivered %v state differs from StateW bit for bit", d.Idx)
 		}
 		// Freshly delivered, fidelity should be ≈ the model's.
-		f := quantum.Fidelity(d.Pair.StateAt(d.Pair.CreatedAt()), d.Idx)
+		f := quantum.Fidelity(states[i], d.Idx)
 		if math.Abs(f-d.ModelFidelity) > 1e-9 {
 			t.Fatalf("delivered fidelity %v != model %v", f, d.ModelFidelity)
 		}
 		if d.Pair.TrueIdx() != d.Idx {
 			t.Fatal("pair true index differs from heralded index")
+		}
+		if d.Pair.Rho() != nil {
+			t.Fatal("a pair released at both ends still holds its state")
 		}
 	}
 }

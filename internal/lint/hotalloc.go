@@ -11,7 +11,8 @@ import (
 // packages, a call to an allocating API whose workspace-backed twin exists
 // (a linalg …Into op, or BellProjectorCached for BellProjector) is flagged
 // — but only in functions that actually have a Workspace in scope (a
-// *linalg.Workspace parameter, or a receiver carrying a Workspace field).
+// *linalg.Workspace parameter, a receiver carrying a Workspace field, or a
+// call that fetches one, such as the simulation's pool).
 // Constructors, test setup and cold-path composition code have no
 // workspace and keep using the ergonomic allocating forms; the rule only
 // bites where the zero-allocation contract already holds and a stray
@@ -52,7 +53,7 @@ func runHotAlloc(pass *analysis.Pass, sup *suppressor) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkHotAllocIn(pass, sup, fd.Body, funcHasWorkspace(pass.TypesInfo, fd))
+			checkHotAllocIn(pass, sup, fd.Body, funcHasWorkspace(pass.TypesInfo, fd) || fetchesWorkspace(pass.TypesInfo, fd.Body))
 		}
 	}
 }
@@ -121,6 +122,23 @@ func funcHasWorkspace(info *types.Info, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// fetchesWorkspace reports whether body calls a method that returns a
+// *linalg.Workspace: a pool reached through an accessor (the simulation's,
+// sim.Simulation.Workspace) is as much in scope as a parameter. Making a
+// new pool (linalg.NewWorkspace) is set-up, not a hot path.
+func fetchesWorkspace(info *types.Info, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && isWorkspaceType(info.TypeOf(c)) {
+			if fn := calleeFunc(info, c); fn != nil && fn.Type().(*types.Signature).Recv() != nil {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 func signatureHasWorkspace(sig *types.Signature) bool {

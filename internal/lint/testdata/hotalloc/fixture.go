@@ -32,6 +32,23 @@ func (e *engine) step(a, b *linalg.Matrix) *linalg.Matrix {
 	return linalg.Mul(a, b) // want `linalg.Mul allocates on every call but a workspace is in scope`
 }
 
+// A pool fetched through an accessor method puts the function in scope
+// too; making a new pool is set-up and does not.
+type sim struct{}
+
+func (*sim) pool() *linalg.Workspace { return nil }
+
+func fetched(s *sim, a, b *linalg.Matrix) *linalg.Matrix {
+	ws := s.pool()
+	dst := ws.Get(a.Rows, b.Cols)
+	defer ws.Put(dst)
+	return linalg.Mul(a, b) // want `linalg.Mul allocates on every call but a workspace is in scope`
+}
+
+func setUp(a, b *linalg.Matrix) (*linalg.Workspace, *linalg.Matrix) {
+	return linalg.NewWorkspace(), linalg.Mul(a, b)
+}
+
 // Closures inherit the enclosing function's workspace scope.
 func hotClosure(ws *linalg.Workspace, a, b *linalg.Matrix) func() *linalg.Matrix {
 	return func() *linalg.Matrix {

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+
+	"qnp/internal/linalg"
 )
 
 // Event is a generation-counted handle to a scheduled callback. The zero
@@ -61,6 +63,8 @@ type Simulation struct {
 	// processed counts events that have fired, for diagnostics and for
 	// runaway-simulation guards in tests.
 	processed uint64
+	// ws is the simulation's matrix pool, made on first use (Workspace).
+	ws *linalg.Workspace
 }
 
 // New creates a simulation whose random stream is derived from seed.
@@ -76,6 +80,18 @@ func (s *Simulation) Now() Time { return s.now }
 // randomness must come from here; nothing in the repository calls the
 // global rand functions.
 func (s *Simulation) Rand() *rand.Rand { return s.rng }
+
+// Workspace returns the simulation's matrix pool, made on first use. Every
+// device built on the simulation draws its pair states and scratch
+// matrices from it, so a state taken at one node goes back to the same
+// pool whichever node consumes it. Like the simulation itself, the pool
+// belongs to one goroutine.
+func (s *Simulation) Workspace() *linalg.Workspace {
+	if s.ws == nil {
+		s.ws = linalg.NewWorkspace()
+	}
+	return s.ws
+}
 
 // Processed returns the number of events fired so far.
 func (s *Simulation) Processed() uint64 { return s.processed }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qnp/internal/core"
+	"qnp/internal/linalg"
 	"qnp/internal/linklayer"
 	"qnp/internal/sim"
 )
@@ -269,3 +270,148 @@ func TestTeardownMidFlightThenReinstall(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkspaceAccounting audits the simulation's matrix pool around exact
+// chain runs that swap link and merged pairs and discard at the cutoff: on
+// the near-term platform every intermediate half moves to storage first,
+// and on the lab platform a Measure request measures its halves. Each run
+// ends in a teardown. At each audit no buffer sits in the pool twice and
+// none is the state of a pair a held qubit carries; a second, identical
+// run on the warm pool takes every matrix from it.
+func TestWorkspaceAccounting(t *testing.T) {
+	nearTerm := func() (*Network, func(*Network) (*Circuit, error)) {
+		cfg := NearTermConfig(25000)
+		const linkF = 0.81
+		pairTime, ok := cfg.Link.ExpectedPairTime(cfg.Params, linkF)
+		if !ok {
+			t.Fatal("near-term link cannot reach the hand-picked fidelity")
+		}
+		plan := Plan{
+			Path:             []string{"n0", "n1", "n2", "n3"},
+			LinkFidelity:     linkF,
+			Cutoff:           1000 * sim.Millisecond,
+			LinkPairTime:     pairTime,
+			MaxLPR:           1 / pairTime.Seconds(),
+			EndToEndFidelity: 0.5,
+		}
+		return Chain(cfg, 4), func(n *Network) (*Circuit, error) { return n.EstablishPlan("c", plan) }
+	}
+	lab := func() (*Network, func(*Network) (*Circuit, error)) {
+		return Chain(DefaultConfig(), 4), func(n *Network) (*Circuit, error) {
+			return n.Establish("c", "n0", "n3", 0.85, &CircuitOptions{Policy: CutoffShort})
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		build   func() (*Network, func(*Network) (*Circuit, error))
+		measure bool
+		horizon sim.Duration
+	}{
+		{name: "nearterm-storage", build: nearTerm, horizon: 20 * sim.Minute},
+		{name: "lab-measure", build: lab, measure: true, horizon: 5 * sim.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, establish := tc.build()
+			ws := n.Sim.Workspace()
+			// run returns the misses the run itself took, not its audits'.
+			run := func() uint64 {
+				c, err := establish(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept, measured := 0, 0
+				c.HandleHead(Handlers{AutoConsume: true, OnPair: func(d Delivered) {
+					if d.Type == Measure {
+						measured++
+					} else {
+						kept++
+					}
+				}})
+				c.HandleTail(Handlers{AutoConsume: true})
+				reqs := []Request{{ID: "keep", Type: Keep, NumPairs: 1 << 20}}
+				if tc.measure {
+					reqs = []Request{{ID: "keep", Type: Keep, NumPairs: 30}, {ID: "measure", Type: Measure, NumPairs: 1 << 20}}
+				}
+				for _, r := range reqs {
+					if err := c.Submit(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				misses := ws.Misses()
+				n.Run(tc.horizon)
+				misses = ws.Misses() - misses
+				var swaps, discards uint64
+				for _, id := range c.Plan.Path[1 : len(c.Plan.Path)-1] {
+					st := n.Node(id).Stats()
+					swaps, discards = swaps+st.Swaps, discards+st.Discards
+				}
+				if kept == 0 || measured == 0 && tc.measure || swaps == 0 || discards == 0 {
+					t.Fatalf("run delivered %d kept and %d measured pairs, swapped %d and discarded %d; want each path taken", kept, measured, swaps, discards)
+				}
+				// Audit while pairs are held, then after the teardown.
+				for len(heldStates(n)) == 0 && n.Sim.Step() {
+				}
+				auditPool(t, n)
+				c.Teardown()
+				before := ws.Misses()
+				n.Run(sim.Second)
+				misses += ws.Misses() - before
+				allFree(t, n, n.Config.Seed, n.NodeIDs()...)
+				auditPool(t, n)
+				return misses
+			}
+			run()
+			if misses := run(); misses != 0 {
+				t.Errorf("a run on the warm pool missed it %d times, want 0", misses)
+			}
+		})
+	}
+}
+
+// heldStates returns the buffers of the pair states held qubits carry.
+func heldStates(n *Network) map[*complex128]bool {
+	held := map[*complex128]bool{}
+	for _, id := range n.NodeIDs() {
+		for _, q := range n.Device(id).Allocated() {
+			if p := q.Pair(); p != nil && p.Rho() != nil {
+				held[backing(p.Rho())] = true
+			}
+		}
+	}
+	return held
+}
+
+// auditPool drains the simulation's matrix pool bucket by bucket, fails if
+// a buffer comes out twice or is the state of a pair that a held qubit
+// carries, and puts every buffer back.
+func auditPool(t *testing.T, n *Network) {
+	t.Helper()
+	held := heldStates(n)
+	ws := n.Sim.Workspace()
+	seen := map[*complex128]bool{}
+	var drained []*linalg.Matrix
+	for _, side := range []int{2, 4, 8, 16} { // one shape per bucket
+		for {
+			misses := ws.Misses()
+			m := ws.GetRaw(side, side)
+			if ws.Misses() != misses {
+				break // the bucket is empty, and m is a new matrix
+			}
+			b := backing(m)
+			if seen[b] {
+				t.Errorf("a %d×%d buffer sits in the pool twice", side, side)
+			}
+			if held[b] {
+				t.Errorf("a %d×%d buffer in the pool is a held pair's state", side, side)
+			}
+			seen[b] = true
+			drained = append(drained, m)
+		}
+	}
+	for _, m := range drained {
+		ws.Put(m)
+	}
+}
+
+// backing identifies a matrix by its buffer.
+func backing(m *linalg.Matrix) *complex128 { return &m.Data[:cap(m.Data)][0] }
