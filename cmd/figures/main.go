@@ -15,11 +15,9 @@
 // churn, multipath, all, and city (not in all). An unknown ID exits with
 // status 2.
 //
-// Replicas fan out across a worker pool (-workers, default NumCPU), or
-// with -shards N across N re-exec'd worker processes that work-steal from
-// one chunk queue (add -resume DIR for a checkpoint journal that survives
-// kills); the per-replica seeding makes every figure bit-identical for any
-// worker or shard count. Ctrl-C cancels the in-flight figure.
+// Replicas fan out across a worker pool (-workers, default NumCPU); the
+// per-replica seeding makes every figure bit-identical for any worker
+// count. Ctrl-C cancels the in-flight figure.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 
 	"qnp/internal/cli"
 	"qnp/internal/experiments"
-	"qnp/internal/runner"
 )
 
 // printer is a regenerated figure.
@@ -87,9 +84,6 @@ func figureIDs() string {
 }
 
 func main() {
-	// A process spawned as a shard worker serves its replica range and
-	// exits here, before flag parsing.
-	runner.MaybeWorker()
 	os.Exit(figuresMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
@@ -102,7 +96,6 @@ func figuresMain(args []string, w, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "shrink workloads for a smoke run")
 	seed := fs.Int64("seed", 1, "base random seed")
 	workers := fs.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
-	shards := cli.RegisterShardFlags(fs)
 	progress := fs.Bool("progress", false, "print replica progress to stderr")
 	physics := fs.String("physics", "exact", "pair-state engine for the validation figures (9, eer, churn, city, multipath): exact or werner; the other figures always run exact")
 	if err := fs.Parse(args); err != nil {
@@ -126,6 +119,10 @@ func figuresMain(args []string, w, stderr io.Writer) int {
 	if *quick {
 		o = experiments.QuickOptions()
 	}
+	if *runs < 0 {
+		fmt.Fprintf(stderr, "-runs must be ≥ 0 (got %d)\n", *runs)
+		return 2
+	}
 	if *runs > 0 {
 		o.Runs = *runs
 	}
@@ -135,13 +132,6 @@ func figuresMain(args []string, w, stderr io.Writer) int {
 	if o.Physics, err = cli.ParsePhysics(*physics); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
-	}
-	if o.Backend = shards.Backend(); o.Backend != nil {
-		// Fig. 11 is a single staircase run and the tables are closed-form:
-		// neither has a replica grid, so sharding cannot apply to them.
-		if *fig == "11" || *fig == "tables" {
-			fmt.Fprintf(stderr, "note: -fig %s has no replica grid; -shards has no effect on it\n", *fig)
-		}
 	}
 	if *progress {
 		o.Progress = func(done, total int) {
@@ -161,7 +151,7 @@ func figuresMain(args []string, w, stderr io.Writer) int {
 	// interrupted figure's output is discarded rather than printed.
 	// Stdout carries only deterministic figure data — wall-clock timing
 	// goes to stderr — so the same seed renders byte-identical stdout for
-	// any worker or shard count (the CI sharded-equivalence job diffs it).
+	// any worker count (the CI determinism job diffs it).
 	for _, f := range selected {
 		name := f.id
 		if name[0] >= '0' && name[0] <= '9' {

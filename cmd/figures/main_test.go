@@ -45,3 +45,18 @@ func TestTablesFigure(t *testing.T) {
 		t.Errorf("stdout missing the tables:\n%s", stdout.String())
 	}
 }
+
+// A negative -runs is a usage error, not a silent fall-back to the
+// default replica count.
+func TestNegativeRuns(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := figuresMain([]string{"-fig", "tables", "-runs", "-4"}, &stdout, &stderr); code != 2 {
+		t.Errorf("exit status %d, want 2", code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want empty", stdout.String())
+	}
+	if want := "-runs must be ≥ 0 (got -4)"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr = %q, want it to contain %q", stderr.String(), want)
+	}
+}

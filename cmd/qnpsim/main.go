@@ -15,16 +15,10 @@
 // With -circuits 1 and no -src/-dst the circuit spans the topology's
 // diameter; -circuits k > 1 draws k distinct random endpoint pairs.
 // -replicas R fans R independent seeded replicas across a worker pool and
-// reports aggregate means; -shards N spreads them over N work-stealing
-// worker processes instead (-resume DIR adds a checkpoint journal), with
-// bit-identical aggregates. A replica job carries the flags that define
-// the scenario, and the worker parses them exactly as this process did.
+// reports aggregate means, bit-identical for any -workers count.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,26 +30,8 @@ import (
 	"qnp/qnet"
 )
 
-// replicaKind is the runner job kind for qnpsim replicas: payload = the
-// scenario flags as a JSON list of "-name=value", result = replicaResult.
-const replicaKind = "qnpsim.replica"
-
-func init() { runner.RegisterKind(replicaKind, runReplica) }
-
 func main() {
-	// A process spawned as a shard worker serves its replica range and
-	// exits here, before flag parsing.
-	runner.MaybeWorker()
 	os.Exit(qnpsimMain(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// runFlags are the flags that say how to run a scenario rather than what
-// it is: they stay out of the replica payload, so the payload (and a
-// -resume journal keyed by it) is the same for any seed, worker or shard
-// count. The seed reaches replicas as their derived seeds.
-var runFlags = map[string]bool{
-	"seed": true, "replicas": true, "workers": true, "v": true,
-	"shards": true, "fleet-throttle": true, "resume": true, "worker-timeout": true,
 }
 
 // invocation is a parsed command line: the scenario it declares and how to
@@ -68,10 +44,7 @@ type invocation struct {
 	seed     int64
 	replicas int
 	workers  int
-	shards   *cli.ShardFlags
 	verbose  bool
-	// payload is the scenario flags the user set, in flag-name order.
-	payload []byte
 }
 
 // parse builds the invocation from args. Errors are also written to
@@ -105,7 +78,6 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 	seed := fs.Int64("seed", 1, "random seed")
 	replicas := fs.Int("replicas", 1, "independent replicas (means reported when > 1)")
 	workers := fs.Int("workers", 0, "replica worker pool size (0 = NumCPU)")
-	shards := cli.RegisterShardFlags(fs)
 	verbose := fs.Bool("v", false, "log every delivery (single replica only)")
 	if err := fs.Parse(args); err != nil {
 		return invocation{}, err
@@ -155,6 +127,8 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		return fail("-horizon must be > 0 (got %g)", *horizon)
 	case !(*fidelity > 0 && *fidelity <= 1): // NaN fails both
 		return fail("-fidelity must be in (0, 1] (got %g)", *fidelity)
+	case *verbose && *replicas > 1:
+		return fail("-v logs a single run and cannot be combined with -replicas %d", *replicas)
 	}
 	if *streaming {
 		cfg.MetricsMode = qnet.MetricsStreaming
@@ -294,24 +268,16 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		}
 	}
 
-	var scenarioFlags []string
-	fs.Visit(func(f *flag.Flag) {
-		if !runFlags[f.Name] {
-			scenarioFlags = append(scenarioFlags, "-"+f.Name+"="+f.Value.String())
-		}
-	})
-	payload, _ := json.Marshal(scenarioFlags) // a []string always encodes
 	return invocation{
 		sc: sc, topology: *topology, horizon: *horizon, churning: churning,
-		seed: *seed, replicas: *replicas, workers: *workers, shards: shards,
-		verbose: *verbose, payload: payload,
+		seed: *seed, replicas: *replicas, workers: *workers, verbose: *verbose,
 	}, nil
 }
 
 // replicaResult is what one replica reports back: the numbers the
 // -replicas summary averages.
 type replicaResult struct {
-	Err             string `json:",omitempty"`
+	Err             string
 	EER             float64
 	TimeWeightedEER float64
 	Admitted        int
@@ -323,28 +289,6 @@ type circuitEER struct {
 	ID       qnet.CircuitID
 	Src, Dst string
 	EER      float64
-}
-
-// runReplica runs one replica from its payload: the worker half of the
-// -replicas path. The payload comes from another process, so it must be
-// exactly one JSON list of flags, in the form parse itself writes.
-func runReplica(payload []byte, _ int, seed int64) ([]byte, error) {
-	var args []string
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(&args); err != nil {
-		return nil, fmt.Errorf("qnpsim: decode replica payload: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("qnpsim: decode replica payload: trailing data after the flag list")
-	}
-	inv, err := parse(args, io.Discard)
-	if err != nil {
-		return nil, fmt.Errorf("qnpsim: replica payload: %w", err)
-	}
-	if !bytes.Equal(inv.payload, payload) {
-		return nil, fmt.Errorf("qnpsim: replica payload %s is not the scenario flag list parse writes (%s)", payload, inv.payload)
-	}
-	return json.Marshal(inv.replica(seed))
 }
 
 // replica runs the scenario once on seed and summarises it.
@@ -387,22 +331,13 @@ func qnpsimMain(args []string, w, stderr io.Writer) int {
 	return 0
 }
 
-// runReplicas runs the replicas on runner.Run's pool, or through one
-// runner.Collect call when sharded, and prints their means in replica
-// order. Each distinct replica error goes to stderr once, with the number
+// runReplicas runs the replicas on runner.Run's pool and prints their
+// means in replica order. Each distinct replica error goes to stderr once, with the number
 // of replicas it stopped; when no replica ran, there is nothing to average
 // and the run fails.
 func (inv invocation) runReplicas(w, stderr io.Writer) error {
 	o := runner.Options{Workers: inv.workers, Seed: inv.seed}
-	var rs []replicaResult
-	var err error
-	if b := inv.shards.Backend(); b != nil {
-		rs, err = runner.Collect[replicaResult](b, runner.ExecRequest{
-			Kind: replicaKind, Payload: inv.payload, Replicas: inv.replicas, Options: o,
-		})
-	} else {
-		rs, err = runner.Run(o, inv.replicas, func(_ int, seed int64) replicaResult { return inv.replica(seed) })
-	}
+	rs, err := runner.Run(o, inv.replicas, func(_ int, seed int64) replicaResult { return inv.replica(seed) })
 	if err != nil {
 		return err
 	}
@@ -462,7 +397,7 @@ func (inv invocation) runReplicas(w, stderr io.Writer) error {
 // runOnce runs the scenario on the base seed and prints every circuit.
 func (inv invocation) runOnce(w io.Writer) error {
 	sc := inv.sc
-	if inv.verbose && inv.replicas == 1 {
+	if inv.verbose {
 		delivered := 0
 		sc.Circuits[0].Head = qnet.Handlers{
 			AutoConsume: true,

@@ -6,16 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"qnp/internal/runner"
 )
-
-// TestMain doubles as the shard worker entrypoint: -shards re-execs this
-// test binary behind runner.WorkerFlag.
-func TestMain(m *testing.M) {
-	runner.MaybeWorker()
-	os.Exit(m.Run())
-}
 
 // run runs qnpsim on args and returns its stdout, failing on a non-zero
 // exit status.
@@ -46,7 +37,7 @@ var goldens = []struct{ name, args string }{
 
 // churnArgs drives admission-controlled churn with k-candidate,
 // model-weighted placement and streaming metrics: the replica path with
-// the most state to carry across a process boundary.
+// the most state per replica.
 const churnArgs = "-topology dumbbell -circuits 4 -workload churn -mineer 5 -alloc model -paths 3 -streaming -horizon 20 -replicas 5"
 
 func TestGolden(t *testing.T) {
@@ -63,88 +54,14 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestReplicaBackendEquivalence: the replica means are byte-identical in
-// process, on one worker, on one and three shard processes, and after a
-// journaled run is cut short and resumed on a different shard count.
+// TestReplicaBackendEquivalence: the replica means are byte-identical on
+// the default pool and on one or three workers.
 func TestReplicaBackendEquivalence(t *testing.T) {
 	args := strings.Fields(churnArgs)
 	want := run(t, args...)
-	for _, extra := range [][]string{
-		{"-workers", "1"},
-		{"-shards", "1"},
-		{"-shards", "3"},
-		{"-shards", "2", "-fleet-throttle", "20ms"},
-	} {
-		if got := run(t, append(args, extra...)...); got != want {
-			t.Errorf("%v: stdout differs from the in-process run\ngot:\n%s\nwant:\n%s", extra, got, want)
-		}
-	}
-
-	// Journal a full run, cut the journal mid-record as a kill would, and
-	// resume on another shard count: the payload leaves the sharding flags
-	// out, so the resumed run finds the same journal.
-	dir := t.TempDir()
-	if got := run(t, append(args, "-shards", "1", "-resume", dir)...); got != want {
-		t.Errorf("journaled run: stdout differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	journals, err := filepath.Glob(filepath.Join(dir, "*.journal"))
-	if err != nil || len(journals) != 1 {
-		t.Fatalf("journal files %v (%v), want exactly one", journals, err)
-	}
-	fi, err := os.Stat(journals[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(journals[0], fi.Size()*3/5); err != nil {
-		t.Fatal(err)
-	}
-	if got := run(t, append(args, "-shards", "3", "-resume", dir)...); got != want {
-		t.Errorf("resumed run: stdout differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestPayloadIsTheScenarioFlags: the replica payload lists exactly the
-// scenario flags the user set, in flag-name order, whatever the run flags
-// say.
-func TestPayloadIsTheScenarioFlags(t *testing.T) {
-	const want = `["-nodes=4","-pairs=5","-topology=ring"]`
-	for _, args := range []string{
-		"-topology ring -nodes 4 -pairs 5",
-		"-pairs 5 -seed 9 -nodes 4 -replicas 3 -workers 2 -v -topology ring",
-		"-topology ring -shards 2 -fleet-throttle 1ms -resume x -worker-timeout 1m -nodes 4 -pairs 5",
-	} {
-		inv, err := parse(strings.Fields(args), &bytes.Buffer{})
-		if err != nil {
-			t.Fatalf("%s: %v", args, err)
-		}
-		if string(inv.payload) != want {
-			t.Errorf("%s: payload %s, want %s", args, inv.payload, want)
-		}
-	}
-}
-
-// TestReplicaRejectsBadPayload: the worker runs only a payload in the
-// exact form parse writes; anything else fails the replica with an error
-// instead of running some other scenario.
-func TestReplicaRejectsBadPayload(t *testing.T) {
-	const good = `["-nodes=3","-pairs=2"]`
-	if _, err := runReplica([]byte(good), 0, 1); err != nil {
-		t.Fatalf("payload from parse rejected: %v", err)
-	}
-	for _, tc := range []struct{ payload, want string }{
-		{`not json`, "decode replica payload"},
-		{`{"Nodes":3}`, "decode replica payload"},
-		{good + `[]`, "trailing data"},
-		{`["-nodes=3","-bogus=1"]`, "flag provided but not defined"},
-		{`["-nodes=3","stray"]`, "unexpected argument"},
-		{`["-topology=foo"]`, "unknown topology"},
-		{`["-pairs=2","-nodes=3"]`, "not the scenario flag list"},
-		{`["-nodes=3","-pairs=2","-seed=4"]`, "not the scenario flag list"},
-		{`["-nodes", "3"]`, "not the scenario flag list"},
-	} {
-		_, err := runReplica([]byte(tc.payload), 0, 1)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("payload %s: err = %v, want one naming %q", tc.payload, err, tc.want)
+	for _, workers := range []string{"1", "3"} {
+		if got := run(t, append(args, "-workers", workers)...); got != want {
+			t.Errorf("-workers %s: stdout differs from the default pool\ngot:\n%s\nwant:\n%s", workers, got, want)
 		}
 	}
 }
@@ -177,7 +94,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-fidelity NaN", 2, "-fidelity must be in (0, 1] (got NaN)"},
 		{"-interval -1 -workload interval", 2, "-interval must be > 0 for -workload interval"},
 		{"-interval 0 -workload churn", 2, "-interval must be > 0 for -workload churn"},
+		{"-v -replicas 2 -pairs 2 -horizon 5", 2, "-v logs a single run and cannot be combined with -replicas 2"},
 		{"-nosuchflag", 2, "flag provided but not defined"},
+		{"-shards 2", 2, "flag provided but not defined: -shards"},
+		{"-resume x", 2, "flag provided but not defined: -resume"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := qnpsimMain(strings.Fields(tc.args), &stdout, &stderr); code != tc.status {

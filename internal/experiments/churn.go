@@ -50,7 +50,7 @@ type churnCell struct {
 	static bool
 }
 
-// churnResult is one replica's wire-friendly measurement.
+// churnResult is one replica's measurement.
 type churnResult struct {
 	Admitted  int
 	Rejected  int
@@ -103,7 +103,6 @@ func churnScenario(c churnCell, p churnParams) qnet.Scenario {
 }
 
 var churnSweep = &sweep[churnParams, churnCell, churnResult]{
-	fig: "churn",
 	cells: func(p churnParams) (cells []churnCell) {
 		for _, topo := range []string{"dumbbell", "grid"} {
 			for _, hold := range p.Holds {

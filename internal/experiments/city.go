@@ -52,9 +52,9 @@ type cityParams struct {
 	Physics    qnet.Physics
 }
 
-// cityResult is one replica's wire-friendly measurement. Lat is the
+// cityResult is one replica's measurement. Lat is the
 // replica's merged latency aggregate — constant-size regardless of how many
-// requests completed, and mergeable across replicas and shards.
+// requests completed, and mergeable across replicas.
 type cityResult struct {
 	Admitted  int
 	Rejected  int
@@ -96,7 +96,6 @@ func cityScenario(hold sim.Duration, p cityParams) qnet.Scenario {
 
 // citySweep's cells are the mean holding times.
 var citySweep = &sweep[cityParams, sim.Duration, cityResult]{
-	fig:   "city",
 	cells: func(p cityParams) []sim.Duration { return p.Holds },
 	run:   func(p cityParams, hold sim.Duration, _ int, seed int64) cityResult { return cityRun(seed, hold, p) },
 }

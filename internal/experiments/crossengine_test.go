@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"qnp/internal/runner"
 	"qnp/internal/sim"
@@ -164,42 +163,6 @@ func TestCrossEngineMeanFidelity(t *testing.T) {
 				t.Errorf("chain-%d F%.2f seed %d: mean fidelity diverged by %.2e > %.0e (exact %.6f werner %.6f, n=%d)",
 					tc.k, tc.target, seed, d, tc.tol, fe, fw, ne)
 			}
-		}
-	}
-}
-
-// TestWernerShardInvariance mirrors TestShardCountInvariance on the Werner
-// engine: the scalar fast path must stay bit-identical in process, on
-// fleets of 1 or 3 shards and on two shards with the last one throttled. The
-// Physics field travels in the sweep params, so this also proves re-exec'd
-// shard workers rebuild Werner sweeps rather than silently falling back to
-// exact.
-func TestWernerShardInvariance(t *testing.T) {
-	t.Parallel()
-	render := func(b runner.Backend) string {
-		o := wernerOpts()
-		o.Backend = b
-		var buf bytes.Buffer
-		churn(o, churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}).Print(&buf)
-		if !testing.Short() {
-			Fig9(o).Print(&buf)
-		}
-		return buf.String()
-	}
-	backends := []struct {
-		name string
-		b    runner.Backend
-	}{
-		{"pool", nil},
-		{"shards-1", runner.Fleet{Shards: 1}},
-		{"shards-3", runner.Fleet{Shards: 3}},
-		{"fleet-2", runner.Fleet{Shards: 2, Throttle: 10 * time.Millisecond}},
-	}
-	want := render(backends[0].b)
-	for _, tc := range backends[1:] {
-		if got := render(tc.b); got != want {
-			t.Fatalf("%s produced different aggregates:\n--- pool ---\n%s\n--- %s ---\n%s",
-				tc.name, want, tc.name, got)
 		}
 	}
 }

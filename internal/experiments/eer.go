@@ -56,7 +56,7 @@ type eerCell struct {
 	oversized bool
 }
 
-// eerResult is one replica's wire-friendly measurement.
+// eerResult is one replica's measurement.
 type eerResult struct {
 	MeasuredPS float64
 	Rejected   int
@@ -65,8 +65,8 @@ type eerResult struct {
 // dumbbellAllocation reads the count-split MaxEER allocation the
 // controller hands an uncontended three-hop A0→B0 dumbbell circuit at
 // end-to-end fidelity f under the short cutoff. It depends only on the
-// uniform link hardware and involves no replica seed: the parent probes it
-// once and ships the value to replicas in their params.
+// uniform link hardware and involves no replica seed: the figure probes it
+// once and hands the value to replicas in their params.
 func dumbbellAllocation(f float64) float64 {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
@@ -81,7 +81,6 @@ func dumbbellAllocation(f float64) float64 {
 }
 
 var eerSweep = &sweep[eerParams, eerCell, eerResult]{
-	fig: "eer",
 	cells: func(p eerParams) (cells []eerCell) {
 		for _, k := range p.Loads {
 			cells = append(cells, eerCell{requests: k})

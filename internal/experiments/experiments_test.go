@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"qnp/internal/runner"
 	"qnp/internal/sim"
@@ -408,68 +405,29 @@ func TestEERSaturationQuick(t *testing.T) {
 	}
 }
 
-// TestMain doubles as the shard worker entrypoint: the shard-count
-// invariance test re-execs this test binary behind runner.WorkerFlag.
-func TestMain(m *testing.M) {
-	runner.MaybeWorker()
-	os.Exit(m.Run())
-}
-
-// TestShardCountInvariance extends worker-count invariance across the
-// Backend seam: figure aggregates must be byte-identical whether replicas
-// run on the in-process pool, sharded over 1 or 3 worker processes, or
-// work-stolen across two shards with the last one throttled.
-func TestShardCountInvariance(t *testing.T) {
-	t.Parallel()
-	render := func(b runner.Backend) string {
-		o := QuickOptions()
-		o.Backend = b
-		var buf bytes.Buffer
-		Fig5(o).Print(&buf)
-		// A parameterised sweep exercises the params wire path.
-		hubContention(o, 2*sim.Second, []int{2}, []bool{true}).Print(&buf)
-		// Churn exercises the dynamic arrival/departure engine across the
-		// Backend seam with a trimmed sweep.
-		churn(o, churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}).Print(&buf)
-		if !testing.Short() {
-			Fig9(o).Print(&buf)
-			EERSaturation(o).Print(&buf)
-			// Multipath exercises k-candidate placement and both allocation
-			// policies across the Backend seam.
-			multipath(o, multipathParams{Horizon: 2 * sim.Second, Pairs: 6}).Print(&buf)
-		}
-		return buf.String()
-	}
-	backends := []struct {
-		name string
-		b    runner.Backend
-	}{
-		{"pool", nil},
-		{"shards-1", runner.Fleet{Shards: 1}},
-		{"shards-3", runner.Fleet{Shards: 3}},
-		{"fleet-2", runner.Fleet{Shards: 2, Throttle: 10 * time.Millisecond}},
-	}
-	want := render(backends[0].b)
-	for _, tc := range backends[1:] {
-		if got := render(tc.b); got != want {
-			t.Fatalf("%s produced different aggregates:\n--- pool ---\n%s\n--- %s ---\n%s",
-				tc.name, want, tc.name, got)
-		}
-	}
-}
-
 // TestWorkerCountInvariance is the runner's end-to-end determinism proof:
 // the same seed must render byte-identical figure aggregates no matter how
-// many workers share the replicas.
+// many workers share the replicas. The figures cover a parameterised grid
+// (hub contention), the churn engine, the EER admission study, k-candidate
+// placement under both allocation policies (multipath), and the Werner
+// engine on churn and Fig. 9.
 func TestWorkerCountInvariance(t *testing.T) {
 	t.Parallel()
 	render := func(workers int) string {
-		o := QuickOptions()
-		o.Workers = workers
+		o, w := QuickOptions(), wernerOpts()
+		o.Workers, w.Workers = workers, workers
+		trimmedChurn := churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}
 		var buf bytes.Buffer
 		Fig5(o).Print(&buf)
+		hubContention(o, 2*sim.Second, []int{2}, []bool{true}).Print(&buf)
+		churn(o, trimmedChurn).Print(&buf)
+		churn(w, trimmedChurn).Print(&buf)
 		if !testing.Short() {
 			TopologySweep(o).Print(&buf)
+			Fig9(o).Print(&buf)
+			Fig9(w).Print(&buf)
+			EERSaturation(o).Print(&buf)
+			multipath(o, multipathParams{Horizon: 2 * sim.Second, Pairs: 6}).Print(&buf)
 		}
 		return buf.String()
 	}
@@ -527,79 +485,6 @@ func TestRunsBelowOne(t *testing.T) {
 	d := hubContention(Options{Seed: 1}, 1500*sim.Millisecond, []int{1}, []bool{true})
 	if len(d.Points) != 1 || d.Points[0].AggregatePS <= 0 {
 		t.Errorf("hub with Runs 0: points %+v, want one delivering point", d.Points)
-	}
-}
-
-// sweepRecorder is a Backend that records each sweep's request and
-// answers with no results, so a figure aggregates zero values without
-// running a replica.
-type sweepRecorder struct{ reqs []runner.ExecRequest }
-
-func (r *sweepRecorder) Execute(req runner.ExecRequest) ([][]byte, error) {
-	r.reqs = append(r.reqs, req)
-	return make([][]byte, req.Replicas), nil
-}
-
-// TestSweepWire checks every declared sweep's wire job: a worker holding
-// only the payload rebuilds the parent's job count from the quick params,
-// and rejects an unknown figure, unknown fields, trailing bytes and an
-// out-of-range job index.
-func TestSweepWire(t *testing.T) {
-	t.Parallel()
-	rec := &sweepRecorder{}
-	o := QuickOptions()
-	o.Backend = rec
-	Fig5(o)
-	Fig8(o)
-	Fig9(o)
-	Fig10AB(o)
-	Fig10C(o)
-	TopologySweep(o)
-	HubContention(o)
-	PathDiversity(o)
-	EERSaturation(o)
-	Churn(o)
-	City(o)
-	Multipath(o)
-	if len(rec.reqs) != len(sweeps) {
-		t.Fatalf("%d sweeps dispatched, %d declared", len(rec.reqs), len(sweeps))
-	}
-	for _, req := range rec.reqs {
-		var j sweepJob[json.RawMessage]
-		if err := json.Unmarshal(req.Payload, &j); err != nil {
-			t.Fatal(err)
-		}
-		if sweeps[j.Fig] == nil {
-			t.Errorf("dispatched sweep %q is not declared", j.Fig)
-			continue
-		}
-		jobs, _, err := decodeSweepJob(req.Payload)
-		if err != nil || jobs != req.Replicas {
-			t.Errorf("%s: worker rebuilt %d jobs (err %v), parent dispatched %d", j.Fig, jobs, err, req.Replicas)
-		}
-		reencode := func(fig string, params json.RawMessage) []byte {
-			b, err := json.Marshal(sweepJob[json.RawMessage]{Fig: fig, Runs: j.Runs, Params: params})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-		for _, bad := range []struct {
-			name    string
-			payload []byte
-			i       int
-		}{
-			{"unknown figure", reencode("nosuch", j.Params), 0},
-			{"unknown job field", append([]byte(`{"Extra":1,`), req.Payload[1:]...), 0},
-			{"unknown params field", reencode(j.Fig, append([]byte(`{"Extra":1,`), j.Params[1:]...)), 0},
-			{"trailing bytes", append(append([]byte{}, req.Payload...), " {}"...), 0},
-			{"index past the end", req.Payload, req.Replicas},
-			{"negative index", req.Payload, -1},
-		} {
-			if _, err := runSweepJob(bad.payload, bad.i, 1); err == nil {
-				t.Errorf("%s: %s accepted", j.Fig, bad.name)
-			}
-		}
 	}
 }
 

@@ -38,7 +38,6 @@ type fig10ABCell struct {
 }
 
 var fig10ABSweep = &sweep[fig10ABParams, fig10ABCell, [2]fig10Count]{
-	fig: "fig10ab",
 	cells: func(p fig10ABParams) (cells []fig10ABCell) {
 		for _, oracle := range []bool{false, true} {
 			for _, t2 := range p.Lifetimes {
@@ -208,7 +207,6 @@ type fig10CParams struct {
 }
 
 var fig10CSweep = &sweep[fig10CParams, float64, [2]fig10Count]{
-	fig:   "fig10c",
 	cells: func(p fig10CParams) []float64 { return p.DelaysMS },
 	run: func(p fig10CParams, ms float64, _ int, seed int64) [2]fig10Count {
 		return fig10Run(seed, 1.6, false, p.Horizon, sim.DurationFromSeconds(ms/1e3))

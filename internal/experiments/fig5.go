@@ -28,7 +28,6 @@ type fig5Params struct{ PerRun int }
 
 // fig5Sweep has a single cell: its replicas are the sample batches.
 var fig5Sweep = &sweep[fig5Params, struct{}, []float64]{
-	fig:   "fig5",
 	cells: func(fig5Params) []struct{} { return make([]struct{}, 1) },
 	run:   func(p fig5Params, _ struct{}, _ int, seed int64) []float64 { return fig5Run(seed, p.PerRun) },
 }

@@ -57,7 +57,6 @@ type fig8Cell struct {
 }
 
 var fig8Sweep = &sweep[fig8Params, fig8Cell, Fig8Point]{
-	fig: "fig8",
 	cells: func(p fig8Params) (cells []fig8Cell) {
 		for _, nCirc := range []int{1, 2, 4} {
 			for _, short := range []bool{false, true} {

@@ -37,7 +37,6 @@ type fig9Cell struct {
 }
 
 var fig9Sweep = &sweep[fig9Params, fig9Cell, Fig9Point]{
-	fig: "fig9",
 	cells: func(p fig9Params) (cells []fig9Cell) {
 		for _, congested := range []bool{false, true} {
 			for _, iv := range p.Intervals {

@@ -53,7 +53,7 @@ func HubContention(o Options) *HubData {
 
 const hubTargetF = 0.85
 
-// hubParams is the hub sweep's shape, so trimmed -short sweeps shard
+// hubParams is the hub sweep's shape, so trimmed -short sweeps run
 // exactly like the full figure.
 type hubParams struct {
 	Horizon sim.Duration
@@ -66,7 +66,7 @@ type hubCell struct {
 	shared   bool
 }
 
-// hubResult is one replica's wire-friendly measurement.
+// hubResult is one replica's measurement.
 type hubResult struct {
 	AggregatePS  float64
 	MinPS        float64
@@ -76,7 +76,6 @@ type hubResult struct {
 }
 
 var hubSweep = &sweep[hubParams, hubCell, hubResult]{
-	fig: "hub",
 	cells: func(p hubParams) (cells []hubCell) {
 		for _, shared := range p.Modes {
 			for _, k := range p.Counts {
@@ -225,7 +224,7 @@ type diversityCell struct {
 	circuits int
 }
 
-// diversityResult is one replica's wire-friendly measurement.
+// diversityResult is one replica's measurement.
 type diversityResult struct {
 	Feasible     float64
 	AggregatePS  float64
@@ -234,7 +233,6 @@ type diversityResult struct {
 }
 
 var diversitySweep = &sweep[diversityParams, diversityCell, diversityResult]{
-	fig: "diversity",
 	cells: func(p diversityParams) (cells []diversityCell) {
 		for _, topology := range p.Topologies {
 			for _, k := range p.Counts {

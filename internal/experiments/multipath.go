@@ -60,7 +60,7 @@ type multipathCell struct {
 	model bool
 }
 
-// multipathResult is one replica's wire-friendly measurement.
+// multipathResult is one replica's measurement.
 type multipathResult struct {
 	Admitted int
 	Rejected int
@@ -150,7 +150,6 @@ func multipathScenario(j multipathCell, p multipathParams) qnet.Scenario {
 // (k, policy) cell, so all cells see the identical offered load and differ
 // only in placement policy — a paired comparison, not independent draws.
 var multipathSweep = &sweep[multipathParams, multipathCell, multipathResult]{
-	fig: "multipath",
 	cells: func(multipathParams) (cells []multipathCell) {
 		for _, topo := range []string{"grid-4x4", "waxman-12"} {
 			for _, k := range []int{1, 2, 3} {

@@ -52,7 +52,7 @@ func topoScenarios() []topoScenario {
 	}
 }
 
-// topoResult is one replica's wire-friendly measurement.
+// topoResult is one replica's measurement.
 type topoResult struct {
 	Links, Hops int
 	Feasible    bool
@@ -66,7 +66,6 @@ const topoTargetF = 0.85
 type topoParams struct{ Horizon sim.Duration }
 
 var topoSweep = &sweep[topoParams, topoScenario, topoResult]{
-	fig:   "topo",
 	cells: func(topoParams) []topoScenario { return topoScenarios() },
 	run: func(p topoParams, sc topoScenario, _ int, seed int64) topoResult {
 		return topoRun(seed, sc, p.Horizon)

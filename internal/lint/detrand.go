@@ -9,9 +9,8 @@ import (
 // detRandAnalyzer flags nondeterminism sources inside simulation packages:
 // wall-clock reads and the process-global math/rand source. Simulation code
 // must be a pure function of the replica seed — a single time.Now or global
-// rand.Intn silently breaks worker-count invariance, shard equivalence and
-// the byte-identity CI gates. Escape hatch: //qnetlint:allow detrand
-// <reason>.
+// rand.Intn silently breaks worker-count invariance and the byte-identity
+// CI gates. Escape hatch: //qnetlint:allow detrand <reason>.
 var detRandAnalyzer = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: "forbid wall-clock time and global math/rand in simulation packages\n\n" +

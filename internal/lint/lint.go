@@ -14,7 +14,7 @@
 //   - maporder: a `for range` over a map must not accumulate floats, emit
 //     output, feed the stats aggregators, or build an unsorted slice — map
 //     order is random per run, so any order-sensitive fold diverges
-//     between replicas and shards.
+//     between replicas and reruns.
 //   - wsownership: a linalg.Workspace.Get/GetRaw result must be Put back,
 //     deferred, or visibly handed off (returned, stored in a field) on
 //     every path out of the function — the PR 3 ownership rules.

@@ -13,7 +13,7 @@ import (
 // not commute bit-exactly), emitting output, feeding the internal/stats
 // aggregates, or building a slice that is never sorted afterwards. Go
 // randomises map iteration order per run, so any such fold diverges between
-// replicas, shard layouts and reruns — the exact bug class PR 8 hit in the
+// replicas, worker counts and reruns — the exact bug class PR 8 hit in the
 // allocation sums. The sanctioned pattern is collect-then-sort: append the
 // keys, sort them, iterate the sorted slice. A deliberately
 // order-insensitive iteration is annotated //qnetlint:sorted <reason>.

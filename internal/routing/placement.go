@@ -177,7 +177,7 @@ func (c *Controller) allocationFor(m member, admitted bool) float64 {
 // utilisation fractions sum to ≤ 1, so the division conserves every link's
 // budget by construction (asserted by TestModelWeightedConservation).
 // Member IDs are visited in sorted order so the float sums are
-// reproducible across runs and shard layouts.
+// reproducible across runs and worker counts.
 func (c *Controller) modelAllocation(m member, admitted bool) float64 {
 	util := 1.0
 	for i := 0; i+1 < len(m.path); i++ {

@@ -1,30 +1,10 @@
-// Package runner shards independent simulation replicas across workers.
+// Package runner runs independent simulation replicas on a goroutine pool.
 // Every replica draws its RNG seed from the base seed and its own index
 // alone, and results are collected in replica order, so aggregate output is
 // bit-identical regardless of how many workers run or how the scheduler
 // interleaves them. This is the execution platform for the experiment
-// suite: figures fan their scenario grid × replica matrix through Run, or
-// through a Backend when sharded, without touching experiment code.
-//
-// # Two ways to run replicas
-//
-// Run executes a replica function on a goroutine pool inside the calling
-// process. Fleet, the one Backend, executes a registered job kind across
-// Shards local worker processes: re-execs of the current binary behind
-// WorkerFlag that speak length-prefixed JSON frames over stdin/stdout and
-// pull chunks from a shared work-stealing queue. The request's worker
-// budget is split ⌈Workers/Shards⌉ per shard; Throttle slows the last
-// shard; heartbeats detect lost workers; and an optional on-disk journal
-// makes a killed run resumable. Backend.Execute takes a typed ExecRequest
-// — a registered job kind, an opaque payload, a replica count and Options
-// — and blocks until it returns the encoded results in replica order.
-// Because replica seeds and ordering are backend-independent, sharding can
-// never change results, only wall-clock time.
-//
-// Job kinds are registered by name (RegisterKind) in package init, so a
-// re-exec'd worker process holds the same kind table as its parent.
-// Binaries that offer the Fleet backend must call MaybeWorker first in
-// main.
+// suite and qnpsim's -replicas: they fan their scenario grid × replica
+// matrix through Run without touching experiment code.
 package runner
 
 import (
@@ -89,28 +69,6 @@ func Run[T any](o Options, replicas int, fn func(replica int, seed int64) T) ([]
 		out[i] = fn(i, DeriveSeed(o.Seed, i))
 	})
 	return out, err
-}
-
-// stream executes fn for each replica and hands results to sink in strict
-// replica order as soon as the completed prefix grows, buffering
-// out-of-order completions, so sink observes the exact same sequence for
-// any worker count — the order shard workers emit their results in. sink runs under the runner's lock and must not call back into
-// the runner.
-func stream[T any](o Options, replicas int, fn func(replica int, seed int64) T, sink func(replica int, v T)) error {
-	buf := make([]T, replicas)
-	ready := make([]bool, replicas)
-	next := 0
-	var mu sync.Mutex
-	return dispatch(o, replicas, func(i int) {
-		v := fn(i, DeriveSeed(o.Seed, i))
-		mu.Lock()
-		buf[i], ready[i] = v, true
-		for next < replicas && ready[next] {
-			sink(next, buf[next])
-			next++
-		}
-		mu.Unlock()
-	})
 }
 
 // dispatch is the shared pool: workers claim replica indices from an

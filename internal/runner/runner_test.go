@@ -58,30 +58,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestStreamEmitsInReplicaOrder(t *testing.T) {
-	const n = 40
-	var order []int
-	var vals []float64
-	err := stream(Options{Workers: 4, Seed: 3}, n, replicaWork, func(replica int, v float64) {
-		order = append(order, replica)
-		vals = append(vals, v)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != n {
-		t.Fatalf("emitted %d of %d", len(order), n)
-	}
-	for i, r := range order {
-		if r != i {
-			t.Fatalf("emission %d was replica %d", i, r)
-		}
-		if want := replicaWork(i, DeriveSeed(3, i)); vals[i] != want {
-			t.Fatalf("value[%d] = %v, want %v", i, vals[i], want)
-		}
-	}
-}
-
 func TestProgressMonotonic(t *testing.T) {
 	var mu sync.Mutex
 	last := 0
@@ -125,6 +101,36 @@ func TestCancellation(t *testing.T) {
 		t.Errorf("cancellation did not stop the run (ran=%d)", ran)
 	}
 	mu.Unlock()
+}
+
+// TestProgressAndPartialResultsUnderCancellation is the regression test
+// for the dispatch gate: a replica finishing after cancellation keeps its
+// result but must not tick Progress.
+func TestProgressAndPartialResultsUnderCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var ticks []int
+	out, err := Run(Options{Workers: 1, Seed: 1, Context: ctx, Progress: func(done, total int) {
+		ticks = append(ticks, done)
+	}}, 10, func(replica int, seed int64) int {
+		if replica == 2 {
+			cancel()
+		}
+		return replica + 100
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// One serial worker: replicas 0 and 1 tick progress; replica 2 runs to
+	// completion after cancelling, so its result is recorded but its tick
+	// is suppressed; replicas 3+ are never claimed.
+	if want := []int{1, 2}; len(ticks) != len(want) || ticks[0] != 1 || ticks[1] != 2 {
+		t.Errorf("progress ticks = %v, want %v", ticks, want)
+	}
+	for i, want := range []int{100, 101, 102, 0, 0} {
+		if out[i] != want {
+			t.Errorf("out[%d] = %d, want %d", i, out[i], want)
+		}
+	}
 }
 
 func TestZeroReplicas(t *testing.T) {

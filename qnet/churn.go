@@ -28,8 +28,8 @@ func workloadStreamOffset(i int) int64 { return 2*int64(i) + 1 }
 // Holding). Draws come from the scenario's dedicated churn stream —
 // deterministic per seed, disjoint from the physics, selection and workload
 // streams — one draw per configured field per expanded circuit, in
-// expansion order, so churn replicas stay bit-identical for any worker or
-// shard count.
+// expansion order, so churn replicas stay bit-identical for any worker
+// count.
 type Dist func(churn *rand.Rand) sim.Duration
 
 // Exponential yields exponential durations with the given mean — Poisson

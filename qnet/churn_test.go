@@ -421,9 +421,9 @@ func churnReplicaScenario() Scenario {
 }
 
 // TestChurnSpecRoundTripAndSharding: a churn scenario (arrival and holding
-// distributions, admission on MinEER) run as a job on worker processes
-// gives, replica by replica, the metrics of a direct run at the same seed,
-// so admission and delivery under churn survive the process boundary.
+// distributions, admission on MinEER) replicated on three workers gives,
+// replica by replica, the metrics of a serial direct run at the same seed,
+// so admission and delivery under churn do not depend on scheduling.
 func TestChurnSpecRoundTripAndSharding(t *testing.T) {
 	const replicas, seed = 3, 5
 	want := make([][]byte, replicas)
@@ -443,9 +443,7 @@ func TestChurnSpecRoundTripAndSharding(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("no circuits admitted; churn never exercised")
 	}
-	checkBackends(t, "churn", seed, want, map[string]runner.Backend{
-		"shards-2": runner.Fleet{Shards: 2},
-	})
+	checkBackends(t, "churn", seed, want)
 }
 
 // TestExpiryCountedOncePerEnd pins the expiry accounting contract: both the

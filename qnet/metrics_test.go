@@ -219,8 +219,8 @@ func TestAllocsStreamingRecording(t *testing.T) {
 	}
 }
 
-// TestStreamingShardMergeIdentity: streaming replicas sharded across one
-// and three workers produce bit-identical per-replica metrics, and folding
+// TestStreamingShardMergeIdentity: streaming replicas run on one and
+// three workers produce bit-identical per-replica metrics, and folding
 // the replicas' aggregates in replica order gives bit-identical summary
 // statistics regardless of the worker count.
 func TestStreamingShardMergeIdentity(t *testing.T) {
