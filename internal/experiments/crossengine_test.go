@@ -166,3 +166,20 @@ func TestCrossEngineMeanFidelity(t *testing.T) {
 		}
 	}
 }
+
+// TestWernerShardInvariance mirrors TestShardCountInvariance on the Werner
+// engine: the scalar fast path must render bit-identical churn and Fig. 9
+// aggregates however many workers share the replicas.
+func TestWernerShardInvariance(t *testing.T) {
+	t.Parallel()
+	assertWorkerCountInvariant(t, func(workers int) string {
+		o := wernerOpts()
+		o.Workers = workers
+		var buf bytes.Buffer
+		churn(o, trimmedChurn).Print(&buf)
+		if !testing.Short() {
+			Fig9(o).Print(&buf)
+		}
+		return buf.String()
+	})
+}

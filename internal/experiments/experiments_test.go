@@ -405,36 +405,21 @@ func TestEERSaturationQuick(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance is the runner's end-to-end determinism proof:
-// the same seed must render byte-identical figure aggregates no matter how
-// many workers share the replicas. The figures cover a parameterised grid
-// (hub contention), the churn engine, the EER admission study, k-candidate
-// placement under both allocation policies (multipath), and the Werner
-// engine on churn and Fig. 9.
-func TestWorkerCountInvariance(t *testing.T) {
-	t.Parallel()
-	render := func(workers int) string {
-		o, w := QuickOptions(), wernerOpts()
-		o.Workers, w.Workers = workers, workers
-		trimmedChurn := churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}
-		var buf bytes.Buffer
-		Fig5(o).Print(&buf)
-		hubContention(o, 2*sim.Second, []int{2}, []bool{true}).Print(&buf)
-		churn(o, trimmedChurn).Print(&buf)
-		churn(w, trimmedChurn).Print(&buf)
-		if !testing.Short() {
-			TopologySweep(o).Print(&buf)
-			Fig9(o).Print(&buf)
-			Fig9(w).Print(&buf)
-			EERSaturation(o).Print(&buf)
-			multipath(o, multipathParams{Horizon: 2 * sim.Second, Pairs: 6}).Print(&buf)
-		}
-		return buf.String()
-	}
+// workerCounts are the pool sizes the invariance tests compare: 1, 2 and,
+// when it differs, the machine's CPU count.
+func workerCounts() []int {
 	counts := []int{1, 2}
 	if n := runtime.NumCPU(); n != 1 && n != 2 {
 		counts = append(counts, n)
 	}
+	return counts
+}
+
+// assertWorkerCountInvariant fails t unless render returns the same text at
+// every worker count.
+func assertWorkerCountInvariant(t *testing.T, render func(workers int) string) {
+	t.Helper()
+	counts := workerCounts()
 	want := render(counts[0])
 	for _, w := range counts[1:] {
 		if got := render(w); got != want {
@@ -442,6 +427,48 @@ func TestWorkerCountInvariance(t *testing.T) {
 				w, want, w, got)
 		}
 	}
+}
+
+// trimmedChurn is a churn sweep short enough to render several times in
+// one test.
+var trimmedChurn = churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}
+
+// TestWorkerCountInvariance is the runner's end-to-end determinism proof:
+// the same seed must render byte-identical figure aggregates no matter how
+// many workers share the replicas.
+func TestWorkerCountInvariance(t *testing.T) {
+	t.Parallel()
+	assertWorkerCountInvariant(t, func(workers int) string {
+		o := QuickOptions()
+		o.Workers = workers
+		var buf bytes.Buffer
+		Fig5(o).Print(&buf)
+		if !testing.Short() {
+			TopologySweep(o).Print(&buf)
+		}
+		return buf.String()
+	})
+}
+
+// TestShardCountInvariance extends worker-count invariance to the sweeps
+// whose replicas split unevenly into each worker's shard: a parameterised
+// grid (hub contention), the churn engine, the EER admission study and
+// k-candidate placement under both allocation policies (multipath).
+func TestShardCountInvariance(t *testing.T) {
+	t.Parallel()
+	assertWorkerCountInvariant(t, func(workers int) string {
+		o := QuickOptions()
+		o.Workers = workers
+		var buf bytes.Buffer
+		hubContention(o, 2*sim.Second, []int{2}, []bool{true}).Print(&buf)
+		churn(o, trimmedChurn).Print(&buf)
+		if !testing.Short() {
+			Fig9(o).Print(&buf)
+			EERSaturation(o).Print(&buf)
+			multipath(o, multipathParams{Horizon: 2 * sim.Second, Pairs: 6}).Print(&buf)
+		}
+		return buf.String()
+	})
 }
 
 func TestWriteTables(t *testing.T) {
