@@ -8,8 +8,9 @@
 //	    go run ./cmd/benchdiff -parse -sha $(git rev-parse --short HEAD) -out BENCH_new.json
 //	go run ./cmd/benchdiff -compare BENCH_baseline.json BENCH_new.json
 //
-// Compare exits non-zero when ns/op or allocs/op regress by more than the
-// threshold (default 15%) on any benchmark present in both files.
+// Compare exits 1 when ns/op or allocs/op regress by more than the
+// threshold (default 15%) on any benchmark present in both files, and 2
+// on a usage error such as a threshold that is not a finite number ≥ 0.
 // Benchmarks present only in the new file are listed as "new (no
 // baseline)" without failing the gate; benchmarks that vanished from
 // the new file fail it.
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -171,8 +173,13 @@ func load(path string) (File, error) {
 }
 
 // runCompare prints a delta table and reports whether the new results stay
-// within the threshold on every benchmark both files share.
+// within the threshold on every benchmark both files share. A threshold
+// that is negative, infinite or NaN is an error: NaN and +Inf would pass
+// every regression, since no ratio exceeds them.
 func runCompare(oldPath, newPath string, threshold float64) (bool, error) {
+	if !(threshold >= 0) || math.IsInf(threshold, 1) {
+		return false, fmt.Errorf("-threshold must be a finite number ≥ 0 (got %g)", threshold)
+	}
 	oldF, err := load(oldPath)
 	if err != nil {
 		return false, err

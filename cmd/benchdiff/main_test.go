@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,5 +93,25 @@ func TestCompareStillFailsOnMissingAndRegressed(t *testing.T) {
 	}
 	if !strings.Contains(out, "FAIL  BenchmarkShared") {
 		t.Errorf("regression not flagged:\n%s", out)
+	}
+}
+
+// TestCompareRejectsBadThreshold: a threshold no ratio can exceed (NaN,
+// +Inf) would turn the relative gate off, and a negative one fails every
+// bench; each is an error (exit 2), raised before any file is read.
+func TestCompareRejectsBadThreshold(t *testing.T) {
+	dir := t.TempDir()
+	f := File{Benchmarks: map[string]Result{"BenchmarkShared": {NsOp: 100, AllocsOp: 10}}}
+	oldPath := writeFile(t, dir, "old.json", f)
+	f.Benchmarks["BenchmarkShared"] = Result{NsOp: 1000, AllocsOp: 100}
+	newPath := writeFile(t, dir, "new.json", f)
+	for _, threshold := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		ok, err := runCompare(oldPath, newPath, threshold)
+		if err == nil || !strings.Contains(err.Error(), "-threshold must be a finite number ≥ 0") {
+			t.Errorf("threshold %g: ok=%v err=%v, want the threshold error", threshold, ok, err)
+		}
+	}
+	if ok, out := captureCompare(t, oldPath, newPath, 0); ok {
+		t.Errorf("threshold 0 passed a tenfold regression:\n%s", out)
 	}
 }

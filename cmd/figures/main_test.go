@@ -2,9 +2,38 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// goldens are argument lists whose stdout is pinned in a checked-in file:
+// every figure in "all" at quick size, the city study (not in "all"), and
+// a figure averaging three replicas per cell, so the grouping of replicas
+// by cell is pinned as well as each replica's seed.
+var goldens = []struct{ args, file string }{
+	{"-fig all -quick -seed 7", "../../testdata/figures_all_quick_seed7.txt"},
+	{"-fig city -quick -seed 5", "testdata/city-quick-seed5.txt"},
+	{"-fig eer -runs 3 -seed 1", "testdata/eer-runs3-seed1.txt"},
+}
+
+func TestGolden(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.args, func(t *testing.T) {
+			want, err := os.ReadFile(g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := figuresMain(strings.Fields(g.args), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit status %d; stderr:\n%s", code, stderr.String())
+			}
+			if got := stdout.String(); got != string(want) {
+				t.Errorf("stdout differs from %s\ngot:\n%s\nwant:\n%s", g.file, got, want)
+			}
+		})
+	}
+}
 
 // An unknown -fig value must fail loudly with the valid IDs, not print
 // nothing and exit 0.

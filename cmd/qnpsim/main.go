@@ -13,7 +13,8 @@
 //	qnpsim -nearterm -nodes 3 -fidelity 0.5 -pairs 5
 //
 // With -circuits 1 and no -src/-dst the circuit spans the topology's
-// diameter; -circuits k > 1 draws k distinct random endpoint pairs.
+// diameter; -circuits k > 1 draws k distinct random endpoint pairs and
+// is a usage error together with -src or -dst.
 // -replicas R fans R independent seeded replicas across a worker pool and
 // reports aggregate means, bit-identical for any -workers count.
 package main
@@ -60,7 +61,7 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 	beta := fs.Float64("beta", 0.4, "Waxman distance decay (random topology)")
 	src := fs.String("src", "", "source end-node (default: a diameter endpoint of the topology)")
 	dst := fs.String("dst", "", "destination end-node (default: the matching diameter endpoint)")
-	circuits := fs.Int("circuits", 1, "concurrent circuits (>1 draws random endpoint pairs)")
+	circuits := fs.Int("circuits", 1, "concurrent circuits (>1 draws random endpoint pairs; not with -src/-dst)")
 	fidelity := fs.Float64("fidelity", 0.85, "end-to-end fidelity target")
 	workload := fs.String("workload", "batch", "workload per circuit: batch, continuous, interval, poisson, onoff, measure, churn")
 	pairs := fs.Int("pairs", 10, "pairs per request (batch, interval, poisson, onoff, measure)")
@@ -129,6 +130,8 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		return fail("-fidelity must be in (0, 1] (got %g)", *fidelity)
 	case *verbose && *replicas > 1:
 		return fail("-v logs a single run and cannot be combined with -replicas %d", *replicas)
+	case (*src != "" || *dst != "") && *circuits > 1:
+		return fail("-src/-dst name a single circuit and cannot be combined with -circuits %d", *circuits)
 	}
 	if *streaming {
 		cfg.MetricsMode = qnet.MetricsStreaming

@@ -95,6 +95,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-interval -1 -workload interval", 2, "-interval must be > 0 for -workload interval"},
 		{"-interval 0 -workload churn", 2, "-interval must be > 0 for -workload churn"},
 		{"-v -replicas 2 -pairs 2 -horizon 5", 2, "-v logs a single run and cannot be combined with -replicas 2"},
+		{"-topology dumbbell -src A0 -dst B0 -circuits 2", 2, "-src/-dst name a single circuit and cannot be combined with -circuits 2"},
+		{"-topology dumbbell -src A0 -circuits 3", 2, "-src/-dst name a single circuit and cannot be combined with -circuits 3"},
 		{"-nosuchflag", 2, "flag provided but not defined"},
 		{"-shards 2", 2, "flag provided but not defined: -shards"},
 		{"-resume x", 2, "flag provided but not defined: -resume"},

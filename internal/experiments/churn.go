@@ -33,17 +33,15 @@ type ChurnData struct {
 // churnTargetF is the end-to-end fidelity target of every churn circuit.
 const churnTargetF = 0.85
 
-// churnParams is the sweep's shape. Demand and Physics are filled in by
-// churn from the probe and Options.
+// churnParams is the study's shape, so trimmed -short studies run
+// exactly like the full figure.
 type churnParams struct {
 	Horizon  sim.Duration
 	Holds    []sim.Duration
 	Circuits int
-	Demand   float64
-	Physics  qnet.Physics
 }
 
-// churnCell is one cell of the sweep.
+// churnCell is one cell of the study.
 type churnCell struct {
 	topo   string
 	hold   sim.Duration
@@ -68,15 +66,15 @@ func churnDemand() float64 { return 0.4 * dumbbellAllocation(eerTargetF) }
 // churnScenario is one replica's declarative scenario: Circuits arrivals
 // with uniform offsets over the first 60% of the horizon (a Poisson
 // process conditioned on the arrival count has i.i.d. uniform arrival
-// times) and exponential holding, each demanding p.Demand pairs/s,
+// times) and exponential holding, each demanding demand pairs/s as its
+// MinEER and its measurement rate,
 // admission-controlled with either re-fit or static allocation.
-func churnScenario(c churnCell, p churnParams) qnet.Scenario {
+func churnScenario(c churnCell, p churnParams, demand float64) qnet.Scenario {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
 	if c.static {
 		cfg.Alloc = qnet.AllocStatic
 	}
-	cfg.Physics = p.Physics
 	var ts qnet.TopologySpec
 	if c.topo == "grid" {
 		ts = qnet.GridTopo(3, 3)
@@ -94,32 +92,18 @@ func churnScenario(c churnCell, p churnParams) qnet.Scenario {
 			Policy:   qnet.CutoffShort,
 			Arrival:  qnet.Uniform(0, sim.Duration(float64(p.Horizon)*0.6)),
 			Holding:  qnet.Exponential(c.hold),
-			MinEER:   p.Demand,
-			Workload: qnet.MeasureStream{Rate: p.Demand},
+			MinEER:   demand,
+			Workload: qnet.MeasureStream{Rate: demand},
 			Optional: true,
 		}},
 		Horizon: p.Horizon,
 	}
 }
 
-var churnSweep = &sweep[churnParams, churnCell, churnResult]{
-	cells: func(p churnParams) (cells []churnCell) {
-		for _, topo := range []string{"dumbbell", "grid"} {
-			for _, hold := range p.Holds {
-				for _, static := range []bool{false, true} {
-					cells = append(cells, churnCell{topo: topo, hold: hold, static: static})
-				}
-			}
-		}
-		return cells
-	},
-	run: func(p churnParams, c churnCell, _ int, seed int64) churnResult { return churnRun(seed, c, p) },
-}
-
 // churnRun measures one churn replica.
-func churnRun(seed int64, c churnCell, p churnParams) churnResult {
-	sc := churnScenario(c, p)
-	sc.Config.Seed = seed
+func churnRun(seed int64, physics qnet.Physics, c churnCell, p churnParams, demand float64) churnResult {
+	sc := churnScenario(c, p, demand)
+	sc.Config.Seed, sc.Config.Physics = seed, physics
 	res, err := sc.Run()
 	if err != nil {
 		panic(err)
@@ -146,9 +130,19 @@ func Churn(o Options) *ChurnData {
 
 // churn is the parameterised core.
 func churn(o Options, p churnParams) *ChurnData {
-	p.Demand, p.Physics = churnDemand(), o.Physics
-	cells, results := churnSweep.Run(o, p)
-	d := &ChurnData{Arrivals: p.Circuits, DemandPS: p.Demand, HorizonS: p.Horizon.Seconds()}
+	demand := churnDemand()
+	var cells []churnCell
+	for _, topo := range []string{"dumbbell", "grid"} {
+		for _, hold := range p.Holds {
+			for _, static := range []bool{false, true} {
+				cells = append(cells, churnCell{topo: topo, hold: hold, static: static})
+			}
+		}
+	}
+	results := grid(o, cells, func(c churnCell, _ int, seed int64) churnResult {
+		return churnRun(seed, o.Physics, c, p, demand)
+	})
+	d := &ChurnData{Arrivals: p.Circuits, DemandPS: demand, HorizonS: p.Horizon.Seconds()}
 	for i, c := range cells {
 		var adm, rej, tw, del runner.Stats
 		for _, r := range results[i] {

@@ -40,16 +40,13 @@ type CityData struct {
 // cityTargetF is the end-to-end fidelity target of every city circuit.
 const cityTargetF = 0.85
 
-// cityParams is the study's shape. Demand and Physics are filled in by
-// city from the probe and Options.
+// cityParams is the study's shape.
 type cityParams struct {
 	Rows, Cols int
 	Horizon    sim.Duration
 	Holds      []sim.Duration
 	Circuits   int
 	ReqMean    sim.Duration
-	Demand     float64
-	Physics    qnet.Physics
 }
 
 // cityResult is one replica's measurement. Lat is the
@@ -66,15 +63,14 @@ type cityResult struct {
 
 // cityScenario is one replica: a Rows×Cols metropolitan grid with Circuits
 // circuit arrivals offered over the first 60% of the horizon, exponential
-// holding, each demanding a policeable rate under admission control and
-// carrying Poisson single-pair requests. MetricsStreaming keeps the
-// metrics memory independent of the delivery count — the point of the
-// scenario.
-func cityScenario(hold sim.Duration, p cityParams) qnet.Scenario {
+// holding, each demanding the policeable rate demand under admission
+// control and carrying Poisson single-pair requests. MetricsStreaming
+// keeps the metrics memory independent of the delivery count — the point
+// of the scenario.
+func cityScenario(hold sim.Duration, p cityParams, demand float64) qnet.Scenario {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
 	cfg.MetricsMode = qnet.MetricsStreaming
-	cfg.Physics = p.Physics
 	return qnet.Scenario{
 		Name:     "city",
 		Config:   cfg,
@@ -86,7 +82,7 @@ func cityScenario(hold sim.Duration, p cityParams) qnet.Scenario {
 			Policy:   qnet.CutoffShort,
 			Arrival:  qnet.Uniform(0, sim.Duration(float64(p.Horizon)*0.6)),
 			Holding:  qnet.Exponential(hold),
-			MinEER:   p.Demand,
+			MinEER:   demand,
 			Workload: qnet.PoissonKeep{Mean: p.ReqMean, Pairs: 1},
 			Optional: true,
 		}},
@@ -94,16 +90,10 @@ func cityScenario(hold sim.Duration, p cityParams) qnet.Scenario {
 	}
 }
 
-// citySweep's cells are the mean holding times.
-var citySweep = &sweep[cityParams, sim.Duration, cityResult]{
-	cells: func(p cityParams) []sim.Duration { return p.Holds },
-	run:   func(p cityParams, hold sim.Duration, _ int, seed int64) cityResult { return cityRun(seed, hold, p) },
-}
-
 // cityRun measures one city replica.
-func cityRun(seed int64, hold sim.Duration, p cityParams) cityResult {
-	sc := cityScenario(hold, p)
-	sc.Config.Seed = seed
+func cityRun(seed int64, physics qnet.Physics, hold sim.Duration, p cityParams, demand float64) cityResult {
+	sc := cityScenario(hold, p, demand)
+	sc.Config.Seed, sc.Config.Physics = seed, physics
 	res, err := sc.Run()
 	if err != nil {
 		panic(err)
@@ -141,21 +131,18 @@ func City(o Options) *CityData {
 			ReqMean:  100 * sim.Millisecond,
 		}
 	}
-	return city(o, p)
-}
-
-// city is the parameterised core.
-func city(o Options, p cityParams) *CityData {
-	p.Demand, p.Physics = churnDemand(), o.Physics
-	holds, results := citySweep.Run(o, p)
+	demand := churnDemand()
+	results := grid(o, p.Holds, func(hold sim.Duration, _ int, seed int64) cityResult {
+		return cityRun(seed, o.Physics, hold, p, demand)
+	})
 	d := &CityData{
 		Nodes:    p.Rows * p.Cols,
 		Links:    p.Rows*(p.Cols-1) + p.Cols*(p.Rows-1),
 		Arrivals: p.Circuits,
 		HorizonS: p.Horizon.Seconds(),
-		DemandPS: p.Demand,
+		DemandPS: demand,
 	}
-	for i, hold := range holds {
+	for i, hold := range p.Holds {
 		var adm, rej, del, agg, tw runner.Stats
 		lat := new(stats.Agg)
 		for _, r := range results[i] {

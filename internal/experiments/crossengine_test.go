@@ -42,17 +42,17 @@ func TestCrossEngineValidationGrids(t *testing.T) {
 		if fe != fw {
 			t.Errorf("fig9 point diverged: exact %+v werner %+v", fe, fw)
 		}
-		alloc := dumbbellAllocation(eerTargetF)
-		ee := eerRun(seed, qnet.PhysicsExact, eerCell{requests: 2}, alloc, 4*sim.Second)
-		ew := eerRun(seed, qnet.PhysicsWerner, eerCell{requests: 2}, alloc, 4*sim.Second)
+		cell := EERPoint{Requests: 2, AllocatedPS: dumbbellAllocation(eerTargetF)}
+		ee := eerRun(seed, qnet.PhysicsExact, cell, 4*sim.Second)
+		ew := eerRun(seed, qnet.PhysicsWerner, cell, 4*sim.Second)
 		if ee != ew {
 			t.Errorf("eer point diverged: exact %+v werner %+v", ee, ew)
 		}
-		p := churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4, Demand: churnDemand()}
+		p := churnParams{Horizon: 2 * sim.Second, Holds: []sim.Duration{sim.Second}, Circuits: 4}
 		c := churnCell{topo: "dumbbell", hold: sim.Second}
-		ce := churnRun(seed, c, p)
-		p.Physics = qnet.PhysicsWerner
-		cw := churnRun(seed, c, p)
+		demand := churnDemand()
+		ce := churnRun(seed, qnet.PhysicsExact, c, p, demand)
+		cw := churnRun(seed, qnet.PhysicsWerner, c, p, demand)
 		if ce != cw {
 			t.Errorf("churn point diverged: exact %+v werner %+v", ce, cw)
 		}

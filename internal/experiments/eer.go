@@ -43,30 +43,11 @@ func EERSaturation(o Options) *EERData {
 
 const eerTargetF = 0.85
 
-// eerParams is the saturation sweep's shape, with the probed allocation.
-type eerParams struct {
-	Horizon sim.Duration
-	Loads   []int
-	Alloc   float64
-	Physics qnet.Physics
-}
-
-type eerCell struct {
-	requests  int
-	oversized bool
-}
-
-// eerResult is one replica's measurement.
-type eerResult struct {
-	MeasuredPS float64
-	Rejected   int
-}
-
 // dumbbellAllocation reads the count-split MaxEER allocation the
 // controller hands an uncontended three-hop A0→B0 dumbbell circuit at
 // end-to-end fidelity f under the short cutoff. It depends only on the
 // uniform link hardware and involves no replica seed: the figure probes it
-// once and hands the value to replicas in their params.
+// once and its replicas share the value.
 func dumbbellAllocation(f float64) float64 {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
@@ -80,29 +61,19 @@ func dumbbellAllocation(f float64) float64 {
 	return dec.Plan.MaxEER
 }
 
-var eerSweep = &sweep[eerParams, eerCell, eerResult]{
-	cells: func(p eerParams) (cells []eerCell) {
-		for _, k := range p.Loads {
-			cells = append(cells, eerCell{requests: k})
-		}
-		return append(cells, eerCell{requests: 1, oversized: true})
-	},
-	run: func(p eerParams, c eerCell, _ int, seed int64) eerResult {
-		return eerRun(seed, p.Physics, c, p.Alloc, p.Horizon)
-	},
-}
-
-// eerRun measures one policed-circuit replica.
-func eerRun(seed int64, physics qnet.Physics, j eerCell, alloc float64, horizon sim.Duration) eerResult {
+// eerRun measures one policed-circuit replica of cell c: c.Requests
+// requests at 40% of c.AllocatedPS each, or one at twice it when
+// c.Oversized.
+func eerRun(seed int64, physics qnet.Physics, c EERPoint, horizon sim.Duration) EERPoint {
 	cfg := qnet.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Physics = physics
 	cfg.EnforceEER = true
-	reqs := make([]qnet.Request, j.requests)
+	reqs := make([]qnet.Request, c.Requests)
 	for i := range reqs {
-		rate := alloc * 0.4
-		if j.oversized {
-			rate = 2 * alloc
+		rate := c.AllocatedPS * 0.4
+		if c.Oversized {
+			rate = 2 * c.AllocatedPS
 		}
 		reqs[i] = qnet.Request{
 			ID: qnet.RequestID(fmt.Sprintf("m%d", i)), Type: qnet.Measure,
@@ -124,30 +95,29 @@ func eerRun(seed int64, physics qnet.Physics, j eerCell, alloc float64, horizon 
 	}
 	m := res.Metrics
 	cm := m.Circuit("policed")
-	return eerResult{MeasuredPS: cm.EER(m.Start, m.End), Rejected: cm.Rejected}
+	c.MeasuredPS, c.Rejected = cm.EER(m.Start, m.End), float64(cm.Rejected)
+	return c
 }
 
 // eerSaturation is the parameterised core, so -short tests can trim the
 // sweep without duplicating the scenario.
 func eerSaturation(o Options, horizon sim.Duration, loads []int) *EERData {
 	alloc := dumbbellAllocation(eerTargetF)
-	perReq := alloc * 0.4
-	cells, results := eerSweep.Run(o, eerParams{Horizon: horizon, Loads: loads, Alloc: alloc, Physics: o.Physics})
+	var cells []EERPoint
+	for _, k := range loads {
+		cells = append(cells, EERPoint{Requests: k, OfferedPS: float64(k) * (alloc * 0.4), AllocatedPS: alloc})
+	}
+	cells = append(cells, EERPoint{Requests: 1, OfferedPS: 2 * alloc, Oversized: true, AllocatedPS: alloc})
+	results := grid(o, cells, func(c EERPoint, _ int, seed int64) EERPoint { return eerRun(seed, o.Physics, c, horizon) })
 	d := &EERData{AllocatedPS: alloc, HorizonS: horizon.Seconds()}
 	for i, c := range cells {
 		var meas, rej runner.Stats
 		for _, r := range results[i] {
 			meas.Add(r.MeasuredPS)
-			rej.Add(float64(r.Rejected))
+			rej.Add(r.Rejected)
 		}
-		offered := float64(c.requests) * perReq
-		if c.oversized {
-			offered = 2 * alloc
-		}
-		d.Points = append(d.Points, EERPoint{
-			Requests: c.requests, OfferedPS: offered, MeasuredPS: meas.Mean(),
-			Rejected: rej.Mean(), Oversized: c.oversized, AllocatedPS: alloc,
-		})
+		c.MeasuredPS, c.Rejected = meas.Mean(), rej.Mean()
+		d.Points = append(d.Points, c)
 	}
 	return d
 }

@@ -59,7 +59,7 @@ func (o Options) runnerOpts() runner.Options {
 	return runner.Options{Workers: o.Workers, Seed: o.Seed, Progress: o.Progress, Context: o.Context}
 }
 
-// replicas is the per-cell replica count of a sweep: 1 when quick,
+// replicas is the per-cell replica count of a grid: 1 when quick,
 // otherwise Runs capped at 3, and never below 1.
 func (o Options) replicas() int {
 	if o.Quick || o.Runs < 1 {
@@ -68,32 +68,22 @@ func (o Options) replicas() int {
 	return min(o.Runs, 3)
 }
 
-// A sweep is one figure's evaluation method: a parameter grid whose cells
-// each average independent replicas. P holds everything a replica needs
-// besides its cell, including values the caller probes once, so replicas
-// never probe.
-type sweep[P, C, R any] struct {
-	cells func(P) []C // in output order
-	run   func(p P, c C, replica int, seed int64) R
-}
-
-// Run runs o.replicas() replicas of every cell and returns the cells with
-// their results grouped by cell.
-func (s *sweep[P, C, R]) Run(o Options, p P) ([]C, [][]R) { return s.runN(o, o.replicas(), p) }
-
-// runN runs the cells × runs grid on the replica runner with the replica
-// innermost, so job c·runs+r draws runner.DeriveSeed(o.Seed, c·runs+r).
-// Cancellation returns the partial results, which cmd/figures discards.
-func (s *sweep[P, C, R]) runN(o Options, runs int, p P) ([]C, [][]R) {
-	cells := s.cells(p)
+// grid is a figure's evaluation method: each cell, in output order,
+// averages o.replicas() independent replicas. The grid runs on the replica
+// runner with the replica innermost, so job c·runs+r draws
+// runner.DeriveSeed(o.Seed, c·runs+r), and the results come back grouped
+// by cell. Cancellation returns the partial results, which cmd/figures
+// discards.
+func grid[C, R any](o Options, cells []C, run func(c C, replica int, seed int64) R) [][]R {
+	runs := o.replicas()
 	flat, _ := runner.Run(o.runnerOpts(), len(cells)*runs, func(i int, seed int64) R {
-		return s.run(p, cells[i/runs], i%runs, seed)
+		return run(cells[i/runs], i%runs, seed)
 	})
 	byCell := make([][]R, len(cells))
 	for c := range byCell {
 		byCell[c] = flat[c*runs : (c+1)*runs]
 	}
-	return cells, byCell
+	return byCell
 }
 
 func header(w io.Writer, title string) {

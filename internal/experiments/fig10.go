@@ -26,29 +26,9 @@ type Fig10ABData struct {
 	HorizonS float64
 }
 
-// fig10ABParams is the sweep's shape.
-type fig10ABParams struct {
-	Horizon   sim.Duration
-	Lifetimes []float64
-}
-
 type fig10ABCell struct {
 	oracle bool
 	t2     float64
-}
-
-var fig10ABSweep = &sweep[fig10ABParams, fig10ABCell, [2]fig10Count]{
-	cells: func(p fig10ABParams) (cells []fig10ABCell) {
-		for _, oracle := range []bool{false, true} {
-			for _, t2 := range p.Lifetimes {
-				cells = append(cells, fig10ABCell{oracle, t2})
-			}
-		}
-		return cells
-	},
-	run: func(p fig10ABParams, c fig10ABCell, _ int, seed int64) [2]fig10Count {
-		return fig10Run(seed, c.t2, c.oracle, p.Horizon, 0)
-	},
 }
 
 // Fig10AB sweeps the electron memory lifetime (T2*) for two competing
@@ -56,12 +36,20 @@ var fig10ABSweep = &sweep[fig10ABParams, fig10ABCell, [2]fig10Count]{
 // against the §5.2 baseline that discards below-threshold end-to-end pairs
 // with a simulation oracle.
 func Fig10AB(o Options) *Fig10ABData {
-	p := fig10ABParams{Horizon: 20 * sim.Second, Lifetimes: []float64{0.2, 0.5, 1, 1.6, 3, 6, 15, 60}}
+	horizon, lifetimes := 20*sim.Second, []float64{0.2, 0.5, 1, 1.6, 3, 6, 15, 60}
 	if o.Quick {
-		p = fig10ABParams{Horizon: 5 * sim.Second, Lifetimes: []float64{0.5, 1.6, 60}}
+		horizon, lifetimes = 5*sim.Second, []float64{0.5, 1.6, 60}
 	}
-	d := &Fig10ABData{HorizonS: p.Horizon.Seconds()}
-	cells, pts := fig10ABSweep.Run(o, p)
+	var cells []fig10ABCell
+	for _, oracle := range []bool{false, true} {
+		for _, t2 := range lifetimes {
+			cells = append(cells, fig10ABCell{oracle, t2})
+		}
+	}
+	pts := grid(o, cells, func(c fig10ABCell, _ int, seed int64) [2]fig10Count {
+		return fig10Run(seed, c.t2, c.oracle, horizon, 0)
+	})
+	d := &Fig10ABData{HorizonS: horizon.Seconds()}
 	for k, c := range cells {
 		for i, f := range []float64{0.9, 0.8} {
 			var tp []float64
@@ -71,7 +59,7 @@ func Fig10AB(o Options) *Fig10ABData {
 				if c.oracle {
 					n = r[i].Good
 				}
-				tp = append(tp, float64(n)/p.Horizon.Seconds())
+				tp = append(tp, float64(n)/horizon.Seconds())
 				feasible = feasible || r[i].Feasible
 			}
 			d.Points = append(d.Points, Fig10ABPoint{
@@ -200,28 +188,15 @@ type Fig10CData struct {
 	CutoffMS float64
 }
 
-// fig10CParams is the sweep's shape.
-type fig10CParams struct {
-	Horizon  sim.Duration
-	DelaysMS []float64
-}
-
-var fig10CSweep = &sweep[fig10CParams, float64, [2]fig10Count]{
-	cells: func(p fig10CParams) []float64 { return p.DelaysMS },
-	run: func(p fig10CParams, ms float64, _ int, seed int64) [2]fig10Count {
-		return fig10Run(seed, 1.6, false, p.Horizon, sim.DurationFromSeconds(ms/1e3))
-	},
-}
-
 // Fig10C sweeps the per-hop classical processing delay at a fixed memory
 // lifetime of ≈1.6 s and plots goodput: pairs whose exact fidelity at
 // delivery still meets the circuit's threshold. Quantum operations never
 // block on control messages, so goodput holds until the delay approaches
 // the cutoff.
 func Fig10C(o Options) *Fig10CData {
-	p := fig10CParams{Horizon: 20 * sim.Second, DelaysMS: []float64{0, 1, 2, 4, 6, 9, 12, 16, 24}}
+	horizon, delays := 20*sim.Second, []float64{0, 1, 2, 4, 6, 9, 12, 16, 24}
 	if o.Quick {
-		p = fig10CParams{Horizon: 5 * sim.Second, DelaysMS: []float64{0, 6, 16}}
+		horizon, delays = 5*sim.Second, []float64{0, 6, 16}
 	}
 	d := &Fig10CData{}
 	// Report the cutoff value the routing controller picks at this
@@ -234,13 +209,15 @@ func Fig10C(o Options) *Fig10CData {
 			d.CutoffMS = vc.Plan.Cutoff.Milliseconds()
 		}
 	}
-	delays, pts := fig10CSweep.Run(o, p)
+	pts := grid(o, delays, func(ms float64, _ int, seed int64) [2]fig10Count {
+		return fig10Run(seed, 1.6, false, horizon, sim.DurationFromSeconds(ms/1e3))
+	})
 	for k, ms := range delays {
 		for i, f := range []float64{0.9, 0.8} {
 			var raw, good []float64
 			for _, r := range pts[k] {
-				raw = append(raw, float64(r[i].Raw)/p.Horizon.Seconds())
-				good = append(good, float64(r[i].Good)/p.Horizon.Seconds())
+				raw = append(raw, float64(r[i].Raw)/horizon.Seconds())
+				good = append(good, float64(r[i].Good)/horizon.Seconds())
 			}
 			d.Points = append(d.Points, Fig10CPoint{DelayMS: ms, Fidelity: f, RawPS: runner.Mean(raw), GoodPS: runner.Mean(good)})
 		}

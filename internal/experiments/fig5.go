@@ -23,15 +23,6 @@ type Fig5Data struct {
 	agg runner.Stats
 }
 
-// fig5Params is the shape of one link-layer sample batch.
-type fig5Params struct{ PerRun int }
-
-// fig5Sweep has a single cell: its replicas are the sample batches.
-var fig5Sweep = &sweep[fig5Params, struct{}, []float64]{
-	cells: func(fig5Params) []struct{} { return make([]struct{}, 1) },
-	run:   func(p fig5Params, _ struct{}, _ int, seed int64) []float64 { return fig5Run(seed, p.PerRun) },
-}
-
 // Fig5 measures the link layer's generation time distribution directly —
 // a single link asked for F=0.95 pairs, the paper's Fig. 5 setup — through
 // the real engine (geometric attempt sampling on the calibrated hardware
@@ -42,9 +33,10 @@ func Fig5(o Options) *Fig5Data {
 		want = 200
 	}
 	runs := max(o.Runs, 1)
-	_, batches := fig5Sweep.runN(o, runs, fig5Params{PerRun: max(want/runs, 10)})
+	perRun := max(want/runs, 10)
+	batches, _ := runner.Run(o.runnerOpts(), runs, func(_ int, seed int64) []float64 { return fig5Run(seed, perRun) })
 	d := &Fig5Data{Fidelity: 0.95}
-	for _, r := range batches[0] {
+	for _, r := range batches {
 		d.agg.Add(r...)
 	}
 	d.Samples = d.agg.Sorted()

@@ -41,60 +41,37 @@ func circuitSets(n int) [][2]string {
 	}
 }
 
-// fig8Params is the sweep's shape.
-type fig8Params struct {
-	Pairs int
-	Cap   sim.Duration
-	Fids  []float64
-	Loads []int
-}
-
-type fig8Cell struct {
-	nCirc int
-	short bool
-	fid   float64
-	load  int
-}
-
-var fig8Sweep = &sweep[fig8Params, fig8Cell, Fig8Point]{
-	cells: func(p fig8Params) (cells []fig8Cell) {
-		for _, nCirc := range []int{1, 2, 4} {
-			for _, short := range []bool{false, true} {
-				for _, f := range p.Fids {
-					for _, load := range p.Loads {
-						cells = append(cells, fig8Cell{nCirc, short, f, load})
-					}
-				}
-			}
-		}
-		return cells
-	},
-	run: func(p fig8Params, c fig8Cell, _ int, seed int64) Fig8Point {
-		return fig8Run(seed, c.nCirc, c.short, c.fid, c.load, p.Pairs, p.Cap)
-	},
-}
-
 // Fig8 reproduces the resource-sharing study of §5.1: 1–8 simultaneous
 // requests across 1, 2 or 4 circuits sharing the MA-MB bottleneck, with the
 // long and the short cutoff, on one-minute memories (T2* = 60 s).
 func Fig8(o Options) *Fig8Data {
-	p := fig8Params{Pairs: 100, Cap: 600 * sim.Second, Fids: []float64{0.8, 0.9}, Loads: []int{1, 2, 3, 4, 5, 6, 7, 8}}
+	pairs, capT, fids, loads := 100, 600*sim.Second, []float64{0.8, 0.9}, []int{1, 2, 3, 4, 5, 6, 7, 8}
 	if o.Quick {
-		p = fig8Params{Pairs: 15, Cap: 120 * sim.Second, Fids: []float64{0.85}, Loads: []int{1, 4, 8}}
+		pairs, capT, fids, loads = 15, 120*sim.Second, []float64{0.85}, []int{1, 4, 8}
 	}
-	d := &Fig8Data{PairsPerReq: p.Pairs, CapS: p.Cap.Seconds()}
-	cells, pts := fig8Sweep.Run(o, p)
+	var cells []Fig8Point
+	for _, nCirc := range []int{1, 2, 4} {
+		for _, short := range []bool{false, true} {
+			for _, f := range fids {
+				for _, load := range loads {
+					cells = append(cells, Fig8Point{Circuits: nCirc, ShortCut: short, Fidelity: f, Requests: load})
+				}
+			}
+		}
+	}
+	pts := grid(o, cells, func(c Fig8Point, _ int, seed int64) Fig8Point {
+		return fig8Run(seed, c.Circuits, c.ShortCut, c.Fidelity, c.Requests, pairs, capT)
+	})
+	d := &Fig8Data{PairsPerReq: pairs, CapS: capT.Seconds()}
 	for i, c := range cells {
 		var ls runner.Stats
-		completed := true
+		c.Completed = true
 		for _, r := range pts[i] {
 			ls.Add(r.LatencyS)
-			completed = completed && r.Completed
+			c.Completed = c.Completed && r.Completed
 		}
-		d.Points = append(d.Points, Fig8Point{
-			Circuits: c.nCirc, ShortCut: c.short, Fidelity: c.fid,
-			Requests: c.load, LatencyS: ls.Mean(), Completed: completed,
-		})
+		c.LatencyS = ls.Mean()
+		d.Points = append(d.Points, c)
 	}
 	return d
 }

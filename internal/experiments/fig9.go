@@ -24,43 +24,25 @@ type Fig9Data struct {
 	Points []Fig9Point
 }
 
-// fig9Params is the sweep's shape.
-type fig9Params struct {
-	Horizon, MeasureFrom sim.Duration
-	Intervals            []float64
-	Physics              qnet.Physics
-}
-
-type fig9Cell struct {
-	congested bool
-	interval  float64
-}
-
-var fig9Sweep = &sweep[fig9Params, fig9Cell, Fig9Point]{
-	cells: func(p fig9Params) (cells []fig9Cell) {
-		for _, congested := range []bool{false, true} {
-			for _, iv := range p.Intervals {
-				cells = append(cells, fig9Cell{congested, iv})
-			}
-		}
-		return cells
-	},
-	run: func(p fig9Params, c fig9Cell, _ int, seed int64) Fig9Point {
-		return fig9Run(seed, p.Physics, c.congested, c.interval, p.Horizon, p.MeasureFrom)
-	},
-}
-
 // Fig9 issues 3-pair requests on A0-B0 at an increasing rate (short cutoff,
 // F=0.85) with A1-B1 idle ("empty") or saturated by a long-running request
 // ("congested"), and measures latency after the system reaches equilibrium.
 func Fig9(o Options) *Fig9Data {
-	p := fig9Params{Horizon: 50 * sim.Second, MeasureFrom: 40 * sim.Second,
-		Intervals: []float64{2, 1, 0.5, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05, 0.035, 0.025}, Physics: o.Physics}
+	horizon, measureFrom := 50*sim.Second, 40*sim.Second
+	intervals := []float64{2, 1, 0.5, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05, 0.035, 0.025}
 	if o.Quick {
-		p.Horizon, p.MeasureFrom, p.Intervals = 15*sim.Second, 10*sim.Second, []float64{1, 0.3, 0.15}
+		horizon, measureFrom, intervals = 15*sim.Second, 10*sim.Second, []float64{1, 0.3, 0.15}
 	}
+	var cells []Fig9Point
+	for _, congested := range []bool{false, true} {
+		for _, iv := range intervals {
+			cells = append(cells, Fig9Point{Congested: congested, IntervalS: iv})
+		}
+	}
+	pts := grid(o, cells, func(c Fig9Point, _ int, seed int64) Fig9Point {
+		return fig9Run(seed, o.Physics, c.Congested, c.IntervalS, horizon, measureFrom)
+	})
 	d := &Fig9Data{}
-	cells, pts := fig9Sweep.Run(o, p)
 	for i, c := range cells {
 		var tp, lat, p5, p95 []float64
 		for _, r := range pts[i] {
@@ -69,11 +51,9 @@ func Fig9(o Options) *Fig9Data {
 			p5 = append(p5, r.LatP5)
 			p95 = append(p95, r.LatP95)
 		}
-		d.Points = append(d.Points, Fig9Point{
-			Congested: c.congested, IntervalS: c.interval,
-			ThroughputPS: runner.Mean(tp), LatencyS: runner.Mean(lat),
-			LatP5: runner.Mean(p5), LatP95: runner.Mean(p95),
-		})
+		c.ThroughputPS, c.LatencyS = runner.Mean(tp), runner.Mean(lat)
+		c.LatP5, c.LatP95 = runner.Mean(p5), runner.Mean(p95)
+		d.Points = append(d.Points, c)
 	}
 	return d
 }

@@ -53,42 +53,8 @@ func HubContention(o Options) *HubData {
 
 const hubTargetF = 0.85
 
-// hubParams is the hub sweep's shape, so trimmed -short sweeps run
-// exactly like the full figure.
-type hubParams struct {
-	Horizon sim.Duration
-	Counts  []int
-	Modes   []bool
-}
-
-type hubCell struct {
-	circuits int
-	shared   bool
-}
-
-// hubResult is one replica's measurement.
-type hubResult struct {
-	AggregatePS  float64
-	MinPS        float64
-	PerCircuitPS float64
-	SwapsPS      float64
-	DiscardsPS   float64
-}
-
-var hubSweep = &sweep[hubParams, hubCell, hubResult]{
-	cells: func(p hubParams) (cells []hubCell) {
-		for _, shared := range p.Modes {
-			for _, k := range p.Counts {
-				cells = append(cells, hubCell{k, shared})
-			}
-		}
-		return cells
-	},
-	run: func(p hubParams, c hubCell, _ int, seed int64) hubResult { return hubRun(seed, c, p.Horizon) },
-}
-
-// hubRun measures one hub-contention replica.
-func hubRun(seed int64, j hubCell, horizon sim.Duration) hubResult {
+// hubRun measures one hub-contention replica of cell c.
+func hubRun(seed int64, c HubPoint, horizon sim.Duration) HubPoint {
 	cfg := qnet.DefaultConfig()
 	cfg.Seed = seed
 	// Star-9: hub n0, leaves n1..n8. Disjoint pairs use separate
@@ -96,11 +62,11 @@ func hubRun(seed int64, j hubCell, horizon sim.Duration) hubResult {
 	disjoint := [][2]string{{"n1", "n2"}, {"n3", "n4"}, {"n5", "n6"}, {"n7", "n8"}}
 	shared := [][2]string{{"n1", "n2"}, {"n1", "n3"}, {"n1", "n4"}, {"n1", "n5"}}
 	pairs := disjoint
-	if j.shared {
+	if c.Shared {
 		pairs = shared
 	}
-	specs := make([]qnet.CircuitSpec, j.circuits)
-	for i := 0; i < j.circuits; i++ {
+	specs := make([]qnet.CircuitSpec, c.Circuits)
+	for i := 0; i < c.Circuits; i++ {
 		specs[i] = qnet.CircuitSpec{
 			ID: qnet.CircuitID(fmt.Sprintf("c%d", i)), Src: pairs[i][0], Dst: pairs[i][1],
 			Fidelity: hubTargetF, Policy: qnet.CutoffShort,
@@ -108,7 +74,7 @@ func hubRun(seed int64, j hubCell, horizon sim.Duration) hubResult {
 		}
 	}
 	res, err := qnet.Scenario{
-		Name:     fmt.Sprintf("hub-%d", j.circuits),
+		Name:     fmt.Sprintf("hub-%d", c.Circuits),
 		Config:   cfg,
 		Topology: qnet.StarTopo(9),
 		Circuits: specs,
@@ -118,27 +84,33 @@ func hubRun(seed int64, j hubCell, horizon sim.Duration) hubResult {
 		panic(err)
 	}
 	m := res.Metrics
-	out := hubResult{AggregatePS: m.AggregateEER()}
+	c.AggregatePS = m.AggregateEER()
 	var per runner.Stats
-	out.MinPS = -1
+	c.MinPS = -1
 	for _, cm := range m.Circuits {
 		eer := cm.EER(m.Start, m.End)
 		per.Add(eer)
-		if out.MinPS < 0 || eer < out.MinPS {
-			out.MinPS = eer
+		if c.MinPS < 0 || eer < c.MinPS {
+			c.MinPS = eer
 		}
 	}
-	out.PerCircuitPS = per.Mean()
+	c.PerCircuitPS = per.Mean()
 	hub := m.NodeStats["n0"]
-	out.SwapsPS = float64(hub.Swaps) / horizon.Seconds()
-	out.DiscardsPS = float64(hub.Discards) / horizon.Seconds()
-	return out
+	c.HubSwaps = float64(hub.Swaps) / horizon.Seconds()
+	c.HubDiscards = float64(hub.Discards) / horizon.Seconds()
+	return c
 }
 
 // hubContention is the parameterised core, so -short tests can trim the
 // grid without duplicating the scenario.
 func hubContention(o Options, horizon sim.Duration, counts []int, modes []bool) *HubData {
-	cells, results := hubSweep.Run(o, hubParams{Horizon: horizon, Counts: counts, Modes: modes})
+	var cells []HubPoint
+	for _, shared := range modes {
+		for _, k := range counts {
+			cells = append(cells, HubPoint{Circuits: k, Shared: shared})
+		}
+	}
+	results := grid(o, cells, func(c HubPoint, _ int, seed int64) HubPoint { return hubRun(seed, c, horizon) })
 	d := &HubData{Leaves: 8, HorizonS: horizon.Seconds(), TargetF: hubTargetF}
 	for i, c := range cells {
 		var agg, per, min, sw, disc runner.Stats
@@ -146,14 +118,12 @@ func hubContention(o Options, horizon sim.Duration, counts []int, modes []bool) 
 			agg.Add(r.AggregatePS)
 			per.Add(r.PerCircuitPS)
 			min.Add(r.MinPS)
-			sw.Add(r.SwapsPS)
-			disc.Add(r.DiscardsPS)
+			sw.Add(r.HubSwaps)
+			disc.Add(r.HubDiscards)
 		}
-		d.Points = append(d.Points, HubPoint{
-			Circuits: c.circuits, Shared: c.shared,
-			AggregatePS: agg.Mean(), PerCircuitPS: per.Mean(),
-			MinPS: min.Mean(), HubSwaps: sw.Mean(), HubDiscards: disc.Mean(),
-		})
+		c.AggregatePS, c.PerCircuitPS, c.MinPS = agg.Mean(), per.Mean(), min.Mean()
+		c.HubSwaps, c.HubDiscards = sw.Mean(), disc.Mean()
+		d.Points = append(d.Points, c)
 	}
 	return d
 }
@@ -212,51 +182,17 @@ func PathDiversity(o Options) *DiversityData {
 
 const diversityTargetF = 0.8
 
-// diversityParams is the diversity sweep's shape.
-type diversityParams struct {
-	Horizon    sim.Duration
-	Topologies []string
-	Counts     []int
-}
-
-type diversityCell struct {
-	topology string
-	circuits int
-}
-
-// diversityResult is one replica's measurement.
-type diversityResult struct {
-	Feasible     float64
-	AggregatePS  float64
-	PerCircuitPS float64
-	Hops         float64
-}
-
-var diversitySweep = &sweep[diversityParams, diversityCell, diversityResult]{
-	cells: func(p diversityParams) (cells []diversityCell) {
-		for _, topology := range p.Topologies {
-			for _, k := range p.Counts {
-				cells = append(cells, diversityCell{topology, k})
-			}
-		}
-		return cells
-	},
-	run: func(p diversityParams, c diversityCell, _ int, seed int64) diversityResult {
-		return diversityRun(seed, c, p.Horizon)
-	},
-}
-
-// diversityRun measures one path-diversity replica.
-func diversityRun(seed int64, j diversityCell, horizon sim.Duration) diversityResult {
+// diversityRun measures one path-diversity replica of cell c.
+func diversityRun(seed int64, c DiversityPoint, horizon sim.Duration) DiversityPoint {
 	cfg := qnet.DefaultConfig()
 	cfg.Seed = seed
 	// One circuit per grid row (row-major numbering): link-disjoint routes.
 	gridPairs := [][2]string{{"n0", "n3"}, {"n4", "n7"}, {"n8", "n11"}, {"n12", "n15"}}
 	var topo qnet.TopologySpec
 	var specs []qnet.CircuitSpec
-	if j.topology == "grid-4x4" {
+	if c.Topology == "grid-4x4" {
 		topo = qnet.GridTopo(4, 4)
-		for i := 0; i < j.circuits; i++ {
+		for i := 0; i < c.Circuits; i++ {
 			specs = append(specs, qnet.CircuitSpec{
 				Src: gridPairs[i][0], Dst: gridPairs[i][1],
 				Fidelity: diversityTargetF, Workload: qnet.ContinuousKeep{}, Optional: true,
@@ -265,12 +201,12 @@ func diversityRun(seed int64, j diversityCell, horizon sim.Duration) diversityRe
 	} else {
 		topo = qnet.WaxmanTopo(12, 0.5, 0.4)
 		specs = []qnet.CircuitSpec{{
-			Select:   qnet.RandomPairs(j.circuits),
+			Select:   qnet.RandomPairs(c.Circuits),
 			Fidelity: diversityTargetF, Workload: qnet.ContinuousKeep{}, Optional: true,
 		}}
 	}
 	res, err := qnet.Scenario{
-		Name:     fmt.Sprintf("%s-%d", j.topology, j.circuits),
+		Name:     fmt.Sprintf("%s-%d", c.Topology, c.Circuits),
 		Config:   cfg,
 		Topology: topo,
 		Circuits: specs,
@@ -280,7 +216,7 @@ func diversityRun(seed int64, j diversityCell, horizon sim.Duration) diversityRe
 		panic(err)
 	}
 	m := res.Metrics
-	out := diversityResult{AggregatePS: m.AggregateEER()}
+	c.AggregatePS = m.AggregateEER()
 	var feas, per, hops runner.Stats
 	for _, cm := range m.Circuits {
 		if !cm.Established {
@@ -291,16 +227,22 @@ func diversityRun(seed int64, j diversityCell, horizon sim.Duration) diversityRe
 		per.Add(cm.EER(m.Start, m.End))
 		hops.Add(float64(len(cm.Path) - 1))
 	}
-	out.Feasible = feas.Mean()
-	out.PerCircuitPS = per.Mean()
-	out.Hops = hops.Mean()
-	return out
+	c.Feasible, c.PerCircuitPS, c.MeanHops = feas.Mean(), per.Mean(), hops.Mean()
+	return c
 }
 
 // pathDiversity is the parameterised core, so -short tests can trim the
 // grid without duplicating the scenario.
 func pathDiversity(o Options, horizon sim.Duration, topologies []string, counts []int) *DiversityData {
-	cells, results := diversitySweep.Run(o, diversityParams{Horizon: horizon, Topologies: topologies, Counts: counts})
+	var cells []DiversityPoint
+	for _, topology := range topologies {
+		for _, k := range counts {
+			cells = append(cells, DiversityPoint{Topology: topology, Circuits: k})
+		}
+	}
+	results := grid(o, cells, func(c DiversityPoint, _ int, seed int64) DiversityPoint {
+		return diversityRun(seed, c, horizon)
+	})
 	d := &DiversityData{HorizonS: horizon.Seconds(), TargetF: diversityTargetF}
 	for i, c := range cells {
 		var feas, agg, per, hops runner.Stats
@@ -308,13 +250,10 @@ func pathDiversity(o Options, horizon sim.Duration, topologies []string, counts 
 			feas.Add(r.Feasible)
 			agg.Add(r.AggregatePS)
 			per.Add(r.PerCircuitPS)
-			hops.Add(r.Hops)
+			hops.Add(r.MeanHops)
 		}
-		d.Points = append(d.Points, DiversityPoint{
-			Topology: c.topology, Circuits: c.circuits,
-			Feasible: feas.Mean(), AggregatePS: agg.Mean(),
-			PerCircuitPS: per.Mean(), MeanHops: hops.Mean(),
-		})
+		c.Feasible, c.AggregatePS, c.PerCircuitPS, c.MeanHops = feas.Mean(), agg.Mean(), per.Mean(), hops.Mean()
+		d.Points = append(d.Points, c)
 	}
 	return d
 }

@@ -41,31 +41,12 @@ type MultipathData struct {
 // multipathTargetF is the end-to-end fidelity target of every circuit.
 const multipathTargetF = 0.8
 
-// multipathParams is the sweep's shape. Ref, Physics and Seed are filled
-// in by multipath from the probe and Options: Ref is the uncontended
-// three-hop allocation at the study's target (dumbbellAllocation), the
-// reference rate the per-testbed demands are fractions of.
+// multipathParams is the study's shape, so trimmed -short studies run
+// exactly like the full figure. Pairs is the Waxman testbed's offered
+// load.
 type multipathParams struct {
 	Horizon sim.Duration
 	Pairs   int
-	Ref     float64
-	Physics qnet.Physics
-	Seed    int64
-}
-
-// multipathCell is one cell of the sweep.
-type multipathCell struct {
-	topo  string
-	k     int
-	model bool
-}
-
-// multipathResult is one replica's measurement.
-type multipathResult struct {
-	Admitted int
-	Rejected int
-	Rerouted int
-	AggEER   float64
 }
 
 // Per-testbed demand as a fraction of the three-hop reference allocation.
@@ -96,49 +77,50 @@ var gridLoad = [][2]string{
 	{"n5", "n6"}, {"n8", "n9"}, {"n10", "n14"},
 }
 
-// multipathScenario is one replica's declarative scenario: the offered
-// load pre-installed in spec order (sequential admission), each circuit
-// demanding the testbed's MinEER under EnforceEER with the cell's
-// placement parameters, then saturated by ContinuousKeep so delivered
-// throughput reflects the placements. The grid offers the crafted
-// gridLoad; the (seed-dependent) Waxman graph offers random pairs.
-func multipathScenario(j multipathCell, p multipathParams) qnet.Scenario {
+// multipathScenario is one replica's declarative scenario for cell c:
+// the offered load pre-installed in spec order (sequential admission),
+// each circuit demanding the testbed's fraction of ref as its MinEER under
+// EnforceEER with the cell's placement parameters, then saturated by
+// ContinuousKeep so delivered throughput reflects the placements. The grid
+// offers the crafted gridLoad; the (seed-dependent) Waxman graph offers
+// random pairs. ref is the uncontended three-hop allocation at the
+// study's target (dumbbellAllocation).
+func multipathScenario(c MultipathPoint, p multipathParams, ref float64) qnet.Scenario {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true
-	cfg.Physics = p.Physics
-	if j.model {
+	if c.Model {
 		cfg.Alloc = qnet.AllocModelWeighted
 	}
 	base := qnet.CircuitSpec{
 		Fidelity:   multipathTargetF,
 		Policy:     qnet.CutoffShort,
-		Candidates: j.k,
+		Candidates: c.K,
 		Workload:   qnet.ContinuousKeep{},
 		Optional:   true,
 	}
 	var ts qnet.TopologySpec
 	var circuits []qnet.CircuitSpec
-	if j.topo == "grid-4x4" {
+	if c.Topology == "grid-4x4" {
 		ts = qnet.GridTopo(4, 4)
 		for i, pair := range gridLoad {
-			c := base
-			c.ID = qnet.CircuitID(fmt.Sprintf("c%d", i))
-			c.Src, c.Dst = pair[0], pair[1]
-			c.MinEER = gridDemandFrac * p.Ref
-			circuits = append(circuits, c)
+			spec := base
+			spec.ID = qnet.CircuitID(fmt.Sprintf("c%d", i))
+			spec.Src, spec.Dst = pair[0], pair[1]
+			spec.MinEER = gridDemandFrac * ref
+			circuits = append(circuits, spec)
 		}
 	} else {
 		// Denser than the diversity figure's Waxman testbed (23 links on
 		// 12 nodes vs 14): placement needs alternate routes to exist.
 		ts = qnet.WaxmanTopo(12, 0.8, 0.5)
-		c := base
-		c.ID = "vc"
-		c.Select = qnet.RandomPairs(p.Pairs)
-		c.MinEER = waxmanDemandFrac * p.Ref
-		circuits = append(circuits, c)
+		spec := base
+		spec.ID = "vc"
+		spec.Select = qnet.RandomPairs(p.Pairs)
+		spec.MinEER = waxmanDemandFrac * ref
+		circuits = append(circuits, spec)
 	}
 	return qnet.Scenario{
-		Name:     fmt.Sprintf("multipath-%s-k%d", j.topo, j.k),
+		Name:     fmt.Sprintf("multipath-%s-k%d", c.Topology, c.K),
 		Config:   cfg,
 		Topology: ts,
 		Circuits: circuits,
@@ -146,45 +128,22 @@ func multipathScenario(j multipathCell, p multipathParams) qnet.Scenario {
 	}
 }
 
-// multipathSweep replays the same replica seeds p.Seed+replica in every
-// (k, policy) cell, so all cells see the identical offered load and differ
-// only in placement policy — a paired comparison, not independent draws.
-var multipathSweep = &sweep[multipathParams, multipathCell, multipathResult]{
-	cells: func(multipathParams) (cells []multipathCell) {
-		for _, topo := range []string{"grid-4x4", "waxman-12"} {
-			for _, k := range []int{1, 2, 3} {
-				for _, model := range []bool{false, true} {
-					cells = append(cells, multipathCell{topo: topo, k: k, model: model})
-				}
-			}
-		}
-		return cells
-	},
-	run: func(p multipathParams, c multipathCell, replica int, _ int64) multipathResult {
-		return multipathRun(p.Seed+int64(replica), c, p)
-	},
-}
-
-// multipathRun measures one placement replica.
-func multipathRun(seed int64, c multipathCell, p multipathParams) multipathResult {
-	sc := multipathScenario(c, p)
-	sc.Config.Seed = seed
+// multipathRun measures one placement replica of cell c.
+func multipathRun(seed int64, physics qnet.Physics, c MultipathPoint, p multipathParams, ref float64) MultipathPoint {
+	sc := multipathScenario(c, p, ref)
+	sc.Config.Seed, sc.Config.Physics = seed, physics
 	res, err := sc.Run()
 	if err != nil {
 		panic(err)
 	}
 	m := res.Metrics
-	out := multipathResult{
-		Admitted: m.Admitted,
-		Rejected: m.RejectedAtAdmission,
-		AggEER:   m.AggregateEER(),
-	}
+	c.Admitted, c.Rejected, c.AggEER = float64(m.Admitted), float64(m.RejectedAtAdmission), m.AggregateEER()
 	for _, cm := range m.Circuits {
 		if cm.Established && cm.CandidateIndex > 0 {
-			out.Rerouted++
+			c.Rerouted++
 		}
 	}
-	return out
+	return c
 }
 
 // Multipath runs the placement study on the grid and Waxman testbeds.
@@ -198,29 +157,40 @@ func Multipath(o Options) *MultipathData {
 
 // multipath is the parameterised core.
 func multipath(o Options, p multipathParams) *MultipathData {
-	p.Ref, p.Physics, p.Seed = dumbbellAllocation(multipathTargetF), o.Physics, o.Seed
-	cells, results := multipathSweep.Run(o, p)
+	ref := dumbbellAllocation(multipathTargetF)
+	var cells []MultipathPoint
+	for _, topo := range []string{"grid-4x4", "waxman-12"} {
+		offered := len(gridLoad)
+		if topo != "grid-4x4" {
+			offered = p.Pairs
+		}
+		for _, k := range []int{1, 2, 3} {
+			for _, model := range []bool{false, true} {
+				cells = append(cells, MultipathPoint{Topology: topo, K: k, Model: model, Offered: offered})
+			}
+		}
+	}
+	// Every (k, policy) cell replays the same replica seeds o.Seed+replica,
+	// so all cells see the identical offered load and differ only in
+	// placement policy — a paired comparison, not independent draws.
+	results := grid(o, cells, func(c MultipathPoint, replica int, _ int64) MultipathPoint {
+		return multipathRun(o.Seed+int64(replica), o.Physics, c, p, ref)
+	})
 	d := &MultipathData{
-		GridDemandPS:   gridDemandFrac * p.Ref,
-		WaxmanDemandPS: waxmanDemandFrac * p.Ref,
+		GridDemandPS:   gridDemandFrac * ref,
+		WaxmanDemandPS: waxmanDemandFrac * ref,
 		HorizonS:       p.Horizon.Seconds(),
 	}
 	for i, c := range cells {
-		offered := len(gridLoad)
-		if c.topo != "grid-4x4" {
-			offered = p.Pairs
-		}
 		var adm, rej, rer, agg runner.Stats
 		for _, r := range results[i] {
-			adm.Add(float64(r.Admitted))
-			rej.Add(float64(r.Rejected))
-			rer.Add(float64(r.Rerouted))
+			adm.Add(r.Admitted)
+			rej.Add(r.Rejected)
+			rer.Add(r.Rerouted)
 			agg.Add(r.AggEER)
 		}
-		d.Points = append(d.Points, MultipathPoint{
-			Topology: c.topo, K: c.k, Model: c.model, Offered: offered,
-			Admitted: adm.Mean(), Rejected: rej.Mean(), Rerouted: rer.Mean(), AggEER: agg.Mean(),
-		})
+		c.Admitted, c.Rejected, c.Rerouted, c.AggEER = adm.Mean(), rej.Mean(), rer.Mean(), agg.Mean()
+		d.Points = append(d.Points, c)
 	}
 	return d
 }

@@ -41,17 +41,6 @@ type topoScenario struct {
 	topo  qnet.TopologySpec
 }
 
-func topoScenarios() []topoScenario {
-	return []topoScenario{
-		{"chain-3", 3, qnet.ChainTopo(3)},
-		{"chain-5", 5, qnet.ChainTopo(5)},
-		{"ring-6", 6, qnet.RingTopo(6)},
-		{"star-6", 6, qnet.StarTopo(6)},
-		{"grid-3x3", 9, qnet.GridTopo(3, 3)},
-		{"waxman-10", 10, qnet.WaxmanTopo(10, 0.5, 0.4)},
-	}
-}
-
 // topoResult is one replica's measurement.
 type topoResult struct {
 	Links, Hops int
@@ -61,16 +50,6 @@ type topoResult struct {
 }
 
 const topoTargetF = 0.85
-
-// topoParams is the sweep's shape; the cells are topoScenarios().
-type topoParams struct{ Horizon sim.Duration }
-
-var topoSweep = &sweep[topoParams, topoScenario, topoResult]{
-	cells: func(topoParams) []topoScenario { return topoScenarios() },
-	run: func(p topoParams, sc topoScenario, _ int, seed int64) topoResult {
-		return topoRun(seed, sc, p.Horizon)
-	},
-}
 
 // topoRun measures one topology replica.
 func topoRun(seed int64, sc topoScenario, horizon sim.Duration) topoResult {
@@ -113,12 +92,20 @@ func topoRun(seed int64, sc topoScenario, horizon sim.Duration) topoResult {
 // differences isolate what the graph shape does to end-to-end entanglement
 // distribution (hop count, swap concentration at hubs, path diversity).
 func TopologySweep(o Options) *TopoData {
-	p := topoParams{Horizon: 10 * sim.Second}
+	horizon := 10 * sim.Second
 	if o.Quick {
-		p.Horizon = 3 * sim.Second
+		horizon = 3 * sim.Second
 	}
-	d := &TopoData{HorizonS: p.Horizon.Seconds(), TargetF: topoTargetF}
-	scs, results := topoSweep.Run(o, p)
+	scs := []topoScenario{
+		{"chain-3", 3, qnet.ChainTopo(3)},
+		{"chain-5", 5, qnet.ChainTopo(5)},
+		{"ring-6", 6, qnet.RingTopo(6)},
+		{"star-6", 6, qnet.StarTopo(6)},
+		{"grid-3x3", 9, qnet.GridTopo(3, 3)},
+		{"waxman-10", 10, qnet.WaxmanTopo(10, 0.5, 0.4)},
+	}
+	results := grid(o, scs, func(sc topoScenario, _ int, seed int64) topoResult { return topoRun(seed, sc, horizon) })
+	d := &TopoData{HorizonS: horizon.Seconds(), TargetF: topoTargetF}
 	for i, sc := range scs {
 		var links, hops, feas, tp, mf runner.Stats
 		for _, r := range results[i] {

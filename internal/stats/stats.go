@@ -23,11 +23,12 @@
 //     of the data, so bucket counts are plain integer sums.
 //
 // Consequently Merge is associative and commutative up to bit-identical
-// summary statistics: splitting one sample stream across any number of
-// shards and merging the per-shard aggregates (in any grouping) yields the
+// summary statistics: splitting one sample stream into any number of
+// parts and merging the per-part aggregates (in any grouping) yields the
 // same Count, Min, Max, Sum, Mean, Percentile and CountAtOrAbove results as
-// one aggregate fed the whole stream. This is the property process-sharded
-// metrics merging relies on.
+// one aggregate fed the whole stream. qnet's network-wide latency summary
+// (merged over circuits) and the city study's percentiles (merged over
+// replicas) rely on this.
 //
 // # Exactness of queries
 //
@@ -78,9 +79,10 @@ const BucketsPerOctave = 32
 const zeroBucket = math.MinInt32
 
 // Agg is a mergeable constant-memory aggregate of a float64 sample
-// stream. The zero value is ready to use. The exported fields are the
-// wire form (JSON round-trips bit-exactly); treat them as read-only and
-// use the methods for queries.
+// stream. The zero value is ready to use. The exported fields are its
+// whole state, so its JSON encoding round-trips bit-exactly (tests compare
+// metrics through it); treat them as read-only and use the methods for
+// queries.
 type Agg struct {
 	// Count is the number of samples added.
 	Count int64
@@ -191,7 +193,7 @@ func (a *Agg) Sum() float64 {
 const sumPrec = 2240
 
 // Mean returns the arithmetic mean, 0 when empty. Exact-sum based, so
-// bit-identical across shard splits.
+// bit-identical however the stream was split and merged.
 func (a *Agg) Mean() float64 {
 	if a.Count == 0 {
 		return 0
@@ -267,8 +269,8 @@ func (a *Agg) countAtOrAbove(x float64) int64 {
 	return n
 }
 
-// sorted returns the exact buffer in ascending order (copying, so the
-// add-order wire form is preserved).
+// sorted returns the exact buffer in ascending order (copying, so
+// Samples keeps its add order).
 func (a *Agg) sorted() []float64 {
 	xs := append([]float64(nil), a.Samples...)
 	sort.Float64s(xs)

@@ -209,7 +209,7 @@ func TestExactSumIsCorrectlyRounded(t *testing.T) {
 	}
 }
 
-// TestJSONRoundTrip: the wire form reproduces every summary statistic
+// TestJSONRoundTrip: the JSON encoding reproduces every summary statistic
 // bit-identically, in both exact and histogram regimes, and a decoded
 // aggregate keeps aggregating.
 func TestJSONRoundTrip(t *testing.T) {

@@ -44,11 +44,8 @@
 // propagated hop by hop so head-end pacing tracks membership); an arrival
 // whose MinEER demand no longer fits is rejected at admission.
 // Replicas are independent runs of the same Scenario value under
-// runner.DeriveSeed seeds; a replica job that crosses a process boundary
-// carries the parameters its scenario is built from, never the scenario
-// itself (cmd/qnpsim sends its own scenario flags, internal/experiments
-// its figure parameters), and the worker rebuilds the scenario with the
-// same code.
+// runner.DeriveSeed seeds, run in process on runner.Run's worker pool;
+// each replica sets its own Config.Seed on a copy of the scenario.
 //
 // # Topologies
 //

@@ -76,9 +76,9 @@ func WaxmanTopo(k int, alpha, beta float64) TopologySpec {
 // A Selector derives circuit endpoints from the materialized topology, so
 // scenarios stay valid across shapes and seeds. The rng is the scenario's
 // selection stream — deterministic per seed and disjoint from the physics
-// stream. A selector is code, not data: a replica in another process gets
-// it by rebuilding the scenario from the parameters that chose it, as
-// cmd/qnpsim does from its flags.
+// stream. A selector must be safe to share: replicas run copies of one
+// Scenario value concurrently, so it must not mutate state outside its
+// arguments.
 type Selector func(net *Network, rng *rand.Rand) [][2]string
 
 // DiameterPair selects the topology's farthest node pair — its hardest
