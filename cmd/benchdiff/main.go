@@ -11,6 +11,9 @@
 // Compare exits 1 when ns/op or allocs/op regress by more than the
 // threshold (default 15%) on any benchmark present in both files, and 2
 // on a usage error such as a threshold that is not a finite number ≥ 0.
+// Input the gate could not compare is an error too (exit 2): a value that
+// is not a finite number, a negative ns/op, B/op or allocs/op, or a
+// benchmark named twice.
 // Benchmarks present only in the new file are listed as "new (no
 // baseline)" without failing the gate; benchmarks that vanished from
 // the new file fail it.
@@ -29,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Result is one benchmark's normalised numbers.
@@ -94,6 +98,10 @@ func normalizeName(name string) string {
 }
 
 // parseBench reads `go test -bench` text and returns the normalised results.
+// It rejects what the gate could not compare: a value that is not a
+// finite number, a negative ns/op, B/op or allocs/op, a unit given twice
+// on one line, a benchmark named twice (after normalizeName) and a line
+// that is not UTF-8, which JSON could not carry unchanged.
 func parseBench(r *bufio.Scanner) (map[string]Result, error) {
 	results := make(map[string]Result)
 	for r.Scan() {
@@ -101,19 +109,34 @@ func parseBench(r *bufio.Scanner) (map[string]Result, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
+		if !utf8.ValidString(line) {
+			return nil, fmt.Errorf("line %q: not valid UTF-8", line)
+		}
 		fields := strings.Fields(line)
 		// Name, iterations, then value/unit pairs.
 		if len(fields) < 4 {
 			continue
 		}
 		name := normalizeName(fields[0])
+		if _, dup := results[name]; dup {
+			return nil, fmt.Errorf("line %q: benchmark %s already reported", line, name)
+		}
 		res := Result{Metrics: map[string]float64{}}
+		seen := map[string]bool{}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %q: bad value %q", line, fields[i])
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("line %q: value %q is not a finite number", line, fields[i])
 			}
-			switch unit := fields[i+1]; unit {
+			unit := fields[i+1]
+			if seen[unit] {
+				return nil, fmt.Errorf("line %q: %s given twice", line, unit)
+			}
+			seen[unit] = true
+			if v < 0 && (unit == "ns/op" || unit == "B/op" || unit == "allocs/op") {
+				return nil, fmt.Errorf("line %q: negative %s", line, unit)
+			}
+			switch unit {
 			case "ns/op":
 				res.NsOp = v
 			case "allocs/op":
@@ -148,11 +171,10 @@ func runParse(sha, out string) error {
 		GoVersion:  runtime.Version(),
 		Benchmarks: results,
 	}
-	data, err := json.MarshalIndent(f, "", "  ")
+	data, err := encode(f)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	if out == "" {
 		_, err = os.Stdout.Write(data)
 		return err
@@ -160,6 +182,15 @@ func runParse(sha, out string) error {
 	return os.WriteFile(out, data, 0o644)
 }
 
+// encode renders f as a BENCH_*.json file.
+func encode(f File) ([]byte, error) {
+	data, err := json.MarshalIndent(f, "", "  ")
+	return append(data, '\n'), err
+}
+
+// load reads a BENCH_*.json file. Like parseBench it rejects a negative
+// ns/op, B/op or allocs/op (JSON has no NaN or ±Inf), and like parseBench
+// it leaves a benchmark without metrics with nil Metrics.
 func load(path string) (File, error) {
 	var f File
 	data, err := os.ReadFile(path)
@@ -168,6 +199,20 @@ func load(path string) (File, error) {
 	}
 	if err := json.Unmarshal(data, &f); err != nil {
 		return f, fmt.Errorf("%s: %w", path, err)
+	}
+	var negative []string
+	for name, r := range f.Benchmarks {
+		if r.NsOp < 0 || r.BytesOp < 0 || r.AllocsOp < 0 {
+			negative = append(negative, name)
+		}
+		if r.Metrics != nil && len(r.Metrics) == 0 {
+			r.Metrics = nil
+			f.Benchmarks[name] = r
+		}
+	}
+	sort.Strings(negative)
+	if len(negative) > 0 {
+		return File{}, fmt.Errorf("%s: negative ns_op, bytes_op or allocs_op in %s", path, strings.Join(negative, ", "))
 	}
 	return f, nil
 }

@@ -104,6 +104,12 @@ func figuresMain(args []string, w, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// The flag parser stops at the first non-flag: "-fig 9 runs 3" would
+	// otherwise drop everything after "runs" silently.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q (flags only)\n", fs.Arg(0))
+		return 2
+	}
 	var selected []figure
 	for _, f := range figures {
 		if f.id == *fig || (*fig == "all" && f.inAll) {
@@ -125,6 +131,10 @@ func figuresMain(args []string, w, stderr io.Writer) int {
 	}
 	if *runs > 0 {
 		o.Runs = *runs
+	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "-workers must be ≥ 0 (got %d)\n", *workers)
+		return 2
 	}
 	o.Seed = *seed
 	o.Workers = *workers

@@ -89,3 +89,25 @@ func TestNegativeRuns(t *testing.T) {
 		t.Errorf("stderr = %q, want it to contain %q", stderr.String(), want)
 	}
 }
+
+// TestUsageErrors: bad command lines exit 2 with a message and print
+// nothing to stdout.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct{ args, stderr string }{
+		{"-fig tables -workers -3", "-workers must be ≥ 0 (got -3)"},
+		{"-fig tables -physics bogus", `unknown physics engine "bogus"`},
+		{"-fig tables -nosuchflag", "flag provided but not defined"},
+		{"-fig 9 runs 3", `unexpected argument "runs"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := figuresMain(strings.Fields(tc.args), &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit status %d, want 2", tc.args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: stdout = %q, want empty", tc.args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: stderr = %q, want it to contain %q", tc.args, stderr.String(), tc.stderr)
+		}
+	}
+}

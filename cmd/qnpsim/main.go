@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"qnp/internal/cli"
@@ -116,17 +117,20 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		return fail("-circuits must be ≥ 1 (got %d)", *circuits)
 	case *replicas < 1:
 		return fail("-replicas must be ≥ 1 (got %d)", *replicas)
+	case *workers < 0:
+		return fail("-workers must be ≥ 0 (got %d)", *workers)
 	case *pairs < 0:
 		return fail("-pairs must be ≥ 0 (got %d)", *pairs)
-	case *hold < 0:
-		return fail("-hold must be ≥ 0 (got %g)", *hold)
-	case *minEER < 0:
-		return fail("-mineer must be ≥ 0 (got %g)", *minEER)
-	case *maxEER < 0:
-		return fail("-maxeer must be ≥ 0 (got %g)", *maxEER)
-	case *horizon <= 0:
-		return fail("-horizon must be > 0 (got %g)", *horizon)
-	case !(*fidelity > 0 && *fidelity <= 1): // NaN fails both
+	// Each float range is written so that NaN and ±Inf fail it.
+	case !(finite(*hold) && *hold >= 0):
+		return fail("-hold must be ≥ 0 and finite (got %g)", *hold)
+	case !(finite(*minEER) && *minEER >= 0):
+		return fail("-mineer must be ≥ 0 and finite (got %g)", *minEER)
+	case !(finite(*maxEER) && *maxEER >= 0):
+		return fail("-maxeer must be ≥ 0 and finite (got %g)", *maxEER)
+	case !(finite(*horizon) && *horizon > 0):
+		return fail("-horizon must be > 0 and finite (got %g)", *horizon)
+	case !(*fidelity > 0 && *fidelity <= 1):
 		return fail("-fidelity must be in (0, 1] (got %g)", *fidelity)
 	case *verbose && *replicas > 1:
 		return fail("-v logs a single run and cannot be combined with -replicas %d", *replicas)
@@ -169,8 +173,13 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		topo = qnet.GridTopo(*rows, *cols)
 		nodeCount = *rows * *cols
 	case "random":
-		if *nodes < 2 {
+		switch {
+		case *nodes < 2:
 			return fail("random needs -nodes ≥ 2 (got %d)", *nodes)
+		case !(finite(*alpha) && *alpha > 0):
+			return fail("-alpha must be > 0 and finite (got %g)", *alpha)
+		case !(finite(*beta) && *beta > 0):
+			return fail("-beta must be > 0 and finite (got %g)", *beta)
 		}
 		topo = qnet.WaxmanTopo(*nodes, *alpha, *beta)
 	default:
@@ -197,8 +206,8 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 
 	switch *workload {
 	case "interval", "poisson", "onoff", "churn":
-		if *interval <= 0 {
-			return fail("-interval must be > 0 for -workload %s (got %g)", *workload, *interval)
+		if !(finite(*interval) && *interval > 0) {
+			return fail("-interval must be > 0 for -workload %s, and finite (got %g)", *workload, *interval)
 		}
 	}
 	iv := sim.DurationFromSeconds(*interval)
@@ -276,6 +285,9 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 		seed: *seed, replicas: *replicas, workers: *workers, verbose: *verbose,
 	}, nil
 }
+
+// finite reports whether x is a number other than ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // replicaResult is what one replica reports back: the numbers the
 // -replicas summary averages.

@@ -82,18 +82,33 @@ func TestUsageErrors(t *testing.T) {
 		{"-paths 0", 2, "-paths must be ≥ 1"},
 		{"-circuits 0", 2, "-circuits must be ≥ 1"},
 		{"-replicas 0", 2, "-replicas must be ≥ 1"},
+		{"-workers -2 -replicas 2 -pairs 2 -horizon 2", 2, "-workers must be ≥ 0 (got -2)"},
 		{"-pairs -1", 2, "-pairs must be ≥ 0"},
 		{"-hold -1", 2, "-hold must be ≥ 0"},
 		{"-mineer -1", 2, "-mineer must be ≥ 0"},
 		{"-maxeer -1", 2, "-maxeer must be ≥ 0"},
 		{"-horizon -5", 2, "-horizon must be > 0"},
 		{"-horizon 0", 2, "-horizon must be > 0"},
+		{"-horizon NaN", 2, "-horizon must be > 0 and finite (got NaN)"},
+		{"-horizon Inf", 2, "-horizon must be > 0 and finite (got +Inf)"},
+		{"-hold NaN -workload churn", 2, "-hold must be ≥ 0 and finite (got NaN)"},
+		{"-hold Inf -workload churn", 2, "-hold must be ≥ 0 and finite (got +Inf)"},
+		{"-mineer NaN -workload churn", 2, "-mineer must be ≥ 0 and finite (got NaN)"},
+		{"-mineer Inf -workload churn", 2, "-mineer must be ≥ 0 and finite (got +Inf)"},
+		{"-maxeer NaN", 2, "-maxeer must be ≥ 0 and finite (got NaN)"},
+		{"-maxeer -Inf", 2, "-maxeer must be ≥ 0 and finite (got -Inf)"},
+		{"-topology random -alpha -1", 2, "-alpha must be > 0 and finite (got -1)"},
+		{"-topology random -alpha NaN", 2, "-alpha must be > 0 and finite (got NaN)"},
+		{"-topology random -beta 0", 2, "-beta must be > 0 and finite (got 0)"},
+		{"-topology random -beta Inf", 2, "-beta must be > 0 and finite (got +Inf)"},
 		{"-fidelity -1", 2, "-fidelity must be in (0, 1] (got -1)"},
 		{"-fidelity 0", 2, "-fidelity must be in (0, 1] (got 0)"},
 		{"-fidelity 1.5", 2, "-fidelity must be in (0, 1] (got 1.5)"},
 		{"-fidelity NaN", 2, "-fidelity must be in (0, 1] (got NaN)"},
 		{"-interval -1 -workload interval", 2, "-interval must be > 0 for -workload interval"},
 		{"-interval 0 -workload churn", 2, "-interval must be > 0 for -workload churn"},
+		{"-interval NaN -workload interval", 2, "-interval must be > 0 for -workload interval, and finite (got NaN)"},
+		{"-interval Inf -workload poisson", 2, "-interval must be > 0 for -workload poisson, and finite (got +Inf)"},
 		{"-v -replicas 2 -pairs 2 -horizon 5", 2, "-v logs a single run and cannot be combined with -replicas 2"},
 		{"-topology dumbbell -src A0 -dst B0 -circuits 2", 2, "-src/-dst name a single circuit and cannot be combined with -circuits 2"},
 		{"-topology dumbbell -src A0 -circuits 3", 2, "-src/-dst name a single circuit and cannot be combined with -circuits 3"},

@@ -1,25 +1,21 @@
 package lint
 
-import (
-	"go/types"
+import "go/types"
 
-	"qnp/internal/lint/analysis"
-)
-
-// detRandAnalyzer flags nondeterminism sources inside simulation packages:
+// detRandCheck flags nondeterminism sources inside simulation packages:
 // wall-clock reads and the process-global math/rand source. Simulation code
 // must be a pure function of the replica seed — a single time.Now or global
 // rand.Intn silently breaks worker-count invariance and the byte-identity
 // CI gates. Escape hatch: //qnetlint:allow detrand <reason>.
-var detRandAnalyzer = &analysis.Analyzer{
-	Name: "detrand",
-	Doc: "forbid wall-clock time and global math/rand in simulation packages\n\n" +
+var detRandCheck = check{
+	name: "detrand",
+	doc: "forbid wall-clock time and global math/rand in simulation packages\n\n" +
 		"Simulation packages (sim, qnet, core, routing, linklayer, device,\n" +
 		"hardware, werner, quantum, signaling) must derive every random draw\n" +
 		"from the replica seed and every timestamp from sim.Time. Wall-clock\n" +
 		"reads (time.Now/Since/Sleep/...) and the shared global math/rand\n" +
 		"functions make replicas diverge run to run.",
-	Run: withDirectives(runDetRand),
+	run: eachUnit(runDetRand),
 }
 
 // detrandBanned maps package path -> function name -> why it is banned.
@@ -57,13 +53,13 @@ var detrandBanned = map[string]map[string]string{
 	},
 }
 
-func runDetRand(pass *analysis.Pass, sup *suppressor) {
-	if !isSimulationPackage(pass.Pkg.Path()) {
+func runDetRand(pass *pass) {
+	if !isSimulationPackage(pass.pkg.Path()) {
 		return
 	}
 	// The driver sorts diagnostics by position, so the random iteration
 	// order of Uses never reaches the output.
-	for id, obj := range pass.TypesInfo.Uses {
+	for id, obj := range pass.info.Uses {
 		switch obj := obj.(type) {
 		case *types.Func:
 			if obj.Pkg() == nil {
@@ -86,12 +82,12 @@ func runDetRand(pass *analysis.Pass, sup *suppressor) {
 					why = "draws from the shared global source"
 				}
 			}
-			sup.report(id.Pos(), "%s.%s %s: simulation code must derive all randomness and time from the replica seed (use the scenario's seeded streams / sim.Time)",
+			pass.reportf(id.Pos(), "%s.%s %s: simulation code must derive all randomness and time from the replica seed (use the scenario's seeded streams / sim.Time)",
 				obj.Pkg().Name(), obj.Name(), why)
 		case *types.Var:
 			// crypto/rand.Reader is a package variable, not a function.
 			if obj.Pkg() != nil && obj.Pkg().Path() == "crypto/rand" && obj.Name() == "Reader" {
-				sup.report(id.Pos(), "crypto/rand.Reader is nondeterministic by design: simulation code must derive all randomness from the replica seed")
+				pass.reportf(id.Pos(), "crypto/rand.Reader is nondeterministic by design: simulation code must derive all randomness from the replica seed")
 			}
 		}
 	}

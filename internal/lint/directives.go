@@ -5,16 +5,14 @@ import (
 	"go/token"
 	"slices"
 	"strings"
-
-	"qnp/internal/lint/analysis"
 )
 
 // The //qnetlint: comment grammar.
 //
-//	//qnetlint:allow <analyzer> <reason>
+//	//qnetlint:allow <check> <reason>
 //	//qnetlint:sorted <reason>
 //
-// An allow directive suppresses the named analyzer's diagnostics on the
+// An allow directive suppresses the named check's findings on the
 // directive's line and on the line directly below it (so it works both as a
 // trailing comment and as a lead comment above the flagged statement). The
 // sorted directive is maporder's dedicated justification: it asserts the
@@ -24,20 +22,20 @@ import (
 // justification (CI greps for naked directives as a second line of
 // defence). An allow must name a check of the suite (allowNames); any
 // other name is reported too. A well-formed directive that suppresses no
-// diagnostic is reported as stale.
+// finding is reported as stale.
 
 const directivePrefix = "//qnetlint:"
 
-// grammarReporter is the analyzer that reports directives too malformed to
-// name the analyzer they meant to address (unknown or missing verb, no or
-// an unknown analyzer). Any one will do as long as it is exactly one;
-// detrand is first in the suite.
-const grammarReporter = "detrand"
-
-// allowNames are the checks an allow directive may name: the five
-// analyzers and testonly. An allow naming anything else would suppress
+// allowNames are the checks an allow directive may name: every check of
+// the suite, in table order. An allow naming anything else would suppress
 // nothing while reading as a justified suppression.
-var allowNames = []string{"detrand", "maporder", "wsownership", "hotalloc", "streamoffset", testOnlyName}
+var allowNames = func() []string {
+	var names []string
+	for _, c := range checks {
+		names = append(names, c.name)
+	}
+	return names
+}()
 
 // directive is one parsed //qnetlint: comment.
 type directive struct {
@@ -103,97 +101,72 @@ func parseDirectives(f *ast.File) []directive {
 	return out
 }
 
-// withDirectives wraps an analyzer's check with the //qnetlint:
-// directives of the package it runs on. The check reports through the
-// suppressor, which drops what an allow covers; afterwards every
-// well-formed directive for the analyzer that covered no diagnostic is
-// reported as stale — left in place, it would silently hide the next real
-// violation on its line.
-func withDirectives(check func(*analysis.Pass, *suppressor)) func(*analysis.Pass) {
-	return func(pass *analysis.Pass) {
-		sup := newSuppressor(pass)
-		check(pass, sup)
-		for _, a := range sup.order {
-			if !a.used {
-				pass.Reportf(a.pos, "stale qnetlint directive: no %s diagnostic on this line or the next — delete it", pass.Analyzer.Name)
-			}
-		}
+// applyDirectives turns the passes' diagnostics into findings under the
+// directives of files, which it parses once. It reports each malformed
+// directive once, tagged with the check it names (qnetlint when it names
+// none). It drops a diagnostic when a well-formed allow for its check
+// covers the line of its position or of its anchor. It reports each
+// well-formed directive of a check that ran but covered nothing as stale:
+// left in place, it would silently hide the next real violation on its
+// line.
+func applyDirectives(fset *token.FileSet, files []*ast.File, passes []*pass) []finding {
+	ran := map[string]bool{}
+	for _, p := range passes {
+		ran[p.check] = true
 	}
-}
-
-// suppressor answers "is this analyzer suppressed at this position?" for one
-// package, and reports malformed directives exactly once per pass.
-type suppressor struct {
-	pass *analysis.Pass
-	// allowed maps a file line to the directives for the pass's analyzer
-	// that cover it; order holds each of them once, in source order.
-	allowed map[suppressKey][]*allow
-	order   []*allow
-}
-
-type suppressKey struct {
-	file string
-	line int
-}
-
-// allow is one well-formed directive and whether it suppressed anything.
-type allow struct {
-	pos  token.Pos
-	used bool
-}
-
-// newSuppressor parses every file's directives, reports the malformed ones
-// through pass, and indexes the valid ones.
-func newSuppressor(pass *analysis.Pass) *suppressor {
-	s := &suppressor{pass: pass, allowed: make(map[suppressKey][]*allow)}
-	for _, f := range pass.Files {
+	type lineKey struct {
+		check, file string
+		line        int
+	}
+	type allow struct {
+		check string
+		pos   token.Position
+		used  bool
+	}
+	var out []finding
+	var allows []*allow
+	covering := map[lineKey][]*allow{}
+	for _, f := range files {
 		for _, d := range parseDirectives(f) {
-			if d.malformed != "" {
-				// Every analyzer builds a suppressor, but the grammar
-				// error belongs to the directive, not the check; report
-				// it from the analyzer the directive tried to address —
-				// or, for directives too broken to name one, from a
-				// single designated pass — so it surfaces exactly once
-				// per package.
-				if d.analyzer == pass.Analyzer.Name ||
-					(d.analyzer == "" && pass.Analyzer.Name == grammarReporter) {
-					pass.Reportf(d.pos, "malformed qnetlint directive: %s", d.malformed)
+			pos := fset.Position(d.pos)
+			switch {
+			case d.malformed != "":
+				check := d.analyzer
+				if check == "" {
+					check = "qnetlint"
 				}
-				continue
-			}
-			if d.analyzer != pass.Analyzer.Name {
-				continue
-			}
-			a := &allow{pos: d.pos}
-			s.order = append(s.order, a)
-			// Honour the directive on its own line (trailing comment)
-			// and on the next line (lead comment above the statement).
-			pos := pass.Fset.Position(d.pos)
-			for _, line := range []int{pos.Line, pos.Line + 1} {
-				k := suppressKey{pos.Filename, line}
-				s.allowed[k] = append(s.allowed[k], a)
+				out = append(out, finding{pos, "malformed qnetlint directive: " + d.malformed, check})
+			case ran[d.analyzer]:
+				a := &allow{check: d.analyzer, pos: pos}
+				allows = append(allows, a)
+				for _, line := range []int{pos.Line, pos.Line + 1} {
+					k := lineKey{a.check, pos.Filename, line}
+					covering[k] = append(covering[k], a)
+				}
 			}
 		}
 	}
-	return s
-}
-
-// suppressed reports whether an allow directive covers a diagnostic at
-// pos, and marks the covering directives used. Call it only where a
-// diagnostic would otherwise be reported.
-func (s *suppressor) suppressed(pos token.Pos) bool {
-	p := s.pass.Fset.Position(pos)
-	as := s.allowed[suppressKey{p.Filename, p.Line}]
-	for _, a := range as {
-		a.used = true
+	for _, p := range passes {
+		for _, d := range p.diags {
+			covered := false
+			for _, at := range []token.Pos{d.pos, d.anchor} {
+				if !at.IsValid() {
+					continue
+				}
+				pos := fset.Position(at)
+				for _, a := range covering[lineKey{p.check, pos.Filename, pos.Line}] {
+					a.used, covered = true, true
+				}
+			}
+			if !covered {
+				out = append(out, finding{fset.Position(d.pos), d.message, p.check})
+			}
+		}
 	}
-	return len(as) > 0
-}
-
-// report emits a diagnostic unless an allow directive covers its line.
-func (s *suppressor) report(pos token.Pos, format string, args ...interface{}) {
-	if s.suppressed(pos) {
-		return
+	for _, a := range allows {
+		if !a.used {
+			out = append(out, finding{a.pos, "stale qnetlint directive: no " + a.check + " diagnostic on this line or the next, so it keeps nothing — delete it", a.check})
+		}
 	}
-	s.pass.Reportf(pos, format, args...)
+	return out
 }

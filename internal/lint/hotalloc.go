@@ -3,11 +3,9 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"qnp/internal/lint/analysis"
 )
 
-// hotAllocAnalyzer keeps the hot path allocation-free: inside hot-path
+// hotAllocCheck keeps the hot path allocation-free: inside hot-path
 // packages, a call to an allocating API whose workspace-backed twin exists
 // (a linalg …Into op, or BellProjectorCached for BellProjector) is flagged
 // — but only in functions that actually have a Workspace in scope (a
@@ -19,15 +17,15 @@ import (
 // Mul/Kron would quietly reintroduce steady-state garbage. The quantum
 // operations need no rows: each has a single, workspace-threaded entry
 // point. Escape hatch: //qnetlint:allow hotalloc <reason>.
-var hotAllocAnalyzer = &analysis.Analyzer{
-	Name: "hotalloc",
-	Doc: "flag allocating API calls where a workspace-backed twin exists\n\n" +
+var hotAllocCheck = check{
+	name: "hotalloc",
+	doc: "flag allocating API calls where a workspace-backed twin exists\n\n" +
 		"In hot-path packages, functions with a linalg.Workspace in scope\n" +
 		"must call the linalg …Into twins (MulInto, KronInto, …) and\n" +
 		"quantum.BellProjectorCached instead of the allocating forms;\n" +
 		"anything else leaks allocations back into the per-event path the\n" +
 		"zero-allocation refactor cleared.",
-	Run: withDirectives(runHotAlloc),
+	run: eachUnit(runHotAlloc),
 }
 
 // hotAllocTwins maps package path -> allocating function name -> the
@@ -43,17 +41,17 @@ var hotAllocTwins = map[string]map[string]string{
 	},
 }
 
-func runHotAlloc(pass *analysis.Pass, sup *suppressor) {
-	if !isHotPathPackage(pass.Pkg.Path()) {
+func runHotAlloc(pass *pass) {
+	if !isHotPathPackage(pass.pkg.Path()) {
 		return
 	}
-	for _, f := range pass.Files {
+	for _, f := range pass.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkHotAllocIn(pass, sup, fd.Body, funcHasWorkspace(pass.TypesInfo, fd) || fetchesWorkspace(pass.TypesInfo, fd.Body))
+			checkHotAllocIn(pass, fd.Body, funcHasWorkspace(pass.info, fd) || fetchesWorkspace(pass.info, fd.Body))
 		}
 	}
 }
@@ -62,8 +60,8 @@ func runHotAlloc(pass *analysis.Pass, sup *suppressor) {
 // function is workspace-threaded. Nested function literals inherit the
 // enclosing availability (they capture the workspace) and may add their own
 // via parameters.
-func checkHotAllocIn(pass *analysis.Pass, sup *suppressor, n ast.Node, wsInScope bool) {
-	info := pass.TypesInfo
+func checkHotAllocIn(pass *pass, n ast.Node, wsInScope bool) {
+	info := pass.info
 	ast.Inspect(n, func(c ast.Node) bool {
 		switch c := c.(type) {
 		case *ast.FuncLit:
@@ -74,7 +72,7 @@ func checkHotAllocIn(pass *analysis.Pass, sup *suppressor, n ast.Node, wsInScope
 			if sig, ok := info.TypeOf(c).(*types.Signature); ok && signatureHasWorkspace(sig) {
 				inner = true
 			}
-			checkHotAllocIn(pass, sup, c.Body, inner)
+			checkHotAllocIn(pass, c.Body, inner)
 			return false
 		case *ast.CallExpr:
 			if !wsInScope {
@@ -88,7 +86,7 @@ func checkHotAllocIn(pass *analysis.Pass, sup *suppressor, n ast.Node, wsInScope
 			if !banned {
 				return true
 			}
-			sup.report(c.Pos(), "%s.%s allocates on every call but a workspace is in scope here — use %s.%s (//qnetlint:allow hotalloc <reason> for deliberate cold-path use)",
+			pass.reportf(c.Pos(), "%s.%s allocates on every call but a workspace is in scope here — use %s.%s (//qnetlint:allow hotalloc <reason> for deliberate cold-path use)",
 				fn.Pkg().Name(), fn.Name(), fn.Pkg().Name(), twin)
 		}
 		return true

@@ -6,8 +6,8 @@
 // (map-iteration float ordering, RNG stream aliasing, workspace Get/Put
 // leaks, allocating wrappers creeping back into hot paths) was caught only
 // after the fact by byte-identity CI runs. This package encodes those
-// conventions as static checks instead of review lore. Five
-// analyzers:
+// conventions as static checks instead of review lore. Six checks, one
+// table (checks):
 //
 //   - detrand: simulation packages must not read wall-clock time or the
 //     global math/rand source. All randomness flows from the replica seed.
@@ -25,34 +25,35 @@
 //     registry (named *StreamOffset constants/helpers, engine offsets even
 //     and nonzero) and seed arithmetic must go through runner.SeedStride /
 //     runner.DeriveSeed — never a bare 7919 or literal offset.
-//
-// A sixth check, testonly, needs the whole module at once, so it is not an
-// Analyzer (see testonly.go). Its candidates are the root module's library
-// packages: every non-main package (internal/ and the public qnet alike)
-// except test support. It reports every exported func, method, type,
-// const, var and struct field of those packages that no non-test file of
-// the commands (cmd/, examples/), of the library they import or of the
-// bench/ module uses, and every exported struct field that non-test code
-// reads but only tests write. Delete such API or move it into the
-// package's _test.go; an inspection hook that another package's tests
-// need, or a public knob the paper's service model names, stays under
-// `//qnetlint:allow testonly <reason>`. Packages that only tests import
-// are test support (internal/race, internal/linalg/linalgtest) and are
-// exempt.
+//   - testonly: exported API that only tests use. The first five look at
+//     one typechecked unit at a time; testonly needs the whole module at
+//     once (see testonly.go). Its candidates are the root module's library
+//     packages: every non-main package (internal/ and the public qnet
+//     alike) except test support. It reports every exported func, method,
+//     type, const, var and struct field of those packages that no non-test
+//     file of the commands (cmd/, examples/), of the library they import or
+//     of the bench/ module uses, and every exported struct field that
+//     non-test code reads but only tests write. Delete such API or move it
+//     into the package's _test.go; an inspection hook that another
+//     package's tests need, or a public knob the paper's service model
+//     names, stays under `//qnetlint:allow testonly <reason>`. Packages
+//     that only tests import are test support (internal/race,
+//     internal/linalg/linalgtest) and are exempt.
 //
 // Escape hatches use the //qnetlint: comment grammar (see directives.go):
-// `//qnetlint:allow <analyzer> <reason>` on or directly above the flagged
-// line, and `//qnetlint:sorted <reason>` for maporder. A reason is
-// mandatory; a naked directive is itself a diagnostic, and so are an
-// allow naming no check of the suite and a stale one that suppresses
-// nothing.
+// `//qnetlint:allow <check> <reason>` on or directly above the flagged
+// line, and `//qnetlint:sorted <reason>` for maporder. The checks know
+// nothing of them: the driver (run) collects every check's findings and
+// applies the directives once. A reason is mandatory; a naked directive is
+// itself a finding, and so are an allow naming no check of the suite and a
+// stale one that suppresses nothing.
 //
 // TestQnetlintTree runs the suite as part of the ordinary test suite: it
 // loads the module and the bench/ module from source once (load.go),
-// runs the five analyzers over every package together with its in-package
-// tests, over the external test packages and over test-only packages,
-// runs testonly over the production packages, and fails on each finding,
-// printed as file:line:col: message [check]:
+// runs the five per-unit checks over every package together with its
+// in-package tests, over the external test packages and over test-only
+// packages, runs testonly over the production packages, and fails on each
+// finding, printed as file:line:col: message [check]:
 //
 //	go test ./internal/lint
 package lint
@@ -63,23 +64,62 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-
-	"qnp/internal/lint/analysis"
 )
 
-// analyzers returns the five-analyzer suite in its canonical order.
-func analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		detRandAnalyzer,
-		mapOrderAnalyzer,
-		wsOwnershipAnalyzer,
-		hotAllocAnalyzer,
-		streamOffsetAnalyzer,
+// check is one rule of the suite: the name its findings and allow
+// directives carry, its documentation, and its run.
+type check struct {
+	name string
+	doc  string
+	run  func(*pass) error
+}
+
+// checks is the suite in its canonical order.
+var checks = []check{detRandCheck, mapOrderCheck, wsOwnershipCheck, hotAllocCheck, streamOffsetCheck, testOnlyCheck}
+
+// pass is one check's run over a set of units: the units, the tree they
+// were loaded from, and what the check reports, before the directives
+// filter it.
+type pass struct {
+	check string
+	l     *loader
+	units []unit
+	unit  // the unit a per-unit check is looking at (eachUnit)
+	diags []diagnostic
+}
+
+// diagnostic is one raw finding of a pass. An allow for the check on the
+// line of pos or of anchor, or on the line above either, drops it.
+type diagnostic struct {
+	pos, anchor token.Pos // anchor is token.NoPos when there is none
+	message     string
+}
+
+// reportf reports a formatted finding at pos; the verbs are fmt.Sprintf's.
+func (p *pass) reportf(pos token.Pos, format string, args ...interface{}) {
+	p.reportAnchoredf(token.NoPos, pos, format, args...)
+}
+
+// reportAnchoredf reports a finding at pos that an allow at anchor
+// answers for too: the range statement of a maporder finding, the Get of
+// a wsownership leak.
+func (p *pass) reportAnchoredf(anchor, pos token.Pos, format string, args ...interface{}) {
+	p.diags = append(p.diags, diagnostic{pos, anchor, fmt.Sprintf(format, args...)})
+}
+
+// eachUnit makes a check's run out of a per-unit one.
+func eachUnit(run func(*pass)) func(*pass) error {
+	return func(p *pass) error {
+		for _, u := range p.units {
+			p.unit = u
+			run(p)
+		}
+		return nil
 	}
 }
 
-// finding is one diagnostic of the whole-tree run and the check that
-// raised it.
+// finding is one diagnostic that survived the directives, and the check
+// that raised it.
 type finding struct {
 	pos     token.Position
 	message string
@@ -90,37 +130,32 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s: %s [%s]", f.pos, f.message, f.check)
 }
 
-// lint runs the whole suite over the loaded tree: every analyzer over
-// every unit, and testonly over the production packages. Findings come
-// back sorted by position.
+// lint runs the whole suite over the loaded tree.
 func (l *loader) lint() ([]finding, error) {
-	var out []finding
-	add := func(check string, d analysis.Diagnostic) {
-		out = append(out, finding{l.fset.Position(d.Pos), d.Message, check})
-	}
-	diags, err := l.testOnly()
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range diags {
-		add(testOnlyName, d)
-	}
 	units, err := l.units()
 	if err != nil {
 		return nil, err
 	}
-	for _, u := range units {
-		for _, a := range analyzers() {
-			a.Run(&analysis.Pass{
-				Analyzer:  a,
-				Fset:      l.fset,
-				Files:     u.files,
-				Pkg:       u.pkg,
-				TypesInfo: u.info,
-				Report:    func(d analysis.Diagnostic) { add(a.Name, d) },
-			})
+	return l.run(checks, units)
+}
+
+// run is the driver: it runs each of cs over units, loaded by l, and
+// returns what survives the units' //qnetlint: directives (applyDirectives)
+// sorted by position.
+func (l *loader) run(cs []check, units []unit) ([]finding, error) {
+	var passes []*pass
+	for _, c := range cs {
+		p := &pass{check: c.name, l: l, units: units}
+		if err := c.run(p); err != nil {
+			return nil, err
 		}
+		passes = append(passes, p)
 	}
+	var files []*ast.File
+	for _, u := range units {
+		files = append(files, u.files...)
+	}
+	out := applyDirectives(l.fset, files, passes)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.pos.Filename != b.pos.Filename {
@@ -134,7 +169,7 @@ func (l *loader) lint() ([]finding, error) {
 	return out, nil
 }
 
-// modulePath is the module all checked packages live in. Analyzer scope
+// modulePath is the module all checked packages live in. Check scope
 // tables below are full package paths under it.
 const modulePath = "qnp"
 

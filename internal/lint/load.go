@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -14,18 +15,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"qnp/internal/lint/srcimport"
+	"sync"
 )
 
 // loader parses a module tree — nested modules such as bench/ included —
 // and typechecks its packages from source on demand, offline: the tree's
 // own import paths resolve here, everything else through the process's
-// shared source importer (srcimport). Production packages are checked once and shared by every
-// importer; the test units are checked on top of them, as go vet sees
-// them.
+// shared source importer (std). Production packages are checked
+// once and shared by every importer; the test units are checked on top of
+// them, as go vet sees them.
 type loader struct {
-	fset  *token.FileSet // srcimport.FileSet()
+	fset  *token.FileSet // stdFileSet()
 	mods  []module       // sorted by descending directory depth
 	pkgs  map[string]*loadedPkg
 	paths []string // sorted keys of pkgs
@@ -46,7 +46,7 @@ type loadedPkg struct {
 	err         error
 }
 
-// unit is one typechecked set of files the analyzers run over.
+// unit is one typechecked set of files the per-unit checks run over.
 type unit struct {
 	files []*ast.File
 	pkg   *types.Package
@@ -58,7 +58,7 @@ type unit struct {
 // go command does.
 func load(root string) (*loader, error) {
 	l := &loader{
-		fset: srcimport.FileSet(),
+		fset: stdFileSet(),
 		pkgs: map[string]*loadedPkg{},
 	}
 	var dirs []string
@@ -232,7 +232,7 @@ func (l *loader) units() ([]unit, error) {
 }
 
 // typecheck checks files as the package path, with the type information
-// the analyzers read.
+// the checks read.
 func (l *loader) typecheck(path string, files []*ast.File) (*types.Package, *types.Info, error) {
 	var errs []string
 	conf := types.Config{
@@ -270,5 +270,30 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return p.pkg, nil
 	}
-	return srcimport.Importer().ImportFrom(path, dir, mode)
+	std.mu.Lock()
+	defer std.mu.Unlock()
+	return std.imp.ImportFrom(path, dir, mode)
+}
+
+// std is the one source importer of a process and the file set its
+// packages are positioned in. Every loader parses into that file set and
+// imports what lies outside its tree, the standard library above all,
+// through it, so each such package is typechecked from source once per
+// test binary however many loaders the tests build. The importer is not
+// safe for concurrent use; mu serialises it.
+var std struct {
+	once sync.Once
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.ImporterFrom
+}
+
+// stdFileSet returns the shared file set, setting up the importer on
+// first use.
+func stdFileSet() *token.FileSet {
+	std.once.Do(func() {
+		std.fset = token.NewFileSet()
+		std.imp = importer.ForCompiler(std.fset, "source", nil).(types.ImporterFrom)
+	})
+	return std.fset
 }

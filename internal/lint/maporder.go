@@ -4,11 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"qnp/internal/lint/analysis"
 )
 
-// mapOrderAnalyzer flags `for range` statements over maps whose body is
+// mapOrderCheck flags `for range` statements over maps whose body is
 // order-sensitive: accumulating floating-point values (float addition does
 // not commute bit-exactly), emitting output, feeding the internal/stats
 // aggregates, or building a slice that is never sorted afterwards. Go
@@ -17,18 +15,18 @@ import (
 // allocation sums. The sanctioned pattern is collect-then-sort: append the
 // keys, sort them, iterate the sorted slice. A deliberately
 // order-insensitive iteration is annotated //qnetlint:sorted <reason>.
-var mapOrderAnalyzer = &analysis.Analyzer{
-	Name: "maporder",
-	Doc: "flag order-sensitive folds over map iteration\n\n" +
+var mapOrderCheck = check{
+	name: "maporder",
+	doc: "flag order-sensitive folds over map iteration\n\n" +
 		"A `for range` over a map may not accumulate floats, print, feed\n" +
 		"stats aggregates, or append to a slice that is never sorted: map\n" +
 		"order is randomised per run, so the result depends on it. Collect\n" +
 		"keys, sort, then fold — or justify with //qnetlint:sorted <reason>.",
-	Run: withDirectives(runMapOrder),
+	run: eachUnit(runMapOrder),
 }
 
-func runMapOrder(pass *analysis.Pass, sup *suppressor) {
-	for _, f := range pass.Files {
+func runMapOrder(pass *pass) {
+	for _, f := range pass.files {
 		// Each function (declaration or literal) is its own scope: map
 		// ranges are matched against sort calls in the same body.
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -42,7 +40,7 @@ func runMapOrder(pass *analysis.Pass, sup *suppressor) {
 				return true
 			}
 			if body != nil {
-				checkMapRangesIn(pass, sup, body)
+				checkMapRangesIn(pass, body)
 			}
 			return true
 		})
@@ -51,18 +49,13 @@ func runMapOrder(pass *analysis.Pass, sup *suppressor) {
 
 // checkMapRangesIn scans one function body (excluding nested function
 // literals, which get their own scan) for order-sensitive map ranges.
-func checkMapRangesIn(pass *analysis.Pass, sup *suppressor, body *ast.BlockStmt) {
+func checkMapRangesIn(pass *pass, body *ast.BlockStmt) {
 	walkSameFunc(body, func(n ast.Node) {
 		rs, ok := n.(*ast.RangeStmt)
-		if !ok || !rangesOverMap(pass, rs) {
+		if !ok || !rangesOverMap(pass.info, rs) {
 			return
 		}
-		// A directive on the loop answers for its whole body.
-		checkMapRangeBody(pass, body, rs, func(pos token.Pos, format string, args ...interface{}) {
-			if !sup.suppressed(rs.Pos()) {
-				sup.report(pos, format, args...)
-			}
-		})
+		checkMapRangeBody(pass, body, rs)
 	})
 }
 
@@ -80,8 +73,8 @@ func walkSameFunc(root ast.Node, visit func(ast.Node)) {
 	})
 }
 
-func rangesOverMap(pass *analysis.Pass, rs *ast.RangeStmt) bool {
-	t := pass.TypesInfo.TypeOf(rs.X)
+func rangesOverMap(info *types.Info, rs *ast.RangeStmt) bool {
+	t := info.TypeOf(rs.X)
 	if t == nil {
 		return false
 	}
@@ -89,11 +82,15 @@ func rangesOverMap(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 	return isMap
 }
 
-// checkMapRangeBody passes the order-sensitive operations inside one map
-// range to report. enclosing is the function body the loop lives in — the scope
+// checkMapRangeBody reports the order-sensitive operations inside one map
+// range. enclosing is the function body the loop lives in — the scope
 // searched for a later sort call that sanctions collected slices.
-func checkMapRangeBody(pass *analysis.Pass, enclosing *ast.BlockStmt, rs *ast.RangeStmt, report func(token.Pos, string, ...interface{})) {
-	info := pass.TypesInfo
+func checkMapRangeBody(pass *pass, enclosing *ast.BlockStmt, rs *ast.RangeStmt) {
+	info := pass.info
+	// A directive on the loop answers for its whole body.
+	report := func(pos token.Pos, format string, args ...interface{}) {
+		pass.reportAnchoredf(rs.Pos(), pos, format, args...)
+	}
 	walkSameFunc(rs.Body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -116,7 +113,7 @@ func checkMapRangeBody(pass *analysis.Pass, enclosing *ast.BlockStmt, rs *ast.Ra
 			if call := appendCall(n); call != nil {
 				if id, ok := n.Lhs[0].(*ast.Ident); ok {
 					obj := info.ObjectOf(id)
-					if obj != nil && !within(obj.Pos(), rs) && !sortedLater(pass, enclosing, rs, obj) {
+					if obj != nil && !within(obj.Pos(), rs) && !sortedLater(info, enclosing, rs, obj) {
 						report(n.Pos(), "append inside a map range builds %s in random map order and no later sort call fixes it — sort the slice (or iterate sorted keys), or annotate the loop //qnetlint:sorted <reason>", id.Name)
 					}
 				}
@@ -129,7 +126,7 @@ func checkMapRangeBody(pass *analysis.Pass, enclosing *ast.BlockStmt, rs *ast.Ra
 			switch {
 			case fn.Pkg().Path() == "fmt" && emittingFmtFunc[fn.Name()]:
 				report(n.Pos(), "fmt.%s inside a map range emits in random map order — iterate sorted keys instead (//qnetlint:sorted <reason> if order truly cannot matter)", fn.Name())
-			case fn.Pkg().Path() == modulePath+"/internal/stats" && fn.Pkg() != pass.Pkg:
+			case fn.Pkg().Path() == modulePath+"/internal/stats" && fn.Pkg() != pass.pkg:
 				// The stats package's own internal helpers are not
 				// "feeding the aggregates"; the rule targets callers.
 				report(n.Pos(), "feeding %s.%s from inside a map range: stats aggregates fold floats in arrival order, which here is random map order — iterate sorted keys (//qnetlint:sorted <reason> if truly order-insensitive)", fn.Pkg().Name(), fn.Name())
@@ -223,8 +220,7 @@ func within(pos token.Pos, n ast.Node) bool {
 
 // sortedLater reports whether a sort call that touches obj appears in the
 // enclosing body after the map range — the collect-then-sort sanction.
-func sortedLater(pass *analysis.Pass, enclosing *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
-	info := pass.TypesInfo
+func sortedLater(info *types.Info, enclosing *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	walkSameFunc(enclosing, func(n ast.Node) {
 		if found {

@@ -6,11 +6,9 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"qnp/internal/lint/analysis"
 )
 
-// streamOffsetAnalyzer polices the RNG stream discipline: replica seeds are
+// streamOffsetCheck polices the RNG stream discipline: replica seeds are
 // base*runner.SeedStride + offset, engine-side offsets live in the qnet
 // stream registry as named …StreamOffset constants (even, nonzero) and the
 // per-circuit workload family takes the odd offsets via
@@ -26,31 +24,31 @@ import (
 //  3. A …StreamOffset constant must be even and nonzero: odd offsets are
 //     reserved for the per-circuit workload family and offset 0 is the
 //     physics stream itself.
-var streamOffsetAnalyzer = &analysis.Analyzer{
-	Name: "streamoffset",
-	Doc: "RNG stream offsets come from the registry; seed arithmetic uses runner.SeedStride\n\n" +
+var streamOffsetCheck = check{
+	name: "streamoffset",
+	doc: "RNG stream offsets come from the registry; seed arithmetic uses runner.SeedStride\n\n" +
 		"No bare 7919 outside internal/runner; rand.NewSource seed\n" +
 		"arithmetic multiplies by runner.SeedStride and adds a named\n" +
 		"…StreamOffset constant/helper; engine offsets are even and nonzero.",
-	Run: withDirectives(runStreamOffset),
+	run: eachUnit(runStreamOffset),
 }
 
-func runStreamOffset(pass *analysis.Pass, sup *suppressor) {
-	inRunner := strings.TrimSuffix(pass.Pkg.Path(), "_test") == modulePath+"/internal/runner"
-	for _, f := range pass.Files {
+func runStreamOffset(pass *pass) {
+	inRunner := strings.TrimSuffix(pass.pkg.Path(), "_test") == modulePath+"/internal/runner"
+	for _, f := range pass.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BasicLit:
 				if !inRunner && n.Kind == token.INT && n.Value == "7919" {
-					sup.report(n.Pos(), "bare 7919 duplicates runner.SeedStride: if the stride changes this expression silently aliases another replica's stream — use runner.SeedStride or runner.DeriveSeed")
+					pass.reportf(n.Pos(), "bare 7919 duplicates runner.SeedStride: if the stride changes this expression silently aliases another replica's stream — use runner.SeedStride or runner.DeriveSeed")
 				}
 			case *ast.CallExpr:
-				if isSimulationPackage(pass.Pkg.Path()) {
-					checkNewSourceSeed(pass, sup, n)
+				if isSimulationPackage(pass.pkg.Path()) {
+					checkNewSourceSeed(pass, n)
 				}
 			case *ast.GenDecl:
 				if n.Tok == token.CONST {
-					checkOffsetConsts(pass, sup, n)
+					checkOffsetConsts(pass, n)
 				}
 			}
 			return true
@@ -61,8 +59,8 @@ func runStreamOffset(pass *analysis.Pass, sup *suppressor) {
 // checkNewSourceSeed validates the seed expression of a rand.NewSource
 // call. Bare seeds (a literal, an ident, cfg.Seed, a call) are fine — the
 // discipline only constrains derived seeds, i.e. arithmetic.
-func checkNewSourceSeed(pass *analysis.Pass, sup *suppressor, call *ast.CallExpr) {
-	fn := calleeFunc(pass.TypesInfo, call)
+func checkNewSourceSeed(pass *pass, call *ast.CallExpr) {
+	fn := calleeFunc(pass.info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Name() != "NewSource" {
 		return
 	}
@@ -79,43 +77,43 @@ func checkNewSourceSeed(pass *analysis.Pass, sup *suppressor, call *ast.CallExpr
 	}
 	switch be.Op {
 	case token.ADD:
-		checkSeedTerm(pass, sup, be.X, true)
-		checkSeedTerm(pass, sup, be.Y, false)
+		checkSeedTerm(pass, be.X, true)
+		checkSeedTerm(pass, be.Y, false)
 	case token.MUL:
-		checkStrideProduct(pass, sup, be)
+		checkStrideProduct(pass, be)
 	default:
-		sup.report(be.Pos(), "derived rand.NewSource seed uses %s arithmetic: replica streams are base*runner.SeedStride + <registry offset> only (//qnetlint:allow streamoffset <reason> if deliberate)", be.Op)
+		pass.reportf(be.Pos(), "derived rand.NewSource seed uses %s arithmetic: replica streams are base*runner.SeedStride + <registry offset> only (//qnetlint:allow streamoffset <reason> if deliberate)", be.Op)
 	}
 }
 
 // checkSeedTerm validates one side of seed = X + Y. The stride side is a
 // product that must involve runner.SeedStride; the offset side must be a
 // named …StreamOffset constant or helper call.
-func checkSeedTerm(pass *analysis.Pass, sup *suppressor, e ast.Expr, strideSide bool) {
+func checkSeedTerm(pass *pass, e ast.Expr, strideSide bool) {
 	e = unparen(e)
 	if be, ok := e.(*ast.BinaryExpr); ok && be.Op == token.MUL {
-		checkStrideProduct(pass, sup, be)
+		checkStrideProduct(pass, be)
 		return
 	}
 	if strideSide {
 		// Plain base on the left of the + (seed + offset form): fine.
-		if isStreamOffsetRef(pass.TypesInfo, e) {
+		if isStreamOffsetRef(pass.info, e) {
 			return
 		}
 		return
 	}
-	if !isStreamOffsetRef(pass.TypesInfo, e) {
-		sup.report(e.Pos(), "RNG stream offset is not a registry name: declare it as a …StreamOffset constant/helper next to the others so the even/odd family audit sees it (//qnetlint:allow streamoffset <reason> if deliberate)")
+	if !isStreamOffsetRef(pass.info, e) {
+		pass.reportf(e.Pos(), "RNG stream offset is not a registry name: declare it as a …StreamOffset constant/helper next to the others so the even/odd family audit sees it (//qnetlint:allow streamoffset <reason> if deliberate)")
 	}
 }
 
 // checkStrideProduct requires one factor of a seed product to be
 // runner.SeedStride.
-func checkStrideProduct(pass *analysis.Pass, sup *suppressor, be *ast.BinaryExpr) {
-	if isSeedStrideRef(pass.TypesInfo, be.X) || isSeedStrideRef(pass.TypesInfo, be.Y) {
+func checkStrideProduct(pass *pass, be *ast.BinaryExpr) {
+	if isSeedStrideRef(pass.info, be.X) || isSeedStrideRef(pass.info, be.Y) {
 		return
 	}
-	sup.report(be.Pos(), "seed product does not multiply by runner.SeedStride — replica stream separation must come from the shared stride (use runner.SeedStride or runner.DeriveSeed)")
+	pass.reportf(be.Pos(), "seed product does not multiply by runner.SeedStride — replica stream separation must come from the shared stride (use runner.SeedStride or runner.DeriveSeed)")
 }
 
 // isSeedStrideRef reports whether e denotes the runner.SeedStride constant.
@@ -148,7 +146,7 @@ func isStreamOffsetName(name string) bool {
 // checkOffsetConsts enforces the even/nonzero rule on …StreamOffset
 // constants: odd values are the workload family's, zero is the physics
 // stream.
-func checkOffsetConsts(pass *analysis.Pass, sup *suppressor, gd *ast.GenDecl) {
+func checkOffsetConsts(pass *pass, gd *ast.GenDecl) {
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
 		if !ok {
@@ -158,7 +156,7 @@ func checkOffsetConsts(pass *analysis.Pass, sup *suppressor, gd *ast.GenDecl) {
 			if !isStreamOffsetName(name.Name) {
 				continue
 			}
-			c, ok := pass.TypesInfo.ObjectOf(name).(*types.Const)
+			c, ok := pass.info.ObjectOf(name).(*types.Const)
 			if !ok {
 				continue
 			}
@@ -168,9 +166,9 @@ func checkOffsetConsts(pass *analysis.Pass, sup *suppressor, gd *ast.GenDecl) {
 			}
 			switch {
 			case v == 0:
-				sup.report(name.Pos(), "stream offset %s is 0: that seed belongs to the physics stream — pick the next free even offset", name.Name)
+				pass.reportf(name.Pos(), "stream offset %s is 0: that seed belongs to the physics stream — pick the next free even offset", name.Name)
 			case v%2 != 0:
-				sup.report(name.Pos(), "stream offset %s is odd (%d): odd offsets are reserved for the per-circuit workload family (workloadStreamOffset) — engine offsets must be even", name.Name, v)
+				pass.reportf(name.Pos(), "stream offset %s is odd (%d): odd offsets are reserved for the per-circuit workload family (workloadStreamOffset) — engine offsets must be even", name.Name, v)
 			}
 		}
 	}

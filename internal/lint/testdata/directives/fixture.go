@@ -1,6 +1,6 @@
 // The directives fixture exercises the //qnetlint: comment grammar:
-// malformed directives are diagnostics themselves, surfaced by the
-// designated grammar reporter (detrand) in any package, and never suppress
+// malformed directives are diagnostics themselves, reported once by the
+// driver whichever checks run, in any package, and never suppress
 // anything.
 package lintfix
 

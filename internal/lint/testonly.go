@@ -6,20 +6,14 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-
-	"qnp/internal/lint/analysis"
 )
 
-// testOnlyName is the analyzer name the testonly check answers to in
-// //qnetlint:allow directives.
-const testOnlyName = "testonly"
-
-// testOnly is the whole-module check: over the production packages of
-// the loaded tree it reports each exported func, method, type, const, var
-// and struct field declared in the root module's library packages — every
-// non-main package, internal/ or public, that is not test support — that
-// no non-test file uses. An Analyzer sees one package at a time, so this
-// check cannot be one; the loader's lint runs it over the whole tree instead.
+// testOnlyCheck is the whole-module check: over the production packages
+// of the loaded tree it reports each exported func, method, type, const,
+// var and struct field declared in the root module's library packages —
+// every non-main package, internal/ or public, that is not test support —
+// that no non-test file uses. The other checks see one unit at a time;
+// this one reads the whole tree the pass was loaded from.
 //
 // It also reports an exported struct field of those packages that non-test
 // code reads but only tests write: production always sees its zero value.
@@ -43,9 +37,19 @@ const testOnlyName = "testonly"
 //     do not count.
 //
 // A `//qnetlint:allow testonly <reason>` directive on or directly above a
-// declaration keeps it; a directive without a reason, or one that keeps
-// nothing, is itself reported.
-func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
+// declaration keeps it; the driver applies it like any other allow.
+var testOnlyCheck = check{
+	name: "testonly",
+	doc: "flag exported API that only tests use\n\n" +
+		"An exported declaration of a library package that no non-test code\n" +
+		"uses, or an exported field that non-test code reads but only tests\n" +
+		"write, is dead weight the API carries for its tests: delete it, move\n" +
+		"it into a _test.go file, or keep it with //qnetlint:allow testonly <reason>.",
+	run: runTestOnly,
+}
+
+func runTestOnly(pass *pass) error {
+	l := pass.l
 	rootDir := l.mods[len(l.mods)-1].dir // the root module sorts last
 	library := func(path string) bool {
 		p := l.pkgs[path]
@@ -94,7 +98,7 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 		}
 		p, err := l.check(path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.record(p, l.pkgs)
 	}
@@ -116,66 +120,27 @@ func (l *loader) testOnly() ([]analysis.Diagnostic, error) {
 		}
 		p, err := l.check(path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.stdInterfaces(p, l.pkgs)
 		cands = append(cands, p)
 	}
-
-	// Directives: each well-formed allow testonly keeps the export declared
-	// on its line or the next; the rest are reported.
-	type allowKey struct {
-		file string
-		line int
-	}
-	var diags []analysis.Diagnostic
-	allows := map[allowKey]*directive{}
-	var order []*directive
-	for _, path := range l.paths {
-		for _, f := range l.pkgs[path].files {
-			for _, d := range parseDirectives(f) {
-				if d.analyzer != testOnlyName {
-					continue
-				}
-				if d.malformed != "" {
-					diags = append(diags, analysis.Diagnostic{Pos: d.pos, Message: "malformed qnetlint directive: " + d.malformed})
-					continue
-				}
-				d := d
-				pos := l.fset.Position(d.pos)
-				allows[allowKey{pos.Filename, pos.Line}] = &d
-				allows[allowKey{pos.Filename, pos.Line + 1}] = &d
-				order = append(order, &d)
-			}
-		}
-	}
-	kept := map[*directive]bool{}
 
 	for _, p := range cands {
 		for _, e := range exportsOf(p.pkg) {
 			var msg string
 			switch {
 			case !c.isUsed(e.obj):
-				msg = "%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or keep it with //qnetlint:allow %s <reason>"
+				msg = "%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or keep it with //qnetlint:allow testonly <reason>"
 			case c.readOnly(e.obj):
-				msg = "%s is read but only tests write it: delete it, set it in non-test code, or keep it with //qnetlint:allow %s <reason>"
+				msg = "%s is read but only tests write it: delete it, set it in non-test code, or keep it with //qnetlint:allow testonly <reason>"
 			default:
 				continue
 			}
-			pos := l.fset.Position(e.obj.Pos())
-			if d := allows[allowKey{pos.Filename, pos.Line}]; d != nil {
-				kept[d] = true
-				continue
-			}
-			diags = append(diags, analysis.Diagnostic{Pos: e.obj.Pos(), Message: fmt.Sprintf(msg, e.name, testOnlyName)})
+			pass.reportf(e.obj.Pos(), msg, e.name)
 		}
 	}
-	for _, d := range order {
-		if !kept[d] {
-			diags = append(diags, analysis.Diagnostic{Pos: d.pos, Message: "//qnetlint:allow testonly keeps nothing: no test-only export is declared on this line or the next"})
-		}
-	}
-	return diags, nil
+	return nil
 }
 
 // export is one exported declaration and the name a reader looks it up

@@ -4,11 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"qnp/internal/lint/analysis"
 )
 
-// wsOwnershipAnalyzer enforces the linalg.Workspace ownership rules from
+// wsOwnershipCheck enforces the linalg.Workspace ownership rules from
 // the zero-allocation refactor: a matrix obtained with Get/GetRaw must, on
 // every path out of the function, either be Put back or visibly change
 // owner — returned, stored into a field/slice/map, sent on a channel, or
@@ -24,17 +22,17 @@ import (
 // treated as borrows, not transfers, matching the linalg convention that
 // …Into operands stay caller-owned. Genuine transfer-by-call patterns the
 // walk cannot see are annotated //qnetlint:allow wsownership <reason>.
-var wsOwnershipAnalyzer = &analysis.Analyzer{
-	Name: "wsownership",
-	Doc: "workspace Get/GetRaw must be matched by Put on all return paths\n\n" +
+var wsOwnershipCheck = check{
+	name: "wsownership",
+	doc: "workspace Get/GetRaw must be matched by Put on all return paths\n\n" +
 		"Every linalg.Workspace.Get/GetRaw result must be Put back, deferred,\n" +
 		"returned, or stored into a longer-lived structure before the\n" +
 		"function exits on any path; otherwise the pooled buffer leaks.",
-	Run: withDirectives(runWSOwnership),
+	run: eachUnit(runWSOwnership),
 }
 
-func runWSOwnership(pass *analysis.Pass, sup *suppressor) {
-	for _, f := range pass.Files {
+func runWSOwnership(pass *pass) {
+	for _, f := range pass.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch n := n.(type) {
@@ -48,7 +46,7 @@ func runWSOwnership(pass *analysis.Pass, sup *suppressor) {
 				return true
 			}
 			if body != nil {
-				w := &wsWalker{pass: pass, sup: sup, live: map[types.Object]token.Pos{}}
+				w := &wsWalker{pass: pass, live: map[types.Object]token.Pos{}}
 				terminated := w.block(body)
 				if !terminated {
 					w.exit(body.Rbrace)
@@ -90,15 +88,14 @@ func derefNamed(t types.Type) (*types.Named, bool) {
 
 // wsWalker tracks live workspace-owned matrices through one function body.
 type wsWalker struct {
-	pass *analysis.Pass
-	sup  *suppressor
+	pass *pass
 	// live maps each owning variable to the position of the Get that
 	// produced it.
 	live map[types.Object]token.Pos
 }
 
 func (w *wsWalker) clone() *wsWalker {
-	c := &wsWalker{pass: w.pass, sup: w.sup, live: make(map[types.Object]token.Pos, len(w.live))}
+	c := &wsWalker{pass: w.pass, live: make(map[types.Object]token.Pos, len(w.live))}
 	for k, v := range w.live {
 		c.live[k] = v
 	}
@@ -156,7 +153,7 @@ func (w *wsWalker) stmt(s ast.Stmt) bool {
 	case *ast.DeferStmt:
 		// A deferred Put (or deferred closure touching the variable) runs
 		// on every exit path: release unconditionally.
-		if workspaceMethod(w.pass.TypesInfo, s.Call) == "Put" {
+		if workspaceMethod(w.pass.info, s.Call) == "Put" {
 			w.releaseMentionedIn(s.Call)
 		} else {
 			for _, arg := range s.Call.Args {
@@ -307,7 +304,7 @@ func (w *wsWalker) assign(s *ast.AssignStmt) {
 
 // trackOrBorrow processes one lhs := rhs pair.
 func (w *wsWalker) trackOrBorrow(lhs, rhs ast.Expr) {
-	info := w.pass.TypesInfo
+	info := w.pass.info
 	if call, ok := unparen(rhs).(*ast.CallExpr); ok {
 		switch workspaceMethod(info, call) {
 		case "Get", "GetRaw":
@@ -339,7 +336,7 @@ func (w *wsWalker) handOff(expr ast.Expr, keep types.Object) {
 	if len(w.live) == 0 {
 		return
 	}
-	info := w.pass.TypesInfo
+	info := w.pass.info
 	var walk func(e ast.Node, inCallArg bool)
 	walk = func(e ast.Node, inCallArg bool) {
 		switch e := e.(type) {
@@ -387,7 +384,7 @@ func (w *wsWalker) handOff(expr ast.Expr, keep types.Object) {
 // call processes a statement-position call: Put releases, panic terminates,
 // closures capture.
 func (w *wsWalker) call(call *ast.CallExpr) (terminates bool) {
-	info := w.pass.TypesInfo
+	info := w.pass.info
 	if workspaceMethod(info, call) == "Put" {
 		w.releaseMentionedIn(call)
 		return false
@@ -414,7 +411,7 @@ func (w *wsWalker) releaseMentionedIn(n ast.Node) {
 	}
 	ast.Inspect(n, func(c ast.Node) bool {
 		if id, ok := c.(*ast.Ident); ok {
-			if obj := w.pass.TypesInfo.ObjectOf(id); obj != nil {
+			if obj := w.pass.info.ObjectOf(id); obj != nil {
 				if _, tracked := w.live[obj]; tracked {
 					w.release(obj)
 				}
@@ -425,14 +422,12 @@ func (w *wsWalker) releaseMentionedIn(n ast.Node) {
 }
 
 // exit reports every variable still live at a function exit point, then
-// releases them so later exits don't re-report the same leak.
+// releases them so later exits don't re-report the same leak. An allow on
+// the Get answers for the leak as well as one on the exit.
 func (w *wsWalker) exit(pos token.Pos) {
 	for obj, getPos := range w.live {
-		if w.sup.suppressed(getPos) || w.sup.suppressed(pos) {
-			continue
-		}
-		g := w.pass.Fset.Position(getPos)
-		w.pass.Reportf(pos, "workspace matrix %s (Get at %s:%d) may leak: no Put, defer, return or hand-off reaches this exit — Put it back or annotate the Get //qnetlint:allow wsownership <reason>", obj.Name(), shortName(g.Filename), g.Line)
+		g := w.pass.l.fset.Position(getPos)
+		w.pass.reportAnchoredf(getPos, pos, "workspace matrix %s (Get at %s:%d) may leak: no Put, defer, return or hand-off reaches this exit — Put it back or annotate the Get //qnetlint:allow wsownership <reason>", obj.Name(), shortName(g.Filename), g.Line)
 	}
 	w.live = map[types.Object]token.Pos{}
 }
